@@ -23,7 +23,6 @@ from combsqec.conditions import (
     ConditionReport,
     Decoder,
     JointState,
-    LambdaTensor,
     RecoveryRecord,
     RecoveryReport,
     check_algebraic,
@@ -31,7 +30,6 @@ from combsqec.conditions import (
     check_info,
     check_static_kl,
     joint_state,
-    lambda_tensor,
     synth_decoder_algebraic,
     synth_decoder_schmidt,
     verify_recovery,

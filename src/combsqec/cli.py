@@ -199,22 +199,34 @@ def decode(
     payload["proof"] = proof
     payload["samples"] = samples
     payload["seed"] = seed
-    synth = synth_decoder_algebraic if proof == "algebraic" else synth_decoder_schmidt
+    if proof == "algebraic":
+        checker, synth = check_algebraic, synth_decoder_algebraic
+    else:
+        checker, synth = check_info, synth_decoder_schmidt
     try:
-        decoder = synth(doc.code, doc.errors)
+        rep = checker(doc.code, doc.errors)
     except ValueError as exc:
-        if "not correctable" not in str(exc):
-            _fail(str(exc))
-        rep = check_algebraic(doc.code, doc.errors)
+        _fail(str(exc))
+    if not rep.correctable:
         click.echo(_verdict_word(False))
-        if rep.witness is not None:
+        if proof == "algebraic":
             i, j, e, ep, memory, outcomes = rep.witness
             click.echo(
                 f"witness: codestates ({i}, {j}), error sequences {e} vs {ep},"
                 f" memory {memory!r}, outcomes {outcomes}"
             )
-        click.echo(f"worst residual {rep.worst_residual:.3e} > {rep.tolerance:.3e}")
+            click.echo(f"worst residual {rep.worst_residual:.3e} > {rep.tolerance:.3e}")
+        else:
+            (memory,) = rep.witness
+            click.echo(
+                f"witness: memory sector {memory!r}, entropy deficit "
+                f"{rep.worst_residual:.3e} bits > {rep.tolerance:.3e}"
+            )
         sys.exit(1)
+    try:
+        decoder = synth(doc.code, doc.errors)
+    except ValueError as exc:
+        _fail(str(exc), 1)
     click.echo(
         f"decoder synthesized: {len(decoder.kraus)} memory sectors, "
         f"output dim {decoder.output_dim}"

@@ -34,13 +34,11 @@ from .model import (
 from .tensor import LabeledOperator, dense_cap, entropy, herm_eig
 
 __all__ = [
-    "LambdaTensor",
     "ConditionReport",
     "JointState",
     "Decoder",
     "RecoveryRecord",
     "RecoveryReport",
-    "lambda_tensor",
     "check_algebraic",
     "check_corollary_all_outcomes",
     "check_static_kl",
@@ -71,7 +69,7 @@ class ConditionReport:
     ``(i, j, e, e_prime, memory, outcomes)`` tuple, for the static case
     ``(i, j, a, b)`` Kraus-pair indices, for the entropic checker the final
     memory state.  ``detail`` carries the checker's full table (lambda
-    matrices or mutual informations).
+    matrices or entropy deficits).
     """
 
     correctable: bool
@@ -88,48 +86,6 @@ class ConditionReport:
                 f"correctable={self.correctable}, residual={self.worst_residual}, "
                 f"tolerance={self.tolerance}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class LambdaTensor:
-    """Scalars and residuals of the algebraic condition.
-
-    ``entries[(e_prime, e, m, o)]`` is the least-squares scalar lambda for
-    the codespace matrix T = B^dag K_{e',m}^dag K_{e,m,o} B, and
-    ``residuals`` the Frobenius distance of T from lambda * I.  Aggregating
-    entries over o gives the per-memory matrix Lambda_m, which is a Gram
-    matrix (exactly Hermitian) and is what decoder synthesis diagonalizes.
-    """
-
-    code_dim: int
-    memories: tuple[str, ...]
-    error_sequences: tuple[tuple[int, ...], ...]
-    outcome_sequences: Mapping[str, tuple[tuple[str, ...], ...]]
-    entries: Mapping[tuple, complex]
-    residuals: Mapping[tuple, float]
-    degenerate_branches: tuple[tuple[str, tuple[str, ...]], ...]
-    scale: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "residuals", dict(self.residuals))
-        object.__setattr__(
-            self,
-            "outcome_sequences",
-            {m: tuple(v) for m, v in self.outcome_sequences.items()},
-        )
-
-    def lambda_matrix(self, memory: str) -> npt.NDArray[np.complex128]:
-        """Aggregate Lambda_m over outcome sequences, symmetrized."""
-        n = len(self.error_sequences)
-        out = np.zeros((n, n), dtype=np.complex128)
-        for a, ep in enumerate(self.error_sequences):
-            for b, e in enumerate(self.error_sequences):
-                out[a, b] = sum(
-                    self.entries[(ep, e, memory, o)]
-                    for o in self.outcome_sequences[memory]
-                )
-        return (out + out.conj().T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +245,7 @@ class _Composed:
                 for ie, e in enumerate(self.sequences):
                     k_op = compose_K(errors, code.interrogator, e, m, o)
                     arr[io, ie] = k_op.data @ self.basis
+            arr.flags.writeable = False
             self.blocks[m] = arr
 
     def aggregated(self, m: str) -> np.ndarray:
@@ -306,6 +263,22 @@ class _Composed:
         return worst
 
 
+def _composed(code: StrategicCode, errors: ErrorModel) -> _Composed:
+    """The composed table of (code, errors), built once per pair.
+
+    The table is kept on ``errors`` next to the code it was built for and
+    rebuilt when a different code arrives.  Reuse is sound because both
+    inputs are frozen, compare by identity, and hold only arrays that
+    :class:`LabeledOperator` and :class:`CodeSpace` have made read-only;
+    the table's own blocks are read-only too.
+    """
+    cached = getattr(errors, "_composed", None)
+    if cached is None or cached[0] is not code:
+        cached = (code, _Composed(code, errors))
+        object.__setattr__(errors, "_composed", cached)
+    return cached[1]
+
+
 def _scalar_fit(t_mat: np.ndarray) -> tuple[complex, float, tuple[int, int]]:
     """Least-squares scalar, residual and worst element of T vs lambda*I."""
     k = t_mat.shape[0]
@@ -321,57 +294,14 @@ def _scalar_fit(t_mat: np.ndarray) -> tuple[complex, float, tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 
-def lambda_tensor(code: StrategicCode, errors: ErrorModel) -> LambdaTensor:
-    """Scalars of the algebraic condition for every index combination.
-
-    For each (e', e, m, o) the codespace matrix
-    T = B^dag K_{e',m}^dag K_{e,m,o} B is reduced to its least-squares
-    scalar lambda = Tr(T) / code_dim and the residual ||T - lambda I||_F.
-    The e' side aggregates outcome sequences, matching the condition's
-    asymmetric form.
-    """
-    comp = _Composed(code, errors)
-    entries: dict[tuple, complex] = {}
-    residuals: dict[tuple, float] = {}
-    degenerate: list[tuple[str, tuple[str, ...]]] = []
-    for m in comp.memories:
-        agg = comp.aggregated(m)
-        blocks = comp.blocks[m]
-        for io, o in enumerate(comp.outcomes[m]):
-            if np.max(np.abs(blocks[io])) < WEIGHT_CUTOFF:
-                degenerate.append((m, o))
-            for a, ep in enumerate(comp.sequences):
-                left = agg[a].conj().T
-                for b, e in enumerate(comp.sequences):
-                    t_mat = left @ blocks[io, b]
-                    lam, res, _ = _scalar_fit(t_mat)
-                    key = (ep, e, m, o)
-                    entries[key] = lam
-                    residuals[key] = res
-    return LambdaTensor(
-        code_dim=comp.code_dim,
-        memories=comp.memories,
-        error_sequences=comp.sequences,
-        outcome_sequences=comp.outcomes,
-        entries=entries,
-        residuals=residuals,
-        degenerate_branches=tuple(degenerate),
-        scale=comp.scale(),
-    )
-
-
 def _algebraic_report(
-    code: StrategicCode,
-    errors: ErrorModel,
-    tol: float | None,
-    per_outcome_left: bool,
+    comp: _Composed, tol: float | None, per_outcome_left: bool
 ) -> ConditionReport:
     """Shared sweep for check_algebraic and the all-outcomes corollary.
 
     ``per_outcome_left`` selects the corollary's symmetric form, where the
     e' side uses the same single outcome sequence instead of the aggregate.
     """
-    comp = _Composed(code, errors)
     scale = comp.scale()
     tolerance = RESIDUAL_RTOL * scale if tol is None else float(tol)
     worst = -1.0
@@ -416,11 +346,27 @@ def check_algebraic(
 ) -> ConditionReport:
     """Algebraic correctability check.
 
-    Correctable iff every T matrix is a scalar on the codespace within
-    tolerance (default ``1e-8`` times the largest composed-operator norm).
-    The worst witness is reported in lexicographic sweep order.
+    For each (e', e, m, o) the codespace matrix
+    T = B^dag K_{e',m}^dag K_{e,m,o} B is reduced to its least-squares
+    scalar lambda = Tr(T) / code_dim and the residual ||T - lambda I||_F;
+    the e' side aggregates outcome sequences, matching the condition's
+    asymmetric form.  Correctable iff every residual is within tolerance
+    (default ``1e-8`` times the largest composed-operator norm).  The worst
+    witness is reported in lexicographic sweep order.
+
+    ``detail`` holds:
+
+    * ``"lambda"``: per final memory m the matrix Lambda_m, whose (e', e)
+      entry sums lambda over the outcome sequences reaching m.  It is the
+      Gram matrix of the K_{e,m} B, so it is Hermitian up to rounding and
+      stored symmetrized; decoder synthesis diagonalizes it.
+    * ``"memories"`` and ``"error_sequences"``: the final memory states and
+      the error sequences, in the order indexing ``"lambda"``.
+    * ``"degenerate_branches"``: the (m, o) branches whose composed
+      operators vanish on the codespace.
+    * ``"scale"``: the largest composed-operator norm.
     """
-    return _algebraic_report(code, errors, tol, per_outcome_left=False)
+    return _algebraic_report(_composed(code, errors), tol, per_outcome_left=False)
 
 
 def check_corollary_all_outcomes(
@@ -431,14 +377,14 @@ def check_corollary_all_outcomes(
     Requires the memory update to be injective on outcome sequences; on
     such instances the verdict agrees with :func:`check_algebraic`.
     """
-    grouped = enumerate_trajectories(code.interrogator)
-    for m, trajectories in grouped.items():
-        if len(trajectories) > 1:
+    comp = _composed(code, errors)
+    for m, outcomes in comp.outcomes.items():
+        if len(outcomes) > 1:
             raise ValueError(
-                f"memory update is not injective: {len(trajectories)} outcome "
+                f"memory update is not injective: {len(outcomes)} outcome "
                 f"sequences share final memory {m!r}; use check_algebraic"
             )
-    return _algebraic_report(code, errors, tol, per_outcome_left=True)
+    return _algebraic_report(comp, tol, per_outcome_left=True)
 
 
 def check_static_kl(
@@ -500,7 +446,7 @@ def joint_state(code: StrategicCode, errors: ErrorModel) -> JointState:
     codespace; outcome and error registers record which branch occurred.
     Register order is fixed as (reference, outcome, error).
     """
-    comp = _Composed(code, errors)
+    comp = _composed(code, errors)
     k = comp.code_dim
     amplitudes: dict[str, np.ndarray] = {}
     rho_rme: dict[str, np.ndarray] = {}
@@ -637,18 +583,18 @@ def _blocks_to_decoder(
 def synth_decoder_algebraic(
     code: StrategicCode,
     errors: ErrorModel,
-    lt: LambdaTensor | None = None,
     tol: float | None = None,
     require_correctable: bool = True,
 ) -> Decoder:
     """Decoder from the algebraic proof.
 
-    Diagonalizes each aggregate Lambda_m, rotates the aggregated Kraus
-    operators into orthogonal error directions F_alpha, and inverts each
-    surviving direction back onto the codespace.  Directions of weight
-    below the cutoff never occur on the codespace and are dropped.  With
-    ``require_correctable=False`` the construction proceeds on failing
-    instances and yields the best-effort projective decoder.
+    Diagonalizes each aggregate Lambda_m of :func:`check_algebraic`,
+    rotates the aggregated Kraus operators into orthogonal error directions
+    F_alpha, and inverts each surviving direction back onto the codespace.
+    Directions of weight below the cutoff never occur on the codespace and
+    are dropped.  With ``require_correctable=False`` the construction
+    proceeds on failing instances and yields the best-effort projective
+    decoder.
     """
     _require_trivial_environment(errors, "the algebraic decoder")
     report = check_algebraic(code, errors, tol)
@@ -658,17 +604,12 @@ def synth_decoder_algebraic(
             f"{report.worst_residual:.3e} > tolerance {report.tolerance:.3e}); "
             "pass require_correctable=False for a best-effort decoder"
         )
-    if lt is None:
-        lt = lambda_tensor(code, errors)
-    comp = _Composed(code, errors)
+    comp = _composed(code, errors)
     columns: dict[str, list[np.ndarray]] = {}
     for m in comp.memories:
         agg = comp.aggregated(m)        # (n_e, out, k)
-        spec = herm_eig(
-            LabeledOperator(
-                (("e", agg.shape[0]),), (("e", agg.shape[0]),), lt.lambda_matrix(m)
-            )
-        )
+        n_e = (("e", agg.shape[0]),)
+        spec = herm_eig(LabeledOperator(n_e, n_e, report.detail["lambda"][m]))
         blocks: list[np.ndarray] = []
         for alpha in range(agg.shape[0]):
             d_alpha = float(spec.eigenvalues[alpha])
@@ -683,7 +624,6 @@ def synth_decoder_algebraic(
 def synth_decoder_schmidt(
     code: StrategicCode,
     errors: ErrorModel,
-    js: JointState | None = None,
     tol: float = MI_TOL_BITS,
     require_correctable: bool = True,
 ) -> Decoder:
@@ -696,8 +636,6 @@ def synth_decoder_schmidt(
     (a Schmidt-rank inconsistency, signalling the state is not a product).
     """
     _require_trivial_environment(errors, "the entropic decoder")
-    if js is None:
-        js = joint_state(code, errors)
     report = check_info(code, errors, tol)
     if require_correctable and not report.correctable:
         raise ValueError(
@@ -705,6 +643,7 @@ def synth_decoder_schmidt(
             f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
             "pass require_correctable=False for a best-effort decoder"
         )
+    js = joint_state(code, errors)
     k = js.code_dim
     columns: dict[str, list[np.ndarray]] = {}
     for m in js.memories:
@@ -760,7 +699,7 @@ def verify_recovery(
     they are guaranteed to total one (for trace-preserving models) only
     when each memory state pins a single outcome sequence.
     """
-    comp = _Composed(code, errors)
+    comp = _composed(code, errors)
     env = comp.env_dim
     q_dim = comp.out_dim // env
     records: list[RecoveryRecord] = []

@@ -9,8 +9,7 @@ Label conventions are fixed here and used by every higher layer:
 
 * ``Q{r}``   system entering error round r (``Q0`` is the codespace ambient),
 * ``Q{r}p``  system leaving error round r and entering check round r+1,
-* ``E{r}``   environment leaving error round r (dimension 1 when uncorrelated),
-* ``B{r}``   quantum memory between check rounds (quantum-memory variant only).
+* ``E{r}``   environment leaving error round r (dimension 1 when uncorrelated).
 
 Check round r maps ``Q{r-1}p -> Q{r}``; error round r maps
 ``Q{r} (x) E{r-1} -> Q{r}p (x) E{r}`` with no environment input at round 0.
@@ -43,12 +42,10 @@ __all__ = [
     "Interrogator",
     "ErrorModel",
     "StrategicCode",
-    "QMemInterrogator",
     "Trajectory",
     "q_label",
     "qp_label",
     "env_label",
-    "mem_label",
     "enumerate_trajectories",
     "count_trajectories",
     "comb_vector",
@@ -57,7 +54,6 @@ __all__ = [
     "compose_K",
     "error_comb",
     "error_comb_vector",
-    "qmem_comb_vector",
 ]
 
 INITIAL_MEMORY = ""
@@ -81,11 +77,6 @@ def qp_label(r: int) -> str:
 def env_label(r: int) -> str:
     """Label of the environment leaving error round r."""
     return f"E{r}"
-
-
-def mem_label(r: int) -> str:
-    """Label of the quantum memory between check rounds r and r+1."""
-    return f"B{r}"
 
 
 # ----------------------------------------------------------------------
@@ -665,128 +656,3 @@ def error_comb(errors: ErrorModel) -> ChoiOperator:
     outputs += (env_label(errors.rounds),)
     op = LabeledOperator(subs, subs, total)
     return ChoiOperator(op, input_labels=inputs, output_labels=outputs)
-
-
-# ----------------------------------------------------------------------
-# quantum-memory variant (construction only)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class QMemInterrogator:
-    """Check rounds whose Kraus operators carry quantum-memory legs.
-
-    Round r operators map ``B{r-1} (x) Q{r-1}p -> B{r} (x) Q{r}``, keyed by
-    memory state then outcome as in the classical case.  ``carrier`` is the
-    entangled codestate vector on (B0, Q0) that seeds the chain; it is what
-    a zero-round interrogation returns.
-    """
-
-    instruments: tuple[Mapping[str, Mapping[str, LabeledOperator]], ...]
-    update: MemoryUpdate
-    carrier: LabeledOperator | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "instruments",
-            tuple({m: dict(k) for m, k in table.items()} for table in self.instruments),
-        )
-        if self.update.rounds != len(self.instruments):
-            raise ValueError("update rounds do not match instrument rounds")
-        mem_dim = None if self.carrier is None else self.carrier.row_dim_of(mem_label(0))
-        for r, table in enumerate(self.instruments, start=1):
-            for memory, kraus in sorted(table.items()):
-                for outcome, op in sorted(kraus.items()):
-                    expect_rows = (mem_label(r), q_label(r))
-                    expect_cols = (mem_label(r - 1), qp_label(r - 1))
-                    if op.row_labels != expect_rows or op.col_labels != expect_cols:
-                        raise ValueError(
-                            f"round {r} memory-leg Kraus must map {expect_cols} -> "
-                            f"{expect_rows}, got {op.col_labels} -> {op.row_labels}"
-                        )
-                    b_in = op.col_dim_of(mem_label(r - 1))
-                    if mem_dim is not None and b_in != mem_dim:
-                        raise ValueError(
-                            f"memory-leg dim mismatch at round {r}: expected "
-                            f"{mem_dim}, got {b_in}"
-                        )
-                mem_dims = {
-                    op.row_dim_of(mem_label(r)) for op in kraus.values()
-                }
-                if len(mem_dims) != 1:
-                    raise ValueError(f"round {r} outcomes disagree on memory dim")
-            dims = {
-                op.row_dim_of(mem_label(r))
-                for table_kraus in table.values()
-                for op in table_kraus.values()
-            }
-            if len(dims) != 1:
-                raise ValueError(f"round {r} memory dims differ across memory states")
-            mem_dim = dims.pop()
-
-    @property
-    def rounds(self) -> int:
-        return len(self.instruments)
-
-
-def qmem_comb_vector(
-    interrogator: QMemInterrogator, final_memory: str, outcomes: Sequence[str]
-) -> LabeledOperator:
-    """Comb vector of a quantum-memory interrogation.
-
-    Intermediate memory legs are contracted between consecutive rounds; the
-    initial memory B0, the final memory B{l}, the check outputs Q1..Ql and
-    the vectorized inputs Q0p..Q{l-1}p all stay open.  With every memory
-    dimension 1 this reduces to the classical dense comb vector.
-    """
-    l = interrogator.rounds
-    if l == 0:
-        if interrogator.carrier is None:
-            raise ValueError("zero-round quantum-memory interrogator needs a carrier")
-        if outcomes:
-            raise ValueError("zero rounds admit no outcomes")
-        return interrogator.carrier
-    memories = interrogator.update.fold(outcomes)
-    final = memories[-1]
-    if final != final_memory:
-        raise ValueError(
-            f"outcome sequence {tuple(outcomes)!r} folds to memory {final!r}, "
-            f"not {final_memory!r}"
-        )
-    chain: list[LabeledOperator] = []
-    memory = INITIAL_MEMORY
-    for r, outcome in enumerate(outcomes, start=1):
-        table = interrogator.instruments[r - 1]
-        try:
-            chain.append(table[memory][outcome])
-        except KeyError as exc:
-            raise KeyError(
-                f"round-{r} quantum-memory Kraus missing for memory {memory!r}, "
-                f"outcome {outcome!r}"
-            ) from exc
-        memory = memories[r - 1]
-    dims = [
-        (
-            op.row_dim_of(mem_label(r)),
-            op.row_dim_of(q_label(r)),
-            op.col_dim_of(mem_label(r - 1)),
-            op.col_dim_of(qp_label(r - 1)),
-        )
-        for r, op in enumerate(chain, start=1)
-    ]
-    # axes after round r: (b_r, q_r, q_{r-1}, ..., q_1, b_0, j_0, ..., j_{r-1})
-    b1, q1, b0, j0 = dims[0]
-    cur = chain[0].data.reshape(b1, q1, b0, j0)
-    for r in range(2, l + 1):
-        br, qr, br_prev, jr_prev = dims[r - 1]
-        block = chain[r - 1].data.reshape(br, qr, br_prev, jr_prev)
-        cur = np.tensordot(block, cur, axes=([2], [0]))
-        cur = np.moveaxis(cur, 2, cur.ndim - 1)
-    subs: list[tuple[str, int]] = [(mem_label(l), dims[-1][0]), (q_label(l), dims[-1][1])]
-    for r in range(l - 1, 0, -1):
-        subs.append((q_label(r), dims[r - 1][1]))
-    subs.append((mem_label(0), dims[0][2]))
-    for r in range(l):
-        subs.append((qp_label(r), dims[r][3]))
-    return LabeledOperator(tuple(subs), (), cur.reshape(-1, 1))

@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import combsqec.conditions as conditions
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
+from combsqec.model import CodeSpace, ErrorModel, StrategicCode
+from combsqec.tensor import LabeledOperator
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,26 @@ def exported(tmp_path_factory):
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def noisy_spacetime(eps, path):
+    """Spacetime with Gaussian noise of size eps on its error Kraus operators."""
+    inst = build_instance("spacetime")
+    rng = np.random.default_rng(0)
+    rounds = []
+    for ops in inst.errors.kraus_rounds:
+        noisy = []
+        for op in ops:
+            noise = rng.standard_normal(op.data.shape) + 1j * rng.standard_normal(
+                op.data.shape
+            )
+            noisy.append(
+                LabeledOperator(op.row_subsystems, op.col_subsystems, op.data + eps * noise)
+            )
+        rounds.append(tuple(noisy))
+    errors = ErrorModel(tuple(rounds), require_trace_nonincreasing=False)
+    export_instance(inst.code, errors, path)
+    return path
 
 
 class TestCheck:
@@ -98,6 +122,27 @@ class TestDecode:
         assert "NOT CORRECTABLE" in res.output
         assert "witness: codestates" in res.output
 
+    def test_schmidt_failures_near_threshold(self, runner, tmp_path):
+        # at 1e-5 the entropic check passes but the Schmidt construction
+        # rejects: a negative result on a valid instance, not a usage error
+        res = runner.invoke(
+            main,
+            ["decode", noisy_spacetime(1e-5, str(tmp_path / "a.json")),
+             "--proof", "schmidt"],
+        )
+        assert res.exit_code == 1
+        assert "Schmidt-rank inconsistency" in res.output
+        # at 1e-3 the entropic check fails and names its own witness
+        res = runner.invoke(
+            main,
+            ["decode", noisy_spacetime(1e-3, str(tmp_path / "b.json")),
+             "--proof", "schmidt"],
+        )
+        assert res.exit_code == 1
+        assert "NOT CORRECTABLE" in res.output
+        assert "witness: memory sector 'u|1', entropy deficit" in res.output
+        assert "witness: codestates" not in res.output
+
     def test_zero_samples_vacuous(self, runner, exported):
         res = runner.invoke(
             main, ["decode", exported["bitflip"], "--samples", "0"]
@@ -110,6 +155,51 @@ class TestDecode:
             main, ["decode", exported["bitflip"], "--samples", "-1"]
         )
         assert res.exit_code == 2
+
+
+class TestComposedTable:
+    def test_one_compose_pass_per_instance(self, runner, tmp_path, monkeypatch):
+        calls = []
+        compose_K = conditions.compose_K
+
+        def counted(*args):
+            calls.append(args)
+            return compose_K(*args)
+
+        monkeypatch.setattr(conditions, "compose_K", counted)
+        # spacetime: two error sequences times two trajectories
+        inst = build_instance("spacetime")
+        conditions.synth_decoder_algebraic(inst.code, inst.errors)
+        assert len(calls) == 4
+        path = str(tmp_path / "st.json")
+        export_instance(inst.code, inst.errors, path)
+        for args in (["check", path, "--method", "both"],
+                     ["decode", path, "--proof", "algebraic"]):
+            calls.clear()
+            assert runner.invoke(main, args).exit_code == 0
+            assert len(calls) == 4, args
+
+        # two codes on one error model: each gets its own table
+        def other_code(code):
+            return StrategicCode(CodeSpace(4, np.eye(4)[:, :2]), code.interrogator)
+
+        shared = build_instance("spacetime")
+        codes = (shared.code, other_code(shared.code))
+        for pick in (0, 1, 0):
+            calls.clear()
+            got = (conditions.check_algebraic(codes[pick], shared.errors),
+                   conditions.check_info(codes[pick], shared.errors))
+            assert len(calls) == 4
+            fresh = build_instance("spacetime")
+            code = (fresh.code, other_code(fresh.code))[pick]
+            want = (conditions.check_algebraic(code, fresh.errors),
+                    conditions.check_info(code, fresh.errors))
+            for g, w in zip(got, want):
+                assert (g.correctable, g.worst_residual, g.witness) == (
+                    w.correctable, w.worst_residual, w.witness
+                )
+        assert conditions.check_algebraic(codes[0], shared.errors).correctable
+        assert not conditions.check_algebraic(codes[1], shared.errors).correctable
 
 
 class TestOptimize:

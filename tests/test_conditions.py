@@ -14,7 +14,6 @@ from combsqec.conditions import (
     check_info,
     check_static_kl,
     joint_state,
-    lambda_tensor,
     synth_decoder_algebraic,
     synth_decoder_schmidt,
     verify_recovery,
@@ -29,6 +28,7 @@ from combsqec.model import (
     MemoryUpdate,
     StrategicCode,
     compose_K,
+    enumerate_trajectories,
     env_label,
     q_label,
     qp_label,
@@ -154,34 +154,52 @@ class TestStaticKL:
 
 
 # ----------------------------------------------------------------------
-# lambda tensor
+# lambda tensor: the per-memory matrices of the algebraic report
 # ----------------------------------------------------------------------
+
+
+def raw_lambda(code, errors, memory):
+    """Unsymmetrized Lambda_m rebuilt from compose_K: entry (e', e) is
+    Tr(B^dag K_{e',m}^dag K_{e,m} B) / code_dim, summed branch by branch."""
+    basis = code.codespace.basis
+    k = code.codespace.dim
+    seqs = list(errors.sequences())
+    outcomes = [
+        t.outcomes for t in enumerate_trajectories(code.interrogator)[memory]
+    ]
+    branch = {
+        (e, o): compose_K(errors, code.interrogator, e, memory, o).data @ basis
+        for e in seqs
+        for o in outcomes
+    }
+    raw = np.zeros((len(seqs), len(seqs)), dtype=complex)
+    for a, ep in enumerate(seqs):
+        left = sum(branch[(ep, o)] for o in outcomes).conj().T
+        for b, e in enumerate(seqs):
+            for o in outcomes:
+                raw[a, b] += np.trace(left @ branch[(e, o)]) / k
+    return raw
 
 
 class TestLambdaTensor:
     def test_hexagon_cross_terms_vanish(self):
         inst = hexagon_honeycomb()
-        lt = lambda_tensor(inst.code, inst.errors)
-        e1, e2 = lt.error_sequences
+        report = check_algebraic(inst.code, inst.errors)
+        assert len(report.detail["error_sequences"]) == 2
         cross = max(
-            max(abs(lt.entries[(e1, e2, m, o)]), abs(lt.entries[(e2, e1, m, o)]))
-            for m in lt.memories
-            for o in lt.outcome_sequences[m]
+            abs(lam[0, 1]) for lam in report.detail["lambda"].values()
         )
         assert cross <= 1e-9
-        assert max(lt.residuals.values()) <= 1e-9
+        assert report.worst_residual <= 1e-9
 
     def test_hexagon_diagonal_sums_to_error_weight(self):
         # trace preservation: summing the diagonal scalar over all
         # branches recovers each error operator's squared weight (1/2)
         inst = hexagon_honeycomb()
-        lt = lambda_tensor(inst.code, inst.errors)
-        for e in lt.error_sequences:
-            total = sum(
-                lt.entries[(e, e, m, o)]
-                for m in lt.memories
-                for o in lt.outcome_sequences[m]
-            )
+        report = check_algebraic(inst.code, inst.errors)
+        lambdas = report.detail["lambda"]
+        for a in range(len(report.detail["error_sequences"])):
+            total = sum(lambdas[m][a, a] for m in report.detail["memories"])
             assert total == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_kraus_branch_is_flagged_degenerate(self):
@@ -199,40 +217,26 @@ class TestLambdaTensor:
         errors = ErrorModel(
             ((err_round(0, np.eye(2)),), (err_round(1, np.eye(2)),))
         )
-        lt = lambda_tensor(code, errors)
-        assert lt.degenerate_branches == (("b", ("b",)),)
         report = check_algebraic(code, errors)
         assert report.correctable
         assert report.detail["degenerate_branches"] == (("b", ("b",)),)
 
     def test_trace_sum_is_one_for_trace_preserving_models(self, corpus):
         for inst in corpus:
-            lt = lambda_tensor(inst.code, inst.errors)
-            total = sum(
-                np.trace(lt.lambda_matrix(m)).real for m in lt.memories
-            )
+            lambdas = check_algebraic(inst.code, inst.errors).detail["lambda"]
+            total = sum(np.trace(lam).real for lam in lambdas.values())
             assert total == pytest.approx(1.0, abs=1e-8), inst.name
 
     def test_aggregate_is_hermitian_psd_when_correctable(self, corpus):
         for inst in corpus:
             if not inst.expected_correctable:
                 continue
-            lt = lambda_tensor(inst.code, inst.errors)
-            for m in lt.memories:
-                raw = np.array(
-                    [
-                        [
-                            sum(
-                                lt.entries[(ep, e, m, o)]
-                                for o in lt.outcome_sequences[m]
-                            )
-                            for e in lt.error_sequences
-                        ]
-                        for ep in lt.error_sequences
-                    ]
-                )
+            report = check_algebraic(inst.code, inst.errors)
+            for m, lam in report.detail["lambda"].items():
+                raw = raw_lambda(inst.code, inst.errors, m)
                 assert np.max(np.abs(raw - raw.conj().T)) <= 1e-9
-                assert np.min(np.linalg.eigvalsh(lt.lambda_matrix(m))) >= -1e-9
+                assert np.max(np.abs(lam - (raw + raw.conj().T) / 2)) <= 1e-12
+                assert np.min(np.linalg.eigvalsh(lam)) >= -1e-9
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from combsqec.model import (
     ErrorModel,
     Interrogator,
     MemoryUpdate,
-    QMemInterrogator,
     StrategicCode,
     Trajectory,
     comb_vector,
@@ -23,10 +22,8 @@ from combsqec.model import (
     error_comb,
     error_comb_vector,
     interrogator_operator,
-    mem_label,
     q_label,
     qp_label,
-    qmem_comb_vector,
 )
 from combsqec.tensor import LabeledOperator, permute_subsystems, vectorize
 
@@ -516,84 +513,6 @@ class TestErrorComb:
         model = random_tp_error_model(rng, (2, 2, 2), (1, 1), (2, 2))
         with pytest.raises(ValueError, match="exceeds the cap"):
             error_comb(model)
-
-
-def qmem_op(r, mat, b_in, b_out, q_in, q_out):
-    rows = ((mem_label(r), b_out), (q_label(r), q_out))
-    cols = ((mem_label(r - 1), b_in), (qp_label(r - 1), q_in))
-    return LabeledOperator(rows, cols, np.asarray(mat, dtype=complex))
-
-
-class TestQMemCombVector:
-    def test_trivial_memory_reduces_to_classical(self, rng):
-        interro = two_round_adaptive(rng)
-        qrounds = []
-        for r in (1, 2):
-            table = {}
-            for m, inst in interro.instruments[r - 1].items():
-                table[m] = {
-                    o: qmem_op(r, op.data, 1, 1, 2, 2)
-                    for o, op in inst.kraus.items()
-                }
-            qrounds.append(table)
-        qinter = QMemInterrogator(tuple(qrounds), interro.update)
-        qv = qmem_comb_vector(qinter, "ab", ("a", "b"))
-        cv = comb_vector_dense(interro, "ab", ("a", "b"))
-        ordered = permute_subsystems(
-            qv, ("B2", "Q2", "Q1p", "Q1", "Q0p", "B0"), ()
-        )
-        assert np.allclose(
-            ordered.data.reshape(-1), cv.data.reshape(-1), atol=1e-12
-        )
-
-    def test_zero_rounds_returns_carrier(self):
-        carrier = LabeledOperator(
-            ((mem_label(0), 2), (q_label(0), 2)),
-            (),
-            np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2),
-        )
-        qinter = QMemInterrogator((), MemoryUpdate(()), carrier=carrier)
-        out = qmem_comb_vector(qinter, INITIAL_MEMORY, ())
-        assert out is carrier
-
-    def test_norm_matches_cp_map_composition(self, rng):
-        # two rounds with qubit memory; oracle composes the chain literally
-        b = (2, 2, 2)
-        ops1 = random_kraus_set(rng, b[1] * 2, b[0] * 2, 2)
-        ops2 = random_kraus_set(rng, b[2] * 2, b[1] * 2, 2)
-        qrounds = (
-            {"": {"a": qmem_op(1, ops1[0], b[0], b[1], 2, 2),
-                  "b": qmem_op(1, ops1[1], b[0], b[1], 2, 2)}},
-            {"m": {"a": qmem_op(2, ops2[0], b[1], b[2], 2, 2),
-                   "b": qmem_op(2, ops2[1], b[1], b[2], 2, 2)}},
-        )
-        update = MemoryUpdate(
-            ({("a", ""): "m", ("b", ""): "m"},
-             {("a", "m"): "m", ("b", "m"): "m"})
-        )
-        qinter = QMemInterrogator(qrounds, update)
-        vec = qmem_comb_vector(qinter, "m", ("b", "a"))
-        # oracle: total operator (B0 x Q0p x Q1p) -> (B2 x Q2 x Q1), column by column
-        c1 = ops1[1].reshape(b[1], 2, b[0], 2)
-        c2 = ops2[0].reshape(b[2], 2, b[1], 2)
-        frob2 = 0.0
-        for k0 in range(b[0]):
-            for j0 in range(2):
-                for j1 in range(2):
-                    mid = c1[:, :, k0, j0]            # (b1, q1)
-                    out = np.tensordot(c2[:, :, :, j1], mid, axes=([2], [0]))
-                    frob2 += float(np.sum(np.abs(out) ** 2))
-        norm2 = float(np.real((vec.data.conj().T @ vec.data).item()))
-        assert norm2 == pytest.approx(frob2, rel=1e-10)
-
-    def test_memory_dim_mismatch_rejected(self):
-        qrounds = (
-            {"": {"u": qmem_op(1, np.zeros((4, 2)), 1, 2, 2, 2)}},
-            {"": {"u": qmem_op(2, np.zeros((2, 6)), 3, 1, 2, 2)}},
-        )
-        update = MemoryUpdate(({("u", ""): ""}, {("u", ""): ""}))
-        with pytest.raises(ValueError, match="memory-leg dim mismatch"):
-            QMemInterrogator(qrounds, update)
 
 
 class TestStrategicCode:
