@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
+    branch_supports,
     check_algebraic,
     check_info,
     synth_decoder_algebraic,
@@ -32,15 +33,7 @@ from .io import (
     load_instance,
 )
 from .library import build_instance, instance_names
-from .model import (
-    ErrorModel,
-    StrategicCode,
-    compose_K,
-    enumerate_trajectories,
-    env_label,
-    q_label,
-    qp_label,
-)
+from .model import ErrorModel, StrategicCode, env_label, q_label, qp_label
 from .optimize import OptimizationState, OptimizerConfig, seesaw, static_biconvex
 from .tensor import LabeledOperator
 
@@ -211,21 +204,29 @@ def decode(
         click.echo(_verdict_word(False))
         if proof == "algebraic":
             i, j, e, ep, memory, outcomes = rep.witness
-            click.echo(
-                f"witness: codestates ({i}, {j}), error sequences {e} vs {ep},"
+            witness = (
+                f"codestates ({i}, {j}), error sequences {e} vs {ep},"
                 f" memory {memory!r}, outcomes {outcomes}"
             )
+            click.echo(f"witness: {witness}")
             click.echo(f"worst residual {rep.worst_residual:.3e} > {rep.tolerance:.3e}")
         else:
             (memory,) = rep.witness
-            click.echo(
-                f"witness: memory sector {memory!r}, entropy deficit "
+            witness = (
+                f"memory sector {memory!r}, entropy deficit "
                 f"{rep.worst_residual:.3e} bits > {rep.tolerance:.3e}"
             )
+            click.echo(f"witness: {witness}")
+        payload["verdict"] = _verdict_word(False)
+        payload["witness"] = witness
+        _write_report(report_path, payload)
         sys.exit(1)
     try:
         decoder = synth(doc.code, doc.errors)
     except ValueError as exc:
+        payload["verdict"] = "SYNTHESIS FAILED"
+        payload["error"] = str(exc)
+        _write_report(report_path, payload)
         _fail(str(exc), 1)
     click.echo(
         f"decoder synthesized: {len(decoder.kraus)} memory sectors, "
@@ -389,26 +390,6 @@ def optimize(
 # ----------------------------------------------------------------------
 
 
-def _branch_supports(
-    code: StrategicCode, errors: ErrorModel, weight_floor: float = 1e-9
-) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
-    """Outcome sequences carrying weight, per error sequence."""
-    supports: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
-    trajectories = enumerate_trajectories(code.interrogator)
-    for seq in errors.sequences():
-        rows = []
-        for memory, trajs in sorted(trajectories.items()):
-            for traj in trajs:
-                block = compose_K(
-                    errors, code.interrogator, seq, memory, traj.outcomes
-                )
-                weight = float(np.linalg.norm(block.data @ code.codespace.basis))
-                if weight > weight_floor:
-                    rows.append(traj.outcomes)
-        supports[seq] = sorted(rows)
-    return supports
-
-
 def _flip_sign(signs: str, position: int) -> str:
     chars = list(signs)
     chars[position - 1] = "+" if chars[position - 1] == "-" else "-"
@@ -464,7 +445,7 @@ def demo(name: str, export_path: str | None) -> None:
         sys.exit(3)
     if name == "hexagon":
         click.echo("outcome flip pattern by error (round-1 / round-2 check signs):")
-        supports = _branch_supports(inst.code, inst.errors)
+        supports = branch_supports(inst.code, inst.errors)
         for k, label in ((0, "Z on qubit 1"), (1, "Z on qubit 2")):
             rows = supports[(k, 0, 0)]
             o1 = sorted({o[0] for o in rows})

@@ -39,6 +39,7 @@ __all__ = [
     "Decoder",
     "RecoveryRecord",
     "RecoveryReport",
+    "branch_supports",
     "check_algebraic",
     "check_corollary_all_outcomes",
     "check_static_kl",
@@ -277,6 +278,22 @@ def _composed(code: StrategicCode, errors: ErrorModel) -> _Composed:
         cached = (code, _Composed(code, errors))
         object.__setattr__(errors, "_composed", cached)
     return cached[1]
+
+
+def branch_supports(
+    code: StrategicCode, errors: ErrorModel, weight_floor: float = 1e-9
+) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
+    """Outcome sequences whose K_{e,m,o} B carries weight, per error sequence."""
+    comp = _composed(code, errors)
+    return {
+        e: sorted(
+            o
+            for m in comp.memories
+            for io, o in enumerate(comp.outcomes[m])
+            if np.linalg.norm(comp.blocks[m][io, ie]) > weight_floor
+        )
+        for ie, e in enumerate(comp.sequences)
+    }
 
 
 def _scalar_fit(t_mat: np.ndarray) -> tuple[complex, float, tuple[int, int]]:

@@ -405,15 +405,18 @@ class _Engine:
 # ----------------------------------------------------------------------
 
 
-def _affine_tp(x: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    deficit = np.eye(d_in) - _trace_out(x, d_out, d_in)
-    return x + np.kron(np.eye(d_out), deficit) / d_out
+def _affine_tp(x: np.ndarray, deficit: np.ndarray, d_out: int) -> np.ndarray:
+    """``x`` moved onto the trace-preservation slice, given its TP deficit."""
+    y = x.copy()
+    d_in = deficit.shape[0]
+    diagonal_blocks = np.einsum("aiaj->aij", y.reshape(d_out, d_in, d_out, d_in))
+    diagonal_blocks += deficit / d_out
+    return y
 
 
 def _psd_clip(x: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((x + x.conj().T) / 2.0)
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
 
 
 def _project_cptp_array(
@@ -427,26 +430,48 @@ def _project_cptp_array(
 
     The affine trace-preservation slice has a closed-form orthogonal
     projection, so the correction term is carried on the cone step only.
-    The returned iterate is exactly PSD with the affine residual below
-    ``tol``.
+    Each sweep costs one ``eigh`` of the Choi matrix and one partial
+    trace, whose deficit is both the convergence residual and the next
+    affine step; the PSD residual is computed only when raising.  The
+    returned iterate is exactly PSD with the affine residual below ``tol``.
     """
+    eye_in = np.eye(d_in)
     z = (x + x.conj().T) / 2.0
+    deficit = eye_in - _trace_out(z, d_out, d_in)
     correction = np.zeros_like(z)
     tp_res = math.inf
-    psd_res = math.inf
+    y = None
     for _ in range(sweeps):
-        y = _affine_tp(z, d_out, d_in)
+        y = _affine_tp(z, deficit, d_out)
         w = y + correction
         z = _psd_clip(w)
         correction = w - z
-        tp_res = float(np.linalg.norm(_trace_out(z, d_out, d_in) - np.eye(d_in)))
-        psd_res = max(0.0, -_min_eig(y))
+        deficit = eye_in - _trace_out(z, d_out, d_in)
+        tp_res = float(np.linalg.norm(deficit))
         if tp_res <= tol:
             return z
+    psd_res = math.inf if y is None else max(0.0, -_min_eig(y))
     raise ValueError(
         f"feasibility projection did not converge in {sweeps} sweeps: "
         f"trace-preservation residual {tp_res:.3e}, PSD residual {psd_res:.3e}"
     )
+
+
+def _project_family(
+    blocks: Sequence[np.ndarray], d_out: int, d_in: int
+) -> list[np.ndarray]:
+    """Nearest CP blocks whose partial traces sum to the identity.
+
+    The constraint couples the blocks, so their direct sum is projected as
+    a single flagged channel; one block is its own direct sum.
+    """
+    n = d_out * d_in
+    spans = [slice(nu * n, (nu + 1) * n) for nu in range(len(blocks))]
+    big = np.zeros((len(blocks) * n, len(blocks) * n), dtype=np.complex128)
+    for span, block in zip(spans, blocks):
+        big[span, span] = block
+    big = _project_cptp_array(big, len(blocks) * d_out, d_in)
+    return [big[span, span] for span in spans]
 
 
 def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
@@ -567,7 +592,6 @@ def _step(
         return record(state, f_current)
     step_size = 1.0 / grad_norm
 
-    n_blocks = len(blocks)
     best_blocks = [b.copy() for b in blocks]
     best_f = f_current
     xs = [b.copy() for b in blocks]
@@ -575,26 +599,7 @@ def _step(
     try:
         for _ in range(config.inner_steps):
             moved = [x + step_size * a for x, a in zip(xs, coeffs)]
-            if n_blocks == 1:
-                xs = [_project_cptp_array(moved[0], d_out, d_in)]
-            else:
-                # the constraint couples the blocks: project their
-                # direct sum as a single flagged channel
-                big = np.zeros(
-                    (n_blocks * d_out * d_in, n_blocks * d_out * d_in),
-                    dtype=np.complex128,
-                )
-                for nu, m in enumerate(moved):
-                    lo = nu * d_out * d_in
-                    big[lo : lo + d_out * d_in, lo : lo + d_out * d_in] = m
-                big = _project_cptp_array(big, n_blocks * d_out, d_in)
-                xs = [
-                    big[
-                        nu * d_out * d_in : (nu + 1) * d_out * d_in,
-                        nu * d_out * d_in : (nu + 1) * d_out * d_in,
-                    ]
-                    for nu in range(n_blocks)
-                ]
+            xs = _project_family(moved, d_out, d_in)
             f_here = f_rest + linear(xs)
             if f_here > best_f + 1e-12:
                 best_f = f_here
@@ -656,25 +661,33 @@ def coordinate_step(
 # ----------------------------------------------------------------------
 
 
-def _embedding(d_out: int, d_in: int) -> np.ndarray:
+def _embedding_choi(d_out: int, d_in: int) -> np.ndarray:
+    """Choi matrix of the isometric embedding of the smaller leg."""
     v = np.zeros((d_out, d_in), dtype=np.complex128)
     for i in range(min(d_out, d_in)):
         v[i, i] = 1.0
-    return v
+    return np.outer(v.reshape(-1), v.reshape(-1).conj())
 
 
-def _perturbed_choi(
+def _perturbed_family(
     rng: np.random.Generator,
-    base: np.ndarray,
+    bases: Sequence[np.ndarray],
     d_out: int,
     d_in: int,
     magnitude: float,
-) -> np.ndarray:
-    n = d_out * d_in
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    h /= max(float(np.linalg.norm(h)), 1e-15)
-    return _project_cptp_array(base + magnitude * h, d_out, d_in)
+) -> list[np.ndarray]:
+    """Unit-norm Hermitian Ginibre offsets on each base, then projection.
+
+    Per base, in order, one real and then one imaginary n x n normal draw.
+    """
+    moved = []
+    for base in bases:
+        n = base.shape[0]
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (g + g.conj().T) / 2.0
+        h /= max(float(np.linalg.norm(h)), 1e-15)
+        moved.append(base + magnitude * h)
+    return _project_family(moved, d_out, d_in)
 
 
 def initial_state(
@@ -703,44 +716,24 @@ def initial_state(
     eps = config.perturbation
 
     eo, ei = engine.encoder_dims
-    v = _embedding(eo, ei)
-    encoder = _perturbed_choi(
-        rng, np.outer(v.reshape(-1), v.reshape(-1).conj()), eo, ei, eps
-    )
+    (encoder,) = _perturbed_family(rng, [_embedding_choi(eo, ei)], eo, ei, eps)
 
     instruments = []
     for r in range(1, engine.rounds + 1):
         do, di = engine.instrument_dims[r - 1]
         incoming = ms[r - 2] if r >= 2 else 1
-        n_out = ms[r - 1]
-        families = []
-        for _ in range(incoming):
-            v = _embedding(do, di)
-            base = [np.outer(v.reshape(-1), v.reshape(-1).conj())]
-            base += [np.zeros((do * di, do * di), dtype=np.complex128)] * (n_out - 1)
-            n = do * di
-            moved = []
-            for b in base:
-                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                h = (g + g.conj().T) / 2.0
-                h /= max(float(np.linalg.norm(h)), 1e-15)
-                moved.append(b + eps * h)
-            big = np.zeros((n_out * n, n_out * n), dtype=np.complex128)
-            for nu, m in enumerate(moved):
-                big[nu * n : (nu + 1) * n, nu * n : (nu + 1) * n] = m
-            big = _project_cptp_array(big, n_out * do, di)
-            families.append(
-                tuple(
-                    big[nu * n : (nu + 1) * n, nu * n : (nu + 1) * n]
-                    for nu in range(n_out)
-                )
+        zero = np.zeros((do * di, do * di), dtype=np.complex128)
+        bases = [_embedding_choi(do, di)] + [zero] * (ms[r - 1] - 1)
+        instruments.append(
+            tuple(
+                tuple(_perturbed_family(rng, bases, do, di, eps))
+                for _ in range(incoming)
             )
-        instruments.append(tuple(families))
+        )
 
     do, di = engine.decoder_dims
-    w = _embedding(do, di)
     decoders = tuple(
-        _perturbed_choi(rng, np.outer(w.reshape(-1), w.reshape(-1).conj()), do, di, eps)
+        _perturbed_family(rng, [_embedding_choi(do, di)], do, di, eps)[0]
         for _ in range(ms[-1] if ms else 1)
     )
 

@@ -10,7 +10,7 @@ import combsqec.conditions as conditions
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
-from combsqec.model import CodeSpace, ErrorModel, StrategicCode
+from combsqec.model import CodeSpace, ErrorModel, StrategicCode, enumerate_trajectories
 from combsqec.tensor import LabeledOperator
 
 
@@ -143,6 +143,28 @@ class TestDecode:
         assert "witness: memory sector 'u|1', entropy deficit" in res.output
         assert "witness: codestates" not in res.output
 
+    def test_report_written_on_exit_1(self, runner, exported, tmp_path):
+        report = tmp_path / "witness.json"
+        res = runner.invoke(
+            main, ["decode", exported["bitflip-z"], "--report", str(report)]
+        )
+        assert res.exit_code == 1
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "NOT CORRECTABLE"
+        assert f"witness: {payload['witness']}\n" in res.output
+        assert payload["witness"].startswith("codestates (")
+        # a decoder construction failing on a checker-approved instance
+        report = tmp_path / "synth.json"
+        res = runner.invoke(
+            main,
+            ["decode", noisy_spacetime(1e-5, str(tmp_path / "a.json")),
+             "--proof", "schmidt", "--report", str(report)],
+        )
+        assert res.exit_code == 1
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "SYNTHESIS FAILED"
+        assert "Schmidt-rank inconsistency" in payload["error"]
+
     def test_zero_samples_vacuous(self, runner, exported):
         res = runner.invoke(
             main, ["decode", exported["bitflip"], "--samples", "0"]
@@ -200,6 +222,30 @@ class TestComposedTable:
                 )
         assert conditions.check_algebraic(codes[0], shared.errors).correctable
         assert not conditions.check_algebraic(codes[1], shared.errors).correctable
+
+
+    def test_branch_supports_read_the_table(self, monkeypatch):
+        inst = build_instance("hexagon")
+        conditions.check_algebraic(inst.code, inst.errors)
+        calls = []
+        compose_K = conditions.compose_K
+        monkeypatch.setattr(
+            conditions, "compose_K", lambda *a: calls.append(a) or compose_K(*a)
+        )
+        got = conditions.branch_supports(inst.code, inst.errors)
+        assert calls == []
+        trajectories = enumerate_trajectories(inst.code.interrogator)
+        for seq in inst.errors.sequences():
+            want = sorted(
+                traj.outcomes
+                for memory, trajs in trajectories.items()
+                for traj in trajs
+                if np.linalg.norm(
+                    compose_K(inst.errors, inst.code.interrogator, seq, memory,
+                              traj.outcomes).data @ inst.code.codespace.basis
+                ) > 1e-9
+            )
+            assert got[seq] == want
 
 
 class TestOptimize:

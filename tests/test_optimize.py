@@ -121,6 +121,65 @@ class TestProjection:
         twice = _project_cptp_array(once, 2, 2)
         assert np.linalg.norm(twice - once) < 1e-8
 
+    def test_one_eigh_per_sweep_no_diagnostics(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = rng_for(4)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = (g + g.conj().T) / 2
+        _project_cptp_array(h, 2, 4)
+        sweeps = calls["eigh"]
+        assert calls["eigvalsh"] == 0
+        # converging in exactly that many sweeps: one eigh per sweep
+        _project_cptp_array(h, 2, 4, sweeps=sweeps)
+        with pytest.raises(ValueError):
+            _project_cptp_array(h, 2, 4, sweeps=sweeps - 1)
+
+    def test_nonconvergence_names_both_residuals(self):
+        rng = rng_for(4)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        with pytest.raises(ValueError) as info:
+            _project_cptp_array((g + g.conj().T) / 2, 2, 4, sweeps=1)
+        found = re.fullmatch(
+            r"feasibility projection did not converge in 1 sweeps: "
+            r"trace-preservation residual (\S+), PSD residual (\S+)",
+            str(info.value),
+        )
+        assert found is not None
+        tp_res, psd_res = (float(v) for v in found.groups())
+        assert tp_res > 1e-9
+        assert 0.0 < psd_res < np.inf
+
+    def test_sweep_matches_kron_reference_bitwise(self):
+        # the textbook sweep: affine step through a kron temporary, two
+        # partial traces per sweep, clip via np.clip
+        def reference(x, d_out, d_in):
+            z = (x + x.conj().T) / 2.0
+            correction = np.zeros_like(z)
+            for _ in range(500):
+                deficit = np.eye(d_in) - _trace_out(z, d_out, d_in)
+                y = z + np.kron(np.eye(d_out), deficit) / d_out
+                w = y + correction
+                vals, vecs = np.linalg.eigh((w + w.conj().T) / 2.0)
+                z = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+                correction = w - z
+                if np.linalg.norm(_trace_out(z, d_out, d_in) - np.eye(d_in)) <= 1e-9:
+                    return z
+            raise AssertionError("reference did not converge")
+
+        for seed, (d_out, d_in) in enumerate([(2, 2), (4, 2), (3, 2), (2, 3)]):
+            rng = rng_for(seed)
+            n = d_out * d_in
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (g + g.conj().T) / 2
+            assert np.array_equal(
+                _project_cptp_array(h, d_out, d_in), reference(h, d_out, d_in)
+            )
+
     def test_labeled_wrapper_returns_cptp_choi(self):
         rng = rng_for(3)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
