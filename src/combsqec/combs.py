@@ -51,6 +51,18 @@ class ChoiOperator:
 
     The underlying matrix is square with identical subsystem lists on both
     sides; the leg partition must cover every label exactly once.
+
+    Positivity is checked where an operator enters the library: this
+    constructor rejects an operator whose smallest eigenvalue is below
+    ``-PSD_RTOL * max(1, ||X||_F)``, by a Cholesky factorization of the
+    shifted Hermitian part.  The library's own constructions are trusted
+    and check the legs only, because their outputs are PSD by construction:
+    ``choi_from_kraus`` and ``model.error_comb`` and
+    ``model.interrogator_operator`` sum Gram terms v v^dag,
+    ``random_cptp_choi`` is a congruence of a Gram matrix, ``link_product``
+    of PSD operators is PSD, and ``optimize.project_cptp`` returns an
+    eigenvalue-clipped iterate.  At the 4096 dense cap one spectral check
+    costs far more than building the comb.
     """
 
     op: LabeledOperator
@@ -58,6 +70,10 @@ class ChoiOperator:
     output_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        self._check_legs()
+        _require_psd(self.op.data)
+
+    def _check_legs(self) -> None:
         object.__setattr__(self, "input_labels", tuple(self.input_labels))
         object.__setattr__(self, "output_labels", tuple(self.output_labels))
         if self.op.row_subsystems != self.op.col_subsystems:
@@ -73,10 +89,6 @@ class ChoiOperator:
                 f"leg partition {sorted(declared)} must cover exactly the labels "
                 f"{sorted(self.op.row_labels)}"
             )
-        min_eig = _min_eigenvalue(self.op.data)
-        scale = max(1.0, float(np.linalg.norm(self.op.data)))
-        if min_eig < -PSD_RTOL * scale:
-            raise ValueError(f"Choi operator is not PSD: min eigenvalue {min_eig:.3e}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -136,6 +148,46 @@ def _min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
+def _require_psd(mat: np.ndarray) -> None:
+    """Raise unless the smallest eigenvalue of Herm(mat) is >= -tau.
+
+    With tau = PSD_RTOL * max(1, ||mat||_F), Herm(mat) + tau I has a
+    Cholesky factor exactly when that eigenvalue exceeds -tau; the
+    eigenvalue itself is computed only when the factorization fails, to
+    decide the boundary case and to name it in the error.
+    """
+    tau = PSD_RTOL * max(1.0, float(np.linalg.norm(mat)))
+    shifted = mat.conj().T + mat
+    shifted *= 0.5
+    shifted[np.diag_indices_from(shifted)] += tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = _min_eigenvalue(mat)
+        if min_eig < -tau:
+            raise ValueError(
+                f"Choi operator is not PSD: min eigenvalue {min_eig:.3e}"
+            ) from None
+
+
+def _psd_choi(
+    op: LabeledOperator,
+    input_labels: Sequence[str],
+    output_labels: Sequence[str],
+) -> ChoiOperator:
+    """ChoiOperator of an operator that is PSD by construction.
+
+    Checks the leg partition but not the spectrum; callers are the
+    trusted constructions named in the ChoiOperator docstring.
+    """
+    choi = object.__new__(ChoiOperator)
+    object.__setattr__(choi, "op", op)
+    object.__setattr__(choi, "input_labels", input_labels)
+    object.__setattr__(choi, "output_labels", output_labels)
+    choi._check_legs()
+    return choi
+
+
 def choi_from_kraus(kraus: Sequence[LabeledOperator]) -> ChoiOperator:
     """Choi operator sum_k |K_k>><<K_k| of a CP map given by Kraus operators.
 
@@ -159,7 +211,7 @@ def choi_from_kraus(kraus: Sequence[LabeledOperator]) -> ChoiOperator:
     subs = first.row_subsystems + first.col_subsystems
     if set(first.row_labels) & set(first.col_labels):
         raise ValueError("Kraus row and column labels overlap; relabel before building a Choi")
-    return ChoiOperator(
+    return _psd_choi(
         LabeledOperator(subs, subs, acc),
         input_labels=first.col_labels,
         output_labels=first.row_labels,
@@ -214,7 +266,7 @@ def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     result = LabeledOperator(subs, subs, out.reshape(dx * dy, dx * dy))
     inputs = tuple(l for l in a.input_labels + b.input_labels if l not in shared)
     outputs = tuple(l for l in a.output_labels + b.output_labels if l not in shared)
-    return ChoiOperator(result, input_labels=inputs, output_labels=outputs)
+    return _psd_choi(result, input_labels=inputs, output_labels=outputs)
 
 
 def is_cptp(choi: ChoiOperator) -> CptpReport:
@@ -299,7 +351,7 @@ def random_cptp_choi(
     corrector = np.kron(np.eye(d_out), inv_sqrt)
     choi_mat = corrector @ w @ corrector.conj().T
     subs = out_subs + in_subs
-    return ChoiOperator(
+    return _psd_choi(
         LabeledOperator(subs, subs, choi_mat),
         input_labels=tuple(l for l, _ in in_subs),
         output_labels=tuple(l for l, _ in out_subs),

@@ -515,7 +515,10 @@ def check_info(
     (the reference marginal turns pure instead of correlated), so the
     deficit is the quantity reported.
     """
-    js = joint_state(code, errors)
+    return _info_report(joint_state(code, errors), tol)
+
+
+def _info_report(js: JointState, tol: float) -> ConditionReport:
     log_k = math.log2(js.code_dim)
     table: dict[str, float] = {}
     worst = -math.inf
@@ -653,14 +656,14 @@ def synth_decoder_schmidt(
     (a Schmidt-rank inconsistency, signalling the state is not a product).
     """
     _require_trivial_environment(errors, "the entropic decoder")
-    report = check_info(code, errors, tol)
+    js = joint_state(code, errors)
+    report = _info_report(js, tol)
     if require_correctable and not report.correctable:
         raise ValueError(
             "instance is not correctable (worst entropy deficit "
             f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
             "pass require_correctable=False for a best-effort decoder"
         )
-    js = joint_state(code, errors)
     k = js.code_dim
     columns: dict[str, list[np.ndarray]] = {}
     for m in js.memories:

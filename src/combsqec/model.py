@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .combs import ChoiOperator
+from .combs import ChoiOperator, _psd_choi
 from .tensor import (
     LabeledOperator,
     Subsystems,
@@ -545,7 +545,7 @@ def interrogator_operator(interrogator: Interrogator, final_memory: str) -> Choi
     inputs = tuple(qp_label(r) for r in range(interrogator.rounds))
     outputs = tuple(q_label(r) for r in range(1, interrogator.rounds + 1))
     op = LabeledOperator(first.row_subsystems, first.row_subsystems, total)
-    return ChoiOperator(op, input_labels=inputs, output_labels=outputs)
+    return _psd_choi(op, input_labels=inputs, output_labels=outputs)
 
 
 def compose_K(
@@ -655,4 +655,4 @@ def error_comb(errors: ErrorModel) -> ChoiOperator:
     outputs = tuple(qp_label(r) for r in range(errors.rounds + 1))
     outputs += (env_label(errors.rounds),)
     op = LabeledOperator(subs, subs, total)
-    return ChoiOperator(op, input_labels=inputs, output_labels=outputs)
+    return _psd_choi(op, input_labels=inputs, output_labels=outputs)

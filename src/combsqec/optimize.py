@@ -16,15 +16,16 @@ at the public projection entry point.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .combs import ChoiOperator
+from .combs import ChoiOperator, _psd_choi
 from .model import ErrorModel
 from .tensor import LabeledOperator, permute_subsystems
 
@@ -104,6 +105,12 @@ class OptimizationState:
     constraint couples the outgoing blocks of each incoming value.  The
     memory alphabet sizes per round are ``memory_structure``; the final
     round's alphabet indexes the decoders.
+
+    Construction validates shapes and feasibility (PSD blocks, trace
+    preservation).  The optimizer's own updates skip that check through
+    :func:`_updated`: their factors come from the feasibility projection,
+    which returns clipped PSD blocks with a trace-preservation residual of
+    at most ``PROJECTION_TOL`` < ``TP_TOL``.
     """
 
     logical_dim: int
@@ -207,6 +214,18 @@ class OptimizationState:
 
     def trace_lines(self) -> list[str]:
         return [rec.line() for rec in self.trace]
+
+
+def _updated(state: OptimizationState, **changes) -> OptimizationState:
+    """``dataclasses.replace`` without re-validation, for internal updates.
+
+    The new values must already be in normalized form: complex128 Choi
+    arrays, tuples, and factors that are feasible by construction.
+    """
+    new = copy.copy(state)
+    for name, value in changes.items():
+        object.__setattr__(new, name, value)
+    return new
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +517,7 @@ def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
     d_in = ordered.row_dim // d_out
     projected = _project_cptp_array(ordered.data, d_out, d_in)
     op = LabeledOperator(ordered.row_subsystems, ordered.col_subsystems, projected)
-    return ChoiOperator(op, input_labels=in_labels, output_labels=out_labels)
+    return _psd_choi(op, input_labels=in_labels, output_labels=out_labels)
 
 
 # ----------------------------------------------------------------------
@@ -557,9 +576,12 @@ def _parse_which(which: str, state: OptimizationState) -> tuple[str, int, int]:
 
 
 def _step(
-    engine: _Engine, state: OptimizationState, which: str
+    engine: _Engine, state: OptimizationState, which: str, f_current: float
 ) -> OptimizationState:
-    """One projected-ascent coordinate step; never decreases the objective."""
+    """One projected-ascent coordinate step; never decreases the objective.
+
+    ``f_current`` is the objective of ``state``.
+    """
     kind, first, second = _parse_which(which, state)
     config = state.config
     if kind == "encoder":
@@ -576,14 +598,13 @@ def _step(
         blocks = list(state.instruments[r - 1][mu])
         targets = [("instrument", r, mu, nu) for nu in range(len(blocks))]
 
-    f_current = engine.evaluate(state)
     coeffs = [engine.coefficient(state, t) for t in targets]
     linear = lambda xs: sum(
         float(np.trace(x @ a).real) for x, a in zip(xs, coeffs)
     )
     f_rest = f_current - linear(blocks)
     grad_norm = math.sqrt(sum(float(np.linalg.norm(a)) ** 2 for a in coeffs))
-    record = lambda st, fid: replace(
+    record = lambda st, fid: _updated(
         st,
         fidelity=fid,
         trace=st.trace + (TraceRecord(len(st.trace), which, fid),),
@@ -610,26 +631,26 @@ def _step(
                 if stall >= config.inner_stall:
                     break
     except ValueError as exc:
-        return replace(
+        return _updated(
             record(state, f_current),
             rejected_steps=state.rejected_steps + (f"{which}: {exc}",),
         )
 
     if kind == "encoder":
-        candidate = replace(state, encoder=best_blocks[0])
+        candidate = _updated(state, encoder=best_blocks[0])
     elif kind == "decoder":
         decs = list(state.decoders)
         decs[first] = best_blocks[0]
-        candidate = replace(state, decoders=tuple(decs))
+        candidate = _updated(state, decoders=tuple(decs))
     else:
         rounds_fac = [list(per) for per in state.instruments]
         rounds_fac[first - 1][second] = tuple(best_blocks)
-        candidate = replace(
+        candidate = _updated(
             state, instruments=tuple(tuple(per) for per in rounds_fac)
         )
     f_true = engine.evaluate(candidate)
     if f_true < f_current - 1e-10:
-        return replace(
+        return _updated(
             record(state, f_current),
             rejected_steps=state.rejected_steps
             + (f"{which}: evaluated objective regressed",),
@@ -653,7 +674,7 @@ def coordinate_step(
     """
     engine = _Engine(errors, state.logical_dim, state.memory_structure, rho)
     _require_matching_dims(engine, state)
-    return _step(engine, state, which)
+    return _step(engine, state, which, engine.evaluate(state))
 
 
 # ----------------------------------------------------------------------
@@ -750,9 +771,7 @@ def initial_state(
         config=config,
     )
     f0 = engine.evaluate(state)
-    return replace(
-        state, fidelity=f0, trace=(TraceRecord(0, "init", f0),)
-    )
+    return _updated(state, fidelity=f0, trace=(TraceRecord(0, "init", f0),))
 
 
 def _factor_order(state: OptimizationState) -> list[str]:
@@ -796,14 +815,14 @@ def seesaw(
     for _ in range(config.max_iters):
         f_start = state.fidelity
         for which in order:
-            state = _step(engine, state, which)
+            state = _step(engine, state, which, state.fidelity)
             if state.fidelity > best.fidelity:
                 best = state
         if abs(state.fidelity - f_start) < config.tol_conv:
             converged = True
             break
     result = best if best.fidelity > state.fidelity else state
-    return replace(result, converged=converged)
+    return _updated(result, converged=converged)
 
 
 def static_biconvex(

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combsqec.combs import (
+    PSD_RTOL,
     ChoiOperator,
     CombSignature,
     choi_from_kraus,
@@ -13,15 +15,26 @@ from combsqec.combs import (
     random_cptp_choi,
     validate_comb,
 )
+from combsqec.library import build_instance, instance_names, random_instance
+from combsqec.model import error_comb, interrogator_operator
+from combsqec.optimize import project_cptp
 from combsqec.tensor import (
     LabeledOperator,
+    dense_cap,
     identity_operator,
     partial_trace,
     partial_transpose,
     permute_subsystems,
     tensor_product,
 )
-from conftest import PAULI, op, random_kraus_set, random_matrix, rng_for
+from conftest import (
+    PAULI,
+    op,
+    random_kraus_set,
+    random_matrix,
+    random_unitary,
+    rng_for,
+)
 
 
 def kraus_op(mat, out_label, in_label, d_out=None, d_in=None):
@@ -289,6 +302,112 @@ class TestChoiValidation:
         with pytest.raises(ValueError, match="not PSD"):
             ChoiOperator(LabeledOperator(subs, subs, -np.eye(2)), ("a",), ())
 
+    def test_threshold_at_minus_tau(self, spectral_calls):
+        # tau = PSD_RTOL * max(1, ||X||_F); an eigenvalue is computed only
+        # to reject
+        u = random_unitary(rng_for(41), 4)
+        subs = (("a", 2), ("b", 2))
+
+        def with_lowest(low):
+            vals = np.array([3.0, 2.0, 1.0, low])
+            return LabeledOperator(subs, subs, (u * vals) @ u.conj().T)
+
+        tau = PSD_RTOL * np.sqrt(14.0)
+        ChoiOperator(with_lowest(-tau / 2), ("a",), ("b",))
+        assert spectral_calls["eigvalsh"] == 0
+        with pytest.raises(
+            ValueError, match=r"^Choi operator is not PSD: min eigenvalue -7\.48"
+        ):
+            ChoiOperator(with_lowest(-2 * tau), ("a",), ("b",))
+        assert spectral_calls["eigvalsh"] == 1
+
     def test_signature_unique_labels(self):
         with pytest.raises(ValueError, match="unique"):
             CombSignature((("a", "b"), ("b", "c")))
+
+
+SPECTRAL = ("eigh", "eigvalsh", "cholesky")
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    calls = dict.fromkeys(SPECTRAL, 0)
+    for name in SPECTRAL:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _within_cap(build):
+    try:
+        return build()
+    except ValueError as exc:
+        if "exceeds the cap" not in str(exc):
+            raise
+        return None
+
+
+def _trusted_builds(inst):
+    """The library's Choi operators of an instance that fit the dense cap.
+
+    Error rounds and one instrument per round by ``choi_from_kraus``, and
+    the error comb, interrogator operators and their link products.
+    """
+    interro, errors = inst.code.interrogator, inst.errors
+    builds = [choi_from_kraus(errors.round_ops(r)) for r in range(errors.rounds + 1)]
+    builds += [
+        choi_from_kraus(list(next(iter(per_round.values())).kraus.values()))
+        for per_round in interro.instruments
+    ]
+    big = _within_cap(lambda: error_comb(errors))
+    for memory in interro.final_memories:
+        choi = _within_cap(lambda: interrogator_operator(interro, memory))
+        if choi is not None:
+            builds.append(choi)
+            if big is not None:
+                builds.append(link_product(big, choi))
+    if big is not None:
+        builds.append(big)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def spacetime():
+    return build_instance("spacetime")
+
+
+class TestTrustedConstructions:
+    def test_no_spectral_call_at_the_cap(self, spacetime, spectral_calls):
+        interro, errors = spacetime.code.interrogator, spacetime.errors
+        big = error_comb(errors)
+        assert big.op.row_dim == dense_cap() == 4096
+        for memory in interro.final_memories:
+            link_product(big, interrogator_operator(interro, memory))
+        choi_from_kraus(errors.round_ops(1))
+        assert spectral_calls == dict.fromkeys(SPECTRAL, 0)
+
+    # hexagon's combs exceed the cap and its Kraus-set Chois sit at it:
+    # five 4096-dim Cholesky factorizations of Gram sums, which spacetime's
+    # error comb already covers
+    @pytest.mark.parametrize(
+        "name", [n for n in instance_names() if n != "hexagon"]
+    )
+    def test_library_builds_pass_the_public_check(self, name):
+        builds = _trusted_builds(build_instance(name))
+        assert builds
+        for choi in builds:
+            ChoiOperator(choi.op, choi.input_labels, choi.output_labels)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_builds_pass_the_public_check(self, seed):
+        builds = _trusted_builds(random_instance(seed))
+        rng = rng_for(seed)
+        builds.append(random_cptp_choi(rng, [("out", 2)], [("in", 3)], rank=2))
+        subs = (("out", 2), ("in", 3))
+        h = random_matrix(rng, 6, 6)
+        builds.append(project_cptp(LabeledOperator(subs, subs, h + h.conj().T), ("out",)))
+        for choi in builds:
+            ChoiOperator(choi.op, choi.input_labels, choi.output_labels)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from combsqec import conditions
 from combsqec.conditions import (
     MI_TOL_BITS,
     ConditionReport,
@@ -600,6 +601,24 @@ class TestSynthesis:
             )
             report = verify_recovery(inst.code, inst.errors, dec, states)
             assert report.worst_fidelity < 1.0 - 1e-4, inst.name
+
+    def test_schmidt_builds_one_joint_state(self, monkeypatch):
+        calls = []
+        real = conditions.joint_state
+
+        def counted(code, errors):
+            calls.append(code)
+            return real(code, errors)
+
+        monkeypatch.setattr(conditions, "joint_state", counted)
+        inst = bitflip_code()
+        synth_decoder_schmidt(inst.code, inst.errors)
+        assert len(calls) == 1
+        # the verdict still comes from the same entropic report
+        z = bitflip_code("z")
+        with pytest.raises(ValueError, match="not correctable"):
+            synth_decoder_schmidt(z.code, z.errors)
+        assert len(calls) == 2
 
 
 class TestVerifyRecovery:

@@ -20,7 +20,7 @@ from combsqec.optimize import (
     seesaw,
     static_biconvex,
 )
-from combsqec.optimize import _project_cptp_array, _trace_out
+from combsqec.optimize import _Engine, _project_cptp_array, _trace_out
 from combsqec.tensor import LabeledOperator, partial_trace, permute_subsystems
 
 from conftest import PAULI, rng_for
@@ -516,6 +516,28 @@ class TestSeesaw:
         b = seesaw(inst.errors, 2, (1, 2), config=cfg)
         assert a.trace_lines() == b.trace_lines()
         assert a.fidelity == b.fidelity
+
+    def test_one_validation_and_one_evaluation_per_step(self, monkeypatch):
+        counts = {"check": 0, "evaluate": 0}
+        check, evaluate = OptimizationState._check_feasible, _Engine.evaluate
+
+        def counted_check(state):
+            counts["check"] += 1
+            check(state)
+
+        def counted_evaluate(engine, state):
+            counts["evaluate"] += 1
+            return evaluate(engine, state)
+
+        monkeypatch.setattr(OptimizationState, "_check_feasible", counted_check)
+        monkeypatch.setattr(_Engine, "evaluate", counted_evaluate)
+        errs = identity_errors(2, rounds=1)
+        out = seesaw(errs, 2, (2,), config=OptimizerConfig(seed=0, max_iters=3))
+        # initial_state's public construction is the only validation; then
+        # the initial objective and at most one candidate per step
+        assert counts["check"] == 1
+        assert 1 < counts["evaluate"] <= len(out.trace)
+        assert out.fidelity == ent_fidelity(out, errs, MIXED_QUBIT)
 
     def test_best_state_returned(self):
         errs = identity_errors(2, rounds=1)
