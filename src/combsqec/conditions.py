@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -248,6 +248,17 @@ class _Composed:
                     arr[io, ie] = k_op.data @ self.basis
             arr.flags.writeable = False
             self.blocks[m] = arr
+        self._products: dict[object, Any] = {}
+
+    def product(self, key: object, build: Callable[[_Composed], Any]) -> Any:
+        """A tolerance-independent product of the table, built on first use.
+
+        Products live and die with the table, so they follow its identity
+        rule; their arrays are read-only like the blocks.
+        """
+        if key not in self._products:
+            self._products[key] = build(self)
+        return self._products[key]
 
     def aggregated(self, m: str) -> np.ndarray:
         """K_{e,m} B = sum over outcome sequences, shape (n_e, out, k)."""
@@ -311,16 +322,12 @@ def _scalar_fit(t_mat: np.ndarray) -> tuple[complex, float, tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 
-def _algebraic_report(
-    comp: _Composed, tol: float | None, per_outcome_left: bool
-) -> ConditionReport:
-    """Shared sweep for check_algebraic and the all-outcomes corollary.
+def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
+    """Worst residual, its witness and the detail table of one sweep.
 
     ``per_outcome_left`` selects the corollary's symmetric form, where the
     e' side uses the same single outcome sequence instead of the aggregate.
     """
-    scale = comp.scale()
-    tolerance = RESIDUAL_RTOL * scale if tol is None else float(tol)
     worst = -1.0
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
@@ -343,18 +350,32 @@ def _algebraic_report(
                         worst = res
                         witness = (i, j, e, ep, m, o)
         lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
+        lambdas[m].flags.writeable = False
+    detail = {
+        "lambda": lambdas,
+        "memories": comp.memories,
+        "error_sequences": comp.sequences,
+        "degenerate_branches": tuple(degenerate),
+        "scale": comp.scale(),
+    }
+    return float(worst), witness, detail
+
+
+def _algebraic_report(
+    comp: _Composed, tol: float | None, per_outcome_left: bool
+) -> ConditionReport:
+    """Verdict of the (cached) sweep for check_algebraic and the corollary."""
+    worst, witness, detail = comp.product(
+        ("algebraic", per_outcome_left),
+        lambda c: _algebraic_sweep(c, per_outcome_left),
+    )
+    tolerance = RESIDUAL_RTOL * detail["scale"] if tol is None else float(tol)
     return ConditionReport(
         correctable=bool(worst <= tolerance),
-        worst_residual=float(worst),
+        worst_residual=worst,
         tolerance=tolerance,
         witness=witness,
-        detail={
-            "lambda": lambdas,
-            "memories": comp.memories,
-            "error_sequences": comp.sequences,
-            "degenerate_branches": tuple(degenerate),
-            "scale": scale,
-        },
+        detail={**detail, "lambda": dict(detail["lambda"])},
     )
 
 
@@ -461,9 +482,13 @@ def joint_state(code: StrategicCode, errors: ErrorModel) -> JointState:
 
     The reference holds one half of a maximally entangled state over the
     codespace; outcome and error registers record which branch occurred.
-    Register order is fixed as (reference, outcome, error).
+    Register order is fixed as (reference, outcome, error).  The state is
+    built once per composed table and its arrays are read-only.
     """
-    comp = _composed(code, errors)
+    return _composed(code, errors).product("joint_state", _joint_state)
+
+
+def _joint_state(comp: _Composed) -> JointState:
     k = comp.code_dim
     amplitudes: dict[str, np.ndarray] = {}
     rho_rme: dict[str, np.ndarray] = {}
@@ -484,6 +509,7 @@ def joint_state(code: StrategicCode, errors: ErrorModel) -> JointState:
         # the unconjugated gram side becomes the row index.
         rho = np.transpose(gram, (5, 3, 4, 2, 0, 1))
         rho_rme[m] = rho.reshape(k * n_o * n_e, k * n_o * n_e)
+        rho_rme[m].flags.writeable = False
     return JointState(
         code_dim=k,
         output_dim=comp.out_dim,

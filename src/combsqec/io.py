@@ -3,16 +3,23 @@
 One document carries a strategic code (codespace basis, per-round
 instruments, memory update tables), its error model, and an optional
 optimization block.  Complex entries are two-element ``[re, im]`` arrays
-and matrices are row-major nested lists, so fixtures diff cleanly.  Parse
-failures name the path through the document; model invariant violations
-surface the constructor's residual message under that path.
+and matrices are row-major nested lists, so fixtures diff cleanly.  The
+canonical text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline; matrices are rendered from flat float lists and spliced
+into json's output of the rest.  On load, each matrix is validated in bulk
+and converted by one numpy call; only a rejected matrix is walked element
+by element, to name its offending row or cell.  Parse failures name the
+path through the document; model invariant violations surface the
+constructor's residual message under that path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Any, Mapping
 
 import numpy as np
@@ -55,16 +62,42 @@ class ParseError(ValueError):
 
 
 def encode_matrix(mat: npt.NDArray[np.complex128]) -> list[list[list[float]]]:
-    arr = np.asarray(mat, dtype=np.complex128)
+    arr = np.ascontiguousarray(mat, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"matrices must be two-dimensional, got shape {arr.shape}")
-    return [
-        [[float(v.real), float(v.imag)] for v in row]
-        for row in arr
-    ]
+    return arr.view(np.float64).reshape(*arr.shape, 2).tolist()
+
+
+_NUMBER_TYPES = frozenset((float, int, bool))
 
 
 def decode_matrix(obj: Any, path: str) -> npt.NDArray[np.complex128]:
+    """Rows of ``[re, im]`` number pairs as a complex matrix.
+
+    Well-formed input (plain lists of equal-length rows of two-element
+    lists of ints, floats and bools) is checked in bulk and converted by one
+    ``np.array`` call; anything else goes through the element loop, which
+    names the first offending row or cell in its :class:`ParseError`.
+    """
+    if type(obj) is list and obj and set(map(type, obj)) == {list}:
+        cells = list(chain.from_iterable(obj))
+        if (
+            cells
+            and len(set(map(len, obj))) == 1
+            and set(map(type, cells)) == {list}
+            and set(map(len, cells)) == {2}
+        ):
+            flat = list(chain.from_iterable(cells))
+            if set(map(type, flat)) <= _NUMBER_TYPES:
+                parts = np.array(flat)
+                if parts.dtype.kind in "biuf":
+                    # bitwise [re, im] -> complex: no arithmetic on the parts
+                    parts = parts.astype(np.float64, copy=False)
+                    return parts.view(np.complex128).reshape(len(obj), -1)
+    return _decode_cells(obj, path)
+
+
+def _decode_cells(obj: Any, path: str) -> npt.NDArray[np.complex128]:
     if not isinstance(obj, list) or not obj:
         raise ParseError(path, "expected a non-empty list of rows")
     width = None
@@ -112,13 +145,28 @@ def instance_text(
     errors: ErrorModel,
     optimization: Mapping[str, Any] | None = None,
 ) -> str:
-    """Canonical serialized form; identical models give identical bytes."""
+    """Canonical serialized form; identical models give identical bytes.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+    with every matrix of ``doc`` in its :func:`encode_matrix` form.  Only the
+    small skeleton goes through ``json``; each matrix is rendered from one
+    flat float list and spliced in at the placeholder json wrote for it.
+    """
+    matrices: list[npt.NDArray[np.complex128]] = []
+
+    def slot(mat: npt.NDArray[np.complex128]) -> Any:
+        arr = np.ascontiguousarray(mat, dtype=np.complex128)
+        if arr.ndim != 2 or not arr.size:
+            return encode_matrix(arr)
+        matrices.append(arr)
+        return _Slot(len(matrices) - 1)
+
     rounds = []
     for r in range(1, code.interrogator.rounds + 1):
         by_memory: dict[str, Any] = {}
         for memory, inst in sorted(code.interrogator.instruments[r - 1].items()):
             by_memory[memory] = {
-                o: encode_matrix(op.data) for o, op in sorted(inst.kraus.items())
+                o: slot(op.data) for o, op in sorted(inst.kraus.items())
             }
         update: dict[str, dict[str, str]] = {}
         for (outcome, memory), nxt in sorted(
@@ -130,14 +178,14 @@ def instance_text(
     for r in range(errors.rounds + 1):
         err_rounds.append(
             {
-                "kraus": [encode_matrix(op.data) for op in errors.round_ops(r)],
+                "kraus": [slot(op.data) for op in errors.round_ops(r)],
                 "env_out": errors.env_dim(r),
             }
         )
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "dims": {"ambient": code.codespace.ambient_dim, "code": code.codespace.dim},
-        "codespace": {"basis": encode_matrix(code.codespace.basis)},
+        "codespace": {"basis": slot(code.codespace.basis)},
         "interrogator": {"rounds": rounds},
         "error_model": {
             "trace_nonincreasing": errors.require_trace_nonincreasing,
@@ -146,7 +194,71 @@ def instance_text(
     }
     if optimization is not None:
         doc["optimization"] = dict(optimization)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _splice(doc, matrices) + "\n"
+
+
+class _Slot:
+    """Stand-in for the matrix ``matrices[index]`` in the json skeleton."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+def _splice(doc: dict[str, Any], matrices: list[np.ndarray]) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` with the slots filled.
+
+    Each slot is written as a placeholder string; a prefix is accepted only
+    if every placeholder occurs exactly once in the skeleton, so user
+    strings (labels, the optimization block) cannot be mistaken for one.
+    """
+    prefix = ""
+
+    def placeholder(obj: Any) -> str:
+        if isinstance(obj, _Slot):
+            return f"{prefix}{obj.index}"
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+
+    for salt in count():
+        prefix = f"combsqec-matrix-{salt}-"
+        skeleton = json.dumps(doc, indent=2, sort_keys=True, default=placeholder)
+        parts = re.split(f'"{re.escape(prefix)}([0-9]+)"', skeleton)
+        if sorted(map(int, parts[1::2])) == list(range(len(matrices))):
+            break
+    out = [parts[0]]
+    for k in range(1, len(parts), 2):
+        line = parts[k - 1][parts[k - 1].rfind("\n") + 1 :]
+        indent = len(line) - len(line.lstrip(" "))
+        out.append(_matrix_text(matrices[int(parts[k])], indent))
+        out.append(parts[k + 1])
+    return "".join(out)
+
+
+def _matrix_text(arr: npt.NDArray[np.complex128], indent: int) -> str:
+    """What ``json.dumps(encode_matrix(arr), indent=2)`` writes for a value
+    whose line is indented by ``indent`` spaces; ``arr`` is non-empty and
+    C-contiguous."""
+    n, m = arr.shape
+    values = arr.view(np.float64).ravel().tolist()
+    if np.isfinite(arr).all():
+        words = list(map(float.__repr__, values))
+    else:  # json's NaN, Infinity and -Infinity
+        words = list(map(json.dumps, values))
+    p0, p1, p2, p3 = (" " * (indent + step) for step in (0, 2, 4, 6))
+    within = ",\n" + p3
+    next_cell = f"\n{p2}],\n{p2}[\n{p3}"
+    next_row = f"\n{p2}]\n{p1}],\n{p1}[\n{p2}[\n{p3}"
+    seps = [within, next_cell] * m
+    seps[-1] = next_row
+    seps *= n
+    seps[-1] = f"\n{p2}]\n{p1}]\n{p0}]"
+    text = [""] * (2 * len(words))
+    text[::2] = words
+    text[1::2] = seps
+    return f"[\n{p1}[\n{p2}[\n{p3}" + "".join(text)
 
 
 def export_instance(

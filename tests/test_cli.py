@@ -224,6 +224,29 @@ class TestComposedTable:
         assert not conditions.check_algebraic(codes[1], shared.errors).correctable
 
 
+    @pytest.mark.parametrize("proof,builder", [
+        ("algebraic", "_algebraic_sweep"),
+        ("schmidt", "_joint_state"),
+    ])
+    def test_decode_runs_its_checker_once(
+        self, runner, exported, monkeypatch, proof, builder
+    ):
+        # the checker's verdict and the decoder synthesis share one sweep
+        # (Lambda_m and its residuals) or one joint state
+        calls = []
+        real = getattr(conditions, builder)
+        monkeypatch.setattr(
+            conditions, builder, lambda *a: calls.append(a) or real(*a)
+        )
+        for name in ("bitflip", "bitflip-z", "spacetime"):
+            calls.clear()
+            res = runner.invoke(main, ["decode", exported[name], "--proof", proof])
+            assert res.exit_code == (1 if name == "bitflip-z" else 0), res.output
+            assert len(calls) == 1, name
+        calls.clear()
+        runner.invoke(main, ["check", exported["bitflip"], "--method", "both"])
+        assert len(calls) == 1
+
     def test_branch_supports_read_the_table(self, monkeypatch):
         inst = build_instance("hexagon")
         conditions.check_algebraic(inst.code, inst.errors)
