@@ -22,14 +22,12 @@ from combsqec.combs import (
 from combsqec.conditions import (
     ConditionReport,
     Decoder,
-    JointState,
     RecoveryRecord,
     RecoveryReport,
     check_algebraic,
     check_corollary_all_outcomes,
     check_info,
     check_static_kl,
-    joint_state,
     synth_decoder_algebraic,
     synth_decoder_schmidt,
     verify_recovery,

@@ -31,11 +31,10 @@ from .model import (
     compose_K,
     enumerate_trajectories,
 )
-from .tensor import LabeledOperator, dense_cap, entropy, herm_eig
+from .tensor import LabeledOperator, _spectrum_bits, herm_eig
 
 __all__ = [
     "ConditionReport",
-    "JointState",
     "Decoder",
     "RecoveryRecord",
     "RecoveryReport",
@@ -43,7 +42,6 @@ __all__ = [
     "check_algebraic",
     "check_corollary_all_outcomes",
     "check_static_kl",
-    "joint_state",
     "check_info",
     "synth_decoder_algebraic",
     "synth_decoder_schmidt",
@@ -87,58 +85,6 @@ class ConditionReport:
                 f"correctable={self.correctable}, residual={self.worst_residual}, "
                 f"tolerance={self.tolerance}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Reference-register joint states of the entropic condition.
-
-    For each final memory m the amplitude tensor ``amplitudes[m]`` has shape
-    (output_dim, n_outcomes, n_errors, code_dim) holding K_{e,m,o} B; the
-    stored ``rho_rme[m]`` is the unnormalized joint state of reference,
-    outcome register and error register with index order (i, o, e), carrying
-    the 1/code_dim prefactor of the maximally entangled reference.
-    """
-
-    code_dim: int
-    output_dim: int
-    memories: tuple[str, ...]
-    error_sequences: tuple[tuple[int, ...], ...]
-    outcome_sequences: Mapping[str, tuple[tuple[str, ...], ...]]
-    amplitudes: Mapping[str, npt.NDArray[np.complex128]]
-    rho_rme: Mapping[str, npt.NDArray[np.complex128]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "outcome_sequences",
-            {m: tuple(v) for m, v in self.outcome_sequences.items()},
-        )
-        object.__setattr__(self, "amplitudes", dict(self.amplitudes))
-        object.__setattr__(self, "rho_rme", dict(self.rho_rme))
-
-    def weight(self, memory: str) -> float:
-        """P(m): trace of the unnormalized joint block."""
-        return float(np.real(np.trace(self.rho_rme[memory])))
-
-    def weights(self) -> dict[str, float]:
-        return {m: self.weight(m) for m in self.memories}
-
-    def _split(self, memory: str) -> tuple[int, int]:
-        amps = self.amplitudes[memory]
-        return self.code_dim, amps.shape[1] * amps.shape[2]
-
-    def rho_r(self, memory: str) -> npt.NDArray[np.complex128]:
-        """Unnormalized reference marginal."""
-        k, n = self._split(memory)
-        rho = self.rho_rme[memory].reshape(k, n, k, n)
-        return np.einsum("ixjx->ij", rho)
-
-    def rho_me(self, memory: str) -> npt.NDArray[np.complex128]:
-        """Unnormalized outcome-and-error-register marginal."""
-        k, n = self._split(memory)
-        rho = self.rho_rme[memory].reshape(k, n, k, n)
-        return np.einsum("ixiy->xy", rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,54 +423,37 @@ def check_static_kl(
 # ----------------------------------------------------------------------
 
 
-def joint_state(code: StrategicCode, errors: ErrorModel) -> JointState:
-    """Joint reference-register states, one unnormalized block per memory.
+def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
+    """Per memory m: (p_m, deficit, spectrum, vectors), from two SVDs.
 
-    The reference holds one half of a maximally entangled state over the
-    codespace; outcome and error registers record which branch occurred.
-    Register order is fixed as (reference, outcome, error).  The state is
-    built once per composed table and its arrays are read-only.
+    Each sector's state (1/sqrt(k)) sum_{i,o,e} |i>_R |o>_O |e>_E K_{e,m,o} B|i>
+    is pure on (R, O, E, Q_out), so S(RME) = S(Q_out) and S(ME) = S(R Q_out).
+    Both spectra are squared singular values, divided by k, of the memory's
+    block array reshaped as (Q | R O E) and as (Q R | O E); the latter's left
+    singular vectors are the Schmidt vectors the entropic decoder needs.
+    ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
+    ``deficit`` is None at or below the weight floor.
     """
-    return _composed(code, errors).product("joint_state", _joint_state)
-
-
-def _joint_state(comp: _Composed) -> JointState:
     k = comp.code_dim
-    amplitudes: dict[str, np.ndarray] = {}
-    rho_rme: dict[str, np.ndarray] = {}
+    log_k = math.log2(k)
+    sectors: dict[str, tuple] = {}
     for m in comp.memories:
-        blocks = comp.blocks[m]           # (n_o, n_e, out, k)
-        n_o, n_e = blocks.shape[0], blocks.shape[1]
-        if k * n_o * n_e > dense_cap():
-            raise ValueError(
-                f"joint-state register dim {k * n_o * n_e} for memory {m!r} "
-                f"exceeds the cap {dense_cap()}"
+        blocks = comp.blocks[m]                       # (n_o, n_e, out, k)
+        q_side = np.moveaxis(blocks, 2, 0).reshape(comp.out_dim, -1)
+        rq_side = blocks.transpose(2, 3, 0, 1).reshape(comp.out_dim * k, -1)
+        s_q = np.linalg.svd(q_side, full_matrices=False)[1]
+        vectors, s_rq, _ = np.linalg.svd(rq_side, full_matrices=False)
+        spectrum = s_rq**2 / k
+        p = float(np.sum(spectrum))
+        deficit = None
+        if p > P_FLOOR:
+            deficit = (
+                log_k + _spectrum_bits(spectrum / p) - _spectrum_bits(s_q**2 / k / p)
             )
-        amps = np.transpose(blocks, (2, 0, 1, 3))       # (out, n_o, n_e, k)
-        amplitudes[m] = amps
-        flat = amps.reshape(comp.out_dim, n_o * n_e * k)
-        gram = flat.conj().T @ flat / k
-        gram = gram.reshape(n_o, n_e, k, n_o, n_e, k)
-        # element [(i,o,e),(i',o',e')] = <K_{e',o'} i' | K_{e,o} i> / k:
-        # the unconjugated gram side becomes the row index.
-        rho = np.transpose(gram, (5, 3, 4, 2, 0, 1))
-        rho_rme[m] = rho.reshape(k * n_o * n_e, k * n_o * n_e)
-        rho_rme[m].flags.writeable = False
-    return JointState(
-        code_dim=k,
-        output_dim=comp.out_dim,
-        memories=comp.memories,
-        error_sequences=comp.sequences,
-        outcome_sequences=comp.outcomes,
-        amplitudes=amplitudes,
-        rho_rme=rho_rme,
-    )
-
-
-def _entropy_bits(rho: np.ndarray) -> float:
-    n = rho.shape[0]
-    op = LabeledOperator((("S", n),), (("S", n),), rho)
-    return entropy(op)
+        spectrum.flags.writeable = False
+        vectors.flags.writeable = False
+        sectors[m] = (p, deficit, spectrum, vectors)
+    return sectors
 
 
 def check_info(
@@ -532,7 +461,7 @@ def check_info(
 ) -> ConditionReport:
     """Entropic correctability check.
 
-    Per memory sector the deficit log2(code_dim) - [S(R'ME) - S(ME)]
+    Per memory sector the deficit log2(code_dim) - [S(RME) - S(ME)]
     vanishes exactly when the record registers decouple from a maximally
     mixed reference; this is the complementary-channel coherent-information
     form of the criterion.  Correctable iff the largest deficit over all
@@ -540,38 +469,30 @@ def check_info(
     mutual information would miss instruments that filter the codespace
     (the reference marginal turns pure instead of correlated), so the
     deficit is the quantity reported.
+
+    Each sector's state on (R, O, E, Q_out) is pure, so S(RME) = S(Q_out)
+    and S(ME) = S(R Q_out): both come from SVDs of the composed blocks,
+    once per table, and no register-sized matrix is formed, so
+    ``COMBSQEC_DENSE_CAP`` does not bound this checker.  ``detail`` holds
+    ``"deficit_bits"`` and ``"weights"`` (P(m)) per memory, and ``"p_floor"``.
     """
-    return _info_report(joint_state(code, errors), tol)
+    sectors = _composed(code, errors).product("schmidt", _schmidt_sectors)
+    return _info_report(sectors, tol)
 
 
-def _info_report(js: JointState, tol: float) -> ConditionReport:
-    log_k = math.log2(js.code_dim)
-    table: dict[str, float] = {}
-    worst = -math.inf
-    witness: tuple | None = None
-    for m in js.memories:
-        p = js.weight(m)
-        if p <= P_FLOOR:
-            continue
-        deficit = (
-            log_k
-            + _entropy_bits(js.rho_me(m) / p)
-            - _entropy_bits(js.rho_rme[m] / p)
-        )
-        table[m] = deficit
-        if deficit > worst:
-            worst = deficit
-            witness = (m,)
+def _info_report(sectors: dict[str, tuple], tol: float) -> ConditionReport:
+    table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
     if not table:
         raise ValueError("no memory state carries weight above the floor")
+    witness = max(table, key=table.__getitem__)
     return ConditionReport(
-        correctable=bool(worst <= tol),
-        worst_residual=float(worst),
+        correctable=bool(table[witness] <= tol),
+        worst_residual=float(table[witness]),
         tolerance=float(tol),
-        witness=witness,
+        witness=(witness,),
         detail={
             "deficit_bits": table,
-            "weights": js.weights(),
+            "weights": {m: p for m, (p, _, _, _) in sectors.items()},
             "p_floor": P_FLOOR,
         },
     )
@@ -675,51 +596,46 @@ def synth_decoder_schmidt(
 ) -> Decoder:
     """Decoder from the entropic proof.
 
-    Spectral-decomposes each register marginal rho_ME, projects the code
-    branch amplitudes onto each register eigenvector, and aligns the
-    resulting orthonormal output vectors back with the codespace basis.
-    Rejects when the projected norms are not uniform across codewords
-    (a Schmidt-rank inconsistency, signalling the state is not a product).
+    Each sector's state on (R, O, E, Q_out) is pure, so its Schmidt
+    decomposition across (R Q_out | O E) carries the spectrum of rho_ME,
+    as S(ME) = S(R Q_out), and it is read from the product
+    :func:`check_info` decides on.  Every Schmidt vector above the cutoff,
+    reshaped to (out, code_dim) and scaled by sqrt(code_dim), is one block,
+    and the blocks are aligned back with the codespace basis.  Rejects when a block's column norms are not
+    uniform across codewords (a Schmidt-rank inconsistency, signalling the
+    state is not a product).  No register-sized matrix is formed, so
+    ``COMBSQEC_DENSE_CAP`` does not bound the synthesis.
     """
     _require_trivial_environment(errors, "the entropic decoder")
-    js = joint_state(code, errors)
-    report = _info_report(js, tol)
+    comp = _composed(code, errors)
+    sectors = comp.product("schmidt", _schmidt_sectors)
+    report = _info_report(sectors, tol)
     if require_correctable and not report.correctable:
         raise ValueError(
             "instance is not correctable (worst entropy deficit "
             f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
             "pass require_correctable=False for a best-effort decoder"
         )
-    k = js.code_dim
+    k = comp.code_dim
     columns: dict[str, list[np.ndarray]] = {}
-    for m in js.memories:
-        amps = js.amplitudes[m]                       # (out, n_o, n_e, k)
-        out_dim = amps.shape[0]
-        n_me = amps.shape[1] * amps.shape[2]
-        chi = amps.reshape(out_dim, n_me, k)
-        spec = herm_eig(
-            LabeledOperator((("r", n_me),), (("r", n_me),), js.rho_me(m))
-        )
+    for m, (_, _, spectrum, vectors) in sectors.items():
         blocks: list[np.ndarray] = []
-        for alpha in range(n_me):
-            q_alpha = float(spec.eigenvalues[alpha])
+        for q_alpha, u_alpha in zip(spectrum, vectors.T):
             if q_alpha <= SCHMIDT_CUTOFF:
                 continue
-            u_alpha = spec.eigenvectors[:, alpha]
-            w = np.tensordot(u_alpha.conj(), chi, axes=([0], [1]))  # (out, k)
-            norms = np.linalg.norm(w, axis=0)
+            block = math.sqrt(k) * u_alpha.reshape(comp.out_dim, k)
             if require_correctable:
-                dev = float(np.max(np.abs(norms**2 - q_alpha)))
+                norms2 = q_alpha * np.sum(np.abs(block) ** 2, axis=0)
+                dev = float(np.max(np.abs(norms2 - q_alpha)))
                 if dev > 1e-6 * max(1.0, q_alpha):
                     raise ValueError(
                         "Schmidt-rank inconsistency: projected norms "
-                        f"{norms**2} differ from eigenvalue {q_alpha:.3e} "
+                        f"{norms2} differ from eigenvalue {q_alpha:.3e} "
                         f"for memory {m!r}; the joint state is not a product"
                     )
-            blocks.append(w / math.sqrt(q_alpha))
+            blocks.append(block)
         columns[m] = blocks
-    basis = code.codespace.basis
-    return _blocks_to_decoder(basis, js.output_dim, columns)
+    return _blocks_to_decoder(comp.basis, comp.out_dim, columns)
 
 
 # ----------------------------------------------------------------------

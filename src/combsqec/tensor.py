@@ -403,6 +403,11 @@ def entropy(rho: LabeledOperator, atol: float = 1e-8) -> float:
     vals = spec.eigenvalues / tr
     if vals.min() < -atol:
         raise ValueError(f"negative eigenvalue {vals.min():.3e} in entropy input")
+    return _spectrum_bits(vals)
+
+
+def _spectrum_bits(vals: npt.NDArray[np.float64]) -> float:
+    """Entropy in bits of a normalized spectrum; entries <= 1e-12 count as zero."""
     vals = vals[vals > 1e-12]
     return float(-np.sum(vals * np.log2(vals))) if vals.size else 0.0
 

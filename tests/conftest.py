@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from combsqec.model import ErrorModel
 from combsqec.tensor import LabeledOperator
 
 
@@ -62,3 +63,22 @@ def pauli_string(chars: str) -> np.ndarray:
     for ch in chars:
         out = np.kron(out, PAULI[ch])
     return out
+
+
+def noisy_errors(errors: ErrorModel, eps: float) -> ErrorModel:
+    """``errors`` with Gaussian noise of size eps on every Kraus operator."""
+    rng = np.random.default_rng(0)
+    rounds = []
+    for ops in errors.kraus_rounds:
+        noisy = []
+        for k_op in ops:
+            noise = rng.standard_normal(k_op.data.shape) + 1j * rng.standard_normal(
+                k_op.data.shape
+            )
+            noisy.append(
+                LabeledOperator(
+                    k_op.row_subsystems, k_op.col_subsystems, k_op.data + eps * noise
+                )
+            )
+        rounds.append(tuple(noisy))
+    return ErrorModel(tuple(rounds), require_trace_nonincreasing=False)

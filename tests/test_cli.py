@@ -10,8 +10,9 @@ import combsqec.conditions as conditions
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
-from combsqec.model import CodeSpace, ErrorModel, StrategicCode, enumerate_trajectories
-from combsqec.tensor import LabeledOperator
+from combsqec.model import CodeSpace, StrategicCode, enumerate_trajectories
+
+from conftest import noisy_errors
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +34,7 @@ def runner():
 def noisy_spacetime(eps, path):
     """Spacetime with Gaussian noise of size eps on its error Kraus operators."""
     inst = build_instance("spacetime")
-    rng = np.random.default_rng(0)
-    rounds = []
-    for ops in inst.errors.kraus_rounds:
-        noisy = []
-        for op in ops:
-            noise = rng.standard_normal(op.data.shape) + 1j * rng.standard_normal(
-                op.data.shape
-            )
-            noisy.append(
-                LabeledOperator(op.row_subsystems, op.col_subsystems, op.data + eps * noise)
-            )
-        rounds.append(tuple(noisy))
-    errors = ErrorModel(tuple(rounds), require_trace_nonincreasing=False)
+    errors = noisy_errors(inst.errors, eps)
     export_instance(inst.code, errors, path)
     return path
 
@@ -105,6 +94,19 @@ class TestCheck:
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(main, ["check", str(tmp_path / "absent.json")])
         assert res.exit_code == 2
+
+    def test_number_beyond_float_range_is_a_parse_error(
+        self, runner, exported, tmp_path
+    ):
+        with open(exported["bitflip"]) as fh:
+            doc = json.load(fh)
+        doc["codespace"]["basis"][0][0][0] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["check", str(bad)])
+        assert res.exit_code == 2
+        assert "codespace.basis[0][0]: number beyond float range" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 class TestDecode:
@@ -226,13 +228,13 @@ class TestComposedTable:
 
     @pytest.mark.parametrize("proof,builder", [
         ("algebraic", "_algebraic_sweep"),
-        ("schmidt", "_joint_state"),
+        ("schmidt", "_schmidt_sectors"),
     ])
     def test_decode_runs_its_checker_once(
         self, runner, exported, monkeypatch, proof, builder
     ):
         # the checker's verdict and the decoder synthesis share one sweep
-        # (Lambda_m and its residuals) or one joint state
+        # (Lambda_m and its residuals) or one Schmidt product
         calls = []
         real = getattr(conditions, builder)
         monkeypatch.setattr(

@@ -8,18 +8,24 @@ import pytest
 from combsqec import conditions
 from combsqec.conditions import (
     MI_TOL_BITS,
+    SCHMIDT_CUTOFF,
     ConditionReport,
     Decoder,
     check_algebraic,
     check_corollary_all_outcomes,
     check_info,
     check_static_kl,
-    joint_state,
     synth_decoder_algebraic,
     synth_decoder_schmidt,
     verify_recovery,
 )
-from combsqec.library import bitflip_code, hexagon_honeycomb, random_instance
+from combsqec.library import (
+    bitflip_code,
+    build_instance,
+    hexagon_honeycomb,
+    instance_names,
+    random_instance,
+)
 from combsqec.model import (
     INITIAL_MEMORY,
     CheckInstrument,
@@ -34,9 +40,9 @@ from combsqec.model import (
     q_label,
     qp_label,
 )
-from combsqec.tensor import LabeledOperator
+from combsqec.tensor import LabeledOperator, entropy, herm_eig
 
-from conftest import pauli_string, random_kraus_set, rng_for
+from conftest import noisy_errors, pauli_string, random_kraus_set, rng_for
 
 CORPUS_SEEDS = tuple(range(100))
 
@@ -330,6 +336,91 @@ class TestCheckAlgebraic:
 # ----------------------------------------------------------------------
 
 
+def reference_joint_state(code, errors):
+    """Dense rho_RME per memory, the assembly the entropic checker replaced.
+
+    Each block is the unnormalized joint state of reference, outcome and
+    error registers with index order (i, o, e), carrying the 1/code_dim
+    prefactor of the maximally entangled reference.
+    """
+    comp = conditions._composed(code, errors)
+    k = comp.code_dim
+    rho_rme = {}
+    for m in comp.memories:
+        blocks = comp.blocks[m]           # (n_o, n_e, out, k)
+        n_o, n_e = blocks.shape[0], blocks.shape[1]
+        flat = np.transpose(blocks, (2, 0, 1, 3)).reshape(comp.out_dim, n_o * n_e * k)
+        gram = (flat.conj().T @ flat / k).reshape(n_o, n_e, k, n_o, n_e, k)
+        # element [(i,o,e),(i',o',e')] = <K_{e',o'} i' | K_{e,o} i> / k:
+        # the unconjugated gram side becomes the row index.
+        rho = np.transpose(gram, (5, 3, 4, 2, 0, 1))
+        rho_rme[m] = rho.reshape(k * n_o * n_e, k * n_o * n_e)
+    return rho_rme
+
+
+def rho_r(rho, k):
+    """Unnormalized reference marginal of a dense rho_RME block."""
+    n = rho.shape[0] // k
+    return np.einsum("ixjx->ij", rho.reshape(k, n, k, n))
+
+
+def rho_me(rho, k):
+    """Unnormalized outcome-and-error-register marginal."""
+    n = rho.shape[0] // k
+    return np.einsum("ixiy->xy", rho.reshape(k, n, k, n))
+
+
+def reference_deficit(rho, k):
+    """P(m) and log2 k + S(ME) - S(RME) from the dense eigenvalues.
+
+    The deficit is None at or below the weight floor.
+    """
+    p = float(np.real(np.trace(rho)))
+    if p <= conditions.P_FLOOR:
+        return p, None
+
+    def bits(mat):
+        n = mat.shape[0]
+        return entropy(LabeledOperator((("S", n),), (("S", n),), mat / p))
+
+    return p, math.log2(k) + bits(rho_me(rho, k)) - bits(rho)
+
+
+def reference_schmidt_decoder(code, errors, rho_rme):
+    """The Schmidt decoder built from eigh of the dense rho_ME.
+
+    Projects the branch amplitudes onto each register eigenvector above
+    the cutoff and raises on non-uniform projected norms, as the library
+    did before it read the Schmidt vectors from an SVD.
+    """
+    comp = conditions._composed(code, errors)
+    k = comp.code_dim
+    columns = {}
+    for m in comp.memories:
+        chi = np.transpose(comp.blocks[m], (2, 0, 1, 3)).reshape(comp.out_dim, -1, k)
+        n_me = chi.shape[1]
+        spec = herm_eig(
+            LabeledOperator((("r", n_me),), (("r", n_me),), rho_me(rho_rme[m], k))
+        )
+        columns[m] = []
+        for q_alpha, u_alpha in zip(spec.eigenvalues, spec.eigenvectors.T):
+            if q_alpha <= SCHMIDT_CUTOFF:
+                continue
+            w = np.tensordot(u_alpha.conj(), chi, axes=([0], [1]))  # (out, k)
+            norms = np.linalg.norm(w, axis=0)
+            if float(np.max(np.abs(norms**2 - q_alpha))) > 1e-6 * max(1.0, q_alpha):
+                raise ValueError("Schmidt-rank inconsistency")
+            columns[m].append(w / math.sqrt(q_alpha))
+    return conditions._blocks_to_decoder(comp.basis, comp.out_dim, columns)
+
+
+def schmidt_sectors(code, errors):
+    """The library's per-memory (p, deficit, spectrum, vectors) product."""
+    return conditions._composed(code, errors).product(
+        "schmidt", conditions._schmidt_sectors
+    )
+
+
 def merged_instance(seed):
     """All outcomes of each round funnel into a single memory state."""
     rng = np.random.default_rng(seed)
@@ -367,42 +458,125 @@ def merged_instance(seed):
     )
 
 
+
+def syndrome_window(rounds, last_only):
+    """3-qubit repetition code under ``rounds`` {Z1Z2, Z2Z3} syndrome rounds.
+
+    Each check round is the 4-outcome instrument of joint syndrome
+    projectors; error rounds 0..rounds-1 each apply one of {I, X1, X2, X3}
+    with amplitude 1/2, and the final error round is the identity.  Memory
+    holds the full syndrome history, or with ``last_only`` the last
+    syndrome only.
+
+    Verdicts, derived by hand: with full history the instance is
+    correctable, because each round's syndrome change names the single X
+    applied in it (I, X1, X2, X3 have distinct syndromes 00, 10, 11, 01),
+    so the cumulative error is known.  With the last syndrome only it is
+    not correctable for two or more rounds: "X1 then X2" and "I then X3"
+    both end in syndrome 01, and X1X2 and X3 differ by X1X2X3, a logical
+    operator.  For one round the two memories coincide and are correctable.
+    """
+    eye = np.eye(8)
+    zz = (pauli_string("ZZI"), pauli_string("IZZ"))
+    projectors = {
+        f"{a}{b}": (eye + (-1) ** a * zz[0]) @ (eye + (-1) ** b * zz[1]) / 4
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+    memories = [INITIAL_MEMORY]
+    instruments, tables = [], []
+    for r in range(1, rounds + 1):
+        table = {
+            (s, m): s if last_only else m + s for s in projectors for m in memories
+        }
+        instruments.append({
+            m: CheckInstrument(r, m, {s: check_op(r, p) for s, p in projectors.items()})
+            for m in memories
+        })
+        tables.append(table)
+        memories = sorted(set(table.values()))
+    flips = [pauli_string(c) / 2 for c in ("III", "XII", "IXI", "IIX")]
+    errors = ErrorModel(
+        tuple(tuple(err_round(r, f) for f in flips) for r in range(rounds))
+        + ((err_round(rounds, eye),),)
+    )
+    basis = np.zeros((8, 2))
+    basis[0, 0] = basis[7, 1] = 1.0
+    interrogator = Interrogator(tuple(instruments), MemoryUpdate(tuple(tables)))
+    return StrategicCode(CodeSpace(8, basis), interrogator), errors
+
+
+def reference_cases():
+    """Named (code, errors) pairs the entropic product is checked on."""
+    cases = []
+    for name in instance_names():
+        inst = build_instance(name)
+        cases.append((name, inst.code, inst.errors))
+    for seed in range(48):
+        inst = random_instance(seed)
+        cases.append((inst.name, inst.code, inst.errors))
+    for seed in range(20):
+        cases.append((f"merged-{seed}", *merged_instance(seed)))
+    spacetime = build_instance("spacetime")
+    for eps in (1e-7, 1e-5, 1e-3):
+        cases.append((f"noisy-{eps}", spacetime.code, noisy_errors(spacetime.errors, eps)))
+    for rounds in (1, 2):
+        for last_only in (False, True):
+            cases.append(
+                (f"window-{rounds}-{last_only}", *syndrome_window(rounds, last_only))
+            )
+    return cases
+
+
 class TestJointState:
     def test_identity_channel_maximally_mixed_reference(self):
         code = StrategicCode(
             CodeSpace(2, np.eye(2)), Interrogator((), MemoryUpdate(()))
         )
         errors = ErrorModel(((err_round(0, np.eye(2)),),))
-        js = joint_state(code, errors)
-        assert js.memories == (INITIAL_MEMORY,)
-        assert np.allclose(js.rho_rme[INITIAL_MEMORY], np.eye(2) / 2.0, atol=1e-12)
-        assert js.weight(INITIAL_MEMORY) == pytest.approx(1.0, abs=1e-12)
+        rho = reference_joint_state(code, errors)
+        assert list(rho) == [INITIAL_MEMORY]
+        assert np.allclose(rho[INITIAL_MEMORY], np.eye(2) / 2.0, atol=1e-12)
+        sectors = schmidt_sectors(code, errors)
+        assert list(sectors) == [INITIAL_MEMORY]
+        p, deficit, spectrum, _ = sectors[INITIAL_MEMORY]
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert deficit == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(spectrum, [1.0], atol=1e-12)
 
     def test_bitflip_joint_state_is_maximally_mixed(self):
         # orthogonal error branches on orthogonal codewords: the joint
-        # reference-register state is exactly I/8
+        # reference-register state is exactly I/8, so rho_ME is I/4
         inst = bitflip_code()
-        js = joint_state(inst.code, inst.errors)
-        assert np.allclose(js.rho_rme[INITIAL_MEMORY], np.eye(8) / 8.0, atol=1e-12)
+        rho = reference_joint_state(inst.code, inst.errors)
+        assert np.allclose(rho[INITIAL_MEMORY], np.eye(8) / 8.0, atol=1e-12)
+        p, deficit, spectrum, _ = schmidt_sectors(inst.code, inst.errors)[
+            INITIAL_MEMORY
+        ]
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert deficit == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(spectrum, np.full(4, 0.25), atol=1e-12)
 
     def test_assembly_matches_elementwise_oracle(self):
         # oracle: rebuild each matrix element from individually composed
-        # branch vectors with explicit row-major index arithmetic
+        # branch vectors with explicit row-major index arithmetic, for the
+        # dense reference and for the library's Schmidt decomposition
+        # rho_{Q R} = sum_alpha q_alpha |u_alpha><u_alpha| over (q, i)
         inst = random_instance(3, rounds=2, adaptive=True)
-        js = joint_state(inst.code, inst.errors)
-        basis = inst.code.codespace.basis
-        k = js.code_dim
-        for m in js.memories:
-            outs = js.outcome_sequences[m]
-            seqs = js.error_sequences
+        code, errors = inst.code, inst.errors
+        rho = reference_joint_state(code, errors)
+        sectors = schmidt_sectors(code, errors)
+        comp = conditions._composed(code, errors)
+        basis = code.codespace.basis
+        k = code.codespace.dim
+        for m in comp.memories:
+            outs = comp.outcomes[m]
+            seqs = comp.sequences
             n_o, n_e = len(outs), len(seqs)
             vecs = {}
             for io, o in enumerate(outs):
                 for ie, e in enumerate(seqs):
-                    kb = (
-                        compose_K(inst.errors, inst.code.interrogator, e, m, o).data
-                        @ basis
-                    )
+                    kb = compose_K(errors, code.interrogator, e, m, o).data @ basis
                     for i in range(k):
                         vecs[(i, io, ie)] = kb[:, i]
 
@@ -410,18 +584,71 @@ class TestJointState:
                 return (i * n_o + io) * n_e + ie
 
             dim = k * n_o * n_e
+            out = comp.out_dim
             expected = np.zeros((dim, dim), dtype=complex)
+            expected_qr = np.zeros((out * k, out * k), dtype=complex)
             for (i, io, ie), v in vecs.items():
                 for (j, jo, je), w in vecs.items():
                     expected[flat(i, io, ie), flat(j, jo, je)] = (w.conj() @ v) / k
-            assert np.allclose(js.rho_rme[m], expected, atol=1e-12)
+                    if (io, ie) == (jo, je):
+                        expected_qr[i::k, j::k] += np.outer(v, w.conj()) / k
+            assert np.allclose(rho[m], expected, atol=1e-12)
+            _, _, spectrum, vectors = sectors[m]
+            got_qr = (vectors * spectrum) @ vectors.conj().T
+            assert np.allclose(got_qr, expected_qr, atol=1e-12)
 
     def test_blocks_are_psd_and_weights_total_one(self):
         for inst in (bitflip_code(), hexagon_honeycomb()):
-            js = joint_state(inst.code, inst.errors)
-            for m in js.memories:
-                assert np.min(np.linalg.eigvalsh(js.rho_rme[m])) >= -1e-12
-            assert sum(js.weights().values()) == pytest.approx(1.0, abs=1e-10)
+            rho = reference_joint_state(inst.code, inst.errors)
+            for block in rho.values():
+                assert np.min(np.linalg.eigvalsh(block)) >= -1e-12
+            weights = check_info(inst.code, inst.errors).detail["weights"]
+            assert set(weights) == set(rho)
+            assert sum(weights.values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_sectors_match_dense_reference(self):
+        # deficits and weights within 1e-12 of the dense eigenvalues, the
+        # squared singular values are the nonzero spectrum of rho_ME, and
+        # Schmidt synthesis succeeds exactly where the eigh construction
+        # does, with the same Kraus counts and recovery fidelity
+        for name, code, errors in reference_cases():
+            k = code.codespace.dim
+            rho = reference_joint_state(code, errors)
+            sectors = schmidt_sectors(code, errors)
+            report = check_info(code, errors)
+            assert list(sectors) == list(rho), name
+            worst_ref = -math.inf
+            for m, (p, deficit, spectrum, _) in sectors.items():
+                p_ref, deficit_ref = reference_deficit(rho[m], k)
+                assert p == pytest.approx(p_ref, abs=1e-12), (name, m)
+                assert report.detail["weights"][m] == p
+                if deficit_ref is not None:
+                    assert deficit == pytest.approx(deficit_ref, abs=1e-12), (name, m)
+                    assert report.detail["deficit_bits"][m] == deficit
+                    worst_ref = max(worst_ref, deficit_ref)
+                eig = np.sort(np.linalg.eigvalsh(rho_me(rho[m], k)))[::-1]
+                assert spectrum.size <= eig.size
+                padded = np.zeros(eig.size)
+                padded[: spectrum.size] = spectrum
+                assert np.allclose(padded, eig, atol=1e-12), (name, m)
+            assert report.correctable == (worst_ref <= MI_TOL_BITS), name
+            if errors.env_dim(errors.rounds) != 1:
+                continue
+            try:
+                want = reference_schmidt_decoder(code, errors, rho)
+            except ValueError:
+                want = None
+            if want is None or worst_ref > MI_TOL_BITS:
+                with pytest.raises(ValueError):
+                    synth_decoder_schmidt(code, errors)
+                continue
+            got = synth_decoder_schmidt(code, errors)
+            for m in sectors:
+                assert len(got.kraus[m]) == len(want.kraus[m]), (name, m)
+            states = codestates(code, 3, seed=409)
+            fid = verify_recovery(code, errors, got, states).worst_fidelity
+            ref = verify_recovery(code, errors, want, states).worst_fidelity
+            assert fid == pytest.approx(ref, abs=1e-12), name
 
 
 class TestCheckInfo:
@@ -458,13 +685,13 @@ class TestCheckInfo:
         errors = ErrorModel(
             ((err_round(0, np.eye(2)),), (err_round(1, np.eye(2)),))
         )
-        js = joint_state(code, errors)
-        for m in js.memories:
-            p = js.weight(m)
+        rho = reference_joint_state(code, errors)
+        for block in rho.values():
+            p = float(np.real(np.trace(block)))
             plain_mi = (
-                entropy_bits(js.rho_r(m) / p)
-                + entropy_bits(js.rho_me(m) / p)
-                - entropy_bits(js.rho_rme[m] / p)
+                entropy_bits(rho_r(block, 2) / p)
+                + entropy_bits(rho_me(block, 2) / p)
+                - entropy_bits(block / p)
             )
             assert abs(plain_mi) <= 1e-9
         report = check_info(code, errors)
@@ -489,6 +716,19 @@ class TestCheckInfo:
             alg = check_algebraic(code, errors)
             info = check_info(code, errors)
             assert alg.correctable == info.correctable, seed
+
+
+class TestSyndromeWindow:
+    @pytest.mark.parametrize("last_only,correctable", [(False, True), (True, False)])
+    def test_entropic_checker_is_free_of_the_dense_cap(
+        self, monkeypatch, last_only, correctable
+    ):
+        # last-syndrome sectors have k * n_o * n_e = 2 * 4 * 16 = 128 > 64;
+        # the verdicts are the hand-derived ones of syndrome_window
+        monkeypatch.setenv("COMBSQEC_DENSE_CAP", "64")
+        code, errors = syndrome_window(2, last_only)
+        assert check_info(code, errors).correctable is correctable
+        assert check_algebraic(code, errors).correctable is correctable
 
 
 # ----------------------------------------------------------------------
@@ -603,17 +843,30 @@ class TestSynthesis:
             assert report.worst_fidelity < 1.0 - 1e-4, inst.name
 
     def test_schmidt_builds_one_joint_state(self, monkeypatch):
+        # one Schmidt product per table feeds both the verdict and the
+        # decoder, and the decoder recovers like the dense-reference one
         calls = []
-        real = conditions.joint_state
+        real = conditions._schmidt_sectors
 
-        def counted(code, errors):
-            calls.append(code)
-            return real(code, errors)
+        def counted(comp):
+            calls.append(comp)
+            return real(comp)
 
-        monkeypatch.setattr(conditions, "joint_state", counted)
+        monkeypatch.setattr(conditions, "_schmidt_sectors", counted)
         inst = bitflip_code()
-        synth_decoder_schmidt(inst.code, inst.errors)
+        dec = synth_decoder_schmidt(inst.code, inst.errors)
+        check_info(inst.code, inst.errors)
         assert len(calls) == 1
+        want = reference_schmidt_decoder(
+            inst.code, inst.errors, reference_joint_state(inst.code, inst.errors)
+        )
+        states = codestates(inst.code, 3, seed=410)
+        assert verify_recovery(inst.code, inst.errors, dec, states).worst_fidelity == (
+            pytest.approx(
+                verify_recovery(inst.code, inst.errors, want, states).worst_fidelity,
+                abs=1e-12,
+            )
+        )
         # the verdict still comes from the same entropic report
         z = bitflip_code("z")
         with pytest.raises(ValueError, match="not correctable"):

@@ -128,7 +128,12 @@ def reference_decode(obj, path):
                 raise ParseError(
                     f"{path}[{i}][{j}]", "complex entries are [re, im] number pairs"
                 )
-            out_row.append(complex(cell[0], cell[1]))
+            try:
+                out_row.append(complex(cell[0], cell[1]))
+            except OverflowError:
+                raise ParseError(
+                    f"{path}[{i}][{j}]", "number beyond float range"
+                ) from None
         rows.append(out_row)
     return np.array(rows, dtype=np.complex128)
 
