@@ -577,7 +577,7 @@ def compose_K(
     for r in range(1, l + 1):
         check = factors[r - 1].data
         env = errors.env_dim(r - 1)
-        lifted = np.kron(check, np.eye(env))
+        lifted = check if env == 1 else np.kron(check, np.eye(env))
         if lifted.shape[1] != current.shape[0]:
             raise ValueError(
                 f"dim mismatch feeding check round {r}: error round {r - 1} "

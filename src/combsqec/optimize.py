@@ -5,9 +5,12 @@ channel from the logical space into the first register, per-round
 instrument blocks indexed by (outgoing memory | incoming memory), and one
 decoder channel per final memory value.  The objective is the entanglement
 fidelity of the composite logical channel against a fixed input state,
-which is multilinear in the factors; each coordinate step maximizes the
-resulting linear functional over the factor's feasible set by projected
-ascent, with feasibility restored by alternating projections.
+which is multilinear in the factors.  Each coordinate step maximizes the
+resulting linear functional Σ_ν Tr(X_ν A_ν) over the factor's channels by
+the Reimpell–Werner fixed-point iteration (Reimpell–Werner, PRL 94, 080501,
+2005; Fletcher–Shor–Win, PRA 75, 012338, 2007), whose iterates are CPTP by
+construction.  The Dykstra projection onto the CPTP set
+(:func:`project_cptp`) is used only to make the perturbed start feasible.
 
 Everything here works on plain square arrays in the row-major Choi
 convention (output leg first); the labeled-operator layer is only touched
@@ -45,6 +48,7 @@ PSD_TOL = 1e-8
 TP_TOL = 1e-7
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEPS = 500
+KERNEL_RTOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -56,9 +60,15 @@ PROJECTION_SWEEPS = 500
 class OptimizerConfig:
     """Knobs of a see-saw run; identical configs give identical runs.
 
-    ``step_order`` overrides the default decoder, rounds last-to-first,
-    encoder cycle with an explicit list of factor names as accepted by
-    :func:`coordinate_step`.
+    ``seed`` and ``perturbation`` set the Hermitian offset of the start (see
+    :func:`initial_state`).  A cycle steps every factor once; the run stops
+    when a cycle moves the fidelity by less than ``tol_conv`` or after
+    ``max_iters`` cycles.  Each coordinate step runs at most
+    ``inner_steps`` Reimpell–Werner iterations, and stops early after
+    ``inner_stall`` iterations in a row that raise the step's objective by
+    no more than 1e-12.  ``step_order`` overrides the default decoder,
+    rounds last-to-first, encoder cycle with an explicit list of factor
+    names as accepted by :func:`coordinate_step`.
     """
 
     seed: int = 0
@@ -108,9 +118,12 @@ class OptimizationState:
 
     Construction validates shapes and feasibility (PSD blocks, trace
     preservation).  The optimizer's own updates skip that check through
-    :func:`_updated`: their factors come from the feasibility projection,
-    which returns clipped PSD blocks with a trace-preservation residual of
-    at most ``PROJECTION_TOL`` < ``TP_TOL``.
+    :func:`_updated`: the start from :func:`initial_state` comes from the
+    feasibility projection, which returns clipped PSD blocks with a
+    trace-preservation residual of at most ``PROJECTION_TOL`` < ``TP_TOL``,
+    and every later factor from Reimpell–Werner iterations, whose blocks
+    are sums of congruences of PSD matrices and trace preserving to
+    rounding.
     """
 
     logical_dim: int
@@ -337,46 +350,54 @@ class _Engine:
             if self.final_env > 1
             else None
         )
-        self.trajectories = (
+        trajectories = (
             list(itertools.product(*(range(n) for n in self.memory_structure)))
             if self.rounds
             else [()]
         )
+        self.chains = [self._chain_keys(traj) for traj in trajectories]
 
-    def chain(self, state: OptimizationState, traj: tuple[int, ...]):
-        """Application-ordered (key, superop) factors of one trajectory."""
-        eo, ei = self.encoder_dims
-        parts: list[tuple[tuple, np.ndarray]] = [
-            (("encoder",), _superop_from_choi(state.encoder, eo, ei))
-        ]
+    def _chain_keys(self, traj: tuple[int, ...]) -> list[tuple]:
+        """Application-ordered factor keys of one memory trajectory."""
+        keys: list[tuple] = [("encoder",)]
         for r in range(self.rounds + 1):
             if r >= 1:
                 mu = traj[r - 2] if r >= 2 else 0
-                nu = traj[r - 1]
-                do, di = self.instrument_dims[r - 1]
-                s = _superop_from_choi(state.instruments[r - 1][mu][nu], do, di)
-                parts.append(
-                    (
-                        ("instrument", r, mu, nu),
-                        _lift_superop(s, do, di, self.errors.env_dim(r - 1)),
-                    )
-                )
-            parts.append((("error", r), self.err_superops[r]))
+                keys.append(("instrument", r, mu, traj[r - 1]))
+            keys.append(("error", r))
         if self.trace_env is not None:
-            parts.append((("trace_env",), self.trace_env))
-        nu_final = traj[-1] if self.rounds else 0
+            keys.append(("trace_env",))
+        keys.append(("decoder", traj[-1] if self.rounds else 0))
+        return keys
+
+    def superops(self, state: OptimizationState) -> dict[tuple, np.ndarray]:
+        """Every factor's superoperator, keyed as in :attr:`chains`."""
+        eo, ei = self.encoder_dims
+        ops = {("encoder",): _superop_from_choi(state.encoder, eo, ei)}
+        for r in range(1, self.rounds + 1):
+            do, di = self.instrument_dims[r - 1]
+            env = self.errors.env_dim(r - 1)
+            for mu, blocks in enumerate(state.instruments[r - 1]):
+                for nu, block in enumerate(blocks):
+                    ops[("instrument", r, mu, nu)] = _lift_superop(
+                        _superop_from_choi(block, do, di), do, di, env
+                    )
+        for r, s in enumerate(self.err_superops):
+            ops[("error", r)] = s
+        if self.trace_env is not None:
+            ops[("trace_env",)] = self.trace_env
         do, di = self.decoder_dims
-        parts.append(
-            (("decoder", nu_final), _superop_from_choi(state.decoders[nu_final], do, di))
-        )
-        return parts
+        for nu, dec in enumerate(state.decoders):
+            ops[("decoder", nu)] = _superop_from_choi(dec, do, di)
+        return ops
 
     def evaluate(self, state: OptimizationState) -> float:
+        ops = self.superops(state)
         total = 0.0
-        for traj in self.trajectories:
+        for keys in self.chains:
             cur = None
-            for _, s in self.chain(state, traj):
-                cur = s if cur is None else s @ cur
+            for key in keys:
+                cur = ops[key] if cur is None else ops[key] @ cur
             total += float(np.trace(cur @ self.n_coeff).real)
         return total
 
@@ -395,20 +416,19 @@ class _Engine:
             raise ValueError(f"unknown factor target {target!r}")
         dl2 = self.logical_dim**2
         acc = np.zeros((d_in * d_in, d_out * d_out), dtype=np.complex128)
+        ops = self.superops(state)
         hit = False
-        for traj in self.trajectories:
-            parts = self.chain(state, traj)
-            keys = [k for k, _ in parts]
+        for keys in self.chains:
             if target not in keys:
                 continue
             hit = True
             idx = keys.index(target)
             pre = np.eye(dl2, dtype=np.complex128)
-            for _, s in parts[:idx]:
-                pre = s @ pre
+            for key in keys[:idx]:
+                pre = ops[key] @ pre
             post = None
-            for _, s in parts[idx + 1 :]:
-                post = s if post is None else s @ post
+            for key in keys[idx + 1 :]:
+                post = ops[key] if post is None else ops[key] @ post
             if post is None:
                 post = np.eye(dl2, dtype=np.complex128)
             b = pre @ self.n_coeff @ post
@@ -575,12 +595,64 @@ def _parse_which(which: str, state: OptimizationState) -> tuple[str, int, int]:
     )
 
 
+def _tp_congruence(
+    ys: Sequence[np.ndarray], fallback: Sequence[np.ndarray], d_out: int, d_in: int
+) -> list[np.ndarray]:
+    """PSD blocks made trace preserving by one input-leg congruence.
+
+    With ρ = Σ_ν Tr_out Y_ν, returns (I⊗ρ^{+½}) Y_ν (I⊗ρ^{+½}) +
+    (I⊗P) F_ν (I⊗P), where ρ^{+½} is the inverse square root on the support
+    of ρ and P projects onto its kernel (eigenvalues at most ``KERNEL_RTOL``
+    times the largest), on which the trace-preserving ``fallback`` family F
+    is kept.  Every block is a sum of congruences of PSD matrices; the
+    blocks are returned Hermitian, because the congruence by large entries
+    of ρ^{+½} would otherwise leave an anti-Hermitian rounding part in the
+    partial traces that no later congruence removes.
+    """
+    rho = sum(_trace_out(y, d_out, d_in) for y in ys)
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > KERNEL_RTOL * max(float(vals[-1]), 0.0)
+    sup = vecs[:, keep]
+    eye_out = np.eye(d_out)
+    lift = np.kron(eye_out, (sup / np.sqrt(vals[keep])) @ sup.conj().T)
+    out = [lift @ y @ lift for y in ys]
+    if not keep.all():
+        ker = vecs[:, ~keep]
+        lift = np.kron(eye_out, ker @ ker.conj().T)
+        out = [o + lift @ f @ lift for o, f in zip(out, fallback)]
+    return [(o + o.conj().T) / 2.0 for o in out]
+
+
+def _rw_iterate(
+    xs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], d_out: int, d_in: int
+) -> list[np.ndarray]:
+    """One Reimpell–Werner fixed-point iteration on a flagged block family.
+
+    X_ν ↦ (I⊗ρ^{+½}) A_ν X_ν A_ν (I⊗ρ^{+½}) + (I⊗P) X_ν (I⊗P) with
+    ρ = Σ_ν Tr_out A_ν X_ν A_ν, as in :func:`_tp_congruence`; the kernel
+    of ρ keeps the incoming channel.  On the support, rounding in the
+    eigenvalues of ρ leaves a trace-preservation error of order
+    ε·‖ρ‖/λ_min, so a second congruence by the partial trace of the result,
+    which is the identity up to that error, restores trace preservation to
+    rounding.  Reimpell–Werner, PRL 94, 080501 (2005).
+    """
+    ys = [a @ x @ a for x, a in zip(xs, coeffs)]
+    out = _tp_congruence(ys, xs, d_out, d_in)
+    return _tp_congruence(out, xs, d_out, d_in)
+
+
 def _step(
     engine: _Engine, state: OptimizationState, which: str, f_current: float
 ) -> OptimizationState:
-    """One projected-ascent coordinate step; never decreases the objective.
+    """One coordinate step by Reimpell–Werner iteration; never decreases F.
 
-    ``f_current`` is the objective of ``state``.
+    The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
+    with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
+    family, keeping the best iterate, until ``inner_stall`` iterations in a
+    row fail to raise F by more than 1e-12 or ``inner_steps`` iterations
+    have run.  The best family is accepted only if the evaluated objective
+    falls no more than 1e-10 below ``f_current``, the objective of
+    ``state``.
     """
     kind, first, second = _parse_which(which, state)
     config = state.config
@@ -603,38 +675,26 @@ def _step(
         float(np.trace(x @ a).real) for x, a in zip(xs, coeffs)
     )
     f_rest = f_current - linear(blocks)
-    grad_norm = math.sqrt(sum(float(np.linalg.norm(a)) ** 2 for a in coeffs))
     record = lambda st, fid: _updated(
         st,
         fidelity=fid,
         trace=st.trace + (TraceRecord(len(st.trace), which, fid),),
     )
-    if grad_norm < 1e-14:
-        return record(state, f_current)
-    step_size = 1.0 / grad_norm
 
-    best_blocks = [b.copy() for b in blocks]
+    best_blocks = xs = blocks
     best_f = f_current
-    xs = [b.copy() for b in blocks]
     stall = 0
-    try:
-        for _ in range(config.inner_steps):
-            moved = [x + step_size * a for x, a in zip(xs, coeffs)]
-            xs = _project_family(moved, d_out, d_in)
-            f_here = f_rest + linear(xs)
-            if f_here > best_f + 1e-12:
-                best_f = f_here
-                best_blocks = [x.copy() for x in xs]
-                stall = 0
-            else:
-                stall += 1
-                if stall >= config.inner_stall:
-                    break
-    except ValueError as exc:
-        return _updated(
-            record(state, f_current),
-            rejected_steps=state.rejected_steps + (f"{which}: {exc}",),
-        )
+    for _ in range(config.inner_steps):
+        xs = _rw_iterate(xs, coeffs, d_out, d_in)
+        f_here = f_rest + linear(xs)
+        if f_here > best_f + 1e-12:
+            best_f = f_here
+            best_blocks = xs
+            stall = 0
+        else:
+            stall += 1
+            if stall >= config.inner_stall:
+                break
 
     if kind == "encoder":
         candidate = _updated(state, encoder=best_blocks[0])
@@ -669,8 +729,9 @@ def coordinate_step(
     ``which`` is ``"encoder"``, ``"decoder:NU"``, or ``"round:R:MU"`` (the
     latter updates all outgoing blocks of round R's incoming value MU
     jointly, since trace preservation couples them).  The returned state's
-    objective is never below the incoming one beyond 1e-10; a failed
-    feasibility projection leaves the factor unchanged and logs the event.
+    objective is never below the incoming one beyond 1e-10; a step whose
+    evaluated objective would fall further leaves the factor unchanged and
+    logs the event in ``rejected_steps``.
     """
     engine = _Engine(errors, state.logical_dim, state.memory_structure, rho)
     _require_matching_dims(engine, state)

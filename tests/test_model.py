@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from combsqec.combs import ChoiOperator, CombSignature, link_product, validate_comb
+from combsqec.conditions import _Composed
+from combsqec.library import build_instance, instance_names
 from combsqec.model import (
     INITIAL_MEMORY,
     CheckInstrument,
@@ -453,6 +455,31 @@ class TestComposeK:
         interro = Interrogator((), MemoryUpdate(()))
         with pytest.raises(ValueError, match="out of range at round 0"):
             compose_K(model, interro, (5,), INITIAL_MEMORY, ())
+
+    def test_table_matches_kron_lift_reference_bitwise(self, rng):
+        def kron_always(errors, interro, e, m, o):
+            # every check lifted by the environment identity, even of dim 1
+            factors = comb_vector(interro, m, o)
+            cur = errors.round_ops(0)[e[0]].data
+            for r in range(1, errors.rounds + 1):
+                lifted = np.kron(factors[r - 1].data, np.eye(errors.env_dim(r - 1)))
+                cur = errors.round_ops(r)[e[r]].data @ (lifted @ cur)
+            return cur
+
+        inst = random_instrument(rng, 1, "", 2, 2, ("a", "b"))
+        interro = Interrogator(
+            ({"": inst},), MemoryUpdate(({("a", ""): "a", ("b", ""): "b"},))
+        )
+        correlated = random_tp_error_model(rng, (2, 2, 2), (2, 2), (2, 3))
+        cases = [(i.code, i.errors) for i in map(build_instance, instance_names())]
+        cases.append((StrategicCode(CodeSpace(2, np.eye(2)[:, :1]), interro), correlated))
+        for code, errors in cases:
+            table = _Composed(code, errors)
+            for m in table.memories:
+                for io, o in enumerate(table.outcomes[m]):
+                    for ie, e in enumerate(table.sequences):
+                        ref = kron_always(errors, code.interrogator, e, m, o)
+                        assert np.array_equal(table.blocks[m][io, ie], ref @ table.basis)
 
 
 class TestErrorComb:

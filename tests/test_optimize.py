@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from combsqec.combs import ChoiOperator, is_cptp, link_product
-from combsqec.library import bitflip_code, spacetime_toy_circuit
+from combsqec.library import bitflip_code, build_instance, spacetime_toy_circuit
 from combsqec.model import ErrorModel, env_label, error_comb, q_label, qp_label
 from combsqec.optimize import (
     OptimizationState,
@@ -20,10 +20,20 @@ from combsqec.optimize import (
     seesaw,
     static_biconvex,
 )
-from combsqec.optimize import _Engine, _project_cptp_array, _trace_out
+from combsqec import optimize
+from combsqec.optimize import (
+    _Engine,
+    _choi_coeff,
+    _contract_env,
+    _lift_superop,
+    _project_cptp_array,
+    _rw_iterate,
+    _superop_from_choi,
+    _trace_out,
+)
 from combsqec.tensor import LabeledOperator, partial_trace, permute_subsystems
 
-from conftest import PAULI, rng_for
+from conftest import PAULI, random_kraus_set, random_matrix, random_state, rng_for
 
 X = PAULI["X"]
 Z = PAULI["Z"]
@@ -270,6 +280,114 @@ class TestEntFidelity:
             assert ent_fidelity(state, errs, MIXED_QUBIT) <= 1 + 1e-8
 
 
+# ----------------------------------------------------------------------
+# trajectory sums against a per-trajectory superoperator rebuild
+# ----------------------------------------------------------------------
+
+
+def reference_chain(engine, state, traj):
+    """Application-ordered (key, superop) factors of one trajectory, every
+    superoperator rebuilt for this trajectory alone."""
+    eo, ei = engine.encoder_dims
+    parts = [(("encoder",), _superop_from_choi(state.encoder, eo, ei))]
+    for r in range(engine.rounds + 1):
+        if r >= 1:
+            mu = traj[r - 2] if r >= 2 else 0
+            nu = traj[r - 1]
+            do, di = engine.instrument_dims[r - 1]
+            s = _superop_from_choi(state.instruments[r - 1][mu][nu], do, di)
+            parts.append((
+                ("instrument", r, mu, nu),
+                _lift_superop(s, do, di, engine.errors.env_dim(r - 1)),
+            ))
+        parts.append((("error", r), engine.err_superops[r]))
+    if engine.trace_env is not None:
+        parts.append((("trace_env",), engine.trace_env))
+    nu_final = traj[-1] if engine.rounds else 0
+    do, di = engine.decoder_dims
+    parts.append(
+        (("decoder", nu_final), _superop_from_choi(state.decoders[nu_final], do, di))
+    )
+    return parts
+
+
+def reference_trajectories(engine):
+    return list(itertools.product(*(range(n) for n in engine.memory_structure)))
+
+
+def reference_evaluate(engine, state):
+    total = 0.0
+    for traj in reference_trajectories(engine):
+        cur = None
+        for _, s in reference_chain(engine, state, traj):
+            cur = s if cur is None else s @ cur
+        total += float(np.trace(cur @ engine.n_coeff).real)
+    return total
+
+
+def reference_coefficient(engine, state, target):
+    if target[0] == "encoder":
+        (d_out, d_in), d_env = engine.encoder_dims, 1
+    elif target[0] == "instrument":
+        d_out, d_in = engine.instrument_dims[target[1] - 1]
+        d_env = engine.errors.env_dim(target[1] - 1)
+    else:
+        (d_out, d_in), d_env = engine.decoder_dims, 1
+    dl2 = engine.logical_dim**2
+    acc = np.zeros((d_in * d_in, d_out * d_out), dtype=np.complex128)
+    for traj in reference_trajectories(engine):
+        parts = reference_chain(engine, state, traj)
+        keys = [k for k, _ in parts]
+        if target not in keys:
+            continue
+        idx = keys.index(target)
+        pre = np.eye(dl2, dtype=np.complex128)
+        for _, s in parts[:idx]:
+            pre = s @ pre
+        post = None
+        for _, s in parts[idx + 1 :]:
+            post = s if post is None else s @ post
+        if post is None:
+            post = np.eye(dl2, dtype=np.complex128)
+        acc += _contract_env(pre @ engine.n_coeff @ post, d_out, d_in, d_env)
+    a = _choi_coeff(acc, d_out, d_in)
+    return (a + a.conj().T) / 2.0
+
+
+def factor_targets(state):
+    targets = [("encoder",)]
+    for r, per_round in enumerate(state.instruments, start=1):
+        for mu, blocks in enumerate(per_round):
+            targets += [("instrument", r, mu, nu) for nu in range(len(blocks))]
+    return targets + [("decoder", nu) for nu in range(len(state.decoders))]
+
+
+class TestEngineSums:
+    @pytest.mark.parametrize(
+        "errs, memory",
+        [
+            (spacetime_toy_circuit().errors, (1, 2)),
+            (spacetime_toy_circuit().errors, (2, 2)),
+            (identity_errors(2, rounds=3), (2, 2, 2)),
+        ],
+        ids=["spacetime-1-2", "spacetime-2-2", "identity-3-rounds"],
+    )
+    def test_one_build_per_call_matches_rebuild_bitwise(self, errs, memory):
+        for seed in range(2):
+            state = initial_state(
+                errs, 2, memory,
+                config=OptimizerConfig(seed=seed, perturbation=0.5),
+            )
+            engine = _Engine(errs, 2, memory, MIXED_QUBIT)
+            assert engine.evaluate(state) == reference_evaluate(engine, state)
+            for target in factor_targets(state):
+                assert np.array_equal(
+                    engine.coefficient(state, target),
+                    reference_coefficient(engine, state, target),
+                ), target
+
+
+
 def labeled_choi(data, out_label, do, in_label, di):
     subs = ((out_label, do), (in_label, di))
     return ChoiOperator(
@@ -483,6 +601,138 @@ class TestCoordinateStep:
         for bad in ["blah", "decoder:5", "round:1:0", "round:0:0", "decoder"]:
             with pytest.raises(ValueError):
                 coordinate_step(state, errs, MIXED_QUBIT, bad)
+
+
+# ----------------------------------------------------------------------
+# Reimpell–Werner coordinate steps
+# ----------------------------------------------------------------------
+
+
+def kraus_family(rng, d_out, d_in, count):
+    """Flagged TP family: block ν is the Choi of two Kraus operators of one
+    isometry, so the partial traces sum to the identity up to rounding."""
+    kraus = random_kraus_set(rng, d_out, d_in, 2 * count)
+    return [
+        sum(
+            np.outer(k.reshape(-1), k.reshape(-1).conj())
+            for k in kraus[2 * nu : 2 * nu + 2]
+        )
+        for nu in range(count)
+    ]
+
+
+def family_tp_residual(blocks, d_out, d_in):
+    total = sum(_trace_out(b, d_out, d_in) for b in blocks)
+    return float(np.linalg.norm(total - np.eye(d_in)))
+
+
+class TestReimpellWerner:
+    d_out, d_in, count = 2, 3, 2
+
+    def test_iteration_is_psd_and_trace_preserving(self):
+        n = self.d_out * self.d_in
+        for seed in range(10):
+            rng = rng_for(5000 + seed)
+            xs = kraus_family(rng, self.d_out, self.d_in, self.count)
+            coeffs = []
+            for _ in range(self.count):
+                g = random_matrix(rng, n, n)
+                coeffs.append(g @ g.conj().T)
+            out = _rw_iterate(xs, coeffs, self.d_out, self.d_in)
+            for block in out:
+                assert np.linalg.eigvalsh(block)[0] >= -1e-12
+            assert family_tp_residual(out, self.d_out, self.d_in) <= 1e-12
+
+    def test_near_singular_rho_stays_trace_preserving(self):
+        # A nearly vanishes on one input direction, so rho has an eigenvalue
+        # near 1e-8 of its largest: kept, and amplified by its inverse root
+        n = self.d_out * self.d_in
+        for seed in range(10):
+            rng = rng_for(7000 + seed)
+            xs = kraus_family(rng, self.d_out, self.d_in, self.count)
+            phi = random_state(rng, self.d_in)
+            damp = np.eye(self.d_in) - (1 - 1e-4) * np.outer(phi, phi.conj())
+            coeffs = []
+            for _ in range(self.count):
+                g = np.kron(np.eye(self.d_out), damp) @ random_matrix(rng, n, n)
+                coeffs.append(g @ g.conj().T)
+            out = _rw_iterate(xs, coeffs, self.d_out, self.d_in)
+            assert family_tp_residual(out, self.d_out, self.d_in) <= 1e-12
+
+    def test_kernel_of_rho_keeps_the_incoming_channel(self):
+        n = self.d_out * self.d_in
+        for seed in range(10):
+            rng = rng_for(6000 + seed)
+            xs = kraus_family(rng, self.d_out, self.d_in, self.count)
+            phi = random_state(rng, self.d_in)
+            # A vanishes on the input direction phi, so phi spans ker rho
+            off_phi = np.eye(self.d_in) - np.outer(phi, phi.conj())
+            kill = np.kron(np.eye(self.d_out), off_phi)
+            coeffs = []
+            for _ in range(self.count):
+                g = kill @ random_matrix(rng, n, n)
+                coeffs.append(g @ g.conj().T)
+            out = _rw_iterate(xs, coeffs, self.d_out, self.d_in)
+            for block in out:
+                assert np.linalg.eigvalsh(block)[0] >= -1e-12
+            assert family_tp_residual(out, self.d_out, self.d_in) <= 1e-12
+            on_kernel = np.kron(np.eye(self.d_out), np.outer(phi, phi.conj()))
+            for new, old in zip(out, xs):
+                assert np.linalg.norm(
+                    on_kernel @ new @ on_kernel - on_kernel @ old @ on_kernel
+                ) <= 1e-12
+
+    def test_see_saw_projects_only_at_initialization(self, monkeypatch):
+        calls = {"n": 0}
+        project = optimize._project_cptp_array
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "_project_cptp_array", counted)
+        errs = spacetime_toy_circuit().errors
+        cfg = OptimizerConfig(seed=0)
+        initial_state(errs, 2, (1, 2), config=cfg)
+        at_init = calls["n"]
+        calls["n"] = 0
+        out = seesaw(errs, 2, (1, 2), config=cfg)
+        assert len(out.trace) > 1
+        assert calls["n"] == at_init > 0
+
+    @pytest.mark.parametrize(
+        "name, memory",
+        [("bitflip", ()), ("bitflip-z", ()), ("spacetime", (1, 2)), ("spacetime", (2, 2))],
+    )
+    def test_library_coefficients_are_psd(self, name, memory):
+        # hexagon's 64-dimensional registers put its 4096 x 4096
+        # superoperators outside the optimizer's dense range
+        errs = build_instance(name).errors
+        for seed in range(3):
+            state = initial_state(errs, 2, memory, config=OptimizerConfig(seed=seed))
+            engine = _Engine(errs, 2, memory, MIXED_QUBIT)
+            for target in factor_targets(state):
+                a = engine.coefficient(state, target)
+                scale = max(1.0, float(np.linalg.norm(a)))
+                assert np.linalg.eigvalsh(a)[0] >= -1e-12 * scale, target
+
+    @pytest.mark.parametrize("errs, memory", [
+        (spacetime_toy_circuit().errors, (1, 2)), (bitflip_code().errors, ()),
+    ], ids=["spacetime", "bitflip"])
+    def test_returned_factors_pass_the_public_constructor(self, errs, memory):
+        out = seesaw(errs, 2, memory, config=OptimizerConfig(seed=0))
+        rebuilt = OptimizationState(
+            logical_dim=out.logical_dim,
+            encoder_dims=out.encoder_dims,
+            instrument_dims=out.instrument_dims,
+            decoder_dims=out.decoder_dims,
+            memory_structure=out.memory_structure,
+            encoder=out.encoder,
+            instruments=out.instruments,
+            decoders=out.decoders,
+            fidelity=out.fidelity,
+        )
+        assert rebuilt.fidelity >= 0.999
 
 
 # ----------------------------------------------------------------------
