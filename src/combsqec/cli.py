@@ -338,6 +338,10 @@ def optimize(
     else:
         if ambient_dim is None or logical_dim is None:
             _fail("without an instance file, --ambient-dim and --logical-dim are required")
+        if ambient_dim < 1:
+            _fail(f"--ambient-dim must be at least 1, got {ambient_dim}")
+        if rounds is not None and rounds < 0:
+            _fail(f"--rounds must be at least 0, got {rounds}")
         errors = _identity_errors(ambient_dim, rounds or 0)
     ldim = logical_dim if logical_dim is not None else block.get("logical_dim")
     if ldim is None:
@@ -358,7 +362,7 @@ def optimize(
         cfg_fields["max_iters"] = max_iters
     try:
         config = OptimizerConfig(**cfg_fields)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         _fail(f"bad optimizer config: {exc}")
     try:
         if biconvex:

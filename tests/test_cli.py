@@ -351,6 +351,34 @@ class TestOptimize:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("dims", [
+        ["--ambient-dim", "2", "--logical-dim", "2", "--rounds", "-1"],
+        ["--ambient-dim", "0", "--logical-dim", "1"],
+    ], ids=["negative-rounds", "zero-ambient-dim"])
+    def test_bad_no_file_dims_are_usage_errors(self, runner, dims):
+        res = runner.invoke(main, ["optimize", *dims])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ")
+
+    def test_negative_max_iters_flag_is_a_usage_error(self, runner):
+        res = runner.invoke(
+            main, ["optimize", "--ambient-dim", "2", "--logical-dim", "2",
+                   "--max-iters", "-1"],
+        )
+        assert res.exit_code == 2
+        assert "max_iters" in res.output
+
+    def test_negative_max_iters_in_file_is_a_usage_error(self, runner, tmp_path):
+        inst = build_instance("bitflip")
+        path = str(tmp_path / "bf.json")
+        export_instance(
+            inst.code, inst.errors, path,
+            optimization={"logical_dim": 2, "config": {"max_iters": -1}},
+        )
+        res = runner.invoke(main, ["optimize", path])
+        assert res.exit_code == 2
+        assert "bad optimizer config" in res.output
+
     def test_bad_memory_string(self, runner):
         res = runner.invoke(
             main, ["optimize", "--ambient-dim", "2", "--logical-dim", "2",

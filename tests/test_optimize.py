@@ -362,6 +362,20 @@ def factor_targets(state):
     return targets + [("decoder", nu) for nu in range(len(state.decoders))]
 
 
+def correlated_errors(seed):
+    """Two-round TP qubit errors, two Kraus operators per round, whose
+    environment qubit runs through every round and is still open after
+    the last one."""
+    rng = rng_for(seed)
+    return ErrorModel(tuple(
+        tuple(
+            err_round(r, k, env_in=1 if r == 0 else 2, env_out=2)
+            for k in random_kraus_set(rng, 4, 2 if r == 0 else 4, 2)
+        )
+        for r in range(3)
+    ))
+
+
 class TestEngineSums:
     @pytest.mark.parametrize(
         "errs, memory",
@@ -369,23 +383,51 @@ class TestEngineSums:
             (spacetime_toy_circuit().errors, (1, 2)),
             (spacetime_toy_circuit().errors, (2, 2)),
             (identity_errors(2, rounds=3), (2, 2, 2)),
+            (correlated_errors(0), (2, 3)),
+            (bitflip_code().errors, ()),
+            (identity_errors(2, rounds=5), (2, 3, 2, 2, 2)),
         ],
-        ids=["spacetime-1-2", "spacetime-2-2", "identity-3-rounds"],
+        ids=["spacetime-1-2", "spacetime-2-2", "identity-3-rounds",
+             "correlated-env-2", "bitflip-0-rounds", "identity-5-rounds"],
     )
-    def test_one_build_per_call_matches_rebuild_bitwise(self, errs, memory):
+    def test_messages_match_rebuild_within_1e_12(self, errs, memory):
         for seed in range(2):
             state = initial_state(
                 errs, 2, memory,
                 config=OptimizerConfig(seed=seed, perturbation=0.5),
             )
             engine = _Engine(errs, 2, memory, MIXED_QUBIT)
-            assert engine.evaluate(state) == reference_evaluate(engine, state)
-            for target in factor_targets(state):
-                assert np.array_equal(
-                    engine.coefficient(state, target),
-                    reference_coefficient(engine, state, target),
-                ), target
+            ref = reference_evaluate(engine, state)
+            assert abs(engine.evaluate(state) - ref) <= 1e-12 * abs(ref)
+            targets = factor_targets(state)
+            for target, a in zip(targets, engine.coefficients(state, targets)):
+                ref = reference_coefficient(engine, state, target)
+                err = np.linalg.norm(a - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref), target
 
+    @pytest.mark.parametrize("which", ["round:1:0", "round:2:1"])
+    def test_one_superoperator_build_per_pass(self, monkeypatch, which):
+        builds = {"n": 0}
+        superops = _Engine.superops
+
+        def counted(engine, state):
+            builds["n"] += 1
+            return superops(engine, state)
+
+        errs = spacetime_toy_circuit().errors
+        state = initial_state(errs, 2, (2, 2), config=OptimizerConfig(seed=0))
+        monkeypatch.setattr(_Engine, "superops", counted)
+        coordinate_step(state, errs, MIXED_QUBIT, which)
+        # the incoming objective, then one build for all of the family's
+        # coefficients and one for the candidate's evaluate
+        assert builds["n"] == 3
+
+    def test_unknown_target_rejected(self):
+        errs = identity_errors(2, rounds=1)
+        state = initial_state(errs, 2, (2,))
+        engine = _Engine(errs, 2, (2,), MIXED_QUBIT)
+        with pytest.raises(ValueError, match="unknown factor target"):
+            engine.coefficients(state, [("instrument", 1, 1, 0)])
 
 
 def labeled_choi(data, out_label, do, in_label, di):
@@ -711,8 +753,8 @@ class TestReimpellWerner:
         for seed in range(3):
             state = initial_state(errs, 2, memory, config=OptimizerConfig(seed=seed))
             engine = _Engine(errs, 2, memory, MIXED_QUBIT)
-            for target in factor_targets(state):
-                a = engine.coefficient(state, target)
+            targets = factor_targets(state)
+            for target, a in zip(targets, engine.coefficients(state, targets)):
                 scale = max(1.0, float(np.linalg.norm(a)))
                 assert np.linalg.eigvalsh(a)[0] >= -1e-12 * scale, target
 
