@@ -9,9 +9,10 @@ when it exits 2.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import click
 import numpy as np
@@ -44,6 +45,22 @@ FIDELITY_GATE = 1.0 - 1e-6
 @click.version_option(__version__, prog_name="combsqec")
 def main() -> None:
     """Spatio-temporal code checking, decoding, and optimization."""
+
+
+def _exits(command: Callable[..., int]) -> Callable[..., None]:
+    """Exit with the status the command body returns.
+
+    SystemExit is raised after the body has returned, so its traceback
+    holds no frame with the loaded instance, and an in-process caller that
+    keeps the exception (click's ``CliRunner`` does, in a reference cycle)
+    does not keep the instance alive until the next garbage collection.
+    """
+
+    @functools.wraps(command)
+    def run(**params: Any) -> None:
+        sys.exit(command(**params))
+
+    return run
 
 
 def _fail(message: str, code: int = 2) -> None:
@@ -99,7 +116,8 @@ def _lambda_table(detail: Mapping[str, Any]) -> dict[str, Any]:
     "--report", "report_path", type=click.Path(), default=None,
     help="Write a machine-readable report here.",
 )
-def check(path: str, method: str, tol: float | None, report_path: str | None) -> None:
+@_exits
+def check(path: str, method: str, tol: float | None, report_path: str | None) -> int:
     """Decide exact correctability of the instance at PATH."""
     doc = _load(path)
     payload = _report_head("check", doc.digest)
@@ -143,12 +161,12 @@ def check(path: str, method: str, tol: float | None, report_path: str | None) ->
                 f"{_verdict_word(ri.correctable)}; this is a bug in the tool",
                 err=True,
             )
-            sys.exit(3)
+            return 3
     correctable = next(iter(results.values())).correctable
     payload["verdict"] = _verdict_word(correctable)
     click.echo(_verdict_word(correctable))
     _write_report(report_path, payload)
-    sys.exit(0 if correctable else 1)
+    return 0 if correctable else 1
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +199,10 @@ def _random_codestates(code: StrategicCode, count: int, seed: int) -> list[np.nd
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write a machine-readable report here.")
+@_exits
 def decode(
     path: str, proof: str, samples: int, seed: int, report_path: str | None
-) -> None:
+) -> int:
     """Synthesize a decoder for PATH and verify recovery fidelity."""
     if samples < 0:
         _fail("--samples must be nonnegative")
@@ -220,7 +239,7 @@ def decode(
         payload["verdict"] = _verdict_word(False)
         payload["witness"] = witness
         _write_report(report_path, payload)
-        sys.exit(1)
+        return 1
     try:
         decoder = synth(doc.code, doc.errors)
     except ValueError as exc:
@@ -240,7 +259,7 @@ def decode(
         payload["worst_fidelity"] = None
         payload["verdict"] = "PASS (vacuous)"
         _write_report(report_path, payload)
-        sys.exit(0)
+        return 0
     states = _random_codestates(doc.code, samples, seed)
     rep = verify_recovery(doc.code, doc.errors, decoder, states)
     worst = rep.worst_fidelity
@@ -254,7 +273,7 @@ def decode(
     ok = worst >= FIDELITY_GATE
     payload["verdict"] = "PASS" if ok else "FAIL"
     _write_report(report_path, payload)
-    sys.exit(0 if ok else 1)
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +326,7 @@ def _state_document(state: OptimizationState) -> dict[str, Any]:
               help="Write the optimized factors here as JSON.")
 @click.option("--biconvex", is_flag=True,
               help="Use the two-factor alternation (single-round models only).")
+@_exits
 def optimize(
     path: str | None,
     ambient_dim: int | None,
@@ -318,7 +338,7 @@ def optimize(
     trace_path: str | None,
     out_path: str | None,
     biconvex: bool,
-) -> None:
+) -> int:
     """Maximize entanglement fidelity over encoder, checks, and decoder.
 
     With PATH, the error model comes from the instance file and the logical
@@ -385,8 +405,8 @@ def optimize(
         click.echo(
             f"did not converge within {state.config.max_iters} cycles", err=True
         )
-        sys.exit(4)
-    sys.exit(0)
+        return 4
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +450,8 @@ def _conjugation_flip(code: StrategicCode, r: int, memory: str,
 @click.argument("name")
 @click.option("--export", "export_path", type=click.Path(), default=None,
               help="Write the instance file here.")
-def demo(name: str, export_path: str | None) -> None:
+@_exits
+def demo(name: str, export_path: str | None) -> int:
     """Walk through a built-in instance: check, decode, and explain."""
     try:
         inst = build_instance(name)
@@ -446,7 +467,7 @@ def demo(name: str, export_path: str | None) -> None:
                f"(deficit {ri.worst_residual:.3e} bits)")
     if ra.correctable != ri.correctable:
         click.echo("checker disagreement; this is a bug in the tool", err=True)
-        sys.exit(3)
+        return 3
     if name == "hexagon":
         click.echo("outcome flip pattern by error (round-1 / round-2 check signs):")
         supports = branch_supports(inst.code, inst.errors)
@@ -477,7 +498,7 @@ def demo(name: str, export_path: str | None) -> None:
     if export_path is not None:
         digest = export_instance(inst.code, inst.errors, export_path)
         click.echo(f"instance written to {export_path} (sha256 {digest})")
-    sys.exit(0 if ra.correctable else 1)
+    return 0 if ra.correctable else 1
 
 
 if __name__ == "__main__":

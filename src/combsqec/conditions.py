@@ -53,6 +53,8 @@ MI_TOL_BITS = 1e-7
 P_FLOOR = 1e-12
 WEIGHT_CUTOFF = 1e-10
 SCHMIDT_CUTOFF = 1e-11
+# complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
+_FIT_CHUNK = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +216,8 @@ class _Composed:
         """Largest composed-operator norm encountered."""
         worst = 1.0
         for m in self.memories:
-            for block in (self.blocks[m].reshape(-1, self.out_dim, self.code_dim),
-                          self.aggregated(m)):
-                for mat in block:
-                    worst = max(worst, float(np.linalg.norm(mat, ord=2)))
+            for stack in (self.blocks[m], self.aggregated(m)):
+                worst = max(worst, float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))))
         return worst
 
 
@@ -253,19 +253,50 @@ def branch_supports(
     }
 
 
-def _scalar_fit(t_mat: np.ndarray) -> tuple[complex, float, tuple[int, int]]:
-    """Least-squares scalar, residual and worst element of T vs lambda*I."""
-    k = t_mat.shape[0]
-    lam = complex(np.trace(t_mat) / k)
-    dev = t_mat - lam * np.eye(k)
-    flat = int(np.argmax(np.abs(dev)))
-    j, i = divmod(flat, k)
-    return lam, float(np.linalg.norm(dev)), (int(i), int(j))
-
-
 # ----------------------------------------------------------------------
 # Checker 1: the algebraic condition
 # ----------------------------------------------------------------------
+
+
+def _fit_cells(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, float, tuple[int, int, int, int, int]]:
+    """Scalar fits of every cell T[o, a, b] = left[o, a]^dag right[o, b].
+
+    ``right`` is an (n_o, n_e, out, k) block array; ``left`` has the same
+    shape, or a leading axis of 1 to pair every o with one left stack.  Each
+    cell is reduced to its least-squares scalar lambda = Tr(T) / k and the
+    residual ||T - lambda I||_F.  Returns the sum of lambda over o, shape
+    (n_e, n_e), the largest residual, and the position (o, a, b, i, j) of
+    the first cell that attains it in C order, with (i, j) the (column,
+    row) of the largest entry of |T - lambda I| in that cell.
+
+    Per o, all cells are one Gram matrix of the (out, n_e k) column stacks,
+    G[(a, i), (b, j)] = T[o, a, b][i, j], so one ``np.matmul`` over o forms
+    them, in chunks of at most ``_FIT_CHUNK`` entries.
+    """
+    n_o, n_e, out, k = right.shape
+    columns = lambda x: x.transpose(0, 2, 1, 3).reshape(len(x), out, n_e * k)
+    left_h = np.ascontiguousarray(np.swapaxes(columns(left).conj(), 1, 2))
+    step = max(1, _FIT_CHUNK // (n_e * n_e * k * k))
+    diag = np.arange(k)
+    lam_sum = np.zeros((n_e, n_e), dtype=np.complex128)
+    worst = -1.0
+    for start in range(0, n_o, step):
+        stop = min(start + step, n_o)
+        lh = left_h if len(left_h) == 1 else left_h[start:stop]
+        dev = np.matmul(lh, columns(right[start:stop])).reshape(-1, n_e, k, n_e, k)
+        lam = np.trace(dev, axis1=2, axis2=4) / k
+        lam_sum += lam.sum(axis=0)
+        dev[:, :, diag, :, diag] -= lam
+        res = np.linalg.norm(dev, axis=(2, 4))
+        cell = np.unravel_index(int(np.argmax(res)), res.shape)
+        if res[cell] > worst:
+            worst = float(res[cell])
+            where = (start + int(cell[0]), int(cell[1]), int(cell[2]))
+            worst_dev = dev[cell[0], cell[1], :, cell[2], :]
+    j, i = divmod(int(np.argmax(np.abs(worst_dev))), k)
+    return lam_sum, worst, (*where, i, j)
 
 
 def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
@@ -278,23 +309,15 @@ def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
     degenerate: list[tuple[str, tuple[str, ...]]] = []
-    n_e = len(comp.sequences)
     for m in comp.memories:
-        agg = comp.aggregated(m)
         blocks = comp.blocks[m]
-        lam_m = np.zeros((n_e, n_e), dtype=np.complex128)
-        for io, o in enumerate(comp.outcomes[m]):
-            if np.max(np.abs(blocks[io])) < WEIGHT_CUTOFF:
-                degenerate.append((m, o))
-            for a, ep in enumerate(comp.sequences):
-                left = (blocks[io, a] if per_outcome_left else agg[a]).conj().T
-                for b, e in enumerate(comp.sequences):
-                    t_mat = left @ blocks[io, b]
-                    lam, res, (i, j) = _scalar_fit(t_mat)
-                    lam_m[a, b] += lam
-                    if res > worst:
-                        worst = res
-                        witness = (i, j, e, ep, m, o)
+        left = blocks if per_outcome_left else comp.aggregated(m)[None]
+        lam_m, res, (io, a, b, i, j) = _fit_cells(left, blocks)
+        if res > worst:
+            worst = res
+            witness = (i, j, comp.sequences[b], comp.sequences[a], m, comp.outcomes[m][io])
+        vanishing = np.max(np.abs(blocks), axis=(1, 2, 3)) < WEIGHT_CUTOFF
+        degenerate.extend((m, comp.outcomes[m][io]) for io in np.flatnonzero(vanishing))
         lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
         lambdas[m].flags.writeable = False
     detail = {
@@ -335,8 +358,13 @@ def check_algebraic(
     scalar lambda = Tr(T) / code_dim and the residual ||T - lambda I||_F;
     the e' side aggregates outcome sequences, matching the condition's
     asymmetric form.  Correctable iff every residual is within tolerance
-    (default ``1e-8`` times the largest composed-operator norm).  The worst
-    witness is reported in lexicographic sweep order.
+    (default ``1e-8`` times the largest composed-operator norm).  The
+    witness names the first cell of largest residual in (m, o, e', e)
+    order, and (i, j) the (column, row) of the largest entry of
+    |T - lambda I| in that cell.  All cells of a memory are reduced in one
+    batch, whose rounding may differ from a per-cell reduction in the last
+    bit, so of two cells or entries that tie in exact arithmetic (such as
+    (e', e) and (e, e') when T is Hermitian) either may be named.
 
     ``detail`` holds:
 
@@ -392,29 +420,17 @@ def check_static_kl(
             raise ValueError(
                 f"static Kraus must be square on the ambient space, got {mat.shape}"
             )
-    scale = max(1.0, max(float(np.linalg.norm(m, ord=2)) for m in mats))
+    stack = np.stack(mats)
+    scale = max(1.0, float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))))
     tolerance = RESIDUAL_RTOL * scale if tol is None else float(tol)
-    k = codespace.dim
-    n = len(mats)
-    lam = np.zeros((n, n), dtype=np.complex128)
-    worst = -1.0
-    witness: tuple | None = None
-    blocks = [m @ basis for m in mats]
-    for a in range(n):
-        left = blocks[a].conj().T
-        for b in range(n):
-            t_mat = left @ blocks[b]
-            lam_ab, res, (i, j) = _scalar_fit(t_mat)
-            lam[a, b] = lam_ab
-            if res > worst:
-                worst = res
-                witness = (i, j, a, b)
+    blocks = (stack @ basis)[None]
+    lam, worst, (_, a, b, i, j) = _fit_cells(blocks, blocks)
     return ConditionReport(
         correctable=bool(worst <= tolerance),
-        worst_residual=float(worst),
+        worst_residual=worst,
         tolerance=tolerance,
-        witness=witness,
-        detail={"lambda": lam, "scale": scale, "code_dim": k},
+        witness=(i, j, a, b),
+        detail={"lambda": lam, "scale": scale, "code_dim": codespace.dim},
     )
 
 
@@ -651,59 +667,62 @@ def verify_recovery(
 ) -> RecoveryReport:
     """Apply interrogation, errors and decoding to codestates.
 
-    For each state and final memory the recovered operator is
-    sum over decoder Kraus, error sequences and environment slices of
-    D (K_{e,m} psi) (K_{e,m} psi)^dag D^dag, with K_{e,m} the coherent sum
-    over the memory's outcome sequences.  The reported weight is the total
-    probability arriving at that memory; completion weight counts toward
-    it but contributes no fidelity.  When a memory state merges several
-    outcome sequences the coherent sum makes the weights interferometric;
-    they are guaranteed to total one (for trace-preserving models) only
-    when each memory state pins a single outcome sequence.
+    For state psi and final memory m, W_{e,eps} = (K_{e,m} psi)_eps arrives
+    under error sequence e in final environment slice eps, with K_{e,m} the
+    coherent sum over the memory's outcome sequences.  The weight, the sum
+    of ||W_{e,eps}||^2, is the probability arriving at m; the fidelity is
+    the sum over decoder Kraus D, e and eps of |<psi| D W_{e,eps}>|^2 over
+    the weight, so no recovered state is formed.  Completion weight counts
+    toward the weight but contributes no fidelity.  When a memory state
+    merges several outcome sequences the coherent sum makes the weights
+    interferometric; they are guaranteed to total one (for trace-preserving
+    models) only when each memory state pins a single outcome sequence.
+    Records run in (state, memory) order.
     """
     comp = _composed(code, errors)
-    env = comp.env_dim
-    q_dim = comp.out_dim // env
-    records: list[RecoveryRecord] = []
-    totals: list[float] = []
-    worst = math.inf
+    ambient = code.codespace.ambient_dim
+    q_dim = comp.out_dim // comp.env_dim
+    proj = code.codespace.projector
+    vecs = []
     for idx, psi in enumerate(states):
         vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        if vec.shape[0] != code.codespace.ambient_dim:
-            raise ValueError(
-                f"state {idx} has dim {vec.shape[0]}, ambient is "
-                f"{code.codespace.ambient_dim}"
-            )
+        if vec.shape[0] != ambient:
+            raise ValueError(f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError(f"state {idx} is not normalized")
-        proj = code.codespace.projector
         if np.linalg.norm(proj @ vec - vec) > 1e-8:
             raise ValueError(f"state {idx} lies outside the codespace")
-        logical = code.codespace.basis.conj().T @ vec
-        total_weight = 0.0
-        for m in comp.memories:
-            agg = comp.aggregated(m)          # (n_e, out, k)
-            sigma = np.zeros(
-                (code.codespace.ambient_dim, code.codespace.ambient_dim),
-                dtype=np.complex128,
-            )
-            weight = 0.0
-            for a in range(agg.shape[0]):
-                arrived = (agg[a] @ logical).reshape(q_dim, env)
-                for eps in range(env):
-                    w = arrived[:, eps]
-                    weight += float(np.real(w.conj() @ w))
-                    for d_op in decoder.kraus[m]:
-                        out = d_op @ w
-                        sigma += np.outer(out, out.conj())
-            if weight > P_FLOOR:
-                fid = float(np.real(vec.conj() @ sigma @ vec)) / weight
-                worst = min(worst, fid)
-                records.append(RecoveryRecord(idx, m, weight, fid))
-            total_weight += weight
-        totals.append(total_weight)
+        vecs.append(vec)
+    missing = [m for m in comp.memories if m not in decoder.kraus]
+    if missing:
+        raise ValueError(f"decoder has no Kraus operators for final memory {missing[0]!r}")
+    if (decoder.output_dim, decoder.input_dim) != (ambient, q_dim):
+        raise ValueError(
+            f"decoder maps dim {decoder.input_dim} to {decoder.output_dim}; the "
+            f"instance needs {q_dim} (check-round output) to {ambient} (ambient)"
+        )
+    vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
+    logical = vecs @ code.codespace.basis.conj()               # (n_s, k)
+    weights = np.empty((len(vecs), len(comp.memories)))
+    overlaps = np.empty_like(weights)
+    n_arrived = comp.env_dim * len(comp.sequences)
+    for col, m in enumerate(comp.memories):
+        arrived = np.einsum("eak,sk->sae", comp.aggregated(m), logical).reshape(
+            len(vecs), q_dim, n_arrived
+        )                                                      # (n_s, q, eps e)
+        weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(1, 2))
+        kraus = np.array(decoder.kraus[m], dtype=np.complex128).reshape(-1, ambient, q_dim)
+        bras = np.einsum("sx,nxq->snq", vecs.conj(), kraus)   # <psi_s| D_n
+        overlaps[:, col] = np.sum(np.abs(bras @ arrived) ** 2, axis=(1, 2))
+    records = [
+        RecoveryRecord(idx, m, float(weights[idx, col]),
+                       float(overlaps[idx, col]) / float(weights[idx, col]))
+        for idx in range(len(vecs))
+        for col, m in enumerate(comp.memories)
+        if weights[idx, col] > P_FLOOR
+    ]
     return RecoveryReport(
-        worst_fidelity=float(worst),
+        worst_fidelity=min((r.fidelity for r in records), default=math.inf),
         records=tuple(records),
-        total_weights=tuple(totals),
+        total_weights=tuple(float(sum(row)) for row in weights.tolist()),
     )

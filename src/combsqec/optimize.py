@@ -67,11 +67,11 @@ class OptimizerConfig:
     :func:`initial_state`).  A cycle steps every factor once; the run stops
     when a cycle moves the fidelity by less than ``tol_conv`` or after
     ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
-    ``inner_steps`` Reimpell–Werner iterations, and stops early after
-    ``inner_stall`` iterations in a row that raise the step's objective by
-    no more than 1e-12.  ``step_order`` overrides the default decoder,
-    rounds last-to-first, encoder cycle with an explicit list of factor
-    names as accepted by :func:`coordinate_step`.
+    ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
+    early after ``inner_stall`` iterations in a row that raise the step's
+    objective by no more than 1e-12.  ``step_order`` overrides the default
+    decoder, rounds last-to-first, encoder cycle with an explicit list of
+    factor names as accepted by :func:`coordinate_step`.
     """
 
     seed: int = 0
@@ -85,6 +85,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if self.inner_steps < 1:
+            raise ValueError(f"inner_steps must be at least 1, got {self.inner_steps}")
 
 
 @dataclass(frozen=True)
@@ -644,13 +646,16 @@ def _tp_congruence(
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > KERNEL_RTOL * max(float(vals[-1]), 0.0)
     sup = vecs[:, keep]
-    eye_out = np.eye(d_out)
-    lift = np.kron(eye_out, (sup / np.sqrt(vals[keep])) @ sup.conj().T)
-    out = [lift @ y @ lift for y in ys]
+    n = d_out * d_in
+    # (I⊗M) Y (I⊗M) for Hermitian M, applied to the input leg by reshapes
+    congruence = lambda mat, y: (
+        np.matmul(mat, y.reshape(d_out, d_in, n)).reshape(n, d_out, d_in) @ mat
+    ).reshape(n, n)
+    inv_sqrt = (sup / np.sqrt(vals[keep])) @ sup.conj().T
+    out = [congruence(inv_sqrt, y) for y in ys]
     if not keep.all():
         ker = vecs[:, ~keep]
-        lift = np.kron(eye_out, ker @ ker.conj().T)
-        out = [o + lift @ f @ lift for o, f in zip(out, fallback)]
+        out = [o + congruence(ker @ ker.conj().T, f) for o, f in zip(out, fallback)]
     return [(o + o.conj().T) / 2.0 for o in out]
 
 

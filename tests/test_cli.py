@@ -1,11 +1,14 @@
 """End-to-end command-line flows via the click test runner."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import combsqec.cli as cli
 import combsqec.conditions as conditions
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
@@ -37,6 +40,34 @@ def noisy_spacetime(eps, path):
     errors = noisy_errors(inst.errors, eps)
     export_instance(inst.code, errors, path)
     return path
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--method", "both"],
+    ["decode", "--proof", "algebraic"],
+    ["decode", "--proof", "schmidt"],
+], ids=["check", "decode-algebraic", "decode-schmidt"])
+def test_loaded_instance_is_freed_when_the_call_returns(
+    runner, exported, monkeypatch, args
+):
+    # CliRunner keeps the SystemExit in a reference cycle; were the exit
+    # raised inside the command body, its frame and the loaded instance
+    # would stay alive until the next garbage collection
+    loaded = []
+
+    def tracked(path):
+        doc = load_instance(path)
+        loaded.append(weakref.ref(doc.errors))
+        return doc
+
+    monkeypatch.setattr(cli, "load_instance", tracked)
+    gc.disable()
+    try:
+        code = runner.invoke(main, [args[0], exported["bitflip"], *args[1:]]).exit_code
+        assert code == 0
+        assert len(loaded) == 1 and loaded[0]() is None
+    finally:
+        gc.enable()
 
 
 class TestCheck:
@@ -378,6 +409,22 @@ class TestOptimize:
         res = runner.invoke(main, ["optimize", path])
         assert res.exit_code == 2
         assert "bad optimizer config" in res.output
+
+    @pytest.mark.parametrize("inner_steps", [0, -1])
+    def test_nonpositive_inner_steps_in_file_is_a_usage_error(
+        self, runner, tmp_path, inner_steps
+    ):
+        inst = build_instance("spacetime")
+        path = str(tmp_path / "st.json")
+        export_instance(
+            inst.code, inst.errors, path,
+            optimization={"logical_dim": 2, "memory_structure": [1, 2],
+                          "config": {"seed": 0, "inner_steps": inner_steps}},
+        )
+        res = runner.invoke(main, ["optimize", path])
+        assert res.exit_code == 2
+        assert "bad optimizer config" in res.output
+        assert "inner_steps" in res.output
 
     def test_bad_memory_string(self, runner):
         res = runner.invoke(

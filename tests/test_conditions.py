@@ -8,9 +8,13 @@ import pytest
 from combsqec import conditions
 from combsqec.conditions import (
     MI_TOL_BITS,
+    P_FLOOR,
     SCHMIDT_CUTOFF,
+    WEIGHT_CUTOFF,
     ConditionReport,
     Decoder,
+    RecoveryRecord,
+    RecoveryReport,
     check_algebraic,
     check_corollary_all_outcomes,
     check_info,
@@ -329,6 +333,256 @@ class TestCheckAlgebraic:
             ConditionReport(
                 correctable=True, worst_residual=2.0, tolerance=1.0, witness=None
             )
+
+
+# ----------------------------------------------------------------------
+# batched checkers against the per-cell loops they replaced
+# ----------------------------------------------------------------------
+
+
+def reference_scale(comp):
+    """Largest composed-operator norm encountered."""
+    worst = 1.0
+    for m in comp.memories:
+        for block in (comp.blocks[m].reshape(-1, comp.out_dim, comp.code_dim),
+                      comp.aggregated(m)):
+            for mat in block:
+                worst = max(worst, float(np.linalg.norm(mat, ord=2)))
+    return worst
+
+
+def reference_scalar_fit(t_mat):
+    """Least-squares scalar, residual and worst element of T vs lambda*I."""
+    k = t_mat.shape[0]
+    lam = complex(np.trace(t_mat) / k)
+    dev = t_mat - lam * np.eye(k)
+    flat = int(np.argmax(np.abs(dev)))
+    j, i = divmod(flat, k)
+    return lam, float(np.linalg.norm(dev)), (int(i), int(j))
+
+
+def reference_algebraic_sweep(comp, per_outcome_left):
+    """Worst residual, its witness and the detail table of one sweep.
+
+    ``per_outcome_left`` selects the corollary's symmetric form, where the
+    e' side uses the same single outcome sequence instead of the aggregate.
+    """
+    worst = -1.0
+    witness = None
+    lambdas = {}
+    degenerate = []
+    n_e = len(comp.sequences)
+    for m in comp.memories:
+        agg = comp.aggregated(m)
+        blocks = comp.blocks[m]
+        lam_m = np.zeros((n_e, n_e), dtype=np.complex128)
+        for io, o in enumerate(comp.outcomes[m]):
+            if np.max(np.abs(blocks[io])) < WEIGHT_CUTOFF:
+                degenerate.append((m, o))
+            for a, ep in enumerate(comp.sequences):
+                left = (blocks[io, a] if per_outcome_left else agg[a]).conj().T
+                for b, e in enumerate(comp.sequences):
+                    t_mat = left @ blocks[io, b]
+                    lam, res, (i, j) = reference_scalar_fit(t_mat)
+                    lam_m[a, b] += lam
+                    if res > worst:
+                        worst = res
+                        witness = (i, j, e, ep, m, o)
+        lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
+        lambdas[m].flags.writeable = False
+    detail = {
+        "lambda": lambdas,
+        "memories": comp.memories,
+        "error_sequences": comp.sequences,
+        "degenerate_branches": tuple(degenerate),
+        "scale": reference_scale(comp),
+    }
+    return float(worst), witness, detail
+
+
+def reference_verify_recovery(code, errors, decoder, states):
+    """Apply interrogation, errors and decoding to codestates.
+
+    For each state and final memory the recovered operator is
+    sum over decoder Kraus, error sequences and environment slices of
+    D (K_{e,m} psi) (K_{e,m} psi)^dag D^dag, with K_{e,m} the coherent sum
+    over the memory's outcome sequences.  The reported weight is the total
+    probability arriving at that memory; completion weight counts toward
+    it but contributes no fidelity.  When a memory state merges several
+    outcome sequences the coherent sum makes the weights interferometric;
+    they are guaranteed to total one (for trace-preserving models) only
+    when each memory state pins a single outcome sequence.
+    """
+    comp = conditions._composed(code, errors)
+    env = comp.env_dim
+    q_dim = comp.out_dim // env
+    records = []
+    totals = []
+    worst = math.inf
+    for idx, psi in enumerate(states):
+        vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
+        if vec.shape[0] != code.codespace.ambient_dim:
+            raise ValueError(
+                f"state {idx} has dim {vec.shape[0]}, ambient is "
+                f"{code.codespace.ambient_dim}"
+            )
+        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+            raise ValueError(f"state {idx} is not normalized")
+        proj = code.codespace.projector
+        if np.linalg.norm(proj @ vec - vec) > 1e-8:
+            raise ValueError(f"state {idx} lies outside the codespace")
+        logical = code.codespace.basis.conj().T @ vec
+        total_weight = 0.0
+        for m in comp.memories:
+            agg = comp.aggregated(m)          # (n_e, out, k)
+            sigma = np.zeros(
+                (code.codespace.ambient_dim, code.codespace.ambient_dim),
+                dtype=np.complex128,
+            )
+            weight = 0.0
+            for a in range(agg.shape[0]):
+                arrived = (agg[a] @ logical).reshape(q_dim, env)
+                for eps in range(env):
+                    w = arrived[:, eps]
+                    weight += float(np.real(w.conj() @ w))
+                    for d_op in decoder.kraus[m]:
+                        out = d_op @ w
+                        sigma += np.outer(out, out.conj())
+            if weight > P_FLOOR:
+                fid = float(np.real(vec.conj() @ sigma @ vec)) / weight
+                worst = min(worst, fid)
+                records.append(RecoveryRecord(idx, m, weight, fid))
+            total_weight += weight
+        totals.append(total_weight)
+    return RecoveryReport(
+        worst_fidelity=float(worst),
+        records=tuple(records),
+        total_weights=tuple(totals),
+    )
+
+
+def cell_matrix(comp, per_outcome_left, witness):
+    """T = B^dag K_{e',m}^dag K_{e,m,o} B of the cell a witness names."""
+    _, _, e, ep, m, o = witness
+    io = comp.outcomes[m].index(o)
+    a, b = comp.sequences.index(ep), comp.sequences.index(e)
+    left = comp.blocks[m][io, a] if per_outcome_left else comp.aggregated(m)[a]
+    return left.conj().T @ comp.blocks[m][io, b]
+
+
+def runner_up(comp, per_outcome_left, witness):
+    """Largest reference residual over every cell but the witness's."""
+    _, _, e, ep, m, o = witness
+    best = -1.0
+    for mm in comp.memories:
+        for o2 in comp.outcomes[mm]:
+            for ep2 in comp.sequences:
+                for e2 in comp.sequences:
+                    if (e2, ep2, mm, o2) == (e, ep, m, o):
+                        continue
+                    res = reference_scalar_fit(
+                        cell_matrix(comp, per_outcome_left, (0, 0, e2, ep2, mm, o2))
+                    )[1]
+                    best = max(best, res)
+    return best
+
+
+def sweep_cases(corpus):
+    """(name, code, errors) with single and several outcomes per memory."""
+    cases = [(name, inst.code, inst.errors)
+             for name, inst in ((n, build_instance(n)) for n in instance_names())]
+    cases += [(inst.name, inst.code, inst.errors) for inst in corpus]
+    cases += [(f"merged-{seed}", *merged_instance(seed)) for seed in range(20)]
+    return cases
+
+
+class TestBatchedAgainstLoops:
+    def assert_sweep_matches(self, comp, per_outcome_left, name):
+        worst, witness, detail = conditions._algebraic_sweep(comp, per_outcome_left)
+        ref_worst, ref_witness, ref_detail = reference_algebraic_sweep(
+            comp, per_outcome_left
+        )
+        scale = ref_detail["scale"]
+        assert detail["scale"] == ref_detail["scale"], name
+        margin = 1e-12 * scale
+        assert (worst <= conditions.RESIDUAL_RTOL * scale) == (
+            ref_worst <= conditions.RESIDUAL_RTOL * scale
+        ), name
+        assert abs(worst - ref_worst) <= margin, name
+        assert detail["degenerate_branches"] == ref_detail["degenerate_branches"], name
+        for m, lam in ref_detail["lambda"].items():
+            assert np.max(np.abs(detail["lambda"][m] - lam)) <= 1e-12, (name, m)
+        # the witness is a worst cell, and its (i, j) a worst entry of it
+        t_mat = cell_matrix(comp, per_outcome_left, witness)
+        _, res, _ = reference_scalar_fit(t_mat)
+        assert abs(res - ref_worst) <= margin, name
+        i, j = witness[:2]
+        dev = np.abs(t_mat - np.trace(t_mat) / t_mat.shape[0] * np.eye(t_mat.shape[0]))
+        assert dev[j, i] >= np.max(dev) - margin, name
+        if ref_worst - runner_up(comp, per_outcome_left, ref_witness) > margin:
+            assert witness[2:] == ref_witness[2:], name
+
+    def test_algebraic_sweep_matches_loop(self, corpus):
+        for name, code, errors in sweep_cases(corpus):
+            self.assert_sweep_matches(conditions._composed(code, errors), False, name)
+
+    def test_corollary_sweep_matches_loop(self, corpus):
+        checked = 0
+        for name, code, errors in sweep_cases(corpus):
+            comp = conditions._composed(code, errors)
+            if any(len(outs) > 1 for outs in comp.outcomes.values()):
+                continue
+            self.assert_sweep_matches(comp, True, name)
+            checked += 1
+        assert checked > 50
+
+    def test_several_outcomes_per_memory_are_covered(self):
+        comp = conditions._composed(*merged_instance(0))
+        assert max(len(outs) for outs in comp.outcomes.values()) > 1
+
+    def test_recovery_matches_sigma_loop(self, corpus):
+        cases = sweep_cases(corpus) + [("env-dephasing", *env_dephasing_instance())]
+        for name, code, errors in cases:
+            if errors.env_dim(errors.rounds) == 1:
+                dec = synth_decoder_algebraic(code, errors, require_correctable=False)
+            else:
+                dec = Decoder(
+                    output_dim=2,
+                    input_dim=2,
+                    kraus={INITIAL_MEMORY: (np.eye(2),)},
+                    completion={INITIAL_MEMORY: np.zeros((2, 2))},
+                )
+            states = codestates(code, 3, seed=409)
+            got = verify_recovery(code, errors, dec, states)
+            want = reference_verify_recovery(code, errors, dec, states)
+            assert [(r.state_index, r.memory) for r in got.records] == [
+                (r.state_index, r.memory) for r in want.records
+            ], name
+            for r, w in zip(got.records, want.records):
+                assert abs(r.weight - w.weight) <= 1e-12, name
+                assert abs(r.fidelity - w.fidelity) <= 1e-12, name
+            assert np.allclose(got.total_weights, want.total_weights, rtol=0, atol=1e-12)
+            assert abs(got.worst_fidelity - want.worst_fidelity) <= 1e-12, name
+
+    def test_static_checker_matches_loop(self, corpus):
+        cases = [bitflip_code(), bitflip_code("z")]
+        cases += [inst for inst in corpus if inst.code.rounds == 0]
+        for inst in cases:
+            mats = [op.data for op in inst.errors.round_ops(0)]
+            report = check_static_kl(inst.code.codespace, mats)
+            basis = inst.code.codespace.basis
+            blocks = [mat @ basis for mat in mats]
+            fits = {
+                (a, b): reference_scalar_fit(blocks[a].conj().T @ blocks[b])
+                for a in range(len(blocks))
+                for b in range(len(blocks))
+            }
+            ref_worst = max(res for _, res, _ in fits.values())
+            margin = 1e-12 * report.detail["scale"]
+            assert abs(report.worst_residual - ref_worst) <= margin, inst.name
+            assert fits[report.witness[2:]][1] >= ref_worst - margin, inst.name
+            for (a, b), (lam, _, _) in fits.items():
+                assert abs(report.detail["lambda"][a, b] - lam) <= 1e-12, inst.name
 
 
 # ----------------------------------------------------------------------
@@ -905,6 +1159,34 @@ class TestVerifyRecovery:
             verify_recovery(inst.code, inst.errors, dec, [outside])
         with pytest.raises(ValueError, match="ambient"):
             verify_recovery(inst.code, inst.errors, dec, [np.array([1.0, 0.0])])
+
+    def test_decoder_missing_a_final_memory_rejected(self):
+        bitflip = bitflip_code()
+        dec = synth_decoder_algebraic(bitflip.code, bitflip.errors)
+        inst = build_instance("spacetime")
+        states = codestates(inst.code, 1, seed=411)
+        missing = sorted(set(inst.code.interrogator.final_memories) - set(dec.kraus))
+        with pytest.raises(ValueError, match=f"final memory {missing[0]!r}"):
+            verify_recovery(inst.code, inst.errors, dec, states)
+
+    def test_decoder_dimension_mismatch_rejected(self):
+        inst = bitflip_code()
+        states = codestates(inst.code, 1, seed=412)
+        small = Decoder(
+            output_dim=2,
+            input_dim=2,
+            kraus={INITIAL_MEMORY: (np.eye(2),)},
+            completion={INITIAL_MEMORY: np.zeros((2, 2))},
+        )
+        with pytest.raises(ValueError, match="decoder maps dim 2 to 2"):
+            verify_recovery(inst.code, inst.errors, small, states)
+
+    def test_no_states_give_an_empty_report(self):
+        inst = bitflip_code()
+        dec = synth_decoder_algebraic(inst.code, inst.errors)
+        report = verify_recovery(inst.code, inst.errors, dec, [])
+        assert report.records == () and report.total_weights == ()
+        assert report.worst_fidelity == math.inf
 
     def test_weight_table_partitions_arriving_probability(self):
         inst = hexagon_honeycomb()

@@ -29,6 +29,7 @@ from combsqec.optimize import (
     _project_cptp_array,
     _rw_iterate,
     _superop_from_choi,
+    _tp_congruence,
     _trace_out,
 )
 from combsqec.tensor import LabeledOperator, partial_trace, permute_subsystems
@@ -668,6 +669,23 @@ def family_tp_residual(blocks, d_out, d_in):
     return float(np.linalg.norm(total - np.eye(d_in)))
 
 
+def reference_tp_congruence(ys, fallback, d_out, d_in):
+    """PSD blocks made trace preserving by one input-leg congruence, each
+    congruence applied as a dense kron lift."""
+    rho = sum(_trace_out(y, d_out, d_in) for y in ys)
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > optimize.KERNEL_RTOL * max(float(vals[-1]), 0.0)
+    sup = vecs[:, keep]
+    eye_out = np.eye(d_out)
+    lift = np.kron(eye_out, (sup / np.sqrt(vals[keep])) @ sup.conj().T)
+    out = [lift @ y @ lift for y in ys]
+    if not keep.all():
+        ker = vecs[:, ~keep]
+        lift = np.kron(eye_out, ker @ ker.conj().T)
+        out = [o + lift @ f @ lift for o, f in zip(out, fallback)]
+    return [(o + o.conj().T) / 2.0 for o in out]
+
+
 class TestReimpellWerner:
     d_out, d_in, count = 2, 3, 2
 
@@ -684,6 +702,26 @@ class TestReimpellWerner:
             for block in out:
                 assert np.linalg.eigvalsh(block)[0] >= -1e-12
             assert family_tp_residual(out, self.d_out, self.d_in) <= 1e-12
+
+    def test_congruence_matches_kron_lift_reference(self):
+        # the congruence through reshapes equals the dense kron lift up to
+        # rounding, on the support and, with a dropped direction, the kernel
+        n = self.d_out * self.d_in
+        for seed in range(10):
+            rng = rng_for(6000 + seed)
+            xs = kraus_family(rng, self.d_out, self.d_in, self.count)
+            phi = random_state(rng, self.d_in)
+            off_phi = np.eye(self.d_in) - np.outer(phi, phi.conj())
+            kill = np.kron(np.eye(self.d_out), off_phi)
+            ys = []
+            for _ in range(self.count):
+                g = random_matrix(rng, n, n)
+                ys.append(g @ g.conj().T)
+            for fam in (ys, [kill @ y @ kill for y in ys]):
+                got = _tp_congruence(fam, xs, self.d_out, self.d_in)
+                want = reference_tp_congruence(fam, xs, self.d_out, self.d_in)
+                for g_blk, w_blk in zip(got, want):
+                    assert np.linalg.norm(g_blk - w_blk) <= 1e-12 * np.linalg.norm(w_blk)
 
     def test_near_singular_rho_stays_trace_preserving(self):
         # A nearly vanishes on one input direction, so rho has an eigenvalue
@@ -845,6 +883,13 @@ class TestSeesaw:
         errs = identity_errors(2)
         with pytest.raises(ValueError, match="positive"):
             seesaw(errs, 0, (), config=OptimizerConfig(max_iters=1))
+
+    @pytest.mark.parametrize("inner_steps", [0, -1])
+    def test_nonpositive_inner_steps_rejected(self, inner_steps):
+        # with no Reimpell–Werner iteration every step would keep its factor
+        # and the run would report convergence at the start's fidelity
+        with pytest.raises(ValueError, match="inner_steps must be at least 1"):
+            OptimizerConfig(seed=0, inner_steps=inner_steps)
 
     def test_custom_step_order(self):
         errs = identity_errors(2, rounds=1)
