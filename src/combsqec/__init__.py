@@ -88,7 +88,6 @@ from combsqec.tensor import (
     identity_operator,
     partial_trace,
     partial_transpose,
-    polar,
     schmidt,
     tensor_product,
     vectorize,

@@ -68,6 +68,10 @@ def _fail(message: str, code: int = 2) -> None:
     sys.exit(code)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load(path: str) -> InstanceDocument:
     try:
         return load_instance(path)
@@ -366,16 +370,27 @@ def optimize(
     ldim = logical_dim if logical_dim is not None else block.get("logical_dim")
     if ldim is None:
         _fail("no logical dimension: pass --logical-dim or an optimization block")
+    if not _is_int(ldim):
+        _fail(f"optimization.logical_dim must be an integer, got {ldim!r}")
     if memory is not None:
         try:
             structure = tuple(int(x) for x in memory.split(","))
         except ValueError:
             _fail(f"--memory must be comma-separated integers, got {memory!r}")
     elif "memory_structure" in block:
-        structure = tuple(block["memory_structure"])
+        structure = block["memory_structure"]
+        if not isinstance(structure, list) or not all(map(_is_int, structure)):
+            _fail(
+                "optimization.memory_structure must be a list of integers, "
+                f"got {structure!r}"
+            )
+        structure = tuple(structure)
     else:
         structure = None
-    cfg_fields = dict(block.get("config", {}))
+    cfg_fields = block.get("config", {})
+    if not isinstance(cfg_fields, dict):
+        _fail(f"optimization.config must be an object, got {cfg_fields!r}")
+    cfg_fields = dict(cfg_fields)
     if seed is not None:
         cfg_fields["seed"] = seed
     if max_iters is not None:

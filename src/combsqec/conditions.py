@@ -682,7 +682,7 @@ def verify_recovery(
     comp = _composed(code, errors)
     ambient = code.codespace.ambient_dim
     q_dim = comp.out_dim // comp.env_dim
-    proj = code.codespace.projector
+    basis = code.codespace.basis
     vecs = []
     for idx, psi in enumerate(states):
         vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
@@ -690,9 +690,13 @@ def verify_recovery(
             raise ValueError(f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError(f"state {idx} is not normalized")
-        if np.linalg.norm(proj @ vec - vec) > 1e-8:
-            raise ValueError(f"state {idx} lies outside the codespace")
         vecs.append(vec)
+    vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
+    logical = vecs @ basis.conj()                              # (n_s, k)
+    # codespace membership from the logical coordinates: psi = B B^dag psi
+    outside = np.linalg.norm(vecs - logical @ basis.T, axis=1) > 1e-8
+    if outside.any():
+        raise ValueError(f"state {int(np.argmax(outside))} lies outside the codespace")
     missing = [m for m in comp.memories if m not in decoder.kraus]
     if missing:
         raise ValueError(f"decoder has no Kraus operators for final memory {missing[0]!r}")
@@ -701,8 +705,6 @@ def verify_recovery(
             f"decoder maps dim {decoder.input_dim} to {decoder.output_dim}; the "
             f"instance needs {q_dim} (check-round output) to {ambient} (ambient)"
         )
-    vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
-    logical = vecs @ code.codespace.basis.conj()               # (n_s, k)
     weights = np.empty((len(vecs), len(comp.memories)))
     overlaps = np.empty_like(weights)
     n_arrived = comp.env_dim * len(comp.sequences)

@@ -122,9 +122,6 @@ class CodeSpace:
     def projector(self) -> npt.NDArray[np.complex128]:
         return self.basis @ self.basis.conj().T
 
-    def vector(self, i: int) -> npt.NDArray[np.complex128]:
-        return self.basis[:, i].copy()
-
 
 @dataclass(frozen=True, eq=False)
 class CheckInstrument:
@@ -427,22 +424,20 @@ class StrategicCode:
 
 
 def count_trajectories(interrogator: Interrogator) -> int:
-    """Number of outcome sequences without materializing them."""
-    counts: dict[tuple[int, str], int] = {}
+    """Number of outcome sequences without materializing them.
 
-    def count(r: int, memory: str) -> int:
-        if r > interrogator.rounds:
-            return 1
-        key = (r, memory)
-        if key not in counts:
-            inst = interrogator.instrument(r, memory)
-            counts[key] = sum(
-                count(r + 1, interrogator.update.next_memory(r, o, memory))
-                for o in inst.outcomes
-            )
-        return counts[key]
-
-    return count(1, INITIAL_MEMORY)
+    A round-by-round frontier maps each reachable memory state to the
+    number of outcome sequences that reach it.
+    """
+    frontier = {INITIAL_MEMORY: 1}
+    for r in range(1, interrogator.rounds + 1):
+        reached: dict[str, int] = {}
+        for memory, count in frontier.items():
+            for o in interrogator.instrument(r, memory).outcomes:
+                nxt = interrogator.update.next_memory(r, o, memory)
+                reached[nxt] = reached.get(nxt, 0) + count
+        frontier = reached
+    return sum(frontier.values())
 
 
 def enumerate_trajectories(
@@ -451,25 +446,27 @@ def enumerate_trajectories(
     """All outcome sequences grouped by final memory state.
 
     Outcomes are expanded in sorted order per round, so listings are
-    deterministic.  Raises if the sequence count exceeds ``cap``.
+    deterministic: within a group, sequences run in lexicographic order of
+    their outcomes.  Raises if the sequence count exceeds ``cap``.
     """
     total = count_trajectories(interrogator)
     if total > cap:
         raise ValueError(
             f"{total} outcome sequences exceed the enumeration cap {cap}"
         )
+    frontier: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = [
+        (INITIAL_MEMORY, (), ())
+    ]
+    for r in range(1, interrogator.rounds + 1):
+        expanded = []
+        for memory, outcomes, memories in frontier:
+            for o in interrogator.instrument(r, memory).outcomes:
+                nxt = interrogator.update.next_memory(r, o, memory)
+                expanded.append((nxt, outcomes + (o,), memories + (nxt,)))
+        frontier = expanded
     grouped: dict[str, list[Trajectory]] = {}
-
-    def walk(r: int, memory: str, outcomes: tuple[str, ...], memories: tuple[str, ...]) -> None:
-        if r > interrogator.rounds:
-            grouped.setdefault(memory, []).append(Trajectory(outcomes, memories))
-            return
-        inst = interrogator.instrument(r, memory)
-        for o in inst.outcomes:
-            nxt = interrogator.update.next_memory(r, o, memory)
-            walk(r + 1, nxt, outcomes + (o,), memories + (nxt,))
-
-    walk(1, INITIAL_MEMORY, (), ())
+    for memory, outcomes, memories in frontier:
+        grouped.setdefault(memory, []).append(Trajectory(outcomes, memories))
     return {m: tuple(v) for m, v in sorted(grouped.items())}
 
 

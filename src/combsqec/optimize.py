@@ -1,20 +1,31 @@
-"""See-saw optimization of encoder, check instruments, and decoder.
+"""See-saw optimization of encoder, check instruments, and decoders.
 
-The strategy side of an instance is held as Choi matrices: an encoder
-channel from the logical space into the first register, per-round
-instrument blocks indexed by (outgoing memory | incoming memory), and one
-decoder channel per final memory value.  The objective is the entanglement
-fidelity of the composite logical channel against a fixed input state,
-which is multilinear in the factors.  Its sum over classical-memory
-trajectories is taken by forward and backward messages over memory values
-(see :class:`_Engine`): O(L · max n²) matrix products per pass for L rounds
-of at most n memory values, one pass for the objective and one pair of
-passes for every coefficient of a factor family.  Each coordinate step
-maximizes the resulting linear functional Σ_ν Tr(X_ν A_ν) over the factor's
-channels by the Reimpell–Werner fixed-point iteration (Reimpell–Werner, PRL
-94, 080501, 2005; Fletcher–Shor–Win, PRA 75, 012338, 2007), whose iterates
-are CPTP by construction.  The Dykstra projection onto the CPTP set
-(:func:`project_cptp`) is used only to make the perturbed start feasible.
+The strategy side of an instance is a quantum comb (Chiribella–D'Ariano–
+Perinotti, PRL 101, 060401, 2008) held as Choi matrices.  Its teeth are
+numbered by factor round r = 0..L+1 for L check rounds: round 0 is the
+encoder from the logical space into the first register, rounds 1..L are
+the check instruments, and round L+1 holds the decoders into the logical
+space.  Every round is a set of flagged block families: block (r, μ, ν) is
+the Choi matrix of round r for incoming memory value μ and outgoing value
+ν, and trace preservation couples the blocks of one family.  The encoder is
+one family of one block; decoder ν is round L+1's family for incoming value
+ν (the final memory), again of one block.  Only :func:`_families`,
+:func:`_factor_dims`, :func:`_state_fields` and :func:`_parse_which` know
+which round holds the encoder and which the decoders; everything else
+treats the rounds alike.
+
+The objective is the entanglement fidelity of the composite logical channel
+against a fixed input state, which is multilinear in the factors.  Its sum
+over classical-memory trajectories is taken by forward and backward
+messages over memory values (see :class:`_Engine`): O(L · max n²) matrix
+products per pass for L rounds of at most n memory values, one pass for the
+objective and one pair of passes for every coefficient of a block family.
+Each coordinate step maximizes the resulting linear functional
+Σ_ν Tr(X_ν A_ν) over one family by the Reimpell–Werner fixed-point
+iteration (Reimpell–Werner, PRL 94, 080501, 2005; Fletcher–Shor–Win, PRA
+75, 012338, 2007), whose iterates are CPTP by construction.  The Dykstra
+projection onto the CPTP set (:func:`project_cptp`) is used only to make
+the perturbed start feasible.
 
 Everything here works on plain square arrays in the row-major Choi
 convention (output leg first); the labeled-operator layer is only touched
@@ -25,8 +36,9 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -83,6 +95,26 @@ class OptimizerConfig:
     step_order: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("seed", "max_iters", "inner_steps", "inner_stall"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tol_conv", "perturbation"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if self.step_order is not None:
+            if not isinstance(self.step_order, (list, tuple)) or not all(
+                isinstance(which, str) for which in self.step_order
+            ):
+                raise ValueError(
+                    f"step_order must be a list of factor names, got {self.step_order!r}"
+                )
+            object.__setattr__(self, "step_order", tuple(self.step_order))
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if self.inner_steps < 1:
@@ -123,7 +155,9 @@ class OptimizationState:
     r+1 conditioned on the incoming memory value; the trace-preservation
     constraint couples the outgoing blocks of each incoming value.  The
     memory alphabet sizes per round are ``memory_structure``; the final
-    round's alphabet indexes the decoders.
+    round's alphabet indexes the decoders.  Internally the encoder, the
+    rounds and the decoders are factor rounds 0..L+1 of one comb (see the
+    module docstring), and feasibility messages name them that way.
 
     Construction validates shapes and feasibility (PSD blocks, trace
     preservation).  The optimizer's own updates skip that check through
@@ -154,81 +188,61 @@ class OptimizationState:
         object.__setattr__(self, "memory_structure", ms)
         if any(n < 1 for n in ms):
             raise ValueError("memory alphabet sizes must be positive")
-        if len(self.instrument_dims) != len(ms):
-            raise ValueError("one instrument dimension pair per round required")
-        eo, ei = self.encoder_dims
-        if ei != self.logical_dim:
-            raise ValueError("encoder input dimension must equal the logical dim")
-        object.__setattr__(
-            self, "encoder", _as_choi_array(self.encoder, "encoder", eo, ei)
-        )
-        rounds = []
-        for r, per_round in enumerate(self.instruments):
-            do, di = self.instrument_dims[r]
-            incoming = ms[r - 1] if r > 0 else 1
-            if len(per_round) != incoming:
-                raise ValueError(
-                    f"round {r + 1} needs {incoming} incoming block families"
-                )
-            families = []
-            for mu, blocks in enumerate(per_round):
-                if len(blocks) != ms[r]:
-                    raise ValueError(
-                        f"round {r + 1} incoming value {mu} needs {ms[r]} blocks"
-                    )
-                families.append(
-                    tuple(
-                        _as_choi_array(b, f"round {r + 1} block", do, di)
-                        for b in blocks
-                    )
-                )
-            rounds.append(tuple(families))
-        object.__setattr__(self, "instruments", tuple(rounds))
+        if not len(self.instrument_dims) == len(self.instruments) == len(ms):
+            raise ValueError(
+                "one instrument dimension pair and one instrument round per "
+                "memory alphabet required"
+            )
         n_dec = ms[-1] if ms else 1
         if len(self.decoders) != n_dec:
             raise ValueError(f"{n_dec} decoders required, got {len(self.decoders)}")
-        do, di = self.decoder_dims
-        if do != self.logical_dim:
-            raise ValueError("decoder output dimension must equal the logical dim")
-        object.__setattr__(
-            self,
-            "decoders",
-            tuple(_as_choi_array(d, "decoder", do, di) for d in self.decoders),
-        )
+        dims = tuple((int(d_out), int(d_in)) for d_out, d_in in _factor_dims(self))
+        if dims[0][1] != self.logical_dim or dims[-1][0] != self.logical_dim:
+            raise ValueError(
+                "encoder input and decoder output dimensions must equal the "
+                "logical dim"
+            )
+        outgoing = (1, *ms, 1)
+        families = []
+        for r, (per_round, (d_out, d_in)) in enumerate(zip(_families(self), dims)):
+            incoming = outgoing[r - 1] if r else 1
+            if len(per_round) != incoming:
+                raise ValueError(f"round {r} needs {incoming} incoming block families")
+            for mu, blocks in enumerate(per_round):
+                if len(blocks) != outgoing[r]:
+                    raise ValueError(
+                        f"round {r} incoming value {mu} needs {outgoing[r]} blocks"
+                    )
+            families.append(tuple(
+                tuple(_as_choi_array(b, f"factor round {r} block", d_out, d_in)
+                      for b in blocks)
+                for blocks in per_round
+            ))
+        for name, value in _state_fields(dims, families).items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "trace", tuple(self.trace))
         object.__setattr__(self, "rejected_steps", tuple(self.rejected_steps))
         self._check_feasible()
 
     def _check_feasible(self) -> None:
-        eo, ei = self.encoder_dims
-        self._check_factor("encoder", self.encoder, _trace_out(self.encoder, eo, ei))
-        for r, per_round in enumerate(self.instruments):
-            do, di = self.instrument_dims[r]
+        """PSD blocks, and per family partial traces summing to the identity."""
+        for r, (per_round, (d_out, d_in)) in enumerate(
+            zip(_families(self), _factor_dims(self))
+        ):
             for mu, blocks in enumerate(per_round):
-                total = np.zeros((di, di), dtype=np.complex128)
+                total = np.zeros((d_in, d_in), dtype=np.complex128)
                 for nu, block in enumerate(blocks):
                     scale = max(1.0, float(np.linalg.norm(block)))
                     if _min_eig(block) < -PSD_TOL * scale:
                         raise ValueError(
-                            f"round {r + 1} block ({nu}|{mu}) is not PSD"
+                            f"factor round {r} block ({nu}|{mu}) is not PSD"
                         )
-                    total += _trace_out(block, do, di)
-                if np.linalg.norm(total - np.eye(di)) > TP_TOL:
+                    total += _trace_out(block, d_out, d_in)
+                if np.linalg.norm(total - np.eye(d_in)) > TP_TOL:
                     raise ValueError(
-                        f"round {r + 1} blocks for incoming value {mu} are not "
+                        f"factor round {r} blocks for incoming value {mu} are not "
                         "trace preserving"
                     )
-        do, di = self.decoder_dims
-        for nu, dec in enumerate(self.decoders):
-            self._check_factor(f"decoder {nu}", dec, _trace_out(dec, do, di))
-
-    @staticmethod
-    def _check_factor(name: str, choi: np.ndarray, reduced: np.ndarray) -> None:
-        scale = max(1.0, float(np.linalg.norm(choi)))
-        if _min_eig(choi) < -PSD_TOL * scale:
-            raise ValueError(f"{name} Choi is not PSD")
-        if np.linalg.norm(reduced - np.eye(reduced.shape[0])) > TP_TOL:
-            raise ValueError(f"{name} Choi is not trace preserving")
 
     @property
     def rounds(self) -> int:
@@ -236,6 +250,39 @@ class OptimizationState:
 
     def trace_lines(self) -> list[str]:
         return [rec.line() for rec in self.trace]
+
+
+def _families(state: OptimizationState) -> tuple:
+    """Blocks by factor round r = 0..L+1 and incoming memory value μ.
+
+    Round 0 is the encoder's single family, rounds 1..L the check
+    instruments, and family ν of round L+1 the decoder for final memory ν;
+    encoder and decoder families hold one block.
+    """
+    return (
+        ((state.encoder,),),
+        *state.instruments,
+        tuple((dec,) for dec in state.decoders),
+    )
+
+
+def _factor_dims(state: OptimizationState) -> tuple[tuple[int, int], ...]:
+    """(out, in) dimensions by factor round, as in :func:`_families`."""
+    return (tuple(state.encoder_dims), *map(tuple, state.instrument_dims),
+            tuple(state.decoder_dims))
+
+
+def _state_fields(dims: Sequence[tuple[int, int]], families: Sequence) -> dict:
+    """The state's factor fields for per-round dims and families: the
+    inverse of :func:`_factor_dims` and :func:`_families`."""
+    return {
+        "encoder_dims": dims[0],
+        "instrument_dims": tuple(dims[1:-1]),
+        "decoder_dims": dims[-1],
+        "encoder": families[0][0][0],
+        "instruments": tuple(families[1:-1]),
+        "decoders": tuple(dec for (dec,) in families[-1]),
+    }
 
 
 def _updated(state: OptimizationState, **changes) -> OptimizationState:
@@ -248,6 +295,15 @@ def _updated(state: OptimizationState, **changes) -> OptimizationState:
     for name, value in changes.items():
         object.__setattr__(new, name, value)
     return new
+
+
+def _with_family(
+    state: OptimizationState, r: int, mu: int, blocks: Sequence[np.ndarray]
+) -> OptimizationState:
+    """``state`` with family μ of factor round r replaced, unvalidated."""
+    families = list(_families(state))
+    families[r] = (*families[r][:mu], tuple(blocks), *families[r][mu + 1:])
+    return _updated(state, **_state_fields(_factor_dims(state), families))
 
 
 # ----------------------------------------------------------------------
@@ -308,13 +364,22 @@ class _Engine:
     """Error-model constants and the memory sums behind the objective.
 
     Factors vary between calls; everything derived from the error model,
-    the input state, and the memory structure is computed once.  The sum
-    over memory trajectories factorizes round by round, because a chain
-    depends on its trajectory only through adjacent memory values.  So
-    :meth:`evaluate` and :meth:`coefficients` run forward messages
-    F_0 = E_0·Enc, F_r[ν] = E_r·Σ_μ I_{r,μ,ν}·F_{r−1}[μ] and backward
-    messages B_L[ν] = Dec_ν·T·E_L, B_{r−1}[μ] = (Σ_ν B_r[ν]·I_{r,μ,ν})·E_{r−1},
-    with T the trace over a final environment leg of dim > 1.  Each pass
+    the input state, and the memory structure is computed once.  Factor
+    round r = 0..L+1 has (out, in) dims ``dims[r]``; its blocks act on the
+    system next to an environment leg of dim ``envs[r]``, are lifted by it
+    like any instrument, and are followed by ``after[r]``: error round r for
+    r ≤ L, and for r = L+1 the trace over the final environment leg (the
+    identity when that leg is trivial).  Lifting the decoders and tracing
+    afterwards equals tracing first, Tr_E∘(D⊗id_E) = D∘Tr_E.  Round r has
+    ``outgoing[r]`` outgoing memory values, with ``outgoing =
+    (1, *memory_structure, 1)``.
+
+    The sum over memory trajectories factorizes round by round, because a
+    chain depends on its trajectory only through adjacent memory values.
+    So :meth:`evaluate` and :meth:`coefficients` run forward messages
+    F_{−1} = I, F_r[ν] = after_r·Σ_μ S_{r,μ,ν}·F_{r−1}[μ] and backward
+    messages B_{L+1} = after_{L+1}, B_{r−1}[μ] = (Σ_ν B_r[ν]·S_{r,μ,ν})·after_{r−1},
+    with S_{r,μ,ν} the lifted superoperator of block (r, μ, ν).  Each pass
     costs O(L · max n²) matrix products, against O(∏n_r · L) for the
     trajectory enumeration it replaces.
     """
@@ -326,120 +391,89 @@ class _Engine:
         memory_structure: Sequence[int],
         rho: np.ndarray,
     ):
-        self.errors = errors
-        self.rounds = errors.rounds
-        self.memory_structure = tuple(int(n) for n in memory_structure)
-        if len(self.memory_structure) != self.rounds:
+        rounds = errors.rounds
+        memory_structure = tuple(int(n) for n in memory_structure)
+        if len(memory_structure) != rounds:
             raise ValueError(
-                f"memory structure lists {len(self.memory_structure)} rounds, "
-                f"error model has {self.rounds}"
+                f"memory structure lists {len(memory_structure)} rounds, "
+                f"error model has {rounds}"
             )
-        if any(n < 1 for n in self.memory_structure):
+        if any(n < 1 for n in memory_structure):
             raise ValueError("memory alphabet sizes must be positive")
-        self.logical_dim = int(logical_dim)
-        if self.logical_dim < 1:
+        logical_dim = int(logical_dim)
+        if logical_dim < 1:
             raise ValueError("logical dimension must be positive")
         rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != (self.logical_dim, self.logical_dim):
+        if rho.shape != (logical_dim, logical_dim):
             raise ValueError(
-                f"input state must be {self.logical_dim} x {self.logical_dim}, "
+                f"input state must be {logical_dim} x {logical_dim}, "
                 f"got {rho.shape}"
             )
         if np.linalg.norm(rho - rho.conj().T) > 1e-8:
             raise ValueError("input state must be Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-8:
             raise ValueError("input state must have unit trace")
-        self.rho = rho
         self.n_coeff = _rho_coeff(rho)
-        self.encoder_dims = (errors.q_in_dim(0), self.logical_dim)
-        self.instrument_dims = tuple(
-            (errors.q_in_dim(r), errors.q_out_dim(r - 1))
-            for r in range(1, self.rounds + 1)
-        )
-        self.decoder_dims = (self.logical_dim, errors.q_out_dim(self.rounds))
-        self.err_superops = [
+        error_rounds = range(rounds + 1)
+        self.dims = tuple(zip(
+            (*(errors.q_in_dim(r) for r in error_rounds), logical_dim),
+            (logical_dim, *(errors.q_out_dim(r) for r in error_rounds)),
+        ))
+        self.envs = (1, *(errors.env_dim(r) for r in error_rounds))
+        self.outgoing = (1, *memory_structure, 1)
+        self.after = [
             _superop_from_kraus([op.data for op in errors.round_ops(r)])
-            for r in range(self.rounds + 1)
-        ]
-        self.final_env = errors.env_dim(self.rounds)
-        self.trace_env = (
-            _trace_env_superop(errors.q_out_dim(self.rounds), self.final_env)
-            if self.final_env > 1
-            else None
-        )
+            for r in error_rounds
+        ] + [_trace_env_superop(logical_dim, self.envs[-1])]
 
     def superops(self, state: OptimizationState) -> dict[tuple, np.ndarray]:
-        """Every factor's superoperator, keyed ``("encoder",)``,
-        ``("instrument", r, μ, ν)`` and ``("decoder", ν)``."""
-        eo, ei = self.encoder_dims
-        ops = {("encoder",): _superop_from_choi(state.encoder, eo, ei)}
-        for r in range(1, self.rounds + 1):
-            do, di = self.instrument_dims[r - 1]
-            env = self.errors.env_dim(r - 1)
-            for mu, blocks in enumerate(state.instruments[r - 1]):
-                for nu, block in enumerate(blocks):
-                    ops[("instrument", r, mu, nu)] = _lift_superop(
-                        _superop_from_choi(block, do, di), do, di, env
-                    )
-        do, di = self.decoder_dims
-        for nu, dec in enumerate(state.decoders):
-            ops[("decoder", nu)] = _superop_from_choi(dec, do, di)
-        return ops
-
-    def _closed_decoders(self, ops: dict[tuple, np.ndarray]) -> list[np.ndarray]:
-        """Dec_ν·T per final memory value ν (Dec_ν when there is no T)."""
-        n_final = self.memory_structure[-1] if self.rounds else 1
-        decs = [ops[("decoder", nu)] for nu in range(n_final)]
-        if self.trace_env is None:
-            return decs
-        return [d @ self.trace_env for d in decs]
+        """Every block's lifted superoperator S_{r,μ,ν}, keyed (r, μ, ν)."""
+        return {
+            (r, mu, nu): _lift_superop(
+                _superop_from_choi(block, d_out, d_in), d_out, d_in, env
+            )
+            for r, (per_round, (d_out, d_in), env) in enumerate(
+                zip(_families(state), self.dims, self.envs)
+            )
+            for mu, blocks in enumerate(per_round)
+            for nu, block in enumerate(blocks)
+        }
 
     def _forward(self, ops: dict[tuple, np.ndarray]) -> list[list[np.ndarray]]:
-        """F_r[ν]: every trajectory prefix through error round r that leaves
-        memory value ν, summed."""
-        msgs = [[self.err_superops[0] @ ops[("encoder",)]]]
-        for r in range(1, self.rounds + 1):
+        """[F_{−1}, ..., F_{L+1}]: F_r[ν] sums every trajectory prefix through
+        ``after[r]`` that leaves memory value ν."""
+        msgs = [[np.eye(self.dims[0][1] ** 2, dtype=np.complex128)]]
+        for r, after in enumerate(self.after):
             msgs.append([
-                self.err_superops[r]
-                @ sum(
-                    ops[("instrument", r, mu, nu)] @ f
-                    for mu, f in enumerate(msgs[-1])
-                )
-                for nu in range(self.memory_structure[r - 1])
+                after @ sum(ops[r, mu, nu] @ f for mu, f in enumerate(msgs[-1]))
+                for nu in range(self.outgoing[r])
             ])
         return msgs
 
     def _backward(self, ops: dict[tuple, np.ndarray]) -> list[list[np.ndarray]]:
-        """B_r[ν]: every trajectory suffix from error round r on that
-        starts from memory value ν, summed."""
-        msgs = [[d @ self.err_superops[-1] for d in self._closed_decoders(ops)]]
-        for r in range(self.rounds, 0, -1):
-            incoming = self.memory_structure[r - 2] if r >= 2 else 1
+        """[B_0, ..., B_{L+1}]: B_r[ν] sums every trajectory suffix from
+        ``after[r]`` on that starts from memory value ν."""
+        msgs = [[self.after[-1]]]
+        for r in range(len(self.dims) - 1, 0, -1):
             msgs.insert(0, [
-                sum(
-                    b @ ops[("instrument", r, mu, nu)]
-                    for nu, b in enumerate(msgs[0])
-                )
-                @ self.err_superops[r - 1]
-                for mu in range(incoming)
+                sum(b @ ops[r, mu, nu] for nu, b in enumerate(msgs[0]))
+                @ self.after[r - 1]
+                for mu in range(self.outgoing[r - 1])
             ])
         return msgs
 
     def evaluate(self, state: OptimizationState) -> float:
-        ops = self.superops(state)
-        return sum(
-            float(np.trace(d @ f @ self.n_coeff).real)
-            for d, f in zip(self._closed_decoders(ops), self._forward(ops)[-1])
-        )
+        (final,) = self._forward(self.superops(state))[-1]
+        return float(np.trace(final @ self.n_coeff).real)
 
     def coefficients(
-        self, state: OptimizationState, targets: Sequence[tuple]
+        self, state: OptimizationState, targets: Sequence[tuple[int, int, int]]
     ) -> list[np.ndarray]:
-        """Linear coefficient A of each target factor: F = Tr(X A) + rest.
+        """Linear coefficient A of each target block (r, μ, ν): F = Tr(X A) + rest.
 
-        From one forward and one backward pass: instrument (r, μ, ν) gets
-        F_{r−1}[μ]·N·B_r[ν], the encoder N·B_0, and decoder ν T·F_L[ν]·N,
-        with N the input state's coefficient.
+        From one forward and one backward pass: the block gets
+        F_{r−1}[μ]·N·B_r[ν] with N the input state's coefficient, contracted
+        over the round's environment leg.
         """
         ops = self.superops(state)
         for target in targets:
@@ -448,23 +482,11 @@ class _Engine:
         fwd = self._forward(ops)
         bwd = self._backward(ops)
         out = []
-        for target in targets:
-            if target[0] == "encoder":
-                d_out, d_in = self.encoder_dims
-                b = self.n_coeff @ bwd[0][0]
-            elif target[0] == "instrument":
-                _, r, mu, nu = target
-                d_out, d_in = self.instrument_dims[r - 1]
-                b = _contract_env(
-                    fwd[r - 1][mu] @ self.n_coeff @ bwd[r][nu],
-                    d_out, d_in, self.errors.env_dim(r - 1),
-                )
-            else:
-                d_out, d_in = self.decoder_dims
-                f = fwd[-1][target[1]]
-                if self.trace_env is not None:
-                    f = self.trace_env @ f
-                b = f @ self.n_coeff
+        for r, mu, nu in targets:
+            d_out, d_in = self.dims[r]
+            b = _contract_env(
+                fwd[r][mu] @ self.n_coeff @ bwd[r][nu], d_out, d_in, self.envs[r]
+            )
             a = _choi_coeff(b, d_out, d_in)
             out.append((a + a.conj().T) / 2.0)
         return out
@@ -593,28 +615,23 @@ def ent_fidelity(
 
 
 def _require_matching_dims(engine: _Engine, state: OptimizationState) -> None:
-    if (
-        engine.encoder_dims != state.encoder_dims
-        or engine.instrument_dims != state.instrument_dims
-        or engine.decoder_dims != state.decoder_dims
-    ):
+    if engine.dims != _factor_dims(state):
         raise ValueError(
-            "state dimensions do not match the error model: "
-            f"encoder {state.encoder_dims} vs {engine.encoder_dims}, "
-            f"instruments {state.instrument_dims} vs {engine.instrument_dims}, "
-            f"decoder {state.decoder_dims} vs {engine.decoder_dims}"
+            "state dimensions do not match the error model: (out, in) per "
+            f"factor round {_factor_dims(state)} vs {engine.dims}"
         )
 
 
-def _parse_which(which: str, state: OptimizationState) -> tuple[str, int, int]:
+def _parse_which(which: str, state: OptimizationState) -> tuple[int, int]:
+    """Factor round and incoming memory value of a public factor name."""
     parts = which.split(":")
     if parts[0] == "encoder" and len(parts) == 1:
-        return ("encoder", 0, 0)
+        return 0, 0
     if parts[0] == "decoder" and len(parts) == 2:
         nu = int(parts[1])
         if not 0 <= nu < len(state.decoders):
             raise ValueError(f"decoder index {nu} out of range")
-        return ("decoder", nu, 0)
+        return state.rounds + 1, nu
     if parts[0] == "round" and len(parts) == 3:
         r, mu = int(parts[1]), int(parts[2])
         if not 1 <= r <= state.rounds:
@@ -622,7 +639,7 @@ def _parse_which(which: str, state: OptimizationState) -> tuple[str, int, int]:
         incoming = state.memory_structure[r - 2] if r >= 2 else 1
         if not 0 <= mu < incoming:
             raise ValueError(f"incoming memory value {mu} out of range for round {r}")
-        return ("round", r, mu)
+        return r, mu
     raise ValueError(
         f"unknown factor {which!r}; expected 'encoder', 'decoder:NU', or 'round:R:MU'"
     )
@@ -690,23 +707,11 @@ def _step(
     falls no more than 1e-10 below ``f_current``, the objective of
     ``state``.
     """
-    kind, first, second = _parse_which(which, state)
+    r, mu = _parse_which(which, state)
     config = state.config
-    if kind == "encoder":
-        d_out, d_in = state.encoder_dims
-        blocks = [state.encoder]
-        targets = [("encoder",)]
-    elif kind == "decoder":
-        d_out, d_in = state.decoder_dims
-        blocks = [state.decoders[first]]
-        targets = [("decoder", first)]
-    else:
-        r, mu = first, second
-        d_out, d_in = state.instrument_dims[r - 1]
-        blocks = list(state.instruments[r - 1][mu])
-        targets = [("instrument", r, mu, nu) for nu in range(len(blocks))]
-
-    coeffs = engine.coefficients(state, targets)
+    d_out, d_in = engine.dims[r]
+    blocks = _families(state)[r][mu]
+    coeffs = engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
     linear = lambda xs: sum(
         float(np.trace(x @ a).real) for x, a in zip(xs, coeffs)
     )
@@ -732,18 +737,7 @@ def _step(
             if stall >= config.inner_stall:
                 break
 
-    if kind == "encoder":
-        candidate = _updated(state, encoder=best_blocks[0])
-    elif kind == "decoder":
-        decs = list(state.decoders)
-        decs[first] = best_blocks[0]
-        candidate = _updated(state, decoders=tuple(decs))
-    else:
-        rounds_fac = [list(per) for per in state.instruments]
-        rounds_fac[first - 1][second] = tuple(best_blocks)
-        candidate = _updated(
-            state, instruments=tuple(tuple(per) for per in rounds_fac)
-        )
+    candidate = _with_family(state, r, mu, best_blocks)
     f_true = engine.evaluate(candidate)
     if f_true < f_current - 1e-10:
         return _updated(
@@ -833,39 +827,22 @@ def initial_state(
     rng = np.random.default_rng(config.seed)
     eps = config.perturbation
 
-    eo, ei = engine.encoder_dims
-    (encoder,) = _perturbed_family(rng, [_embedding_choi(eo, ei)], eo, ei, eps)
-
-    instruments = []
-    for r in range(1, engine.rounds + 1):
-        do, di = engine.instrument_dims[r - 1]
-        incoming = ms[r - 2] if r >= 2 else 1
-        zero = np.zeros((do * di, do * di), dtype=np.complex128)
-        bases = [_embedding_choi(do, di)] + [zero] * (ms[r - 1] - 1)
-        instruments.append(
-            tuple(
-                tuple(_perturbed_family(rng, bases, do, di, eps))
-                for _ in range(incoming)
-            )
-        )
-
-    do, di = engine.decoder_dims
-    decoders = tuple(
-        _perturbed_family(rng, [_embedding_choi(do, di)], do, di, eps)[0]
-        for _ in range(ms[-1] if ms else 1)
-    )
-
+    families = []
+    for (d_out, d_in), incoming, outgoing in zip(
+        engine.dims, (1, *engine.outgoing), engine.outgoing
+    ):
+        zero = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
+        bases = [_embedding_choi(d_out, d_in)] + [zero] * (outgoing - 1)
+        families.append(tuple(
+            tuple(_perturbed_family(rng, bases, d_out, d_in, eps))
+            for _ in range(incoming)
+        ))
     state = OptimizationState(
         logical_dim=logical_dim,
-        encoder_dims=engine.encoder_dims,
-        instrument_dims=engine.instrument_dims,
-        decoder_dims=engine.decoder_dims,
         memory_structure=ms,
-        encoder=encoder,
-        instruments=tuple(instruments),
-        decoders=decoders,
         fidelity=0.0,
         config=config,
+        **_state_fields(engine.dims, families),
     )
     f0 = engine.evaluate(state)
     return _updated(state, fidelity=f0, trace=(TraceRecord(0, "init", f0),))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -34,7 +34,6 @@ __all__ = [
     "herm_eig",
     "schmidt",
     "entropy",
-    "polar",
     "identity_operator",
 ]
 
@@ -150,14 +149,6 @@ class LabeledOperator:
                 return dim
         raise ValueError(f"unknown column label {label!r}")
 
-    def dagger(self) -> "LabeledOperator":
-        return LabeledOperator(self.col_subsystems, self.row_subsystems, self.data.conj().T)
-
-    def relabeled(self, mapping: Mapping[str, str]) -> "LabeledOperator":
-        rows = tuple((mapping.get(label, label), dim) for label, dim in self.row_subsystems)
-        cols = tuple((mapping.get(label, label), dim) for label, dim in self.col_subsystems)
-        return LabeledOperator(rows, cols, self.data)
-
     def scaled(self, factor: complex) -> "LabeledOperator":
         return LabeledOperator(self.row_subsystems, self.col_subsystems, factor * self.data)
 
@@ -165,9 +156,6 @@ class LabeledOperator:
         if self.row_dim != self.col_dim:
             raise ValueError(f"trace of non-square operator {self.data.shape}")
         return complex(np.trace(self.data))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,19 +398,3 @@ def _spectrum_bits(vals: npt.NDArray[np.float64]) -> float:
     """Entropy in bits of a normalized spectrum; entries <= 1e-12 count as zero."""
     vals = vals[vals > 1e-12]
     return float(-np.sum(vals * np.log2(vals))) if vals.size else 0.0
-
-
-def polar(op: LabeledOperator) -> tuple[LabeledOperator, LabeledOperator]:
-    """Polar decomposition A = U P with P = sqrt(A†A).
-
-    U is completed deterministically on A's null directions by pairing the
-    SVD's left and right singular vectors, so U is always unitary.
-    """
-    if op.row_dim != op.col_dim:
-        raise ValueError(f"polar expects a square matrix, got {op.data.shape}")
-    w, s, vh = np.linalg.svd(op.data)
-    unitary = w @ vh
-    psd = (vh.conj().T * s) @ vh
-    u_op = LabeledOperator(op.row_subsystems, op.col_subsystems, unitary)
-    p_op = LabeledOperator(op.col_subsystems, op.col_subsystems, psd)
-    return u_op, p_op

@@ -426,6 +426,35 @@ class TestOptimize:
         assert "bad optimizer config" in res.output
         assert "inner_steps" in res.output
 
+    @pytest.mark.parametrize("field, value", [
+        ("config.tol_conv", "abc"),
+        ("config.seed", 1.5),
+        ("config.seed", True),
+        ("config.inner_steps", 2.5),
+        ("config.max_iters", 2.5),
+        ("config.perturbation", "x"),
+        ("config.tol_conv", float("nan")),
+        ("config.step_order", ["encoder", 3]),
+        ("memory_structure", 5),
+        ("logical_dim", [2]),
+        ("config", "x"),
+    ])
+    def test_malformed_optimization_block_is_a_usage_error(
+        self, runner, exported, tmp_path, field, value
+    ):
+        block = {"logical_dim": 2, "memory_structure": [1, 2],
+                 "config": {"seed": 0, "max_iters": 1}}
+        parent, _, name = field.rpartition(".")
+        (block[parent] if parent else block)[name] = value
+        doc = json.loads(open(exported["spacetime"], encoding="utf-8").read())
+        doc["optimization"] = block
+        path = tmp_path / "st.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["optimize", str(path)])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ") and name in res.output
+
     def test_bad_memory_string(self, runner):
         res = runner.invoke(
             main, ["optimize", "--ambient-dim", "2", "--logical-dim", "2",

@@ -1160,6 +1160,29 @@ class TestVerifyRecovery:
         with pytest.raises(ValueError, match="ambient"):
             verify_recovery(inst.code, inst.errors, dec, [np.array([1.0, 0.0])])
 
+    def test_membership_needs_no_ambient_projector(self, monkeypatch):
+        inst = bitflip_code()
+        dec = synth_decoder_algebraic(inst.code, inst.errors)
+        states = codestates(inst.code, 3, seed=413)
+        want = verify_recovery(inst.code, inst.errors, dec, states)
+
+        def ambient_square(_):
+            raise AssertionError("formed the ambient x ambient projector")
+
+        monkeypatch.setattr(CodeSpace, "projector", property(ambient_square))
+        got = verify_recovery(inst.code, inst.errors, dec, states)
+        assert got.worst_fidelity == want.worst_fidelity
+        assert got.total_weights == want.total_weights
+
+    def test_outside_state_named_by_index(self):
+        inst = bitflip_code()
+        dec = synth_decoder_algebraic(inst.code, inst.errors)
+        outside = np.zeros(8)
+        outside[1] = 1.0
+        states = [*codestates(inst.code, 2, seed=414), outside]
+        with pytest.raises(ValueError, match="state 2 lies outside the codespace"):
+            verify_recovery(inst.code, inst.errors, dec, states)
+
     def test_decoder_missing_a_final_memory_rejected(self):
         bitflip = bitflip_code()
         dec = synth_decoder_algebraic(bitflip.code, bitflip.errors)

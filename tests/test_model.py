@@ -1,5 +1,7 @@
 """Tests for the strategic-code data model and comb constructions."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,19 @@ class TestEnumerateTrajectories:
         interro = Interrogator(({"": r1}, r2), update)
         with pytest.raises(ValueError, match="64 outcome sequences exceed"):
             enumerate_trajectories(interro, cap=10)
+
+    @pytest.mark.parametrize("walk", [count_trajectories, enumerate_trajectories])
+    def test_walk_leaves_no_cyclic_garbage(self, walk):
+        # a self-referencing recursive closure would keep the interrogator
+        # and the partial results alive until the next garbage collection
+        interro = build_instance("hexagon").code.interrogator
+        gc.collect()
+        gc.disable()
+        try:
+            walk(interro)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCombVector:

@@ -27,6 +27,7 @@ from combsqec.optimize import (
     _contract_env,
     _lift_superop,
     _project_cptp_array,
+    _rho_coeff,
     _rw_iterate,
     _superop_from_choi,
     _tp_congruence,
@@ -286,58 +287,67 @@ class TestEntFidelity:
 # ----------------------------------------------------------------------
 
 
-def reference_chain(engine, state, traj):
+def reference_chain(errors, state, traj):
     """Application-ordered (key, superop) factors of one trajectory, every
-    superoperator rebuilt for this trajectory alone."""
-    eo, ei = engine.encoder_dims
-    parts = [(("encoder",), _superop_from_choi(state.encoder, eo, ei))]
-    for r in range(engine.rounds + 1):
+    superoperator rebuilt for this trajectory alone from the state's public
+    dims and the error model.  Block keys are (factor round, incoming,
+    outgoing): the encoder is (0, 0, 0) and decoder ν is (L+1, ν, 0).  The
+    final environment leg is traced out before the decoder."""
+    rounds = state.rounds
+    eo, ei = state.encoder_dims
+    parts = [((0, 0, 0), _superop_from_choi(state.encoder, eo, ei))]
+    for r in range(rounds + 1):
         if r >= 1:
             mu = traj[r - 2] if r >= 2 else 0
             nu = traj[r - 1]
-            do, di = engine.instrument_dims[r - 1]
+            do, di = state.instrument_dims[r - 1]
             s = _superop_from_choi(state.instruments[r - 1][mu][nu], do, di)
             parts.append((
-                ("instrument", r, mu, nu),
-                _lift_superop(s, do, di, engine.errors.env_dim(r - 1)),
+                (r, mu, nu), _lift_superop(s, do, di, errors.env_dim(r - 1))
             ))
-        parts.append((("error", r), engine.err_superops[r]))
-    if engine.trace_env is not None:
-        parts.append((("trace_env",), engine.trace_env))
-    nu_final = traj[-1] if engine.rounds else 0
-    do, di = engine.decoder_dims
-    parts.append(
-        (("decoder", nu_final), _superop_from_choi(state.decoders[nu_final], do, di))
-    )
+        parts.append((
+            ("error", r),
+            sum(np.kron(k.data, k.data.conj()) for k in errors.round_ops(r)),
+        ))
+    d_env = errors.env_dim(rounds)
+    if d_env > 1:
+        d_q = errors.q_out_dim(rounds)
+        trace_env = np.einsum(
+            "qa,rb,ef->qraebf", np.eye(d_q), np.eye(d_q), np.eye(d_env)
+        ).reshape(d_q * d_q, (d_q * d_env) ** 2)
+        parts.append((("trace_env",), trace_env))
+    nu_final = traj[-1] if rounds else 0
+    do, di = state.decoder_dims
+    parts.append((
+        (rounds + 1, nu_final, 0),
+        _superop_from_choi(state.decoders[nu_final], do, di),
+    ))
     return parts
 
 
-def reference_trajectories(engine):
-    return list(itertools.product(*(range(n) for n in engine.memory_structure)))
+def reference_trajectories(state):
+    return list(itertools.product(*(range(n) for n in state.memory_structure)))
 
 
-def reference_evaluate(engine, state):
+def reference_evaluate(errors, state, rho):
     total = 0.0
-    for traj in reference_trajectories(engine):
+    for traj in reference_trajectories(state):
         cur = None
-        for _, s in reference_chain(engine, state, traj):
+        for _, s in reference_chain(errors, state, traj):
             cur = s if cur is None else s @ cur
-        total += float(np.trace(cur @ engine.n_coeff).real)
+        total += float(np.trace(cur @ _rho_coeff(rho)).real)
     return total
 
 
-def reference_coefficient(engine, state, target):
-    if target[0] == "encoder":
-        (d_out, d_in), d_env = engine.encoder_dims, 1
-    elif target[0] == "instrument":
-        d_out, d_in = engine.instrument_dims[target[1] - 1]
-        d_env = engine.errors.env_dim(target[1] - 1)
-    else:
-        (d_out, d_in), d_env = engine.decoder_dims, 1
-    dl2 = engine.logical_dim**2
+def reference_coefficient(errors, state, rho, target):
+    r = target[0]
+    d_out, d_in = (state.encoder_dims, *state.instrument_dims, state.decoder_dims)[r]
+    # the decoder acts after the final environment leg is traced out
+    d_env = errors.env_dim(r - 1) if 1 <= r <= state.rounds else 1
+    dl2 = state.logical_dim**2
     acc = np.zeros((d_in * d_in, d_out * d_out), dtype=np.complex128)
-    for traj in reference_trajectories(engine):
-        parts = reference_chain(engine, state, traj)
+    for traj in reference_trajectories(state):
+        parts = reference_chain(errors, state, traj)
         keys = [k for k, _ in parts]
         if target not in keys:
             continue
@@ -350,17 +360,18 @@ def reference_coefficient(engine, state, target):
             post = s if post is None else s @ post
         if post is None:
             post = np.eye(dl2, dtype=np.complex128)
-        acc += _contract_env(pre @ engine.n_coeff @ post, d_out, d_in, d_env)
+        acc += _contract_env(pre @ _rho_coeff(rho) @ post, d_out, d_in, d_env)
     a = _choi_coeff(acc, d_out, d_in)
     return (a + a.conj().T) / 2.0
 
 
 def factor_targets(state):
-    targets = [("encoder",)]
+    targets = [(0, 0, 0)]
     for r, per_round in enumerate(state.instruments, start=1):
         for mu, blocks in enumerate(per_round):
-            targets += [("instrument", r, mu, nu) for nu in range(len(blocks))]
-    return targets + [("decoder", nu) for nu in range(len(state.decoders))]
+            targets += [(r, mu, nu) for nu in range(len(blocks))]
+    final = state.rounds + 1
+    return targets + [(final, nu, 0) for nu in range(len(state.decoders))]
 
 
 def correlated_errors(seed):
@@ -398,11 +409,11 @@ class TestEngineSums:
                 config=OptimizerConfig(seed=seed, perturbation=0.5),
             )
             engine = _Engine(errs, 2, memory, MIXED_QUBIT)
-            ref = reference_evaluate(engine, state)
+            ref = reference_evaluate(errs, state, MIXED_QUBIT)
             assert abs(engine.evaluate(state) - ref) <= 1e-12 * abs(ref)
             targets = factor_targets(state)
             for target, a in zip(targets, engine.coefficients(state, targets)):
-                ref = reference_coefficient(engine, state, target)
+                ref = reference_coefficient(errs, state, MIXED_QUBIT, target)
                 err = np.linalg.norm(a - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), target
 
@@ -428,7 +439,7 @@ class TestEngineSums:
         state = initial_state(errs, 2, (2,))
         engine = _Engine(errs, 2, (2,), MIXED_QUBIT)
         with pytest.raises(ValueError, match="unknown factor target"):
-            engine.coefficients(state, [("instrument", 1, 1, 0)])
+            engine.coefficients(state, [(1, 1, 0)])
 
 
 def labeled_choi(data, out_label, do, in_label, di):

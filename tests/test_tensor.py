@@ -12,7 +12,6 @@ from combsqec.tensor import (
     identity_operator,
     partial_trace,
     partial_transpose,
-    polar,
     schmidt,
     tensor_product,
     vectorize,
@@ -43,12 +42,6 @@ class TestLabeledOperator:
         assert dense_cap() == 8
         with pytest.raises(ValueError, match="exceeds the cap"):
             op(np.zeros((16, 16)), [("a", 16)], [("b", 16)])
-
-    def test_relabel_and_dagger(self):
-        a = op(random_matrix(rng_for(0), 2, 3), [("x", 2)], [("y", 3)])
-        b = a.relabeled({"x": "z"}).dagger()
-        assert b.row_labels == ("y",) and b.col_labels == ("z",)
-        np.testing.assert_allclose(b.data, a.data.conj().T)
 
 
 class TestTensorProduct:
@@ -295,27 +288,6 @@ class TestEntropy:
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError, match="trace 1"):
             entropy(op(np.eye(2), [("a", 2)], [("a", 2)]))
-
-
-class TestPolar:
-    def test_unitary_input(self):
-        u = random_unitary(rng_for(16), 3)
-        u_out, p_out = polar(op(u, [("a", 3)], [("a", 3)]))
-        np.testing.assert_allclose(u_out.data, u, atol=1e-12)
-        np.testing.assert_allclose(p_out.data, np.eye(3), atol=1e-12)
-
-    def test_singular_input_completed(self):
-        u_out, p_out = polar(op(np.diag([2.0, 0.0]), [("a", 2)], [("a", 2)]))
-        np.testing.assert_allclose(u_out.data, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(p_out.data, np.diag([2.0, 0.0]), atol=1e-14)
-
-    def test_reconstruction_and_unitarity(self):
-        a_mat = random_matrix(rng_for(17), 4, 4)
-        u_out, p_out = polar(op(a_mat, [("a", 4)], [("a", 4)]))
-        np.testing.assert_allclose(u_out.data @ p_out.data, a_mat, atol=1e-10)
-        np.testing.assert_allclose(
-            u_out.data.conj().T @ u_out.data, np.eye(4), atol=1e-10
-        )
 
 
 def test_identity_operator():
