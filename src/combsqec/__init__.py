@@ -14,7 +14,6 @@ from combsqec.combs import (
     CombSignature,
     choi_from_kraus,
     is_cptp,
-    kraus_from_choi,
     link_product,
     random_cptp_choi,
     validate_comb,
@@ -82,13 +81,11 @@ from combsqec.tensor import (
     LabeledOperator,
     SpectralResult,
     dense_cap,
-    devectorize,
     entropy,
     herm_eig,
     identity_operator,
     partial_trace,
     partial_transpose,
-    schmidt,
     tensor_product,
     vectorize,
 )

@@ -19,13 +19,10 @@ import numpy as np
 from combsqec.tensor import (
     LabeledOperator,
     Subsystems,
-    herm_eig,
     identity_operator,
     partial_trace,
     permute_subsystems,
     tensor_product,
-    vectorize,
-    devectorize,
 )
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "CptpReport",
     "CombReport",
     "choi_from_kraus",
-    "kraus_from_choi",
     "link_product",
     "is_cptp",
     "validate_comb",
@@ -216,22 +212,6 @@ def choi_from_kraus(kraus: Sequence[LabeledOperator]) -> ChoiOperator:
         input_labels=first.col_labels,
         output_labels=first.row_labels,
     )
-
-
-def kraus_from_choi(choi: ChoiOperator, cutoff: float = 1e-10) -> list[LabeledOperator]:
-    """Canonical Kraus operators from a Choi eigendecomposition.
-
-    Eigenvalues above ``cutoff`` are kept; ``choi_from_kraus`` of the result
-    reconstructs the input within the PSD tolerance.
-    """
-    spec = herm_eig(choi.op, atol=1e-8)
-    out = []
-    for val, col in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if val <= cutoff:
-            continue
-        vec = LabeledOperator(choi.op.row_subsystems, (), np.sqrt(val) * col.reshape(-1, 1))
-        out.append(devectorize(vec, choi.output_labels))
-    return out
 
 
 def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:

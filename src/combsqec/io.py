@@ -2,15 +2,21 @@
 
 One document carries a strategic code (codespace basis, per-round
 instruments, memory update tables), its error model, and an optional
-optimization block.  Complex entries are two-element ``[re, im]`` arrays
-and matrices are row-major nested lists, so fixtures diff cleanly.  The
-canonical text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline; matrices are rendered from flat float lists and spliced
-into json's output of the rest.  On load, each matrix is validated in bulk
-and converted by one numpy call; only a rejected matrix is walked element
-by element, to name its offending row or cell.  Parse failures name the
-path through the document; model invariant violations surface the
-constructor's residual message under that path.
+optimization block.  Complex entries are two-element ``[re, im]`` arrays.
+In ``schema_version`` 2, the version written, each matrix is either dense,
+row-major nested lists of ``[re, im]`` cells, or sparse,
+``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` with the nonzero entries
+in row-major order.  A matrix is written sparse iff ``2 * nnz < n * m``,
+where an entry is nonzero iff it ``!= 0`` (so -0.0 is dropped).  Version 1,
+still read, has dense matrices only.  The canonical text of either version
+is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, so
+a file's digest depends on the version it is written in; matrices are
+rendered from flat lists and spliced into json's output of the rest.  On
+load, each matrix is validated in bulk and converted by one numpy call;
+only a rejected matrix is walked element by element, to name its offending
+row, cell or sparse entry.  Parse failures name the path through the
+document; model invariant violations surface the constructor's residual
+message under that path.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ __all__ = [
     "parse_instance",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -69,16 +75,24 @@ def encode_matrix(mat: npt.NDArray[np.complex128]) -> list[list[list[float]]]:
 
 
 _NUMBER_TYPES = frozenset((float, int, bool))
+_SPARSE_KEYS = frozenset(("nz", "shape"))
 
 
-def decode_matrix(obj: Any, path: str) -> npt.NDArray[np.complex128]:
-    """Rows of ``[re, im]`` number pairs as a complex matrix.
+def decode_matrix(
+    obj: Any, path: str, version: int = SCHEMA_VERSION
+) -> npt.NDArray[np.complex128]:
+    """A matrix in its file form as a complex matrix.
 
+    Dense rows of ``[re, im]`` number pairs are read in every version; from
+    version 2 an object is read as a sparse ``{"nz", "shape"}`` matrix.
     Well-formed input (plain lists of equal-length rows of two-element
-    lists of ints, floats and bools) is checked in bulk and converted by one
-    ``np.array`` call; anything else goes through the element loop, which
-    names the first offending row or cell in its :class:`ParseError`.
+    lists of ints, floats and bools, or sparse entries of two int indices
+    and two such parts) is checked in bulk and converted by one ``np.array``
+    call; anything else goes through the element loop, which names the
+    first offending row, cell or entry in its :class:`ParseError`.
     """
+    if version >= 2 and isinstance(obj, Mapping):
+        return _decode_sparse(obj, path)
     if type(obj) is list and obj and set(map(type, obj)) == {list}:
         cells = list(chain.from_iterable(obj))
         if (
@@ -129,7 +143,95 @@ def _decode_cells(obj: Any, path: str) -> npt.NDArray[np.complex128]:
     return np.array(rows, dtype=np.complex128)
 
 
-def _get(obj: Mapping[str, Any], key: str, path: str, kind: type, what: str) -> Any:
+def _decode_sparse(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex128]:
+    shape, nz = obj.get("shape"), obj.get("nz")
+    if (
+        obj.keys() == _SPARSE_KEYS
+        and type(shape) is list
+        and len(shape) == 2
+        and set(map(type, shape)) == {int}
+        and min(shape) > 0
+        and type(nz) is list
+        and set(map(type, nz)) <= {list}
+        and set(map(len, nz)) <= {4}
+    ):
+        flat = list(chain.from_iterable(nz))
+        if set(map(type, flat[0::4] + flat[1::4])) <= {int} and set(
+            map(type, flat[2::4] + flat[3::4])
+        ) <= _NUMBER_TYPES:
+            out = _zeros(shape, path)
+            table = np.array(flat).reshape(-1, 4)
+            rows, cols = table[:, 0], table[:, 1]
+            n, m = shape
+            if (
+                table.dtype.kind in "iuf"
+                and ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all()
+            ):
+                index = rows.astype(np.intp) * m + cols.astype(np.intp)
+                ordered = (index[1:] > index[:-1]).all()
+                if ordered or np.unique(index).size == index.size:
+                    # bitwise [re, im] -> complex, scattered in one call
+                    parts = np.ascontiguousarray(table[:, 2:], dtype=np.float64)
+                    out.reshape(-1)[index] = parts.view(np.complex128)[:, 0]
+                    return out
+    return _decode_entries(obj, path)
+
+
+def _decode_entries(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex128]:
+    extra = sorted(map(repr, obj.keys() - _SPARSE_KEYS))
+    if extra:
+        raise ParseError(path, f"unexpected key {extra[0]} in a sparse matrix")
+    shape = _get(obj, "shape", path, list, "two positive integers")
+    if len(shape) != 2 or not all(
+        isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in shape
+    ):
+        raise ParseError(f"{path}.shape", "expected two positive integers")
+    out = _zeros(shape, path)
+    seen = set()
+    for k, entry in enumerate(_get(obj, "nz", path, list, "a list of entries")):
+        epath = f"{path}.nz[{k}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ParseError(epath, "sparse entries are [i, j, re, im]")
+        for axis, size, what in ((0, shape[0], "row"), (1, shape[1], "column")):
+            index = entry[axis]
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ParseError(
+                    f"{epath}[{axis}]", f"expected an integer {what} index"
+                )
+            if not 0 <= index < size:
+                raise ParseError(
+                    f"{epath}[{axis}]", f"{what} index {index} out of range {size}"
+                )
+        cell = (entry[0], entry[1])
+        if cell in seen:
+            raise ParseError(epath, f"duplicate entry {cell}")
+        seen.add(cell)
+        parts = []
+        for p in (2, 3):
+            if not isinstance(entry[p], (int, float)):
+                raise ParseError(f"{epath}[{p}]", "expected a number")
+            try:
+                parts.append(float(entry[p]))
+            except OverflowError:
+                raise ParseError(f"{epath}[{p}]", "number beyond float range") from None
+        out[cell] = complex(*parts)
+    return out
+
+
+def _zeros(shape: list[int], path: str) -> npt.NDArray[np.complex128]:
+    try:
+        return np.zeros(shape, dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise ParseError(f"{path}.shape", f"{shape} is too large") from None
+
+
+def _get(
+    obj: Mapping[str, Any],
+    key: str,
+    path: str,
+    kind: type | tuple[type, ...],
+    what: str,
+) -> Any:
     if not isinstance(obj, Mapping):
         raise ParseError(path, "expected an object")
     if key not in obj:
@@ -153,9 +255,11 @@ def instance_text(
     """Canonical serialized form; identical models give identical bytes.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    with every matrix of ``doc`` in its :func:`encode_matrix` form.  Only the
-    small skeleton goes through ``json``; each matrix is rendered from one
-    flat float list and spliced in at the placeholder json wrote for it.
+    for the version-2 ``doc``: a matrix with ``2 * nnz < n * m`` is its
+    ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` object, any other its
+    :func:`encode_matrix` form.  Only the small skeleton goes through
+    ``json``; each matrix is rendered from flat lists and spliced in at the
+    placeholder json wrote for it.
     """
     matrices: list[npt.NDArray[np.complex128]] = []
 
@@ -243,27 +347,49 @@ def _splice(doc: dict[str, Any], matrices: list[np.ndarray]) -> str:
 
 
 def _matrix_text(arr: npt.NDArray[np.complex128], indent: int) -> str:
-    """What ``json.dumps(encode_matrix(arr), indent=2)`` writes for a value
-    whose line is indented by ``indent`` spaces; ``arr`` is non-empty and
-    C-contiguous."""
+    """What ``json.dumps(obj, indent=2)`` writes for the file form ``obj``
+    of ``arr``, on a line indented by ``indent`` spaces; ``arr`` is non-empty
+    and C-contiguous."""
     n, m = arr.shape
-    values = arr.view(np.float64).ravel().tolist()
-    if np.isfinite(arr).all():
-        words = list(map(float.__repr__, values))
-    else:  # json's NaN, Infinity and -Infinity
-        words = list(map(json.dumps, values))
+    support = np.flatnonzero(arr)
     p0, p1, p2, p3 = (" " * (indent + step) for step in (0, 2, 4, 6))
     within = ",\n" + p3
+    if 2 * support.size < n * m:
+        shape = f'"shape": [\n{p2}{n},\n{p2}{m}\n{p1}]\n{p0}}}'
+        if not support.size:
+            return f'{{\n{p1}"nz": [],\n{p1}{shape}'
+        rows, cols = np.divmod(support, m)
+        parts = _number_words(arr.reshape(-1)[support])
+        words = [""] * (4 * support.size)
+        words[0::4] = map(str, rows.tolist())
+        words[1::4] = map(str, cols.tolist())
+        words[2::4] = parts[0::2]
+        words[3::4] = parts[1::2]
+        seps = [within, within, within, f"\n{p2}],\n{p2}[\n{p3}"] * support.size
+        seps[-1] = f"\n{p2}]\n{p1}],\n{p1}{shape}"
+        return f'{{\n{p1}"nz": [\n{p2}[\n{p3}' + _interleave(words, seps)
     next_cell = f"\n{p2}],\n{p2}[\n{p3}"
     next_row = f"\n{p2}]\n{p1}],\n{p1}[\n{p2}[\n{p3}"
     seps = [within, next_cell] * m
     seps[-1] = next_row
     seps *= n
     seps[-1] = f"\n{p2}]\n{p1}]\n{p0}]"
+    return f"[\n{p1}[\n{p2}[\n{p3}" + _interleave(_number_words(arr), seps)
+
+
+def _number_words(arr: npt.NDArray[np.complex128]) -> list[str]:
+    """json's spelling of the interleaved real and imaginary parts."""
+    values = arr.view(np.float64).ravel().tolist()
+    if np.isfinite(arr).all():
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))  # NaN, Infinity and -Infinity
+
+
+def _interleave(words: list[str], seps: list[str]) -> str:
     text = [""] * (2 * len(words))
     text[::2] = words
     text[1::2] = seps
-    return f"[\n{p1}[\n{p2}[\n{p3}" + "".join(text)
+    return "".join(text)
 
 
 def export_instance(
@@ -294,13 +420,13 @@ class InstanceDocument:
     digest: str
 
 
-def _parse_codespace(doc: Mapping[str, Any]) -> CodeSpace:
+def _parse_codespace(doc: Mapping[str, Any], version: int) -> CodeSpace:
     dims = _get(doc, "dims", "", Mapping, "an object")
     ambient = _get(dims, "ambient", "dims", int, "an integer")
     code_dim = _get(dims, "code", "dims", int, "an integer")
     cs = _get(doc, "codespace", "", Mapping, "an object")
-    basis_obj = _get(cs, "basis", "codespace", list, "a matrix")
-    basis = decode_matrix(basis_obj, "codespace.basis")
+    basis_obj = _get(cs, "basis", "codespace", (list, Mapping), "a matrix")
+    basis = decode_matrix(basis_obj, "codespace.basis", version)
     if basis.shape != (ambient, code_dim):
         raise ParseError(
             "codespace.basis",
@@ -312,7 +438,7 @@ def _parse_codespace(doc: Mapping[str, Any]) -> CodeSpace:
         raise ParseError("codespace.basis", str(exc)) from exc
 
 
-def _parse_interrogator(doc: Mapping[str, Any]) -> Interrogator:
+def _parse_interrogator(doc: Mapping[str, Any], version: int) -> Interrogator:
     inter = _get(doc, "interrogator", "", Mapping, "an object")
     rounds_obj = _get(inter, "rounds", "interrogator", list, "a list")
     instruments = []
@@ -330,7 +456,7 @@ def _parse_interrogator(doc: Mapping[str, Any]) -> Interrogator:
                 raise ParseError(mpath, "expected outcome -> matrix entries")
             kraus = {}
             for outcome, mat_obj in outcomes_obj.items():
-                mat = decode_matrix(mat_obj, f"{mpath}[{outcome!r}]")
+                mat = decode_matrix(mat_obj, f"{mpath}[{outcome!r}]", version)
                 kraus[outcome] = LabeledOperator(
                     ((q_label(r), mat.shape[0]),),
                     ((qp_label(r - 1), mat.shape[1]),),
@@ -358,7 +484,7 @@ def _parse_interrogator(doc: Mapping[str, Any]) -> Interrogator:
         raise ParseError("interrogator", str(exc)) from exc
 
 
-def _parse_errors(doc: Mapping[str, Any]) -> ErrorModel:
+def _parse_errors(doc: Mapping[str, Any], version: int) -> ErrorModel:
     em = _get(doc, "error_model", "", Mapping, "an object")
     rounds_obj = _get(em, "rounds", "error_model", list, "a list")
     if not rounds_obj:
@@ -378,7 +504,7 @@ def _parse_errors(doc: Mapping[str, Any]) -> ErrorModel:
             raise ParseError(f"{path}.env_out", "expected a positive integer")
         ops = []
         for k, mat_obj in enumerate(kraus_obj):
-            mat = decode_matrix(mat_obj, f"{path}.kraus[{k}]")
+            mat = decode_matrix(mat_obj, f"{path}.kraus[{k}]", version)
             if mat.shape[0] % env_out:
                 raise ParseError(
                     f"{path}.kraus[{k}]",
@@ -415,14 +541,14 @@ def load_instance(path: str) -> InstanceDocument:
     if not isinstance(doc, Mapping):
         raise ParseError("(document)", "top level must be an object")
     version = _get(doc, "schema_version", "", int, "an integer")
-    if version != SCHEMA_VERSION:
+    if version not in (1, 2):
         raise ParseError(
             "schema_version",
-            f"unknown version {version}; this tool reads version {SCHEMA_VERSION}",
+            f"unknown version {version}; this tool reads versions 1 and 2",
         )
-    codespace = _parse_codespace(doc)
-    interrogator = _parse_interrogator(doc)
-    errors = _parse_errors(doc)
+    codespace = _parse_codespace(doc, version)
+    interrogator = _parse_interrogator(doc, version)
+    errors = _parse_errors(doc, version)
     try:
         code = StrategicCode(codespace, interrogator)
     except ValueError as exc:

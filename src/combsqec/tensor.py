@@ -30,9 +30,7 @@ __all__ = [
     "partial_transpose",
     "permute_subsystems",
     "vectorize",
-    "devectorize",
     "herm_eig",
-    "schmidt",
     "entropy",
     "identity_operator",
 ]
@@ -308,27 +306,6 @@ def vectorize(op: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(subs, (), op.data.reshape(-1, 1))
 
 
-def devectorize(vec: LabeledOperator, row_labels: Sequence[str]) -> LabeledOperator:
-    """Inverse of :func:`vectorize` for the declared output-side labels.
-
-    The named labels become the row side (in the vector's order); the rest
-    become the column side.
-    """
-    if not vec.is_vector:
-        raise ValueError("devectorize expects a column vector")
-    wanted = set(row_labels)
-    unknown = wanted - set(vec.row_labels)
-    if unknown:
-        raise ValueError(f"unknown label(s) {sorted(unknown)} in devectorize")
-    rows = tuple(s for s in vec.row_subsystems if s[0] in wanted)
-    cols = tuple(s for s in vec.row_subsystems if s[0] not in wanted)
-    arr = vec.data.reshape([dim for _, dim in vec.row_subsystems] or [1])
-    order = [i for i, s in enumerate(vec.row_subsystems) if s[0] in wanted]
-    order += [i for i, s in enumerate(vec.row_subsystems) if s[0] not in wanted]
-    arr = arr.transpose(order)
-    return LabeledOperator(rows, cols, arr.reshape(_dims_product(rows), _dims_product(cols)))
-
-
 def herm_eig(op: LabeledOperator, atol: float = 1e-10) -> SpectralResult:
     """Eigendecomposition of a Hermitian operator, eigenvalues descending.
 
@@ -345,35 +322,6 @@ def herm_eig(op: LabeledOperator, atol: float = 1e-10) -> SpectralResult:
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]
     return SpectralResult(vals[order].astype(np.float64), vecs[:, order])
-
-
-def schmidt(
-    vec: LabeledOperator, left_labels: Iterable[str]
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128], npt.NDArray[np.complex128]]:
-    """Schmidt decomposition of a vector across the named bipartition.
-
-    Returns:
-        (coefficients, left_vectors, right_vectors): nonnegative coefficients
-        in descending order and orthonormal vector families as matrix columns,
-        so that ``sum_k c_k left[:, k] (x) right[:, k]`` reconstructs the input
-        with its subsystems reordered to left-then-right label order.
-    """
-    if not vec.is_vector:
-        raise ValueError("schmidt expects a column vector")
-    left = set(left_labels)
-    unknown = left - set(vec.row_labels)
-    if unknown:
-        raise ValueError(f"unknown label(s) {sorted(unknown)} in schmidt bipartition")
-    left_subs = tuple(s for s in vec.row_subsystems if s[0] in left)
-    right_subs = tuple(s for s in vec.row_subsystems if s[0] not in left)
-    if not left_subs or not right_subs:
-        raise ValueError("schmidt bipartition must be nonempty on both sides")
-    arr = vec.data.reshape([dim for _, dim in vec.row_subsystems])
-    order = [i for i, s in enumerate(vec.row_subsystems) if s[0] in left]
-    order += [i for i, s in enumerate(vec.row_subsystems) if s[0] not in left]
-    mat = arr.transpose(order).reshape(_dims_product(left_subs), _dims_product(right_subs))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return s.astype(np.float64), u, vh.T
 
 
 def entropy(rho: LabeledOperator, atol: float = 1e-8) -> float:

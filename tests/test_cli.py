@@ -131,13 +131,17 @@ class TestCheck:
     ):
         with open(exported["bitflip"]) as fh:
             doc = json.load(fh)
-        doc["codespace"]["basis"][0][0][0] = 10**400
-        bad = tmp_path / "huge.json"
-        bad.write_text(json.dumps(doc))
-        res = runner.invoke(main, ["check", str(bad)])
-        assert res.exit_code == 2
-        assert "codespace.basis[0][0]: number beyond float range" in res.output
-        assert res.exception is None or isinstance(res.exception, SystemExit)
+        dense = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(8)]
+        dense[0][0][0] = 10**400
+        sparse = {"nz": [[0, 0, 10**400, 0.0]], "shape": [8, 2]}
+        for basis, where in ((dense, "[0][0]"), (sparse, ".nz[0][2]")):
+            doc["codespace"]["basis"] = basis
+            bad = tmp_path / "huge.json"
+            bad.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["check", str(bad)])
+            assert res.exit_code == 2
+            assert f"codespace.basis{where}: number beyond float range" in res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 class TestDecode:

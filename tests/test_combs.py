@@ -10,7 +10,6 @@ from combsqec.combs import (
     CombSignature,
     choi_from_kraus,
     is_cptp,
-    kraus_from_choi,
     link_product,
     random_cptp_choi,
     validate_comb,
@@ -91,35 +90,6 @@ class TestChoiFromKraus:
             choi_from_kraus(
                 [kraus_op(np.eye(2), "out", "in"), kraus_op(np.eye(2), "o2", "in")]
             )
-
-
-class TestKrausFromChoi:
-    def test_identity_choi_single_kraus(self):
-        choi = choi_from_kraus([kraus_op(np.eye(2), "out", "in")])
-        kraus = kraus_from_choi(choi)
-        assert len(kraus) == 1
-        k = kraus[0].data
-        np.testing.assert_allclose(k.conj().T @ k, np.eye(2), atol=1e-12)
-        assert abs(abs(k[0, 0]) - 1) < 1e-12
-
-    def test_maximally_mixed_choi(self):
-        subs = (("out", 2), ("in", 2))
-        choi = ChoiOperator(
-            LabeledOperator(subs, subs, np.eye(4) / 2), ("in",), ("out",)
-        )
-        kraus = kraus_from_choi(choi)
-        assert len(kraus) == 4
-        for k in kraus:
-            assert np.trace(k.data.conj().T @ k.data).real == pytest.approx(0.5)
-
-    def test_roundtrip_random_psd(self):
-        rng = rng_for(21)
-        g = random_matrix(rng, 9, 9)
-        mat = g @ g.conj().T
-        subs = (("out", 3), ("in", 3))
-        choi = ChoiOperator(LabeledOperator(subs, subs, mat), ("in",), ("out",))
-        rebuilt = choi_from_kraus(kraus_from_choi(choi))
-        assert np.linalg.norm(rebuilt.op.data - mat) <= 1e-9 * np.linalg.norm(mat)
 
 
 class TestLinkProduct:

@@ -1,5 +1,6 @@
 """Instance file round-trips and parse diagnostics."""
 
+import hashlib
 import json
 import math
 
@@ -21,9 +22,17 @@ from combsqec.model import ErrorModel
 from combsqec.tensor import LabeledOperator
 
 
-@pytest.fixture(params=tuple(instance_names()))
+@pytest.fixture(scope="module", params=tuple(instance_names()))
 def named(request):
     return build_instance(request.param)
+
+
+@pytest.fixture(scope="module")
+def exported(named, tmp_path_factory):
+    """One export of ``named``: its path, returned digest and loaded document."""
+    path = str(tmp_path_factory.mktemp("export") / "inst.json")
+    digest = export_instance(named.code, named.errors, path)
+    return path, digest, load_instance(path)
 
 
 def write_doc(tmp_path, doc, name="case.json"):
@@ -36,6 +45,12 @@ def write_doc(tmp_path, doc, name="case.json"):
 def bitflip_doc(tmp_path):
     inst = build_instance("bitflip")
     return json.loads(instance_text(inst.code, inst.errors))
+
+
+@pytest.fixture()
+def bitflip_v1():
+    inst = build_instance("bitflip")
+    return json.loads(reference_text(inst.code, inst.errors, version=1))
 
 
 class TestMatrixCodec:
@@ -57,26 +72,52 @@ class TestMatrixCodec:
 
     def test_non_list_rejected(self):
         with pytest.raises(ParseError, match="non-empty list"):
-            decode_matrix({"rows": 1}, "x")
+            decode_matrix({"rows": 1}, "x", version=1)
+        with pytest.raises(ParseError, match="non-empty list"):
+            decode_matrix("rows", "x")
+
+    def test_sparse_round_trip(self):
+        obj = {"nz": [[0, 1, -2.5, 0.0], [2, 0, 0.0, 1.0]], "shape": [3, 2]}
+        want = np.zeros((3, 2), dtype=complex)
+        want[0, 1], want[2, 0] = -2.5, 1j
+        assert np.array_equal(decode_matrix(obj, "x"), want)
 
 
 # ----------------------------------------------------------------------
-# references: the per-cell codec and the whole-document json.dumps
+# references: the per-cell codecs of both versions and the whole-document
+# json.dumps
 # ----------------------------------------------------------------------
 
 
 def reference_encode(mat):
+    """Version 1: every matrix dense."""
     arr = np.asarray(mat, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    return [[[v.real, v.imag] for v in row] for row in arr.tolist()]
 
 
-def reference_text(code, errors, optimization=None):
+def reference_encode_v2(mat):
+    """Version 2: sparse iff fewer than half the cells are != 0."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    n, m = arr.shape
+    nz = [
+        [i, j, v.real, v.imag]
+        for i, row in enumerate(arr.tolist())
+        for j, v in enumerate(row)
+        if v != 0
+    ]
+    if 2 * len(nz) < n * m:
+        return {"nz": nz, "shape": [n, m]}
+    return reference_encode(arr)
+
+
+def reference_text(code, errors, optimization=None, version=2, indent=2):
+    encode = reference_encode if version == 1 else reference_encode_v2
     rounds = []
     for r in range(1, code.interrogator.rounds + 1):
         by_memory = {}
         for memory, inst in sorted(code.interrogator.instruments[r - 1].items()):
             by_memory[memory] = {
-                o: reference_encode(op.data) for o, op in sorted(inst.kraus.items())
+                o: encode(op.data) for o, op in sorted(inst.kraus.items())
             }
         update = {}
         for (outcome, memory), nxt in sorted(
@@ -86,15 +127,15 @@ def reference_text(code, errors, optimization=None):
         rounds.append({"instruments": by_memory, "update": update})
     err_rounds = [
         {
-            "kraus": [reference_encode(op.data) for op in errors.round_ops(r)],
+            "kraus": [encode(op.data) for op in errors.round_ops(r)],
             "env_out": errors.env_dim(r),
         }
         for r in range(errors.rounds + 1)
     ]
     doc = {
-        "schema_version": 1,
+        "schema_version": version,
         "dims": {"ambient": code.codespace.ambient_dim, "code": code.codespace.dim},
-        "codespace": {"basis": reference_encode(code.codespace.basis)},
+        "codespace": {"basis": encode(code.codespace.basis)},
         "interrogator": {"rounds": rounds},
         "error_model": {
             "trace_nonincreasing": errors.require_trace_nonincreasing,
@@ -103,7 +144,18 @@ def reference_text(code, errors, optimization=None):
     }
     if optimization is not None:
         doc["optimization"] = dict(optimization)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+
+
+def instance_arrays(code, errors):
+    """Every matrix of an instance, in document order."""
+    arrays = [code.codespace.basis]
+    for by_memory in code.interrogator.instruments:
+        for _, inst in sorted(by_memory.items()):
+            arrays += [op.data for _, op in sorted(inst.kraus.items())]
+    for r in range(errors.rounds + 1):
+        arrays += [op.data for op in errors.round_ops(r)]
+    return arrays
 
 
 def reference_decode(obj, path):
@@ -136,6 +188,63 @@ def reference_decode(obj, path):
                 ) from None
         rows.append(out_row)
     return np.array(rows, dtype=np.complex128)
+
+
+def reference_decode_v2(obj, path):
+    if isinstance(obj, dict):
+        return reference_decode_sparse(obj, path)
+    return reference_decode(obj, path)
+
+
+def reference_decode_sparse(obj, path):
+    extra = sorted(map(repr, set(obj) - {"nz", "shape"}))
+    if extra:
+        raise ParseError(path, f"unexpected key {extra[0]} in a sparse matrix")
+    if "shape" not in obj:
+        raise ParseError(f"{path}.shape", "missing")
+    shape = obj["shape"]
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(type(x) is int and x > 0 for x in shape)
+    ):
+        raise ParseError(f"{path}.shape", "expected two positive integers")
+    n, m = shape
+    try:
+        out = np.zeros((n, m), dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise ParseError(f"{path}.shape", f"{shape} is too large") from None
+    if "nz" not in obj:
+        raise ParseError(f"{path}.nz", "missing")
+    if not isinstance(obj["nz"], list):
+        raise ParseError(f"{path}.nz", "expected a list of entries")
+    seen = set()
+    for k, entry in enumerate(obj["nz"]):
+        epath = f"{path}.nz[{k}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ParseError(epath, "sparse entries are [i, j, re, im]")
+        i, j, re, im = entry
+        for axis, index, size, what in ((0, i, n, "row"), (1, j, m, "column")):
+            if type(index) is not int:
+                raise ParseError(
+                    f"{epath}[{axis}]", f"expected an integer {what} index"
+                )
+            if not 0 <= index < size:
+                raise ParseError(
+                    f"{epath}[{axis}]", f"{what} index {index} out of range {size}"
+                )
+        if (i, j) in seen:
+            raise ParseError(epath, f"duplicate entry {(i, j)}")
+        seen.add((i, j))
+        for p, part in ((2, re), (3, im)):
+            if not isinstance(part, (int, float)):
+                raise ParseError(f"{epath}[{p}]", "expected a number")
+            try:
+                float(part)
+            except OverflowError:
+                raise ParseError(f"{epath}[{p}]", "number beyond float range") from None
+        out[i, j] = complex(float(re), float(im))
+    return out
 
 
 def relabeled_spacetime(tmp_path, memory, outcome):
@@ -187,7 +296,7 @@ class TestCanonicalText:
         assert memory in doc.code.interrogator.instruments[1]
         text = instance_text(doc.code, doc.errors)
         assert text == reference_text(doc.code, doc.errors)
-        assert f'"{outcome}": [' in text
+        assert f'"{outcome}": {{\n' in text  # a sparse matrix, not a placeholder
 
     def test_non_finite_entries(self):
         # json spells these NaN, Infinity and -Infinity
@@ -202,6 +311,36 @@ class TestCanonicalText:
         text = instance_text(inst.code, errors)
         assert text == reference_text(inst.code, errors)
         assert all(word in text for word in ("NaN", "Infinity", "-Infinity"))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matrices_of_any_sparsity(self, data):
+        # bitflip's first error Kraus operator (8 x 8): k cells with parts
+        # drawn from signed zeros, non-finite values and floats, the other
+        # cells complex zeros with parts of drawn signs
+        inst = build_instance("bitflip")
+        first, *rest = inst.errors.kraus_rounds[0]
+        k = data.draw(st.integers(0, 64))
+        cells = data.draw(st.permutations(range(64)))[:k]
+        signs = data.draw(st.integers(0, 2**128 - 1))
+        parts = np.array([-0.0 if signs >> b & 1 else 0.0 for b in range(128)])
+        # json has one NaN, so drawn NaNs would lose their payloads
+        part = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False))
+        for c in cells:
+            parts[2 * c : 2 * c + 2] = data.draw(part), data.draw(part)
+        odd = LabeledOperator(
+            first.row_subsystems, first.col_subsystems,
+            parts.view(np.complex128).reshape(8, 8),
+        )
+        errors = ErrorModel(((odd, *rest),), require_trace_nonincreasing=False)
+        text = instance_text(inst.code, errors)
+        assert text == reference_text(inst.code, errors)
+        obj = json.loads(text)["error_model"]["rounds"][0]["kraus"][0]
+        got = decode_matrix(obj, "m")
+        sparse = 2 * np.count_nonzero(odd.data) < 64
+        assert isinstance(obj, dict) == sparse
+        want = np.where(odd.data != 0, odd.data, 0) if sparse else odd.data
+        assert got.tobytes() == want.tobytes()
 
     def test_unserializable_block_rejected(self):
         inst = build_instance("bitflip")
@@ -226,23 +365,20 @@ class TestCanonicalText:
 
 
 class TestRoundTrip:
-    def test_reexport_is_byte_identical(self, tmp_path, named):
-        path = str(tmp_path / "inst.json")
-        export_instance(named.code, named.errors, path)
-        doc = load_instance(path)
+    def test_reexport_is_byte_identical(self, named, exported):
+        _, _, doc = exported
         assert instance_text(doc.code, doc.errors) == instance_text(
             named.code, named.errors
         )
 
-    def test_digest_is_of_the_written_bytes(self, tmp_path, named):
-        path = str(tmp_path / "inst.json")
-        digest = export_instance(named.code, named.errors, path)
-        assert load_instance(path).digest == digest
+    def test_digest_is_of_the_written_bytes(self, exported):
+        path, digest, doc = exported
+        assert doc.digest == digest
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
-    def test_parse_instance_returns_model_pair(self, tmp_path, named):
-        path = str(tmp_path / "inst.json")
-        export_instance(named.code, named.errors, path)
-        code, errors = parse_instance(path)
+    def test_parse_instance_returns_model_pair(self, named, exported):
+        code, errors = parse_instance(exported[0])
         assert code.codespace.ambient_dim == named.code.codespace.ambient_dim
         assert errors.rounds == named.errors.rounds
         assert np.allclose(
@@ -263,6 +399,59 @@ class TestRoundTrip:
         path = str(tmp_path / "plain.json")
         export_instance(inst.code, inst.errors, path)
         assert load_instance(path).optimization is None
+
+
+def load_text(tmp_path, text, name):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    doc = load_instance(str(path))
+    assert doc.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    return doc
+
+
+def assert_same_arrays(first, second):
+    want = instance_arrays(first.code, first.errors)
+    got = instance_arrays(second.code, second.errors)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestSchemaVersions:
+    """Version-1 files still load, to the arrays of their version-2 load.
+
+    The library instances' v1 texts are written without indentation: the
+    reader ignores whitespace, and json's pure-Python indenting encoder
+    takes seconds on hexagon's 311,424 dense cells.
+    """
+
+    def test_v1_library_files_load_to_equal_arrays(self, tmp_path, named, exported):
+        v1 = reference_text(named.code, named.errors, version=1, indent=None)
+        assert json.loads(v1)["schema_version"] == 1
+        assert_same_arrays(load_text(tmp_path, v1, "v1.json"), exported[2])
+
+    def test_v1_random_files_load_to_equal_arrays(self, tmp_path):
+        for seed in range(48):
+            inst = random_instance(seed, qubits=1 + seed % 2)
+            docs = [
+                load_text(tmp_path, text, f"v{version}.json")
+                for version, text in (
+                    (1, reference_text(inst.code, inst.errors, version=1)),
+                    (2, instance_text(inst.code, inst.errors)),
+                )
+            ]
+            assert_same_arrays(*docs)
+
+    def test_v1_document_with_sparse_matrix_rejected(self, tmp_path, bitflip_doc):
+        bitflip_doc["schema_version"] = 1
+        with pytest.raises(
+            ParseError, match=r"codespace.basis: expected a non-empty list of rows"
+        ):
+            load_instance(write_doc(tmp_path, bitflip_doc))
+
+    def test_v2_reads_dense_matrices(self, tmp_path, bitflip_v1):
+        bitflip_v1["schema_version"] = 2
+        inst = build_instance("bitflip")
+        assert_same_arrays(load_instance(write_doc(tmp_path, bitflip_v1)), inst)
 
 
 class TestDiagnostics:
@@ -291,22 +480,24 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="dims: missing"):
             load_instance(write_doc(tmp_path, bitflip_doc))
 
-    def test_non_orthonormal_basis_named(self, tmp_path, bitflip_doc):
-        bitflip_doc["codespace"]["basis"][0][0] = [0.7, 0.0]
-        with pytest.raises(ParseError, match="codespace.basis.*not orthonormal"):
-            load_instance(write_doc(tmp_path, bitflip_doc))
+    def test_non_orthonormal_basis_named(self, tmp_path, bitflip_v1, bitflip_doc):
+        bitflip_v1["codespace"]["basis"][0][0] = [0.7, 0.0]
+        bitflip_doc["codespace"]["basis"]["nz"][0][2] = 0.7
+        for doc in (bitflip_v1, bitflip_doc):
+            with pytest.raises(ParseError, match="codespace.basis.*not orthonormal"):
+                load_instance(write_doc(tmp_path, doc))
 
     def test_basis_shape_mismatch_named(self, tmp_path, bitflip_doc):
         bitflip_doc["dims"]["code"] = 3
         with pytest.raises(ParseError, match="codespace.basis: shape"):
             load_instance(write_doc(tmp_path, bitflip_doc))
 
-    def test_bad_kraus_cell_named(self, tmp_path, bitflip_doc):
-        bitflip_doc["error_model"]["rounds"][0]["kraus"][0][0][0] = [1.0]
+    def test_bad_kraus_cell_named(self, tmp_path, bitflip_v1):
+        bitflip_v1["error_model"]["rounds"][0]["kraus"][0][0][0] = [1.0]
         with pytest.raises(
             ParseError, match=r"error_model.rounds\[0\].kraus\[0\]\[0\]\[0\]"
         ):
-            load_instance(write_doc(tmp_path, bitflip_doc))
+            load_instance(write_doc(tmp_path, bitflip_v1))
 
     def test_bad_env_out_named(self, tmp_path, bitflip_doc):
         bitflip_doc["error_model"]["rounds"][0]["env_out"] = 0
@@ -331,6 +522,85 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="optimization: expected an object"):
             load_instance(write_doc(tmp_path, bitflip_doc))
 
+    # sparse matrices: bitflip's first error Kraus operator is 0.5 I on 8
+    # levels, {"nz": [[k, k, 0.5, 0.0] for k in range(8)], "shape": [8, 8]}
+    KRAUS = r"error_model\.rounds\[0\]\.kraus\[0\]"
+
+    def sparse_error(self, tmp_path, doc, edit, match):
+        edit(doc["error_model"]["rounds"][0]["kraus"][0])
+        with pytest.raises(ParseError, match=self.KRAUS + match):
+            load_instance(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("shape", [
+        [8], [8, 8, 1], [8, 0], [-8, 8], [8, True], [8, 8.0], "8x8", None,
+    ])
+    def test_sparse_shape_must_be_two_positive_ints(
+        self, tmp_path, bitflip_doc, shape
+    ):
+        self.sparse_error(tmp_path, bitflip_doc, lambda m: m.update(shape=shape),
+                          r"\.shape: expected two positive integers")
+
+    def test_sparse_shape_too_large(self, tmp_path, bitflip_doc):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m.update(shape=[2**62, 2**62]),
+                          r"\.shape: .* is too large")
+
+    @pytest.mark.parametrize("key", ["nz", "shape"])
+    def test_sparse_key_missing(self, tmp_path, bitflip_doc, key):
+        self.sparse_error(tmp_path, bitflip_doc, lambda m: m.pop(key),
+                          rf"\.{key}: missing")
+
+    def test_sparse_unexpected_key(self, tmp_path, bitflip_doc):
+        self.sparse_error(tmp_path, bitflip_doc, lambda m: m.update(rows=8),
+                          r": unexpected key 'rows'")
+
+    @pytest.mark.parametrize("entry", [[0, 0, 1.0], [0, 0, 1.0, 0.0, 0.0], "x"])
+    def test_sparse_entry_needs_four_items(self, tmp_path, bitflip_doc, entry):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m["nz"].__setitem__(3, entry),
+                          r"\.nz\[3\]: sparse entries are \[i, j, re, im\]")
+
+    @pytest.mark.parametrize("item,value,message", [
+        (0, 1.0, "expected an integer row index"),
+        (1, True, "expected an integer column index"),
+        (1, "3", "expected an integer column index"),
+        (0, 8, "row index 8 out of range 8"),
+        (1, -1, "column index -1 out of range 8"),
+        (0, 2**70, "row index .* out of range 8"),
+    ])
+    def test_sparse_bad_index(self, tmp_path, bitflip_doc, item, value, message):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m["nz"][3].__setitem__(item, value),
+                          rf"\.nz\[3\]\[{item}\]: {message}")
+
+    def test_sparse_duplicate_entry(self, tmp_path, bitflip_doc):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m["nz"].append([2, 2, 0.5, 0.0]),
+                          r"\.nz\[8\]: duplicate entry \(2, 2\)")
+
+    @pytest.mark.parametrize("value", ["1", None, [1.0]])
+    def test_sparse_part_must_be_a_number(self, tmp_path, bitflip_doc, value):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m["nz"][3].__setitem__(3, value),
+                          r"\.nz\[3\]\[3\]: expected a number")
+
+    def test_sparse_part_beyond_float_range(self, tmp_path, bitflip_doc):
+        self.sparse_error(tmp_path, bitflip_doc,
+                          lambda m: m["nz"][3].__setitem__(2, 10**400),
+                          r"\.nz\[3\]\[2\]: number beyond float range")
+
+    def test_sparse_shape_must_match_dims(self, tmp_path, bitflip_doc):
+        bitflip_doc["codespace"]["basis"]["shape"] = [8, 3]
+        with pytest.raises(ParseError, match="codespace.basis: shape"):
+            load_instance(write_doc(tmp_path, bitflip_doc))
+
+    def test_all_zero_sparse_matrix_is_valid(self, tmp_path, bitflip_doc):
+        kraus = bitflip_doc["error_model"]["rounds"][0]["kraus"]
+        kraus.append({"nz": [], "shape": [8, 8]})
+        errors = load_instance(write_doc(tmp_path, bitflip_doc)).errors
+        last = errors.round_ops(0)[-1].data
+        assert last.shape == (8, 8) and not last.any()
+
 
 @pytest.fixture()
 def spacetime_doc(tmp_path):
@@ -344,7 +614,7 @@ class TestInterrogatorDiagnostics:
         memory = next(iter(rounds[0]["instruments"]))
         outcome = next(iter(rounds[0]["instruments"][memory]))
         mat = rounds[0]["instruments"][memory][outcome]
-        mat[0][0] = [0.5, 0.0]
+        mat["nz"][0][2] = 0.5
         with pytest.raises(
             ParseError, match=r"interrogator.rounds\[0\].instruments.*not complete"
         ):
@@ -402,6 +672,59 @@ JUNK = st.one_of(
 )
 MUTATIONS = ("leaf", "cell", "tuple_cell", "row", "tuple_row", "empty_row",
              "ragged", "tuple_matrix", "deeper", "shallower", "empty")
+SPECIAL = [0.0, -0.0, 1.0, -1e-300, 5e-324, math.inf, -math.inf, math.nan]
+ZERO = st.sampled_from([0.0, -0.0])
+INDEX_JUNK = st.one_of(
+    st.sampled_from([-1, 4, 2**63, 2**70, True, 1.0, "0", None, np.int64(0)]),
+    JUNK,
+)
+SHAPE_JUNK = st.one_of(
+    st.lists(st.sampled_from([1, 2, 0, -1, True, 2.0, 10**30, 2**62]), max_size=3),
+    JUNK,
+)
+SPARSE_MUTATIONS = ("shape", "drop_key", "extra_key", "nz", "entry",
+                    "tuple_entry", "short", "long", "index", "part", "duplicate")
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly well-formed sparse objects, in any entry order and with any
+    parts, then zero to two defects."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                          unique=True, max_size=n * m))
+    numbers = draw(st.sampled_from([PLAIN, PLAIN, NUMBERS]))
+    nz = [[i, j, draw(numbers), draw(numbers)] for i, j in cells]
+    obj = {"nz": nz, "shape": [n, m]}
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(SPARSE_MUTATIONS))
+        k = draw(st.integers(0, len(nz) - 1)) if nz else 0
+        entry = nz[k] if k < len(nz) and isinstance(nz[k], list) else None
+        if kind == "shape":
+            obj["shape"] = draw(SHAPE_JUNK)
+        elif kind == "drop_key":
+            obj.pop(draw(st.sampled_from(["nz", "shape"])), None)
+        elif kind == "extra_key":
+            obj[draw(st.sampled_from(["rows", "nz ", ""]))] = draw(JUNK)
+        elif kind == "nz":
+            obj["nz"] = draw(JUNK | st.just(tuple(nz)))
+        elif entry is None:
+            continue
+        elif kind == "entry":
+            nz[k] = draw(JUNK)
+        elif kind == "tuple_entry":
+            nz[k] = tuple(entry)
+        elif kind == "short" and entry:
+            entry.pop()
+        elif kind == "long":
+            entry.append(draw(NUMBERS))
+        elif kind == "index" and len(entry) > 1:
+            entry[draw(st.integers(0, 1))] = draw(INDEX_JUNK)
+        elif kind == "part" and len(entry) == 4:
+            entry[draw(st.integers(2, 3))] = draw(JUNK)
+        elif kind == "duplicate":
+            nz.append(list(entry[:2]) + [draw(NUMBERS), draw(NUMBERS)])
+    return obj
 
 
 @st.composite
@@ -470,10 +793,18 @@ class TestDecodeMatchesReference:
         assert math.copysign(1.0, got[0, 0].real) == -1.0
         assert got[1, 0] == complex(math.inf, 0.0)
 
-    def test_library_matrices(self, named):
-        doc = json.loads(instance_text(named.code, named.errors))
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(obj=sparse_matrices())
+    def test_sparse_same_array_or_same_error(self, obj):
+        assert decode_outcome(decode_matrix, obj) == decode_outcome(
+            reference_decode_v2, obj
+        )
+
+    def test_library_matrices(self, exported):
+        with open(exported[0], encoding="utf-8") as fh:
+            doc = json.load(fh)
         kraus = [k for r in doc["error_model"]["rounds"] for k in r["kraus"]]
         for obj in [doc["codespace"]["basis"], *kraus]:
             assert decode_outcome(decode_matrix, obj) == decode_outcome(
-                reference_decode, obj
+                reference_decode_v2, obj
             )

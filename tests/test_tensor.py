@@ -6,13 +6,11 @@ import pytest
 from combsqec.tensor import (
     LabeledOperator,
     dense_cap,
-    devectorize,
     entropy,
     herm_eig,
     identity_operator,
     partial_trace,
     partial_transpose,
-    schmidt,
     tensor_product,
     vectorize,
 )
@@ -182,18 +180,6 @@ class TestVectorize:
         with pytest.raises(ValueError, match="relabel"):
             vectorize(op(np.eye(2), [("a", 2)], [("a", 2)]))
 
-    def test_devectorize_roundtrip_rectangular(self):
-        mat = random_matrix(rng_for(10), 6, 2)
-        a = op(mat, [("o1", 2), ("o2", 3)], [("i", 2)])
-        back = devectorize(vectorize(a), ["o1", "o2"])
-        np.testing.assert_allclose(back.data, mat)
-        assert back.row_subsystems == a.row_subsystems
-        assert back.col_subsystems == a.col_subsystems
-
-    def test_devectorize_unknown_label_rejected(self):
-        v = vectorize(op(np.eye(2), [("o", 2)], [("i", 2)]))
-        with pytest.raises(ValueError, match="unknown"):
-            devectorize(v, ["nope"])
 
 
 class TestHermEig:
@@ -223,38 +209,6 @@ class TestHermEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             herm_eig(op(np.array([[0, 1], [0, 0]]), [("a", 2)], [("a", 2)]))
-
-
-class TestSchmidt:
-    def test_bell_coefficients(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        v = op(bell.reshape(-1, 1), [("a", 2), ("b", 2)], [])
-        coeffs, _, _ = schmidt(v, {"a"})
-        np.testing.assert_allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_product_state_single_coefficient(self):
-        rng = rng_for(13)
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        v = op(np.kron(a, b).reshape(-1, 1), [("a", 2), ("b", 3)], [])
-        coeffs, _, _ = schmidt(v, {"a"})
-        np.testing.assert_allclose(coeffs, [1, 0], atol=1e-12)
-
-    def test_reconstruction_and_norm(self):
-        raw = random_matrix(rng_for(14), 16, 1).ravel()
-        v = op(raw.reshape(-1, 1), [("a", 4), ("b", 4)], [])
-        coeffs, left, right = schmidt(v, {"a"})
-        recon = sum(
-            c * np.kron(left[:, k], right[:, k]) for k, c in enumerate(coeffs)
-        )
-        np.testing.assert_allclose(recon, raw, atol=1e-10)
-        assert np.sum(coeffs**2) == pytest.approx(np.linalg.norm(raw) ** 2, rel=1e-10)
-
-    def test_empty_side_rejected(self):
-        v = op(np.ones((2, 1)), [("a", 2)], [])
-        with pytest.raises(ValueError, match="nonempty"):
-            schmidt(v, {"a"})
 
 
 class TestEntropy:
