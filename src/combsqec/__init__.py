@@ -79,10 +79,7 @@ from combsqec.optimize import (
 )
 from combsqec.tensor import (
     LabeledOperator,
-    SpectralResult,
     dense_cap,
-    entropy,
-    herm_eig,
     identity_operator,
     partial_trace,
     partial_transpose,

@@ -115,7 +115,11 @@ def _lambda_table(detail: Mapping[str, Any]) -> dict[str, Any]:
     show_default=True,
     help="Which correctability condition to evaluate.",
 )
-@click.option("--tol", type=float, default=None, help="Override the residual tolerance.")
+@click.option(
+    "--tol", type=float, default=None,
+    help="Override the tolerance: a Frobenius residual with --method algebraic, "
+    "bits of entropy deficit with --method info.",
+)
 @click.option(
     "--report", "report_path", type=click.Path(), default=None,
     help="Write a machine-readable report here.",
@@ -123,6 +127,11 @@ def _lambda_table(detail: Mapping[str, Any]) -> dict[str, Any]:
 @_exits
 def check(path: str, method: str, tol: float | None, report_path: str | None) -> int:
     """Decide exact correctability of the instance at PATH."""
+    if tol is not None and method == "both":
+        _fail(
+            "--tol needs --method algebraic (a Frobenius residual) or --method info "
+            "(an entropy deficit in bits); one number cannot bound both"
+        )
     doc = _load(path)
     payload = _report_head("check", doc.digest)
     payload["method"] = method

@@ -31,7 +31,7 @@ from .model import (
     compose_K,
     enumerate_trajectories,
 )
-from .tensor import LabeledOperator, _spectrum_bits, herm_eig
+from .tensor import LabeledOperator, _spectrum_bits
 
 __all__ = [
     "ConditionReport",
@@ -53,6 +53,16 @@ MI_TOL_BITS = 1e-7
 P_FLOOR = 1e-12
 WEIGHT_CUTOFF = 1e-10
 SCHMIDT_CUTOFF = 1e-11
+# Decoder: Frobenius slack of completeness (per sqrt input dim) and of P^2 = P
+DECODER_ATOL = 1e-8
+# verify_recovery: largest | ||psi|| - 1 | of a state taken as normalized
+NORM_ATOL = 1e-10
+# verify_recovery: largest ||psi - B B^dag psi|| of a state taken as a codestate
+CODESPACE_ATOL = 1e-8
+# Schmidt decoder: spread of a block's weighted column norms, relative to max(1, q)
+SCHMIDT_UNIFORM_RTOL = 1e-6
+# branch_supports: Frobenius norm above which a K_{e,m,o} B block carries weight
+BRANCH_WEIGHT_FLOOR = 1e-9
 # complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
 _FIT_CHUNK = 1 << 20
 
@@ -109,6 +119,7 @@ class Decoder:
         if set(self.kraus) != set(self.completion):
             raise ValueError("kraus and completion must cover the same memories")
         eye = np.eye(self.input_dim)
+        slack = DECODER_ATOL * max(1.0, math.sqrt(self.input_dim))
         for m in self.kraus:
             total = self.completion[m].astype(np.complex128).copy()
             if total.shape != (self.input_dim, self.input_dim):
@@ -118,12 +129,12 @@ class Decoder:
                 if d.shape != (self.output_dim, self.input_dim):
                     raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
                 total = total + d.conj().T @ d
-            if np.linalg.norm(total - eye) > 1e-8 * max(1.0, math.sqrt(self.input_dim)):
+            if np.linalg.norm(total - eye) > slack:
                 raise ValueError(
                     f"decoder for memory {m!r} violates completeness: "
                     "completion + sum of D^dag D != I"
                 )
-            if proj_err > 1e-8:
+            if proj_err > DECODER_ATOL:
                 raise ValueError(f"completion for memory {m!r} is not a projector")
 
     def memories(self) -> tuple[str, ...]:
@@ -238,7 +249,7 @@ def _composed(code: StrategicCode, errors: ErrorModel) -> _Composed:
 
 
 def branch_supports(
-    code: StrategicCode, errors: ErrorModel, weight_floor: float = 1e-9
+    code: StrategicCode, errors: ErrorModel
 ) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
     """Outcome sequences whose K_{e,m,o} B carries weight, per error sequence."""
     comp = _composed(code, errors)
@@ -247,7 +258,7 @@ def branch_supports(
             o
             for m in comp.memories
             for io, o in enumerate(comp.outcomes[m])
-            if np.linalg.norm(comp.blocks[m][io, ie]) > weight_floor
+            if np.linalg.norm(comp.blocks[m][io, ie]) > BRANCH_WEIGHT_FLOOR
         )
         for ie, e in enumerate(comp.sequences)
     }
@@ -370,8 +381,9 @@ def check_algebraic(
 
     * ``"lambda"``: per final memory m the matrix Lambda_m, whose (e', e)
       entry sums lambda over the outcome sequences reaching m.  It is the
-      Gram matrix of the K_{e,m} B, so it is Hermitian up to rounding and
-      stored symmetrized; decoder synthesis diagonalizes it.
+      Gram matrix of the K_{e,m} B over code_dim, so it is Hermitian up to
+      rounding and stored symmetrized.  Decoder synthesis does not read it:
+      its eigenpairs are the singular pairs of the stacked K_{e,m} B.
     * ``"memories"`` and ``"error_sequences"``: the final memory states and
       the error sequences, in the order indexing ``"lambda"``.
     * ``"degenerate_branches"``: the (m, o) branches whose composed
@@ -530,30 +542,28 @@ def _require_trivial_environment(errors: ErrorModel, what: str) -> None:
 def _blocks_to_decoder(
     basis: np.ndarray,
     out_dim: int,
-    columns: dict[str, list[np.ndarray]],
+    vectors: dict[str, np.ndarray],
 ) -> Decoder:
-    """Orthonormalize per-memory column stacks by polar decomposition.
+    """Orthonormalize per-memory singular vectors by polar decomposition.
 
-    Each entry of ``columns[m]`` is an (out_dim, code_dim) block; the polar
-    isometry of their horizontal stack keeps correctable instances exact
-    and turns near-orthonormal stacks into valid Kraus sets.
+    ``vectors[m]`` is an (out_dim * code_dim, r) matrix of unit columns;
+    column alpha, reshaped to (out_dim, code_dim) and scaled by
+    sqrt(code_dim), is one block.  The polar isometry of the blocks'
+    horizontal stack keeps correctable instances exact and turns
+    near-orthonormal stacks into valid Kraus sets; with r = 0 the memory
+    gets no Kraus operator and the identity as completion.
     """
     k = basis.shape[1]
     kraus: dict[str, tuple[np.ndarray, ...]] = {}
     completion: dict[str, np.ndarray] = {}
-    for m, blocks in columns.items():
-        if not blocks:
-            kraus[m] = ()
-            completion[m] = np.eye(out_dim, dtype=np.complex128)
-            continue
-        stack = np.hstack(blocks)
+    for m, vecs in vectors.items():
+        r = vecs.shape[1]
+        stack = math.sqrt(k) * vecs.reshape(out_dim, k, r).transpose(0, 2, 1).reshape(
+            out_dim, r * k
+        )
         u, _, vh = np.linalg.svd(stack, full_matrices=False)
         iso = u @ vh
-        ops = tuple(
-            basis @ iso[:, a * k : (a + 1) * k].conj().T
-            for a in range(len(blocks))
-        )
-        kraus[m] = ops
+        kraus[m] = tuple(basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(r))
         completion[m] = np.eye(out_dim, dtype=np.complex128) - iso @ iso.conj().T
     return Decoder(
         output_dim=basis.shape[0],
@@ -571,13 +581,16 @@ def synth_decoder_algebraic(
 ) -> Decoder:
     """Decoder from the algebraic proof.
 
-    Diagonalizes each aggregate Lambda_m of :func:`check_algebraic`,
-    rotates the aggregated Kraus operators into orthogonal error directions
-    F_alpha, and inverts each surviving direction back onto the codespace.
-    Directions of weight below the cutoff never occur on the codespace and
-    are dropped.  With ``require_correctable=False`` the construction
-    proceeds on failing instances and yields the best-effort projective
-    decoder.
+    Lambda_m of :func:`check_algebraic` is M^dag M / code_dim for the
+    (out * code_dim, n_e) matrix M whose column e is K_{e,m} B.  So one SVD
+    of M per memory gives Lambda_m's eigenvalues s^2 / code_dim and, as
+    left singular vectors, the orthogonal error directions F_alpha: the
+    K_{e,m} B rotated by an eigenvector, over the root of its eigenvalue,
+    are sqrt(code_dim) times one.  Each direction is inverted back onto
+    the codespace; those of weight s^2 / code_dim at or below the cutoff
+    never occur on the codespace and are dropped.  With
+    ``require_correctable=False`` the construction proceeds on failing
+    instances and yields the best-effort projective decoder.
     """
     _require_trivial_environment(errors, "the algebraic decoder")
     report = check_algebraic(code, errors, tol)
@@ -588,20 +601,13 @@ def synth_decoder_algebraic(
             "pass require_correctable=False for a best-effort decoder"
         )
     comp = _composed(code, errors)
-    columns: dict[str, list[np.ndarray]] = {}
+    k = comp.code_dim
+    vectors: dict[str, np.ndarray] = {}
     for m in comp.memories:
         agg = comp.aggregated(m)        # (n_e, out, k)
-        n_e = (("e", agg.shape[0]),)
-        spec = herm_eig(LabeledOperator(n_e, n_e, report.detail["lambda"][m]))
-        blocks: list[np.ndarray] = []
-        for alpha in range(agg.shape[0]):
-            d_alpha = float(spec.eigenvalues[alpha])
-            if d_alpha <= WEIGHT_CUTOFF:
-                continue
-            rotated = np.tensordot(spec.eigenvectors[:, alpha], agg, axes=([0], [0]))
-            blocks.append(rotated / math.sqrt(d_alpha))
-        columns[m] = blocks
-    return _blocks_to_decoder(comp.basis, comp.out_dim, columns)
+        u, s, _ = np.linalg.svd(agg.reshape(len(agg), -1).T, full_matrices=False)
+        vectors[m] = u[:, s**2 / k > WEIGHT_CUTOFF]
+    return _blocks_to_decoder(comp.basis, comp.out_dim, vectors)
 
 
 def synth_decoder_schmidt(
@@ -614,13 +620,14 @@ def synth_decoder_schmidt(
 
     Each sector's state on (R, O, E, Q_out) is pure, so its Schmidt
     decomposition across (R Q_out | O E) carries the spectrum of rho_ME,
-    as S(ME) = S(R Q_out), and it is read from the product
-    :func:`check_info` decides on.  Every Schmidt vector above the cutoff,
-    reshaped to (out, code_dim) and scaled by sqrt(code_dim), is one block,
-    and the blocks are aligned back with the codespace basis.  Rejects when a block's column norms are not
-    uniform across codewords (a Schmidt-rank inconsistency, signalling the
-    state is not a product).  No register-sized matrix is formed, so
-    ``COMBSQEC_DENSE_CAP`` does not bound the synthesis.
+    as S(ME) = S(R Q_out); the Schmidt vectors are read from the product
+    :func:`check_info` decides on.  Every Schmidt vector above the cutoff
+    is one block, and the polar step the algebraic decoder uses too aligns
+    the blocks back with the codespace basis.  Rejects when a block's
+    column norms are not uniform across codewords (a Schmidt-rank
+    inconsistency, signalling the state is not a product).  No
+    register-sized matrix is formed, so ``COMBSQEC_DENSE_CAP`` does not
+    bound the synthesis.
     """
     _require_trivial_environment(errors, "the entropic decoder")
     comp = _composed(code, errors)
@@ -633,25 +640,24 @@ def synth_decoder_schmidt(
             "pass require_correctable=False for a best-effort decoder"
         )
     k = comp.code_dim
-    columns: dict[str, list[np.ndarray]] = {}
-    for m, (_, _, spectrum, vectors) in sectors.items():
-        blocks: list[np.ndarray] = []
-        for q_alpha, u_alpha in zip(spectrum, vectors.T):
-            if q_alpha <= SCHMIDT_CUTOFF:
-                continue
-            block = math.sqrt(k) * u_alpha.reshape(comp.out_dim, k)
-            if require_correctable:
-                norms2 = q_alpha * np.sum(np.abs(block) ** 2, axis=0)
-                dev = float(np.max(np.abs(norms2 - q_alpha)))
-                if dev > 1e-6 * max(1.0, q_alpha):
-                    raise ValueError(
-                        "Schmidt-rank inconsistency: projected norms "
-                        f"{norms2} differ from eigenvalue {q_alpha:.3e} "
-                        f"for memory {m!r}; the joint state is not a product"
-                    )
-            blocks.append(block)
-        columns[m] = blocks
-    return _blocks_to_decoder(comp.basis, comp.out_dim, columns)
+    vectors: dict[str, np.ndarray] = {}
+    for m, (_, _, spectrum, schmidt) in sectors.items():
+        keep = spectrum > SCHMIDT_CUTOFF
+        q, u = spectrum[keep], schmidt[:, keep]
+        if require_correctable:
+            # column norms of each block, weighted by its eigenvalue
+            norms2 = q * k * np.sum(np.abs(u.reshape(comp.out_dim, k, -1)) ** 2, axis=0)
+            dev = np.max(np.abs(norms2 - q), axis=0)
+            bad = np.flatnonzero(dev > SCHMIDT_UNIFORM_RTOL * np.maximum(1.0, q))
+            if bad.size:
+                a = bad[0]
+                raise ValueError(
+                    "Schmidt-rank inconsistency: projected norms "
+                    f"{norms2[:, a]} differ from eigenvalue {q[a]:.3e} "
+                    f"for memory {m!r}; the joint state is not a product"
+                )
+        vectors[m] = u
+    return _blocks_to_decoder(comp.basis, comp.out_dim, vectors)
 
 
 # ----------------------------------------------------------------------
@@ -688,13 +694,13 @@ def verify_recovery(
         vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
         if vec.shape[0] != ambient:
             raise ValueError(f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
             raise ValueError(f"state {idx} is not normalized")
         vecs.append(vec)
     vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
     logical = vecs @ basis.conj()                              # (n_s, k)
     # codespace membership from the logical coordinates: psi = B B^dag psi
-    outside = np.linalg.norm(vecs - logical @ basis.T, axis=1) > 1e-8
+    outside = np.linalg.norm(vecs - logical @ basis.T, axis=1) > CODESPACE_ATOL
     if outside.any():
         raise ValueError(f"state {int(np.argmax(outside))} lies outside the codespace")
     missing = [m for m in comp.memories if m not in decoder.kraus]

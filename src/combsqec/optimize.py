@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .combs import ChoiOperator, _psd_choi
+from .combs import ChoiOperator, _min_eigenvalue, _psd_choi
 from .model import ErrorModel
 from .tensor import LabeledOperator, permute_subsystems
 
@@ -143,10 +143,6 @@ def _trace_out(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizationState:
     """Choi factors of a strategy, with the fidelity trace of its run.
@@ -233,7 +229,7 @@ class OptimizationState:
                 total = np.zeros((d_in, d_in), dtype=np.complex128)
                 for nu, block in enumerate(blocks):
                     scale = max(1.0, float(np.linalg.norm(block)))
-                    if _min_eig(block) < -PSD_TOL * scale:
+                    if _min_eigenvalue(block) < -PSD_TOL * scale:
                         raise ValueError(
                             f"factor round {r} block ({nu}|{mu}) is not PSD"
                         )
@@ -542,7 +538,7 @@ def _project_cptp_array(
         tp_res = float(np.linalg.norm(deficit))
         if tp_res <= tol:
             return z
-    psd_res = math.inf if y is None else max(0.0, -_min_eig(y))
+    psd_res = math.inf if y is None else max(0.0, -_min_eigenvalue(y))
     raise ValueError(
         f"feasibility projection did not converge in {sweeps} sweeps: "
         f"trace-preservation residual {tp_res:.3e}, PSD residual {psd_res:.3e}"

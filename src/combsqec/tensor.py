@@ -23,15 +23,12 @@ import numpy.typing as npt
 
 __all__ = [
     "LabeledOperator",
-    "SpectralResult",
     "dense_cap",
     "tensor_product",
     "partial_trace",
     "partial_transpose",
     "permute_subsystems",
     "vectorize",
-    "herm_eig",
-    "entropy",
     "identity_operator",
 ]
 
@@ -154,14 +151,6 @@ class LabeledOperator:
         if self.row_dim != self.col_dim:
             raise ValueError(f"trace of non-square operator {self.data.shape}")
         return complex(np.trace(self.data))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending."""
-
-    eigenvalues: npt.NDArray[np.float64]
-    eigenvectors: npt.NDArray[np.complex128]
 
 
 def identity_operator(subsystems: Iterable[tuple[str, int]]) -> LabeledOperator:
@@ -304,42 +293,6 @@ def vectorize(op: LabeledOperator) -> LabeledOperator:
         )
     subs = op.row_subsystems + op.col_subsystems
     return LabeledOperator(subs, (), op.data.reshape(-1, 1))
-
-
-def herm_eig(op: LabeledOperator, atol: float = 1e-10) -> SpectralResult:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending.
-
-    The input is symmetrized as (A + A†)/2 before decomposition; asymmetry
-    beyond ``atol`` (relative to the Frobenius norm) is rejected.
-    """
-    if op.row_dim != op.col_dim:
-        raise ValueError(f"herm_eig expects a square matrix, got {op.data.shape}")
-    mat = op.data
-    asym = float(np.linalg.norm(mat - mat.conj().T))
-    if asym > atol * max(1.0, float(np.linalg.norm(mat))):
-        raise ValueError(f"operator is not Hermitian: ||A - A^dag|| = {asym:.3e}")
-    mat = (mat + mat.conj().T) / 2
-    vals, vecs = np.linalg.eigh(mat)
-    order = np.argsort(vals)[::-1]
-    return SpectralResult(vals[order].astype(np.float64), vecs[:, order])
-
-
-def entropy(rho: LabeledOperator, atol: float = 1e-8) -> float:
-    """Von Neumann entropy in bits of a trace-one PSD operator.
-
-    The matrix is normalized internally; eigenvalues at or below 1e-12
-    contribute zero, and eigenvalues below ``-atol`` are rejected.
-    """
-    if rho.row_dim != rho.col_dim:
-        raise ValueError(f"entropy expects a square matrix, got {rho.data.shape}")
-    tr = float(np.trace(rho.data).real)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"entropy expects trace 1, got {tr:.12f}")
-    spec = herm_eig(rho)
-    vals = spec.eigenvalues / tr
-    if vals.min() < -atol:
-        raise ValueError(f"negative eigenvalue {vals.min():.3e} in entropy input")
-    return _spectrum_bits(vals)
 
 
 def _spectrum_bits(vals: npt.NDArray[np.float64]) -> float:

@@ -102,6 +102,25 @@ class TestCheck:
         assert res.exit_code == 0
         assert "\nCORRECTABLE\n" in res.output
 
+    def test_tolerance_needs_a_single_method(self, runner, exported, tmp_path):
+        # one number cannot bound a Frobenius residual and a deficit in
+        # bits: on hexagon, 1e-20 is below the algebraic residual (~1e-18)
+        # and above the deficit (0), so applying it to both checkers
+        # would report a disagreement
+        hexagon = exported["hexagon"]
+        report = tmp_path / "report.json"
+        for method in (["--method", "both"], []):
+            res = runner.invoke(
+                main, ["check", hexagon, *method, "--tol", "1e-20", "--report", str(report)]
+            )
+            assert res.exit_code == 2, res.output
+            assert "--tol needs" in res.output
+            assert "Frobenius residual" in res.output and "in bits" in res.output
+            assert not report.exists()
+        for method, code in (("algebraic", 1), ("info", 0)):
+            res = runner.invoke(main, ["check", hexagon, "--method", method, "--tol", "1e-20"])
+            assert res.exit_code == code, method
+
     def test_report_round_trips(self, runner, exported, tmp_path):
         report = tmp_path / "report.json"
         res = runner.invoke(

@@ -44,7 +44,7 @@ from combsqec.model import (
     q_label,
     qp_label,
 )
-from combsqec.tensor import LabeledOperator, entropy, herm_eig
+from combsqec.tensor import LabeledOperator
 
 from conftest import noisy_errors, pauli_string, random_kraus_set, rng_for
 
@@ -634,10 +634,39 @@ def reference_deficit(rho, k):
         return p, None
 
     def bits(mat):
-        n = mat.shape[0]
-        return entropy(LabeledOperator((("S", n),), (("S", n),), mat / p))
+        # a trace-one PSD matrix's eigenvalues, those <= 1e-12 as zero
+        tr = np.trace(mat / p).real
+        assert abs(tr - 1.0) <= 1e-8
+        vals = np.linalg.eigvalsh(mat / p) / tr
+        assert vals.min() >= -1e-8
+        vals = vals[vals > 1e-12]
+        return float(-np.sum(vals * np.log2(vals)))
 
     return p, math.log2(k) + bits(rho_me(rho, k)) - bits(rho)
+
+
+def reference_polar_decoder(basis, out_dim, columns):
+    """Per memory, the polar isometry of the horizontally stacked blocks.
+
+    Each entry of ``columns[m]`` is an (out_dim, code_dim) block; block a of
+    the isometry, mapped back through the codespace basis, is Kraus a.
+    """
+    k = basis.shape[1]
+    kraus, completion = {}, {}
+    for m, blocks in columns.items():
+        if not blocks:
+            kraus[m] = ()
+            completion[m] = np.eye(out_dim, dtype=complex)
+            continue
+        u, _, vh = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+        iso = u @ vh
+        kraus[m] = tuple(
+            basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(len(blocks))
+        )
+        completion[m] = np.eye(out_dim, dtype=complex) - iso @ iso.conj().T
+    return Decoder(
+        output_dim=basis.shape[0], input_dim=out_dim, kraus=kraus, completion=completion
+    )
 
 
 def reference_schmidt_decoder(code, errors, rho_rme):
@@ -652,12 +681,9 @@ def reference_schmidt_decoder(code, errors, rho_rme):
     columns = {}
     for m in comp.memories:
         chi = np.transpose(comp.blocks[m], (2, 0, 1, 3)).reshape(comp.out_dim, -1, k)
-        n_me = chi.shape[1]
-        spec = herm_eig(
-            LabeledOperator((("r", n_me),), (("r", n_me),), rho_me(rho_rme[m], k))
-        )
+        vals, vecs = np.linalg.eigh(rho_me(rho_rme[m], k))
         columns[m] = []
-        for q_alpha, u_alpha in zip(spec.eigenvalues, spec.eigenvectors.T):
+        for q_alpha, u_alpha in zip(vals[::-1], vecs[:, ::-1].T):
             if q_alpha <= SCHMIDT_CUTOFF:
                 continue
             w = np.tensordot(u_alpha.conj(), chi, axes=([0], [1]))  # (out, k)
@@ -665,7 +691,34 @@ def reference_schmidt_decoder(code, errors, rho_rme):
             if float(np.max(np.abs(norms**2 - q_alpha))) > 1e-6 * max(1.0, q_alpha):
                 raise ValueError("Schmidt-rank inconsistency")
             columns[m].append(w / math.sqrt(q_alpha))
-    return conditions._blocks_to_decoder(comp.basis, comp.out_dim, columns)
+    return reference_polar_decoder(comp.basis, comp.out_dim, columns)
+
+
+def reference_algebraic_blocks(code, errors):
+    """Per memory, the algebraic decoder's blocks from eigh of Lambda_m.
+
+    Rotates the aggregated K_{e,m} B by every eigenvector of weight above
+    the cutoff and divides by the root of its eigenvalue, as the library
+    did before it read the directions off an SVD.
+    """
+    report = check_algebraic(code, errors)
+    comp = conditions._composed(code, errors)
+    columns = {}
+    for m in comp.memories:
+        agg = comp.aggregated(m)  # (n_e, out, k)
+        vals, vecs = np.linalg.eigh(report.detail["lambda"][m])
+        columns[m] = [
+            np.tensordot(v, agg, axes=([0], [0])) / math.sqrt(d)
+            for d, v in zip(vals[::-1], vecs[:, ::-1].T)
+            if d > WEIGHT_CUTOFF
+        ]
+    return columns
+
+
+def decoder_channel(kraus, shape):
+    """The Choi-like sum of |D_a>><<D_a| over a memory's Kraus list."""
+    vecs = np.array(kraus, dtype=complex).reshape(len(kraus), shape[0] * shape[1])
+    return vecs.T @ vecs.conj()
 
 
 def schmidt_sectors(code, errors):
@@ -1095,6 +1148,53 @@ class TestSynthesis:
             )
             report = verify_recovery(inst.code, inst.errors, dec, states)
             assert report.worst_fidelity < 1.0 - 1e-4, inst.name
+
+    def test_algebraic_matches_lambda_eigh_construction(self):
+        # per memory, the decoder channel read off the SVD of the stacked
+        # K_{e,m} B equals the one built from eigh of Lambda_m, on
+        # correctable and failing instances alike (best effort).  Where a
+        # memory's stack is rank-deficient its polar factor is not unique,
+        # so there the two decoders must recover every state equally well.
+        named = [build_instance(name) for name in instance_names()]
+        named += [random_instance(seed) for seed in range(200)]
+        cases = [(inst.name, inst.code, inst.errors) for inst in named]
+        cases += [(f"merged-{seed}", *merged_instance(seed)) for seed in range(20)]
+        cases += [(f"window-{n}", *syndrome_window(n, False)) for n in (1, 2, 3)]
+        compared, deficient = 0, []
+        for name, code, errors in cases:
+            if errors.env_dim(errors.rounds) != 1:
+                continue
+            got = synth_decoder_algebraic(code, errors, require_correctable=False)
+            comp = conditions._composed(code, errors)
+            columns = reference_algebraic_blocks(code, errors)
+            want = reference_polar_decoder(comp.basis, comp.out_dim, columns)
+            shape = (got.output_dim, got.input_dim)
+            assert got.memories() == want.memories(), name
+            for m in got.memories():
+                assert len(got.kraus[m]) == len(want.kraus[m]), (name, m)
+                if not want.kraus[m]:
+                    continue
+                stack = np.hstack(columns[m])
+                if np.linalg.matrix_rank(stack) < min(stack.shape):
+                    deficient.append((name, m))
+                    continue
+                diff = decoder_channel(got.kraus[m], shape) - decoder_channel(
+                    want.kraus[m], shape
+                )
+                assert np.max(np.abs(diff)) <= 1e-10, (name, m)
+            if deficient and deficient[-1][0] == name:
+                states = codestates(code, 10, seed=412)
+                got_rep = verify_recovery(code, errors, got, states)
+                want_rep = verify_recovery(code, errors, want, states)
+                for g, w in zip(got_rep.records, want_rep.records, strict=True):
+                    assert g.fidelity == pytest.approx(w.fidelity, abs=1e-12), name
+            compared += 1
+        assert compared > 150
+        assert [name for name, _ in deficient] == ["bitflip-z"]
+        code, errors = syndrome_window(3, False)
+        dec = synth_decoder_algebraic(code, errors)
+        states = codestates(code, 5, seed=411)
+        assert verify_recovery(code, errors, dec, states).worst_fidelity >= 1.0 - 1e-9
 
     def test_schmidt_builds_one_joint_state(self, monkeypatch):
         # one Schmidt product per table feeds both the verdict and the
