@@ -47,6 +47,7 @@ from combsqec.library import (
     instance_names,
     random_instance,
     spacetime_toy_circuit,
+    syndrome_window,
 )
 from combsqec.model import (
     CheckInstrument,

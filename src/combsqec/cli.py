@@ -97,8 +97,6 @@ def _verdict_word(correctable: bool) -> str:
     return "CORRECTABLE" if correctable else "NOT CORRECTABLE"
 
 
-def _lambda_table(detail: Mapping[str, Any]) -> dict[str, Any]:
-    return {m: encode_matrix(lam) for m, lam in detail["lambda"].items()}
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +142,10 @@ def check(path: str, method: str, tol: float | None, report_path: str | None) ->
                 "correctable": rep.correctable,
                 "worst_residual": rep.worst_residual,
                 "tolerance": rep.tolerance,
-                "lambda": _lambda_table(rep.detail),
+                "lambda": {m: encode_matrix(lam) for m, lam in rep.detail["lambda"].items()},
+                "support": {
+                    m: [list(e) for e in seqs] for m, seqs in rep.detail["support"].items()
+                },
             }
         if method in ("info", "both"):
             rep = check_info(doc.code, doc.errors) if tol is None else check_info(

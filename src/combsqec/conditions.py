@@ -25,10 +25,10 @@ import numpy as np
 import numpy.typing as npt
 
 from .model import (
+    INITIAL_MEMORY,
     ErrorModel,
     StrategicCode,
     TRAJECTORY_CAP,
-    compose_K,
     enumerate_trajectories,
 )
 from .tensor import LabeledOperator, _spectrum_bits
@@ -170,22 +170,126 @@ class RecoveryReport:
 # ----------------------------------------------------------------------
 
 
+def _check_dims(code: StrategicCode, errors: ErrorModel) -> None:
+    """Each round reads the system dim the round before it writes."""
+    interrogator = code.interrogator
+    if errors.rounds != interrogator.rounds:
+        raise ValueError(
+            f"error model spans {errors.rounds} rounds, "
+            f"interrogator {interrogator.rounds}"
+        )
+    if errors.q_in_dim(0) != code.codespace.ambient_dim:
+        raise ValueError(
+            f"dim mismatch feeding error round 0: the codespace has ambient dim "
+            f"{code.codespace.ambient_dim}, error expects {errors.q_in_dim(0)}"
+        )
+    for r in range(1, interrogator.rounds + 1):
+        inst = interrogator.instrument(r, min(interrogator.reachable[r - 1]))
+        if inst.in_dim != errors.q_out_dim(r - 1):
+            raise ValueError(
+                f"dim mismatch feeding check round {r}: error round {r - 1} "
+                f"emits {errors.q_out_dim(r - 1)}, instrument expects {inst.in_dim}"
+            )
+        if inst.out_dim != errors.q_in_dim(r):
+            raise ValueError(
+                f"dim mismatch feeding error round {r}: check round {r} "
+                f"emits {inst.out_dim}, error expects {errors.q_in_dim(r)}"
+            )
+
+
+def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
+    """Every nonzero K_{e,m,o} B, by one pass over the rounds.
+
+    The frontier maps a memory state to its live branches: outcome prefixes
+    reaching it (a superset of theirs), and per branch the index of its
+    prefix, the index of its error prefix (C order over the rounds' Kraus
+    counts) and its partial product, a (rows, code_dim) block.  It starts
+    from the stack E_{e_0} B; per memory, one stacked ``np.matmul`` applies
+    each check outcome (to the system leg, the environment leg untouched)
+    and one the next error round.  A branch whose partial product is
+    exactly zero stays zero, so it is dropped where it appears; nothing
+    else is.  A round of the walk that would build more than
+    ``TRAJECTORY_CAP`` branches raises.  Returns the frontier after the
+    last error round, keyed by final memory.
+    """
+    interrogator = code.interrogator
+    count = 0
+
+    def build(n: int) -> None:
+        nonlocal count
+        count += n
+        if count > TRAJECTORY_CAP:
+            raise ValueError(f"{count} composed branches exceed the cap {TRAJECTORY_CAP}")
+
+    stacked = [np.stack([op.data for op in ops]) for ops in errors.kraus_rounds]
+
+    def error_round(r: int, o_of, e_idx, stack):
+        ops = stacked[r]
+        n, _, k = stack.shape
+        build(n * len(ops))
+        out = np.matmul(ops, stack[:, None]).reshape(n * len(ops), -1, k)
+        live = out.any(axis=(1, 2))
+        e_next = (e_idx[:, None] * len(ops) + np.arange(len(ops))).reshape(-1)
+        return np.repeat(o_of, len(ops))[live], e_next[live], out[live]
+
+    start = np.zeros(1, dtype=np.intp)
+    frontier = {
+        INITIAL_MEMORY: ([()], *error_round(0, start, start, code.codespace.basis[None]))
+    }
+    for r in range(1, interrogator.rounds + 1):
+        env = errors.env_dim(r - 1)
+        count = 0
+        parts: dict[str, list[tuple]] = {}
+        for memory, (prefixes, o_of, e_idx, stack) in frontier.items():
+            n, rows, k = stack.shape
+            grid = stack.reshape(n, rows // env, env * k)
+            inst = interrogator.instrument(r, memory)
+            for o in inst.outcomes:
+                build(n)
+                out = np.matmul(inst.kraus[o].data, grid).reshape(n, -1, k)
+                live = out.any(axis=(1, 2))
+                if not live.any():
+                    continue
+                nxt = interrogator.update.next_memory(r, o, memory)
+                parts.setdefault(nxt, []).append(
+                    ([p + (o,) for p in prefixes], o_of[live], e_idx[live], out[live])
+                )
+        frontier = {}
+        for memory, chunks in parts.items():
+            prefixes, o_of = [], []
+            for chunk_prefixes, chunk_o, _, _ in chunks:
+                o_of.append(chunk_o + len(prefixes))
+                prefixes.extend(chunk_prefixes)
+            o_of, e_idx, stack = error_round(
+                r,
+                np.concatenate(o_of),
+                np.concatenate([c[2] for c in chunks]),
+                np.concatenate([c[3] for c in chunks]),
+            )
+            if len(stack):
+                frontier[memory] = (prefixes, o_of, e_idx, stack)
+    return frontier
+
+
 class _Composed:
-    """All K_{e,m,o} B blocks of an instance, grouped by memory."""
+    """The nonzero K_{e,m,o} B blocks of an instance, grouped by memory.
+
+    Built by one :func:`_walk`.  Per final memory m the table keeps one
+    compressed rectangle: ``rows[m]`` indexes the outcome sequences of
+    ``outcomes[m]`` that have a nonzero block, ``cols[m]`` the error
+    sequences (C order over the rounds' Kraus counts, as
+    :meth:`ErrorModel.sequences` lists them) that have one, the memory's
+    support, and ``blocks[m][a, b]`` is the block of outcome sequence
+    ``rows[m][a]`` and error sequence ``cols[m][b]``, zero where that branch
+    was dropped.  Every block outside the rectangles is exactly zero.  A
+    memory no branch reaches has an empty rectangle.
+    """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
-        if errors.rounds != code.interrogator.rounds:
-            raise ValueError(
-                f"error model spans {errors.rounds} rounds, "
-                f"interrogator {code.interrogator.rounds}"
-            )
+        _check_dims(code, errors)
         self.basis = code.codespace.basis
         self.code_dim = code.codespace.dim
-        self.sequences = tuple(errors.sequences())
-        if len(self.sequences) > TRAJECTORY_CAP:
-            raise ValueError(
-                f"{len(self.sequences)} error sequences exceed the cap {TRAJECTORY_CAP}"
-            )
+        self.counts = tuple(len(ops) for ops in errors.kraus_rounds)
         self.env_dim = errors.env_dim(errors.rounds)
         self.out_dim = errors.q_out_dim(errors.rounds) * self.env_dim
         grouped = enumerate_trajectories(code.interrogator)
@@ -193,21 +297,35 @@ class _Composed:
         self.outcomes: dict[str, tuple[tuple[str, ...], ...]] = {
             m: tuple(t.outcomes for t in grouped[m]) for m in self.memories
         }
-        # blocks[m][io, ie] = K_{e,m,o} B, shape (out_dim, code_dim)
+        reached = _walk(code, errors)
+        self.rows: dict[str, np.ndarray] = {}
+        self.cols: dict[str, np.ndarray] = {}
         self.blocks: dict[str, np.ndarray] = {}
+        empty = np.zeros(0, dtype=np.intp)
         for m in self.memories:
-            outs = self.outcomes[m]
-            arr = np.empty(
-                (len(outs), len(self.sequences), self.out_dim, self.code_dim),
-                dtype=np.complex128,
+            prefixes, o_of, e_idx, stack = reached.get(m, ([], empty, empty, None))
+            position = {o: i for i, o in enumerate(self.outcomes[m])}
+            o_pos = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
+            rows, cols = (
+                np.array(sorted(set(idx.tolist())), dtype=np.intp) for idx in (o_pos, e_idx)
             )
-            for io, o in enumerate(outs):
-                for ie, e in enumerate(self.sequences):
-                    k_op = compose_K(errors, code.interrogator, e, m, o)
-                    arr[io, ie] = k_op.data @ self.basis
-            arr.flags.writeable = False
-            self.blocks[m] = arr
+            arr = np.zeros(
+                (len(rows), len(cols), self.out_dim, self.code_dim), dtype=np.complex128
+            )
+            if stack is not None:
+                arr[np.searchsorted(rows, o_pos), np.searchsorted(cols, e_idx)] = stack
+            for a in (rows, cols, arr):
+                a.flags.writeable = False
+            self.rows[m], self.cols[m], self.blocks[m] = rows, cols, arr
         self._products: dict[object, Any] = {}
+
+    def sequence(self, index: int) -> tuple[int, ...]:
+        """The error sequence at ``index`` in C order."""
+        return tuple(int(i) for i in np.unravel_index(index, self.counts))
+
+    def support(self, m: str) -> tuple[tuple[int, ...], ...]:
+        """The error sequences with a nonzero block at memory m, in order."""
+        return tuple(self.sequence(i) for i in self.cols[m])
 
     def product(self, key: object, build: Callable[[_Composed], Any]) -> Any:
         """A tolerance-independent product of the table, built on first use.
@@ -220,16 +338,21 @@ class _Composed:
         return self._products[key]
 
     def aggregated(self, m: str) -> np.ndarray:
-        """K_{e,m} B = sum over outcome sequences, shape (n_e, out, k)."""
+        """K_{e,m} B = sum over outcome sequences, shape (len(cols[m]), out, k)."""
         return self.blocks[m].sum(axis=0)
 
     def scale(self) -> float:
-        """Largest composed-operator norm encountered."""
-        worst = 1.0
-        for m in self.memories:
-            for stack in (self.blocks[m], self.aggregated(m)):
-                worst = max(worst, float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))))
-        return worst
+        """Largest composed-operator norm encountered, and at least 1."""
+        stacks = [
+            stack.reshape(-1, self.out_dim, self.code_dim)
+            for m in self.memories
+            if self.blocks[m].size
+            for stack in (self.blocks[m], self.aggregated(m))
+        ]
+        if not stacks:
+            return 1.0
+        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(-2, -1))
+        return max(1.0, float(np.max(norms)))
 
 
 def _composed(code: StrategicCode, errors: ErrorModel) -> _Composed:
@@ -253,15 +376,16 @@ def branch_supports(
 ) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
     """Outcome sequences whose K_{e,m,o} B carries weight, per error sequence."""
     comp = _composed(code, errors)
-    return {
-        e: sorted(
-            o
-            for m in comp.memories
-            for io, o in enumerate(comp.outcomes[m])
-            if np.linalg.norm(comp.blocks[m][io, ie]) > BRANCH_WEIGHT_FLOOR
-        )
-        for ie, e in enumerate(comp.sequences)
+    supports: dict[tuple[int, ...], list[tuple[str, ...]]] = {
+        e: [] for e in errors.sequences()
     }
+    for m in comp.memories:
+        heavy = np.linalg.norm(comp.blocks[m], axis=(2, 3)) > BRANCH_WEIGHT_FLOOR
+        for a, b in zip(*np.nonzero(heavy)):
+            supports[comp.sequence(comp.cols[m][b])].append(
+                comp.outcomes[m][comp.rows[m][a]]
+            )
+    return {e: sorted(outs) for e, outs in supports.items()}
 
 
 # ----------------------------------------------------------------------
@@ -315,26 +439,38 @@ def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
 
     ``per_outcome_left`` selects the corollary's symmetric form, where the
     e' side uses the same single outcome sequence instead of the aggregate.
+    Only each memory's rectangle is fitted: every other cell is T = 0, with
+    lambda = 0 and residual 0.  So a memory whose worst residual is 0 names
+    its first cell in full C order, (o, e', e) = (0, 0, 0) with (i, j) =
+    (0, 0), as a sweep over every cell would.
     """
     worst = -1.0
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
     degenerate: list[tuple[str, tuple[str, ...]]] = []
     for m in comp.memories:
-        blocks = comp.blocks[m]
-        left = blocks if per_outcome_left else comp.aggregated(m)[None]
-        lam_m, res, (io, a, b, i, j) = _fit_cells(left, blocks)
+        blocks, rows, cols = comp.blocks[m], comp.rows[m], comp.cols[m]
+        outcomes = comp.outcomes[m]
+        res, cell, i, j = 0.0, (0, 0, 0), 0, 0
+        lam_m = np.zeros((0, 0), dtype=np.complex128)
+        vanishing = np.ones(len(outcomes), dtype=bool)
+        if blocks.size:
+            left = blocks if per_outcome_left else comp.aggregated(m)[None]
+            lam_m, fit, (io, a, b, fi, fj) = _fit_cells(left, blocks)
+            if fit != 0.0:
+                res, cell, i, j = fit, (rows[io], cols[a], cols[b]), fi, fj
+            vanishing[rows] = np.max(np.abs(blocks), axis=(1, 2, 3)) < WEIGHT_CUTOFF
         if res > worst:
             worst = res
-            witness = (i, j, comp.sequences[b], comp.sequences[a], m, comp.outcomes[m][io])
-        vanishing = np.max(np.abs(blocks), axis=(1, 2, 3)) < WEIGHT_CUTOFF
-        degenerate.extend((m, comp.outcomes[m][io]) for io in np.flatnonzero(vanishing))
+            o, a, b = cell
+            witness = (i, j, comp.sequence(b), comp.sequence(a), m, outcomes[o])
+        degenerate.extend((m, outcomes[io]) for io in np.flatnonzero(vanishing))
         lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
         lambdas[m].flags.writeable = False
     detail = {
         "lambda": lambdas,
+        "support": {m: comp.support(m) for m in comp.memories},
         "memories": comp.memories,
-        "error_sequences": comp.sequences,
         "degenerate_branches": tuple(degenerate),
         "scale": comp.scale(),
     }
@@ -355,7 +491,11 @@ def _algebraic_report(
         worst_residual=worst,
         tolerance=tolerance,
         witness=witness,
-        detail={**detail, "lambda": dict(detail["lambda"])},
+        detail={
+            **detail,
+            "lambda": dict(detail["lambda"]),
+            "support": dict(detail["support"]),
+        },
     )
 
 
@@ -379,15 +519,17 @@ def check_algebraic(
 
     ``detail`` holds:
 
-    * ``"lambda"``: per final memory m the matrix Lambda_m, whose (e', e)
-      entry sums lambda over the outcome sequences reaching m.  It is the
-      Gram matrix of the K_{e,m} B over code_dim, so it is Hermitian up to
-      rounding and stored symmetrized.  Decoder synthesis does not read it:
+    * ``"lambda"``: per final memory m the matrix Lambda_m on the memory's
+      support, whose (e', e) entry sums lambda over the outcome sequences
+      reaching m.  It is the Gram matrix of the K_{e,m} B over code_dim, so
+      it is Hermitian up to rounding and stored symmetrized.  Every entry
+      off the support is exactly zero.  Decoder synthesis does not read it:
       its eigenpairs are the singular pairs of the stacked K_{e,m} B.
-    * ``"memories"`` and ``"error_sequences"``: the final memory states and
-      the error sequences, in the order indexing ``"lambda"``.
+    * ``"support"``: per final memory, the error sequences indexing its
+      ``"lambda"``, in order: those with a nonzero K_{e,m,o} B for some o.
+    * ``"memories"``: the final memory states.
     * ``"degenerate_branches"``: the (m, o) branches whose composed
-      operators vanish on the codespace.
+      operators vanish on the codespace, in (m, o) order.
     * ``"scale"``: the largest composed-operator norm.
     """
     return _algebraic_report(_composed(code, errors), tol, per_outcome_left=False)
@@ -459,29 +601,37 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
     Both spectra are squared singular values, divided by k, of the memory's
     block array reshaped as (Q | R O E) and as (Q R | O E); the latter's left
     singular vectors are the Schmidt vectors the entropic decoder needs.
+    Zero blocks add no singular value, so the rectangle suffices.  Memories
+    whose rectangles have one shape share one stacked SVD call.
     ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
     ``deficit`` is None at or below the weight floor.
     """
     k = comp.code_dim
     log_k = math.log2(k)
-    sectors: dict[str, tuple] = {}
+    by_shape: dict[tuple[int, ...], list[str]] = {}
     for m in comp.memories:
-        blocks = comp.blocks[m]                       # (n_o, n_e, out, k)
-        q_side = np.moveaxis(blocks, 2, 0).reshape(comp.out_dim, -1)
-        rq_side = blocks.transpose(2, 3, 0, 1).reshape(comp.out_dim * k, -1)
+        by_shape.setdefault(comp.blocks[m].shape, []).append(m)
+    sectors: dict[str, tuple] = {}
+    for (n_o, n_e, out, _), group in by_shape.items():
+        blocks = np.stack([comp.blocks[m] for m in group])    # (g, n_o, n_e, out, k)
+        q_side = np.moveaxis(blocks, 3, 1).reshape(len(group), out, n_o * n_e * k)
+        rq_side = blocks.transpose(0, 3, 4, 1, 2).reshape(len(group), out * k, n_o * n_e)
         s_q = np.linalg.svd(q_side, full_matrices=False)[1]
         vectors, s_rq, _ = np.linalg.svd(rq_side, full_matrices=False)
-        spectrum = s_rq**2 / k
-        p = float(np.sum(spectrum))
-        deficit = None
-        if p > P_FLOOR:
-            deficit = (
-                log_k + _spectrum_bits(spectrum / p) - _spectrum_bits(s_q**2 / k / p)
-            )
-        spectrum.flags.writeable = False
         vectors.flags.writeable = False
-        sectors[m] = (p, deficit, spectrum, vectors)
-    return sectors
+        for g, m in enumerate(group):
+            spectrum = s_rq[g] ** 2 / k
+            p = float(np.sum(spectrum))
+            deficit = None
+            if p > P_FLOOR:
+                deficit = (
+                    log_k
+                    + _spectrum_bits(spectrum / p)
+                    - _spectrum_bits(s_q[g] ** 2 / k / p)
+                )
+            spectrum.flags.writeable = False
+            sectors[m] = (p, deficit, spectrum, vectors[g])
+    return {m: sectors[m] for m in comp.memories}
 
 
 def check_info(
@@ -590,22 +740,26 @@ def synth_decoder_algebraic(
     the codespace; those of weight s^2 / code_dim at or below the cutoff
     never occur on the codespace and are dropped.  With
     ``require_correctable=False`` the construction proceeds on failing
-    instances and yields the best-effort projective decoder.
+    instances, without running the check, and yields the best-effort
+    projective decoder.  A memory with an empty support gets no Kraus
+    operator and the identity as completion.
     """
     _require_trivial_environment(errors, "the algebraic decoder")
-    report = check_algebraic(code, errors, tol)
-    if require_correctable and not report.correctable:
-        raise ValueError(
-            "instance is not correctable (worst residual "
-            f"{report.worst_residual:.3e} > tolerance {report.tolerance:.3e}); "
-            "pass require_correctable=False for a best-effort decoder"
-        )
+    if require_correctable:
+        report = check_algebraic(code, errors, tol)
+        if not report.correctable:
+            raise ValueError(
+                "instance is not correctable (worst residual "
+                f"{report.worst_residual:.3e} > tolerance {report.tolerance:.3e}); "
+                "pass require_correctable=False for a best-effort decoder"
+            )
     comp = _composed(code, errors)
     k = comp.code_dim
     vectors: dict[str, np.ndarray] = {}
     for m in comp.memories:
-        agg = comp.aggregated(m)        # (n_e, out, k)
-        u, s, _ = np.linalg.svd(agg.reshape(len(agg), -1).T, full_matrices=False)
+        agg = comp.aggregated(m)        # (support, out, k)
+        stack = agg.reshape(len(agg), comp.out_dim * k).T
+        u, s, _ = np.linalg.svd(stack, full_matrices=False)
         vectors[m] = u[:, s**2 / k > WEIGHT_CUTOFF]
     return _blocks_to_decoder(comp.basis, comp.out_dim, vectors)
 
@@ -711,10 +865,12 @@ def verify_recovery(
             f"decoder maps dim {decoder.input_dim} to {decoder.output_dim}; the "
             f"instance needs {q_dim} (check-round output) to {ambient} (ambient)"
         )
-    weights = np.empty((len(vecs), len(comp.memories)))
-    overlaps = np.empty_like(weights)
-    n_arrived = comp.env_dim * len(comp.sequences)
+    weights = np.zeros((len(vecs), len(comp.memories)))
+    overlaps = np.zeros_like(weights)
     for col, m in enumerate(comp.memories):
+        if not comp.blocks[m].size:
+            continue
+        n_arrived = comp.env_dim * len(comp.cols[m])
         arrived = np.einsum("eak,sk->sae", comp.aggregated(m), logical).reshape(
             len(vecs), q_dim, n_arrived
         )                                                      # (n_s, q, eps e)

@@ -78,8 +78,11 @@ _NUMBER_TYPES = frozenset((float, int, bool))
 _SPARSE_KEYS = frozenset(("nz", "shape"))
 
 
+Shape = tuple[int | None, int | None]
+
+
 def decode_matrix(
-    obj: Any, path: str, version: int = SCHEMA_VERSION
+    obj: Any, path: str, version: int = SCHEMA_VERSION, shape: Shape = (None, None)
 ) -> npt.NDArray[np.complex128]:
     """A matrix in its file form as a complex matrix.
 
@@ -90,9 +93,24 @@ def decode_matrix(
     and two such parts) is checked in bulk and converted by one ``np.array``
     call; anything else goes through the element loop, which names the
     first offending row, cell or entry in its :class:`ParseError`.
+    ``shape`` is the (rows, columns) the document implies, None for a free
+    side; a matrix of another shape is rejected, a sparse one before its
+    array is allocated.
     """
     if version >= 2 and isinstance(obj, Mapping):
-        return _decode_sparse(obj, path)
+        return _decode_sparse(obj, path, shape)
+    mat = _decode_dense(obj, path)
+    _check_shape(mat.shape, path, shape)
+    return mat
+
+
+def _check_shape(got: Any, path: str, want: Shape) -> None:
+    if any(w is not None and w != g for g, w in zip(got, want)):
+        sides = ", ".join("any" if w is None else str(w) for w in want)
+        raise ParseError(path, f"shape ({got[0]}, {got[1]}) does not match dims ({sides})")
+
+
+def _decode_dense(obj: Any, path: str) -> npt.NDArray[np.complex128]:
     if type(obj) is list and obj and set(map(type, obj)) == {list}:
         cells = list(chain.from_iterable(obj))
         if (
@@ -143,7 +161,9 @@ def _decode_cells(obj: Any, path: str) -> npt.NDArray[np.complex128]:
     return np.array(rows, dtype=np.complex128)
 
 
-def _decode_sparse(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex128]:
+def _decode_sparse(
+    obj: Mapping[str, Any], path: str, want: Shape
+) -> npt.NDArray[np.complex128]:
     shape, nz = obj.get("shape"), obj.get("nz")
     if (
         obj.keys() == _SPARSE_KEYS
@@ -151,6 +171,7 @@ def _decode_sparse(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex1
         and len(shape) == 2
         and set(map(type, shape)) == {int}
         and min(shape) > 0
+        and all(w in (None, g) for g, w in zip(shape, want))
         and type(nz) is list
         and set(map(type, nz)) <= {list}
         and set(map(len, nz)) <= {4}
@@ -174,10 +195,12 @@ def _decode_sparse(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex1
                     parts = np.ascontiguousarray(table[:, 2:], dtype=np.float64)
                     out.reshape(-1)[index] = parts.view(np.complex128)[:, 0]
                     return out
-    return _decode_entries(obj, path)
+    return _decode_entries(obj, path, want)
 
 
-def _decode_entries(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex128]:
+def _decode_entries(
+    obj: Mapping[str, Any], path: str, want: Shape
+) -> npt.NDArray[np.complex128]:
     extra = sorted(map(repr, obj.keys() - _SPARSE_KEYS))
     if extra:
         raise ParseError(path, f"unexpected key {extra[0]} in a sparse matrix")
@@ -186,6 +209,9 @@ def _decode_entries(obj: Mapping[str, Any], path: str) -> npt.NDArray[np.complex
         isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in shape
     ):
         raise ParseError(f"{path}.shape", "expected two positive integers")
+    if shape[0] * shape[1] > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+        raise ParseError(f"{path}.shape", f"{shape} is too large")
+    _check_shape(shape, path, want)
     out = _zeros(shape, path)
     seen = set()
     for k, entry in enumerate(_get(obj, "nz", path, list, "a list of entries")):
@@ -426,19 +452,18 @@ def _parse_codespace(doc: Mapping[str, Any], version: int) -> CodeSpace:
     code_dim = _get(dims, "code", "dims", int, "an integer")
     cs = _get(doc, "codespace", "", Mapping, "an object")
     basis_obj = _get(cs, "basis", "codespace", (list, Mapping), "a matrix")
-    basis = decode_matrix(basis_obj, "codespace.basis", version)
-    if basis.shape != (ambient, code_dim):
-        raise ParseError(
-            "codespace.basis",
-            f"shape {basis.shape} does not match dims ({ambient}, {code_dim})",
-        )
+    basis = decode_matrix(basis_obj, "codespace.basis", version, (ambient, code_dim))
     try:
         return CodeSpace(ambient, basis)
     except ValueError as exc:
         raise ParseError("codespace.basis", str(exc)) from exc
 
 
-def _parse_interrogator(doc: Mapping[str, Any], version: int) -> Interrogator:
+def _parse_interrogator(
+    doc: Mapping[str, Any], version: int, ambient: int
+) -> Interrogator:
+    """The interrogator; round 1 reads the ambient space, and every matrix
+    of a round has the shape of the round's first."""
     inter = _get(doc, "interrogator", "", Mapping, "an object")
     rounds_obj = _get(inter, "rounds", "interrogator", list, "a list")
     instruments = []
@@ -450,13 +475,15 @@ def _parse_interrogator(doc: Mapping[str, Any], version: int) -> Interrogator:
         if not insts_obj:
             raise ParseError(f"{path}.instruments", "needs at least one memory state")
         by_memory = {}
+        shape: Shape = (None, ambient) if r == 1 else (None, None)
         for memory, outcomes_obj in insts_obj.items():
             mpath = f"{path}.instruments[{memory!r}]"
             if not isinstance(outcomes_obj, Mapping) or not outcomes_obj:
                 raise ParseError(mpath, "expected outcome -> matrix entries")
             kraus = {}
             for outcome, mat_obj in outcomes_obj.items():
-                mat = decode_matrix(mat_obj, f"{mpath}[{outcome!r}]", version)
+                mat = decode_matrix(mat_obj, f"{mpath}[{outcome!r}]", version, shape)
+                shape = mat.shape
                 kraus[outcome] = LabeledOperator(
                     ((q_label(r), mat.shape[0]),),
                     ((qp_label(r - 1), mat.shape[1]),),
@@ -484,7 +511,13 @@ def _parse_interrogator(doc: Mapping[str, Any], version: int) -> Interrogator:
         raise ParseError("interrogator", str(exc)) from exc
 
 
-def _parse_errors(doc: Mapping[str, Any], version: int) -> ErrorModel:
+def _parse_errors(
+    doc: Mapping[str, Any], version: int, ambient: int, interrogator: Interrogator
+) -> ErrorModel:
+    """The error model; round r reads what check round r writes (the
+    ambient space at r = 0) and writes what check round r + 1 reads, each
+    with its environment, and every matrix of a round has the shape of the
+    round's first."""
     em = _get(doc, "error_model", "", Mapping, "an object")
     rounds_obj = _get(em, "rounds", "error_model", list, "a list")
     if not rounds_obj:
@@ -502,9 +535,18 @@ def _parse_errors(doc: Mapping[str, Any], version: int) -> ErrorModel:
         env_out = round_obj.get("env_out", 1)
         if not isinstance(env_out, int) or isinstance(env_out, bool) or env_out < 1:
             raise ParseError(f"{path}.env_out", "expected a positive integer")
+        n_rows = n_cols = None
+        if r < interrogator.rounds:
+            n_rows = _first_instrument(interrogator, r + 1).in_dim * env_out
+        if r == 0:
+            n_cols = ambient
+        elif r <= interrogator.rounds:
+            n_cols = _first_instrument(interrogator, r).out_dim * env_in
+        shape: Shape = (n_rows, n_cols)
         ops = []
         for k, mat_obj in enumerate(kraus_obj):
-            mat = decode_matrix(mat_obj, f"{path}.kraus[{k}]", version)
+            mat = decode_matrix(mat_obj, f"{path}.kraus[{k}]", version, shape)
+            shape = mat.shape
             if mat.shape[0] % env_out:
                 raise ParseError(
                     f"{path}.kraus[{k}]",
@@ -529,6 +571,11 @@ def _parse_errors(doc: Mapping[str, Any], version: int) -> ErrorModel:
         raise ParseError("error_model", str(exc)) from exc
 
 
+def _first_instrument(interrogator: Interrogator, r: int) -> CheckInstrument:
+    """An instrument of check round r; they all share one signature."""
+    return interrogator.instrument(r, min(interrogator.reachable[r - 1]))
+
+
 def load_instance(path: str) -> InstanceDocument:
     """Parse and validate an instance file, keeping the side-band fields."""
     with open(path, "rb") as fh:
@@ -547,8 +594,8 @@ def load_instance(path: str) -> InstanceDocument:
             f"unknown version {version}; this tool reads versions 1 and 2",
         )
     codespace = _parse_codespace(doc, version)
-    interrogator = _parse_interrogator(doc, version)
-    errors = _parse_errors(doc, version)
+    interrogator = _parse_interrogator(doc, version, codespace.ambient_dim)
+    errors = _parse_errors(doc, version, codespace.ambient_dim, interrogator)
     try:
         code = StrategicCode(codespace, interrogator)
     except ValueError as exc:

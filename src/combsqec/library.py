@@ -4,8 +4,9 @@ Each constructor returns a :class:`NamedInstance` bundling a strategic code
 with an error model and the verdict the checkers are expected to reach.
 The hexagon instance is the smallest adaptive two-round window of a
 honeycomb-style measurement schedule; the spacetime instance wraps a tiny
-measurement circuit; ``random_instance`` generates seeded cross-validation
-fodder for the checker-equivalence properties.
+measurement circuit; the two syndrome windows differ only in the memory
+their interrogator keeps; ``random_instance`` generates seeded
+cross-validation fodder for the checker-equivalence properties.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "hexagon_honeycomb",
     "spacetime_toy_circuit",
     "random_instance",
+    "syndrome_window",
     "instance_names",
     "build_instance",
 ]
@@ -324,6 +326,80 @@ def spacetime_toy_circuit() -> NamedInstance:
 
 
 # ----------------------------------------------------------------------
+# syndrome window (memory decides correctability)
+# ----------------------------------------------------------------------
+
+WINDOW_ROUNDS = 3
+
+
+def syndrome_window(
+    rounds: int = WINDOW_ROUNDS, last_only: bool = False
+) -> NamedInstance:
+    """3-qubit repetition code under ``rounds`` {Z1Z2, Z2Z3} syndrome rounds.
+
+    Each check round is the 4-outcome instrument of joint syndrome
+    projectors; error rounds 0..rounds-1 each apply one of {I, X1, X2, X3}
+    with amplitude 1/2, and the final error round is the identity.  Memory
+    holds the full syndrome history, or with ``last_only`` the last
+    syndrome only.  The checks and codespace are fixed; only the
+    interrogator's classical memory differs, so the memory decides
+    correctability, as in the instantaneous-stabilizer schedules of
+    dynamical codes (Hastings and Haah, Quantum 5, 564, 2021), with the
+    interrogator a quantum comb with classical memory (Chiribella,
+    D'Ariano and Perinotti, PRL 101, 060401, 2008; PRA 80, 022339, 2009).
+
+    Verdicts, derived by hand: with full history the instance is
+    correctable, because each round's syndrome change names the single X
+    applied in it (I, X1, X2, X3 have distinct syndromes 00, 10, 11, 01),
+    so the cumulative error is known.  With the last syndrome only it is
+    not correctable for two or more rounds: "X1 then X2" and "I then X3"
+    both end in syndrome 01, and X1X2 and X3 differ by X1X2X3, a logical
+    operator.  For one round the two memories coincide and are correctable.
+    """
+    if rounds < 1:
+        raise ValueError(f"the window needs at least one round, got {rounds}")
+    eye = np.eye(8, dtype=np.complex128)
+    zz = (_pauli_string(3, {1: _Z, 2: _Z}), _pauli_string(3, {2: _Z, 3: _Z}))
+    projectors = {
+        f"{a}{b}": (eye + (-1) ** a * zz[0]) @ (eye + (-1) ** b * zz[1]) / 4
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+    memories = [INITIAL_MEMORY]
+    instruments, tables = [], []
+    for r in range(1, rounds + 1):
+        table = {
+            (s, m): s if last_only else m + s for s in projectors for m in memories
+        }
+        instruments.append({
+            m: CheckInstrument(r, m, {s: _check_op(r, p) for s, p in projectors.items()})
+            for m in memories
+        })
+        tables.append(table)
+        memories = sorted(set(table.values()))
+    flips = [_pauli_string(3, {}) / 2.0] + [
+        _pauli_string(3, {q: _X}) / 2.0 for q in (1, 2, 3)
+    ]
+    errors = ErrorModel(
+        tuple(tuple(_error_op(r, f) for f in flips) for r in range(rounds))
+        + (_identity_error_round(rounds, 8),)
+    )
+    basis = np.zeros((8, 2), dtype=np.complex128)
+    basis[0, 0] = basis[7, 1] = 1.0
+    interrogator = Interrogator(tuple(instruments), MemoryUpdate(tuple(tables)))
+    kind = "last" if last_only else "full"
+    return NamedInstance(
+        name=f"window-{kind}" if rounds == WINDOW_ROUNDS else f"window-{kind}-{rounds}",
+        code=StrategicCode(CodeSpace(8, basis), interrogator),
+        errors=errors,
+        expected_correctable=not last_only or rounds == 1,
+        note=f"{rounds} syndrome rounds on the repetition code with "
+        + ("the last syndrome only" if last_only else "the full syndrome history")
+        + " in memory; the memory alone decides correctability",
+    )
+
+
+# ----------------------------------------------------------------------
 # seeded random instances
 # ----------------------------------------------------------------------
 
@@ -432,6 +508,8 @@ _REGISTRY: dict[str, Callable[[], NamedInstance]] = {
     "bitflip-z": lambda: bitflip_code("z"),
     "hexagon": hexagon_honeycomb,
     "spacetime": spacetime_toy_circuit,
+    "window-full": syndrome_window,
+    "window-last": lambda: syndrome_window(last_only=True),
 }
 
 

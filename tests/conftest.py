@@ -65,6 +65,17 @@ def pauli_string(chars: str) -> np.ndarray:
     return out
 
 
+def table_entries(comp) -> dict:
+    """{(m, o, e): block} of every block a composed table holds."""
+    return {
+        (m, comp.outcomes[m][comp.rows[m][a]], comp.sequence(comp.cols[m][b])):
+            comp.blocks[m][a, b]
+        for m in comp.memories
+        for a in range(len(comp.rows[m]))
+        for b in range(len(comp.cols[m]))
+    }
+
+
 def noisy_errors(errors: ErrorModel, eps: float) -> ErrorModel:
     """``errors`` with Gaussian noise of size eps on every Kraus operator."""
     rng = np.random.default_rng(0)

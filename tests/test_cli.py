@@ -10,10 +10,11 @@ from click.testing import CliRunner
 
 import combsqec.cli as cli
 import combsqec.conditions as conditions
+import combsqec.io as combsqec_io
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
-from combsqec.model import CodeSpace, StrategicCode, enumerate_trajectories
+from combsqec.model import CodeSpace, StrategicCode, compose_K, enumerate_trajectories
 
 from conftest import noisy_errors
 
@@ -163,6 +164,42 @@ class TestCheck:
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+    @pytest.mark.parametrize("where", [
+        ("codespace", "basis"),
+        ("interrogator", "rounds", 0, "instruments", "", "u"),
+        ("error_model", "rounds", 1, "kraus", 0),
+    ])
+    def test_sparse_shape_beyond_dims_is_a_parse_error(
+        self, runner, exported, tmp_path, monkeypatch, where
+    ):
+        # a 60-byte matrix asking for 4000 x 4000 is rejected by its JSON
+        # path before its 244 MiB array is allocated
+        with open(exported["spacetime"]) as fh:
+            doc = json.load(fh)
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = {"nz": [[3999, 3999, 1.0, 0.0]], "shape": [4000, 4000]}
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps(doc))
+        zeros = combsqec_io._zeros
+        allocated = []
+        monkeypatch.setattr(
+            combsqec_io, "_zeros", lambda shape, path: allocated.append(shape) or zeros(shape, path)
+        )
+        report = tmp_path / "report.json"
+        res = runner.invoke(main, ["check", str(bad), "--report", str(report)])
+        assert res.exit_code == 2
+        path = {
+            "codespace": "codespace.basis",
+            "interrogator": "interrogator.rounds[0].instruments['']['u']",
+            "error_model": "error_model.rounds[1].kraus[0]",
+        }[where[0]]
+        assert f"{path}: shape (4000, 4000) does not match dims" in res.output
+        assert [4000, 4000] not in allocated
+        assert not report.exists()
+
+
 class TestDecode:
     @pytest.mark.parametrize("proof", ["algebraic", "schmidt"])
     def test_hexagon_both_proofs(self, runner, exported, proof):
@@ -238,24 +275,25 @@ class TestDecode:
 class TestComposedTable:
     def test_one_compose_pass_per_instance(self, runner, tmp_path, monkeypatch):
         calls = []
-        compose_K = conditions.compose_K
+        walk = conditions._walk
 
         def counted(*args):
             calls.append(args)
-            return compose_K(*args)
+            return walk(*args)
 
-        monkeypatch.setattr(conditions, "compose_K", counted)
-        # spacetime: two error sequences times two trajectories
+        monkeypatch.setattr(conditions, "_walk", counted)
         inst = build_instance("spacetime")
         conditions.synth_decoder_algebraic(inst.code, inst.errors)
-        assert len(calls) == 4
+        assert len(calls) == 1
         path = str(tmp_path / "st.json")
         export_instance(inst.code, inst.errors, path)
         for args in (["check", path, "--method", "both"],
-                     ["decode", path, "--proof", "algebraic"]):
+                     ["decode", path, "--proof", "algebraic"],
+                     ["decode", path, "--proof", "schmidt"],
+                     ["demo", "spacetime"]):
             calls.clear()
             assert runner.invoke(main, args).exit_code == 0
-            assert len(calls) == 4, args
+            assert len(calls) == 1, args
 
         # two codes on one error model: each gets its own table
         def other_code(code):
@@ -267,7 +305,7 @@ class TestComposedTable:
             calls.clear()
             got = (conditions.check_algebraic(codes[pick], shared.errors),
                    conditions.check_info(codes[pick], shared.errors))
-            assert len(calls) == 4
+            assert len(calls) == 1
             fresh = build_instance("spacetime")
             code = (fresh.code, other_code(fresh.code))[pick]
             want = (conditions.check_algebraic(code, fresh.errors),
@@ -307,10 +345,8 @@ class TestComposedTable:
         inst = build_instance("hexagon")
         conditions.check_algebraic(inst.code, inst.errors)
         calls = []
-        compose_K = conditions.compose_K
-        monkeypatch.setattr(
-            conditions, "compose_K", lambda *a: calls.append(a) or compose_K(*a)
-        )
+        walk = conditions._walk
+        monkeypatch.setattr(conditions, "_walk", lambda *a: calls.append(a) or walk(*a))
         got = conditions.branch_supports(inst.code, inst.errors)
         assert calls == []
         trajectories = enumerate_trajectories(inst.code.interrogator)

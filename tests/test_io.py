@@ -609,6 +609,27 @@ def spacetime_doc(tmp_path):
 
 
 class TestInterrogatorDiagnostics:
+    def test_round_shapes_follow_their_first_matrix(self, tmp_path, spacetime_doc):
+        # the second instrument of a round takes the first's shape, and an
+        # error round before a check round writes what that round reads
+        rounds = spacetime_doc["interrogator"]["rounds"]
+        rounds[1]["instruments"]["u"]["1"] = [[[0.0, 0.0]] * 4] * 3
+        with pytest.raises(
+            ParseError,
+            match=r"interrogator.rounds\[1\].instruments\['u'\]\['1'\]: "
+            r"shape \(3, 4\) does not match dims \(4, 4\)",
+        ):
+            load_instance(write_doc(tmp_path, spacetime_doc))
+        inst = build_instance("spacetime")
+        doc = json.loads(instance_text(inst.code, inst.errors))
+        doc["error_model"]["rounds"][0]["kraus"][0]["shape"] = [5, 4]
+        with pytest.raises(
+            ParseError,
+            match=r"error_model.rounds\[0\].kraus\[0\]: "
+            r"shape \(5, 4\) does not match dims \(4, 4\)",
+        ):
+            load_instance(write_doc(tmp_path, doc))
+
     def test_incomplete_instrument_named(self, tmp_path, spacetime_doc):
         rounds = spacetime_doc["interrogator"]["rounds"]
         memory = next(iter(rounds[0]["instruments"]))

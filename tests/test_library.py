@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from combsqec.conditions import check_algebraic, check_info
 from combsqec.library import (
     bitflip_code,
     build_instance,
@@ -12,6 +13,7 @@ from combsqec.library import (
     instance_names,
     random_instance,
     spacetime_toy_circuit,
+    syndrome_window,
 )
 from combsqec.model import (
     INITIAL_MEMORY,
@@ -246,13 +248,45 @@ class TestRandomInstances:
         assert "rounds" in inst.note
 
 
+class TestSyndromeWindow:
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_memory_decides_the_verdict(self, rounds):
+        # the hand-derived verdicts of the docstring: the full history is
+        # always correctable, the last syndrome only for one round
+        for last_only in (False, True):
+            inst = syndrome_window(rounds, last_only)
+            assert inst.expected_correctable == (not last_only or rounds == 1)
+            report = check_algebraic(inst.code, inst.errors)
+            assert report.correctable == inst.expected_correctable, inst.name
+            assert check_info(inst.code, inst.errors).correctable == report.correctable
+
+    def test_same_checks_different_memory(self):
+        full, last = syndrome_window(), syndrome_window(last_only=True)
+        assert (full.name, last.name) == ("window-full", "window-last")
+        assert len(full.code.interrogator.final_memories) == 4**3
+        assert len(last.code.interrogator.final_memories) == 4
+        for r in range(1, 4):
+            a = full.code.interrogator.instrument(r, "00" * (r - 1))
+            b = last.code.interrogator.instrument(r, "00" if r > 1 else "")
+            for o in a.outcomes:
+                assert np.array_equal(a.kraus[o].data, b.kraus[o].data)
+        assert syndrome_window(2).name == "window-full-2"
+        with pytest.raises(ValueError, match="at least one round"):
+            syndrome_window(0)
+
+
 class TestRegistry:
     def test_names_are_sorted_and_buildable(self):
         names = instance_names()
-        assert names == ("bitflip", "bitflip-z", "hexagon", "spacetime")
+        assert names == (
+            "bitflip", "bitflip-z", "hexagon", "spacetime", "window-full", "window-last"
+        )
         for name in names:
             assert build_instance(name).name == name
 
     def test_unknown_name_lists_the_registry(self):
-        with pytest.raises(ValueError, match="bitflip, bitflip-z, hexagon, spacetime"):
+        with pytest.raises(
+            ValueError,
+            match="bitflip, bitflip-z, hexagon, spacetime, window-full, window-last",
+        ):
             build_instance("nope")
