@@ -37,7 +37,6 @@ from combsqec.io import (
     export_instance,
     instance_text,
     load_instance,
-    parse_instance,
 )
 from combsqec.library import (
     NamedInstance,

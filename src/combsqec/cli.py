@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from typing import Any, Callable, Mapping
 
@@ -39,6 +40,8 @@ from .optimize import OptimizationState, OptimizerConfig, seesaw, static_biconve
 from .tensor import LabeledOperator
 
 FIDELITY_GATE = 1.0 - 1e-6
+# demo: largest ||C_o E - E C_o'||_F of an error taken to flip a check
+FLIP_ATOL = 1e-9
 
 
 @click.group()
@@ -125,6 +128,8 @@ def _verdict_word(correctable: bool) -> str:
 @_exits
 def check(path: str, method: str, tol: float | None, report_path: str | None) -> int:
     """Decide exact correctability of the instance at PATH."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        _fail(f"--tol must be a finite number >= 0, got {tol}")
     if tol is not None and method == "both":
         _fail(
             "--tol needs --method algebraic (a Frobenius residual) or --method info "
@@ -464,7 +469,7 @@ def _conjugation_flip(code: StrategicCode, r: int, memory: str,
                 inst.kraus[o].data @ error
                 - error @ inst.kraus[_flip_sign(o, position)].data
             )
-            <= 1e-9
+            <= FLIP_ATOL
             for o in inst.outcomes
         ):
             return position

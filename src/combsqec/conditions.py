@@ -274,15 +274,15 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
 class _Composed:
     """The nonzero K_{e,m,o} B blocks of an instance, grouped by memory.
 
-    Built by one :func:`_walk`.  Per final memory m the table keeps one
-    compressed rectangle: ``rows[m]`` indexes the outcome sequences of
-    ``outcomes[m]`` that have a nonzero block, ``cols[m]`` the error
-    sequences (C order over the rounds' Kraus counts, as
-    :meth:`ErrorModel.sequences` lists them) that have one, the memory's
-    support, and ``blocks[m][a, b]`` is the block of outcome sequence
-    ``rows[m][a]`` and error sequence ``cols[m][b]``, zero where that branch
-    was dropped.  Every block outside the rectangles is exactly zero.  A
-    memory no branch reaches has an empty rectangle.
+    Built by one :func:`_walk`.  Per final memory m the table keeps its
+    branches: ``blocks[m]`` is the (n_b, out, k) stack of the nonzero
+    blocks in (outcome, error) C order, branch b having outcome sequence
+    ``outcomes[m][row[m][b]]`` and error sequence ``cols[m][col[m][b]]``.
+    ``cols[m]`` lists the error sequences (C order over the rounds' Kraus
+    counts, as :meth:`ErrorModel.sequences` lists them) with a branch, the
+    memory's support, and ``aggregated[m][c]`` is K_{e,m} B, the sum of the
+    branches of error sequence ``cols[m][c]``.  Every other block is
+    exactly zero.  A memory no branch reaches has no branch.
     """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
@@ -298,25 +298,28 @@ class _Composed:
             m: tuple(t.outcomes for t in grouped[m]) for m in self.memories
         }
         reached = _walk(code, errors)
-        self.rows: dict[str, np.ndarray] = {}
+        self.row: dict[str, np.ndarray] = {}
+        self.col: dict[str, np.ndarray] = {}
         self.cols: dict[str, np.ndarray] = {}
         self.blocks: dict[str, np.ndarray] = {}
+        self.aggregated: dict[str, np.ndarray] = {}
         empty = np.zeros(0, dtype=np.intp)
+        shape = (self.out_dim, self.code_dim)
         for m in self.memories:
-            prefixes, o_of, e_idx, stack = reached.get(m, ([], empty, empty, None))
+            prefixes, o_of, e_idx, stack = reached.get(
+                m, ([], empty, empty, np.zeros((0, *shape), dtype=np.complex128))
+            )
             position = {o: i for i, o in enumerate(self.outcomes[m])}
-            o_pos = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
-            rows, cols = (
-                np.array(sorted(set(idx.tolist())), dtype=np.intp) for idx in (o_pos, e_idx)
-            )
-            arr = np.zeros(
-                (len(rows), len(cols), self.out_dim, self.code_dim), dtype=np.complex128
-            )
-            if stack is not None:
-                arr[np.searchsorted(rows, o_pos), np.searchsorted(cols, e_idx)] = stack
-            for a in (rows, cols, arr):
+            row = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
+            order = np.lexsort((e_idx, row))
+            cols, col = np.unique(e_idx, return_inverse=True)
+            row, col, stack = row[order], col[order], stack[order]
+            agg = np.zeros((len(cols), *shape), dtype=np.complex128)
+            np.add.at(agg, col, stack)
+            for a in (row, col, cols, stack, agg):
                 a.flags.writeable = False
-            self.rows[m], self.cols[m], self.blocks[m] = rows, cols, arr
+            self.row[m], self.col[m], self.cols[m] = row, col, cols
+            self.blocks[m], self.aggregated[m] = stack, agg
         self._products: dict[object, Any] = {}
 
     def sequence(self, index: int) -> tuple[int, ...]:
@@ -337,22 +340,11 @@ class _Composed:
             self._products[key] = build(self)
         return self._products[key]
 
-    def aggregated(self, m: str) -> np.ndarray:
-        """K_{e,m} B = sum over outcome sequences, shape (len(cols[m]), out, k)."""
-        return self.blocks[m].sum(axis=0)
-
     def scale(self) -> float:
         """Largest composed-operator norm encountered, and at least 1."""
-        stacks = [
-            stack.reshape(-1, self.out_dim, self.code_dim)
-            for m in self.memories
-            if self.blocks[m].size
-            for stack in (self.blocks[m], self.aggregated(m))
-        ]
-        if not stacks:
-            return 1.0
+        stacks = [s for m in self.memories for s in (self.blocks[m], self.aggregated[m])]
         norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(-2, -1))
-        return max(1.0, float(np.max(norms)))
+        return max(1.0, float(np.max(norms, initial=0.0)))
 
 
 def _composed(code: StrategicCode, errors: ErrorModel) -> _Composed:
@@ -380,11 +372,9 @@ def branch_supports(
         e: [] for e in errors.sequences()
     }
     for m in comp.memories:
-        heavy = np.linalg.norm(comp.blocks[m], axis=(2, 3)) > BRANCH_WEIGHT_FLOOR
-        for a, b in zip(*np.nonzero(heavy)):
-            supports[comp.sequence(comp.cols[m][b])].append(
-                comp.outcomes[m][comp.rows[m][a]]
-            )
+        heavy = np.linalg.norm(comp.blocks[m], axis=(1, 2)) > BRANCH_WEIGHT_FLOOR
+        for o, c in zip(comp.row[m][heavy], comp.col[m][heavy]):
+            supports[comp.sequence(comp.cols[m][c])].append(comp.outcomes[m][o])
     return {e: sorted(outs) for e, outs in supports.items()}
 
 
@@ -395,71 +385,73 @@ def branch_supports(
 
 def _fit_cells(
     left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, float, tuple[int, int, int, int, int]]:
-    """Scalar fits of every cell T[o, a, b] = left[o, a]^dag right[o, b].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalar fits of every cell T[a, b] = left[a]^dag right[b].
 
-    ``right`` is an (n_o, n_e, out, k) block array; ``left`` has the same
-    shape, or a leading axis of 1 to pair every o with one left stack.  Each
-    cell is reduced to its least-squares scalar lambda = Tr(T) / k and the
-    residual ||T - lambda I||_F.  Returns the sum of lambda over o, shape
-    (n_e, n_e), the largest residual, and the position (o, a, b, i, j) of
-    the first cell that attains it in C order, with (i, j) the (column,
-    row) of the largest entry of |T - lambda I| in that cell.
+    ``left`` and ``right`` are (n, out, k) stacks of blocks.  Each cell is
+    reduced to its least-squares scalar lambda = Tr(T) / k and the residual
+    ||T - lambda I||_F.  Returns lambda, the residual and the worst entry,
+    each of shape (n_left, n_right); the worst entry is the position
+    j * k + i of the first largest entry of |T - lambda I|, with (i, j) its
+    (column, row).
 
-    Per o, all cells are one Gram matrix of the (out, n_e k) column stacks,
-    G[(a, i), (b, j)] = T[o, a, b][i, j], so one ``np.matmul`` over o forms
-    them, in chunks of at most ``_FIT_CHUNK`` entries.
+    All cells are one Gram matrix of the (out, n k) column stacks,
+    G[(a, i), (b, j)] = T[a, b][i, j], formed by ``np.matmul`` in chunks of
+    at most ``_FIT_CHUNK`` entries.
     """
-    n_o, n_e, out, k = right.shape
-    columns = lambda x: x.transpose(0, 2, 1, 3).reshape(len(x), out, n_e * k)
-    left_h = np.ascontiguousarray(np.swapaxes(columns(left).conj(), 1, 2))
-    step = max(1, _FIT_CHUNK // (n_e * n_e * k * k))
+    n_left, out, k = left.shape
+    n_right = len(right)
+    columns = lambda x: x.transpose(1, 0, 2).reshape(out, len(x) * k)
+    left_h = np.ascontiguousarray(columns(left).conj().T)
+    lam = np.empty((n_left, n_right), dtype=np.complex128)
+    res = np.empty((n_left, n_right))
+    entry = np.empty((n_left, n_right), dtype=np.intp)
+    step = max(1, _FIT_CHUNK // (n_left * k * k))
     diag = np.arange(k)
-    lam_sum = np.zeros((n_e, n_e), dtype=np.complex128)
-    worst = -1.0
-    for start in range(0, n_o, step):
-        stop = min(start + step, n_o)
-        lh = left_h if len(left_h) == 1 else left_h[start:stop]
-        dev = np.matmul(lh, columns(right[start:stop])).reshape(-1, n_e, k, n_e, k)
-        lam = np.trace(dev, axis1=2, axis2=4) / k
-        lam_sum += lam.sum(axis=0)
-        dev[:, :, diag, :, diag] -= lam
-        res = np.linalg.norm(dev, axis=(2, 4))
-        cell = np.unravel_index(int(np.argmax(res)), res.shape)
-        if res[cell] > worst:
-            worst = float(res[cell])
-            where = (start + int(cell[0]), int(cell[1]), int(cell[2]))
-            worst_dev = dev[cell[0], cell[1], :, cell[2], :]
-    j, i = divmod(int(np.argmax(np.abs(worst_dev))), k)
-    return lam_sum, worst, (*where, i, j)
+    for start in range(0, n_right, step):
+        cut = slice(start, min(start + step, n_right))
+        dev = (left_h @ columns(right[cut])).reshape(n_left, k, -1, k)
+        lam[:, cut] = np.trace(dev, axis1=1, axis2=3) / k
+        dev[:, diag, :, diag] -= lam[:, cut]
+        res[:, cut] = np.linalg.norm(dev, axis=(1, 3))
+        cells = np.abs(dev).transpose(0, 2, 1, 3)
+        entry[:, cut] = cells.reshape(n_left, -1, k * k).argmax(axis=2)
+    return lam, res, entry
 
 
-def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
+def _algebraic_sweep(comp: _Composed) -> tuple:
     """Worst residual, its witness and the detail table of one sweep.
 
-    ``per_outcome_left`` selects the corollary's symmetric form, where the
-    e' side uses the same single outcome sequence instead of the aggregate.
-    Only each memory's rectangle is fitted: every other cell is T = 0, with
-    lambda = 0 and residual 0.  So a memory whose worst residual is 0 names
-    its first cell in full C order, (o, e', e) = (0, 0, 0) with (i, j) =
-    (0, 0), as a sweep over every cell would.
+    Each memory's aggregates K_{e',m} B are fitted against its branches
+    K_{e,m,o} B, and lambda is summed per (e', e) into Lambda_m.  Every
+    other cell is T = 0, with lambda = 0 and residual 0.  So a memory whose
+    worst residual is 0 names its first cell in full C order,
+    (o, e', e) = (0, 0, 0) with (i, j) = (0, 0), as a sweep over every cell
+    would.
     """
+    k = comp.code_dim
     worst = -1.0
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
     degenerate: list[tuple[str, tuple[str, ...]]] = []
     for m in comp.memories:
-        blocks, rows, cols = comp.blocks[m], comp.rows[m], comp.cols[m]
+        blocks, row, col, cols = comp.blocks[m], comp.row[m], comp.col[m], comp.cols[m]
         outcomes = comp.outcomes[m]
         res, cell, i, j = 0.0, (0, 0, 0), 0, 0
-        lam_m = np.zeros((0, 0), dtype=np.complex128)
+        lam_m = np.zeros((len(cols), len(cols)), dtype=np.complex128)
         vanishing = np.ones(len(outcomes), dtype=bool)
-        if blocks.size:
-            left = blocks if per_outcome_left else comp.aggregated(m)[None]
-            lam_m, fit, (io, a, b, fi, fj) = _fit_cells(left, blocks)
-            if fit != 0.0:
-                res, cell, i, j = fit, (rows[io], cols[a], cols[b]), fi, fj
-            vanishing[rows] = np.max(np.abs(blocks), axis=(1, 2, 3)) < WEIGHT_CUTOFF
+        if len(blocks):
+            lam, fit, entry = _fit_cells(comp.aggregated[m], blocks)   # (e', branch)
+            np.add.at(lam_m, (slice(None), col), lam)
+            top = float(fit.max())
+            if top != 0.0:
+                # the first worst cell in (o, e', e) order
+                a, b = np.nonzero(fit == top)
+                first = np.lexsort((col[b], a, row[b]))[0]
+                a, b = a[first], b[first]
+                res, cell = top, (row[b], cols[a], cols[col[b]])
+                j, i = divmod(int(entry[a, b]), k)
+            vanishing[row[np.max(np.abs(blocks), axis=(1, 2)) >= WEIGHT_CUTOFF]] = False
         if res > worst:
             worst = res
             o, a, b = cell
@@ -477,14 +469,9 @@ def _algebraic_sweep(comp: _Composed, per_outcome_left: bool) -> tuple:
     return float(worst), witness, detail
 
 
-def _algebraic_report(
-    comp: _Composed, tol: float | None, per_outcome_left: bool
-) -> ConditionReport:
+def _algebraic_report(comp: _Composed, tol: float | None) -> ConditionReport:
     """Verdict of the (cached) sweep for check_algebraic and the corollary."""
-    worst, witness, detail = comp.product(
-        ("algebraic", per_outcome_left),
-        lambda c: _algebraic_sweep(c, per_outcome_left),
-    )
+    worst, witness, detail = comp.product("algebraic", _algebraic_sweep)
     tolerance = RESIDUAL_RTOL * detail["scale"] if tol is None else float(tol)
     return ConditionReport(
         correctable=bool(worst <= tolerance),
@@ -532,7 +519,7 @@ def check_algebraic(
       operators vanish on the codespace, in (m, o) order.
     * ``"scale"``: the largest composed-operator norm.
     """
-    return _algebraic_report(_composed(code, errors), tol, per_outcome_left=False)
+    return _algebraic_report(_composed(code, errors), tol)
 
 
 def check_corollary_all_outcomes(
@@ -540,8 +527,10 @@ def check_corollary_all_outcomes(
 ) -> ConditionReport:
     """Symmetric per-outcome form, valid when memory stores all outcomes.
 
-    Requires the memory update to be injective on outcome sequences; on
-    such instances the verdict agrees with :func:`check_algebraic`.
+    Requires the memory update to be injective on outcome sequences.  There
+    each memory pins one outcome sequence, whose branches are the memory's
+    aggregates, so the symmetric form is the asymmetric one and the report
+    is :func:`check_algebraic`'s, from the same cached sweep.
     """
     comp = _composed(code, errors)
     for m, outcomes in comp.outcomes.items():
@@ -550,7 +539,7 @@ def check_corollary_all_outcomes(
                 f"memory update is not injective: {len(outcomes)} outcome "
                 f"sequences share final memory {m!r}; use check_algebraic"
             )
-    return _algebraic_report(comp, tol, per_outcome_left=True)
+    return _algebraic_report(comp, tol)
 
 
 def check_static_kl(
@@ -577,8 +566,11 @@ def check_static_kl(
     stack = np.stack(mats)
     scale = max(1.0, float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))))
     tolerance = RESIDUAL_RTOL * scale if tol is None else float(tol)
-    blocks = (stack @ basis)[None]
-    lam, worst, (_, a, b, i, j) = _fit_cells(blocks, blocks)
+    blocks = stack @ basis
+    lam, res, entry = _fit_cells(blocks, blocks)
+    a, b = (int(x) for x in np.unravel_index(int(np.argmax(res)), res.shape))
+    j, i = divmod(int(entry[a, b]), codespace.dim)
+    worst = float(res[a, b])
     return ConditionReport(
         correctable=bool(worst <= tolerance),
         worst_residual=worst,
@@ -599,23 +591,23 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
     Each sector's state (1/sqrt(k)) sum_{i,o,e} |i>_R |o>_O |e>_E K_{e,m,o} B|i>
     is pure on (R, O, E, Q_out), so S(RME) = S(Q_out) and S(ME) = S(R Q_out).
     Both spectra are squared singular values, divided by k, of the memory's
-    block array reshaped as (Q | R O E) and as (Q R | O E); the latter's left
-    singular vectors are the Schmidt vectors the entropic decoder needs.
-    Zero blocks add no singular value, so the rectangle suffices.  Memories
-    whose rectangles have one shape share one stacked SVD call.
+    branch stack reshaped as (Q | R branch) and as (Q R | branch); the
+    latter's left singular vectors are the Schmidt vectors the entropic
+    decoder needs.  Zero blocks add no singular value, so the branches
+    suffice.  Memories with as many branches share one stacked SVD call.
     ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
     ``deficit`` is None at or below the weight floor.
     """
-    k = comp.code_dim
+    k, out = comp.code_dim, comp.out_dim
     log_k = math.log2(k)
-    by_shape: dict[tuple[int, ...], list[str]] = {}
+    by_count: dict[int, list[str]] = {}
     for m in comp.memories:
-        by_shape.setdefault(comp.blocks[m].shape, []).append(m)
+        by_count.setdefault(len(comp.blocks[m]), []).append(m)
     sectors: dict[str, tuple] = {}
-    for (n_o, n_e, out, _), group in by_shape.items():
-        blocks = np.stack([comp.blocks[m] for m in group])    # (g, n_o, n_e, out, k)
-        q_side = np.moveaxis(blocks, 3, 1).reshape(len(group), out, n_o * n_e * k)
-        rq_side = blocks.transpose(0, 3, 4, 1, 2).reshape(len(group), out * k, n_o * n_e)
+    for n_b, group in by_count.items():
+        blocks = np.stack([comp.blocks[m] for m in group])    # (g, n_b, out, k)
+        q_side = np.moveaxis(blocks, 2, 1).reshape(len(group), out, n_b * k)
+        rq_side = blocks.transpose(0, 2, 3, 1).reshape(len(group), out * k, n_b)
         s_q = np.linalg.svd(q_side, full_matrices=False)[1]
         vectors, s_rq, _ = np.linalg.svd(rq_side, full_matrices=False)
         vectors.flags.writeable = False
@@ -757,7 +749,7 @@ def synth_decoder_algebraic(
     k = comp.code_dim
     vectors: dict[str, np.ndarray] = {}
     for m in comp.memories:
-        agg = comp.aggregated(m)        # (support, out, k)
+        agg = comp.aggregated[m]        # (support, out, k)
         stack = agg.reshape(len(agg), comp.out_dim * k).T
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
         vectors[m] = u[:, s**2 / k > WEIGHT_CUTOFF]
@@ -868,10 +860,10 @@ def verify_recovery(
     weights = np.zeros((len(vecs), len(comp.memories)))
     overlaps = np.zeros_like(weights)
     for col, m in enumerate(comp.memories):
-        if not comp.blocks[m].size:
+        if not len(comp.blocks[m]):
             continue
         n_arrived = comp.env_dim * len(comp.cols[m])
-        arrived = np.einsum("eak,sk->sae", comp.aggregated(m), logical).reshape(
+        arrived = np.einsum("eak,sk->sae", comp.aggregated[m], logical).reshape(
             len(vecs), q_dim, n_arrived
         )                                                      # (n_s, q, eps e)
         weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(1, 2))

@@ -53,7 +53,6 @@ __all__ = [
     "export_instance",
     "instance_text",
     "load_instance",
-    "parse_instance",
 ]
 
 SCHEMA_VERSION = 2
@@ -609,9 +608,3 @@ def load_instance(path: str) -> InstanceDocument:
         optimization=dict(opt) if opt is not None else None,
         digest=digest,
     )
-
-
-def parse_instance(path: str) -> tuple[StrategicCode, ErrorModel]:
-    """The model pair of an instance file; see :func:`load_instance`."""
-    doc = load_instance(path)
-    return doc.code, doc.errors

@@ -49,6 +49,10 @@ _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# codespace Gram-Schmidt: smallest residual norm of a projector column kept
+GRAM_SCHMIDT_FLOOR = 1e-8
+# random Kraus lists: smallest eigenvalue of sum K^dag K that is rescaled
+TP_NORMALIZE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +183,7 @@ def _gram_schmidt_of_projector(proj: npt.NDArray[np.complex128], rank: int):
         for w in vecs:
             v -= w * (w.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > 1e-8:
+        if norm > GRAM_SCHMIDT_FLOOR:
             vecs.append(v / norm)
         if len(vecs) == rank:
             return vecs
@@ -418,7 +422,7 @@ def _tp_normalize(ops: list[npt.NDArray[np.complex128]]):
     """Rescale a Kraus list to exact trace preservation."""
     total = sum(op.conj().T @ op for op in ops)
     vals, vecs = np.linalg.eigh(total)
-    if np.min(vals) < 1e-12:
+    if np.min(vals) < TP_NORMALIZE_FLOOR:
         raise ValueError("Kraus list is too degenerate to normalize")
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
     return [op @ inv_sqrt for op in ops]

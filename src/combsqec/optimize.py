@@ -64,6 +64,14 @@ TP_TOL = 1e-7
 PROJECTION_TOL = 1e-9
 PROJECTION_SWEEPS = 500
 KERNEL_RTOL = 1e-10
+# input state: largest ||rho - rho^dag||_F and |Tr rho - 1| of a state accepted
+STATE_ATOL = 1e-8
+# project_cptp: largest ||X - X^dag||_F, relative to max(1, ||X||_F), of an input
+HERMITIAN_RTOL = 1e-8
+# coordinate step: smallest rise of its objective that resets the stall count
+STALL_MARGIN = 1e-12
+# coordinate step: largest fall of the evaluated objective that is still accepted
+ACCEPT_MARGIN = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -81,9 +89,9 @@ class OptimizerConfig:
     ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
     early after ``inner_stall`` iterations in a row that raise the step's
-    objective by no more than 1e-12.  ``step_order`` overrides the default
-    decoder, rounds last-to-first, encoder cycle with an explicit list of
-    factor names as accepted by :func:`coordinate_step`.
+    objective by no more than ``STALL_MARGIN``.  ``step_order`` overrides
+    the default decoder, rounds last-to-first, encoder cycle with an
+    explicit list of factor names as accepted by :func:`coordinate_step`.
     """
 
     seed: int = 0
@@ -405,9 +413,9 @@ class _Engine:
                 f"input state must be {logical_dim} x {logical_dim}, "
                 f"got {rho.shape}"
             )
-        if np.linalg.norm(rho - rho.conj().T) > 1e-8:
+        if np.linalg.norm(rho - rho.conj().T) > STATE_ATOL:
             raise ValueError("input state must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-8:
+        if abs(np.trace(rho).real - 1.0) > STATE_ATOL:
             raise ValueError("input state must have unit trace")
         self.n_coeff = _rho_coeff(rho)
         error_rounds = range(rounds + 1)
@@ -572,7 +580,7 @@ def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
     if x.row_subsystems != x.col_subsystems:
         raise ValueError("projection needs identical subsystems on both sides")
     scale = max(1.0, float(np.linalg.norm(x.data)))
-    if np.linalg.norm(x.data - x.data.conj().T) > 1e-8 * scale:
+    if np.linalg.norm(x.data - x.data.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("projection input must be Hermitian")
     out_labels = tuple(out_labels)
     unknown = set(out_labels) - set(x.row_labels)
@@ -698,10 +706,10 @@ def _step(
     The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
     with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
     family, keeping the best iterate, until ``inner_stall`` iterations in a
-    row fail to raise F by more than 1e-12 or ``inner_steps`` iterations
-    have run.  The best family is accepted only if the evaluated objective
-    falls no more than 1e-10 below ``f_current``, the objective of
-    ``state``.
+    row fail to raise F by more than ``STALL_MARGIN`` or ``inner_steps``
+    iterations have run.  The best family is accepted only if the evaluated
+    objective falls no more than ``ACCEPT_MARGIN`` below ``f_current``, the
+    objective of ``state``.
     """
     r, mu = _parse_which(which, state)
     config = state.config
@@ -724,7 +732,7 @@ def _step(
     for _ in range(config.inner_steps):
         xs = _rw_iterate(xs, coeffs, d_out, d_in)
         f_here = f_rest + linear(xs)
-        if f_here > best_f + 1e-12:
+        if f_here > best_f + STALL_MARGIN:
             best_f = f_here
             best_blocks = xs
             stall = 0
@@ -735,7 +743,7 @@ def _step(
 
     candidate = _with_family(state, r, mu, best_blocks)
     f_true = engine.evaluate(candidate)
-    if f_true < f_current - 1e-10:
+    if f_true < f_current - ACCEPT_MARGIN:
         return _updated(
             record(state, f_current),
             rejected_steps=state.rejected_steps
@@ -755,9 +763,9 @@ def coordinate_step(
     ``which`` is ``"encoder"``, ``"decoder:NU"``, or ``"round:R:MU"`` (the
     latter updates all outgoing blocks of round R's incoming value MU
     jointly, since trace preservation couples them).  The returned state's
-    objective is never below the incoming one beyond 1e-10; a step whose
-    evaluated objective would fall further leaves the factor unchanged and
-    logs the event in ``rejected_steps``.
+    objective is never below the incoming one beyond ``ACCEPT_MARGIN``; a
+    step whose evaluated objective would fall further leaves the factor
+    unchanged and logs the event in ``rejected_steps``.
     """
     engine = _Engine(errors, state.logical_dim, state.memory_structure, rho)
     _require_matching_dims(engine, state)

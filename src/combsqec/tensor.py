@@ -128,10 +128,6 @@ class LabeledOperator:
     def col_dim(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def is_vector(self) -> bool:
-        return not self.col_subsystems
-
     def row_dim_of(self, label: str) -> int:
         for name, dim in self.row_subsystems:
             if name == label:
@@ -146,11 +142,6 @@ class LabeledOperator:
 
     def scaled(self, factor: complex) -> "LabeledOperator":
         return LabeledOperator(self.row_subsystems, self.col_subsystems, factor * self.data)
-
-    def trace(self) -> complex:
-        if self.row_dim != self.col_dim:
-            raise ValueError(f"trace of non-square operator {self.data.shape}")
-        return complex(np.trace(self.data))
 
 
 def identity_operator(subsystems: Iterable[tuple[str, int]]) -> LabeledOperator:

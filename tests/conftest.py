@@ -68,11 +68,9 @@ def pauli_string(chars: str) -> np.ndarray:
 def table_entries(comp) -> dict:
     """{(m, o, e): block} of every block a composed table holds."""
     return {
-        (m, comp.outcomes[m][comp.rows[m][a]], comp.sequence(comp.cols[m][b])):
-            comp.blocks[m][a, b]
+        (m, comp.outcomes[m][o], comp.sequence(comp.cols[m][c])): block
         for m in comp.memories
-        for a in range(len(comp.rows[m]))
-        for b in range(len(comp.cols[m]))
+        for o, c, block in zip(comp.row[m], comp.col[m], comp.blocks[m])
     }
 
 

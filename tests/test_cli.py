@@ -122,6 +122,33 @@ class TestCheck:
             res = runner.invoke(main, ["check", hexagon, "--method", method, "--tol", "1e-20"])
             assert res.exit_code == code, method
 
+    @pytest.mark.parametrize("method,tol", [
+        ("algebraic", "nan"), ("algebraic", "-1"), ("algebraic", "inf"),
+        ("algebraic", "-inf"), ("info", "nan"), ("info", "-1e-9"), ("info", "inf"),
+    ])
+    def test_tolerance_must_be_finite_and_nonnegative(
+        self, runner, exported, tmp_path, monkeypatch, method, tol
+    ):
+        # a NaN or negative tolerance fails every instance and an infinite
+        # one passes every instance, so each is a usage error, raised
+        # before the file is read
+        loads = []
+        monkeypatch.setattr(cli, "load_instance", lambda p: loads.append(p))
+        report = tmp_path / "report.json"
+        res = runner.invoke(main, [
+            "check", exported["spacetime"], "--method", method, "--tol", tol,
+            "--report", str(report),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "--tol must be a finite number >= 0" in res.output
+        assert loads == [] and not report.exists()
+
+    def test_zero_tolerance_is_accepted(self, runner, exported):
+        res = runner.invoke(
+            main, ["check", exported["bitflip"], "--method", "algebraic", "--tol", "0"]
+        )
+        assert res.exit_code == 0, res.output
+
     def test_report_round_trips(self, runner, exported, tmp_path):
         report = tmp_path / "report.json"
         res = runner.invoke(

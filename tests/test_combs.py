@@ -83,7 +83,7 @@ class TestChoiFromKraus:
             kraus_op(np.sqrt(p) * PAULI["X"], "out", "in"),
         ]
         choi = choi_from_kraus(kraus)
-        assert choi.op.trace().real == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(choi.op.data).real == pytest.approx(2.0, abs=1e-12)
 
     def test_mixed_signatures_rejected(self):
         with pytest.raises(ValueError, match="mixed Kraus signatures"):

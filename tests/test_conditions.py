@@ -334,6 +334,27 @@ class TestCheckAlgebraic:
             per_outcome = check_corollary_all_outcomes(inst.code, inst.errors)
             assert full.correctable == per_outcome.correctable, inst.name
 
+    def test_corollary_reuses_the_algebraic_sweep(self, monkeypatch):
+        # where each memory pins one outcome sequence that sequence's
+        # branches are the aggregates, so the symmetric form is the
+        # asymmetric one: one sweep serves both reports
+        calls = []
+        real = conditions._algebraic_sweep
+        monkeypatch.setattr(
+            conditions, "_algebraic_sweep", lambda *a: calls.append(a) or real(*a)
+        )
+        for inst in (build_instance("spacetime"), syndrome_window(2)):
+            calls.clear()
+            full = check_algebraic(inst.code, inst.errors)
+            per_outcome = check_corollary_all_outcomes(inst.code, inst.errors)
+            assert len(calls) == 1, inst.name
+            assert full.worst_residual == per_outcome.worst_residual, inst.name
+            assert full.witness == per_outcome.witness, inst.name
+            assert full.detail["support"] == per_outcome.detail["support"], inst.name
+            assert full.detail["lambda"].keys() == per_outcome.detail["lambda"].keys()
+            for m, lam in full.detail["lambda"].items():
+                assert np.array_equal(lam, per_outcome.detail["lambda"][m]), (inst.name, m)
+
     def test_corollary_rejects_merged_memories(self):
         rng = rng_for(11)
         mats = random_kraus_set(rng, 2, 2, 2)
@@ -668,7 +689,7 @@ class TestPrunedTable:
 
     def test_dropped_branches_are_exact_zeros(self):
         # in the walk's own association order the table is bitwise exact,
-        # and every branch it dropped is exactly zero
+        # it stores no zero block, and every branch it dropped is exactly zero
         cases = table_cases()
         cases += [(w.name, w.code, w.errors)
                   for w in (syndrome_window(4), syndrome_window(4, True))]
@@ -678,6 +699,7 @@ class TestPrunedTable:
             for key, want in walk_order_blocks(code, errors).items():
                 if key in built:
                     assert np.array_equal(built[key], want), (name, key)
+                    assert want.any(), (name, key)
                 else:
                     assert not want.any(), (name, key)
 
@@ -687,7 +709,7 @@ class TestPrunedTable:
         n_e = 4**5
         assert len(comp.memories) == n_e
         for m in comp.memories:
-            assert comp.blocks[m].shape[:2] == (1, 1)
+            assert len(comp.blocks[m]) == 1
             assert comp.blocks[m].any()
         assert sorted(int(comp.cols[m][0]) for m in comp.memories) == list(range(n_e))
         report = check_algebraic(inst.code, inst.errors)
@@ -707,14 +729,14 @@ class TestPrunedTable:
             conditions._Composed(window.code, window.errors)
         monkeypatch.setattr(conditions, "TRAJECTORY_CAP", 80)
         comp = conditions._Composed(window.code, window.errors)
-        assert sum(int(comp.blocks[m].any(axis=(2, 3)).sum()) for m in comp.memories) == 16
+        assert sum(int(comp.blocks[m].any(axis=(1, 2)).sum()) for m in comp.memories) == 16
 
 
 class TestBatchedAgainstLoops:
     def assert_sweep_matches(self, code, errors, per_outcome_left, name):
         comp = conditions._composed(code, errors)
         dense = DenseTable(code, errors)
-        worst, witness, detail = conditions._algebraic_sweep(comp, per_outcome_left)
+        worst, witness, detail = conditions._algebraic_sweep(comp)
         ref_worst, ref_witness, ref_detail = reference_algebraic_sweep(
             dense, per_outcome_left
         )

@@ -15,7 +15,6 @@ from combsqec.io import (
     export_instance,
     instance_text,
     load_instance,
-    parse_instance,
 )
 from combsqec.library import build_instance, instance_names, random_instance
 from combsqec.model import ErrorModel
@@ -376,14 +375,6 @@ class TestRoundTrip:
         assert doc.digest == digest
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
-
-    def test_parse_instance_returns_model_pair(self, named, exported):
-        code, errors = parse_instance(exported[0])
-        assert code.codespace.ambient_dim == named.code.codespace.ambient_dim
-        assert errors.rounds == named.errors.rounds
-        assert np.allclose(
-            code.codespace.basis, named.code.codespace.basis, atol=0
-        )
 
     def test_optimization_block_preserved(self, tmp_path):
         inst = build_instance("spacetime")

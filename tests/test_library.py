@@ -249,7 +249,7 @@ class TestRandomInstances:
 
 
 class TestSyndromeWindow:
-    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5])
     def test_memory_decides_the_verdict(self, rounds):
         # the hand-derived verdicts of the docstring: the full history is
         # always correctable, the last syndrome only for one round
