@@ -15,7 +15,6 @@ from combsqec.combs import (
     choi_from_kraus,
     is_cptp,
     link_product,
-    random_cptp_choi,
     validate_comb,
 )
 from combsqec.conditions import (

@@ -9,11 +9,12 @@ when it exits 2.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import sys
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import click
 import numpy as np
@@ -35,9 +36,8 @@ from .io import (
     load_instance,
 )
 from .library import build_instance, instance_names
-from .model import ErrorModel, StrategicCode, env_label, q_label, qp_label
+from .model import ErrorModel, StrategicCode, error_op
 from .optimize import OptimizationState, OptimizerConfig, seesaw, static_biconvex
-from .tensor import LabeledOperator
 
 FIDELITY_GATE = 1.0 - 1e-6
 # demo: largest ||C_o E - E C_o'||_F of an error taken to flip a check
@@ -83,12 +83,26 @@ def _load(path: str) -> InstanceDocument:
     raise AssertionError("unreachable")
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Every file a command writes is written inside this block: an OSError
+    there exits 2 with a message naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_json(path: str, payload: Mapping[str, Any]) -> None:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_report(path: str | None, payload: Mapping[str, Any]) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     click.echo(f"report written to {path}")
 
 
@@ -225,6 +239,8 @@ def decode(
     """Synthesize a decoder for PATH and verify recovery fidelity."""
     if samples < 0:
         _fail("--samples must be nonnegative")
+    if seed < 0:
+        _fail("--seed must be nonnegative")
     doc = _load(path)
     payload = _report_head("decode", doc.digest)
     payload["proof"] = proof
@@ -301,14 +317,7 @@ def decode(
 
 
 def _identity_errors(ambient: int, rounds: int) -> ErrorModel:
-    ops = []
-    for r in range(rounds + 1):
-        rows = ((qp_label(r), ambient), (env_label(r), 1))
-        cols: tuple[tuple[str, int], ...] = ((q_label(r), ambient),)
-        if r > 0:
-            cols = cols + ((env_label(r - 1), 1),)
-        ops.append((LabeledOperator(rows, cols, np.eye(ambient, dtype=complex)),))
-    return ErrorModel(tuple(ops))
+    return ErrorModel(tuple((error_op(r, np.eye(ambient)),) for r in range(rounds + 1)))
 
 
 def _state_document(state: OptimizationState) -> dict[str, Any]:
@@ -422,13 +431,11 @@ def optimize(
     except ValueError as exc:
         _fail(str(exc))
     if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with _writing(trace_path), open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(state.trace_lines()) + "\n")
         click.echo(f"trace written to {trace_path}")
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(_state_document(state), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_path, _state_document(state))
         click.echo(f"state written to {out_path}")
     click.echo(f"final entanglement fidelity: {state.fidelity:.12f}")
     if not state.converged:
@@ -526,7 +533,8 @@ def demo(name: str, export_path: str | None) -> int:
             f"decoded 5 random codestates: worst fidelity {rep.worst_fidelity:.12f}"
         )
     if export_path is not None:
-        digest = export_instance(inst.code, inst.errors, export_path)
+        with _writing(export_path):
+            digest = export_instance(inst.code, inst.errors, export_path)
         click.echo(f"instance written to {export_path} (sha256 {digest})")
     return 0 if ra.correctable else 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "link_product",
     "is_cptp",
     "validate_comb",
-    "random_cptp_choi",
 ]
 
 PSD_RTOL = 1e-9
@@ -54,8 +53,7 @@ class ChoiOperator:
     shifted Hermitian part.  The library's own constructions are trusted
     and check the legs only, because their outputs are PSD by construction:
     ``choi_from_kraus`` and ``model.error_comb`` and
-    ``model.interrogator_operator`` sum Gram terms v v^dag,
-    ``random_cptp_choi`` is a congruence of a Gram matrix, ``link_product``
+    ``model.interrogator_operator`` sum Gram terms v v^dag, ``link_product``
     of PSD operators is PSD, and ``optimize.project_cptp`` returns an
     eigenvalue-clipped iterate.  At the 4096 dense cap one spectral check
     costs far more than building the comb.
@@ -305,34 +303,3 @@ def validate_comb(
         tolerance=tol,
     )
 
-
-def random_cptp_choi(
-    rng: np.random.Generator,
-    output_subsystems: Iterable[tuple[str, int]],
-    input_subsystems: Iterable[tuple[str, int]],
-    rank: int | None = None,
-) -> ChoiOperator:
-    """Seeded random CPTP Choi operator via the Ginibre construction.
-
-    A Ginibre matrix G gives W = G G^dag; W is then TP-normalized by the
-    inverse square root of its input marginal.
-    """
-    out_subs = tuple(output_subsystems)
-    in_subs = tuple(input_subsystems)
-    d_out = int(np.prod([d for _, d in out_subs], dtype=np.int64)) if out_subs else 1
-    d_in = int(np.prod([d for _, d in in_subs], dtype=np.int64)) if in_subs else 1
-    if rank is None:
-        rank = d_out * d_in
-    g = rng.normal(size=(d_out * d_in, rank)) + 1j * rng.normal(size=(d_out * d_in, rank))
-    w = g @ g.conj().T
-    marginal = np.einsum("ikil->kl", w.reshape(d_out, d_in, d_out, d_in), optimize=True)
-    vals, vecs = np.linalg.eigh((marginal + marginal.conj().T) / 2)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    corrector = np.kron(np.eye(d_out), inv_sqrt)
-    choi_mat = corrector @ w @ corrector.conj().T
-    subs = out_subs + in_subs
-    return _psd_choi(
-        LabeledOperator(subs, subs, choi_mat),
-        input_labels=tuple(l for l, _ in in_subs),
-        output_labels=tuple(l for l, _ in out_subs),
-    )

@@ -30,6 +30,7 @@ from .model import (
     StrategicCode,
     TRAJECTORY_CAP,
     enumerate_trajectories,
+    require_chained,
 )
 from .tensor import LabeledOperator, _spectrum_bits
 
@@ -172,29 +173,12 @@ class RecoveryReport:
 
 def _check_dims(code: StrategicCode, errors: ErrorModel) -> None:
     """Each round reads the system dim the round before it writes."""
-    interrogator = code.interrogator
-    if errors.rounds != interrogator.rounds:
-        raise ValueError(
-            f"error model spans {errors.rounds} rounds, "
-            f"interrogator {interrogator.rounds}"
-        )
     if errors.q_in_dim(0) != code.codespace.ambient_dim:
         raise ValueError(
             f"dim mismatch feeding error round 0: the codespace has ambient dim "
             f"{code.codespace.ambient_dim}, error expects {errors.q_in_dim(0)}"
         )
-    for r in range(1, interrogator.rounds + 1):
-        inst = interrogator.instrument(r, min(interrogator.reachable[r - 1]))
-        if inst.in_dim != errors.q_out_dim(r - 1):
-            raise ValueError(
-                f"dim mismatch feeding check round {r}: error round {r - 1} "
-                f"emits {errors.q_out_dim(r - 1)}, instrument expects {inst.in_dim}"
-            )
-        if inst.out_dim != errors.q_in_dim(r):
-            raise ValueError(
-                f"dim mismatch feeding error round {r}: check round {r} "
-                f"emits {inst.out_dim}, error expects {errors.q_in_dim(r)}"
-            )
+    require_chained(code.interrogator, errors)
 
 
 def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
@@ -638,7 +622,10 @@ def check_info(
     sectors above the weight floor is <= tol (bits).  Plain per-sector
     mutual information would miss instruments that filter the codespace
     (the reference marginal turns pure instead of correlated), so the
-    deficit is the quantity reported.
+    deficit is the quantity reported.  The witness is the memory of largest
+    deficit, the first in sorted order among deficits that tie exactly;
+    rounding may split deficits that tie in exact arithmetic (sectors
+    related by a symmetry), so of those either may be named.
 
     Each sector's state on (R, O, E, Q_out) is pure, so S(RME) = S(Q_out)
     and S(ME) = S(R Q_out): both come from SVDs of the composed blocks,

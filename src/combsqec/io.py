@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -38,9 +38,8 @@ from .model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
-    env_label,
-    q_label,
-    qp_label,
+    check_op,
+    error_op,
 )
 from .tensor import LabeledOperator
 
@@ -481,13 +480,10 @@ def _parse_interrogator(
                 raise ParseError(mpath, "expected outcome -> matrix entries")
             kraus = {}
             for outcome, mat_obj in outcomes_obj.items():
-                mat = decode_matrix(mat_obj, f"{mpath}[{outcome!r}]", version, shape)
+                opath = f"{mpath}[{outcome!r}]"
+                mat = decode_matrix(mat_obj, opath, version, shape)
                 shape = mat.shape
-                kraus[outcome] = LabeledOperator(
-                    ((q_label(r), mat.shape[0]),),
-                    ((qp_label(r - 1), mat.shape[1]),),
-                    mat,
-                )
+                kraus[outcome] = _operator(opath, check_op, r, mat)
             try:
                 by_memory[memory] = CheckInstrument(r, memory, kraus)
             except ValueError as exc:
@@ -524,6 +520,7 @@ def _parse_errors(
     tni = em.get("trace_nonincreasing", True)
     if not isinstance(tni, bool):
         raise ParseError("error_model.trace_nonincreasing", "expected a boolean")
+    dims = interrogator.round_dims
     kraus_rounds = []
     env_in = 1
     for r, round_obj in enumerate(rounds_obj):
@@ -534,34 +531,19 @@ def _parse_errors(
         env_out = round_obj.get("env_out", 1)
         if not isinstance(env_out, int) or isinstance(env_out, bool) or env_out < 1:
             raise ParseError(f"{path}.env_out", "expected a positive integer")
-        n_rows = n_cols = None
-        if r < interrogator.rounds:
-            n_rows = _first_instrument(interrogator, r + 1).in_dim * env_out
+        n_rows = dims[r][0] * env_out if r < len(dims) else None
+        n_cols = None
         if r == 0:
             n_cols = ambient
-        elif r <= interrogator.rounds:
-            n_cols = _first_instrument(interrogator, r).out_dim * env_in
+        elif r <= len(dims):
+            n_cols = dims[r - 1][1] * env_in
         shape: Shape = (n_rows, n_cols)
         ops = []
         for k, mat_obj in enumerate(kraus_obj):
-            mat = decode_matrix(mat_obj, f"{path}.kraus[{k}]", version, shape)
+            kpath = f"{path}.kraus[{k}]"
+            mat = decode_matrix(mat_obj, kpath, version, shape)
             shape = mat.shape
-            if mat.shape[0] % env_out:
-                raise ParseError(
-                    f"{path}.kraus[{k}]",
-                    f"row count {mat.shape[0]} not divisible by env_out {env_out}",
-                )
-            if r > 0 and mat.shape[1] % env_in:
-                raise ParseError(
-                    f"{path}.kraus[{k}]",
-                    f"column count {mat.shape[1]} not divisible by the "
-                    f"incoming environment dim {env_in}",
-                )
-            rows = ((qp_label(r), mat.shape[0] // env_out), (env_label(r), env_out))
-            cols: tuple[tuple[str, int], ...] = ((q_label(r), mat.shape[1]),)
-            if r > 0:
-                cols = ((q_label(r), mat.shape[1] // env_in), (env_label(r - 1), env_in))
-            ops.append(LabeledOperator(rows, cols, mat))
+            ops.append(_operator(kpath, error_op, r, mat, env_in, env_out))
         kraus_rounds.append(tuple(ops))
         env_in = env_out
     try:
@@ -570,9 +552,15 @@ def _parse_errors(
         raise ParseError("error_model", str(exc)) from exc
 
 
-def _first_instrument(interrogator: Interrogator, r: int) -> CheckInstrument:
-    """An instrument of check round r; they all share one signature."""
-    return interrogator.instrument(r, min(interrogator.reachable[r - 1]))
+def _operator(
+    path: str, build: Callable[..., LabeledOperator], *args: Any
+) -> LabeledOperator:
+    """The round operator ``build(*args)``; a rejection (indivisible dims,
+    the dense cap) is a :class:`ParseError` at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 def load_instance(path: str) -> InstanceDocument:

@@ -28,9 +28,8 @@ from .model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
-    env_label,
-    q_label,
-    qp_label,
+    check_op,
+    error_op,
 )
 from .tensor import LabeledOperator
 
@@ -72,26 +71,8 @@ def _pauli_string(n: int, placement: Mapping[int, npt.NDArray[np.complex128]]):
     return reduce(np.kron, factors)
 
 
-def _check_op(r: int, mat: npt.NDArray[np.complex128]) -> LabeledOperator:
-    d_out, d_in = mat.shape
-    return LabeledOperator(
-        ((q_label(r), d_out),), ((qp_label(r - 1), d_in),), mat
-    )
-
-
-def _error_op(r: int, mat: npt.NDArray[np.complex128], env_in: int = 1,
-              env_out: int = 1) -> LabeledOperator:
-    d_out = mat.shape[0] // env_out
-    d_in = mat.shape[1] // env_in
-    rows = ((qp_label(r), d_out), (env_label(r), env_out))
-    cols = ((q_label(r), d_in),)
-    if r > 0:
-        cols = cols + ((env_label(r - 1), env_in),)
-    return LabeledOperator(rows, cols, mat)
-
-
 def _identity_error_round(r: int, dim: int) -> tuple[LabeledOperator, ...]:
-    return (_error_op(r, np.eye(dim, dtype=np.complex128)),)
+    return (error_op(r, np.eye(dim, dtype=np.complex128)),)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +99,7 @@ def bitflip_code(variant: str = "x") -> NamedInstance:
             _pauli_string(3, {2: _X}),
             _pauli_string(3, {3: _X}),
         ]
-        errors = ErrorModel((tuple(_error_op(0, m / 2.0) for m in ops),))
+        errors = ErrorModel((tuple(error_op(0, m / 2.0) for m in ops),))
         return NamedInstance(
             name="bitflip",
             code=code,
@@ -130,7 +111,7 @@ def bitflip_code(variant: str = "x") -> NamedInstance:
     if variant == "z":
         ops = [_pauli_string(3, {}), _pauli_string(3, {1: _Z})]
         errors = ErrorModel(
-            (tuple(_error_op(0, m / math.sqrt(2.0)) for m in ops),)
+            (tuple(error_op(0, m / math.sqrt(2.0)) for m in ops),)
         )
         return NamedInstance(
             name="bitflip-z",
@@ -239,12 +220,12 @@ def hexagon_honeycomb() -> NamedInstance:
         INITIAL_MEMORY: CheckInstrument(
             1,
             INITIAL_MEMORY,
-            {o: _check_op(1, m) for o, m in round1.items()},
+            {o: check_op(1, m) for o, m in round1.items()},
         )
     }
     inst2 = {
         m1: CheckInstrument(
-            2, m1, {o: _check_op(2, mat) for o, mat in round2.items()}
+            2, m1, {o: check_op(2, mat) for o, mat in round2.items()}
         )
         for m1 in outcomes
     }
@@ -253,8 +234,8 @@ def hexagon_honeycomb() -> NamedInstance:
     errors = ErrorModel(
         (
             (
-                _error_op(0, scale * _pauli_string(6, {1: _Z})),
-                _error_op(0, scale * _pauli_string(6, {2: _Z})),
+                error_op(0, scale * _pauli_string(6, {1: _Z})),
+                error_op(0, scale * _pauli_string(6, {2: _Z})),
             ),
             _identity_error_round(1, 64),
             _identity_error_round(2, 64),
@@ -300,9 +281,9 @@ def spacetime_toy_circuit() -> NamedInstance:
             {("0", "u"): "u|0", ("1", "u"): "u|1"},
         )
     )
-    inst1 = {INITIAL_MEMORY: CheckInstrument(1, INITIAL_MEMORY, {"u": _check_op(1, cnot)})}
+    inst1 = {INITIAL_MEMORY: CheckInstrument(1, INITIAL_MEMORY, {"u": check_op(1, cnot)})}
     inst2 = {
-        "u": CheckInstrument(2, "u", {"0": _check_op(2, p0), "1": _check_op(2, p1)})
+        "u": CheckInstrument(2, "u", {"0": check_op(2, p0), "1": check_op(2, p1)})
     }
     code = StrategicCode(
         CodeSpace(4, basis), Interrogator((inst1, inst2), update)
@@ -311,8 +292,8 @@ def spacetime_toy_circuit() -> NamedInstance:
     errors = ErrorModel(
         (
             (
-                _error_op(0, scale * np.eye(4, dtype=np.complex128)),
-                _error_op(0, scale * _pauli_string(2, {1: _X})),
+                error_op(0, scale * np.eye(4, dtype=np.complex128)),
+                error_op(0, scale * _pauli_string(2, {1: _X})),
             ),
             _identity_error_round(1, 4),
             _identity_error_round(2, 4),
@@ -376,7 +357,7 @@ def syndrome_window(
             (s, m): s if last_only else m + s for s in projectors for m in memories
         }
         instruments.append({
-            m: CheckInstrument(r, m, {s: _check_op(r, p) for s, p in projectors.items()})
+            m: CheckInstrument(r, m, {s: check_op(r, p) for s, p in projectors.items()})
             for m in memories
         })
         tables.append(table)
@@ -385,7 +366,7 @@ def syndrome_window(
         _pauli_string(3, {q: _X}) / 2.0 for q in (1, 2, 3)
     ]
     errors = ErrorModel(
-        tuple(tuple(_error_op(r, f) for f in flips) for r in range(rounds))
+        tuple(tuple(error_op(r, f) for f in flips) for r in range(rounds))
         + (_identity_error_round(rounds, 8),)
     )
     basis = np.zeros((8, 2), dtype=np.complex128)
@@ -472,7 +453,7 @@ def random_instance(
                 else shared
             )
             layer[m] = CheckInstrument(
-                r, m, {o: _check_op(r, op) for o, op in zip(outcomes, ops)}
+                r, m, {o: check_op(r, op) for o, op in zip(outcomes, ops)}
             )
         instruments.append(layer)
         tables.append(table)
@@ -489,7 +470,7 @@ def random_instance(
     kraus_rounds = []
     for r, c in enumerate(counts):
         ops = _tp_normalize([_ginibre(rng, d, d) for _ in range(c)])
-        kraus_rounds.append(tuple(_error_op(r, op) for op in ops))
+        kraus_rounds.append(tuple(error_op(r, op) for op in ops))
 
     code = StrategicCode(
         codespace, Interrogator(tuple(instruments), MemoryUpdate(tuple(tables)))

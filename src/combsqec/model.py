@@ -5,7 +5,10 @@ check-instrument rounds whose instrument choice in round r may depend on a
 classical memory state folded from earlier outcomes.  Errors interleave with
 the rounds and may carry correlations through an environment chain.
 
-Label conventions are fixed here and used by every higher layer:
+Label conventions are fixed here, and only this module spells them out:
+higher layers build round operators with :func:`check_op` and
+:func:`error_op` and check round-to-round dims with
+:func:`require_chained`.
 
 * ``Q{r}``   system entering error round r (``Q0`` is the codespace ambient),
 * ``Q{r}p``  system leaving error round r and entering check round r+1,
@@ -19,6 +22,7 @@ state is the empty string.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -46,6 +50,9 @@ __all__ = [
     "q_label",
     "qp_label",
     "env_label",
+    "check_op",
+    "error_op",
+    "require_chained",
     "enumerate_trajectories",
     "count_trajectories",
     "comb_vector",
@@ -77,6 +84,37 @@ def qp_label(r: int) -> str:
 def env_label(r: int) -> str:
     """Label of the environment leaving error round r."""
     return f"E{r}"
+
+
+def check_op(r: int, mat: npt.ArrayLike) -> LabeledOperator:
+    """Kraus operator of check round r, ``Q{r-1}p -> Q{r}``."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    d_out, d_in = mat.shape
+    return LabeledOperator(((q_label(r), d_out),), ((qp_label(r - 1), d_in),), mat)
+
+
+def error_op(
+    r: int, mat: npt.ArrayLike, env_in: int = 1, env_out: int = 1
+) -> LabeledOperator:
+    """Kraus operator of error round r, ``Q{r} (x) E{r-1} -> Q{r}p (x) E{r}``.
+
+    The environment is the trailing factor of each side; round 0 has no
+    environment input, so ``env_in`` must be 1 there.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    n_rows, n_cols = mat.shape
+    if n_rows % env_out:
+        raise ValueError(f"row count {n_rows} not divisible by env_out {env_out}")
+    if n_cols % env_in:
+        raise ValueError(
+            f"column count {n_cols} not divisible by the "
+            f"incoming environment dim {env_in}"
+        )
+    rows = ((qp_label(r), n_rows // env_out), (env_label(r), env_out))
+    cols = ((q_label(r), n_cols // env_in),)
+    if r > 0:
+        cols += ((env_label(r - 1), env_in),)
+    return LabeledOperator(rows, cols, mat)
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +281,13 @@ class Interrogator:
     the :class:`CheckInstrument` applied in round r.  Construction validates
     reachability: every reachable memory state has an instrument, every
     instrument outcome has an update-table entry, and all instruments within
-    a round share one signature.
+    a round share one signature.  ``round_dims[r-1]`` is the (input,
+    output) system dim pair of round r.
     """
 
     instruments: tuple[Mapping[str, CheckInstrument], ...]
     update: MemoryUpdate
+    round_dims: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -259,6 +299,7 @@ class Interrogator:
                 f"instruments have {len(self.instruments)}"
             )
         reachable: list[frozenset[str]] = [frozenset((INITIAL_MEMORY,))]
+        round_dims: list[tuple[int, int]] = []
         for r in range(1, len(self.instruments) + 1):
             table = self.instruments[r - 1]
             signature: tuple[Subsystems, Subsystems] | None = None
@@ -278,6 +319,7 @@ class Interrogator:
                 sig = (first.row_subsystems, first.col_subsystems)
                 if signature is None:
                     signature = sig
+                    round_dims.append((first.col_dim, first.row_dim))
                 elif sig != signature:
                     raise ValueError(
                         f"round-{r} instruments disagree on dims across memory states"
@@ -286,6 +328,7 @@ class Interrogator:
                     nxt.add(self.update.next_memory(r, outcome, memory))
             reachable.append(frozenset(nxt))
         object.__setattr__(self, "_reachable", tuple(reachable))
+        object.__setattr__(self, "round_dims", tuple(round_dims))
 
     @property
     def rounds(self) -> int:
@@ -382,19 +425,7 @@ class ErrorModel:
 
     def sequences(self) -> Iterator[tuple[int, ...]]:
         """All error-sequence index tuples e = (e_0, ..., e_l), lexicographic."""
-        counts = [len(ops) for ops in self.kraus_rounds]
-        seq = [0] * len(counts)
-        while True:
-            yield tuple(seq)
-            pos = len(counts) - 1
-            while pos >= 0:
-                seq[pos] += 1
-                if seq[pos] < counts[pos]:
-                    break
-                seq[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
+        return itertools.product(*(range(len(ops)) for ops in self.kraus_rounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,17 +436,37 @@ class StrategicCode:
     interrogator: Interrogator
 
     def __post_init__(self) -> None:
-        if self.interrogator.rounds >= 1:
-            inst = self.interrogator.instrument(1, INITIAL_MEMORY)
-            if inst.in_dim != self.codespace.ambient_dim:
-                raise ValueError(
-                    f"round-1 instrument input dim {inst.in_dim} does not match "
-                    f"the codespace ambient dim {self.codespace.ambient_dim}"
-                )
+        dims = self.interrogator.round_dims
+        if dims and dims[0][0] != self.codespace.ambient_dim:
+            raise ValueError(
+                f"round-1 instrument input dim {dims[0][0]} does not match "
+                f"the codespace ambient dim {self.codespace.ambient_dim}"
+            )
 
     @property
     def rounds(self) -> int:
         return self.interrogator.rounds
+
+
+def require_chained(interrogator: Interrogator, errors: ErrorModel) -> None:
+    """Raise unless error round r-1 writes the system dim check round r
+    reads, and check round r the one error round r reads, for every r."""
+    if errors.rounds != interrogator.rounds:
+        raise ValueError(
+            f"error model spans {errors.rounds} rounds, "
+            f"interrogator {interrogator.rounds}"
+        )
+    for r, (d_in, d_out) in enumerate(interrogator.round_dims, start=1):
+        if d_in != errors.q_out_dim(r - 1):
+            raise ValueError(
+                f"dim mismatch feeding check round {r}: error round {r - 1} "
+                f"emits {errors.q_out_dim(r - 1)}, instrument expects {d_in}"
+            )
+        if d_out != errors.q_in_dim(r):
+            raise ValueError(
+                f"dim mismatch feeding error round {r}: check round {r} "
+                f"emits {d_out}, error expects {errors.q_in_dim(r)}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -559,38 +610,24 @@ def compose_K(
     The result maps ``Q0 -> Q{l}p (x) E{l}``; the environment leg has
     dimension 1 for uncorrelated models.
     """
+    require_chained(interrogator, errors)
     l = interrogator.rounds
-    if errors.rounds != l:
-        raise ValueError(
-            f"error model spans {errors.rounds} rounds, interrogator {l}"
-        )
     if len(error_seq) != l + 1:
         raise ValueError(f"error sequence must have length {l + 1}")
     factors = comb_vector(interrogator, final_memory, outcomes)
-    ops = errors.round_ops(0)
-    if not 0 <= error_seq[0] < len(ops):
-        raise ValueError(f"error index {error_seq[0]} out of range at round 0")
-    current = ops[error_seq[0]].data
+
+    def error(r: int) -> np.ndarray:
+        ops = errors.round_ops(r)
+        if not 0 <= error_seq[r] < len(ops):
+            raise ValueError(f"error index {error_seq[r]} out of range at round {r}")
+        return ops[error_seq[r]].data
+
+    current = error(0)
     for r in range(1, l + 1):
         check = factors[r - 1].data
         env = errors.env_dim(r - 1)
         lifted = check if env == 1 else np.kron(check, np.eye(env))
-        if lifted.shape[1] != current.shape[0]:
-            raise ValueError(
-                f"dim mismatch feeding check round {r}: error round {r - 1} "
-                f"emits {current.shape[0]}, instrument expects {lifted.shape[1]}"
-            )
-        current = lifted @ current
-        ops = errors.round_ops(r)
-        if not 0 <= error_seq[r] < len(ops):
-            raise ValueError(f"error index {error_seq[r]} out of range at round {r}")
-        err = ops[error_seq[r]].data
-        if err.shape[1] != current.shape[0]:
-            raise ValueError(
-                f"dim mismatch feeding error round {r}: check round {r} "
-                f"emits {current.shape[0]}, error expects {err.shape[1]}"
-            )
-        current = err @ current
+        current = error(r) @ (lifted @ current)
     rows = (
         (qp_label(l), errors.q_out_dim(l)),
         (env_label(l), errors.env_dim(l)),

@@ -83,8 +83,8 @@ ACCEPT_MARGIN = 1e-10
 class OptimizerConfig:
     """Knobs of a see-saw run; identical configs give identical runs.
 
-    ``seed`` and ``perturbation`` set the Hermitian offset of the start (see
-    :func:`initial_state`).  A cycle steps every factor once; the run stops
+    ``seed`` (at least 0) and ``perturbation`` set the Hermitian offset of
+    the start (see :func:`initial_state`).  A cycle steps every factor once; the run stops
     when a cycle moves the fidelity by less than ``tol_conv`` or after
     ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
@@ -123,6 +123,8 @@ class OptimizerConfig:
                     f"step_order must be a list of factor names, got {self.step_order!r}"
                 )
             object.__setattr__(self, "step_order", tuple(self.step_order))
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if self.inner_steps < 1:

@@ -43,6 +43,12 @@ def noisy_spacetime(eps, path):
     return path
 
 
+def assert_unwritable(res, path):
+    """An output path that cannot be written is a usage error naming it."""
+    assert res.exit_code == 2
+    assert f"error: cannot write {path}: No such file or directory" in res.output
+
+
 @pytest.mark.parametrize("args", [
     ["check", "--method", "both"],
     ["decode", "--proof", "algebraic"],
@@ -173,6 +179,27 @@ class TestCheck:
         res = runner.invoke(main, ["check", str(tmp_path / "absent.json")])
         assert res.exit_code == 2
 
+    def test_unwritable_report_is_a_usage_error(self, runner, exported, tmp_path):
+        report = tmp_path / "absent" / "report.json"
+        res = runner.invoke(main, ["check", exported["bitflip"], "--report", str(report)])
+        assert_unwritable(res, report)
+
+    @pytest.mark.parametrize("where", ["check", "error"])
+    def test_matrix_beyond_the_dense_cap_is_a_parse_error(
+        self, runner, exported, monkeypatch, where
+    ):
+        # spacetime's first matrix past the codespace is a check operator,
+        # bitflip's (no check rounds) an error operator
+        name, path = {
+            "check": ("spacetime", "interrogator.rounds[0].instruments['']['u']"),
+            "error": ("bitflip", "error_model.rounds[0].kraus[0]"),
+        }[where]
+        monkeypatch.setenv("COMBSQEC_DENSE_CAP", "2")
+        res = runner.invoke(main, ["check", exported[name]])
+        assert res.exit_code == 2
+        assert f"{path}: dense dimension" in res.output
+        assert "exceeds the cap 2" in res.output
+
     def test_number_beyond_float_range_is_a_parse_error(
         self, runner, exported, tmp_path
     ):
@@ -297,6 +324,16 @@ class TestDecode:
             main, ["decode", exported["bitflip"], "--samples", "-1"]
         )
         assert res.exit_code == 2
+
+    def test_negative_seed_rejected_before_loading(self, runner, tmp_path):
+        res = runner.invoke(main, ["decode", str(tmp_path / "absent.json"), "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "--seed must be nonnegative" in res.output
+
+    def test_unwritable_report_is_a_usage_error(self, runner, exported, tmp_path):
+        report = tmp_path / "absent" / "report.json"
+        res = runner.invoke(main, ["decode", exported["bitflip"], "--report", str(report)])
+        assert_unwritable(res, report)
 
 
 class TestComposedTable:
@@ -485,6 +522,23 @@ class TestOptimize:
         assert res.exit_code == 2
         assert "max_iters" in res.output
 
+    def test_negative_seed_is_a_usage_error(self, runner):
+        res = runner.invoke(
+            main, ["optimize", "--ambient-dim", "2", "--logical-dim", "2",
+                   "--seed", "-3"],
+        )
+        assert res.exit_code == 2
+        assert "seed must be at least 0, got -3" in res.output
+
+    @pytest.mark.parametrize("flag", ["--trace", "--out"])
+    def test_unwritable_output_is_a_usage_error(self, runner, tmp_path, flag):
+        path = tmp_path / "absent" / "out.txt"
+        res = runner.invoke(
+            main, ["optimize", "--ambient-dim", "2", "--logical-dim", "2",
+                   "--max-iters", "1", flag, str(path)],
+        )
+        assert_unwritable(res, path)
+
     def test_negative_max_iters_in_file_is_a_usage_error(self, runner, tmp_path):
         inst = build_instance("bitflip")
         path = str(tmp_path / "bf.json")
@@ -597,3 +651,8 @@ class TestDemo:
         assert instance_text(doc.code, doc.errors) == instance_text(
             inst.code, inst.errors
         )
+
+    def test_unwritable_export_is_a_usage_error(self, runner, tmp_path):
+        path = tmp_path / "absent" / "bitflip.json"
+        res = runner.invoke(main, ["demo", "bitflip", "--export", str(path)])
+        assert_unwritable(res, path)

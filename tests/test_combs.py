@@ -11,7 +11,6 @@ from combsqec.combs import (
     choi_from_kraus,
     is_cptp,
     link_product,
-    random_cptp_choi,
     validate_comb,
 )
 from combsqec.library import build_instance, instance_names, random_instance
@@ -241,20 +240,6 @@ class TestValidateComb:
             validate_comb(total, bad)
 
 
-class TestRandomCptp:
-    def test_output_is_cptp(self):
-        rng = rng_for(29)
-        choi = random_cptp_choi(rng, [("out", 3)], [("in", 2)])
-        report = is_cptp(choi)
-        assert report.cp and report.tp
-        assert report.residual <= 1e-8
-
-    def test_deterministic_per_seed(self):
-        a = random_cptp_choi(rng_for(30), [("out", 2)], [("in", 2)])
-        b = random_cptp_choi(rng_for(30), [("out", 2)], [("in", 2)])
-        np.testing.assert_array_equal(a.op.data, b.op.data)
-
-
 class TestChoiValidation:
     def test_partition_must_cover_labels(self):
         subs = (("a", 2), ("b", 2))
@@ -375,7 +360,6 @@ class TestTrustedConstructions:
     def test_random_builds_pass_the_public_check(self, seed):
         builds = _trusted_builds(random_instance(seed))
         rng = rng_for(seed)
-        builds.append(random_cptp_choi(rng, [("out", 2)], [("in", 3)], rank=2))
         subs = (("out", 2), ("in", 3))
         h = random_matrix(rng, 6, 6)
         builds.append(project_cptp(LabeledOperator(subs, subs, h + h.conj().T), ("out",)))

@@ -39,11 +39,10 @@ from combsqec.model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
+    check_op,
     compose_K,
     enumerate_trajectories,
-    env_label,
-    q_label,
-    qp_label,
+    error_op,
 )
 from combsqec.tensor import LabeledOperator
 
@@ -61,24 +60,6 @@ CORPUS_SEEDS = tuple(range(100))
 @pytest.fixture(scope="module")
 def corpus():
     return [random_instance(seed) for seed in CORPUS_SEEDS]
-
-
-def check_op(r, mat):
-    mat = np.asarray(mat, dtype=complex)
-    return LabeledOperator(
-        ((q_label(r), mat.shape[0]),), ((qp_label(r - 1), mat.shape[1]),), mat
-    )
-
-
-def err_round(r, mat, env_in=1, env_out=1):
-    mat = np.asarray(mat, dtype=complex)
-    d_out = mat.shape[0] // env_out
-    d_in = mat.shape[1] // env_in
-    rows = ((qp_label(r), d_out), (env_label(r), env_out))
-    cols = ((q_label(r), d_in),)
-    if r > 0:
-        cols = cols + ((env_label(r - 1), env_in),)
-    return LabeledOperator(rows, cols, mat)
 
 
 def codestates(code, count, seed):
@@ -249,7 +230,7 @@ class TestLambdaTensor:
             CodeSpace(2, np.eye(2)), Interrogator(({INITIAL_MEMORY: inst},), update)
         )
         errors = ErrorModel(
-            ((err_round(0, np.eye(2)),), (err_round(1, np.eye(2)),))
+            ((error_op(0, np.eye(2)),), (error_op(1, np.eye(2)),))
         )
         report = check_algebraic(code, errors)
         assert report.correctable
@@ -303,8 +284,8 @@ class TestCheckAlgebraic:
         inst = bitflip_code()
         bad = ErrorModel(
             (
-                (err_round(0, np.eye(8)),),
-                (err_round(1, np.eye(8)),),
+                (error_op(0, np.eye(8)),),
+                (error_op(1, np.eye(8)),),
             )
         )
         with pytest.raises(ValueError, match="rounds"):
@@ -370,7 +351,7 @@ class TestCheckAlgebraic:
             CodeSpace(2, np.eye(2)), Interrogator(({INITIAL_MEMORY: inst},), update)
         )
         errors = ErrorModel(
-            ((err_round(0, np.eye(2)),), (err_round(1, np.eye(2)),))
+            ((error_op(0, np.eye(2)),), (error_op(1, np.eye(2)),))
         )
         with pytest.raises(ValueError, match="not injective"):
             check_corollary_all_outcomes(code, errors)
@@ -629,7 +610,7 @@ def correlated_instance(seed=7):
     for r in range(3):
         env_in = envs[r - 1] if r else 1
         mats = random_kraus_set(rng, d * envs[r], d * env_in, 2)
-        rounds.append(tuple(err_round(r, mat, env_in, envs[r]) for mat in mats))
+        rounds.append(tuple(error_op(r, mat, env_in, envs[r]) for mat in mats))
     instruments, tables, memories = [], [], [INITIAL_MEMORY]
     for r in (1, 2):
         tables.append({(o, m): m + o for o in "ab" for m in memories})
@@ -1011,7 +992,7 @@ def merged_instance(seed):
     for r in range(n_rounds + 1):
         count = int(rng.integers(1, 3))
         ops = random_kraus_set(rng, d, d, count)
-        rounds.append(tuple(err_round(r, op) for op in ops))
+        rounds.append(tuple(error_op(r, op) for op in ops))
     return (
         StrategicCode(
             codespace, Interrogator(tuple(instruments), MemoryUpdate(tuple(tables)))
@@ -1049,7 +1030,7 @@ class TestJointState:
         code = StrategicCode(
             CodeSpace(2, np.eye(2)), Interrogator((), MemoryUpdate(()))
         )
-        errors = ErrorModel(((err_round(0, np.eye(2)),),))
+        errors = ErrorModel(((error_op(0, np.eye(2)),),))
         rho = reference_joint_state(code, errors)
         assert list(rho) == [INITIAL_MEMORY]
         assert np.allclose(rho[INITIAL_MEMORY], np.eye(2) / 2.0, atol=1e-12)
@@ -1199,7 +1180,7 @@ class TestCheckInfo:
             CodeSpace(2, np.eye(2)), Interrogator(({INITIAL_MEMORY: inst},), update)
         )
         errors = ErrorModel(
-            ((err_round(0, np.eye(2)),), (err_round(1, np.eye(2)),))
+            ((error_op(0, np.eye(2)),), (error_op(1, np.eye(2)),))
         )
         rho = reference_joint_state(code, errors)
         for block in rho.values():
@@ -1261,7 +1242,7 @@ def env_dephasing_instance():
     code = StrategicCode(
         CodeSpace(2, np.eye(2)), Interrogator((), MemoryUpdate(()))
     )
-    errors = ErrorModel(((err_round(0, kmat, env_out=2),),))
+    errors = ErrorModel(((error_op(0, kmat, env_out=2),),))
     return code, errors
 
 
@@ -1555,17 +1536,19 @@ class TestTableDims:
         inst = build_instance("spacetime")
         ops = inst.errors.kraus_rounds
         wide = ErrorModel(
-            (ops[0], (err_round(1, np.eye(8)[:, :4] / 1.0),), ops[2]),
+            (ops[0], (error_op(1, np.eye(8)[:, :4] / 1.0),), ops[2]),
             require_trace_nonincreasing=False,
         )
         with pytest.raises(ValueError, match="dim mismatch feeding check round 2"):
             check_algebraic(inst.code, wide)
         narrow = ErrorModel(
-            (ops[0], (err_round(1, np.eye(2)),), ops[2]),
+            (ops[0], (error_op(1, np.eye(2)),), ops[2]),
             require_trace_nonincreasing=False,
         )
         with pytest.raises(ValueError, match="dim mismatch feeding error round 1"):
             check_algebraic(inst.code, narrow)
-        small = ErrorModel(((err_round(0, np.eye(2)),),))
+        small = ErrorModel(((error_op(0, np.eye(2)),),))
         with pytest.raises(ValueError, match="dim mismatch feeding error round 0"):
             check_algebraic(bitflip_code().code, small)
+        with pytest.raises(ValueError, match="error model spans 1 rounds, interrogator 2"):
+            check_algebraic(inst.code, ErrorModel(ops[:2]))

@@ -1,11 +1,14 @@
 """Tests for the strategic-code data model and comb constructions."""
 
 import gc
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from combsqec.combs import ChoiOperator, CombSignature, link_product, validate_comb
+import combsqec
 from combsqec.conditions import _Composed
 from combsqec.library import build_instance, instance_names
 from combsqec.model import (
@@ -17,6 +20,7 @@ from combsqec.model import (
     MemoryUpdate,
     StrategicCode,
     Trajectory,
+    check_op,
     comb_vector,
     comb_vector_dense,
     compose_K,
@@ -25,6 +29,7 @@ from combsqec.model import (
     env_label,
     error_comb,
     error_comb_vector,
+    error_op,
     interrogator_operator,
     q_label,
     qp_label,
@@ -32,24 +37,6 @@ from combsqec.model import (
 from combsqec.tensor import LabeledOperator, permute_subsystems, vectorize
 
 from conftest import random_kraus_set, random_state, rng_for, table_entries
-
-
-def check_op(r, mat, d_in=None, d_out=None):
-    mat = np.asarray(mat, dtype=complex)
-    d_out = mat.shape[0] if d_out is None else d_out
-    d_in = mat.shape[1] if d_in is None else d_in
-    return LabeledOperator(
-        ((q_label(r), d_out),), ((qp_label(r - 1), d_in),), mat
-    )
-
-
-def err_op(r, mat, q_in, q_out, env_in, env_out):
-    rows = ((qp_label(r), q_out), (env_label(r), env_out))
-    if r == 0:
-        cols = ((q_label(0), q_in),)
-    else:
-        cols = ((q_label(r), q_in), (env_label(r - 1), env_in))
-    return LabeledOperator(rows, cols, np.asarray(mat, dtype=complex))
 
 
 def instrument_from_sets(r, memory, mats):
@@ -95,7 +82,7 @@ def random_tp_error_model(rng, q_dims, env_dims, counts):
         env_out = env_dims[r]
         mats = random_kraus_set(rng, q_out * env_out, q_in * env_in, counts[r])
         rounds.append(
-            tuple(err_op(r, m, q_in, q_out, env_in, env_out) for m in mats)
+            tuple(error_op(r, m, env_in, env_out) for m in mats)
         )
     return ErrorModel(tuple(rounds))
 
@@ -164,6 +151,46 @@ class TestCheckInstrument:
             CheckInstrument(1, "", ops)
 
 
+def test_only_the_model_spells_out_round_labels():
+    # every other module builds round operators through check_op/error_op
+    # and reads round dims from Interrogator.round_dims
+    call = re.compile(r"\b(q_label|qp_label|env_label)\(")
+    package = pathlib.Path(combsqec.__file__).parent
+    offenders = [
+        f"{path.name}: {match.group(0)}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+        for match in call.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+class TestRoundOperators:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_check_op_labels(self, r):
+        op = check_op(r, np.ones((3, 2)))
+        assert op.row_subsystems == ((f"Q{r}", 3),)
+        assert op.col_subsystems == ((f"Q{r - 1}p", 2),)
+
+    @pytest.mark.parametrize("env", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_error_op_labels(self, r, env):
+        env_in = env if r else 1
+        op = error_op(r, np.ones((3 * env, 2 * env_in)), env_in, env)
+        assert op.row_subsystems == ((f"Q{r}p", 3), (f"E{r}", env))
+        env_col = ((f"E{r - 1}", env_in),) if r else ()
+        assert op.col_subsystems == ((f"Q{r}", 2),) + env_col
+
+    def test_error_op_needs_divisible_dims(self):
+        with pytest.raises(ValueError, match=r"^row count 3 not divisible by env_out 2$"):
+            error_op(1, np.ones((3, 4)), 2, 2)
+        with pytest.raises(
+            ValueError,
+            match=r"^column count 3 not divisible by the incoming environment dim 2$",
+        ):
+            error_op(1, np.ones((4, 3)), 2, 2)
+
+
 class TestMemoryUpdate:
     def test_fold(self):
         update = stored_outcome_update((("p", "q"), ("p", "q")))
@@ -187,6 +214,32 @@ class TestInterrogator:
         assert interro.reachable[0] == frozenset({""})
         assert interro.reachable[1] == frozenset({"a", "b"})
         assert interro.final_memories == ("aa", "ab", "ba", "bb")
+
+    def test_round_dims_are_input_output_pairs(self, rng):
+        r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 3, ("a", "b"))
+        r2 = {m: random_instrument(rng, 2, m, 3, 4, ("a",)) for m in "ab"}
+        update = MemoryUpdate(
+            ({("a", ""): "a", ("b", ""): "b"}, {("a", "a"): "a", ("a", "b"): "b"})
+        )
+        interro = Interrogator(({INITIAL_MEMORY: r1}, r2), update)
+        assert interro.round_dims == ((2, 3), (3, 4))
+        assert Interrogator((), MemoryUpdate(())).round_dims == ()
+
+    @pytest.mark.parametrize("name", instance_names())
+    def test_library_round_dims(self, name):
+        interro = build_instance(name).code.interrogator
+        expected = {
+            "bitflip": (),
+            "bitflip-z": (),
+            "hexagon": ((64, 64),) * 2,
+            "spacetime": ((4, 4),) * 2,
+            "window-full": ((8, 8),) * 3,
+            "window-last": ((8, 8),) * 3,
+        }[name]
+        assert interro.round_dims == expected
+        for r, table in enumerate(interro.instruments, start=1):
+            for inst in table.values():
+                assert (inst.in_dim, inst.out_dim) == interro.round_dims[r - 1]
 
     def test_missing_instrument_rejected(self, rng):
         r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("a", "b"))
@@ -520,8 +573,8 @@ class TestErrorComb:
     def test_identity_rounds_tensor_of_identity_vecs(self):
         eye = np.eye(2, dtype=complex)
         rounds = (
-            (err_op(0, eye, 2, 2, 1, 1),),
-            (err_op(1, eye, 2, 2, 1, 1),),
+            (error_op(0, eye),),
+            (error_op(1, eye),),
         )
         model = ErrorModel(rounds)
         choi = error_comb(model)
@@ -537,7 +590,7 @@ class TestErrorComb:
             np.array([[0, -1j], [1j, 0]]),
             np.array([[1, 0], [0, -1]]),
         ]
-        rounds = ((tuple(err_op(0, p / 2.0, 2, 2, 1, 1) for p in paulis)),)
+        rounds = ((tuple(error_op(0, p / 2.0) for p in paulis)),)
         choi = error_comb(ErrorModel(rounds))
         reduced = choi.op.data
         assert np.allclose(reduced, np.eye(4) / 2.0, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from combsqec.combs import ChoiOperator, is_cptp, link_product
 from combsqec.library import bitflip_code, build_instance, spacetime_toy_circuit
-from combsqec.model import ErrorModel, env_label, error_comb, q_label, qp_label
+from combsqec.model import ErrorModel, env_label, error_comb, error_op, q_label, qp_label
 from combsqec.optimize import (
     OptimizationState,
     OptimizerConfig,
@@ -41,21 +41,10 @@ X = PAULI["X"]
 Z = PAULI["Z"]
 
 
-def err_round(r, mat, env_in=1, env_out=1):
-    mat = np.asarray(mat, dtype=complex)
-    d_out = mat.shape[0] // env_out
-    d_in = mat.shape[1] // env_in
-    rows = ((qp_label(r), d_out), (env_label(r), env_out))
-    cols = ((q_label(r), d_in),)
-    if r > 0:
-        cols = cols + ((env_label(r - 1), env_in),)
-    return LabeledOperator(rows, cols, mat)
-
-
 def random_tp_round(r, d, count, rng):
     g = rng.standard_normal((d * count, d)) + 1j * rng.standard_normal((d * count, d))
     q, _ = np.linalg.qr(g)
-    return tuple(err_round(r, q[i * d : (i + 1) * d, :]) for i in range(count))
+    return tuple(error_op(r, q[i * d : (i + 1) * d, :]) for i in range(count))
 
 
 def max_ent_choi(d_out, d_in):
@@ -67,7 +56,7 @@ def max_ent_choi(d_out, d_in):
 
 def identity_errors(d, rounds=0):
     return ErrorModel(
-        tuple((err_round(r, np.eye(d)),) for r in range(rounds + 1))
+        tuple((error_op(r, np.eye(d)),) for r in range(rounds + 1))
     )
 
 
@@ -240,7 +229,7 @@ class TestEntFidelity:
             np.sqrt(1 / 4) * PAULI["Y"],
             np.sqrt(1 / 4) * Z,
         ]
-        dep = ErrorModel((tuple(err_round(0, m) for m in ops),))
+        dep = ErrorModel((tuple(error_op(0, m) for m in ops),))
         f = ent_fidelity(state, dep, MIXED_QUBIT)
         oracle = sum(abs(np.trace(MIXED_QUBIT @ m)) ** 2 for m in ops)
         assert abs(f - 0.25) < 1e-10
@@ -381,7 +370,7 @@ def correlated_errors(seed):
     rng = rng_for(seed)
     return ErrorModel(tuple(
         tuple(
-            err_round(r, k, env_in=1 if r == 0 else 2, env_out=2)
+            error_op(r, k, env_in=1 if r == 0 else 2, env_out=2)
             for k in random_kraus_set(rng, 4, 2 if r == 0 else 4, 2)
         )
         for r in range(3)
@@ -602,8 +591,8 @@ class TestCoordinateStep:
         # logical qubit in slot 2 is optimal and reaches F = 1
         errs = ErrorModel((
             (
-                err_round(0, np.sqrt(0.5) * np.eye(4)),
-                err_round(0, np.sqrt(0.5) * np.kron(Z, np.eye(2))),
+                error_op(0, np.sqrt(0.5) * np.eye(4)),
+                error_op(0, np.sqrt(0.5) * np.kron(Z, np.eye(2))),
             ),
         ))
         dec_kraus = [
@@ -902,6 +891,11 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="inner_steps must be at least 1"):
             OptimizerConfig(seed=0, inner_steps=inner_steps)
 
+    def test_negative_seed_rejected(self):
+        # numpy would reject it only later, inside initial_state
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            OptimizerConfig(seed=-1)
+
     def test_custom_step_order(self):
         errs = identity_errors(2, rounds=1)
         cfg = OptimizerConfig(
@@ -938,8 +932,8 @@ class TestStaticBiconvex:
         # one protected qubit next to the flipping one: exactly correctable
         errs = ErrorModel((
             (
-                err_round(0, np.sqrt(0.5) * np.eye(4)),
-                err_round(0, np.sqrt(0.5) * np.kron(X, np.eye(2))),
+                error_op(0, np.sqrt(0.5) * np.eye(4)),
+                error_op(0, np.sqrt(0.5) * np.kron(X, np.eye(2))),
             ),
         ))
         out = static_biconvex(errs, 2, config=OptimizerConfig(seed=0))
@@ -960,7 +954,7 @@ class TestStaticBiconvex:
             m = [np.eye(2)] * 3
             m[i] = X
             ops.append(np.sqrt(p / 3) * np.kron(np.kron(m[0], m[1]), m[2]))
-        errs = ErrorModel((tuple(err_round(0, m) for m in ops),))
+        errs = ErrorModel((tuple(error_op(0, m) for m in ops),))
 
         v = np.zeros((8, 2), dtype=complex)
         v[0, 0] = v[1, 1] = 1.0  # bare qubit in the last slot
