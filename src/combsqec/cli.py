@@ -95,7 +95,7 @@ def _writing(path: str) -> Iterator[None]:
 
 def _write_json(path: str, payload: Mapping[str, Any]) -> None:
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -297,15 +297,20 @@ def decode(
         return 0
     states = _random_codestates(doc.code, samples, seed)
     rep = verify_recovery(doc.code, doc.errors, decoder, states)
-    worst = rep.worst_fidelity
-    click.echo(f"worst recovery fidelity over {samples} codestates: {worst:.12f}")
+    # with no record, no codestate reached any final memory and the worst
+    # fidelity is a minimum over nothing: the gate fails
+    worst = rep.worst_fidelity if rep.records else None
+    if worst is None:
+        click.echo(f"no codestate out of {samples} reached any final memory: nothing recovered")
+    else:
+        click.echo(f"worst recovery fidelity over {samples} codestates: {worst:.12f}")
     click.echo(
         "recovered weight per state: "
         + ", ".join(f"{w:.6f}" for w in rep.total_weights)
     )
     payload["worst_fidelity"] = worst
     payload["total_weights"] = list(rep.total_weights)
-    ok = worst >= FIDELITY_GATE
+    ok = worst is not None and worst >= FIDELITY_GATE
     payload["verdict"] = "PASS" if ok else "FAIL"
     _write_report(report_path, payload)
     return 0 if ok else 1

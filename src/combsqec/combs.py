@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from combsqec.tensor import (
     LabeledOperator,
     Subsystems,
+    _check_cap,
+    _owned,
     identity_operator,
     partial_trace,
     permute_subsystems,
@@ -38,6 +41,7 @@ __all__ = [
 
 PSD_RTOL = 1e-9
 TP_ATOL = 1e-9
+GRAM_ROWS = 256  # rows of a Gram sum accumulated at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +61,10 @@ class ChoiOperator:
     of PSD operators is PSD, and ``optimize.project_cptp`` returns an
     eigenvalue-clipped iterate.  At the 4096 dense cap one spectral check
     costs far more than building the comb.
+
+    Arrays follow the same rule: ``LabeledOperator(...)`` and this
+    constructor validate and copy what a caller hands in, while library
+    results wrap the arrays they just computed, read-only and uncopied.
     """
 
     op: LabeledOperator
@@ -151,9 +159,10 @@ def _require_psd(mat: np.ndarray) -> None:
     decide the boundary case and to name it in the error.
     """
     tau = PSD_RTOL * max(1.0, float(np.linalg.norm(mat)))
-    shifted = mat.conj().T + mat
+    shifted = np.conjugate(mat.T, order="C")
+    shifted += mat
     shifted *= 0.5
-    shifted[np.diag_indices_from(shifted)] += tau
+    shifted.reshape(-1)[:: len(shifted) + 1] += tau  # C order: a view of the diagonal
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -182,6 +191,21 @@ def _psd_choi(
     return choi
 
 
+def _gram_sum(vectors: Iterable[npt.NDArray[np.complex128]], dim: int) -> npt.NDArray[np.complex128]:
+    """Sum of v v^dag over column vectors of length ``dim``.
+
+    Each term is added ``GRAM_ROWS`` rows at a time, so no full outer
+    product is formed beside the sum.
+    """
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for v in vectors:
+        vh = v.conj().T
+        for start in range(0, dim, GRAM_ROWS):
+            rows = slice(start, start + GRAM_ROWS)
+            total[rows] += v[rows] @ vh
+    return total
+
+
 def choi_from_kraus(kraus: Sequence[LabeledOperator]) -> ChoiOperator:
     """Choi operator sum_k |K_k>><<K_k| of a CP map given by Kraus operators.
 
@@ -197,27 +221,42 @@ def choi_from_kraus(kraus: Sequence[LabeledOperator]) -> ChoiOperator:
                 f"mixed Kraus signatures: {k.row_subsystems}/{k.col_subsystems} vs "
                 f"{first.row_subsystems}/{first.col_subsystems}"
             )
-    dim = first.row_dim * first.col_dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        v = k.data.reshape(-1)
-        acc += np.outer(v, v.conj())
-    subs = first.row_subsystems + first.col_subsystems
     if set(first.row_labels) & set(first.col_labels):
         raise ValueError("Kraus row and column labels overlap; relabel before building a Choi")
+    dim = first.row_dim * first.col_dim
+    _check_cap(dim)
+    acc = _gram_sum((k.data.reshape(-1, 1) for k in kraus), dim)
+    subs = first.row_subsystems + first.col_subsystems
     return _psd_choi(
-        LabeledOperator(subs, subs, acc),
+        _owned(subs, subs, acc),
         input_labels=first.col_labels,
         output_labels=first.row_labels,
     )
 
 
+def _legs_matrix(
+    op: LabeledOperator, left: Sequence[str], right: Sequence[str]
+) -> np.ndarray:
+    """A Choi operator's axes (identical sides) transposed once into
+    (left rows, left cols | right rows, right cols) order, as a matrix."""
+    dims = [dim for _, dim in op.row_subsystems]
+    at = {label: i for i, label in enumerate(op.row_labels)}
+    n = len(dims)
+    perm = [at[l] for l in left] + [n + at[l] for l in left]
+    perm += [at[l] for l in right] + [n + at[l] for l in right]
+    n_left = math.prod(dims[at[l]] for l in left) ** 2
+    return op.data.reshape(dims * 2).transpose(perm).reshape(n_left, -1)
+
+
 def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     """Link product A * B = Tr_C((A^{T_C} (x) I)(I (x) B)) over shared legs C.
 
-    Implemented as an index contraction: the shared legs' row indices of A
-    contract with the shared row indices of B, and likewise for columns,
-    which equals the literal padded formula (used as a test oracle).
+    Computed as one matrix product over the shared legs' row and column
+    indices together: A's axes are transposed once, from its own layout,
+    into (kept rows, kept cols | shared rows, shared cols), B's into
+    (shared rows, shared cols | kept rows, kept cols), and the product's
+    kept axes are regrouped into (A rows, B rows | A cols, B cols).  This
+    equals the literal padded formula (used as a test oracle).
     """
     shared = sorted(set(a.labels) & set(b.labels))
     for label in shared:
@@ -226,25 +265,22 @@ def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
                 f"shared label {label!r} has dim {a.dim_of(label)} in A but "
                 f"{b.dim_of(label)} in B"
             )
-    a_only = [l for l in a.labels if l not in shared]
-    b_only = [l for l in b.labels if l not in shared]
-
-    a_perm = permute_subsystems(a.op, a_only + shared)
-    b_perm = permute_subsystems(b.op, shared + b_only)
-    dx = int(np.prod([a.dim_of(l) for l in a_only], dtype=np.int64)) if a_only else 1
-    ds = int(np.prod([a.dim_of(l) for l in shared], dtype=np.int64)) if shared else 1
-    dy = int(np.prod([b.dim_of(l) for l in b_only], dtype=np.int64)) if b_only else 1
-
-    a4 = a_perm.data.reshape(dx, ds, dx, ds)
-    b4 = b_perm.data.reshape(ds, dy, ds, dy)
-    out = np.einsum("xuXs,uysY->xyXY", a4, b4, optimize=True)
-
-    subs: Subsystems = tuple((l, a.dim_of(l)) for l in a_only)
-    subs += tuple((l, b.dim_of(l)) for l in b_only)
-    result = LabeledOperator(subs, subs, out.reshape(dx * dy, dx * dy))
+    a_kept = tuple(s for s in a.op.row_subsystems if s[0] not in shared)
+    b_kept = tuple(s for s in b.op.row_subsystems if s[0] not in shared)
+    dx = math.prod(dim for _, dim in a_kept)
+    dy = math.prod(dim for _, dim in b_kept)
+    _check_cap(dx * dy)
+    a_mat = _legs_matrix(a.op, [l for l, _ in a_kept], shared)
+    b_mat = _legs_matrix(b.op, shared, [l for l, _ in b_kept])
+    out = (a_mat @ b_mat).reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3)
+    subs: Subsystems = a_kept + b_kept
     inputs = tuple(l for l in a.input_labels + b.input_labels if l not in shared)
     outputs = tuple(l for l in a.output_labels + b.output_labels if l not in shared)
-    return _psd_choi(result, input_labels=inputs, output_labels=outputs)
+    return _psd_choi(
+        _owned(subs, subs, out.reshape(dx * dy, dx * dy)),
+        input_labels=inputs,
+        output_labels=outputs,
+    )
 
 
 def is_cptp(choi: ChoiOperator) -> CptpReport:

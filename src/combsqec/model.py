@@ -23,20 +23,15 @@ state is the empty string.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .combs import ChoiOperator, _psd_choi
-from .tensor import (
-    LabeledOperator,
-    Subsystems,
-    dense_cap,
-    tensor_product,
-    vectorize,
-)
+from .combs import ChoiOperator, _gram_sum, _psd_choi
+from .tensor import LabeledOperator, Subsystems, _check_cap, _owned, dense_cap
 
 __all__ = [
     "INITIAL_MEMORY",
@@ -209,14 +204,6 @@ class CheckInstrument:
     @property
     def outcomes(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
-
-    @property
-    def in_dim(self) -> int:
-        return next(iter(self.kraus.values())).col_dim
-
-    @property
-    def out_dim(self) -> int:
-        return next(iter(self.kraus.values())).row_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,10 +561,12 @@ def comb_vector_dense(
             f"dense comb vector dim {total} exceeds the cap {dense_cap()}; "
             "use the factored comb_vector workflow"
         )
-    vec = LabeledOperator((), (), np.ones((1, 1)))
+    vec = np.ones(1, dtype=np.complex128)
+    subs: Subsystems = ()
     for f in reversed(factors):
-        vec = tensor_product(vec, vectorize(f))
-    return vec
+        vec = np.kron(vec, f.data.reshape(-1))
+        subs += f.row_subsystems + f.col_subsystems
+    return _owned(subs, (), vec.reshape(-1, 1))
 
 
 def interrogator_operator(interrogator: Interrogator, final_memory: str) -> ChoiOperator:
@@ -586,13 +575,14 @@ def interrogator_operator(interrogator: Interrogator, final_memory: str) -> Choi
     if trajectories is None:
         raise ValueError(f"no trajectory reaches memory state {final_memory!r}")
     first = comb_vector_dense(interrogator, final_memory, trajectories[0].outcomes)
-    total = np.zeros((first.row_dim, first.row_dim), dtype=np.complex128)
-    for traj in trajectories:
-        v = comb_vector_dense(interrogator, final_memory, traj.outcomes).data
-        total += v @ v.conj().T
+    vectors = itertools.chain(
+        [first.data],
+        (comb_vector_dense(interrogator, final_memory, t.outcomes).data for t in trajectories[1:]),
+    )
+    total = _gram_sum(vectors, first.row_dim)
     inputs = tuple(qp_label(r) for r in range(interrogator.rounds))
     outputs = tuple(q_label(r) for r in range(1, interrogator.rounds + 1))
-    op = LabeledOperator(first.row_subsystems, first.row_subsystems, total)
+    op = _owned(first.row_subsystems, first.row_subsystems, total)
     return _psd_choi(op, input_labels=inputs, output_labels=outputs)
 
 
@@ -608,7 +598,8 @@ def compose_K(
     Alternates error rounds with the outcome-selected check Kraus operators,
     as plain matrix products: E_{e_l} (C^(l) (x) I_E) ... (C^(1) (x) I_E) E_{e_0}.
     The result maps ``Q0 -> Q{l}p (x) E{l}``; the environment leg has
-    dimension 1 for uncorrelated models.
+    dimension 1 for uncorrelated models.  Its sides are those of the last
+    and the first error round's operators, so it needs no dense-cap check.
     """
     require_chained(interrogator, errors)
     l = interrogator.rounds
@@ -633,7 +624,7 @@ def compose_K(
         (env_label(l), errors.env_dim(l)),
     )
     cols = ((q_label(0), errors.q_in_dim(0)),)
-    return LabeledOperator(rows, cols, current)
+    return _owned(rows, cols, current)
 
 
 def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOperator:
@@ -645,6 +636,7 @@ def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOp
     l = errors.rounds
     if len(error_seq) != l + 1:
         raise ValueError(f"error sequence must have length {l + 1}")
+    _check_cap(_error_comb_dim(errors))
     ops = errors.round_ops(0)
     op0 = ops[error_seq[0]]
     dq, de = errors.q_out_dim(0), errors.env_dim(0)
@@ -664,29 +656,30 @@ def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOp
         cur = np.moveaxis(cur, (cur.ndim - 3, cur.ndim - 2, cur.ndim - 1), (cur.ndim - 2, cur.ndim - 1, cur.ndim - 3))
         subs.extend([(q_label(r), dq_in), (qp_label(r), dq_out)])
     subs.append((env_label(l), errors.env_dim(l)))
-    return LabeledOperator(tuple(subs), (), cur.reshape(-1, 1))
+    return _owned(tuple(subs), (), cur.reshape(-1, 1))
+
+
+def _error_comb_dim(errors: ErrorModel) -> int:
+    return errors.env_dim(errors.rounds) * math.prod(
+        errors.q_in_dim(r) * errors.q_out_dim(r) for r in range(errors.rounds + 1)
+    )
 
 
 def error_comb(errors: ErrorModel) -> ChoiOperator:
     """Dense error comb: the PSD sum over all error sequences."""
-    total_dim = errors.env_dim(errors.rounds)
-    for r in range(errors.rounds + 1):
-        total_dim *= errors.q_in_dim(r) * errors.q_out_dim(r)
+    total_dim = _error_comb_dim(errors)
     if total_dim > dense_cap():
         raise ValueError(
             f"dense error comb dim {total_dim} exceeds the cap {dense_cap()}"
         )
-    total: np.ndarray | None = None
-    subs: Subsystems | None = None
-    for seq in errors.sequences():
-        v = error_comb_vector(errors, seq)
-        if total is None:
-            total = np.zeros((v.row_dim, v.row_dim), dtype=np.complex128)
-            subs = v.row_subsystems
-        total += v.data @ v.data.conj().T
-    assert total is not None and subs is not None
+    sequences = errors.sequences()
+    first = error_comb_vector(errors, next(sequences))
+    vectors = itertools.chain(
+        [first.data], (error_comb_vector(errors, seq).data for seq in sequences)
+    )
+    total = _gram_sum(vectors, total_dim)
     inputs = tuple(q_label(r) for r in range(errors.rounds + 1))
     outputs = tuple(qp_label(r) for r in range(errors.rounds + 1))
     outputs += (env_label(errors.rounds),)
-    op = LabeledOperator(subs, subs, total)
+    op = _owned(first.row_subsystems, first.row_subsystems, total)
     return _psd_choi(op, input_labels=inputs, output_labels=outputs)

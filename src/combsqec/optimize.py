@@ -45,7 +45,7 @@ import numpy.typing as npt
 
 from .combs import ChoiOperator, _min_eigenvalue, _psd_choi
 from .model import ErrorModel
-from .tensor import LabeledOperator, permute_subsystems
+from .tensor import LabeledOperator, _owned, permute_subsystems
 
 __all__ = [
     "OptimizerConfig",
@@ -595,7 +595,7 @@ def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
         d_out *= x.row_dim_of(label)
     d_in = ordered.row_dim // d_out
     projected = _project_cptp_array(ordered.data, d_out, d_in)
-    op = LabeledOperator(ordered.row_subsystems, ordered.col_subsystems, projected)
+    op = _owned(ordered.row_subsystems, ordered.col_subsystems, projected)
     return _psd_choi(op, input_labels=in_labels, output_labels=out_labels)
 
 

@@ -51,6 +51,16 @@ def dense_cap() -> int:
     return cap
 
 
+def _check_cap(dim: int) -> None:
+    """Raise unless a matrix side of dimension ``dim`` fits the dense cap."""
+    cap = dense_cap()
+    if dim > cap:
+        raise ValueError(
+            f"dense dimension {dim} exceeds the cap {cap}; "
+            "set COMBSQEC_DENSE_CAP to raise it"
+        )
+
+
 def _as_subsystems(subsystems: Iterable[tuple[str, int]], side: str) -> Subsystems:
     subs = tuple((str(label), int(dim)) for label, dim in subsystems)
     seen: set[str] = set()
@@ -70,6 +80,12 @@ def _dims_product(subs: Subsystems) -> int:
 @dataclass(frozen=True, eq=False)
 class LabeledOperator:
     """Dense complex matrix with named subsystems on each side.
+
+    The constructor is the trust boundary: it validates the labels, the
+    shape and the dense cap, and keeps a read-only copy of ``data``, so
+    the caller's array may change afterwards.  Library functions return
+    results through :func:`_owned` instead, which wraps the array they
+    just computed from validated operators, read-only and uncopied.
 
     Args:
         row_subsystems: ordered (label, dim) pairs for the row (output) side.
@@ -98,12 +114,7 @@ class LabeledOperator:
                 f"data shape {mat.shape} does not match declared dims {expected} "
                 f"(rows {rows}, cols {cols})"
             )
-        cap = dense_cap()
-        if max(expected) > cap:
-            raise ValueError(
-                f"dense dimension {max(expected)} exceeds the cap {cap}; "
-                "set COMBSQEC_DENSE_CAP to raise it"
-            )
+        _check_cap(max(expected))
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
@@ -141,13 +152,33 @@ class LabeledOperator:
         raise ValueError(f"unknown column label {label!r}")
 
     def scaled(self, factor: complex) -> "LabeledOperator":
-        return LabeledOperator(self.row_subsystems, self.col_subsystems, factor * self.data)
+        return _owned(self.row_subsystems, self.col_subsystems, factor * self.data)
+
+
+def _owned(
+    rows: Subsystems, cols: Subsystems, data: npt.NDArray[np.complex128]
+) -> LabeledOperator:
+    """LabeledOperator of an array a library function just computed.
+
+    ``rows`` and ``cols`` are derived from validated operators and ``data``
+    is a complex matrix of the matching shape, within the dense cap
+    (callers whose result can outgrow their operands call
+    :func:`_check_cap` first).  ``data`` is marked read-only in place, not
+    copied, so it must be fresh or a view of read-only operator data.
+    """
+    data.flags.writeable = False
+    op = object.__new__(LabeledOperator)
+    object.__setattr__(op, "row_subsystems", rows)
+    object.__setattr__(op, "col_subsystems", cols)
+    object.__setattr__(op, "data", data)
+    return op
 
 
 def identity_operator(subsystems: Iterable[tuple[str, int]]) -> LabeledOperator:
-    subs = tuple(subsystems)
-    d = _dims_product(_as_subsystems(subs, "row"))
-    return LabeledOperator(subs, subs, np.eye(d, dtype=np.complex128))
+    subs = _as_subsystems(subsystems, "row")
+    d = _dims_product(subs)
+    _check_cap(d)
+    return _owned(subs, subs, np.eye(d, dtype=np.complex128))
 
 
 def tensor_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -156,7 +187,8 @@ def tensor_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
         clash = set(al) & set(bl)
         if clash:
             raise ValueError(f"{side} label(s) {sorted(clash)} appear in both operands")
-    return LabeledOperator(
+    _check_cap(max(a.row_dim * b.row_dim, a.col_dim * b.col_dim))
+    return _owned(
         a.row_subsystems + b.row_subsystems,
         a.col_subsystems + b.col_subsystems,
         np.kron(a.data, b.data),
@@ -215,7 +247,7 @@ def partial_trace(op: LabeledOperator, labels: Iterable[str]) -> LabeledOperator
     out = np.einsum(arr, subscripts, keep)
     rows = tuple(s for s in op.row_subsystems if s[0] not in traced)
     cols = tuple(s for s in op.col_subsystems if s[0] not in traced)
-    return LabeledOperator(rows, cols, out.reshape(_dims_product(rows), _dims_product(cols)))
+    return _owned(rows, cols, out.reshape(_dims_product(rows), _dims_product(cols)))
 
 
 def partial_transpose(op: LabeledOperator, labels: Iterable[str]) -> LabeledOperator:
@@ -238,9 +270,7 @@ def partial_transpose(op: LabeledOperator, labels: Iterable[str]) -> LabeledOper
             j = n_row + col_names.index(label)
             perm[i], perm[j] = perm[j], perm[i]
     out = arr.transpose(perm)
-    return LabeledOperator(
-        op.row_subsystems, op.col_subsystems, out.reshape(op.row_dim, op.col_dim)
-    )
+    return _owned(op.row_subsystems, op.col_subsystems, out.reshape(op.row_dim, op.col_dim))
 
 
 def permute_subsystems(
@@ -268,7 +298,7 @@ def permute_subsystems(
     arr = arr.transpose(perm)
     rows = tuple((label, op.row_dim_of(label)) for label in row_order)
     cols = tuple((label, op.col_dim_of(label)) for label in col_order)
-    return LabeledOperator(rows, cols, arr.reshape(op.row_dim, op.col_dim))
+    return _owned(rows, cols, arr.reshape(op.row_dim, op.col_dim))
 
 
 def vectorize(op: LabeledOperator) -> LabeledOperator:
@@ -282,8 +312,8 @@ def vectorize(op: LabeledOperator) -> LabeledOperator:
         raise ValueError(
             f"label(s) {sorted(clash)} appear on both sides; relabel before vectorizing"
         )
-    subs = op.row_subsystems + op.col_subsystems
-    return LabeledOperator(subs, (), op.data.reshape(-1, 1))
+    _check_cap(op.row_dim * op.col_dim)
+    return _owned(op.row_subsystems + op.col_subsystems, (), op.data.reshape(-1, 1))
 
 
 def _spectrum_bits(vals: npt.NDArray[np.float64]) -> float:

@@ -14,7 +14,18 @@ import combsqec.io as combsqec_io
 from combsqec.cli import main
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
-from combsqec.model import CodeSpace, StrategicCode, compose_K, enumerate_trajectories
+from combsqec.model import (
+    CheckInstrument,
+    CodeSpace,
+    ErrorModel,
+    Interrogator,
+    MemoryUpdate,
+    StrategicCode,
+    check_op,
+    compose_K,
+    enumerate_trajectories,
+    error_op,
+)
 
 from conftest import noisy_errors
 
@@ -40,6 +51,25 @@ def noisy_spacetime(eps, path):
     inst = build_instance("spacetime")
     errors = noisy_errors(inst.errors, eps)
     export_instance(inst.code, errors, path)
+    return path
+
+
+def cancelling_instance(path):
+    """One qubit, both codewords, identity errors and one check round whose
+    outcomes +-P0/sqrt2 and +-P1/sqrt2 all go to one memory: the branches
+    of each projector cancel in the memory's coherent sum, so no codestate
+    reaches the final memory."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    kraus = {
+        name: check_op(1, sign * proj / np.sqrt(2))
+        for name, sign, proj in (("a", 1, p0), ("b", -1, p0), ("c", 1, p1), ("d", -1, p1))
+    }
+    interro = Interrogator(
+        ({"": CheckInstrument(1, "", kraus)},),
+        MemoryUpdate(({(o, ""): "m" for o in kraus},)),
+    )
+    errors = ErrorModel(tuple((error_op(r, np.eye(2)),) for r in range(2)))
+    export_instance(StrategicCode(CodeSpace(2, np.eye(2)), interro), errors, path)
     return path
 
 
@@ -311,6 +341,21 @@ class TestDecode:
         payload = json.loads(report.read_text())
         assert payload["verdict"] == "SYNTHESIS FAILED"
         assert "Schmidt-rank inconsistency" in payload["error"]
+
+    def test_no_arrived_codestate_fails_the_gate(self, runner, tmp_path):
+        report = tmp_path / "empty.json"
+        res = runner.invoke(
+            main,
+            ["decode", cancelling_instance(str(tmp_path / "c.json")),
+             "--proof", "algebraic", "--samples", "3", "--report", str(report)],
+        )
+        assert res.exit_code == 1
+        assert "no codestate out of 3 reached any final memory" in res.output
+        assert "inf" not in res.output
+        assert "recovered weight per state: 0.000000, 0.000000, 0.000000" in res.output
+        payload = json.loads(report.read_text(), parse_constant=pytest.fail)
+        assert payload["worst_fidelity"] is None
+        assert payload["verdict"] == "FAIL"
 
     def test_zero_samples_vacuous(self, runner, exported):
         res = runner.invoke(

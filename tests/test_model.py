@@ -129,7 +129,7 @@ class TestCheckInstrument:
         rng = rng_for(1)
         inst = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("x", "y", "z"))
         assert inst.outcomes == ("x", "y", "z")
-        assert inst.in_dim == 2 and inst.out_dim == 2
+        assert all((k.col_dim, k.row_dim) == (2, 2) for k in inst.kraus.values())
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError, match="not complete"):
@@ -239,7 +239,8 @@ class TestInterrogator:
         assert interro.round_dims == expected
         for r, table in enumerate(interro.instruments, start=1):
             for inst in table.values():
-                assert (inst.in_dim, inst.out_dim) == interro.round_dims[r - 1]
+                for k in inst.kraus.values():
+                    assert (k.col_dim, k.row_dim) == interro.round_dims[r - 1]
 
     def test_missing_instrument_rejected(self, rng):
         r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("a", "b"))

@@ -10,6 +10,7 @@ from combsqec.tensor import (
     identity_operator,
     partial_trace,
     partial_transpose,
+    permute_subsystems,
     tensor_product,
     vectorize,
 )
@@ -39,6 +40,48 @@ class TestLabeledOperator:
         assert dense_cap() == 8
         with pytest.raises(ValueError, match="exceeds the cap"):
             op(np.zeros((16, 16)), [("a", 16)], [("b", 16)])
+
+    def test_constructor_copies_the_callers_array(self):
+        mat = np.eye(2, dtype=complex)
+        a = op(mat, [("a", 2)], [("a", 2)])
+        mat[0, 0] = 5.0
+        assert a.data[0, 0] == 1.0
+        assert mat.flags.writeable
+
+
+def _results():
+    """One result of every tensor function, from validated operators."""
+    rng = rng_for(16)
+    a = op(random_matrix(rng, 6, 6), [("a", 2), ("b", 3)], [("a", 2), ("b", 3)])
+    k = op(random_matrix(rng, 2, 3), [("o", 2)], [("i", 3)])
+    return {
+        "tensor_product": tensor_product(a, k),
+        "partial_trace": partial_trace(a, {"b"}),
+        "partial_transpose": partial_transpose(a, {"a"}),
+        "permute_subsystems": permute_subsystems(a, ["b", "a"]),
+        "vectorize": vectorize(k),
+        "scaled": a.scaled(2.0),
+        "identity_operator": identity_operator([("a", 2)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_results()))
+def test_library_results_are_read_only(name):
+    result = _results()[name]
+    assert result.data.flags.writeable is False
+    with pytest.raises(ValueError):
+        result.data[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tensor_product(op(np.eye(4), [("a", 4)], [("b", 4)]),
+                           op(np.eye(4), [("c", 4)], [("d", 4)])),
+    lambda: vectorize(op(np.eye(4), [("a", 4)], [("b", 4)])),
+], ids=["tensor_product", "vectorize"])
+def test_results_beyond_the_cap_are_rejected(monkeypatch, build):
+    monkeypatch.setenv("COMBSQEC_DENSE_CAP", "8")
+    with pytest.raises(ValueError, match="exceeds the cap 8"):
+        build()
 
 
 class TestTensorProduct:
