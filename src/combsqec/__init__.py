@@ -23,7 +23,6 @@ from combsqec.conditions import (
     RecoveryRecord,
     RecoveryReport,
     check_algebraic,
-    check_corollary_all_outcomes,
     check_info,
     check_static_kl,
     synth_decoder_algebraic,

@@ -163,7 +163,11 @@ def check(path: str, method: str, tol: float | None, report_path: str | None) ->
                 "tolerance": rep.tolerance,
                 "lambda": {m: encode_matrix(lam) for m, lam in rep.detail["lambda"].items()},
                 "support": {
-                    m: [list(e) for e in seqs] for m, seqs in rep.detail["support"].items()
+                    m: [
+                        {"outcomes": list(o), "errors": list(e), "env": eps}
+                        for o, e, eps in branches
+                    ]
+                    for m, branches in rep.detail["support"].items()
                 },
             }
         if method in ("info", "both"):
@@ -218,6 +222,11 @@ def _random_codestates(code: StrategicCode, count: int, seed: int) -> list[np.nd
     return out
 
 
+def _branch_text(branch: tuple) -> str:
+    outcomes, errors, eps = branch
+    return f"(outcomes {outcomes}, errors {errors}, env {eps})"
+
+
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option(
@@ -257,10 +266,10 @@ def decode(
     if not rep.correctable:
         click.echo(_verdict_word(False))
         if proof == "algebraic":
-            i, j, e, ep, memory, outcomes = rep.witness
+            i, j, b, bp, memory = rep.witness
             witness = (
-                f"codestates ({i}, {j}), error sequences {e} vs {ep},"
-                f" memory {memory!r}, outcomes {outcomes}"
+                f"codestates ({i}, {j}), branches {_branch_text(b)} vs"
+                f" {_branch_text(bp)}, memory {memory!r}"
             )
             click.echo(f"witness: {witness}")
             click.echo(f"worst residual {rep.worst_residual:.3e} > {rep.tolerance:.3e}")

@@ -8,11 +8,13 @@ with a constructive decoder built from their respective proofs, plus an
 end-to-end recovery verifier.
 
 Throughout, ``K_{e,m,o}`` is the composed operator of error sequence e,
-final memory m and outcome sequence o (see :func:`combsqec.model.compose_K`),
-``K_{e,m}`` its sum over the outcome sequences reaching m, and B the
-codespace basis matrix.  The final environment leg is contracted inside
-every K-dagger-K product; decoder synthesis requires it to be trivial since
-a decoder cannot act on the environment.
+final memory m and outcome sequence o (see :func:`combsqec.model.compose_K`)
+and B the codespace basis matrix.  A decoder for final memory m acts on the
+check-round output Q_out only, so the channel it inverts has one Kraus
+operator K_b per branch b = (o, e, eps): the slice eps of K_{e,m,o} on the
+final environment.  The outcome sequences the memory forgets and the
+environment are summed incoherently.  Both checkers, both decoders and the
+verifier read this one channel, the branch table of :class:`_Composed`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "RecoveryReport",
     "branch_supports",
     "check_algebraic",
-    "check_corollary_all_outcomes",
     "check_static_kl",
     "check_info",
     "synth_decoder_algebraic",
@@ -53,7 +54,6 @@ RESIDUAL_RTOL = 1e-8
 MI_TOL_BITS = 1e-7
 P_FLOOR = 1e-12
 WEIGHT_CUTOFF = 1e-10
-SCHMIDT_CUTOFF = 1e-11
 # Decoder: Frobenius slack of completeness (per sqrt input dim) and of P^2 = P
 DECODER_ATOL = 1e-8
 # verify_recovery: largest | ||psi|| - 1 | of a state taken as normalized
@@ -77,8 +77,9 @@ _FIT_CHUNK = 1 << 20
 class ConditionReport:
     """Verdict of a correctability checker.
 
-    ``witness`` pinpoints the worst violation: for the algebraic checkers a
-    ``(i, j, e, e_prime, memory, outcomes)`` tuple, for the static case
+    ``witness`` pinpoints the worst violation: for the algebraic checker an
+    ``(i, j, b, b_prime, memory)`` tuple, each branch an (outcome sequence,
+    error sequence, environment slice) triple, for the static case
     ``(i, j, a, b)`` Kraus-pair indices, for the entropic checker the final
     memory state.  ``detail`` carries the checker's full table (lambda
     matrices or entropy deficits).
@@ -217,9 +218,8 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
         return np.repeat(o_of, len(ops))[live], e_next[live], out[live]
 
     start = np.zeros(1, dtype=np.intp)
-    frontier = {
-        INITIAL_MEMORY: ([()], *error_round(0, start, start, code.codespace.basis[None]))
-    }
+    o_of, e_idx, stack = error_round(0, start, start, code.codespace.basis[None])
+    frontier = {INITIAL_MEMORY: ([()], o_of, e_idx, stack)} if len(stack) else {}
     for r in range(1, interrogator.rounds + 1):
         env = errors.env_dim(r - 1)
         count = 0
@@ -256,26 +256,27 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
 
 
 class _Composed:
-    """The nonzero K_{e,m,o} B blocks of an instance, grouped by memory.
+    """The nonzero branches of an instance, grouped by final memory.
 
-    Built by one :func:`_walk`.  Per final memory m the table keeps its
-    branches: ``blocks[m]`` is the (n_b, out, k) stack of the nonzero
-    blocks in (outcome, error) C order, branch b having outcome sequence
-    ``outcomes[m][row[m][b]]`` and error sequence ``cols[m][col[m][b]]``.
-    ``cols[m]`` lists the error sequences (C order over the rounds' Kraus
-    counts, as :meth:`ErrorModel.sequences` lists them) with a branch, the
-    memory's support, and ``aggregated[m][c]`` is K_{e,m} B, the sum of the
-    branches of error sequence ``cols[m][c]``.  Every other block is
-    exactly zero.  A memory no branch reaches has no branch.
+    Built by one :func:`_walk`.  A branch is one final-environment slice of
+    a nonzero K_{e,m,o} B: rows q * env + eps of the walk's (q * env, k)
+    block, for q in Q_out.  Per final memory m, ``blocks[m]`` is the
+    (n_b, out, k) stack of the exactly nonzero slices in (outcome, error,
+    slice) C order; branch b has outcome sequence ``outcomes[m][row[m][b]]``,
+    error sequence ``sequence(err[m][b])`` and environment slice
+    ``eps[m][b]``.  These are the Kraus operators of the channel a decoder
+    for m acts on: it reads Q_out only, so the outcome sequences the memory
+    forgets and the final environment are summed incoherently.  A memory no
+    branch reaches has no branch.
     """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
         _check_dims(code, errors)
         self.basis = code.codespace.basis
-        self.code_dim = code.codespace.dim
+        self.code_dim = k = code.codespace.dim
         self.counts = tuple(len(ops) for ops in errors.kraus_rounds)
-        self.env_dim = errors.env_dim(errors.rounds)
-        self.out_dim = errors.q_out_dim(errors.rounds) * self.env_dim
+        self.out_dim = q = errors.q_out_dim(errors.rounds)
+        env = errors.env_dim(errors.rounds)
         grouped = enumerate_trajectories(code.interrogator)
         self.memories = tuple(sorted(grouped))
         self.outcomes: dict[str, tuple[tuple[str, ...], ...]] = {
@@ -283,36 +284,43 @@ class _Composed:
         }
         reached = _walk(code, errors)
         self.row: dict[str, np.ndarray] = {}
-        self.col: dict[str, np.ndarray] = {}
-        self.cols: dict[str, np.ndarray] = {}
+        self.err: dict[str, np.ndarray] = {}
+        self.eps: dict[str, np.ndarray] = {}
         self.blocks: dict[str, np.ndarray] = {}
-        self.aggregated: dict[str, np.ndarray] = {}
         empty = np.zeros(0, dtype=np.intp)
-        shape = (self.out_dim, self.code_dim)
         for m in self.memories:
             prefixes, o_of, e_idx, stack = reached.get(
-                m, ([], empty, empty, np.zeros((0, *shape), dtype=np.complex128))
+                m, ([], empty, empty, np.zeros((0, q * env, k), dtype=np.complex128))
             )
             position = {o: i for i, o in enumerate(self.outcomes[m])}
             row = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
-            order = np.lexsort((e_idx, row))
-            cols, col = np.unique(e_idx, return_inverse=True)
-            row, col, stack = row[order], col[order], stack[order]
-            agg = np.zeros((len(cols), *shape), dtype=np.complex128)
-            np.add.at(agg, col, stack)
-            for a in (row, col, cols, stack, agg):
+            n = len(stack)
+            slices = stack.reshape(n, q, env, k).transpose(0, 2, 1, 3).reshape(n * env, q, k)
+            row, err = np.repeat(row, env), np.repeat(e_idx, env)
+            eps = np.tile(np.arange(env), n)
+            live = np.flatnonzero(slices.any(axis=(1, 2)))
+            keep = live[np.lexsort((eps[live], err[live], row[live]))]
+            row, err, eps, slices = row[keep], err[keep], eps[keep], slices[keep]
+            for a in (row, err, eps, slices):
                 a.flags.writeable = False
-            self.row[m], self.col[m], self.cols[m] = row, col, cols
-            self.blocks[m], self.aggregated[m] = stack, agg
+            self.row[m], self.err[m], self.eps[m], self.blocks[m] = row, err, eps, slices
         self._products: dict[object, Any] = {}
 
     def sequence(self, index: int) -> tuple[int, ...]:
         """The error sequence at ``index`` in C order."""
         return tuple(int(i) for i in np.unravel_index(index, self.counts))
 
-    def support(self, m: str) -> tuple[tuple[int, ...], ...]:
-        """The error sequences with a nonzero block at memory m, in order."""
-        return tuple(self.sequence(i) for i in self.cols[m])
+    def branch(self, m: str, b: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+        """Branch b of memory m as (outcome sequence, error sequence, slice)."""
+        return (
+            self.outcomes[m][self.row[m][b]],
+            self.sequence(self.err[m][b]),
+            int(self.eps[m][b]),
+        )
+
+    def support(self, m: str) -> tuple[tuple, ...]:
+        """The branches of memory m, in order."""
+        return tuple(self.branch(m, b) for b in range(len(self.blocks[m])))
 
     def product(self, key: object, build: Callable[[_Composed], Any]) -> Any:
         """A tolerance-independent product of the table, built on first use.
@@ -325,9 +333,9 @@ class _Composed:
         return self._products[key]
 
     def scale(self) -> float:
-        """Largest composed-operator norm encountered, and at least 1."""
-        stacks = [s for m in self.memories for s in (self.blocks[m], self.aggregated[m])]
-        norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(-2, -1))
+        """Largest branch norm, and at least 1."""
+        stack = np.concatenate([self.blocks[m] for m in self.memories])
+        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
         return max(1.0, float(np.max(norms, initial=0.0)))
 
 
@@ -352,13 +360,13 @@ def branch_supports(
 ) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
     """Outcome sequences whose K_{e,m,o} B carries weight, per error sequence."""
     comp = _composed(code, errors)
-    supports: dict[tuple[int, ...], list[tuple[str, ...]]] = {
-        e: [] for e in errors.sequences()
+    supports: dict[tuple[int, ...], set[tuple[str, ...]]] = {
+        e: set() for e in errors.sequences()
     }
     for m in comp.memories:
         heavy = np.linalg.norm(comp.blocks[m], axis=(1, 2)) > BRANCH_WEIGHT_FLOOR
-        for o, c in zip(comp.row[m][heavy], comp.col[m][heavy]):
-            supports[comp.sequence(comp.cols[m][c])].append(comp.outcomes[m][o])
+        for o, e in zip(comp.row[m][heavy], comp.err[m][heavy]):
+            supports[comp.sequence(e)].add(comp.outcomes[m][o])
     return {e: sorted(outs) for e, outs in supports.items()}
 
 
@@ -406,42 +414,29 @@ def _fit_cells(
 def _algebraic_sweep(comp: _Composed) -> tuple:
     """Worst residual, its witness and the detail table of one sweep.
 
-    Each memory's aggregates K_{e',m} B are fitted against its branches
-    K_{e,m,o} B, and lambda is summed per (e', e) into Lambda_m.  Every
-    other cell is T = 0, with lambda = 0 and residual 0.  So a memory whose
-    worst residual is 0 names its first cell in full C order,
-    (o, e', e) = (0, 0, 0) with (i, j) = (0, 0), as a sweep over every cell
-    would.
+    Each memory's branches are fitted against each other, and the fitted
+    scalars are Lambda_m.  The witness names the first worst cell (b', b)
+    in C order of the first memory that holds it.
     """
     k = comp.code_dim
-    worst = -1.0
+    worst = 0.0
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
     degenerate: list[tuple[str, tuple[str, ...]]] = []
     for m in comp.memories:
-        blocks, row, col, cols = comp.blocks[m], comp.row[m], comp.col[m], comp.cols[m]
-        outcomes = comp.outcomes[m]
-        res, cell, i, j = 0.0, (0, 0, 0), 0, 0
-        lam_m = np.zeros((len(cols), len(cols)), dtype=np.complex128)
-        vanishing = np.ones(len(outcomes), dtype=bool)
+        blocks, row = comp.blocks[m], comp.row[m]
+        lam = np.zeros((len(blocks), len(blocks)), dtype=np.complex128)
+        vanishing = np.ones(len(comp.outcomes[m]), dtype=bool)
         if len(blocks):
-            lam, fit, entry = _fit_cells(comp.aggregated[m], blocks)   # (e', branch)
-            np.add.at(lam_m, (slice(None), col), lam)
-            top = float(fit.max())
-            if top != 0.0:
-                # the first worst cell in (o, e', e) order
-                a, b = np.nonzero(fit == top)
-                first = np.lexsort((col[b], a, row[b]))[0]
-                a, b = a[first], b[first]
-                res, cell = top, (row[b], cols[a], cols[col[b]])
+            lam, fit, entry = _fit_cells(blocks, blocks)
+            a, b = np.unravel_index(int(np.argmax(fit)), fit.shape)
+            if witness is None or fit[a, b] > worst:
+                worst = float(fit[a, b])
                 j, i = divmod(int(entry[a, b]), k)
+                witness = (i, j, comp.branch(m, b), comp.branch(m, a), m)
             vanishing[row[np.max(np.abs(blocks), axis=(1, 2)) >= WEIGHT_CUTOFF]] = False
-        if res > worst:
-            worst = res
-            o, a, b = cell
-            witness = (i, j, comp.sequence(b), comp.sequence(a), m, outcomes[o])
-        degenerate.extend((m, outcomes[io]) for io in np.flatnonzero(vanishing))
-        lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
+        degenerate.extend((m, comp.outcomes[m][o]) for o in np.flatnonzero(vanishing))
+        lambdas[m] = (lam + lam.conj().T) / 2.0
         lambdas[m].flags.writeable = False
     detail = {
         "lambda": lambdas,
@@ -450,12 +445,47 @@ def _algebraic_sweep(comp: _Composed) -> tuple:
         "degenerate_branches": tuple(degenerate),
         "scale": comp.scale(),
     }
-    return float(worst), witness, detail
+    return worst, witness, detail
 
 
-def _algebraic_report(comp: _Composed, tol: float | None) -> ConditionReport:
-    """Verdict of the (cached) sweep for check_algebraic and the corollary."""
-    worst, witness, detail = comp.product("algebraic", _algebraic_sweep)
+def check_algebraic(
+    code: StrategicCode, errors: ErrorModel, tol: float | None = None
+) -> ConditionReport:
+    """Algebraic correctability check.
+
+    The Knill–Laflamme condition on the channel each final memory m leaves
+    on Q_out, whose Kraus operators are the memory's branches K_b (see
+    :class:`_Composed`).  For each pair (b', b) of branches of m the
+    codespace matrix T = B^dag K_b'^dag K_b B is reduced to its
+    least-squares scalar lambda = Tr(T) / code_dim and the residual
+    ||T - lambda I||_F.  Correctable iff every residual is within tolerance
+    (default ``1e-8`` times the largest branch norm).  A branch's phase
+    scales its cells by a unit number, so no verdict or residual depends on
+    Kraus phases.  The witness is ``(i, j, b, b_prime, m)``: the first cell
+    of largest residual in (m, b', b) order, each branch named as (outcome
+    sequence, error sequence, environment slice), and (i, j) the (column,
+    row) of the largest entry of |T - lambda I| in that cell; when every
+    residual is zero it is the first cell of the first memory with a
+    branch.  All cells of a memory are reduced in one batch, whose rounding
+    may differ from a per-cell reduction in the last bit, so of two cells
+    or entries that tie in exact arithmetic (such as (b', b) and (b, b')
+    when T is Hermitian) either may be named.
+
+    ``detail`` holds:
+
+    * ``"lambda"``: per final memory m the matrix Lambda_m, the Gram matrix
+      of the branches B^dag K_b^dag over code_dim, so Hermitian up to
+      rounding and stored symmetrized.  Decoder synthesis does not read it:
+      its eigenpairs are the singular pairs of the stacked branches.
+    * ``"support"``: per final memory, the branches indexing its
+      ``"lambda"``, in order, each as (outcome sequence, error sequence,
+      environment slice).
+    * ``"memories"``: the final memory states.
+    * ``"degenerate_branches"``: the (m, o) outcome sequences whose
+      composed operators vanish on the codespace, in (m, o) order.
+    * ``"scale"``: the largest branch norm.
+    """
+    worst, witness, detail = _composed(code, errors).product("algebraic", _algebraic_sweep)
     tolerance = RESIDUAL_RTOL * detail["scale"] if tol is None else float(tol)
     return ConditionReport(
         correctable=bool(worst <= tolerance),
@@ -468,62 +498,6 @@ def _algebraic_report(comp: _Composed, tol: float | None) -> ConditionReport:
             "support": dict(detail["support"]),
         },
     )
-
-
-def check_algebraic(
-    code: StrategicCode, errors: ErrorModel, tol: float | None = None
-) -> ConditionReport:
-    """Algebraic correctability check.
-
-    For each (e', e, m, o) the codespace matrix
-    T = B^dag K_{e',m}^dag K_{e,m,o} B is reduced to its least-squares
-    scalar lambda = Tr(T) / code_dim and the residual ||T - lambda I||_F;
-    the e' side aggregates outcome sequences, matching the condition's
-    asymmetric form.  Correctable iff every residual is within tolerance
-    (default ``1e-8`` times the largest composed-operator norm).  The
-    witness names the first cell of largest residual in (m, o, e', e)
-    order, and (i, j) the (column, row) of the largest entry of
-    |T - lambda I| in that cell.  All cells of a memory are reduced in one
-    batch, whose rounding may differ from a per-cell reduction in the last
-    bit, so of two cells or entries that tie in exact arithmetic (such as
-    (e', e) and (e, e') when T is Hermitian) either may be named.
-
-    ``detail`` holds:
-
-    * ``"lambda"``: per final memory m the matrix Lambda_m on the memory's
-      support, whose (e', e) entry sums lambda over the outcome sequences
-      reaching m.  It is the Gram matrix of the K_{e,m} B over code_dim, so
-      it is Hermitian up to rounding and stored symmetrized.  Every entry
-      off the support is exactly zero.  Decoder synthesis does not read it:
-      its eigenpairs are the singular pairs of the stacked K_{e,m} B.
-    * ``"support"``: per final memory, the error sequences indexing its
-      ``"lambda"``, in order: those with a nonzero K_{e,m,o} B for some o.
-    * ``"memories"``: the final memory states.
-    * ``"degenerate_branches"``: the (m, o) branches whose composed
-      operators vanish on the codespace, in (m, o) order.
-    * ``"scale"``: the largest composed-operator norm.
-    """
-    return _algebraic_report(_composed(code, errors), tol)
-
-
-def check_corollary_all_outcomes(
-    code: StrategicCode, errors: ErrorModel, tol: float | None = None
-) -> ConditionReport:
-    """Symmetric per-outcome form, valid when memory stores all outcomes.
-
-    Requires the memory update to be injective on outcome sequences.  There
-    each memory pins one outcome sequence, whose branches are the memory's
-    aggregates, so the symmetric form is the asymmetric one and the report
-    is :func:`check_algebraic`'s, from the same cached sweep.
-    """
-    comp = _composed(code, errors)
-    for m, outcomes in comp.outcomes.items():
-        if len(outcomes) > 1:
-            raise ValueError(
-                f"memory update is not injective: {len(outcomes)} outcome "
-                f"sequences share final memory {m!r}; use check_algebraic"
-            )
-    return _algebraic_report(comp, tol)
 
 
 def check_static_kl(
@@ -572,13 +546,14 @@ def check_static_kl(
 def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
     """Per memory m: (p_m, deficit, spectrum, vectors), from two SVDs.
 
-    Each sector's state (1/sqrt(k)) sum_{i,o,e} |i>_R |o>_O |e>_E K_{e,m,o} B|i>
-    is pure on (R, O, E, Q_out), so S(RME) = S(Q_out) and S(ME) = S(R Q_out).
-    Both spectra are squared singular values, divided by k, of the memory's
-    branch stack reshaped as (Q | R branch) and as (Q R | branch); the
-    latter's left singular vectors are the Schmidt vectors the entropic
-    decoder needs.  Zero blocks add no singular value, so the branches
-    suffice.  Memories with as many branches share one stacked SVD call.
+    Each sector's state (1/sqrt(k)) sum_{i,b} |i>_R |o>_O |e, eps>_E K_b B|i>,
+    over the memory's branches b = (o, e, eps), is pure on (R, O, E, Q_out),
+    so S(RME) = S(Q_out) and S(ME) = S(R Q_out).  Both spectra are squared
+    singular values, divided by k, of the memory's branch stack reshaped as
+    (Q | R branch) and as (Q R | branch); the latter's left singular
+    vectors are the Schmidt vectors both decoders read.  Zero slices add no
+    singular value, so the branches suffice.  Memories with as many
+    branches share one stacked SVD call.
     ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
     ``deficit`` is None at or below the weight floor.
     """
@@ -627,8 +602,9 @@ def check_info(
     rounding may split deficits that tie in exact arithmetic (sectors
     related by a symmetry), so of those either may be named.
 
-    Each sector's state on (R, O, E, Q_out) is pure, so S(RME) = S(Q_out)
-    and S(ME) = S(R Q_out): both come from SVDs of the composed blocks,
+    Each sector's state on (R, O, E, Q_out) is pure, the final environment
+    sitting in E with the error sequence, so S(RME) = S(Q_out) and
+    S(ME) = S(R Q_out): both come from SVDs of the memory's branches,
     once per table, and no register-sized matrix is formed, so
     ``COMBSQEC_DENSE_CAP`` does not bound this checker.  ``detail`` holds
     ``"deficit_bits"`` and ``"weights"`` (P(m)) per memory, and ``"p_floor"``.
@@ -660,43 +636,46 @@ def _info_report(sectors: dict[str, tuple], tol: float) -> ConditionReport:
 # ----------------------------------------------------------------------
 
 
-def _require_trivial_environment(errors: ErrorModel, what: str) -> None:
-    if errors.env_dim(errors.rounds) != 1:
-        raise ValueError(
-            f"{what} requires a trivial final environment; the environment "
-            "leg is inaccessible to any decoder"
-        )
+def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decoder:
+    """Per memory, invert the sector's Schmidt vectors by a polar step.
 
-
-def _blocks_to_decoder(
-    basis: np.ndarray,
-    out_dim: int,
-    vectors: dict[str, np.ndarray],
-) -> Decoder:
-    """Orthonormalize per-memory singular vectors by polar decomposition.
-
-    ``vectors[m]`` is an (out_dim * code_dim, r) matrix of unit columns;
-    column alpha, reshaped to (out_dim, code_dim) and scaled by
+    Each Schmidt vector of weight above ``WEIGHT_CUTOFF``, an
+    (out * code_dim) unit column, reshaped to (out, code_dim) and scaled by
     sqrt(code_dim), is one block.  The polar isometry of the blocks'
     horizontal stack keeps correctable instances exact and turns
-    near-orthonormal stacks into valid Kraus sets; with r = 0 the memory
-    gets no Kraus operator and the identity as completion.
+    near-orthonormal stacks into valid Kraus sets; with no block the memory
+    gets no Kraus operator and the identity as completion.  With
+    ``uniform`` a block whose column norms are not uniform across codewords
+    raises (a Schmidt-rank inconsistency: the sector's state is not a
+    product).
     """
-    k = basis.shape[1]
+    k, out, basis = comp.code_dim, comp.out_dim, comp.basis
     kraus: dict[str, tuple[np.ndarray, ...]] = {}
     completion: dict[str, np.ndarray] = {}
-    for m, vecs in vectors.items():
-        r = vecs.shape[1]
-        stack = math.sqrt(k) * vecs.reshape(out_dim, k, r).transpose(0, 2, 1).reshape(
-            out_dim, r * k
-        )
-        u, _, vh = np.linalg.svd(stack, full_matrices=False)
-        iso = u @ vh
+    for m, (_, _, spectrum, vectors) in sectors.items():
+        keep = spectrum > WEIGHT_CUTOFF
+        q, u = spectrum[keep], vectors[:, keep].reshape(out, k, -1)
+        if uniform:
+            # column norms of each block, weighted by its eigenvalue
+            norms2 = q * k * np.sum(np.abs(u) ** 2, axis=0)
+            dev = np.max(np.abs(norms2 - q), axis=0)
+            bad = np.flatnonzero(dev > SCHMIDT_UNIFORM_RTOL * np.maximum(1.0, q))
+            if bad.size:
+                a = bad[0]
+                raise ValueError(
+                    "Schmidt-rank inconsistency: projected norms "
+                    f"{norms2[:, a]} differ from eigenvalue {q[a]:.3e} "
+                    f"for memory {m!r}; the joint state is not a product"
+                )
+        r = len(q)
+        stack = math.sqrt(k) * u.transpose(0, 2, 1).reshape(out, r * k)
+        w, _, vh = np.linalg.svd(stack, full_matrices=False)
+        iso = w @ vh
         kraus[m] = tuple(basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(r))
-        completion[m] = np.eye(out_dim, dtype=np.complex128) - iso @ iso.conj().T
+        completion[m] = np.eye(out, dtype=np.complex128) - iso @ iso.conj().T
     return Decoder(
         output_dim=basis.shape[0],
-        input_dim=out_dim,
+        input_dim=out,
         kraus=kraus,
         completion=completion,
     )
@@ -711,19 +690,20 @@ def synth_decoder_algebraic(
     """Decoder from the algebraic proof.
 
     Lambda_m of :func:`check_algebraic` is M^dag M / code_dim for the
-    (out * code_dim, n_e) matrix M whose column e is K_{e,m} B.  So one SVD
-    of M per memory gives Lambda_m's eigenvalues s^2 / code_dim and, as
-    left singular vectors, the orthogonal error directions F_alpha: the
-    K_{e,m} B rotated by an eigenvector, over the root of its eigenvalue,
-    are sqrt(code_dim) times one.  Each direction is inverted back onto
-    the codespace; those of weight s^2 / code_dim at or below the cutoff
-    never occur on the codespace and are dropped.  With
-    ``require_correctable=False`` the construction proceeds on failing
+    (out * code_dim, n_b) matrix M whose column b is branch K_b B.  So the
+    SVD of M gives Lambda_m's eigenvalues s^2 / code_dim and, as left
+    singular vectors, the orthogonal error directions F_alpha: the branches
+    rotated by an eigenvector, over the root of its eigenvalue, are
+    sqrt(code_dim) times one.  That SVD is the one :func:`check_info`
+    decides on, so both synthesizers read its product and differ only in
+    the gate they run and the entropic decoder's uniform-norm check.  Each
+    direction is inverted back onto the codespace; those of weight at or
+    below ``WEIGHT_CUTOFF`` never occur on the codespace and are dropped.
+    With ``require_correctable=False`` the construction proceeds on failing
     instances, without running the check, and yields the best-effort
-    projective decoder.  A memory with an empty support gets no Kraus
-    operator and the identity as completion.
+    projective decoder.  A memory with no branch gets no Kraus operator and
+    the identity as completion.
     """
-    _require_trivial_environment(errors, "the algebraic decoder")
     if require_correctable:
         report = check_algebraic(code, errors, tol)
         if not report.correctable:
@@ -733,14 +713,7 @@ def synth_decoder_algebraic(
                 "pass require_correctable=False for a best-effort decoder"
             )
     comp = _composed(code, errors)
-    k = comp.code_dim
-    vectors: dict[str, np.ndarray] = {}
-    for m in comp.memories:
-        agg = comp.aggregated[m]        # (support, out, k)
-        stack = agg.reshape(len(agg), comp.out_dim * k).T
-        u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        vectors[m] = u[:, s**2 / k > WEIGHT_CUTOFF]
-    return _blocks_to_decoder(comp.basis, comp.out_dim, vectors)
+    return _decoder(comp, comp.product("schmidt", _schmidt_sectors), uniform=False)
 
 
 def synth_decoder_schmidt(
@@ -754,15 +727,14 @@ def synth_decoder_schmidt(
     Each sector's state on (R, O, E, Q_out) is pure, so its Schmidt
     decomposition across (R Q_out | O E) carries the spectrum of rho_ME,
     as S(ME) = S(R Q_out); the Schmidt vectors are read from the product
-    :func:`check_info` decides on.  Every Schmidt vector above the cutoff
-    is one block, and the polar step the algebraic decoder uses too aligns
-    the blocks back with the codespace basis.  Rejects when a block's
-    column norms are not uniform across codewords (a Schmidt-rank
-    inconsistency, signalling the state is not a product).  No
+    :func:`check_info` decides on.  Every Schmidt vector above
+    ``WEIGHT_CUTOFF`` is one block, and the polar step the algebraic
+    decoder uses too aligns the blocks back with the codespace basis.
+    Rejects when a block's column norms are not uniform across codewords (a
+    Schmidt-rank inconsistency, signalling the state is not a product).  No
     register-sized matrix is formed, so ``COMBSQEC_DENSE_CAP`` does not
     bound the synthesis.
     """
-    _require_trivial_environment(errors, "the entropic decoder")
     comp = _composed(code, errors)
     sectors = comp.product("schmidt", _schmidt_sectors)
     report = _info_report(sectors, tol)
@@ -772,25 +744,7 @@ def synth_decoder_schmidt(
             f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
             "pass require_correctable=False for a best-effort decoder"
         )
-    k = comp.code_dim
-    vectors: dict[str, np.ndarray] = {}
-    for m, (_, _, spectrum, schmidt) in sectors.items():
-        keep = spectrum > SCHMIDT_CUTOFF
-        q, u = spectrum[keep], schmidt[:, keep]
-        if require_correctable:
-            # column norms of each block, weighted by its eigenvalue
-            norms2 = q * k * np.sum(np.abs(u.reshape(comp.out_dim, k, -1)) ** 2, axis=0)
-            dev = np.max(np.abs(norms2 - q), axis=0)
-            bad = np.flatnonzero(dev > SCHMIDT_UNIFORM_RTOL * np.maximum(1.0, q))
-            if bad.size:
-                a = bad[0]
-                raise ValueError(
-                    "Schmidt-rank inconsistency: projected norms "
-                    f"{norms2[:, a]} differ from eigenvalue {q[a]:.3e} "
-                    f"for memory {m!r}; the joint state is not a product"
-                )
-        vectors[m] = u
-    return _blocks_to_decoder(comp.basis, comp.out_dim, vectors)
+    return _decoder(comp, sectors, uniform=require_correctable)
 
 
 # ----------------------------------------------------------------------
@@ -806,21 +760,18 @@ def verify_recovery(
 ) -> RecoveryReport:
     """Apply interrogation, errors and decoding to codestates.
 
-    For state psi and final memory m, W_{e,eps} = (K_{e,m} psi)_eps arrives
-    under error sequence e in final environment slice eps, with K_{e,m} the
-    coherent sum over the memory's outcome sequences.  The weight, the sum
-    of ||W_{e,eps}||^2, is the probability arriving at m; the fidelity is
-    the sum over decoder Kraus D, e and eps of |<psi| D W_{e,eps}>|^2 over
-    the weight, so no recovered state is formed.  Completion weight counts
-    toward the weight but contributes no fidelity.  When a memory state
-    merges several outcome sequences the coherent sum makes the weights
-    interferometric; they are guaranteed to total one (for trace-preserving
-    models) only when each memory state pins a single outcome sequence.
-    Records run in (state, memory) order.
+    For state psi and final memory m, each branch K_b of m (see
+    :class:`_Composed`) delivers W_b = K_b psi.  The weight, the sum of
+    ||W_b||^2, is the probability of arriving at m, so the weights of a
+    state total one for trace-preserving models; the fidelity is the sum
+    over decoder Kraus D and branches b of |<psi| D W_b>|^2 over the
+    weight, so no recovered state is formed.  Completion weight counts
+    toward the weight but contributes no fidelity.  Records run in
+    (state, memory) order.
     """
     comp = _composed(code, errors)
     ambient = code.codespace.ambient_dim
-    q_dim = comp.out_dim // comp.env_dim
+    out = comp.out_dim
     basis = code.codespace.basis
     vecs = []
     for idx, psi in enumerate(states):
@@ -839,22 +790,19 @@ def verify_recovery(
     missing = [m for m in comp.memories if m not in decoder.kraus]
     if missing:
         raise ValueError(f"decoder has no Kraus operators for final memory {missing[0]!r}")
-    if (decoder.output_dim, decoder.input_dim) != (ambient, q_dim):
+    if (decoder.output_dim, decoder.input_dim) != (ambient, out):
         raise ValueError(
             f"decoder maps dim {decoder.input_dim} to {decoder.output_dim}; the "
-            f"instance needs {q_dim} (check-round output) to {ambient} (ambient)"
+            f"instance needs {out} (check-round output) to {ambient} (ambient)"
         )
     weights = np.zeros((len(vecs), len(comp.memories)))
     overlaps = np.zeros_like(weights)
     for col, m in enumerate(comp.memories):
         if not len(comp.blocks[m]):
             continue
-        n_arrived = comp.env_dim * len(comp.cols[m])
-        arrived = np.einsum("eak,sk->sae", comp.aggregated[m], logical).reshape(
-            len(vecs), q_dim, n_arrived
-        )                                                      # (n_s, q, eps e)
+        arrived = np.einsum("bqk,sk->sqb", comp.blocks[m], logical)   # (n_s, q, b)
         weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(1, 2))
-        kraus = np.array(decoder.kraus[m], dtype=np.complex128).reshape(-1, ambient, q_dim)
+        kraus = np.array(decoder.kraus[m], dtype=np.complex128).reshape(-1, ambient, out)
         bras = np.einsum("sx,nxq->snq", vecs.conj(), kraus)   # <psi_s| D_n
         overlaps[:, col] = np.sum(np.abs(bras @ arrived) ** 2, axis=(1, 2))
     records = [

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from combsqec.model import ErrorModel
+from combsqec.model import (
+    CheckInstrument,
+    CodeSpace,
+    ErrorModel,
+    Interrogator,
+    MemoryUpdate,
+    StrategicCode,
+    check_op,
+    error_op,
+)
 from combsqec.tensor import LabeledOperator
 
 
@@ -65,13 +74,17 @@ def pauli_string(chars: str) -> np.ndarray:
     return out
 
 
-def table_entries(comp) -> dict:
-    """{(m, o, e): block} of every block a composed table holds."""
-    return {
-        (m, comp.outcomes[m][o], comp.sequence(comp.cols[m][c])): block
-        for m in comp.memories
-        for o, c, block in zip(comp.row[m], comp.col[m], comp.blocks[m])
-    }
+def table_entries(comp, env: int) -> dict:
+    """{(m, o, e): K_{e,m,o} B} of every block a composed table holds, its
+    ``env`` final-environment slices put back in rows q * env + eps (a
+    slice the table dropped is zero)."""
+    entries: dict = {}
+    for m in comp.memories:
+        for o, e, eps, block in zip(comp.row[m], comp.err[m], comp.eps[m], comp.blocks[m]):
+            key = (m, comp.outcomes[m][o], comp.sequence(e))
+            rows, k = block.shape
+            entries.setdefault(key, np.zeros((rows * env, k), dtype=complex))[eps::env] = block
+    return entries
 
 
 def noisy_errors(errors: ErrorModel, eps: float) -> ErrorModel:
@@ -91,3 +104,51 @@ def noisy_errors(errors: ErrorModel, eps: float) -> ErrorModel:
             )
         rounds.append(tuple(noisy))
     return ErrorModel(tuple(rounds), require_trace_nonincreasing=False)
+
+
+# sign patterns of dephasing_instance's outcomes a, b, c, d
+DEPHASING_SIGNS = ((1, -1, 1, -1), (1, 1, 1, 1))
+
+
+def dephasing_instance(signs):
+    """One qubit, both codewords, identity errors and one check round whose
+    outcomes a, b, c, d are sign * P0/sqrt2, sign * P0/sqrt2, sign * P1/sqrt2
+    and sign * P1/sqrt2, all going to one memory.  Forgetting the outcome
+    leaves full dephasing, which no decoder inverts, for every sign
+    pattern; with signs (+, -, +, -) each projector's branches cancel in a
+    coherent sum over the outcomes."""
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    kraus = {
+        name: check_op(1, sign * proj / np.sqrt(2))
+        for name, sign, proj in zip("abcd", signs, (p0, p0, p1, p1))
+    }
+    interro = Interrogator(
+        ({"": CheckInstrument(1, "", kraus)},),
+        MemoryUpdate(({(o, ""): "m" for o in kraus},)),
+    )
+    errors = ErrorModel(tuple((error_op(r, np.eye(2)),) for r in range(2)))
+    return StrategicCode(CodeSpace(2, np.eye(2)), interro), errors
+
+
+def env_dephasing_instance():
+    """Zero-round model that copies the qubit basis into an environment."""
+    kmat = np.zeros((4, 2), dtype=complex)
+    kmat[0, 0] = 1.0
+    kmat[3, 1] = 1.0
+    code = StrategicCode(
+        CodeSpace(2, np.eye(2)), Interrogator((), MemoryUpdate(()))
+    )
+    errors = ErrorModel(((error_op(0, kmat, env_out=2),),))
+    return code, errors
+
+
+def env_bitflip_instance():
+    """The 3-qubit bit-flip code under one Kraus operator that applies I, X1,
+    X2 or X3 with amplitude 1/2 and writes which into a 4-dim environment:
+    correctable with a final environment wider than 1."""
+    basis = np.zeros((8, 2), dtype=complex)
+    basis[0, 0] = basis[7, 1] = 1.0
+    flips = [pauli_string(s) for s in ("III", "XII", "IXI", "IIX")]
+    kmat = sum(np.kron(f, np.eye(4)[:, [j]]) for j, f in enumerate(flips)) / 2.0
+    code = StrategicCode(CodeSpace(8, basis), Interrogator((), MemoryUpdate(())))
+    return code, ErrorModel(((error_op(0, kmat, env_out=4),),))

@@ -27,7 +27,12 @@ from combsqec.model import (
     error_op,
 )
 
-from conftest import noisy_errors
+from conftest import (
+    DEPHASING_SIGNS,
+    dephasing_instance,
+    env_dephasing_instance,
+    noisy_errors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,22 +59,22 @@ def noisy_spacetime(eps, path):
     return path
 
 
-def cancelling_instance(path):
-    """One qubit, both codewords, identity errors and one check round whose
-    outcomes +-P0/sqrt2 and +-P1/sqrt2 all go to one memory: the branches
-    of each projector cancel in the memory's coherent sum, so no codestate
-    reaches the final memory."""
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    kraus = {
-        name: check_op(1, sign * proj / np.sqrt(2))
-        for name, sign, proj in (("a", 1, p0), ("b", -1, p0), ("c", 1, p1), ("d", -1, p1))
-    }
+def vanishing_instance(path):
+    """One qubit, both codewords and one check round after an error round
+    whose one Kraus operator is zero: no branch survives, so the algebraic
+    condition holds on an empty channel and no codestate reaches the final
+    memory."""
     interro = Interrogator(
-        ({"": CheckInstrument(1, "", kraus)},),
-        MemoryUpdate(({(o, ""): "m" for o in kraus},)),
+        ({"": CheckInstrument(1, "", {"a": check_op(1, np.eye(2))})},),
+        MemoryUpdate(({("a", ""): "m"},)),
     )
-    errors = ErrorModel(tuple((error_op(r, np.eye(2)),) for r in range(2)))
+    errors = ErrorModel(((error_op(0, np.zeros((2, 2))),), (error_op(1, np.eye(2)),)))
     export_instance(StrategicCode(CodeSpace(2, np.eye(2)), interro), errors, path)
+    return path
+
+
+def export_pair(code_errors, path):
+    export_instance(*code_errors, path)
     return path
 
 
@@ -123,6 +128,24 @@ class TestCheck:
         res = runner.invoke(main, ["check", exported[name], "--method", "both"])
         assert res.exit_code in (0, 1)
         assert "algebraic:" in res.output and "info:" in res.output
+
+    @pytest.mark.parametrize("build", [
+        *(lambda s=s: dephasing_instance(s) for s in DEPHASING_SIGNS),
+        env_dephasing_instance,
+    ], ids=["dephasing+-+-", "dephasing++++", "env-dephasing"])
+    def test_dephasing_fails_both_checkers(self, runner, tmp_path, build):
+        # forgotten outcomes and the final environment are summed
+        # incoherently: the channel is dephasing, whatever the Kraus signs
+        path = export_pair(build(), str(tmp_path / "d.json"))
+        report = tmp_path / "report.json"
+        res = runner.invoke(main, ["check", path, "--method", "both", "--report", str(report)])
+        assert res.exit_code == 1, res.output
+        assert "\nNOT CORRECTABLE\n" in res.output
+        payload = json.loads(report.read_text())
+        assert payload["algebraic"]["correctable"] is False
+        assert payload["info"]["correctable"] is False
+        for branches in payload["algebraic"]["support"].values():
+            assert branches and all(set(b) == {"outcomes", "errors", "env"} for b in branches)
 
     def test_single_method_runs_only_that_checker(self, runner, exported):
         res = runner.invoke(
@@ -299,6 +322,16 @@ class TestDecode:
         assert "NOT CORRECTABLE" in res.output
         assert "witness: codestates" in res.output
 
+    def test_dephasing_gives_witness(self, runner, tmp_path):
+        path = export_pair(dephasing_instance(DEPHASING_SIGNS[0]), str(tmp_path / "d.json"))
+        res = runner.invoke(main, ["decode", path, "--proof", "algebraic"])
+        assert res.exit_code == 1, res.output
+        assert "NOT CORRECTABLE" in res.output
+        assert (
+            "witness: codestates (0, 0), branches (outcomes ('a',), errors (0, 0), env 0)"
+            " vs (outcomes ('a',), errors (0, 0), env 0), memory 'm'\n"
+        ) in res.output
+
     def test_schmidt_failures_near_threshold(self, runner, tmp_path):
         # at 1e-5 the entropic check passes but the Schmidt construction
         # rejects: a negative result on a valid instance, not a usage error
@@ -346,7 +379,7 @@ class TestDecode:
         report = tmp_path / "empty.json"
         res = runner.invoke(
             main,
-            ["decode", cancelling_instance(str(tmp_path / "c.json")),
+            ["decode", vanishing_instance(str(tmp_path / "c.json")),
              "--proof", "algebraic", "--samples", "3", "--report", str(report)],
         )
         assert res.exit_code == 1

@@ -9,14 +9,12 @@ from combsqec import conditions
 from combsqec.conditions import (
     MI_TOL_BITS,
     P_FLOOR,
-    SCHMIDT_CUTOFF,
     WEIGHT_CUTOFF,
     ConditionReport,
     Decoder,
     RecoveryRecord,
     RecoveryReport,
     check_algebraic,
-    check_corollary_all_outcomes,
     check_info,
     check_static_kl,
     synth_decoder_algebraic,
@@ -47,9 +45,14 @@ from combsqec.model import (
 from combsqec.tensor import LabeledOperator
 
 from conftest import (
+    DEPHASING_SIGNS,
+    dephasing_instance,
+    env_bitflip_instance,
+    env_dephasing_instance,
     noisy_errors,
     pauli_string,
     random_kraus_set,
+    random_matrix,
     rng_for,
     table_entries,
 )
@@ -158,37 +161,26 @@ class TestStaticKL:
 
 
 def raw_lambda(code, errors, memory):
-    """Unsymmetrized Lambda_m rebuilt from compose_K: entry (e', e) is
-    Tr(B^dag K_{e',m}^dag K_{e,m} B) / code_dim, summed branch by branch."""
-    basis = code.codespace.basis
-    k = code.codespace.dim
-    seqs = list(errors.sequences())
-    outcomes = [
-        t.outcomes for t in enumerate_trajectories(code.interrogator)[memory]
-    ]
-    branch = {
-        (e, o): compose_K(errors, code.interrogator, e, memory, o).data @ basis
-        for e in seqs
-        for o in outcomes
-    }
-    raw = np.zeros((len(seqs), len(seqs)), dtype=complex)
-    for a, ep in enumerate(seqs):
-        left = sum(branch[(ep, o)] for o in outcomes).conj().T
-        for b, e in enumerate(seqs):
-            for o in outcomes:
-                raw[a, b] += np.trace(left @ branch[(e, o)]) / k
+    """Unsymmetrized Lambda_m over every branch (o, e, eps) of the dense
+    table, zero ones included: entry (b', b) is
+    Tr(B^dag K_b'^dag K_b B) / code_dim, cell by cell."""
+    dense = DenseTable(code, errors)
+    blocks = dense.blocks[memory]
+    raw = np.zeros((len(blocks), len(blocks)), dtype=complex)
+    for a, left in enumerate(blocks):
+        for b, right in enumerate(blocks):
+            raw[a, b] = np.trace(left.conj().T @ right) / dense.code_dim
     return raw
 
 
 class TestLambdaTensor:
     def test_hexagon_cross_terms_vanish(self):
+        # each reached memory holds one branch per error sequence
         inst = hexagon_honeycomb()
         report = check_algebraic(inst.code, inst.errors)
-        seqs = list(inst.errors.sequences())
-        assert len(seqs) == 2
+        assert len(list(inst.errors.sequences())) == 2
         cross = max(
-            abs(embedded_lambda(report.detail, seqs, m)[0, 1])
-            for m in report.detail["memories"]
+            abs(lam[0, 1]) for lam in report.detail["lambda"].values() if len(lam)
         )
         assert cross <= 1e-9
         assert report.worst_residual <= 1e-9
@@ -199,11 +191,12 @@ class TestLambdaTensor:
         # other 56 memories have an empty support and an empty Lambda
         inst = hexagon_honeycomb()
         detail = check_algebraic(inst.code, inst.errors).detail
-        reached = [m for m, seqs in detail["support"].items() if seqs]
+        reached = [m for m, branches in detail["support"].items() if branches]
         assert len(reached) == 8 and len(detail["memories"]) == 64
-        for m, seqs in detail["support"].items():
-            assert detail["lambda"][m].shape == (len(seqs), len(seqs))
-            assert seqs in ((), ((0, 0, 0), (1, 0, 0)))
+        for m, branches in detail["support"].items():
+            assert detail["lambda"][m].shape == (len(branches), len(branches))
+            assert tuple(e for _, e, _ in branches) in ((), ((0, 0, 0), (1, 0, 0)))
+            assert {(o, eps) for o, _, eps in branches} <= {(tuple(m.split("|")), 0)}
 
     def test_hexagon_diagonal_sums_to_error_weight(self):
         # trace preservation: summing the diagonal scalar over all
@@ -211,8 +204,8 @@ class TestLambdaTensor:
         inst = hexagon_honeycomb()
         report = check_algebraic(inst.code, inst.errors)
         totals = {e: 0.0 for e in inst.errors.sequences()}
-        for m, seqs in report.detail["support"].items():
-            for a, e in enumerate(seqs):
+        for m, branches in report.detail["support"].items():
+            for a, (_, e, _) in enumerate(branches):
                 totals[e] += report.detail["lambda"][m][a, a]
         for total in totals.values():
             assert total == pytest.approx(0.5, abs=1e-10)
@@ -247,9 +240,9 @@ class TestLambdaTensor:
             if not inst.expected_correctable:
                 continue
             report = check_algebraic(inst.code, inst.errors)
-            seqs = list(inst.errors.sequences())
+            dense = DenseTable(inst.code, inst.errors)
             for m in report.detail["lambda"]:
-                lam = embedded_lambda(report.detail, seqs, m)
+                lam = embedded_lambda(report.detail, dense.branches[m], m)
                 raw = raw_lambda(inst.code, inst.errors, m)
                 assert np.max(np.abs(raw - raw.conj().T)) <= 1e-9
                 assert np.max(np.abs(lam - (raw + raw.conj().T) / 2)) <= 1e-12
@@ -275,7 +268,7 @@ class TestCheckAlgebraic:
         report = check_algebraic(inst.code, inst.errors)
         assert not report.correctable
         assert report.worst_residual == pytest.approx(1 / math.sqrt(2.0), abs=1e-12)
-        assert report.witness == (0, 0, (1,), (0,), INITIAL_MEMORY, ())
+        assert report.witness == (0, 0, ((), (1,), 0), ((), (0,), 0), INITIAL_MEMORY)
         assert np.allclose(
             report.detail["lambda"][INITIAL_MEMORY], np.eye(2) / 2.0, atol=1e-12
         )
@@ -302,59 +295,26 @@ class TestCheckAlgebraic:
                 [op.data for op in inst.errors.round_ops(0)],
             )
             assert full.correctable == static.correctable, inst.name
-            seqs = list(inst.errors.sequences())
+            branches = DenseTable(inst.code, inst.errors).branches[INITIAL_MEMORY]
             assert np.allclose(
-                embedded_lambda(full.detail, seqs, INITIAL_MEMORY),
+                embedded_lambda(full.detail, branches, INITIAL_MEMORY),
                 static.detail["lambda"],
                 atol=1e-10,
             ), inst.name
 
-    def test_corollary_agrees_on_outcome_storing_memories(self, corpus):
-        for inst in corpus[:30]:
-            full = check_algebraic(inst.code, inst.errors)
-            per_outcome = check_corollary_all_outcomes(inst.code, inst.errors)
-            assert full.correctable == per_outcome.correctable, inst.name
-
-    def test_corollary_reuses_the_algebraic_sweep(self, monkeypatch):
-        # where each memory pins one outcome sequence that sequence's
-        # branches are the aggregates, so the symmetric form is the
-        # asymmetric one: one sweep serves both reports
-        calls = []
-        real = conditions._algebraic_sweep
-        monkeypatch.setattr(
-            conditions, "_algebraic_sweep", lambda *a: calls.append(a) or real(*a)
-        )
-        for inst in (build_instance("spacetime"), syndrome_window(2)):
-            calls.clear()
-            full = check_algebraic(inst.code, inst.errors)
-            per_outcome = check_corollary_all_outcomes(inst.code, inst.errors)
-            assert len(calls) == 1, inst.name
-            assert full.worst_residual == per_outcome.worst_residual, inst.name
-            assert full.witness == per_outcome.witness, inst.name
-            assert full.detail["support"] == per_outcome.detail["support"], inst.name
-            assert full.detail["lambda"].keys() == per_outcome.detail["lambda"].keys()
-            for m, lam in full.detail["lambda"].items():
-                assert np.array_equal(lam, per_outcome.detail["lambda"][m]), (inst.name, m)
-
-    def test_corollary_rejects_merged_memories(self):
-        rng = rng_for(11)
-        mats = random_kraus_set(rng, 2, 2, 2)
-        inst = CheckInstrument(
-            1,
-            INITIAL_MEMORY,
-            {"a": check_op(1, mats[0]), "b": check_op(1, mats[1])},
-        )
-        update = MemoryUpdate(
-            ({("a", INITIAL_MEMORY): "m", ("b", INITIAL_MEMORY): "m"},)
-        )
-        code = StrategicCode(
-            CodeSpace(2, np.eye(2)), Interrogator(({INITIAL_MEMORY: inst},), update)
-        )
-        errors = ErrorModel(
-            ((error_op(0, np.eye(2)),), (error_op(1, np.eye(2)),))
-        )
-        with pytest.raises(ValueError, match="not injective"):
-            check_corollary_all_outcomes(code, errors)
+    @pytest.mark.parametrize("build", [
+        *(lambda s=s: dephasing_instance(s) for s in DEPHASING_SIGNS),
+        env_dephasing_instance,
+    ], ids=["dephasing+-+-", "dephasing++++", "env-dephasing"])
+    def test_dephasing_is_not_correctable(self, build):
+        # the memory forgets the outcome and no decoder holds the
+        # environment: both leave full dephasing, for every Kraus sign
+        code, errors = build()
+        alg, info = check_algebraic(code, errors), check_info(code, errors)
+        assert not alg.correctable and not info.correctable
+        assert info.worst_residual == pytest.approx(1.0, abs=1e-12)
+        want = math.sqrt(2.0) / (4.0 if code.rounds else 2.0)
+        assert alg.worst_residual == pytest.approx(want, abs=1e-12)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError, match="verdict"):
@@ -369,23 +329,26 @@ class TestCheckAlgebraic:
 
 
 class DenseTable:
-    """Every K_{e,m,o} B of an instance, zero blocks included, from compose_K.
+    """Every branch of an instance, zero ones included, from compose_K.
 
     The ground truth the library's pruned table is checked against:
-    ``blocks[m][io, ie]`` is the block of ``outcomes[m][io]`` and
-    ``sequences[ie]``, shape (out_dim, code_dim).
+    ``full[m][io, ie]`` is K_{e,m,o} B of ``outcomes[m][io]`` and
+    ``sequences[ie]``, shape (out_dim * env_dim, code_dim), and
+    ``blocks[m][b]`` is its final-environment slice eps, rows
+    q * env_dim + eps, of branch ``branches[m][b] = (o, e, eps)``, in
+    (o, e, eps) C order.
     """
 
     def __init__(self, code, errors):
         self.basis = code.codespace.basis
         self.code_dim = code.codespace.dim
         self.sequences = tuple(errors.sequences())
-        self.env_dim = errors.env_dim(errors.rounds)
-        self.out_dim = errors.q_out_dim(errors.rounds) * self.env_dim
+        self.env_dim = env = errors.env_dim(errors.rounds)
+        self.out_dim = errors.q_out_dim(errors.rounds)
         grouped = enumerate_trajectories(code.interrogator)
         self.memories = tuple(sorted(grouped))
         self.outcomes = {m: tuple(t.outcomes for t in grouped[m]) for m in self.memories}
-        self.blocks = {
+        self.full = {
             m: np.array([
                 [compose_K(errors, code.interrogator, e, m, o).data @ self.basis
                  for e in self.sequences]
@@ -393,27 +356,36 @@ class DenseTable:
             ])
             for m in self.memories
         }
+        self.branches = {
+            m: [(o, e, eps) for o in self.outcomes[m] for e in self.sequences
+                for eps in range(env)]
+            for m in self.memories
+        }
+        self.blocks = {
+            m: np.array([
+                self.full[m][io, ie][eps::env]
+                for io in range(len(self.outcomes[m]))
+                for ie in range(len(self.sequences))
+                for eps in range(env)
+            ])
+            for m in self.memories
+        }
 
-    def aggregated(self, m):
-        return self.blocks[m].sum(axis=0)
 
-
-def embedded_lambda(detail, sequences, m):
-    """The report's Lambda_m on its support, placed in the full (e', e) grid."""
-    pos = [sequences.index(e) for e in detail["support"][m]]
-    full = np.zeros((len(sequences), len(sequences)), dtype=complex)
+def embedded_lambda(detail, branches, m):
+    """The report's Lambda_m on its support, placed in the grid of ``branches``."""
+    pos = [branches.index(b) for b in detail["support"][m]]
+    full = np.zeros((len(branches), len(branches)), dtype=complex)
     full[np.ix_(pos, pos)] = detail["lambda"][m]
     return full
 
 
 def reference_scale(comp):
-    """Largest composed-operator norm encountered."""
+    """Largest branch norm encountered."""
     worst = 1.0
     for m in comp.memories:
-        for block in (comp.blocks[m].reshape(-1, comp.out_dim, comp.code_dim),
-                      comp.aggregated(m)):
-            for mat in block:
-                worst = max(worst, float(np.linalg.norm(mat, ord=2)))
+        for mat in comp.blocks[m]:
+            worst = max(worst, float(np.linalg.norm(mat, ord=2)))
     return worst
 
 
@@ -427,39 +399,35 @@ def reference_scalar_fit(t_mat):
     return lam, float(np.linalg.norm(dev)), (int(i), int(j))
 
 
-def reference_algebraic_sweep(comp, per_outcome_left):
+def reference_algebraic_sweep(comp):
     """Worst residual, its witness and the detail table of one sweep.
 
-    ``per_outcome_left`` selects the corollary's symmetric form, where the
-    e' side uses the same single outcome sequence instead of the aggregate.
+    Every cell T = B^dag K_b'^dag K_b B over every pair of a memory's
+    branches, zero ones included, is fitted on its own.
     """
     worst = -1.0
     witness = None
     lambdas = {}
     degenerate = []
-    n_e = len(comp.sequences)
     for m in comp.memories:
-        agg = comp.aggregated(m)
-        blocks = comp.blocks[m]
-        lam_m = np.zeros((n_e, n_e), dtype=np.complex128)
-        for io, o in enumerate(comp.outcomes[m]):
-            if np.max(np.abs(blocks[io])) < WEIGHT_CUTOFF:
+        blocks, labels = comp.blocks[m], comp.branches[m]
+        for o, per_outcome in zip(comp.outcomes[m],
+                                  blocks.reshape(len(comp.outcomes[m]), -1)):
+            if np.max(np.abs(per_outcome)) < WEIGHT_CUTOFF:
                 degenerate.append((m, o))
-            for a, ep in enumerate(comp.sequences):
-                left = (blocks[io, a] if per_outcome_left else agg[a]).conj().T
-                for b, e in enumerate(comp.sequences):
-                    t_mat = left @ blocks[io, b]
-                    lam, res, (i, j) = reference_scalar_fit(t_mat)
-                    lam_m[a, b] += lam
-                    if res > worst:
-                        worst = res
-                        witness = (i, j, e, ep, m, o)
+        lam_m = np.zeros((len(blocks), len(blocks)), dtype=np.complex128)
+        for a, left in enumerate(blocks):
+            for b, right in enumerate(blocks):
+                lam, res, (i, j) = reference_scalar_fit(left.conj().T @ right)
+                lam_m[a, b] = lam
+                if res > worst:
+                    worst = res
+                    witness = (i, j, labels[b], labels[a], m)
         lambdas[m] = (lam_m + lam_m.conj().T) / 2.0
         lambdas[m].flags.writeable = False
     detail = {
         "lambda": lambdas,
         "memories": comp.memories,
-        "error_sequences": comp.sequences,
         "degenerate_branches": tuple(degenerate),
         "scale": reference_scale(comp),
     }
@@ -469,19 +437,13 @@ def reference_algebraic_sweep(comp, per_outcome_left):
 def reference_verify_recovery(code, errors, decoder, states):
     """Apply interrogation, errors and decoding to codestates.
 
-    For each state and final memory the recovered operator is
-    sum over decoder Kraus, error sequences and environment slices of
-    D (K_{e,m} psi) (K_{e,m} psi)^dag D^dag, with K_{e,m} the coherent sum
-    over the memory's outcome sequences.  The reported weight is the total
-    probability arriving at that memory; completion weight counts toward
-    it but contributes no fidelity.  When a memory state merges several
-    outcome sequences the coherent sum makes the weights interferometric;
-    they are guaranteed to total one (for trace-preserving models) only
-    when each memory state pins a single outcome sequence.
+    For each state and final memory the recovered operator is the sum over
+    decoder Kraus D and the memory's branches b of D (K_b psi)
+    (K_b psi)^dag D^dag.  The reported weight is the total probability
+    arriving at that memory; completion weight counts toward it but
+    contributes no fidelity.
     """
     comp = DenseTable(code, errors)
-    env = comp.env_dim
-    q_dim = comp.out_dim // env
     records = []
     totals = []
     worst = math.inf
@@ -500,20 +462,17 @@ def reference_verify_recovery(code, errors, decoder, states):
         logical = code.codespace.basis.conj().T @ vec
         total_weight = 0.0
         for m in comp.memories:
-            agg = comp.aggregated(m)          # (n_e, out, k)
             sigma = np.zeros(
                 (code.codespace.ambient_dim, code.codespace.ambient_dim),
                 dtype=np.complex128,
             )
             weight = 0.0
-            for a in range(agg.shape[0]):
-                arrived = (agg[a] @ logical).reshape(q_dim, env)
-                for eps in range(env):
-                    w = arrived[:, eps]
-                    weight += float(np.real(w.conj() @ w))
-                    for d_op in decoder.kraus[m]:
-                        out = d_op @ w
-                        sigma += np.outer(out, out.conj())
+            for block in comp.blocks[m]:
+                w = block @ logical
+                weight += float(np.real(w.conj() @ w))
+                for d_op in decoder.kraus[m]:
+                    out = d_op @ w
+                    sigma += np.outer(out, out.conj())
             if weight > P_FLOOR:
                 fid = float(np.real(vec.conj() @ sigma @ vec)) / weight
                 worst = min(worst, fid)
@@ -527,29 +486,24 @@ def reference_verify_recovery(code, errors, decoder, states):
     )
 
 
-def cell_matrix(comp, per_outcome_left, witness):
-    """T = B^dag K_{e',m}^dag K_{e,m,o} B of the cell a witness names."""
-    _, _, e, ep, m, o = witness
-    io = comp.outcomes[m].index(o)
-    a, b = comp.sequences.index(ep), comp.sequences.index(e)
-    left = comp.blocks[m][io, a] if per_outcome_left else comp.aggregated(m)[a]
-    return left.conj().T @ comp.blocks[m][io, b]
+def cell_matrix(comp, witness):
+    """T = B^dag K_b'^dag K_b B of the cell a witness names."""
+    _, _, b, bp, m = witness
+    labels = comp.branches[m]
+    return comp.blocks[m][labels.index(bp)].conj().T @ comp.blocks[m][labels.index(b)]
 
 
-def runner_up(comp, per_outcome_left, witness):
+def runner_up(comp, witness):
     """Largest reference residual over every cell but the witness's."""
-    _, _, e, ep, m, o = witness
+    _, _, b, bp, m = witness
     best = -1.0
     for mm in comp.memories:
-        for o2 in comp.outcomes[mm]:
-            for ep2 in comp.sequences:
-                for e2 in comp.sequences:
-                    if (e2, ep2, mm, o2) == (e, ep, m, o):
-                        continue
-                    res = reference_scalar_fit(
-                        cell_matrix(comp, per_outcome_left, (0, 0, e2, ep2, mm, o2))
-                    )[1]
-                    best = max(best, res)
+        for bp2 in comp.branches[mm]:
+            for b2 in comp.branches[mm]:
+                if (b2, bp2, mm) == (b, bp, m):
+                    continue
+                res = reference_scalar_fit(cell_matrix(comp, (0, 0, b2, bp2, mm)))[1]
+                best = max(best, res)
     return best
 
 
@@ -566,6 +520,16 @@ def sweep_cases(corpus):
     cases += [(f"merged-{seed}", *merged_instance(seed)) for seed in range(20)]
     cases += [(w.name, w.code, w.errors)
               for w in (syndrome_window(n, last) for n in (1, 2) for last in (False, True))]
+    return cases + environment_cases()
+
+
+def environment_cases():
+    """(name, code, errors) whose final environment or forgotten outcomes
+    the decoder cannot read."""
+    cases = [(f"dephasing{s}", *dephasing_instance(s)) for s in DEPHASING_SIGNS]
+    cases.append(("env-dephasing", *env_dephasing_instance()))
+    cases.append(("env-bitflip", *env_bitflip_instance()))
+    cases.append(("correlated", *correlated_instance()))
     return cases
 
 
@@ -636,9 +600,7 @@ def table_cases():
     named += [syndrome_window(n, last) for n in (1, 2) for last in (False, True)]
     cases = [(inst.name, inst.code, inst.errors) for inst in named]
     cases += [(f"merged-{seed}", *merged_instance(seed)) for seed in range(20)]
-    cases.append(("env-dephasing", *env_dephasing_instance()))
-    cases.append(("correlated", *correlated_instance()))
-    return cases
+    return cases + environment_cases()
 
 
 class TestPrunedTable:
@@ -653,13 +615,13 @@ class TestPrunedTable:
         for name, code, errors in cases:
             comp = conditions._composed(code, errors)
             bound = BLOCK_ULPS * np.finfo(float).eps * comp.scale()
-            built = table_entries(comp)
+            built = table_entries(comp, errors.env_dim(errors.rounds))
             if code.rounds < 4:
                 dense = DenseTable(code, errors)
                 for m in dense.memories:
                     for io, o in enumerate(dense.outcomes[m]):
                         for ie, e in enumerate(dense.sequences):
-                            want = dense.blocks[m][io, ie]
+                            want = dense.full[m][io, ie]
                             got = built.get((m, o, e), np.zeros_like(want))
                             assert np.max(np.abs(got - want)) <= bound, (name, m, o, e)
             else:
@@ -670,13 +632,14 @@ class TestPrunedTable:
 
     def test_dropped_branches_are_exact_zeros(self):
         # in the walk's own association order the table is bitwise exact,
-        # it stores no zero block, and every branch it dropped is exactly zero
+        # it stores no zero slice, and every slice it dropped is exactly zero
         cases = table_cases()
         cases += [(w.name, w.code, w.errors)
                   for w in (syndrome_window(4), syndrome_window(4, True))]
         for name, code, errors in cases:
             comp = conditions._composed(code, errors)
-            built = table_entries(comp)
+            assert all(comp.blocks[m].any(axis=(1, 2)).all() for m in comp.memories), name
+            built = table_entries(comp, errors.env_dim(errors.rounds))
             for key, want in walk_order_blocks(code, errors).items():
                 if key in built:
                     assert np.array_equal(built[key], want), (name, key)
@@ -692,7 +655,7 @@ class TestPrunedTable:
         for m in comp.memories:
             assert len(comp.blocks[m]) == 1
             assert comp.blocks[m].any()
-        assert sorted(int(comp.cols[m][0]) for m in comp.memories) == list(range(n_e))
+        assert sorted(int(comp.err[m][0]) for m in comp.memories) == list(range(n_e))
         report = check_algebraic(inst.code, inst.errors)
         assert report.correctable and report.worst_residual == 0.0
 
@@ -714,13 +677,11 @@ class TestPrunedTable:
 
 
 class TestBatchedAgainstLoops:
-    def assert_sweep_matches(self, code, errors, per_outcome_left, name):
+    def assert_sweep_matches(self, code, errors, name):
         comp = conditions._composed(code, errors)
         dense = DenseTable(code, errors)
         worst, witness, detail = conditions._algebraic_sweep(comp)
-        ref_worst, ref_witness, ref_detail = reference_algebraic_sweep(
-            dense, per_outcome_left
-        )
+        ref_worst, ref_witness, ref_detail = reference_algebraic_sweep(dense)
         scale = ref_detail["scale"]
         assert abs(detail["scale"] - scale) <= BLOCK_ULPS * np.finfo(float).eps * scale
         margin = 1e-12 * scale
@@ -731,62 +692,43 @@ class TestBatchedAgainstLoops:
         assert detail["degenerate_branches"] == ref_detail["degenerate_branches"], name
         assert set(detail["support"]) == set(ref_detail["lambda"]), name
         for m, lam in ref_detail["lambda"].items():
-            got = embedded_lambda(detail, dense.sequences, m)
+            got = embedded_lambda(detail, dense.branches[m], m)
             assert np.max(np.abs(got - lam)) <= 1e-12, (name, m)
         # the witness is a worst cell, and its (i, j) a worst entry of it
-        t_mat = cell_matrix(dense, per_outcome_left, witness)
+        t_mat = cell_matrix(dense, witness)
         _, res, _ = reference_scalar_fit(t_mat)
         assert abs(res - ref_worst) <= margin, name
         i, j = witness[:2]
         dev = np.abs(t_mat - np.trace(t_mat) / t_mat.shape[0] * np.eye(t_mat.shape[0]))
         assert dev[j, i] >= np.max(dev) - margin, name
-        if ref_worst - runner_up(dense, per_outcome_left, ref_witness) > margin:
+        if ref_worst - runner_up(dense, ref_witness) > margin:
             assert witness[2:] == ref_witness[2:], name
 
     def test_algebraic_sweep_matches_loop(self, corpus):
         for name, code, errors in sweep_cases(corpus):
-            self.assert_sweep_matches(code, errors, False, name)
-
-    def test_corollary_sweep_matches_loop(self, corpus):
-        checked = 0
-        for name, code, errors in sweep_cases(corpus):
-            comp = conditions._composed(code, errors)
-            if any(len(outs) > 1 for outs in comp.outcomes.values()):
-                continue
-            self.assert_sweep_matches(code, errors, True, name)
-            checked += 1
-        assert checked > 50
+            self.assert_sweep_matches(code, errors, name)
 
     def test_several_outcomes_per_memory_are_covered(self):
         comp = conditions._composed(*merged_instance(0))
         assert max(len(outs) for outs in comp.outcomes.values()) > 1
 
     def test_zero_residual_names_the_first_cell(self):
-        # every cell fits exactly, so the witness is cell (0, 0, 0) of the
-        # first memory, as in a sweep over all cells, though that memory's
-        # support does not hold error sequence 0
+        # every cell fits exactly, so the witness is the first cell of the
+        # first memory, though that memory's one branch does not hold error
+        # sequence 0
         inst = syndrome_window(1)
         first, *rest = inst.errors.kraus_rounds
         errors = ErrorModel((tuple(reversed(first)), *rest))
         report = check_algebraic(inst.code, errors)
         assert report.worst_residual == 0.0
-        assert report.detail["support"]["00"] == ((3, 0),)
-        assert report.witness == (0, 0, (0, 0), (0, 0), "00", ("00",))
-        ref = reference_algebraic_sweep(DenseTable(inst.code, errors), False)
-        assert ref[:2] == (0.0, report.witness)
+        first = (("00",), (3, 0), 0)
+        assert report.detail["support"]["00"] == (first,)
+        assert report.witness == (0, 0, first, first, "00")
+        assert reference_algebraic_sweep(DenseTable(inst.code, errors))[0] == 0.0
 
     def test_recovery_matches_sigma_loop(self, corpus):
-        cases = sweep_cases(corpus) + [("env-dephasing", *env_dephasing_instance())]
-        for name, code, errors in cases:
-            if errors.env_dim(errors.rounds) == 1:
-                dec = synth_decoder_algebraic(code, errors, require_correctable=False)
-            else:
-                dec = Decoder(
-                    output_dim=2,
-                    input_dim=2,
-                    kraus={INITIAL_MEMORY: (np.eye(2),)},
-                    completion={INITIAL_MEMORY: np.zeros((2, 2))},
-                )
+        for name, code, errors in sweep_cases(corpus):
+            dec = synth_decoder_algebraic(code, errors, require_correctable=False)
             states = codestates(code, 3, seed=409)
             got = verify_recovery(code, errors, dec, states)
             want = reference_verify_recovery(code, errors, dec, states)
@@ -828,22 +770,23 @@ class TestBatchedAgainstLoops:
 def reference_joint_state(code, errors):
     """Dense rho_RME per memory, the assembly the entropic checker replaced.
 
-    Each block is the unnormalized joint state of reference, outcome and
-    error registers with index order (i, o, e), carrying the 1/code_dim
-    prefactor of the maximally entangled reference.
+    Each block is the unnormalized joint state of the reference and the
+    outcome and error registers, the latter holding the final environment
+    slice too, with index order (i, b) for branch b = (o, e, eps).  It
+    carries the 1/code_dim prefactor of the maximally entangled reference.
     """
     comp = DenseTable(code, errors)
     k = comp.code_dim
     rho_rme = {}
     for m in comp.memories:
-        blocks = comp.blocks[m]           # (n_o, n_e, out, k)
-        n_o, n_e = blocks.shape[0], blocks.shape[1]
-        flat = np.transpose(blocks, (2, 0, 1, 3)).reshape(comp.out_dim, n_o * n_e * k)
-        gram = (flat.conj().T @ flat / k).reshape(n_o, n_e, k, n_o, n_e, k)
-        # element [(i,o,e),(i',o',e')] = <K_{e',o'} i' | K_{e,o} i> / k:
-        # the unconjugated gram side becomes the row index.
-        rho = np.transpose(gram, (5, 3, 4, 2, 0, 1))
-        rho_rme[m] = rho.reshape(k * n_o * n_e, k * n_o * n_e)
+        blocks = comp.blocks[m]           # (n_b, out, k)
+        n_b = len(blocks)
+        flat = np.transpose(blocks, (1, 0, 2)).reshape(comp.out_dim, n_b * k)
+        gram = (flat.conj().T @ flat / k).reshape(n_b, k, n_b, k)
+        # element [(i, b), (i', b')] = <K_b' i' | K_b i> / k: the
+        # unconjugated gram side becomes the row index.
+        rho = np.transpose(gram, (3, 2, 1, 0))
+        rho_rme[m] = rho.reshape(k * n_b, k * n_b)
     return rho_rme
 
 
@@ -915,11 +858,11 @@ def reference_schmidt_decoder(code, errors, rho_rme):
     k = comp.code_dim
     columns = {}
     for m in comp.memories:
-        chi = np.transpose(comp.blocks[m], (2, 0, 1, 3)).reshape(comp.out_dim, -1, k)
+        chi = np.transpose(comp.blocks[m], (1, 0, 2))          # (out, n_b, k)
         vals, vecs = np.linalg.eigh(rho_me(rho_rme[m], k))
         columns[m] = []
         for q_alpha, u_alpha in zip(vals[::-1], vecs[:, ::-1].T):
-            if q_alpha <= SCHMIDT_CUTOFF:
+            if q_alpha <= WEIGHT_CUTOFF:
                 continue
             w = np.tensordot(u_alpha.conj(), chi, axes=([0], [1]))  # (out, k)
             norms = np.linalg.norm(w, axis=0)
@@ -932,19 +875,19 @@ def reference_schmidt_decoder(code, errors, rho_rme):
 def reference_algebraic_blocks(code, errors):
     """Per memory, the algebraic decoder's blocks from eigh of Lambda_m.
 
-    Rotates the aggregated K_{e,m} B by every eigenvector of weight above
-    the cutoff and divides by the root of its eigenvalue, as the library
-    did before it read the directions off an SVD.  Lambda_m is the Gram
-    matrix of the dense table's K_{e,m} B over code_dim.
+    Rotates the branches K_b B by every eigenvector of weight above the
+    cutoff and divides by the root of its eigenvalue, as the library did
+    before it read the directions off an SVD.  Lambda_m is the Gram matrix
+    of the dense table's branches over code_dim.
     """
     comp = DenseTable(code, errors)
     columns = {}
     for m in comp.memories:
-        agg = comp.aggregated(m)  # (n_e, out, k)
-        flat = agg.reshape(len(agg), -1)
+        blocks = comp.blocks[m]  # (n_b, out, k)
+        flat = blocks.reshape(len(blocks), -1)
         vals, vecs = np.linalg.eigh(flat.conj() @ flat.T / comp.code_dim)
         columns[m] = [
-            np.tensordot(v, agg, axes=([0], [0])) / math.sqrt(d)
+            np.tensordot(v, blocks, axes=([0], [0])) / math.sqrt(d)
             for d, v in zip(vals[::-1], vecs[:, ::-1].T)
             if d > WEIGHT_CUTOFF
         ]
@@ -1022,7 +965,7 @@ def reference_cases():
         for last_only in (False, True):
             inst = syndrome_window(rounds, last_only)
             cases.append((inst.name, inst.code, inst.errors))
-    return cases
+    return cases + environment_cases()
 
 
 class TestJointState:
@@ -1129,8 +1072,6 @@ class TestJointState:
                 padded[: spectrum.size] = spectrum
                 assert np.allclose(padded, eig, atol=1e-12), (name, m)
             assert report.correctable == (worst_ref <= MI_TOL_BITS), name
-            if errors.env_dim(errors.rounds) != 1:
-                continue
             try:
                 want = reference_schmidt_decoder(code, errors, rho)
             except ValueError:
@@ -1234,18 +1175,6 @@ class TestSyndromeWindow:
 # ----------------------------------------------------------------------
 
 
-def env_dephasing_instance():
-    """Zero-round model that copies the qubit basis into an environment."""
-    kmat = np.zeros((4, 2), dtype=complex)
-    kmat[0, 0] = 1.0
-    kmat[3, 1] = 1.0
-    code = StrategicCode(
-        CodeSpace(2, np.eye(2)), Interrogator((), MemoryUpdate(()))
-    )
-    errors = ErrorModel(((error_op(0, kmat, env_out=2),),))
-    return code, errors
-
-
 class TestDecoderType:
     def test_trivial_identity_decoder(self):
         dec = Decoder(
@@ -1287,17 +1216,29 @@ class TestDecoderType:
 class TestSynthesis:
     def test_rejects_not_correctable(self):
         inst = bitflip_code("z")
-        with pytest.raises(ValueError, match="not correctable"):
-            synth_decoder_algebraic(inst.code, inst.errors)
-        with pytest.raises(ValueError, match="not correctable"):
-            synth_decoder_schmidt(inst.code, inst.errors)
+        cases = [(inst.code, inst.errors), env_dephasing_instance()]
+        cases += [dephasing_instance(s) for s in DEPHASING_SIGNS]
+        for code, errors in cases:
+            with pytest.raises(ValueError, match="not correctable"):
+                synth_decoder_algebraic(code, errors)
+            with pytest.raises(ValueError, match="not correctable"):
+                synth_decoder_schmidt(code, errors)
 
-    def test_rejects_nontrivial_final_environment(self):
-        code, errors = env_dephasing_instance()
-        with pytest.raises(ValueError, match="trivial final environment"):
-            synth_decoder_algebraic(code, errors)
-        with pytest.raises(ValueError, match="trivial final environment"):
-            synth_decoder_schmidt(code, errors)
+    def test_nontrivial_final_environment_decodes_exactly(self):
+        # the error round writes which qubit flipped into a 4-dim
+        # environment: each slice is one branch, and the code corrects them
+        code, errors = env_bitflip_instance()
+        assert errors.env_dim(errors.rounds) == 4
+        assert check_algebraic(code, errors).correctable
+        assert check_info(code, errors).correctable
+        states = codestates(code, 5, seed=415)
+        for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
+            dec = synth(code, errors)
+            assert dec.input_dim == 8
+            report = verify_recovery(code, errors, dec, states)
+            assert len(report.records) == 5
+            assert report.worst_fidelity >= 1.0 - 1e-9, synth
+            assert np.allclose(report.total_weights, 1.0, rtol=0, atol=1e-12)
 
     def test_correctable_instances_recover_exactly(self, corpus):
         named = [bitflip_code(), hexagon_honeycomb()]
@@ -1366,9 +1307,7 @@ class TestSynthesis:
         cases = [(inst.name, inst.code, inst.errors) for inst in named]
         cases += [(f"merged-{seed}", *merged_instance(seed)) for seed in range(20)]
         compared, deficient = 0, []
-        for name, code, errors in cases:
-            if errors.env_dim(errors.rounds) != 1:
-                continue
+        for name, code, errors in cases + environment_cases():
             got = synth_decoder_algebraic(code, errors, require_correctable=False)
             comp = DenseTable(code, errors)
             columns = reference_algebraic_blocks(code, errors)
@@ -1437,23 +1376,27 @@ class TestSynthesis:
 
 class TestVerifyRecovery:
     def test_environment_slices_are_summed_incoherently(self):
-        # basis dephasing into the environment halves the fidelity of |+>
-        # under an identity recovery; a coherent environment sum would
-        # wrongly report 1
-        code, errors = env_dephasing_instance()
-        dec = Decoder(
-            output_dim=2,
-            input_dim=2,
-            kraus={INITIAL_MEMORY: (np.eye(2),)},
-            completion={INITIAL_MEMORY: np.zeros((2, 2))},
-        )
+        # basis dephasing into the environment, or into outcomes the memory
+        # forgets, halves the fidelity of |+> under an identity recovery:
+        # each slice and each outcome is a branch of its own, where a
+        # coherent sum would wrongly report 1 or, with cancelling signs, no
+        # arriving weight at all
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        report = verify_recovery(code, errors, dec, [plus])
-        assert report.worst_fidelity == pytest.approx(0.5, abs=1e-12)
-        assert report.total_weights[0] == pytest.approx(1.0, abs=1e-12)
         basis_state = np.array([1.0, 0.0])
-        report = verify_recovery(code, errors, dec, [basis_state])
-        assert report.worst_fidelity == pytest.approx(1.0, abs=1e-12)
+        cases = [env_dephasing_instance()] + [dephasing_instance(s) for s in DEPHASING_SIGNS]
+        for code, errors in cases:
+            memory = code.interrogator.final_memories[0]
+            dec = Decoder(
+                output_dim=2,
+                input_dim=2,
+                kraus={memory: (np.eye(2),)},
+                completion={memory: np.zeros((2, 2))},
+            )
+            report = verify_recovery(code, errors, dec, [plus])
+            assert report.worst_fidelity == pytest.approx(0.5, abs=1e-12)
+            assert report.total_weights[0] == pytest.approx(1.0, abs=1e-12)
+            report = verify_recovery(code, errors, dec, [basis_state])
+            assert report.worst_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_state_validation(self):
         inst = bitflip_code()
@@ -1552,3 +1495,110 @@ class TestTableDims:
             check_algebraic(bitflip_code().code, small)
         with pytest.raises(ValueError, match="error model spans 1 rounds, interrogator 2"):
             check_algebraic(inst.code, ErrorModel(ops[:2]))
+
+
+# ----------------------------------------------------------------------
+# Kraus phases: the channel, not its Kraus representation, decides
+# ----------------------------------------------------------------------
+
+
+def last_outcome_mats(seed):
+    """Matrices of a random one-qubit, two-round instance whose memory
+    keeps only the last outcome: a codespace basis, per round and memory
+    the outcomes' check Kraus operators, and per error round its Kraus
+    operators with environment dims (env_in, env_out)."""
+    rng = rng_for(seed)
+    k = int(rng.integers(1, 3))
+    basis = np.linalg.qr(random_matrix(rng, 2, 2))[0][:, :k]
+    checks = [
+        {m: dict(zip("ab", random_kraus_set(rng, 2, 2, 2))) for m in memories}
+        for memories in ((INITIAL_MEMORY,), ("a", "b"))
+    ]
+    envs = [1, *(int(e) for e in rng.integers(1, 3, size=3))]
+    # an isometry needs count * env_out >= env_in
+    errors = [
+        (random_kraus_set(rng, 2 * envs[r + 1], 2 * envs[r],
+                          max(int(rng.integers(1, 3)), envs[r] // envs[r + 1])),
+         envs[r], envs[r + 1])
+        for r in range(3)
+    ]
+    return basis, checks, errors
+
+
+def last_outcome_instance(basis, checks, errors):
+    instruments = tuple(
+        {m: CheckInstrument(r, m, {o: check_op(r, mat) for o, mat in outs.items()})
+         for m, outs in per_round.items()}
+        for r, per_round in enumerate(checks, start=1)
+    )
+    tables = tuple({(o, m): o for m in per_round for o in "ab"} for per_round in checks)
+    code = StrategicCode(
+        CodeSpace(2, basis), Interrogator(instruments, MemoryUpdate(tables))
+    )
+    return code, ErrorModel(tuple(
+        tuple(error_op(r, mat, env_in, env_out) for mat in mats)
+        for r, (mats, env_in, env_out) in enumerate(errors)
+    ))
+
+
+def with_phase(mats, seed):
+    """``mats`` with one outcome's or one error's Kraus operator times a
+    unit phase."""
+    rng = rng_for(10_000 + seed)
+    basis, checks, errors = mats
+    phase = np.exp(2j * np.pi * rng.random())
+    checks = [{m: dict(outs) for m, outs in per_round.items()} for per_round in checks]
+    errors = [(list(ops), env_in, env_out) for ops, env_in, env_out in errors]
+    if rng.random() < 0.5:
+        outs = checks[int(rng.integers(2))]
+        outs = outs[sorted(outs)[int(rng.integers(len(outs)))]]
+        o = "ab"[int(rng.integers(2))]
+        outs[o] = phase * outs[o]
+    else:
+        ops = errors[int(rng.integers(3))][0]
+        j = int(rng.integers(len(ops)))
+        ops[j] = phase * ops[j]
+    return basis, checks, errors
+
+
+class TestKrausPhases:
+    SEEDS = range(200)
+
+    def test_reports_ignore_kraus_phases(self):
+        for seed in self.SEEDS:
+            mats = last_outcome_mats(seed)
+            code, errors = last_outcome_instance(*mats)
+            states = codestates(code, 3, seed=416)
+            got = []
+            for c, e in ((code, errors), last_outcome_instance(*with_phase(mats, seed))):
+                alg, info = check_algebraic(c, e), check_info(c, e)
+                dec = synth_decoder_algebraic(c, e, require_correctable=False)
+                got.append((alg, info, verify_recovery(c, e, dec, states)))
+            (alg, info, rec), (alg2, info2, rec2) = got
+            assert alg.correctable == alg2.correctable, seed
+            assert alg.worst_residual == pytest.approx(alg2.worst_residual, abs=1e-12), seed
+            for m, lam in alg.detail["lambda"].items():
+                assert np.allclose(
+                    np.linalg.eigvalsh(lam), np.linalg.eigvalsh(alg2.detail["lambda"][m]),
+                    rtol=0, atol=1e-12,
+                ), (seed, m)
+            assert info.correctable == info2.correctable, seed
+            deficits = info.detail["deficit_bits"]
+            assert deficits.keys() == info2.detail["deficit_bits"].keys(), seed
+            for m, d in deficits.items():
+                assert d == pytest.approx(info2.detail["deficit_bits"][m], abs=1e-9), (seed, m)
+            assert [(r.state_index, r.memory) for r in rec.records] == [
+                (r.state_index, r.memory) for r in rec2.records
+            ], seed
+            for r, r2 in zip(rec.records, rec2.records):
+                assert r.fidelity == pytest.approx(r2.fidelity, abs=1e-9), seed
+
+    def test_recovery_weights_total_one(self):
+        # every instance here is trace-preserving
+        gaps = []
+        for seed in self.SEEDS:
+            code, errors = last_outcome_instance(*last_outcome_mats(seed))
+            dec = synth_decoder_algebraic(code, errors, require_correctable=False)
+            report = verify_recovery(code, errors, dec, codestates(code, 3, seed=417))
+            gaps.extend(abs(w - 1.0) for w in report.total_weights)
+        assert max(gaps) <= 1e-12

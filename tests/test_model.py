@@ -556,7 +556,7 @@ class TestComposeK:
             bound = 0.0
             if any(errors.env_dim(r) > 1 for r in range(errors.rounds)):
                 bound = 4 * np.finfo(float).eps * table.scale()
-            blocks = table_entries(table)
+            blocks = table_entries(table, errors.env_dim(errors.rounds))
             for m, trajs in enumerate_trajectories(code.interrogator).items():
                 for o in (t.outcomes for t in trajs):
                     for e in errors.sequences():
