@@ -42,6 +42,8 @@ __all__ = [
 PSD_RTOL = 1e-9
 TP_ATOL = 1e-9
 GRAM_ROWS = 256  # rows of a Gram sum accumulated at a time
+# validate_comb: largest Frobenius residual of a causality level still valid
+CAUSALITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +300,7 @@ def is_cptp(choi: ChoiOperator) -> CptpReport:
 
 
 def validate_comb(
-    choi: ChoiOperator, sig: CombSignature, tol: float = 1e-8
+    choi: ChoiOperator, sig: CombSignature, tol: float = CAUSALITY_ATOL
 ) -> CombReport:
     """Check the recursive causality chain of a comb against its signature.
 

@@ -600,7 +600,9 @@ def check_info(
     deficit is the quantity reported.  The witness is the memory of largest
     deficit, the first in sorted order among deficits that tie exactly;
     rounding may split deficits that tie in exact arithmetic (sectors
-    related by a symmetry), so of those either may be named.
+    related by a symmetry), so of those either may be named.  With no
+    sector above the floor the channel is empty, and the verdict is the
+    algebraic checker's: correctable, deficit 0, no witness.
 
     Each sector's state on (R, O, E, Q_out) is pure, the final environment
     sitting in E with the error sequence, so S(RME) = S(Q_out) and
@@ -614,15 +616,16 @@ def check_info(
 
 
 def _info_report(sectors: dict[str, tuple], tol: float) -> ConditionReport:
+    """Verdict on the sectors above the floor; with none, that of an empty
+    channel, as in :func:`_algebraic_sweep`: deficit 0 and no witness."""
     table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
-    if not table:
-        raise ValueError("no memory state carries weight above the floor")
-    witness = max(table, key=table.__getitem__)
+    witness = max(table, key=table.__getitem__, default=None)
+    worst = float(table.get(witness, 0.0))
     return ConditionReport(
-        correctable=bool(table[witness] <= tol),
-        worst_residual=float(table[witness]),
+        correctable=bool(worst <= tol),
+        worst_residual=worst,
         tolerance=float(tol),
-        witness=(witness,),
+        witness=None if witness is None else (witness,),
         detail={
             "deficit_bits": table,
             "weights": {m: p for m, (p, _, _, _) in sectors.items()},

@@ -23,9 +23,10 @@ objective and one pair of passes for every coefficient of a block family.
 Each coordinate step maximizes the resulting linear functional
 Σ_ν Tr(X_ν A_ν) over one family by the Reimpell–Werner fixed-point
 iteration (Reimpell–Werner, PRL 94, 080501, 2005; Fletcher–Shor–Win, PRA
-75, 012338, 2007), whose iterates are CPTP by construction.  The Dykstra
-projection onto the CPTP set (:func:`project_cptp`) is used only to make
-the perturbed start feasible.
+75, 012338, 2007), whose iterates are CPTP by construction.  So is the
+start (see :func:`initial_state`): the optimizer never projects, and
+:func:`project_cptp`, Dykstra's projection onto the CPTP set, is a public
+utility only.
 
 Everything here works on plain square arrays in the row-major Choi
 convention (output leg first); the labeled-operator layer is only touched
@@ -83,10 +84,11 @@ ACCEPT_MARGIN = 1e-10
 class OptimizerConfig:
     """Knobs of a see-saw run; identical configs give identical runs.
 
-    ``seed`` (at least 0) and ``perturbation`` set the Hermitian offset of
-    the start (see :func:`initial_state`).  A cycle steps every factor once; the run stops
-    when a cycle moves the fidelity by less than ``tol_conv`` or after
-    ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
+    ``seed`` (at least 0) draws the start's random instruments, and
+    ``perturbation`` (in [0, 1]) is their weight against the embedding
+    channels (see :func:`initial_state`).  A cycle steps every factor once;
+    the run stops when a cycle moves the fidelity by less than ``tol_conv``
+    or after ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
     early after ``inner_stall`` iterations in a row that raise the step's
     objective by no more than ``STALL_MARGIN``.  ``step_order`` overrides
@@ -115,6 +117,10 @@ class OptimizerConfig:
                 or not math.isfinite(value)
             ):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if not 0.0 <= self.perturbation <= 1.0:
+            raise ValueError(
+                f"perturbation must be in [0, 1], got {self.perturbation!r}"
+            )
         if self.step_order is not None:
             if not isinstance(self.step_order, (list, tuple)) or not all(
                 isinstance(which, str) for which in self.step_order
@@ -123,12 +129,10 @@ class OptimizerConfig:
                     f"step_order must be a list of factor names, got {self.step_order!r}"
                 )
             object.__setattr__(self, "step_order", tuple(self.step_order))
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be at least 1, got {self.inner_steps}")
+        for name, low in (("seed", 0), ("max_iters", 0), ("inner_steps", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +169,10 @@ class OptimizationState:
     rounds and the decoders are factor rounds 0..L+1 of one comb (see the
     module docstring), and feasibility messages name them that way.
 
-    Construction validates shapes and feasibility (PSD blocks, trace
-    preservation).  The optimizer's own updates skip that check through
-    :func:`_updated`: the start from :func:`initial_state` comes from the
-    feasibility projection, which returns clipped PSD blocks with a
-    trace-preservation residual of at most ``PROJECTION_TOL`` < ``TP_TOL``,
-    and every later factor from Reimpell–Werner iterations, whose blocks
-    are sums of congruences of PSD matrices and trace preserving to
-    rounding.
+    Construction validates shapes and runs :func:`_family_fault` on every
+    block family.  The optimizer's updates skip construction through
+    :func:`_updated`, but each coordinate step runs that test on the one
+    family it changes, and keeps the old family if the new one fails.
     """
 
     logical_dim: int
@@ -231,24 +231,13 @@ class OptimizationState:
         self._check_feasible()
 
     def _check_feasible(self) -> None:
-        """PSD blocks, and per family partial traces summing to the identity."""
         for r, (per_round, (d_out, d_in)) in enumerate(
             zip(_families(self), _factor_dims(self))
         ):
             for mu, blocks in enumerate(per_round):
-                total = np.zeros((d_in, d_in), dtype=np.complex128)
-                for nu, block in enumerate(blocks):
-                    scale = max(1.0, float(np.linalg.norm(block)))
-                    if _min_eigenvalue(block) < -PSD_TOL * scale:
-                        raise ValueError(
-                            f"factor round {r} block ({nu}|{mu}) is not PSD"
-                        )
-                    total += _trace_out(block, d_out, d_in)
-                if np.linalg.norm(total - np.eye(d_in)) > TP_TOL:
-                    raise ValueError(
-                        f"factor round {r} blocks for incoming value {mu} are not "
-                        "trace preserving"
-                    )
+                fault = _family_fault(blocks, d_out, d_in, r, mu)
+                if fault is not None:
+                    raise ValueError(fault)
 
     @property
     def rounds(self) -> int:
@@ -256,6 +245,26 @@ class OptimizationState:
 
     def trace_lines(self) -> list[str]:
         return [rec.line() for rec in self.trace]
+
+
+def _family_fault(
+    blocks: Sequence[np.ndarray], d_out: int, d_in: int, r: int, mu: int
+) -> str | None:
+    """Why family μ of factor round r is infeasible, or None: every block
+    must be PSD within ``PSD_TOL`` times max(1, its Frobenius norm), and the
+    partial traces must sum to the identity within ``TP_TOL``."""
+    total = np.zeros((d_in, d_in), dtype=np.complex128)
+    for nu, block in enumerate(blocks):
+        scale = max(1.0, float(np.linalg.norm(block)))
+        if _min_eigenvalue(block) < -PSD_TOL * scale:
+            return f"factor round {r} block ({nu}|{mu}) is not PSD"
+        total += _trace_out(block, d_out, d_in)
+    if np.linalg.norm(total - np.eye(d_in)) > TP_TOL:
+        return (
+            f"factor round {r} blocks for incoming value {mu} are not trace "
+            "preserving"
+        )
+    return None
 
 
 def _families(state: OptimizationState) -> tuple:
@@ -555,23 +564,6 @@ def _project_cptp_array(
     )
 
 
-def _project_family(
-    blocks: Sequence[np.ndarray], d_out: int, d_in: int
-) -> list[np.ndarray]:
-    """Nearest CP blocks whose partial traces sum to the identity.
-
-    The constraint couples the blocks, so their direct sum is projected as
-    a single flagged channel; one block is its own direct sum.
-    """
-    n = d_out * d_in
-    spans = [slice(nu * n, (nu + 1) * n) for nu in range(len(blocks))]
-    big = np.zeros((len(blocks) * n, len(blocks) * n), dtype=np.complex128)
-    for span, block in zip(spans, blocks):
-        big[span, span] = block
-    big = _project_cptp_array(big, len(blocks) * d_out, d_in)
-    return [big[span, span] for span in spans]
-
-
 def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
     """Project a square Hermitian operator onto the CPTP Choi set.
 
@@ -653,8 +645,8 @@ def _parse_which(which: str, state: OptimizationState) -> tuple[int, int]:
 
 def _tp_congruence(
     ys: Sequence[np.ndarray], fallback: Sequence[np.ndarray], d_out: int, d_in: int
-) -> list[np.ndarray]:
-    """PSD blocks made trace preserving by one input-leg congruence.
+) -> np.ndarray:
+    """PSD blocks, stacked, made trace preserving by one input-leg congruence.
 
     With ρ = Σ_ν Tr_out Y_ν, returns (I⊗ρ^{+½}) Y_ν (I⊗ρ^{+½}) +
     (I⊗P) F_ν (I⊗P), where ρ^{+½} is the inverse square root on the support
@@ -665,26 +657,27 @@ def _tp_congruence(
     of ρ^{+½} would otherwise leave an anti-Hermitian rounding part in the
     partial traces that no later congruence removes.
     """
-    rho = sum(_trace_out(y, d_out, d_in) for y in ys)
+    n = d_out * d_in
+    ys = np.asarray(ys)
+    rho = np.einsum("caiaj->ij", ys.reshape(-1, d_out, d_in, d_out, d_in))
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > KERNEL_RTOL * max(float(vals[-1]), 0.0)
     sup = vecs[:, keep]
-    n = d_out * d_in
-    # (I⊗M) Y (I⊗M) for Hermitian M, applied to the input leg by reshapes
+    # (I⊗M) Y_ν (I⊗M) for Hermitian M and every ν, on the input leg by reshapes
     congruence = lambda mat, y: (
-        np.matmul(mat, y.reshape(d_out, d_in, n)).reshape(n, d_out, d_in) @ mat
-    ).reshape(n, n)
-    inv_sqrt = (sup / np.sqrt(vals[keep])) @ sup.conj().T
-    out = [congruence(inv_sqrt, y) for y in ys]
+        np.matmul(mat, y.reshape(-1, d_out, d_in, n)).reshape(-1, n, d_out, d_in)
+        @ mat
+    ).reshape(-1, n, n)
+    out = congruence((sup / np.sqrt(vals[keep])) @ sup.conj().T, ys)
     if not keep.all():
         ker = vecs[:, ~keep]
-        out = [o + congruence(ker @ ker.conj().T, f) for o, f in zip(out, fallback)]
-    return [(o + o.conj().T) / 2.0 for o in out]
+        out += congruence(ker @ ker.conj().T, np.asarray(fallback))
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _rw_iterate(
     xs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], d_out: int, d_in: int
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """One Reimpell–Werner fixed-point iteration on a flagged block family.
 
     X_ν ↦ (I⊗ρ^{+½}) A_ν X_ν A_ν (I⊗ρ^{+½}) + (I⊗P) X_ν (I⊗P) with
@@ -695,8 +688,8 @@ def _rw_iterate(
     which is the identity up to that error, restores trace preservation to
     rounding.  Reimpell–Werner, PRL 94, 080501 (2005).
     """
-    ys = [a @ x @ a for x, a in zip(xs, coeffs)]
-    out = _tp_congruence(ys, xs, d_out, d_in)
+    a = np.asarray(coeffs)
+    out = _tp_congruence(a @ np.asarray(xs) @ a, xs, d_out, d_in)
     return _tp_congruence(out, xs, d_out, d_in)
 
 
@@ -709,18 +702,18 @@ def _step(
     with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
     family, keeping the best iterate, until ``inner_stall`` iterations in a
     row fail to raise F by more than ``STALL_MARGIN`` or ``inner_steps``
-    iterations have run.  The best family is accepted only if the evaluated
-    objective falls no more than ``ACCEPT_MARGIN`` below ``f_current``, the
-    objective of ``state``.
+    iterations have run.  The best family is accepted only if it passes
+    :func:`_family_fault` and its evaluated objective falls no more than
+    ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
     """
     r, mu = _parse_which(which, state)
     config = state.config
     d_out, d_in = engine.dims[r]
     blocks = _families(state)[r][mu]
-    coeffs = engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
-    linear = lambda xs: sum(
-        float(np.trace(x @ a).real) for x, a in zip(xs, coeffs)
+    coeffs = np.stack(
+        engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
     )
+    linear = lambda xs: float(np.einsum("cij,cji->", xs, coeffs).real)
     f_rest = f_current - linear(blocks)
     record = lambda st, fid: _updated(
         st,
@@ -743,15 +736,17 @@ def _step(
             if stall >= config.inner_stall:
                 break
 
-    candidate = _with_family(state, r, mu, best_blocks)
-    f_true = engine.evaluate(candidate)
-    if f_true < f_current - ACCEPT_MARGIN:
-        return _updated(
-            record(state, f_current),
-            rejected_steps=state.rejected_steps
-            + (f"{which}: evaluated objective regressed",),
-        )
-    return record(candidate, f_true)
+    fault = _family_fault(best_blocks, d_out, d_in, r, mu)
+    if fault is None:
+        candidate = _with_family(state, r, mu, best_blocks)
+        f_true = engine.evaluate(candidate)
+        if f_true >= f_current - ACCEPT_MARGIN:
+            return record(candidate, f_true)
+        fault = "evaluated objective regressed"
+    return _updated(
+        record(state, f_current),
+        rejected_steps=state.rejected_steps + (f"{which}: {fault}",),
+    )
 
 
 def coordinate_step(
@@ -766,8 +761,9 @@ def coordinate_step(
     latter updates all outgoing blocks of round R's incoming value MU
     jointly, since trace preservation couples them).  The returned state's
     objective is never below the incoming one beyond ``ACCEPT_MARGIN``; a
-    step whose evaluated objective would fall further leaves the factor
-    unchanged and logs the event in ``rejected_steps``.
+    step whose evaluated objective would fall further, or whose family
+    fails the constructor's feasibility test, leaves the factor unchanged
+    and logs the event in ``rejected_steps``.
     """
     engine = _Engine(errors, state.logical_dim, state.memory_structure, rho)
     _require_matching_dims(engine, state)
@@ -779,33 +775,30 @@ def coordinate_step(
 # ----------------------------------------------------------------------
 
 
-def _embedding_choi(d_out: int, d_in: int) -> np.ndarray:
-    """Choi matrix of the isometric embedding of the smaller leg."""
-    v = np.zeros((d_out, d_in), dtype=np.complex128)
-    for i in range(min(d_out, d_in)):
-        v[i, i] = 1.0
-    return np.outer(v.reshape(-1), v.reshape(-1).conj())
+def _start_family(
+    rng: np.random.Generator, d_out: int, d_in: int, count: int, p: float
+) -> tuple[np.ndarray, ...]:
+    """(1 − p) × the embedding channel on block 0 plus p × a random
+    instrument over all ``count`` blocks.
 
-
-def _perturbed_family(
-    rng: np.random.Generator,
-    bases: Sequence[np.ndarray],
-    d_out: int,
-    d_in: int,
-    magnitude: float,
-) -> list[np.ndarray]:
-    """Unit-norm Hermitian Ginibre offsets on each base, then projection.
-
-    Per base, in order, one real and then one imaginary n x n normal draw.
+    The embedding has Kraus operators the d_out × d_in identity and
+    |0⟩⟨j| for d_out ≤ j < d_in, so it is trace preserving when it
+    truncates too.  The instrument's Kraus operators are the d_out-row
+    slices of one seeded isometry (QR of a complex Ginibre matrix),
+    d_out·d_in per block, so every block has full Kraus rank: a
+    Reimpell–Werner step X ↦ A X A cannot raise it.  Both terms are CPTP,
+    so the family is, up to rounding.
     """
-    moved = []
-    for base in bases:
-        n = base.shape[0]
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2.0
-        h /= max(float(np.linalg.norm(h)), 1e-15)
-        moved.append(base + magnitude * h)
-    return _project_family(moved, d_out, d_in)
+    n = d_out * d_in
+    shape = (count * n * d_out, d_in)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kraus = np.linalg.qr(g)[0].reshape(count, n, n)  # block, Kraus op, vec
+    blocks = [p * (v.T @ v.conj()) for v in kraus]
+    embed = np.eye(d_out, d_in).reshape(-1)
+    leak = np.zeros(n)
+    leak[d_out:d_in] = 1.0  # vec |0><j| is the unit vector at j
+    blocks[0] += (1.0 - p) * (np.outer(embed, embed) + np.diag(leak))
+    return tuple(blocks)
 
 
 def initial_state(
@@ -815,11 +808,9 @@ def initial_state(
     rho: npt.NDArray[np.complex128] | None = None,
     config: OptimizerConfig | None = None,
 ) -> OptimizationState:
-    """Identity-embedding factors with a seeded perturbation, re-projected.
-
-    The unperturbed identity start is stationary for some instances, so a
-    small Hermitian Ginibre offset (re-projected to feasibility) is always
-    applied.
+    """Embedding channels mixed with seeded random instruments of weight
+    ``config.perturbation`` (see :func:`_start_family`), CPTP without a
+    projection; the bare embedding start is stationary for some instances.
     """
     config = config or OptimizerConfig()
     ms = tuple(
@@ -831,18 +822,15 @@ def initial_state(
         rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
     engine = _Engine(errors, logical_dim, ms, rho)
     rng = np.random.default_rng(config.seed)
-    eps = config.perturbation
-
-    families = []
-    for (d_out, d_in), incoming, outgoing in zip(
-        engine.dims, (1, *engine.outgoing), engine.outgoing
-    ):
-        zero = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
-        bases = [_embedding_choi(d_out, d_in)] + [zero] * (outgoing - 1)
-        families.append(tuple(
-            tuple(_perturbed_family(rng, bases, d_out, d_in, eps))
+    families = [
+        tuple(
+            _start_family(rng, d_out, d_in, outgoing, config.perturbation)
             for _ in range(incoming)
-        ))
+        )
+        for (d_out, d_in), incoming, outgoing in zip(
+            engine.dims, (1, *engine.outgoing), engine.outgoing
+        )
+    ]
     state = OptimizationState(
         logical_dim=logical_dim,
         memory_structure=ms,

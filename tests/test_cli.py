@@ -147,6 +147,24 @@ class TestCheck:
         for branches in payload["algebraic"]["support"].values():
             assert branches and all(set(b) == {"outcomes", "errors", "env"} for b in branches)
 
+    @pytest.mark.parametrize("method", ["algebraic", "info", "both"])
+    def test_empty_channel_is_vacuously_correctable(self, runner, tmp_path, method):
+        # no branch survives the zero error round; both checkers read the
+        # empty channel as correctable, with residual 0 and no witness
+        report = tmp_path / "r.json"
+        res = runner.invoke(
+            main,
+            ["check", vanishing_instance(str(tmp_path / "c.json")),
+             "--method", method, "--report", str(report)],
+        )
+        assert res.exit_code == 0, res.output
+        assert "CORRECTABLE" in res.output.splitlines()
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "CORRECTABLE"
+        if method != "algebraic":
+            assert payload["info"]["worst_deficit_bits"] == 0.0
+            assert payload["info"]["deficit_bits"] == {}
+
     def test_single_method_runs_only_that_checker(self, runner, exported):
         res = runner.invoke(
             main, ["check", exported["bitflip"], "--method", "algebraic"]
@@ -390,6 +408,18 @@ class TestDecode:
         assert payload["worst_fidelity"] is None
         assert payload["verdict"] == "FAIL"
 
+    def test_both_proofs_agree_on_the_empty_channel(self, runner, tmp_path):
+        path = vanishing_instance(str(tmp_path / "c.json"))
+        outputs = {}
+        for proof in ("algebraic", "schmidt"):
+            res = runner.invoke(
+                main, ["decode", path, "--proof", proof, "--samples", "3"]
+            )
+            assert res.exit_code == 1, res.output
+            assert "no codestate out of 3 reached any final memory" in res.output
+            outputs[proof] = res.output
+        assert outputs["schmidt"] == outputs["algebraic"]
+
     def test_zero_samples_vacuous(self, runner, exported):
         res = runner.invoke(
             main, ["decode", exported["bitflip"], "--samples", "0"]
@@ -518,6 +548,16 @@ class TestOptimize:
         assert final >= 1 - 1e-6
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("0 init ")
+
+    @pytest.mark.parametrize("name", ["window-full", "window-last"])
+    def test_syndrome_windows_reach_the_target(self, runner, exported, name):
+        # a check round of two blocks on 8 x 8: the start needs no projection
+        res = runner.invoke(
+            main, ["optimize", exported[name], "--logical-dim", "2", "--seed", "0"]
+        )
+        assert res.exit_code == 0, res.output
+        final = float(res.output.rsplit(":", 1)[1])
+        assert 0.999 <= final <= 1 + 1e-12
 
     def test_fixed_seed_reruns_identical(self, runner, tmp_path):
         args = ["optimize", "--ambient-dim", "2", "--logical-dim", "2",

@@ -1,4 +1,4 @@
-"""Optimizer tests: projection, objective, coordinate steps, see-saw."""
+"""Optimizer tests: projection, objective, start, coordinate steps, see-saw."""
 
 import itertools
 import re
@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from combsqec.combs import ChoiOperator, is_cptp, link_product
-from combsqec.library import bitflip_code, build_instance, spacetime_toy_circuit
+from combsqec.library import (
+    bitflip_code,
+    build_instance,
+    random_instance,
+    spacetime_toy_circuit,
+)
 from combsqec.model import ErrorModel, env_label, error_comb, error_op, q_label, qp_label
 from combsqec.optimize import (
     OptimizationState,
@@ -536,6 +541,29 @@ class TestInitialState:
         # perturbation moved it off the bare embedding
         assert np.linalg.norm(a.encoder - max_ent_choi(eo, ei)) > 1e-4
 
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-2, 1.0])
+    def test_start_is_cptp_without_projection(self, perturbation):
+        # encoder 4 x 2 (d_out > d_in), instrument families of three 4 x 4
+        # blocks, decoders 2 x 4 (d_out < d_in)
+        rng = rng_for(1)
+        errs = ErrorModel(
+            (random_tp_round(0, 4, 2, rng), random_tp_round(1, 4, 1, rng))
+        )
+        state = initial_state(
+            errs, 2, (3,), config=OptimizerConfig(seed=5, perturbation=perturbation)
+        )
+        for per_round, (d_out, d_in) in zip(
+            optimize._families(state), optimize._factor_dims(state)
+        ):
+            for blocks in per_round:
+                assert family_tp_residual(blocks, d_out, d_in) <= 1e-12
+                for block in blocks:
+                    vals = np.linalg.eigvalsh(block)
+                    assert vals[0] >= -1e-12
+                    if perturbation:
+                        # full Kraus rank, which no Reimpell–Werner step raises
+                        assert vals[0] > 1e-12 * vals[-1]
+
     def test_fidelity_field_matches_objective(self):
         errs = identity_errors(2, rounds=1)
         st = initial_state(errs, 2, (2,), config=OptimizerConfig(seed=0))
@@ -638,6 +666,25 @@ class TestCoordinateStep:
             _trace_out(b, do, di) for b in stepped.instruments[0][0]
         )
         assert np.linalg.norm(total - np.eye(di)) < 1e-7
+
+    def test_infeasible_step_keeps_the_factor(self, identity_qubit_state, monkeypatch):
+        errs, _ = identity_qubit_state
+        depolarizing = np.kron(np.eye(2) / 2, np.eye(2)).astype(complex)
+        scrambled = plain_state(errs, max_ent_choi(2, 2), (depolarizing,))
+        # no partial trace, so still trace preserving, but a negative
+        # eigenvalue on the near-identity iterate's kernel
+        tilt = 0.5 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        iterate = optimize._rw_iterate
+        monkeypatch.setattr(
+            optimize, "_rw_iterate", lambda *args: [x + tilt for x in iterate(*args)]
+        )
+        out = coordinate_step(scrambled, errs, MIXED_QUBIT, "decoder:0")
+        assert np.array_equal(out.decoders[0], depolarizing)
+        assert out.rejected_steps == (
+            "decoder:0: factor round 1 block (0|0) is not PSD",
+        )
+        assert out.fidelity == pytest.approx(0.25, abs=1e-12)
+        assert out.trace[-1].factor == "decoder:0"
 
     def test_unknown_factor_rejected(self, identity_qubit_state):
         errs, state = identity_qubit_state
@@ -762,23 +809,16 @@ class TestReimpellWerner:
                     on_kernel @ new @ on_kernel - on_kernel @ old @ on_kernel
                 ) <= 1e-12
 
-    def test_see_saw_projects_only_at_initialization(self, monkeypatch):
-        calls = {"n": 0}
-        project = optimize._project_cptp_array
+    def test_see_saw_never_projects(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the optimizer called the CPTP projection")
 
-        def counted(*args, **kwargs):
-            calls["n"] += 1
-            return project(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "_project_cptp_array", counted)
+        monkeypatch.setattr(optimize, "_project_cptp_array", forbidden)
         errs = spacetime_toy_circuit().errors
         cfg = OptimizerConfig(seed=0)
         initial_state(errs, 2, (1, 2), config=cfg)
-        at_init = calls["n"]
-        calls["n"] = 0
         out = seesaw(errs, 2, (1, 2), config=cfg)
         assert len(out.trace) > 1
-        assert calls["n"] == at_init > 0
 
     @pytest.mark.parametrize(
         "name, memory",
@@ -796,11 +836,17 @@ class TestReimpellWerner:
                 scale = max(1.0, float(np.linalg.norm(a)))
                 assert np.linalg.eigvalsh(a)[0] >= -1e-12 * scale, target
 
-    @pytest.mark.parametrize("errs, memory", [
-        (spacetime_toy_circuit().errors, (1, 2)), (bitflip_code().errors, ()),
-    ], ids=["spacetime", "bitflip"])
-    def test_returned_factors_pass_the_public_constructor(self, errs, memory):
-        out = seesaw(errs, 2, memory, config=OptimizerConfig(seed=0))
+    @pytest.mark.parametrize("errs, memory, seed, floor", [
+        (spacetime_toy_circuit().errors, (1, 2), 0, 0.999),
+        (bitflip_code().errors, (), 0, 0.999),
+        # not correctable: only feasibility and F <= 1 are asserted
+        (random_instance(26, qubits=2).errors, None, 2, 0.0),
+        (build_instance("window-full").errors, None, 0, 0.999),
+    ], ids=["spacetime", "bitflip", "random-26-2q-seed2", "window-full"])
+    def test_returned_factors_pass_the_public_constructor(
+        self, errs, memory, seed, floor
+    ):
+        out = seesaw(errs, 2, memory, config=OptimizerConfig(seed=seed))
         rebuilt = OptimizationState(
             logical_dim=out.logical_dim,
             encoder_dims=out.encoder_dims,
@@ -812,7 +858,7 @@ class TestReimpellWerner:
             decoders=out.decoders,
             fidelity=out.fidelity,
         )
-        assert rebuilt.fidelity >= 0.999
+        assert floor <= rebuilt.fidelity <= 1 + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -890,6 +936,12 @@ class TestSeesaw:
         # and the run would report convergence at the start's fidelity
         with pytest.raises(ValueError, match="inner_steps must be at least 1"):
             OptimizerConfig(seed=0, inner_steps=inner_steps)
+
+    @pytest.mark.parametrize("perturbation", [-0.1, 1.5])
+    def test_perturbation_outside_unit_interval_rejected(self, perturbation):
+        # the start mixes two channels with weights 1 - p and p
+        with pytest.raises(ValueError, match=r"perturbation must be in \[0, 1\]"):
+            OptimizerConfig(seed=0, perturbation=perturbation)
 
     def test_negative_seed_rejected(self):
         # numpy would reject it only later, inside initial_state
