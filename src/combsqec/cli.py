@@ -38,10 +38,7 @@ from .io import (
 from .library import build_instance, instance_names
 from .model import ErrorModel, StrategicCode, error_op
 from .optimize import OptimizationState, OptimizerConfig, seesaw, static_biconvex
-
-FIDELITY_GATE = 1.0 - 1e-6
-# demo: largest ||C_o E - E C_o'||_F of an error taken to flip a check
-FLIP_ATOL = 1e-9
+from .tolerances import FIDELITY_GATE, FLIP_ATOL
 
 
 @click.group()
@@ -171,9 +168,7 @@ def check(path: str, method: str, tol: float | None, report_path: str | None) ->
                 },
             }
         if method in ("info", "both"):
-            rep = check_info(doc.code, doc.errors) if tol is None else check_info(
-                doc.code, doc.errors, tol=tol
-            )
+            rep = check_info(doc.code, doc.errors, tol=tol)
             results["info"] = rep
             payload["info"] = {
                 "correctable": rep.correctable,

@@ -27,6 +27,11 @@ from combsqec.tensor import (
     permute_subsystems,
     tensor_product,
 )
+from combsqec.tolerances import (
+    CAUSALITY_ATOL, COMPLETENESS_ATOL, PSD_RTOL,
+    completeness_residual, completeness_violation, psd_violation, relative_threshold,
+    smallest_eigenvalue,
+)
 
 __all__ = [
     "ChoiOperator",
@@ -39,11 +44,7 @@ __all__ = [
     "validate_comb",
 ]
 
-PSD_RTOL = 1e-9
-TP_ATOL = 1e-9
 GRAM_ROWS = 256  # rows of a Gram sum accumulated at a time
-# validate_comb: largest Frobenius residual of a causality level still valid
-CAUSALITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +55,13 @@ class ChoiOperator:
     sides; the leg partition must cover every label exactly once.
 
     Positivity is checked where an operator enters the library: this
-    constructor rejects an operator whose smallest eigenvalue is below
-    ``-PSD_RTOL * max(1, ||X||_F)``, by a Cholesky factorization of the
-    shifted Hermitian part.  The library's own constructions are trusted
-    and check the legs only, because their outputs are PSD by construction:
-    ``choi_from_kraus`` and ``model.error_comb`` and
-    ``model.interrogator_operator`` sum Gram terms v v^dag, ``link_product``
-    of PSD operators is PSD, and ``optimize.project_cptp`` returns an
-    eigenvalue-clipped iterate.  At the 4096 dense cap one spectral check
-    costs far more than building the comb.
+    constructor runs the PSD test at ``PSD_RTOL``.  The library's own
+    constructions are trusted and check the legs only, because their
+    outputs are PSD by construction: ``choi_from_kraus`` and
+    ``model.error_comb`` and ``model.interrogator_operator`` sum Gram terms
+    v v^dag, ``link_product`` of PSD operators is PSD, and
+    ``optimize.project_cptp`` returns an eigenvalue-clipped iterate.  At the
+    4096 dense cap one spectral check costs far more than building the comb.
 
     Arrays follow the same rule: ``LabeledOperator(...)`` and this
     constructor validate and copy what a caller hands in, while library
@@ -75,7 +74,9 @@ class ChoiOperator:
 
     def __post_init__(self) -> None:
         self._check_legs()
-        _require_psd(self.op.data)
+        min_eig = psd_violation(self.op.data, relative_threshold(PSD_RTOL, self.op.data))
+        if min_eig is not None:
+            raise ValueError(f"Choi operator is not PSD: min eigenvalue {min_eig:.3e}")
 
     def _check_legs(self) -> None:
         object.__setattr__(self, "input_labels", tuple(self.input_labels))
@@ -145,34 +146,6 @@ class CombReport:
     first_violation: int | None
     normalization: float
     tolerance: float
-
-
-def _min_eigenvalue(mat: np.ndarray) -> float:
-    herm = (mat + mat.conj().T) / 2
-    return float(np.linalg.eigvalsh(herm)[0])
-
-
-def _require_psd(mat: np.ndarray) -> None:
-    """Raise unless the smallest eigenvalue of Herm(mat) is >= -tau.
-
-    With tau = PSD_RTOL * max(1, ||mat||_F), Herm(mat) + tau I has a
-    Cholesky factor exactly when that eigenvalue exceeds -tau; the
-    eigenvalue itself is computed only when the factorization fails, to
-    decide the boundary case and to name it in the error.
-    """
-    tau = PSD_RTOL * max(1.0, float(np.linalg.norm(mat)))
-    shifted = np.conjugate(mat.T, order="C")
-    shifted += mat
-    shifted *= 0.5
-    shifted.reshape(-1)[:: len(shifted) + 1] += tau  # C order: a view of the diagonal
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        min_eig = _min_eigenvalue(mat)
-        if min_eig < -tau:
-            raise ValueError(
-                f"Choi operator is not PSD: min eigenvalue {min_eig:.3e}"
-            ) from None
 
 
 def _psd_choi(
@@ -286,17 +259,16 @@ def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
 
 
 def is_cptp(choi: ChoiOperator) -> CptpReport:
-    """CP and TP residuals of a Choi operator against its declared legs."""
-    min_eig = _min_eigenvalue(choi.op.data)
-    scale = max(1.0, float(np.linalg.norm(choi.op.data)))
-    cp_residual = max(0.0, -min_eig)
-    cp = min_eig >= -PSD_RTOL * scale
-
-    reduced = partial_trace(choi.op, choi.output_labels)
-    eye = identity_operator(reduced.row_subsystems)
-    tp_residual = float(np.linalg.norm(reduced.data - eye.data))
-    tp = tp_residual <= TP_ATOL
-    return CptpReport(cp=cp, tp=tp, cp_residual=cp_residual, tp_residual=tp_residual)
+    """CP and TP residuals of a Choi operator against its declared legs,
+    decided by the PSD test and the completeness test of Tr_out X."""
+    data = choi.op.data
+    reduced = partial_trace(choi.op, choi.output_labels).data
+    return CptpReport(
+        cp=psd_violation(data, relative_threshold(PSD_RTOL, data)) is None,
+        tp=completeness_violation(reduced, COMPLETENESS_ATOL) is None,
+        cp_residual=max(0.0, -smallest_eigenvalue(data)),
+        tp_residual=completeness_residual(reduced),
+    )
 
 
 def validate_comb(
@@ -328,7 +300,7 @@ def validate_comb(
         candidate = permute_subsystems(candidate, traced.row_labels)
         residual = float(np.linalg.norm(traced.data - candidate.data))
         residuals[level] = residual
-        if residual > tol and first_violation is None:
+        if not residual <= tol and first_violation is None:
             first_violation = level
         current = reduced
     normalization = float(current.data.reshape(-1)[0].real)

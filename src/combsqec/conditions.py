@@ -35,6 +35,11 @@ from .model import (
     require_chained,
 )
 from .tensor import LabeledOperator, _spectrum_bits
+from .tolerances import (
+    BRANCH_WEIGHT_FLOOR, CODESPACE_ATOL, COMPLETENESS_ATOL, MI_TOL_BITS, P_FLOOR,
+    RESIDUAL_RTOL, SCHMIDT_UNIFORM_RTOL, UNIT_NORM_ATOL, WEIGHT_CUTOFF,
+    completeness_violation,
+)
 
 __all__ = [
     "ConditionReport",
@@ -50,20 +55,6 @@ __all__ = [
     "verify_recovery",
 ]
 
-RESIDUAL_RTOL = 1e-8
-MI_TOL_BITS = 1e-7
-P_FLOOR = 1e-12
-WEIGHT_CUTOFF = 1e-10
-# Decoder: Frobenius slack of completeness (per sqrt input dim) and of P^2 = P
-DECODER_ATOL = 1e-8
-# verify_recovery: largest | ||psi|| - 1 | of a state taken as normalized
-NORM_ATOL = 1e-10
-# verify_recovery: largest ||psi - B B^dag psi|| of a state taken as a codestate
-CODESPACE_ATOL = 1e-8
-# Schmidt decoder: spread of a block's weighted column norms, relative to max(1, q)
-SCHMIDT_UNIFORM_RTOL = 1e-6
-# branch_supports: Frobenius norm above which a K_{e,m,o} B block carries weight
-BRANCH_WEIGHT_FLOOR = 1e-9
 # complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
 _FIT_CHUNK = 1 << 20
 
@@ -120,8 +111,6 @@ class Decoder:
         object.__setattr__(self, "completion", dict(self.completion))
         if set(self.kraus) != set(self.completion):
             raise ValueError("kraus and completion must cover the same memories")
-        eye = np.eye(self.input_dim)
-        slack = DECODER_ATOL * max(1.0, math.sqrt(self.input_dim))
         for m in self.kraus:
             total = self.completion[m].astype(np.complex128).copy()
             if total.shape != (self.input_dim, self.input_dim):
@@ -131,12 +120,12 @@ class Decoder:
                 if d.shape != (self.output_dim, self.input_dim):
                     raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
                 total = total + d.conj().T @ d
-            if np.linalg.norm(total - eye) > slack:
+            if completeness_violation(total, COMPLETENESS_ATOL) is not None:
                 raise ValueError(
                     f"decoder for memory {m!r} violates completeness: "
                     "completion + sum of D^dag D != I"
                 )
-            if proj_err > DECODER_ATOL:
+            if not proj_err <= COMPLETENESS_ATOL:
                 raise ValueError(f"completion for memory {m!r} is not a projector")
 
     def memories(self) -> tuple[str, ...]:
@@ -434,7 +423,7 @@ def _algebraic_sweep(comp: _Composed) -> tuple:
                 worst = float(fit[a, b])
                 j, i = divmod(int(entry[a, b]), k)
                 witness = (i, j, comp.branch(m, b), comp.branch(m, a), m)
-            vanishing[row[np.max(np.abs(blocks), axis=(1, 2)) >= WEIGHT_CUTOFF]] = False
+            vanishing[row[np.linalg.norm(blocks, axis=(1, 2)) > BRANCH_WEIGHT_FLOOR]] = False
         degenerate.extend((m, comp.outcomes[m][o]) for o in np.flatnonzero(vanishing))
         lambdas[m] = (lam + lam.conj().T) / 2.0
         lambdas[m].flags.writeable = False
@@ -459,7 +448,7 @@ def check_algebraic(
     codespace matrix T = B^dag K_b'^dag K_b B is reduced to its
     least-squares scalar lambda = Tr(T) / code_dim and the residual
     ||T - lambda I||_F.  Correctable iff every residual is within tolerance
-    (default ``1e-8`` times the largest branch norm).  A branch's phase
+    (default ``RESIDUAL_RTOL`` times the largest branch norm).  A branch's phase
     scales its cells by a unit number, so no verdict or residual depends on
     Kraus phases.  The witness is ``(i, j, b, b_prime, m)``: the first cell
     of largest residual in (m, b', b) order, each branch named as (outcome
@@ -481,8 +470,8 @@ def check_algebraic(
       ``"lambda"``, in order, each as (outcome sequence, error sequence,
       environment slice).
     * ``"memories"``: the final memory states.
-    * ``"degenerate_branches"``: the (m, o) outcome sequences whose
-      composed operators vanish on the codespace, in (m, o) order.
+    * ``"degenerate_branches"``: the (m, o) outcome sequences with no branch
+      of Frobenius norm above ``BRANCH_WEIGHT_FLOOR``, in (m, o) order.
     * ``"scale"``: the largest branch norm.
     """
     worst, witness, detail = _composed(code, errors).product("algebraic", _algebraic_sweep)
@@ -586,7 +575,7 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
 
 
 def check_info(
-    code: StrategicCode, errors: ErrorModel, tol: float = MI_TOL_BITS
+    code: StrategicCode, errors: ErrorModel, tol: float | None = None
 ) -> ConditionReport:
     """Entropic correctability check.
 
@@ -594,13 +583,14 @@ def check_info(
     vanishes exactly when the record registers decouple from a maximally
     mixed reference; this is the complementary-channel coherent-information
     form of the criterion.  Correctable iff the largest deficit over all
-    sectors above the weight floor is <= tol (bits).  Plain per-sector
-    mutual information would miss instruments that filter the codespace
-    (the reference marginal turns pure instead of correlated), so the
-    deficit is the quantity reported.  The witness is the memory of largest
-    deficit, the first in sorted order among deficits that tie exactly;
-    rounding may split deficits that tie in exact arithmetic (sectors
-    related by a symmetry), so of those either may be named.  With no
+    sectors above the weight floor is <= tol bits (default ``MI_TOL_BITS``).
+    Plain per-sector mutual information would miss instruments that filter
+    the codespace (the reference marginal turns pure instead of
+    correlated), so the deficit is the quantity reported.  The witness is
+    the memory of largest deficit, the first in sorted order among deficits
+    that tie exactly; rounding may split deficits that tie in exact
+    arithmetic (sectors related by a symmetry), so of those either may be
+    named.  With no
     sector above the floor the channel is empty, and the verdict is the
     algebraic checker's: correctable, deficit 0, no witness.
 
@@ -615,9 +605,11 @@ def check_info(
     return _info_report(sectors, tol)
 
 
-def _info_report(sectors: dict[str, tuple], tol: float) -> ConditionReport:
-    """Verdict on the sectors above the floor; with none, that of an empty
-    channel, as in :func:`_algebraic_sweep`: deficit 0 and no witness."""
+def _info_report(sectors: dict[str, tuple], tol: float | None) -> ConditionReport:
+    """Verdict on the sectors above the floor, at ``tol`` bits (default
+    ``MI_TOL_BITS``); with none, that of an empty channel, as in
+    :func:`_algebraic_sweep`: deficit 0 and no witness."""
+    tol = MI_TOL_BITS if tol is None else tol
     table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
     witness = max(table, key=table.__getitem__, default=None)
     worst = float(table.get(witness, 0.0))
@@ -722,7 +714,7 @@ def synth_decoder_algebraic(
 def synth_decoder_schmidt(
     code: StrategicCode,
     errors: ErrorModel,
-    tol: float = MI_TOL_BITS,
+    tol: float | None = None,
     require_correctable: bool = True,
 ) -> Decoder:
     """Decoder from the entropic proof.
@@ -733,10 +725,10 @@ def synth_decoder_schmidt(
     :func:`check_info` decides on.  Every Schmidt vector above
     ``WEIGHT_CUTOFF`` is one block, and the polar step the algebraic
     decoder uses too aligns the blocks back with the codespace basis.
-    Rejects when a block's column norms are not uniform across codewords (a
-    Schmidt-rank inconsistency, signalling the state is not a product).  No
-    register-sized matrix is formed, so ``COMBSQEC_DENSE_CAP`` does not
-    bound the synthesis.
+    ``tol`` is :func:`check_info`'s.  Rejects when a block's column norms
+    are not uniform across codewords (a Schmidt-rank inconsistency,
+    signalling the state is not a product).  No register-sized matrix is
+    formed, so ``COMBSQEC_DENSE_CAP`` does not bound the synthesis.
     """
     comp = _composed(code, errors)
     sectors = comp.product("schmidt", _schmidt_sectors)
@@ -781,7 +773,7 @@ def verify_recovery(
         vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
         if vec.shape[0] != ambient:
             raise ValueError(f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}")
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_ATOL:
+        if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_NORM_ATOL:
             raise ValueError(f"state {idx} is not normalized")
         vecs.append(vec)
     vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)

@@ -32,6 +32,7 @@ from .model import (
     error_op,
 )
 from .tensor import LabeledOperator
+from .tolerances import GRAM_SCHMIDT_FLOOR, P_FLOOR
 
 __all__ = [
     "NamedInstance",
@@ -48,10 +49,6 @@ _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-# codespace Gram-Schmidt: smallest residual norm of a projector column kept
-GRAM_SCHMIDT_FLOOR = 1e-8
-# random Kraus lists: smallest eigenvalue of sum K^dag K that is rescaled
-TP_NORMALIZE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +400,7 @@ def _tp_normalize(ops: list[npt.NDArray[np.complex128]]):
     """Rescale a Kraus list to exact trace preservation."""
     total = sum(op.conj().T @ op for op in ops)
     vals, vecs = np.linalg.eigh(total)
-    if np.min(vals) < TP_NORMALIZE_FLOOR:
+    if not np.min(vals) >= P_FLOOR:
         raise ValueError("Kraus list is too degenerate to normalize")
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
     return [op @ inv_sqrt for op in ops]

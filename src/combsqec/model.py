@@ -32,6 +32,10 @@ import numpy.typing as npt
 
 from .combs import ChoiOperator, _gram_sum, _psd_choi
 from .tensor import LabeledOperator, Subsystems, _check_cap, _owned, dense_cap
+from .tolerances import (
+    COMPLETENESS_ATOL, PSD_RTOL, UNIT_NORM_ATOL,
+    completeness_residual, completeness_violation, psd_violation, relative_threshold,
+)
 
 __all__ = [
     "INITIAL_MEMORY",
@@ -60,9 +64,6 @@ __all__ = [
 
 INITIAL_MEMORY = ""
 
-GRAM_ATOL = 1e-10
-INSTRUMENT_ATOL = 1e-9
-ERROR_NORM_ATOL = 1e-9
 TRAJECTORY_CAP = 10**6
 
 
@@ -139,8 +140,7 @@ class CodeSpace:
             )
         if mat.shape[1] < 1:
             raise ValueError("codespace needs at least one basis vector")
-        gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(mat.shape[1])) > GRAM_ATOL:
+        if not completeness_residual(mat.conj().T @ mat) <= UNIT_NORM_ATOL:
             raise ValueError("codespace basis is not orthonormal")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -194,8 +194,7 @@ class CheckInstrument:
                 )
         assert first is not None
         total = sum(op.data.conj().T @ op.data for op in self.kraus.values())
-        eye = np.eye(first.col_dim)
-        if np.linalg.norm(total - eye) > INSTRUMENT_ATOL * max(1.0, np.sqrt(first.col_dim)):
+        if completeness_violation(total, COMPLETENESS_ATOL) is not None:
             raise ValueError(
                 f"round {self.round_index} instrument for memory {self.memory!r} "
                 "is not complete: sum of C^dag C != I"
@@ -386,8 +385,7 @@ class ErrorModel:
             if self.require_trace_nonincreasing:
                 total = sum(op.data.conj().T @ op.data for op in ops)
                 gap = np.eye(first.col_dim) - total
-                low = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0])
-                if low < -ERROR_NORM_ATOL * max(1.0, float(np.linalg.norm(total))):
+                if psd_violation(gap, relative_threshold(PSD_RTOL, total)) is not None:
                     raise ValueError(
                         f"error round {r} is not trace non-increasing"
                     )

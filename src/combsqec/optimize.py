@@ -44,9 +44,13 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .combs import ChoiOperator, _min_eigenvalue, _psd_choi
+from .combs import ChoiOperator, _psd_choi
 from .model import ErrorModel
 from .tensor import LabeledOperator, _owned, permute_subsystems
+from .tolerances import (
+    ACCEPT_MARGIN, HERMITIAN_RTOL, KERNEL_RTOL, PROJECTION_TOL, PSD_TOL, STALL_MARGIN, TP_TOL,
+    completeness_violation, psd_violation, relative_threshold, smallest_eigenvalue,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -60,19 +64,7 @@ __all__ = [
     "static_biconvex",
 ]
 
-PSD_TOL = 1e-8
-TP_TOL = 1e-7
-PROJECTION_TOL = 1e-9
 PROJECTION_SWEEPS = 500
-KERNEL_RTOL = 1e-10
-# input state: largest ||rho - rho^dag||_F and |Tr rho - 1| of a state accepted
-STATE_ATOL = 1e-8
-# project_cptp: largest ||X - X^dag||_F, relative to max(1, ||X||_F), of an input
-HERMITIAN_RTOL = 1e-8
-# coordinate step: smallest rise of its objective that resets the stall count
-STALL_MARGIN = 1e-12
-# coordinate step: largest fall of the evaluated objective that is still accepted
-ACCEPT_MARGIN = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +83,7 @@ class OptimizerConfig:
     or after ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
     early after ``inner_stall`` iterations in a row that raise the step's
-    objective by no more than ``STALL_MARGIN``.  ``step_order`` overrides
-    the default decoder, rounds last-to-first, encoder cycle with an
-    explicit list of factor names as accepted by :func:`coordinate_step`.
+    objective by no more than ``STALL_MARGIN``.
     """
 
     seed: int = 0
@@ -102,7 +92,6 @@ class OptimizerConfig:
     inner_steps: int = 60
     inner_stall: int = 5
     perturbation: float = 1e-2
-    step_order: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("seed", "max_iters", "inner_steps", "inner_stall"):
@@ -121,14 +110,6 @@ class OptimizerConfig:
             raise ValueError(
                 f"perturbation must be in [0, 1], got {self.perturbation!r}"
             )
-        if self.step_order is not None:
-            if not isinstance(self.step_order, (list, tuple)) or not all(
-                isinstance(which, str) for which in self.step_order
-            ):
-                raise ValueError(
-                    f"step_order must be a list of factor names, got {self.step_order!r}"
-                )
-            object.__setattr__(self, "step_order", tuple(self.step_order))
         for name, low in (("seed", 0), ("max_iters", 0), ("inner_steps", 1)):
             value = getattr(self, name)
             if value < low:
@@ -251,15 +232,14 @@ def _family_fault(
     blocks: Sequence[np.ndarray], d_out: int, d_in: int, r: int, mu: int
 ) -> str | None:
     """Why family μ of factor round r is infeasible, or None: every block
-    must be PSD within ``PSD_TOL`` times max(1, its Frobenius norm), and the
-    partial traces must sum to the identity within ``TP_TOL``."""
+    must pass the PSD test at ``PSD_TOL`` times max(1, its Frobenius norm),
+    and the partial traces the completeness test at ``TP_TOL``."""
     total = np.zeros((d_in, d_in), dtype=np.complex128)
     for nu, block in enumerate(blocks):
-        scale = max(1.0, float(np.linalg.norm(block)))
-        if _min_eigenvalue(block) < -PSD_TOL * scale:
+        if psd_violation(block, relative_threshold(PSD_TOL, block)) is not None:
             return f"factor round {r} block ({nu}|{mu}) is not PSD"
         total += _trace_out(block, d_out, d_in)
-    if np.linalg.norm(total - np.eye(d_in)) > TP_TOL:
+    if completeness_violation(total, TP_TOL) is not None:
         return (
             f"factor round {r} blocks for incoming value {mu} are not trace "
             "preserving"
@@ -424,9 +404,10 @@ class _Engine:
                 f"input state must be {logical_dim} x {logical_dim}, "
                 f"got {rho.shape}"
             )
-        if np.linalg.norm(rho - rho.conj().T) > STATE_ATOL:
+        tau = relative_threshold(HERMITIAN_RTOL, rho)
+        if not np.linalg.norm(rho - rho.conj().T) <= tau:
             raise ValueError("input state must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > STATE_ATOL:
+        if not abs(np.trace(rho).real - 1.0) <= HERMITIAN_RTOL:
             raise ValueError("input state must have unit trace")
         self.n_coeff = _rho_coeff(rho)
         error_rounds = range(rounds + 1)
@@ -557,7 +538,7 @@ def _project_cptp_array(
         tp_res = float(np.linalg.norm(deficit))
         if tp_res <= tol:
             return z
-    psd_res = math.inf if y is None else max(0.0, -_min_eigenvalue(y))
+    psd_res = math.inf if y is None else max(0.0, -smallest_eigenvalue(y))
     raise ValueError(
         f"feasibility projection did not converge in {sweeps} sweeps: "
         f"trace-preservation residual {tp_res:.3e}, PSD residual {psd_res:.3e}"
@@ -573,8 +554,8 @@ def project_cptp(x: LabeledOperator, out_labels: Sequence[str]) -> ChoiOperator:
     """
     if x.row_subsystems != x.col_subsystems:
         raise ValueError("projection needs identical subsystems on both sides")
-    scale = max(1.0, float(np.linalg.norm(x.data)))
-    if np.linalg.norm(x.data - x.data.conj().T) > HERMITIAN_RTOL * scale:
+    tau = relative_threshold(HERMITIAN_RTOL, x.data)
+    if not np.linalg.norm(x.data - x.data.conj().T) <= tau:
         raise ValueError("projection input must be Hermitian")
     out_labels = tuple(out_labels)
     unknown = set(out_labels) - set(x.row_labels)
@@ -871,13 +852,7 @@ def seesaw(
         rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
     state = initial_state(errors, logical_dim, memory_structure, rho, config)
     engine = _Engine(errors, logical_dim, state.memory_structure, rho)
-    order = (
-        list(config.step_order)
-        if config.step_order is not None
-        else _factor_order(state)
-    )
-    for which in order:
-        _parse_which(which, state)
+    order = _factor_order(state)
     best = state
     converged = False
     for _ in range(config.max_iters):

@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.typing as npt
 
+from .tolerances import P_FLOOR
+
 __all__ = [
     "LabeledOperator",
     "dense_cap",
@@ -33,8 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_CAP = 4096
-# _spectrum_bits: largest eigenvalue of a normalized spectrum counted as zero
-SPECTRUM_FLOOR = 1e-12
 
 Subsystems = tuple[tuple[str, int], ...]
 
@@ -319,6 +319,6 @@ def vectorize(op: LabeledOperator) -> LabeledOperator:
 
 
 def _spectrum_bits(vals: npt.NDArray[np.float64]) -> float:
-    """Entropy in bits of a normalized spectrum, read above ``SPECTRUM_FLOOR``."""
-    vals = vals[vals > SPECTRUM_FLOOR]
+    """Entropy in bits of a normalized spectrum, read above ``P_FLOOR``."""
+    vals = vals[vals > P_FLOOR]
     return float(-np.sum(vals * np.log2(vals))) if vals.size else 0.0

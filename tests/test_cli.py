@@ -324,6 +324,36 @@ class TestCheck:
         assert [4000, 4000] not in allocated
         assert not report.exists()
 
+    @pytest.mark.parametrize("where, path, reason", [
+        (("codespace", "basis"), "codespace.basis", "not orthonormal"),
+        (("interrogator", "rounds", 1, "instruments", "u", "0"),
+         "interrogator.rounds[1].instruments['u']", "not complete"),
+        (("error_model", "rounds", 0, "kraus", 0), "error_model",
+         "not trace non-increasing"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["check", "--method", "both"], ["decode"], ["optimize", "--logical-dim", "2"],
+    ])
+    def test_nan_entry_is_a_parse_error(
+        self, runner, exported, tmp_path, where, path, reason, command
+    ):
+        # json spells it NaN; the constructor that owns the matrix rejects it
+        with open(exported["spacetime"]) as fh:
+            doc = json.load(fh)
+        matrix = doc
+        for key in where:
+            matrix = matrix[key]
+        if isinstance(matrix, dict):
+            matrix["nz"][0][2] = float("nan")
+        else:
+            matrix[0][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command[0], str(bad), *command[1:]])
+        assert res.exit_code == 2
+        assert res.output.startswith(f"error: {path}: ")
+        assert reason in res.output
+
 
 class TestDecode:
     @pytest.mark.parametrize("proof", ["algebraic", "schmidt"])

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import combsqec.combs as combs
 from combsqec.combs import (
-    PSD_RTOL,
     ChoiOperator,
     CombSignature,
     choi_from_kraus,
@@ -40,6 +39,7 @@ from combsqec.tensor import (
     permute_subsystems,
     tensor_product,
 )
+from combsqec.tolerances import PSD_RTOL
 from conftest import (
     PAULI,
     op,
@@ -392,6 +392,11 @@ class TestValidateComb:
         assert report.first_violation == 2
         assert report.level_residuals[0] <= 1e-10
         assert report.level_residuals[2] <= 1e-10
+
+    def test_nan_tolerance_validates_nothing(self):
+        total, sig = self._chain([[np.eye(2)], [np.eye(2)]])
+        report = validate_comb(total, sig, tol=float("nan"))
+        assert not report.valid and report.first_violation is not None
 
     def test_signature_label_mismatch_rejected(self):
         total, sig = self._chain([[np.eye(2)]])

@@ -7,9 +7,6 @@ import pytest
 
 from combsqec import conditions
 from combsqec.conditions import (
-    MI_TOL_BITS,
-    P_FLOOR,
-    WEIGHT_CUTOFF,
     ConditionReport,
     Decoder,
     RecoveryRecord,
@@ -43,6 +40,13 @@ from combsqec.model import (
     error_op,
 )
 from combsqec.tensor import LabeledOperator
+from combsqec.tolerances import (
+    BRANCH_WEIGHT_FLOOR,
+    MI_TOL_BITS,
+    P_FLOOR,
+    RESIDUAL_RTOL,
+    WEIGHT_CUTOFF,
+)
 
 from conftest import (
     DEPHASING_SIGNS,
@@ -411,9 +415,9 @@ def reference_algebraic_sweep(comp):
     degenerate = []
     for m in comp.memories:
         blocks, labels = comp.blocks[m], comp.branches[m]
-        for o, per_outcome in zip(comp.outcomes[m],
-                                  blocks.reshape(len(comp.outcomes[m]), -1)):
-            if np.max(np.abs(per_outcome)) < WEIGHT_CUTOFF:
+        per_outcome = blocks.reshape(len(comp.outcomes[m]), -1, blocks[0].size)
+        for o, branches in zip(comp.outcomes[m], per_outcome):
+            if np.linalg.norm(branches, axis=1).max() <= BRANCH_WEIGHT_FLOOR:
                 degenerate.append((m, o))
         lam_m = np.zeros((len(blocks), len(blocks)), dtype=np.complex128)
         for a, left in enumerate(blocks):
@@ -685,8 +689,8 @@ class TestBatchedAgainstLoops:
         scale = ref_detail["scale"]
         assert abs(detail["scale"] - scale) <= BLOCK_ULPS * np.finfo(float).eps * scale
         margin = 1e-12 * scale
-        assert (worst <= conditions.RESIDUAL_RTOL * scale) == (
-            ref_worst <= conditions.RESIDUAL_RTOL * scale
+        assert (worst <= RESIDUAL_RTOL * scale) == (
+            ref_worst <= RESIDUAL_RTOL * scale
         ), name
         assert abs(worst - ref_worst) <= margin, name
         assert detail["degenerate_branches"] == ref_detail["degenerate_branches"], name
@@ -808,7 +812,7 @@ def reference_deficit(rho, k):
     The deficit is None at or below the weight floor.
     """
     p = float(np.real(np.trace(rho)))
-    if p <= conditions.P_FLOOR:
+    if p <= P_FLOOR:
         return p, None
 
     def bits(mat):

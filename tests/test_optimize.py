@@ -39,6 +39,7 @@ from combsqec.optimize import (
     _trace_out,
 )
 from combsqec.tensor import LabeledOperator, partial_trace, permute_subsystems
+from combsqec.tolerances import KERNEL_RTOL
 
 from conftest import PAULI, random_kraus_set, random_matrix, random_state, rng_for
 
@@ -721,7 +722,7 @@ def reference_tp_congruence(ys, fallback, d_out, d_in):
     congruence applied as a dense kron lift."""
     rho = sum(_trace_out(y, d_out, d_in) for y in ys)
     vals, vecs = np.linalg.eigh(rho)
-    keep = vals > optimize.KERNEL_RTOL * max(float(vals[-1]), 0.0)
+    keep = vals > KERNEL_RTOL * max(float(vals[-1]), 0.0)
     sup = vecs[:, keep]
     eye_out = np.eye(d_out)
     lift = np.kron(eye_out, (sup / np.sqrt(vals[keep])) @ sup.conj().T)
@@ -947,21 +948,6 @@ class TestSeesaw:
         # numpy would reject it only later, inside initial_state
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             OptimizerConfig(seed=-1)
-
-    def test_custom_step_order(self):
-        errs = identity_errors(2, rounds=1)
-        cfg = OptimizerConfig(
-            seed=0, max_iters=3,
-            step_order=("encoder", "round:1:0", "decoder:0", "decoder:1"),
-        )
-        out = seesaw(errs, 2, (2,), config=cfg)
-        assert out.fidelity >= 1 - 1e-6
-        assert out.trace[1].factor == "encoder"
-        with pytest.raises(ValueError):
-            seesaw(
-                errs, 2, (2,),
-                config=OptimizerConfig(max_iters=1, step_order=("nope",)),
-            )
 
     def test_convergence_flag(self):
         errs = identity_errors(2)
