@@ -266,7 +266,8 @@ def is_cptp(choi: ChoiOperator) -> CptpReport:
     return CptpReport(
         cp=psd_violation(data, relative_threshold(PSD_RTOL, data)) is None,
         tp=completeness_violation(reduced, COMPLETENESS_ATOL) is None,
-        cp_residual=max(0.0, -smallest_eigenvalue(data)),
+        # np.maximum keeps a nan eigenvalue; max(0.0, nan) would return 0.0
+        cp_residual=float(np.maximum(0.0, -smallest_eigenvalue(data))),
         tp_residual=completeness_residual(reduced),
     )
 

@@ -3,20 +3,26 @@
 One document carries a strategic code (codespace basis, per-round
 instruments, memory update tables), its error model, and an optional
 optimization block.  Complex entries are two-element ``[re, im]`` arrays.
-In ``schema_version`` 2, the version written, each matrix is either dense,
-row-major nested lists of ``[re, im]`` cells, or sparse,
-``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` with the nonzero entries
-in row-major order.  A matrix is written sparse iff ``2 * nnz < n * m``,
-where an entry is nonzero iff it ``!= 0`` (so -0.0 is dropped).  Version 1,
-still read, has dense matrices only.  The canonical text of either version
-is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, so
-a file's digest depends on the version it is written in; matrices are
+In ``schema_version`` 3, the version written, every matrix slot holds an
+integer index into the top-level ``matrices`` table, which holds each
+distinct matrix once, in order of first use.  Each table entry is a matrix
+in the version-2 form: dense, row-major nested lists of ``[re, im]`` cells,
+or sparse, ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` with the
+nonzero entries in row-major order.  A matrix is written sparse iff
+``2 * nnz < n * m``, where an entry is nonzero iff it ``!= 0`` (so -0.0 is
+dropped).  Versions 1 (dense only) and 2 (dense or sparse), still read,
+hold each matrix inline in its slot.  The canonical text of any version is
+exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, so a
+file's digest depends on the version it is written in; matrices are
 rendered from flat lists and spliced into json's output of the rest.  On
-load, each matrix is validated in bulk and converted by one numpy call;
-only a rejected matrix is walked element by element, to name its offending
-row, cell or sparse entry.  Parse failures name the path through the
-document; model invariant violations surface the constructor's residual
-message under that path.
+load, every slot goes through one resolver: an inline matrix is decoded in
+place, a table entry once, at the shape its first reference implies.  Each
+matrix is validated in bulk and converted by one numpy call; only a
+rejected matrix is walked element by element, to name its offending row,
+cell or sparse entry.  Parse failures name the path through the document
+(for a table entry, the referencing path, then ``matrices[k]``); model
+invariant violations surface the constructor's residual message under that
+path.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ __all__ = [
     "load_instance",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ParseError(ValueError):
@@ -279,21 +285,33 @@ def instance_text(
     """Canonical serialized form; identical models give identical bytes.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    for the version-2 ``doc``: a matrix with ``2 * nnz < n * m`` is its
-    ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` object, any other its
-    :func:`encode_matrix` form.  Only the small skeleton goes through
-    ``json``; each matrix is rendered from flat lists and spliced in at the
-    placeholder json wrote for it.
+    for the version-3 ``doc``.  Its ``matrices`` table holds each distinct
+    matrix once, in order of first use along the walk below (codespace,
+    check rounds by sorted memory and outcome, error rounds), and each
+    matrix slot holds its entry's index.  Two matrices share an entry iff
+    they read back bitwise equal: the same shape and bytes, with the zeros
+    of a sparse entry read back as +0.  An entry with ``2 * nnz < n * m``
+    is its ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` object, any
+    other its :func:`encode_matrix` form.  Only the small skeleton goes
+    through ``json``; each entry is rendered from flat lists and spliced in
+    at the placeholder json wrote for it.
     """
     matrices: list[npt.NDArray[np.complex128]] = []
+    index: dict[tuple[Any, ...], int] = {}
 
-    def slot(mat: npt.NDArray[np.complex128]) -> Any:
+    def slot(mat: npt.NDArray[np.complex128]) -> int:
         arr = np.ascontiguousarray(mat, dtype=np.complex128)
-        if arr.ndim != 2 or not arr.size:
-            return encode_matrix(arr)
-        matrices.append(arr)
-        return _Slot(len(matrices) - 1)
+        support = np.flatnonzero(arr)
+        if 2 * support.size < arr.size:
+            key = (arr.shape, support.tobytes(), arr.reshape(-1)[support].tobytes())
+        else:
+            key = (arr.shape, arr.tobytes())
+        if key not in index:
+            index[key] = len(matrices)
+            matrices.append(arr)
+        return index[key]
 
+    basis = slot(code.codespace.basis)
     rounds = []
     for r in range(1, code.interrogator.rounds + 1):
         by_memory: dict[str, Any] = {}
@@ -318,12 +336,13 @@ def instance_text(
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "dims": {"ambient": code.codespace.ambient_dim, "code": code.codespace.dim},
-        "codespace": {"basis": slot(code.codespace.basis)},
+        "codespace": {"basis": basis},
         "interrogator": {"rounds": rounds},
         "error_model": {
             "trace_nonincreasing": errors.require_trace_nonincreasing,
             "rounds": err_rounds,
         },
+        "matrices": [_Slot(k) for k in range(len(matrices))],
     }
     if optimization is not None:
         doc["optimization"] = dict(optimization)
@@ -444,13 +463,88 @@ class InstanceDocument:
     digest: str
 
 
-def _parse_codespace(doc: Mapping[str, Any], version: int) -> CodeSpace:
+class _Slots:
+    """The one resolver of a document's matrix slots.
+
+    Versions 1 and 2 hold each matrix inline in its slot, and it is decoded
+    there.  Version 3 holds an integer index into the top-level
+    ``matrices`` table: each entry is decoded once, at the shape implied by
+    its first reference (so a sparse ``shape`` is still checked before
+    allocation), and every later reference checks its own implied shape.
+    Each round operator is built once per (builder, round, index).
+    """
+
+    def __init__(self, doc: Mapping[str, Any], version: int):
+        self.version = version
+        self.table: list[Any] = []
+        if version >= 3:
+            self.table = _get(doc, "matrices", "", list, "a list of matrices")
+        self.decoded: dict[int, npt.NDArray[np.complex128]] = {}
+        self.ops: dict[tuple[Any, ...], LabeledOperator] = {}
+
+    def matrix(
+        self, obj: Any, path: str, shape: Shape
+    ) -> tuple[npt.NDArray[np.complex128], int | None]:
+        """The slot's matrix and its table index (None when inline)."""
+        if self.version < 3:
+            return decode_matrix(obj, path, self.version, shape), None
+        if type(obj) is not int:
+            raise ParseError(path, "expected an integer index into matrices")
+        if not 0 <= obj < len(self.table):
+            raise ParseError(
+                path, f"matrix index {obj} out of range {len(self.table)}"
+            )
+        mat = self.decoded.get(obj)
+        try:
+            if mat is None:
+                mat = self.decoded[obj] = decode_matrix(
+                    self.table[obj], f"matrices[{obj}]", self.version, shape
+                )
+            else:
+                _check_shape(mat.shape, f"matrices[{obj}]", shape)
+        except ParseError as exc:
+            raise ParseError(path, str(exc)) from exc
+        return mat, obj
+
+    def operator(
+        self,
+        obj: Any,
+        path: str,
+        shape: Shape,
+        build: Callable[..., LabeledOperator],
+        r: int,
+        *dims: int,
+    ) -> LabeledOperator:
+        """The round operator ``build(r, mat, *dims)`` of the slot's matrix;
+        a rejection (indivisible dims, the dense cap) is a
+        :class:`ParseError` at ``path``."""
+        mat, index = self.matrix(obj, path, shape)
+        key = (build, r, index)
+        op = self.ops.get(key)  # never stored for an inline matrix
+        if op is None:
+            try:
+                op = build(r, mat, *dims)
+            except ValueError as exc:
+                raise ParseError(path, str(exc)) from exc
+            if index is not None:
+                self.ops[key] = op
+        return op
+
+    def require_referenced(self) -> None:
+        """Reject a table entry that no slot references: it was never
+        validated."""
+        for k in range(len(self.table)):
+            if k not in self.decoded:
+                raise ParseError(f"matrices[{k}]", "not referenced by any slot")
+
+
+def _parse_codespace(doc: Mapping[str, Any], slots: _Slots) -> CodeSpace:
     dims = _get(doc, "dims", "", Mapping, "an object")
     ambient = _get(dims, "ambient", "dims", int, "an integer")
     code_dim = _get(dims, "code", "dims", int, "an integer")
     cs = _get(doc, "codespace", "", Mapping, "an object")
-    basis_obj = _get(cs, "basis", "codespace", (list, Mapping), "a matrix")
-    basis = decode_matrix(basis_obj, "codespace.basis", version, (ambient, code_dim))
+    basis_obj = _get(cs, "basis", "codespace", object, "a matrix")
+    basis, _ = slots.matrix(basis_obj, "codespace.basis", (ambient, code_dim))
     try:
         return CodeSpace(ambient, basis)
     except ValueError as exc:
@@ -458,7 +552,7 @@ def _parse_codespace(doc: Mapping[str, Any], version: int) -> CodeSpace:
 
 
 def _parse_interrogator(
-    doc: Mapping[str, Any], version: int, ambient: int
+    doc: Mapping[str, Any], slots: _Slots, ambient: int
 ) -> Interrogator:
     """The interrogator; round 1 reads the ambient space, and every matrix
     of a round has the shape of the round's first."""
@@ -481,9 +575,8 @@ def _parse_interrogator(
             kraus = {}
             for outcome, mat_obj in outcomes_obj.items():
                 opath = f"{mpath}[{outcome!r}]"
-                mat = decode_matrix(mat_obj, opath, version, shape)
-                shape = mat.shape
-                kraus[outcome] = _operator(opath, check_op, r, mat)
+                kraus[outcome] = slots.operator(mat_obj, opath, shape, check_op, r)
+                shape = kraus[outcome].data.shape
             try:
                 by_memory[memory] = CheckInstrument(r, memory, kraus)
             except ValueError as exc:
@@ -507,7 +600,7 @@ def _parse_interrogator(
 
 
 def _parse_errors(
-    doc: Mapping[str, Any], version: int, ambient: int, interrogator: Interrogator
+    doc: Mapping[str, Any], slots: _Slots, ambient: int, interrogator: Interrogator
 ) -> ErrorModel:
     """The error model; round r reads what check round r writes (the
     ambient space at r = 0) and writes what check round r + 1 reads, each
@@ -541,26 +634,16 @@ def _parse_errors(
         ops = []
         for k, mat_obj in enumerate(kraus_obj):
             kpath = f"{path}.kraus[{k}]"
-            mat = decode_matrix(mat_obj, kpath, version, shape)
-            shape = mat.shape
-            ops.append(_operator(kpath, error_op, r, mat, env_in, env_out))
+            ops.append(
+                slots.operator(mat_obj, kpath, shape, error_op, r, env_in, env_out)
+            )
+            shape = ops[-1].data.shape
         kraus_rounds.append(tuple(ops))
         env_in = env_out
     try:
         return ErrorModel(tuple(kraus_rounds), require_trace_nonincreasing=tni)
     except ValueError as exc:
         raise ParseError("error_model", str(exc)) from exc
-
-
-def _operator(
-    path: str, build: Callable[..., LabeledOperator], *args: Any
-) -> LabeledOperator:
-    """The round operator ``build(*args)``; a rejection (indivisible dims,
-    the dense cap) is a :class:`ParseError` at ``path``."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ParseError(path, str(exc)) from exc
 
 
 def load_instance(path: str) -> InstanceDocument:
@@ -575,14 +658,16 @@ def load_instance(path: str) -> InstanceDocument:
     if not isinstance(doc, Mapping):
         raise ParseError("(document)", "top level must be an object")
     version = _get(doc, "schema_version", "", int, "an integer")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise ParseError(
             "schema_version",
-            f"unknown version {version}; this tool reads versions 1 and 2",
+            f"unknown version {version}; this tool reads versions 1 to 3",
         )
-    codespace = _parse_codespace(doc, version)
-    interrogator = _parse_interrogator(doc, version, codespace.ambient_dim)
-    errors = _parse_errors(doc, version, codespace.ambient_dim, interrogator)
+    slots = _Slots(doc, version)
+    codespace = _parse_codespace(doc, slots)
+    interrogator = _parse_interrogator(doc, slots, codespace.ambient_dim)
+    errors = _parse_errors(doc, slots, codespace.ambient_dim, interrogator)
+    slots.require_referenced()
     try:
         code = StrategicCode(codespace, interrogator)
     except ValueError as exc:

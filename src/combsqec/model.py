@@ -347,7 +347,9 @@ class ErrorModel:
     Environment dimensions of 1 model uncorrelated rounds.  Each round must
     be trace non-increasing (sum of E^dag E bounded by I); pass
     ``require_trace_nonincreasing=False`` to admit unnormalized operator
-    sets, e.g. raw Pauli errors fed to the algebraic checker.
+    sets, e.g. raw Pauli errors fed to the algebraic checker.  A
+    non-finite entry is rejected either way: it fails the trace check, and
+    without that check each operator is tested for one.
     """
 
     kraus_rounds: tuple[tuple[LabeledOperator, ...], ...]
@@ -383,12 +385,19 @@ class ErrorModel:
                         f"environment dim chain breaks between rounds {r - 1} and {r}"
                     )
             if self.require_trace_nonincreasing:
+                # the PSD test fails closed on a non-finite entry
                 total = sum(op.data.conj().T @ op.data for op in ops)
                 gap = np.eye(first.col_dim) - total
                 if psd_violation(gap, relative_threshold(PSD_RTOL, total)) is not None:
                     raise ValueError(
                         f"error round {r} is not trace non-increasing"
                     )
+            else:
+                for k, op in enumerate(ops):
+                    if not np.isfinite(op.data).all():
+                        raise ValueError(
+                            f"error round {r} operator {k} has a non-finite entry"
+                        )
 
     @property
     def rounds(self) -> int:

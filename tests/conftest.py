@@ -54,6 +54,17 @@ def op(matrix, rows, cols) -> LabeledOperator:
     return LabeledOperator(tuple(rows), tuple(cols), np.asarray(matrix, dtype=complex))
 
 
+def unchecked_errors(kraus_rounds) -> ErrorModel:
+    """An unnormalized ErrorModel holding ``kraus_rounds`` past its
+    constructor, which rejects non-finite entries: for the code that must
+    still cope with a non-finite value, such as one that arises inside a
+    computation."""
+    model = object.__new__(ErrorModel)
+    object.__setattr__(model, "kraus_rounds", tuple(map(tuple, kraus_rounds)))
+    object.__setattr__(model, "require_trace_nonincreasing", False)
+    return model
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

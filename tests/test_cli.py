@@ -1,5 +1,6 @@
 """End-to-end command-line flows via the click test runner."""
 
+import copy
 import gc
 import json
 import weakref
@@ -49,6 +50,19 @@ def exported(tmp_path_factory):
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def own_entry(doc, where, entry=None):
+    """Point the matrix slot at path ``where`` of an exported document at a
+    new table entry, ``entry`` or a copy of the slot's own, which no other
+    slot shares; returns the new index."""
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    table = doc["matrices"]
+    table.append(copy.deepcopy(table[parent[where[-1]]]) if entry is None else entry)
+    parent[where[-1]] = len(table) - 1
+    return len(table) - 1
 
 
 def noisy_spacetime(eps, path):
@@ -279,13 +293,17 @@ class TestCheck:
         dense = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(8)]
         dense[0][0][0] = 10**400
         sparse = {"nz": [[0, 0, 10**400, 0.0]], "shape": [8, 2]}
+        k = doc["codespace"]["basis"]
         for basis, where in ((dense, "[0][0]"), (sparse, ".nz[0][2]")):
-            doc["codespace"]["basis"] = basis
+            doc["matrices"][k] = basis
             bad = tmp_path / "huge.json"
             bad.write_text(json.dumps(doc))
             res = runner.invoke(main, ["check", str(bad)])
             assert res.exit_code == 2
-            assert f"codespace.basis{where}: number beyond float range" in res.output
+            assert (
+                f"codespace.basis: matrices[{k}]{where}: number beyond float range"
+                in res.output
+            )
             assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
@@ -301,10 +319,9 @@ class TestCheck:
         # path before its 244 MiB array is allocated
         with open(exported["spacetime"]) as fh:
             doc = json.load(fh)
-        parent = doc
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = {"nz": [[3999, 3999, 1.0, 0.0]], "shape": [4000, 4000]}
+        k = own_entry(
+            doc, where, {"nz": [[3999, 3999, 1.0, 0.0]], "shape": [4000, 4000]}
+        )
         bad = tmp_path / "wide.json"
         bad.write_text(json.dumps(doc))
         zeros = combsqec_io._zeros
@@ -320,7 +337,10 @@ class TestCheck:
             "interrogator": "interrogator.rounds[0].instruments['']['u']",
             "error_model": "error_model.rounds[1].kraus[0]",
         }[where[0]]
-        assert f"{path}: shape (4000, 4000) does not match dims" in res.output
+        assert (
+            f"{path}: matrices[{k}]: shape (4000, 4000) does not match dims"
+            in res.output
+        )
         assert [4000, 4000] not in allocated
         assert not report.exists()
 
@@ -340,9 +360,7 @@ class TestCheck:
         # json spells it NaN; the constructor that owns the matrix rejects it
         with open(exported["spacetime"]) as fh:
             doc = json.load(fh)
-        matrix = doc
-        for key in where:
-            matrix = matrix[key]
+        matrix = doc["matrices"][own_entry(doc, where)]
         if isinstance(matrix, dict):
             matrix["nz"][0][2] = float("nan")
         else:
@@ -353,6 +371,31 @@ class TestCheck:
         assert res.exit_code == 2
         assert res.output.startswith(f"error: {path}: ")
         assert reason in res.output
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--method", "both"], ["decode", "--proof", "algebraic"],
+        ["decode", "--proof", "schmidt"], ["optimize", "--logical-dim", "2"],
+    ])
+    def test_nan_error_entry_without_the_trace_check(
+        self, runner, exported, tmp_path, command
+    ):
+        # no trace check to fail closed: the NaN used to reach the checkers'
+        # SVD ("SVD did not converge") and the optimizer's eigensolver
+        with open(exported["spacetime"]) as fh:
+            doc = json.load(fh)
+        doc["error_model"]["trace_nonincreasing"] = False
+        matrix = doc["matrices"][own_entry(doc, ("error_model", "rounds", 0, "kraus", 0))]
+        if isinstance(matrix, dict):
+            matrix["nz"][0][2] = float("nan")
+        else:
+            matrix[0][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command[0], str(bad), *command[1:]])
+        assert res.exit_code == 2
+        assert res.output.startswith(
+            "error: error_model: error round 0 operator 0 has a non-finite entry"
+        )
 
 
 class TestDecode:

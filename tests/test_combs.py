@@ -351,6 +351,17 @@ class TestIsCptp:
         assert report.cp and report.tp
         assert report.residual <= 1e-12
 
+    def test_nan_entry_gives_a_nan_residual(self):
+        # the public constructor rejects it, so it comes the trusted way
+        good = choi_from_kraus([kraus_op(np.eye(2), "out", "in")])
+        data = good.op.data.copy()
+        data[1, 2] = np.nan
+        op = LabeledOperator(good.op.row_subsystems, good.op.col_subsystems, data)
+        report = is_cptp(combs._psd_choi(op, good.input_labels, good.output_labels))
+        assert data.shape == (4, 4)
+        assert not report.cp
+        assert np.isnan(report.cp_residual) and np.isnan(report.residual)
+
 
 class TestValidateComb:
     def _chain(self, kraus_by_round):

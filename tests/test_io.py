@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import combsqec.io as combsqec_io
 from combsqec.io import (
     ParseError,
     decode_matrix,
@@ -17,8 +18,9 @@ from combsqec.io import (
     load_instance,
 )
 from combsqec.library import build_instance, instance_names, random_instance
-from combsqec.model import ErrorModel
 from combsqec.tensor import LabeledOperator
+
+from conftest import unchecked_errors
 
 
 @pytest.fixture(scope="module", params=tuple(instance_names()))
@@ -41,7 +43,14 @@ def write_doc(tmp_path, doc, name="case.json"):
 
 
 @pytest.fixture()
-def bitflip_doc(tmp_path):
+def bitflip_doc():
+    """bitflip as a version-2 document: every matrix inline."""
+    inst = build_instance("bitflip")
+    return json.loads(reference_text(inst.code, inst.errors, version=2))
+
+
+@pytest.fixture()
+def bitflip_v3():
     inst = build_instance("bitflip")
     return json.loads(instance_text(inst.code, inst.errors))
 
@@ -109,14 +118,30 @@ def reference_encode_v2(mat):
     return reference_encode(arr)
 
 
-def reference_text(code, errors, optimization=None, version=2, indent=2):
+def reference_text(code, errors, optimization=None, version=3, indent=2):
+    """Versions 1 and 2 write each matrix in its slot; version 3 writes the
+    index of its entry in a table of the distinct written forms, in order
+    of first use."""
     encode = reference_encode if version == 1 else reference_encode_v2
+    table, index = [], {}
+
+    def slot(mat):
+        obj = encode(mat)
+        if version < 3:
+            return obj
+        key = json.dumps(obj)
+        if key not in index:
+            index[key] = len(table)
+            table.append(obj)
+        return index[key]
+
+    basis = slot(code.codespace.basis)
     rounds = []
     for r in range(1, code.interrogator.rounds + 1):
         by_memory = {}
         for memory, inst in sorted(code.interrogator.instruments[r - 1].items()):
             by_memory[memory] = {
-                o: encode(op.data) for o, op in sorted(inst.kraus.items())
+                o: slot(op.data) for o, op in sorted(inst.kraus.items())
             }
         update = {}
         for (outcome, memory), nxt in sorted(
@@ -126,7 +151,7 @@ def reference_text(code, errors, optimization=None, version=2, indent=2):
         rounds.append({"instruments": by_memory, "update": update})
     err_rounds = [
         {
-            "kraus": [encode(op.data) for op in errors.round_ops(r)],
+            "kraus": [slot(op.data) for op in errors.round_ops(r)],
             "env_out": errors.env_dim(r),
         }
         for r in range(errors.rounds + 1)
@@ -134,13 +159,15 @@ def reference_text(code, errors, optimization=None, version=2, indent=2):
     doc = {
         "schema_version": version,
         "dims": {"ambient": code.codespace.ambient_dim, "code": code.codespace.dim},
-        "codespace": {"basis": encode(code.codespace.basis)},
+        "codespace": {"basis": basis},
         "interrogator": {"rounds": rounds},
         "error_model": {
             "trace_nonincreasing": errors.require_trace_nonincreasing,
             "rounds": err_rounds,
         },
     }
+    if version == 3:
+        doc["matrices"] = table
     if optimization is not None:
         doc["optimization"] = dict(optimization)
     return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
@@ -295,7 +322,8 @@ class TestCanonicalText:
         assert memory in doc.code.interrogator.instruments[1]
         text = instance_text(doc.code, doc.errors)
         assert text == reference_text(doc.code, doc.errors)
-        assert f'"{outcome}": {{\n' in text  # a sparse matrix, not a placeholder
+        slot = json.loads(text)["interrogator"]["rounds"][1]["instruments"][memory]
+        assert type(slot[outcome]) is int  # an index, not a placeholder
 
     def test_non_finite_entries(self):
         # json spells these NaN, Infinity and -Infinity
@@ -306,7 +334,7 @@ class TestCanonicalText:
         data[1, 1] = complex(math.nan, -math.inf)
         data[2, 2] = complex(-0.0, 5e-324)
         odd = LabeledOperator(first.row_subsystems, first.col_subsystems, data)
-        errors = ErrorModel(((odd, *rest),), require_trace_nonincreasing=False)
+        errors = unchecked_errors(((odd, *rest),))
         text = instance_text(inst.code, errors)
         assert text == reference_text(inst.code, errors)
         assert all(word in text for word in ("NaN", "Infinity", "-Infinity"))
@@ -331,10 +359,11 @@ class TestCanonicalText:
             first.row_subsystems, first.col_subsystems,
             parts.view(np.complex128).reshape(8, 8),
         )
-        errors = ErrorModel(((odd, *rest),), require_trace_nonincreasing=False)
+        errors = unchecked_errors(((odd, *rest),))
         text = instance_text(inst.code, errors)
         assert text == reference_text(inst.code, errors)
-        obj = json.loads(text)["error_model"]["rounds"][0]["kraus"][0]
+        doc = json.loads(text)
+        obj = doc["matrices"][doc["error_model"]["rounds"][0]["kraus"][0]]
         got = decode_matrix(obj, "m")
         sparse = 2 * np.count_nonzero(odd.data) < 64
         assert isinstance(obj, dict) == sparse
@@ -400,25 +429,45 @@ def load_text(tmp_path, text, name):
     return doc
 
 
-def assert_same_arrays(first, second):
+def as_written(mat):
+    """``mat`` as its sparse or dense form reads back: a sparse form drops
+    its zeros, so they read back as +0."""
+    arr = np.ascontiguousarray(mat, dtype=np.complex128)
+    return np.where(arr != 0, arr, 0) if 2 * np.count_nonzero(arr) < arr.size else arr
+
+
+def assert_same_arrays(first, second, bitwise=False):
+    """``second`` holds ``first``'s arrays; with ``bitwise``, exactly the
+    arrays ``first``'s matrices read back as."""
     want = instance_arrays(first.code, first.errors)
     got = instance_arrays(second.code, second.errors)
     assert len(got) == len(want)
+    if bitwise:
+        assert [a.tobytes() for a in got] == [as_written(b).tobytes() for b in want]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSchemaVersions:
-    """Version-1 files still load, to the arrays of their version-2 load.
+    """Version-1 and version-2 files still load, to the arrays of their
+    version-3 load.
 
-    The library instances' v1 texts are written without indentation: the
-    reader ignores whitespace, and json's pure-Python indenting encoder
-    takes seconds on hexagon's 311,424 dense cells.
+    The library instances' v1 and v2 texts are written without
+    indentation: the reader ignores whitespace, and json's pure-Python
+    indenting encoder takes seconds on hexagon's 311,424 dense cells.
     """
 
     def test_v1_library_files_load_to_equal_arrays(self, tmp_path, named, exported):
         v1 = reference_text(named.code, named.errors, version=1, indent=None)
         assert json.loads(v1)["schema_version"] == 1
         assert_same_arrays(load_text(tmp_path, v1, "v1.json"), exported[2])
+
+    def test_v2_library_files_load_to_bitwise_equal_arrays(
+        self, tmp_path, named, exported
+    ):
+        v2 = reference_text(named.code, named.errors, version=2, indent=None)
+        assert json.loads(v2)["schema_version"] == 2
+        loaded = load_text(tmp_path, v2, "v2.json")
+        assert_same_arrays(loaded, exported[2], bitwise=True)
 
     def test_v1_random_files_load_to_equal_arrays(self, tmp_path):
         for seed in range(48):
@@ -427,10 +476,12 @@ class TestSchemaVersions:
                 load_text(tmp_path, text, f"v{version}.json")
                 for version, text in (
                     (1, reference_text(inst.code, inst.errors, version=1)),
-                    (2, instance_text(inst.code, inst.errors)),
+                    (2, reference_text(inst.code, inst.errors, version=2)),
+                    (3, instance_text(inst.code, inst.errors)),
                 )
             ]
-            assert_same_arrays(*docs)
+            assert_same_arrays(docs[0], docs[2])
+            assert_same_arrays(docs[1], docs[2], bitwise=True)
 
     def test_v1_document_with_sparse_matrix_rejected(self, tmp_path, bitflip_doc):
         bitflip_doc["schema_version"] = 1
@@ -443,6 +494,72 @@ class TestSchemaVersions:
         bitflip_v1["schema_version"] = 2
         inst = build_instance("bitflip")
         assert_same_arrays(load_instance(write_doc(tmp_path, bitflip_v1)), inst)
+
+
+def distinct_matrices(code, errors):
+    """The number of bitwise-distinct matrices, as they read back."""
+    arrays = map(as_written, instance_arrays(code, errors))
+    return len({(a.shape, a.tobytes()) for a in arrays})
+
+
+class TestMatrixTable:
+    """Version 3 writes each bitwise-distinct matrix once and reads it back
+    bitwise."""
+
+    @pytest.mark.parametrize("name, entries, slots", [
+        ("hexagon", 20, 77), ("window-full", 10, 98),
+    ])
+    def test_table_sizes(self, name, entries, slots):
+        inst = build_instance(name)
+        doc = json.loads(instance_text(inst.code, inst.errors))
+        assert len(doc["matrices"]) == entries
+        assert len(instance_arrays(inst.code, inst.errors)) == slots
+
+    def test_library_instances(self, named, exported):
+        path, _, loaded = exported
+        with open(path, encoding="utf-8") as fh:
+            table = json.load(fh)["matrices"]
+        assert len(table) == distinct_matrices(named.code, named.errors)
+        assert_same_arrays(named, loaded, bitwise=True)
+
+    def test_random_instances(self, tmp_path):
+        for seed in range(48):
+            inst = random_instance(seed, qubits=1 + seed % 2)
+            text = instance_text(inst.code, inst.errors)
+            table = json.loads(text)["matrices"]
+            assert len(table) == distinct_matrices(inst.code, inst.errors), seed
+            doc = load_text(tmp_path, text, "v3.json")
+            assert instance_text(doc.code, doc.errors) == text, seed
+            assert_same_arrays(inst, doc, bitwise=True)
+
+    def test_hexagon_file_is_under_a_megabyte(self, tmp_path):
+        # with every slot written in full (version 2) it is 4.77 MB
+        inst = build_instance("hexagon")
+        path = tmp_path / "hexagon.json"
+        export_instance(inst.code, inst.errors, str(path))
+        assert path.stat().st_size < 1_000_000
+
+    def test_operators_built_once_per_round_and_entry(self, exported, monkeypatch):
+        with open(exported[0], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        want = {
+            ("check_op", r, k)
+            for r, rnd in enumerate(doc["interrogator"]["rounds"], start=1)
+            for outcomes in rnd["instruments"].values()
+            for k in outcomes.values()
+        } | {
+            ("error_op", r, k)
+            for r, rnd in enumerate(doc["error_model"]["rounds"])
+            for k in rnd["kraus"]
+        }
+        built = []
+        for name in ("check_op", "error_op"):
+            def counted(r, mat, *dims, name=name, build=getattr(combsqec_io, name)):
+                built.append((name, r))
+                return build(r, mat, *dims)
+            monkeypatch.setattr(combsqec_io, name, counted)
+        load_instance(exported[0])
+        assert sorted(built) == sorted((name, r) for name, r, _ in want)
 
 
 class TestDiagnostics:
@@ -471,10 +588,13 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="dims: missing"):
             load_instance(write_doc(tmp_path, bitflip_doc))
 
-    def test_non_orthonormal_basis_named(self, tmp_path, bitflip_v1, bitflip_doc):
+    def test_non_orthonormal_basis_named(
+        self, tmp_path, bitflip_v1, bitflip_doc, bitflip_v3
+    ):
         bitflip_v1["codespace"]["basis"][0][0] = [0.7, 0.0]
         bitflip_doc["codespace"]["basis"]["nz"][0][2] = 0.7
-        for doc in (bitflip_v1, bitflip_doc):
+        bitflip_v3["matrices"][bitflip_v3["codespace"]["basis"]]["nz"][0][2] = 0.7
+        for doc in (bitflip_v1, bitflip_doc, bitflip_v3):
             with pytest.raises(ParseError, match="codespace.basis.*not orthonormal"):
                 load_instance(write_doc(tmp_path, doc))
 
@@ -593,10 +713,94 @@ class TestDiagnostics:
         assert last.shape == (8, 8) and not last.any()
 
 
+class TestTableDiagnostics:
+    """Version-3 slots and table entries; bitflip's table holds its basis
+    (8 x 2), then its four error Kraus operators (8 x 8) as entries 1-4."""
+
+    @pytest.mark.parametrize("index", [True, 0.0, "0", None, [[[1.0, 0.0]]]])
+    def test_index_must_be_an_integer(self, tmp_path, bitflip_v3, index):
+        bitflip_v3["codespace"]["basis"] = index
+        with pytest.raises(
+            ParseError, match="codespace.basis: expected an integer index into matrices"
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    @pytest.mark.parametrize("index", [-1, 5, 2**70])
+    def test_index_out_of_range(self, tmp_path, bitflip_v3, index):
+        bitflip_v3["error_model"]["rounds"][0]["kraus"][1] = index
+        with pytest.raises(
+            ParseError,
+            match=rf"error_model.rounds\[0\].kraus\[1\]: matrix index {index} "
+            r"out of range 5",
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    def test_table_must_be_a_list(self, tmp_path, bitflip_v3):
+        bitflip_v3["matrices"] = {"0": bitflip_v3["matrices"][0]}
+        with pytest.raises(ParseError, match="matrices: expected a list of matrices"):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+        del bitflip_v3["matrices"]
+        with pytest.raises(ParseError, match="matrices: missing"):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    def test_unreferenced_entry(self, tmp_path, bitflip_v3):
+        # an entry no slot references is never decoded, so never validated
+        bitflip_v3["matrices"].append("not a matrix")
+        with pytest.raises(ParseError, match=r"matrices\[5\]: not referenced by any slot"):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    def test_references_imply_different_shapes(self, tmp_path, bitflip_v3):
+        bitflip_v3["error_model"]["rounds"][0]["kraus"][1] = 0
+        with pytest.raises(
+            ParseError,
+            match=r"error_model.rounds\[0\].kraus\[1\]: matrices\[0\]: "
+            r"shape \(8, 2\) does not match dims \(8, 8\)",
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    def test_oversized_shape_rejected_at_its_reference(
+        self, tmp_path, bitflip_v3, monkeypatch
+    ):
+        # checked against the dims its first reference implies, before its
+        # 244 MiB array is allocated
+        bitflip_v3["matrices"][0] = {"nz": [[3999, 3999, 1.0, 0.0]], "shape": [4000, 4000]}
+        allocated = []
+        zeros = combsqec_io._zeros
+        monkeypatch.setattr(
+            combsqec_io, "_zeros",
+            lambda shape, path: allocated.append(shape) or zeros(shape, path),
+        )
+        with pytest.raises(
+            ParseError,
+            match=r"codespace.basis: matrices\[0\]: shape \(4000, 4000\) does not "
+            r"match dims \(8, 2\)",
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+        assert [4000, 4000] not in allocated
+
+    def test_bad_entry_named_at_its_first_reference(self, tmp_path, bitflip_v3):
+        kraus = bitflip_v3["error_model"]["rounds"][0]["kraus"]
+        bitflip_v3["matrices"][kraus[0]]["nz"][3][3] = "x"
+        with pytest.raises(
+            ParseError,
+            match=rf"error_model.rounds\[0\].kraus\[0\]: matrices\[{kraus[0]}\]"
+            r".nz\[3\]\[3\]: expected a number",
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+    def test_version_2_slots_are_not_indices(self, tmp_path, bitflip_v3):
+        bitflip_v3["schema_version"] = 2
+        with pytest.raises(
+            ParseError, match="codespace.basis: expected a non-empty list of rows"
+        ):
+            load_instance(write_doc(tmp_path, bitflip_v3))
+
+
 @pytest.fixture()
-def spacetime_doc(tmp_path):
+def spacetime_doc():
+    """spacetime as a version-2 document: every matrix inline."""
     inst = build_instance("spacetime")
-    return json.loads(instance_text(inst.code, inst.errors))
+    return json.loads(reference_text(inst.code, inst.errors, version=2))
 
 
 class TestInterrogatorDiagnostics:
@@ -612,7 +816,7 @@ class TestInterrogatorDiagnostics:
         ):
             load_instance(write_doc(tmp_path, spacetime_doc))
         inst = build_instance("spacetime")
-        doc = json.loads(instance_text(inst.code, inst.errors))
+        doc = json.loads(reference_text(inst.code, inst.errors, version=2))
         doc["error_model"]["rounds"][0]["kraus"][0]["shape"] = [5, 4]
         with pytest.raises(
             ParseError,
@@ -815,8 +1019,7 @@ class TestDecodeMatchesReference:
     def test_library_matrices(self, exported):
         with open(exported[0], encoding="utf-8") as fh:
             doc = json.load(fh)
-        kraus = [k for r in doc["error_model"]["rounds"] for k in r["kraus"]]
-        for obj in [doc["codespace"]["basis"], *kraus]:
+        for obj in doc["matrices"]:
             assert decode_outcome(decode_matrix, obj) == decode_outcome(
                 reference_decode_v2, obj
             )

@@ -570,6 +570,26 @@ class TestComposeK:
                         assert np.max(np.abs(got - walked)) <= bound, (m, o, e)
 
 
+class TestErrorModelEntries:
+    # the trace check's matmul meets inf * 0 before it fails closed
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("checked", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_rejected(self, checked, value):
+        # with the trace check on it fails first, closed on non-finite input
+        bad = np.eye(2, dtype=complex) / 2.0
+        bad[1, 0] = value
+        rounds = (
+            (error_op(0, np.eye(2)),),
+            (error_op(1, np.eye(2) / 2.0), error_op(1, bad)),
+        )
+        reason = "not trace non-increasing" if checked else (
+            "error round 1 operator 1 has a non-finite entry"
+        )
+        with pytest.raises(ValueError, match=reason):
+            ErrorModel(rounds, require_trace_nonincreasing=checked)
+
+
 class TestErrorComb:
     def test_identity_rounds_tensor_of_identity_vecs(self):
         eye = np.eye(2, dtype=complex)

@@ -47,7 +47,7 @@ from combsqec.tolerances import (
     psd_violation,
 )
 
-from conftest import random_unitary, rng_for
+from conftest import random_unitary, rng_for, unchecked_errors
 
 PACKAGE = pathlib.Path(combsqec.__file__).parent
 SUFFIXES = ("_TOL", "_ATOL", "_RTOL", "_BITS", "_FLOOR", "_CUTOFF", "_MARGIN", "_GATE")
@@ -347,9 +347,8 @@ def test_p_floor_in_entropies(factor, counted):
 
 def test_p_floor_in_verify_recovery_drops_a_nan_weight():
     code, errors = two_outcome_instance(0.5)
-    poisoned = ErrorModel(
-        ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1]),
-        require_trace_nonincreasing=False,
+    poisoned = unchecked_errors(
+        ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1])
     )
     report = verify_recovery(code, poisoned, IDENTITY_DECODER, [np.array([1.0, 0.0])])
     assert report.records == ()
@@ -435,8 +434,7 @@ def test_branch_weight_floor_in_degenerate_branches(factor, carries):
 
 def test_branch_weight_floor_drops_a_nan_branch():
     code, errors = two_outcome_instance(0.5)
-    poisoned = ErrorModel(
-        ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1]),
-        require_trace_nonincreasing=False,
+    poisoned = unchecked_errors(
+        ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1])
     )
     assert branch_supports(code, poisoned)[(0, 0)] == []
