@@ -10,9 +10,10 @@ to the scalar Tr(A^T B).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 GRAM_ROWS = 256  # rows of a Gram sum accumulated at a time
+GRAM_VECTORS = 64  # column vectors of a Gram sum multiplied at a time
+LINK_BLOCK = 1 << 16  # entries of the larger link operand contracted at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +172,15 @@ def _psd_choi(
 def _gram_sum(vectors: Iterable[npt.NDArray[np.complex128]], dim: int) -> npt.NDArray[np.complex128]:
     """Sum of v v^dag over column vectors of length ``dim``.
 
-    Each term is added ``GRAM_ROWS`` rows at a time, so no full outer
-    product is formed beside the sum.
+    Formed as V V^dag, one GEMM per group of at most ``GRAM_VECTORS``
+    vectors (the columns of V) and per slice of ``GRAM_ROWS`` rows, so
+    neither a full outer product nor a full-size temporary is formed
+    beside the sum.  A group of one vector is the single product v v^dag.
     """
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for v in vectors:
+    vectors = iter(vectors)
+    while group := list(itertools.islice(vectors, GRAM_VECTORS)):
+        v = np.hstack(group)
         vh = v.conj().T
         for start in range(0, dim, GRAM_ROWS):
             rows = slice(start, start + GRAM_ROWS)
@@ -226,28 +233,30 @@ def _legs_matrix(
 def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
     """Link product A * B = Tr_C((A^{T_C} (x) I)(I (x) B)) over shared legs C.
 
-    Computed as one matrix product over the shared legs' row and column
-    indices together: A's axes are transposed once, from its own layout,
-    into (kept rows, kept cols | shared rows, shared cols), B's into
-    (shared rows, shared cols | kept rows, kept cols), and the product's
-    kept axes are regrouped into (A rows, B rows | A cols, B cols).  This
-    equals the literal padded formula (used as a test oracle).
+    The larger operand is read once, in its own memory order, and
+    contracted block by block with one transposed copy of the smaller
+    (``_stream_link``), so no copy of the larger is made.  The output is
+    laid out as (A rows, B rows | A cols, B cols).  This equals the literal
+    padded formula (used as a test oracle).
     """
-    shared = sorted(set(a.labels) & set(b.labels))
-    for label in shared:
-        if a.dim_of(label) != b.dim_of(label):
+    a_dims, b_dims = dict(a.op.row_subsystems), dict(b.op.row_subsystems)
+    shared = a_dims.keys() & b_dims.keys()
+    for label in sorted(shared):
+        if a_dims[label] != b_dims[label]:
             raise ValueError(
-                f"shared label {label!r} has dim {a.dim_of(label)} in A but "
-                f"{b.dim_of(label)} in B"
+                f"shared label {label!r} has dim {a_dims[label]} in A but "
+                f"{b_dims[label]} in B"
             )
     a_kept = tuple(s for s in a.op.row_subsystems if s[0] not in shared)
     b_kept = tuple(s for s in b.op.row_subsystems if s[0] not in shared)
     dx = math.prod(dim for _, dim in a_kept)
     dy = math.prod(dim for _, dim in b_kept)
     _check_cap(dx * dy)
-    a_mat = _legs_matrix(a.op, [l for l, _ in a_kept], shared)
-    b_mat = _legs_matrix(b.op, shared, [l for l, _ in b_kept])
-    out = (a_mat @ b_mat).reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3)
+    out = np.zeros((dx, dy, dx, dy), dtype=np.complex128)
+    if a.op.data.size >= b.op.data.size:
+        _stream_link(a.op, b.op, shared, out.transpose(0, 2, 1, 3))
+    else:
+        _stream_link(b.op, a.op, shared, out.transpose(1, 3, 0, 2))
     subs: Subsystems = a_kept + b_kept
     inputs = tuple(l for l in a.input_labels + b.input_labels if l not in shared)
     outputs = tuple(l for l in a.output_labels + b.output_labels if l not in shared)
@@ -256,6 +265,54 @@ def link_product(a: ChoiOperator, b: ChoiOperator) -> ChoiOperator:
         input_labels=inputs,
         output_labels=outputs,
     )
+
+
+def _stream_link(
+    big: LabeledOperator, small: LabeledOperator, shared: AbstractSet[str], dest: np.ndarray
+) -> None:
+    """Add the link product of two Choi matrices into ``dest``, whose axes
+    are (big kept rows, big kept cols, small kept rows, small kept cols).
+
+    ``small`` is transposed once into (shared rows, shared cols | kept
+    rows, kept cols), its shared legs in ``big``'s order.  ``big`` is cut
+    into blocks of whole rows by fixing its leading row legs until a block
+    holds at most ``LINK_BLOCK`` entries (one block when it fits).  Each
+    block's axes are permuted into (kept rows, kept cols | shared rows,
+    shared cols) and multiplied by ``small``'s rows that the block's fixed
+    shared legs select, into the ``dest`` rows its fixed kept legs select.
+    """
+    subs = big.row_subsystems
+    dims = [dim for _, dim in subs]
+    n, width = len(dims), big.row_dim
+    lead, rows = 0, width
+    while lead < n and rows * width > LINK_BLOCK:
+        rows //= dims[lead]
+        lead += 1
+    is_shared = [label in shared for label, _ in subs]
+    kept = [i for i in range(n) if not is_shared[i]]
+    common = [i for i in range(n) if is_shared[i]]
+    # a block's axes are big's rows lead..n-1, then all of its columns
+    perm = [i - lead for i in kept if i >= lead] + [n - lead + i for i in kept]
+    perm += [i - lead for i in common if i >= lead] + [n - lead + i for i in common]
+    shape = dims[lead:] + dims
+    small_mat = _legs_matrix(
+        small, [subs[i][0] for i in common], [l for l, _ in small.row_subsystems if l not in shared]
+    )
+    small_rows = small_mat.reshape(
+        math.prod(dims[i] for i in common if i < lead), -1, small_mat.shape[1]
+    )
+    kept_rows = math.prod(dims[i] for i in kept if i >= lead)
+    blocks = big.data.reshape(-1, rows * width)
+    for block, index in zip(blocks, itertools.product(*map(range, dims[:lead]))):
+        at_dest = at_small = 0
+        for i, j in enumerate(index):
+            if is_shared[i]:
+                at_small = at_small * dims[i] + j
+            else:
+                at_dest = at_dest * dims[i] + j
+        mat = block.reshape(shape).transpose(perm).reshape(kept_rows * dest.shape[1], -1)
+        slab = dest[at_dest * kept_rows:(at_dest + 1) * kept_rows]
+        slab += (mat @ small_rows[at_small]).reshape(slab.shape)
 
 
 def is_cptp(choi: ChoiOperator) -> CptpReport:

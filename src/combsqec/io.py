@@ -30,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Any, Callable, Mapping
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -44,6 +45,7 @@ from .model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
+    _same_instrument,
     check_op,
     error_op,
 )
@@ -555,7 +557,9 @@ def _parse_interrogator(
     doc: Mapping[str, Any], slots: _Slots, ambient: int
 ) -> Interrogator:
     """The interrogator; round 1 reads the ambient space, and every matrix
-    of a round has the shape of the round's first."""
+    of a round has the shape of the round's first.  Memories of a round
+    whose outcomes reference the same table entries, in the same order,
+    share one validation."""
     inter = _get(doc, "interrogator", "", Mapping, "an object")
     rounds_obj = _get(inter, "rounds", "interrogator", list, "a list")
     instruments = []
@@ -567,6 +571,7 @@ def _parse_interrogator(
         if not insts_obj:
             raise ParseError(f"{path}.instruments", "needs at least one memory state")
         by_memory = {}
+        validated: dict[tuple[tuple[str, int], ...], CheckInstrument] = {}
         shape: Shape = (None, ambient) if r == 1 else (None, None)
         for memory, outcomes_obj in insts_obj.items():
             mpath = f"{path}.instruments[{memory!r}]"
@@ -577,10 +582,17 @@ def _parse_interrogator(
                 opath = f"{mpath}[{outcome!r}]"
                 kraus[outcome] = slots.operator(mat_obj, opath, shape, check_op, r)
                 shape = kraus[outcome].data.shape
+            # table indices (version 3); an inline matrix is validated where it stands
+            key = tuple(outcomes_obj.items()) if slots.version >= 3 else None
+            if key in validated:
+                by_memory[memory] = _same_instrument(validated[key], memory)
+                continue
             try:
                 by_memory[memory] = CheckInstrument(r, memory, kraus)
             except ValueError as exc:
                 raise ParseError(mpath, str(exc)) from exc
+            if key is not None:
+                validated[key] = by_memory[memory]
         update_obj = _get(round_obj, "update", path, Mapping, "an object")
         table = {}
         for outcome, per_memory in update_obj.items():

@@ -205,6 +205,16 @@ class CheckInstrument:
         return tuple(sorted(self.kraus))
 
 
+def _same_instrument(inst: CheckInstrument, memory: str) -> CheckInstrument:
+    """``inst``'s operators, already validated, as the instrument of
+    another memory state of the same round."""
+    twin = object.__new__(CheckInstrument)
+    object.__setattr__(twin, "round_index", inst.round_index)
+    object.__setattr__(twin, "memory", memory)
+    object.__setattr__(twin, "kraus", dict(inst.kraus))
+    return twin
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryUpdate:
     """Per-round classical memory update tables.
@@ -558,7 +568,11 @@ def comb_vector(
 def comb_vector_dense(
     interrogator: Interrogator, final_memory: str, outcomes: Sequence[str]
 ) -> LabeledOperator:
-    """Dense comb vector: vectorized factors tensored round-l first."""
+    """Dense comb vector: vectorized factors tensored round-l first.
+
+    Each factor enters by one outer product with the vector so far, the
+    same products as ``np.kron`` of vectors.
+    """
     factors = comb_vector(interrogator, final_memory, outcomes)
     total = 1
     for f in factors:
@@ -571,7 +585,7 @@ def comb_vector_dense(
     vec = np.ones(1, dtype=np.complex128)
     subs: Subsystems = ()
     for f in reversed(factors):
-        vec = np.kron(vec, f.data.reshape(-1))
+        vec = np.multiply.outer(vec, f.data.reshape(-1)).reshape(-1)
         subs += f.row_subsystems + f.col_subsystems
     return _owned(subs, (), vec.reshape(-1, 1))
 
@@ -639,6 +653,9 @@ def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOp
 
     Subsystem order is (Q0, Q0p, Q1, Q1p, ..., Ql, Qlp, El); the final
     environment stays open so correlated models keep their purification leg.
+    The chain is kept as a matrix (earlier legs | open environment), and
+    each round is one matrix product with the round's operator, transposed
+    to (environment in | q_r, q_rp, e_r).
     """
     l = errors.rounds
     if len(error_seq) != l + 1:
@@ -647,8 +664,8 @@ def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOp
     ops = errors.round_ops(0)
     op0 = ops[error_seq[0]]
     dq, de = errors.q_out_dim(0), errors.env_dim(0)
-    # axes: (q0, q0p, e0)
-    cur = op0.data.reshape(dq, de, errors.q_in_dim(0)).transpose(2, 0, 1)
+    # rows (q0, q0p), columns e0
+    cur = op0.data.reshape(dq, de, errors.q_in_dim(0)).transpose(2, 0, 1).reshape(-1, de)
     subs: list[tuple[str, int]] = [
         (q_label(0), errors.q_in_dim(0)),
         (qp_label(0), dq),
@@ -657,10 +674,9 @@ def error_comb_vector(errors: ErrorModel, error_seq: Sequence[int]) -> LabeledOp
         op = errors.round_ops(r)[error_seq[r]]
         dq_in, de_in = errors.q_in_dim(r), errors.env_dim(r - 1)
         dq_out, de_out = errors.q_out_dim(r), errors.env_dim(r)
-        block = op.data.reshape(dq_out, de_out, dq_in, de_in)
-        # contract the shared environment, then append (q_r, q_rp, e_r)
-        cur = np.tensordot(cur, block, axes=([cur.ndim - 1], [3]))
-        cur = np.moveaxis(cur, (cur.ndim - 3, cur.ndim - 2, cur.ndim - 1), (cur.ndim - 2, cur.ndim - 1, cur.ndim - 3))
+        # (e_{r-1} | q_r, q_rp, e_r): contract the shared environment
+        step = op.data.reshape(dq_out, de_out, dq_in, de_in).transpose(3, 2, 0, 1)
+        cur = (cur @ step.reshape(de_in, -1)).reshape(-1, de_out)
         subs.extend([(q_label(r), dq_in), (qp_label(r), dq_out)])
     subs.append((env_label(l), errors.env_dim(l)))
     return _owned(tuple(subs), (), cur.reshape(-1, 1))

@@ -218,21 +218,29 @@ LINK_CASES = {
         [("a", 3), ("s", 2), ("b", 2), ("t", 3)], {"a", "t"},
         [("t", 3), ("c", 3), ("s", 2)], {"s"},
     ),
+    # B is the larger operand, so B is the one streamed
+    "larger-second": (
+        [("s", 2), ("x", 3)], {"x"},
+        [("y", 2), ("s", 2), ("t", 3), ("z", 2)], {"s", "z"},
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LINK_CASES))
-def test_link_product_matches_literal_formula_in_any_label_order(case):
+def test_link_product_matches_literal_formula_in_any_label_order(case, monkeypatch):
     a_subs, a_in, b_subs, b_in = LINK_CASES[case]
     rng = rng_for(29)
     for _ in range(10):
         a = random_choi(rng, a_subs, a_in)
         b = random_choi(rng, b_subs, b_in)
-        linked = link_product(a, b)
         literal = literal_link(a, b)
-        aligned = permute_subsystems(literal, linked.op.row_labels)
-        scale = np.max(np.abs(aligned.data))
-        np.testing.assert_allclose(linked.op.data, aligned.data, atol=1e-12 * scale)
+        # the larger operand in one block, in blocks of a few rows, one row at a time
+        for block in (combs.LINK_BLOCK, 24, 1):
+            monkeypatch.setattr(combs, "LINK_BLOCK", block)
+            linked = link_product(a, b)
+            aligned = permute_subsystems(literal, linked.op.row_labels)
+            scale = np.max(np.abs(aligned.data))
+            np.testing.assert_allclose(linked.op.data, aligned.data, atol=1e-12 * scale)
         shared = set(a.labels) & set(b.labels)
         assert set(linked.input_labels) == (a_in | b_in) - shared
         assert set(linked.output_labels) == set(linked.labels) - set(linked.input_labels)
@@ -291,15 +299,31 @@ class TestOwnedResults:
         np.testing.assert_allclose(big.op.data, expected, rtol=0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_gram_sum_equals_the_rank_one_sum(self, monkeypatch, count):
+        # with 3 vectors a group: one vector, one group of two, groups of 3, 3 and 1;
+        # the 12-dim Choi is no multiple of the 5-row slices
+        rng = rng_for(32)
+        kraus = [kraus_op(m, "out", "in") for m in random_kraus_set(rng, 4, 3, count)]
+        monkeypatch.setattr(combs, "GRAM_ROWS", 5)
+        monkeypatch.setattr(combs, "GRAM_VECTORS", 3)
+        choi = choi_from_kraus(kraus)
+        expected = sum(np.outer(v, v.conj()) for v in (k.data.reshape(-1) for k in kraus))
+        assert np.linalg.norm(choi.op.data - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestPeakMemory:
     """Traced allocations at a 1024-dim error comb (16 MiB) and a 256-dim
     interrogator comb.
 
     Measured with tracemalloc: ``error_comb`` peaked at 2.00 outputs when
-    it formed each v v^dag in full and at 1.25 with 256-row slices.
+    it formed each v v^dag in full, at 1.25 with 256-row slices, and at
+    1.34 with the 32 error vectors multiplied as one group.
     ``link_product``'s new allocations peaked at 2.13 error combs with a
-    permuted copy of it and then einsum's regrouped one, and at 1.06 with
-    one transposed copy (plus the interrogator's, 1 MiB, and the output).
+    permuted copy of it and then einsum's regrouped one, at 1.06 with one
+    transposed copy (plus the interrogator's, 1 MiB, and the output), and
+    at 0.19 streaming the error comb in blocks of ``LINK_BLOCK`` entries
+    (1 MiB; plus the interrogator's transposed copy and the output).
     """
 
     @pytest.fixture(scope="class")
@@ -328,7 +352,8 @@ class TestPeakMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base < 1.5 * big.op.data.nbytes
+        assert big.op.data.size > 4 * combs.LINK_BLOCK
+        assert peak - base < 0.25 * big.op.data.nbytes
 
 
 class TestIsCptp:

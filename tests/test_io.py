@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from combsqec.io import (
     load_instance,
 )
 from combsqec.library import build_instance, instance_names, random_instance
+from combsqec.model import CheckInstrument
 from combsqec.tensor import LabeledOperator
 
 from conftest import unchecked_errors
@@ -560,6 +562,51 @@ class TestMatrixTable:
             monkeypatch.setattr(combsqec_io, name, counted)
         load_instance(exported[0])
         assert sorted(built) == sorted((name, r) for name, r, _ in want)
+
+    def test_instruments_validated_once_per_round_and_entries(self, exported, monkeypatch):
+        with open(exported[0], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        want = {
+            (r, tuple(outcomes.items()))
+            for r, rnd in enumerate(doc["interrogator"]["rounds"], start=1)
+            for outcomes in rnd["instruments"].values()
+        }
+        validated = []
+        post_init = CheckInstrument.__post_init__
+
+        def counted(inst):
+            validated.append((inst.round_index, inst.memory))
+            post_init(inst)
+        monkeypatch.setattr(CheckInstrument, "__post_init__", counted)
+        loaded = load_instance(exported[0])
+        assert len(validated) == len(want)
+        for r, per_memory in enumerate(loaded.code.interrogator.instruments, start=1):
+            for memory, inst in per_memory.items():
+                assert (inst.round_index, inst.memory) == (r, memory)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_incomplete_instrument_named_at_its_first_memory(self, tmp_path, which):
+        # hexagon's eight round-2 memories reference the same eight entries;
+        # scale one of them (0), or a copy that only the second memory references (1)
+        inst = build_instance("hexagon")
+        doc = json.loads(instance_text(inst.code, inst.errors))
+        instruments = doc["interrogator"]["rounds"][1]["instruments"]
+        assert len({tuple(o.items()) for o in instruments.values()}) == 1 < len(instruments)
+        memory = list(instruments)[which]
+        outcome, k = next(iter(instruments[memory].items()))
+        entry = doc["matrices"][k]
+        if which:
+            entry = json.loads(json.dumps(entry))
+            doc["matrices"].append(entry)
+            instruments[memory][outcome] = len(doc["matrices"]) - 1
+        for cell in entry["nz"] if isinstance(entry, dict) else chain(*entry):
+            cell[-2:] = [2.0 * cell[-2], 2.0 * cell[-1]]
+        with pytest.raises(ParseError) as info:
+            load_instance(write_doc(tmp_path, doc))
+        assert str(info.value) == (
+            f"interrogator.rounds[1].instruments[{memory!r}]: round 2 instrument "
+            f"for memory {memory!r} is not complete: sum of C^dag C != I"
+        )
 
 
 class TestDiagnostics:

@@ -36,7 +36,9 @@ from combsqec.model import (
 )
 from combsqec.tensor import LabeledOperator, permute_subsystems, vectorize
 
-from conftest import random_kraus_set, random_state, rng_for, table_entries
+from conftest import (
+    env_bitflip_instance, random_kraus_set, random_state, rng_for, table_entries,
+)
 
 
 def instrument_from_sets(r, memory, mats):
@@ -85,6 +87,20 @@ def random_tp_error_model(rng, q_dims, env_dims, counts):
             tuple(error_op(r, m, env_in, env_out) for m in mats)
         )
     return ErrorModel(tuple(rounds))
+
+
+def tensordot_chain(errors, error_seq):
+    """Error comb vector by tensordot over each shared environment, then
+    moving the new (q_r, q_rp, e_r) axes into place."""
+    op0 = errors.round_ops(0)[error_seq[0]].data
+    cur = op0.reshape(errors.q_out_dim(0), errors.env_dim(0), -1).transpose(2, 0, 1)
+    for r in range(1, errors.rounds + 1):
+        block = errors.round_ops(r)[error_seq[r]].data.reshape(
+            errors.q_out_dim(r), errors.env_dim(r), errors.q_in_dim(r), errors.env_dim(r - 1))
+        cur = np.tensordot(cur, block, axes=([cur.ndim - 1], [3]))
+        n = cur.ndim
+        cur = np.moveaxis(cur, (n - 3, n - 2, n - 1), (n - 2, n - 1, n - 3))
+    return cur.reshape(-1)
 
 
 def two_round_adaptive(rng, d=2):
@@ -642,6 +658,25 @@ class TestErrorComb:
         vec = error_comb_vector(model, e)
         assert vec.row_labels == ("Q0", "Q0p", "Q1", "Q1p", "E1")
         assert np.allclose(vec.data.reshape(-1), expected.reshape(-1), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "chain",
+        ["env-bitflip", "environments 2, 3, 2", "qubit dims 2, 3, 2, 3"],
+    )
+    def test_vector_matches_a_tensordot_chain(self, chain):
+        rng = rng_for(33)
+        model = {
+            "env-bitflip": lambda: env_bitflip_instance()[1],
+            "environments 2, 3, 2": lambda: random_tp_error_model(
+                rng, (2, 2, 2, 2), (2, 3, 2), (2, 1, 2)),
+            "qubit dims 2, 3, 2, 3": lambda: random_tp_error_model(
+                rng, (2, 3, 2, 3), (3, 2, 2), (1, 3, 1)),
+        }[chain]()
+        for e in model.sequences():
+            vec = error_comb_vector(model, e)
+            expected = tensordot_chain(model, e)
+            scale = np.linalg.norm(expected)
+            assert np.linalg.norm(vec.data.reshape(-1) - expected) <= 1e-12 * scale
 
     def test_cap_rejection(self, monkeypatch, rng):
         monkeypatch.setenv("COMBSQEC_DENSE_CAP", "8")
