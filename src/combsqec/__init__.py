@@ -13,7 +13,6 @@ from combsqec.combs import (
     CombReport,
     CombSignature,
     choi_from_kraus,
-    is_cptp,
     link_product,
     validate_comb,
 )

@@ -28,20 +28,14 @@ from combsqec.tensor import (
     permute_subsystems,
     tensor_product,
 )
-from combsqec.tolerances import (
-    CAUSALITY_ATOL, COMPLETENESS_ATOL, PSD_RTOL,
-    completeness_residual, completeness_violation, psd_violation, relative_threshold,
-    smallest_eigenvalue,
-)
+from combsqec.tolerances import CAUSALITY_ATOL, PSD_RTOL, psd_violation, relative_threshold
 
 __all__ = [
     "ChoiOperator",
     "CombSignature",
-    "CptpReport",
     "CombReport",
     "choi_from_kraus",
     "link_product",
-    "is_cptp",
     "validate_comb",
 ]
 
@@ -105,14 +99,6 @@ class ChoiOperator:
     def dim_of(self, label: str) -> int:
         return self.op.row_dim_of(label)
 
-    @property
-    def input_dim(self) -> int:
-        return math.prod(self.dim_of(l) for l in self.input_labels)
-
-    @property
-    def output_dim(self) -> int:
-        return math.prod(self.dim_of(l) for l in self.output_labels)
-
 
 @dataclass(frozen=True, eq=False)
 class CombSignature:
@@ -128,18 +114,6 @@ class CombSignature:
         flat = [label for pair in pairs for label in pair]
         if len(set(flat)) != len(flat):
             raise ValueError(f"comb signature labels must be unique, got {flat}")
-
-
-@dataclass(frozen=True, eq=False)
-class CptpReport:
-    cp: bool
-    tp: bool
-    cp_residual: float
-    tp_residual: float
-
-    @property
-    def residual(self) -> float:
-        return max(self.cp_residual, self.tp_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,20 +287,6 @@ def _stream_link(
         mat = block.reshape(shape).transpose(perm).reshape(kept_rows * dest.shape[1], -1)
         slab = dest[at_dest * kept_rows:(at_dest + 1) * kept_rows]
         slab += (mat @ small_rows[at_small]).reshape(slab.shape)
-
-
-def is_cptp(choi: ChoiOperator) -> CptpReport:
-    """CP and TP residuals of a Choi operator against its declared legs,
-    decided by the PSD test and the completeness test of Tr_out X."""
-    data = choi.op.data
-    reduced = partial_trace(choi.op, choi.output_labels).data
-    return CptpReport(
-        cp=psd_violation(data, relative_threshold(PSD_RTOL, data)) is None,
-        tp=completeness_violation(reduced, COMPLETENESS_ATOL) is None,
-        # np.maximum keeps a nan eigenvalue; max(0.0, nan) would return 0.0
-        cp_residual=float(np.maximum(0.0, -smallest_eigenvalue(data))),
-        tp_residual=completeness_residual(reduced),
-    )
 
 
 def validate_comb(

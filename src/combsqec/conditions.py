@@ -38,7 +38,6 @@ from .tensor import LabeledOperator, _spectrum_bits
 from .tolerances import (
     BRANCH_WEIGHT_FLOOR, CODESPACE_ATOL, COMPLETENESS_ATOL, MI_TOL_BITS, P_FLOOR,
     RESIDUAL_RTOL, SCHMIDT_UNIFORM_RTOL, UNIT_NORM_ATOL, WEIGHT_CUTOFF,
-    completeness_violation,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ class ConditionReport:
     matrices or entropy deficits).
     """
 
-    correctable: bool
     worst_residual: float
     tolerance: float
     witness: tuple | None
@@ -84,49 +82,39 @@ class ConditionReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detail", dict(self.detail))
-        if self.correctable != (self.worst_residual <= self.tolerance):
-            raise ValueError(
-                "verdict must equal (worst residual <= tolerance); got "
-                f"correctable={self.correctable}, residual={self.worst_residual}, "
-                f"tolerance={self.tolerance}"
-            )
+
+    @property
+    def correctable(self) -> bool:
+        """The verdict: worst residual within tolerance (False for nan)."""
+        return bool(self.worst_residual <= self.tolerance)
 
 
 @dataclass(frozen=True, eq=False)
 class Decoder:
-    """Per-memory recovery Kraus lists with a completion projector.
+    """Per-memory recovery Kraus lists.
 
     ``kraus[m]`` maps the check-round output space back into the ambient
-    codespace; ``completion[m]`` is the projector onto the subspace the
-    listed operators do not cover, so completion + sum of D^dag D = I.
+    codespace.  Per memory, sum of D^dag D must be a projector P (within
+    ``COMPLETENESS_ATOL`` of P^2 = P in Frobenius norm); the subspace
+    I - P that the listed operators do not cover completes the channel.
     """
 
     output_dim: int
     input_dim: int
     kraus: Mapping[str, tuple[npt.NDArray[np.complex128], ...]]
-    completion: Mapping[str, npt.NDArray[np.complex128]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", {m: tuple(v) for m, v in self.kraus.items()})
-        object.__setattr__(self, "completion", dict(self.completion))
-        if set(self.kraus) != set(self.completion):
-            raise ValueError("kraus and completion must cover the same memories")
-        for m in self.kraus:
-            total = self.completion[m].astype(np.complex128).copy()
-            if total.shape != (self.input_dim, self.input_dim):
-                raise ValueError(f"completion for memory {m!r} has wrong shape")
-            proj_err = np.linalg.norm(total @ total - total)
-            for d in self.kraus[m]:
+        for m, ops in self.kraus.items():
+            total = np.zeros((self.input_dim, self.input_dim), dtype=np.complex128)
+            for d in ops:
                 if d.shape != (self.output_dim, self.input_dim):
                     raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
-                total = total + d.conj().T @ d
-            if completeness_violation(total, COMPLETENESS_ATOL) is not None:
+                total += d.conj().T @ d
+            if not np.linalg.norm(total @ total - total) <= COMPLETENESS_ATOL:
                 raise ValueError(
-                    f"decoder for memory {m!r} violates completeness: "
-                    "completion + sum of D^dag D != I"
+                    f"decoder for memory {m!r}: sum of D^dag D is not a projector"
                 )
-            if not proj_err <= COMPLETENESS_ATOL:
-                raise ValueError(f"completion for memory {m!r} is not a projector")
 
     def memories(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
@@ -477,7 +465,6 @@ def check_algebraic(
     worst, witness, detail = _composed(code, errors).product("algebraic", _algebraic_sweep)
     tolerance = RESIDUAL_RTOL * detail["scale"] if tol is None else float(tol)
     return ConditionReport(
-        correctable=bool(worst <= tolerance),
         worst_residual=worst,
         tolerance=tolerance,
         witness=witness,
@@ -519,7 +506,6 @@ def check_static_kl(
     j, i = divmod(int(entry[a, b]), codespace.dim)
     worst = float(res[a, b])
     return ConditionReport(
-        correctable=bool(worst <= tolerance),
         worst_residual=worst,
         tolerance=tolerance,
         witness=(i, j, a, b),
@@ -614,7 +600,6 @@ def _info_report(sectors: dict[str, tuple], tol: float | None) -> ConditionRepor
     witness = max(table, key=table.__getitem__, default=None)
     worst = float(table.get(witness, 0.0))
     return ConditionReport(
-        correctable=bool(worst <= tol),
         worst_residual=worst,
         tolerance=float(tol),
         witness=None if witness is None else (witness,),
@@ -639,14 +624,13 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
     sqrt(code_dim), is one block.  The polar isometry of the blocks'
     horizontal stack keeps correctable instances exact and turns
     near-orthonormal stacks into valid Kraus sets; with no block the memory
-    gets no Kraus operator and the identity as completion.  With
+    gets no Kraus operator.  With
     ``uniform`` a block whose column norms are not uniform across codewords
     raises (a Schmidt-rank inconsistency: the sector's state is not a
     product).
     """
     k, out, basis = comp.code_dim, comp.out_dim, comp.basis
     kraus: dict[str, tuple[np.ndarray, ...]] = {}
-    completion: dict[str, np.ndarray] = {}
     for m, (_, _, spectrum, vectors) in sectors.items():
         keep = spectrum > WEIGHT_CUTOFF
         q, u = spectrum[keep], vectors[:, keep].reshape(out, k, -1)
@@ -667,13 +651,7 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
         w, _, vh = np.linalg.svd(stack, full_matrices=False)
         iso = w @ vh
         kraus[m] = tuple(basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(r))
-        completion[m] = np.eye(out, dtype=np.complex128) - iso @ iso.conj().T
-    return Decoder(
-        output_dim=basis.shape[0],
-        input_dim=out,
-        kraus=kraus,
-        completion=completion,
-    )
+    return Decoder(output_dim=basis.shape[0], input_dim=out, kraus=kraus)
 
 
 def synth_decoder_algebraic(
@@ -696,8 +674,7 @@ def synth_decoder_algebraic(
     below ``WEIGHT_CUTOFF`` never occur on the codespace and are dropped.
     With ``require_correctable=False`` the construction proceeds on failing
     instances, without running the check, and yields the best-effort
-    projective decoder.  A memory with no branch gets no Kraus operator and
-    the identity as completion.
+    projective decoder.  A memory with no branch gets no Kraus operator.
     """
     if require_correctable:
         report = check_algebraic(code, errors, tol)
@@ -760,8 +737,8 @@ def verify_recovery(
     ||W_b||^2, is the probability of arriving at m, so the weights of a
     state total one for trace-preserving models; the fidelity is the sum
     over decoder Kraus D and branches b of |<psi| D W_b>|^2 over the
-    weight, so no recovered state is formed.  Completion weight counts
-    toward the weight but contributes no fidelity.  Records run in
+    weight, so no recovered state is formed.  Weight in the completion
+    I - sum D^dag D counts toward the weight but contributes no fidelity.  Records run in
     (state, memory) order.
     """
     comp = _composed(code, errors)

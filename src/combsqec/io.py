@@ -45,7 +45,6 @@ from .model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
-    _same_instrument,
     check_op,
     error_op,
 )
@@ -559,7 +558,7 @@ def _parse_interrogator(
     """The interrogator; round 1 reads the ambient space, and every matrix
     of a round has the shape of the round's first.  Memories of a round
     whose outcomes reference the same table entries, in the same order,
-    share one validation."""
+    share one instrument."""
     inter = _get(doc, "interrogator", "", Mapping, "an object")
     rounds_obj = _get(inter, "rounds", "interrogator", list, "a list")
     instruments = []
@@ -571,7 +570,7 @@ def _parse_interrogator(
         if not insts_obj:
             raise ParseError(f"{path}.instruments", "needs at least one memory state")
         by_memory = {}
-        validated: dict[tuple[tuple[str, int], ...], CheckInstrument] = {}
+        shared: dict[tuple[tuple[str, int], ...], CheckInstrument] = {}
         shape: Shape = (None, ambient) if r == 1 else (None, None)
         for memory, outcomes_obj in insts_obj.items():
             mpath = f"{path}.instruments[{memory!r}]"
@@ -582,17 +581,17 @@ def _parse_interrogator(
                 opath = f"{mpath}[{outcome!r}]"
                 kraus[outcome] = slots.operator(mat_obj, opath, shape, check_op, r)
                 shape = kraus[outcome].data.shape
-            # table indices (version 3); an inline matrix is validated where it stands
+            # table indices (version 3); inline matrices get an instrument of their own
             key = tuple(outcomes_obj.items()) if slots.version >= 3 else None
-            if key in validated:
-                by_memory[memory] = _same_instrument(validated[key], memory)
+            if key in shared:
+                by_memory[memory] = shared[key]
                 continue
             try:
-                by_memory[memory] = CheckInstrument(r, memory, kraus)
+                by_memory[memory] = CheckInstrument(kraus)
             except ValueError as exc:
                 raise ParseError(mpath, str(exc)) from exc
             if key is not None:
-                validated[key] = by_memory[memory]
+                shared[key] = by_memory[memory]
         update_obj = _get(round_obj, "update", path, Mapping, "an object")
         table = {}
         for outcome, per_memory in update_obj.items():

@@ -213,19 +213,10 @@ def hexagon_honeycomb() -> NamedInstance:
     table1 = {(o, INITIAL_MEMORY): o for o in outcomes}
     table2 = {(o2, m1): f"{m1}|{o2}" for o2 in outcomes for m1 in outcomes}
     update = MemoryUpdate((table1, table2))
-    inst1 = {
-        INITIAL_MEMORY: CheckInstrument(
-            1,
-            INITIAL_MEMORY,
-            {o: check_op(1, m) for o, m in round1.items()},
-        )
-    }
-    inst2 = {
-        m1: CheckInstrument(
-            2, m1, {o: check_op(2, mat) for o, mat in round2.items()}
-        )
-        for m1 in outcomes
-    }
+    inst1 = {INITIAL_MEMORY: CheckInstrument({o: check_op(1, m) for o, m in round1.items()})}
+    inst2 = dict.fromkeys(
+        outcomes, CheckInstrument({o: check_op(2, mat) for o, mat in round2.items()})
+    )
     code = StrategicCode(_hexagon_codespace(), Interrogator((inst1, inst2), update))
     scale = 1.0 / math.sqrt(2.0)
     errors = ErrorModel(
@@ -278,10 +269,8 @@ def spacetime_toy_circuit() -> NamedInstance:
             {("0", "u"): "u|0", ("1", "u"): "u|1"},
         )
     )
-    inst1 = {INITIAL_MEMORY: CheckInstrument(1, INITIAL_MEMORY, {"u": check_op(1, cnot)})}
-    inst2 = {
-        "u": CheckInstrument(2, "u", {"0": check_op(2, p0), "1": check_op(2, p1)})
-    }
+    inst1 = {INITIAL_MEMORY: CheckInstrument({"u": check_op(1, cnot)})}
+    inst2 = {"u": CheckInstrument({"0": check_op(2, p0), "1": check_op(2, p1)})}
     code = StrategicCode(
         CodeSpace(4, basis), Interrogator((inst1, inst2), update)
     )
@@ -353,10 +342,8 @@ def syndrome_window(
         table = {
             (s, m): s if last_only else m + s for s in projectors for m in memories
         }
-        instruments.append({
-            m: CheckInstrument(r, m, {s: check_op(r, p) for s, p in projectors.items()})
-            for m in memories
-        })
+        syndrome = CheckInstrument({s: check_op(r, p) for s, p in projectors.items()})
+        instruments.append(dict.fromkeys(memories, syndrome))
         tables.append(table)
         memories = sorted(set(table.values()))
     flips = [_pauli_string(3, {}) / 2.0] + [
@@ -396,6 +383,15 @@ def _random_complete_kraus(rng: np.random.Generator, d: int, count: int):
     return [q[i * d : (i + 1) * d, :] for i in range(count)]
 
 
+_RANDOM_OUTCOMES = ("a", "b")
+
+
+def _random_instrument(rng: np.random.Generator, r: int, d: int) -> CheckInstrument:
+    """Random complete round-r instrument on dimension d."""
+    ops = _random_complete_kraus(rng, d, len(_RANDOM_OUTCOMES))
+    return CheckInstrument({o: check_op(r, op) for o, op in zip(_RANDOM_OUTCOMES, ops)})
+
+
 def _tp_normalize(ops: list[npt.NDArray[np.complex128]]):
     """Rescale a Kraus list to exact trace preservation."""
     total = sum(op.conj().T @ op for op in ops)
@@ -431,7 +427,6 @@ def random_instance(
     basis, _ = np.linalg.qr(_ginibre(rng, d, k))
     codespace = CodeSpace(d, basis)
 
-    outcomes = ("a", "b")
     instruments: list[dict[str, CheckInstrument]] = []
     tables: list[dict[tuple[str, str], str]] = []
     reachable = [INITIAL_MEMORY]
@@ -439,20 +434,12 @@ def random_instance(
         table = {
             (o, m): f"{m}|{o}" if m else o
             for m in reachable
-            for o in outcomes
+            for o in _RANDOM_OUTCOMES
         }
-        shared = None if is_adaptive else _random_complete_kraus(rng, d, len(outcomes))
-        layer = {}
-        for m in reachable:
-            ops = (
-                _random_complete_kraus(rng, d, len(outcomes))
-                if is_adaptive
-                else shared
-            )
-            layer[m] = CheckInstrument(
-                r, m, {o: check_op(r, op) for o, op in zip(outcomes, ops)}
-            )
-        instruments.append(layer)
+        if is_adaptive:
+            instruments.append({m: _random_instrument(rng, r, d) for m in reachable})
+        else:
+            instruments.append(dict.fromkeys(reachable, _random_instrument(rng, r, d)))
         tables.append(table)
         reachable = sorted(set(table.values()))
 

@@ -158,61 +158,37 @@ class CodeSpace:
 
 @dataclass(frozen=True, eq=False)
 class CheckInstrument:
-    """One check-instrument round conditioned on a classical memory state.
+    """A complete set of check Kraus operators, keyed by outcome.
 
-    Kraus operators map ``Q{round-1}p -> Q{round}`` and must sum to a
-    complete instrument: sum of C^dag C equals the identity.
+    Every operator has the first one's subsystems, and the set is complete:
+    sum of C^dag C equals the identity.  Where the instrument is applied,
+    its round and the memory states that select it, is the
+    :class:`Interrogator`'s to say, so one object may serve every memory
+    state of a round.
     """
 
-    round_index: int
-    memory: str
     kraus: Mapping[str, LabeledOperator]
 
     def __post_init__(self) -> None:
-        if self.round_index < 1:
-            raise ValueError("check rounds are numbered from 1")
         if not self.kraus:
             raise ValueError("instrument needs at least one outcome")
         object.__setattr__(self, "kraus", dict(self.kraus))
-        out_label = q_label(self.round_index)
-        in_label = qp_label(self.round_index - 1)
-        first: LabeledOperator | None = None
+        first = next(iter(self.kraus.values()))
         for outcome, op in self.kraus.items():
-            if first is None:
-                first = op
-                if op.row_labels != (out_label,) or op.col_labels != (in_label,):
-                    raise ValueError(
-                        f"round {self.round_index} instrument must map "
-                        f"{in_label} -> {out_label}, got {op.col_labels} -> {op.row_labels}"
-                    )
-            elif (
+            if (
                 op.row_subsystems != first.row_subsystems
                 or op.col_subsystems != first.col_subsystems
             ):
                 raise ValueError(
                     f"outcome {outcome!r} signature differs within the instrument"
                 )
-        assert first is not None
         total = sum(op.data.conj().T @ op.data for op in self.kraus.values())
         if completeness_violation(total, COMPLETENESS_ATOL) is not None:
-            raise ValueError(
-                f"round {self.round_index} instrument for memory {self.memory!r} "
-                "is not complete: sum of C^dag C != I"
-            )
+            raise ValueError("instrument is not complete: sum of C^dag C != I")
 
     @property
     def outcomes(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
-
-
-def _same_instrument(inst: CheckInstrument, memory: str) -> CheckInstrument:
-    """``inst``'s operators, already validated, as the instrument of
-    another memory state of the same round."""
-    twin = object.__new__(CheckInstrument)
-    object.__setattr__(twin, "round_index", inst.round_index)
-    object.__setattr__(twin, "memory", memory)
-    object.__setattr__(twin, "kraus", dict(inst.kraus))
-    return twin
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,11 +250,12 @@ class Interrogator:
     """Adaptive check-instrument sequence with classical memory.
 
     ``instruments[r-1]`` maps each memory state reachable after round r-1 to
-    the :class:`CheckInstrument` applied in round r.  Construction validates
+    the :class:`CheckInstrument` applied in round r; memory states that
+    apply the same operators may share one object.  Construction validates
     reachability: every reachable memory state has an instrument, every
     instrument outcome has an update-table entry, and all instruments within
-    a round share one signature.  ``round_dims[r-1]`` is the (input,
-    output) system dim pair of round r.
+    a round share one signature, which maps ``Q{r-1}p -> Q{r}``.
+    ``round_dims[r-1]`` is the (input, output) system dim pair of round r.
     """
 
     instruments: tuple[Mapping[str, CheckInstrument], ...]
@@ -306,14 +283,16 @@ class Interrogator:
                     raise ValueError(
                         f"no round-{r} instrument for reachable memory state {memory!r}"
                     )
-                if inst.round_index != r or inst.memory != memory:
-                    raise ValueError(
-                        f"instrument filed under round {r}, memory {memory!r} "
-                        f"declares round {inst.round_index}, memory {inst.memory!r}"
-                    )
                 first = next(iter(inst.kraus.values()))
                 sig = (first.row_subsystems, first.col_subsystems)
                 if signature is None:
+                    labels = ((q_label(r),), (qp_label(r - 1),))
+                    if (first.row_labels, first.col_labels) != labels:
+                        raise ValueError(
+                            f"round-{r} instrument for memory state {memory!r} must map "
+                            f"{labels[1]} -> {labels[0]}, got "
+                            f"{first.col_labels} -> {first.row_labels}"
+                        )
                     signature = sig
                     round_dims.append((first.col_dim, first.row_dim))
                 elif sig != signature:

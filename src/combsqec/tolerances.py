@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-# ChoiOperator, ErrorModel, is_cptp: PSD test, relative to ||X||_F (error rounds: ||sum E^dag E||_F)
+# ChoiOperator, ErrorModel: PSD test, relative to ||X||_F (error rounds: ||sum E^dag E||_F)
 PSD_RTOL = 1e-9
-# CheckInstrument, Decoder, is_cptp: completeness test; also a completion's largest ||P^2 - P||_F
+# CheckInstrument: completeness test; Decoder: largest ||P^2 - P||_F of its P = sum D^dag D
 COMPLETENESS_ATOL = 1e-9
 # CodeSpace, verify_recovery: largest ||B^dag B - I||_F of a basis and | ||psi|| - 1 | of a state
 UNIT_NORM_ATOL = 1e-10

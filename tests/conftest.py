@@ -134,7 +134,7 @@ def dephasing_instance(signs):
         for name, sign, proj in zip("abcd", signs, (p0, p0, p1, p1))
     }
     interro = Interrogator(
-        ({"": CheckInstrument(1, "", kraus)},),
+        ({"": CheckInstrument(kraus)},),
         MemoryUpdate(({(o, ""): "m" for o in kraus},)),
     )
     errors = ErrorModel(tuple((error_op(r, np.eye(2)),) for r in range(2)))

@@ -79,7 +79,7 @@ def vanishing_instance(path):
     condition holds on an empty channel and no codestate reaches the final
     memory."""
     interro = Interrogator(
-        ({"": CheckInstrument(1, "", {"a": check_op(1, np.eye(2))})},),
+        ({"": CheckInstrument({"a": check_op(1, np.eye(2))})},),
         MemoryUpdate(({("a", ""): "m"},)),
     )
     errors = ErrorModel(((error_op(0, np.zeros((2, 2))),), (error_op(1, np.eye(2)),)))

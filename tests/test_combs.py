@@ -11,7 +11,6 @@ from combsqec.combs import (
     ChoiOperator,
     CombSignature,
     choi_from_kraus,
-    is_cptp,
     link_product,
     validate_comb,
 )
@@ -251,7 +250,7 @@ def one_qubit_chain(rounds):
     flip = [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * PAULI["X"]]
     errors = ErrorModel(tuple(tuple(error_op(r, m) for m in flip) for r in range(rounds + 1)))
     interro = Interrogator(
-        tuple({"": CheckInstrument(r, "", {"o": check_op(r, np.eye(2))})}
+        tuple({"": CheckInstrument({"o": check_op(r, np.eye(2))})}
               for r in range(1, rounds + 1)),
         MemoryUpdate(tuple({("o", ""): ""} for _ in range(rounds))),
     )
@@ -354,38 +353,6 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert big.op.data.size > 4 * combs.LINK_BLOCK
         assert peak - base < 0.25 * big.op.data.nbytes
-
-
-class TestIsCptp:
-    def test_identity_choi(self):
-        report = is_cptp(choi_from_kraus([kraus_op(np.eye(2), "out", "in")]))
-        assert report.cp and report.tp
-
-    def test_scaled_choi_not_tp(self):
-        choi = choi_from_kraus([kraus_op(np.sqrt(2) * np.eye(2), "out", "in")])
-        report = is_cptp(choi)
-        assert report.cp and not report.tp
-        assert report.tp_residual > 1
-
-    def test_dephasing_channel(self):
-        kraus = [
-            kraus_op(np.sqrt(0.7) * np.eye(2), "out", "in"),
-            kraus_op(np.sqrt(0.3) * PAULI["Z"], "out", "in"),
-        ]
-        report = is_cptp(choi_from_kraus(kraus))
-        assert report.cp and report.tp
-        assert report.residual <= 1e-12
-
-    def test_nan_entry_gives_a_nan_residual(self):
-        # the public constructor rejects it, so it comes the trusted way
-        good = choi_from_kraus([kraus_op(np.eye(2), "out", "in")])
-        data = good.op.data.copy()
-        data[1, 2] = np.nan
-        op = LabeledOperator(good.op.row_subsystems, good.op.col_subsystems, data)
-        report = is_cptp(combs._psd_choi(op, good.input_labels, good.output_labels))
-        assert data.shape == (4, 4)
-        assert not report.cp
-        assert np.isnan(report.cp_residual) and np.isnan(report.residual)
 
 
 class TestValidateComb:

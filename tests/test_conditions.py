@@ -1,5 +1,6 @@
 """Correctability checkers, decoder synthesis, and end-to-end recovery."""
 
+import json
 import math
 
 import numpy as np
@@ -216,9 +217,7 @@ class TestLambdaTensor:
 
     def test_zero_kraus_branch_is_flagged_degenerate(self):
         inst = CheckInstrument(
-            1,
-            INITIAL_MEMORY,
-            {"a": check_op(1, np.eye(2)), "b": check_op(1, np.zeros((2, 2)))},
+            {"a": check_op(1, np.eye(2)), "b": check_op(1, np.zeros((2, 2)))}
         )
         update = MemoryUpdate(
             ({("a", INITIAL_MEMORY): "a", ("b", INITIAL_MEMORY): "b"},)
@@ -320,11 +319,11 @@ class TestCheckAlgebraic:
         want = math.sqrt(2.0) / (4.0 if code.rounds else 2.0)
         assert alg.worst_residual == pytest.approx(want, abs=1e-12)
 
-    def test_report_invariant_enforced(self):
-        with pytest.raises(ValueError, match="verdict"):
-            ConditionReport(
-                correctable=True, worst_residual=2.0, tolerance=1.0, witness=None
-            )
+    def test_verdict_is_the_residual_against_the_tolerance(self):
+        for residual, want in ((0.5, True), (1.0, True), (2.0, False), (math.nan, False)):
+            report = ConditionReport(worst_residual=residual, tolerance=1.0, witness=None)
+            assert report.correctable is want
+        assert json.dumps(report.correctable) == "false"
 
 
 # ----------------------------------------------------------------------
@@ -585,9 +584,7 @@ def correlated_instance(seed=7):
         layer = {}
         for m in memories:
             mats = random_kraus_set(rng, d, d, 2)
-            layer[m] = CheckInstrument(
-                r, m, {"a": check_op(r, mats[0]), "b": check_op(r, mats[1])}
-            )
+            layer[m] = CheckInstrument({"a": check_op(r, mats[0]), "b": check_op(r, mats[1])})
         instruments.append(layer)
         memories = sorted(set(tables[-1].values()))
     code = StrategicCode(
@@ -834,21 +831,17 @@ def reference_polar_decoder(basis, out_dim, columns):
     the isometry, mapped back through the codespace basis, is Kraus a.
     """
     k = basis.shape[1]
-    kraus, completion = {}, {}
+    kraus = {}
     for m, blocks in columns.items():
         if not blocks:
             kraus[m] = ()
-            completion[m] = np.eye(out_dim, dtype=complex)
             continue
         u, _, vh = np.linalg.svd(np.hstack(blocks), full_matrices=False)
         iso = u @ vh
         kraus[m] = tuple(
             basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(len(blocks))
         )
-        completion[m] = np.eye(out_dim, dtype=complex) - iso @ iso.conj().T
-    return Decoder(
-        output_dim=basis.shape[0], input_dim=out_dim, kraus=kraus, completion=completion
-    )
+    return Decoder(output_dim=basis.shape[0], input_dim=out_dim, kraus=kraus)
 
 
 def reference_schmidt_decoder(code, errors, rho_rme):
@@ -928,11 +921,7 @@ def merged_instance(seed):
         tables.append({("a", memory): nxt, ("b", memory): nxt})
         mats = random_kraus_set(rng, d, d, 2)
         instruments.append(
-            {
-                memory: CheckInstrument(
-                    r, memory, {"a": check_op(r, mats[0]), "b": check_op(r, mats[1])}
-                )
-            }
+            {memory: CheckInstrument({"a": check_op(r, mats[0]), "b": check_op(r, mats[1])})}
         )
         memory = nxt
     rounds = []
@@ -1110,14 +1099,10 @@ class TestCheckInfo:
         # but leaves each sector's reference marginal pure, so the plain
         # per-sector mutual information is blind to it; the reported
         # deficit is not
-        inst = CheckInstrument(
-            1,
-            INITIAL_MEMORY,
-            {
-                "0": check_op(1, np.diag([1.0, 0.0])),
-                "1": check_op(1, np.diag([0.0, 1.0])),
-            },
-        )
+        inst = CheckInstrument({
+            "0": check_op(1, np.diag([1.0, 0.0])),
+            "1": check_op(1, np.diag([0.0, 1.0])),
+        })
         update = MemoryUpdate(
             ({("0", INITIAL_MEMORY): "0", ("1", INITIAL_MEMORY): "1"},)
         )
@@ -1181,39 +1166,21 @@ class TestSyndromeWindow:
 
 class TestDecoderType:
     def test_trivial_identity_decoder(self):
-        dec = Decoder(
-            output_dim=2,
-            input_dim=2,
-            kraus={INITIAL_MEMORY: (np.eye(2),)},
-            completion={INITIAL_MEMORY: np.zeros((2, 2))},
-        )
+        dec = Decoder(output_dim=2, input_dim=2, kraus={INITIAL_MEMORY: (np.eye(2),)})
         assert dec.memories() == (INITIAL_MEMORY,)
 
     def test_completeness_violation_rejected(self):
-        with pytest.raises(ValueError, match="completeness"):
-            Decoder(
-                output_dim=2,
-                input_dim=2,
-                kraus={INITIAL_MEMORY: (np.eye(2) / 2.0,)},
-                completion={INITIAL_MEMORY: np.zeros((2, 2))},
-            )
+        # sum of D^dag D = 4 I exceeds the identity
+        with pytest.raises(ValueError, match="not a projector"):
+            Decoder(output_dim=2, input_dim=2, kraus={INITIAL_MEMORY: (2.0 * np.eye(2),)})
 
     def test_non_projector_completion_rejected(self):
+        # sum of D^dag D = I / 2 leaves the completion I / 2
         with pytest.raises(ValueError, match="not a projector"):
             Decoder(
                 output_dim=2,
                 input_dim=2,
                 kraus={INITIAL_MEMORY: (np.eye(2) / math.sqrt(2.0),)},
-                completion={INITIAL_MEMORY: np.eye(2) / 2.0},
-            )
-
-    def test_memory_sets_must_match(self):
-        with pytest.raises(ValueError, match="same memories"):
-            Decoder(
-                output_dim=2,
-                input_dim=2,
-                kraus={INITIAL_MEMORY: (np.eye(2),)},
-                completion={"other": np.zeros((2, 2))},
             )
 
 
@@ -1390,12 +1357,7 @@ class TestVerifyRecovery:
         cases = [env_dephasing_instance()] + [dephasing_instance(s) for s in DEPHASING_SIGNS]
         for code, errors in cases:
             memory = code.interrogator.final_memories[0]
-            dec = Decoder(
-                output_dim=2,
-                input_dim=2,
-                kraus={memory: (np.eye(2),)},
-                completion={memory: np.zeros((2, 2))},
-            )
+            dec = Decoder(output_dim=2, input_dim=2, kraus={memory: (np.eye(2),)})
             report = verify_recovery(code, errors, dec, [plus])
             assert report.worst_fidelity == pytest.approx(0.5, abs=1e-12)
             assert report.total_weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -1449,12 +1411,7 @@ class TestVerifyRecovery:
     def test_decoder_dimension_mismatch_rejected(self):
         inst = bitflip_code()
         states = codestates(inst.code, 1, seed=412)
-        small = Decoder(
-            output_dim=2,
-            input_dim=2,
-            kraus={INITIAL_MEMORY: (np.eye(2),)},
-            completion={INITIAL_MEMORY: np.zeros((2, 2))},
-        )
+        small = Decoder(output_dim=2, input_dim=2, kraus={INITIAL_MEMORY: (np.eye(2),)})
         with pytest.raises(ValueError, match="decoder maps dim 2 to 2"):
             verify_recovery(inst.code, inst.errors, small, states)
 
@@ -1531,7 +1488,7 @@ def last_outcome_mats(seed):
 
 def last_outcome_instance(basis, checks, errors):
     instruments = tuple(
-        {m: CheckInstrument(r, m, {o: check_op(r, mat) for o, mat in outs.items()})
+        {m: CheckInstrument({o: check_op(r, mat) for o, mat in outs.items()})
          for m, outs in per_round.items()}
         for r, per_round in enumerate(checks, start=1)
     )

@@ -575,14 +575,19 @@ class TestMatrixTable:
         post_init = CheckInstrument.__post_init__
 
         def counted(inst):
-            validated.append((inst.round_index, inst.memory))
+            validated.append(inst)
             post_init(inst)
         monkeypatch.setattr(CheckInstrument, "__post_init__", counted)
         loaded = load_instance(exported[0])
         assert len(validated) == len(want)
-        for r, per_memory in enumerate(loaded.code.interrogator.instruments, start=1):
-            for memory, inst in per_memory.items():
-                assert (inst.round_index, inst.memory) == (r, memory)
+        # memories whose outcomes reference the same entries hold one object
+        rounds = zip(doc["interrogator"]["rounds"], loaded.code.interrogator.instruments)
+        for rnd, per_memory in rounds:
+            by_entries = {}
+            for memory, outcomes in rnd["instruments"].items():
+                inst = by_entries.setdefault(tuple(outcomes.items()), per_memory[memory])
+                assert per_memory[memory] is inst
+            assert len({id(i) for i in per_memory.values()}) == len(by_entries)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_incomplete_instrument_named_at_its_first_memory(self, tmp_path, which):
@@ -604,8 +609,8 @@ class TestMatrixTable:
         with pytest.raises(ParseError) as info:
             load_instance(write_doc(tmp_path, doc))
         assert str(info.value) == (
-            f"interrogator.rounds[1].instruments[{memory!r}]: round 2 instrument "
-            f"for memory {memory!r} is not complete: sum of C^dag C != I"
+            f"interrogator.rounds[1].instruments[{memory!r}]: "
+            "instrument is not complete: sum of C^dag C != I"
         )
 
 

@@ -17,6 +17,7 @@ from combsqec.library import (
 )
 from combsqec.model import (
     INITIAL_MEMORY,
+    CheckInstrument,
     compose_K,
     enumerate_trajectories,
 )
@@ -236,6 +237,8 @@ class TestRandomInstances:
             for m in memories
         ]
         assert np.array_equal(ops[0], ops[1])
+        # one object serves every memory of a non-adaptive round
+        assert len({id(shared.code.interrogator.instrument(2, m)) for m in memories}) == 1
 
     def test_wider_registers(self):
         inst = random_instance(4, qubits=2, rounds=1)
@@ -283,6 +286,22 @@ class TestRegistry:
         )
         for name in names:
             assert build_instance(name).name == name
+
+    @pytest.mark.parametrize("name, validations", [
+        ("bitflip", 0), ("bitflip-z", 0), ("hexagon", 2),
+        ("spacetime", 2), ("window-full", 3), ("window-last", 3),
+    ])
+    def test_one_instrument_per_distinct_operator_set(self, name, validations, monkeypatch):
+        # every memory of a non-adaptive round shares one validated instrument
+        built = []
+        post_init = CheckInstrument.__post_init__
+
+        def counted(inst):
+            built.append(inst)
+            post_init(inst)
+        monkeypatch.setattr(CheckInstrument, "__post_init__", counted)
+        build_instance(name)
+        assert len(built) == validations
 
     def test_unknown_name_lists_the_registry(self):
         with pytest.raises(

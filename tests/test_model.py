@@ -41,13 +41,13 @@ from conftest import (
 )
 
 
-def instrument_from_sets(r, memory, mats):
-    return CheckInstrument(r, memory, {o: check_op(r, m) for o, m in mats.items()})
+def instrument_from_sets(r, mats):
+    return CheckInstrument({o: check_op(r, m) for o, m in mats.items()})
 
 
-def random_instrument(rng, r, memory, d_in, d_out, outcomes):
+def random_instrument(rng, r, d_in, d_out, outcomes):
     mats = random_kraus_set(rng, d_out, d_in, len(outcomes))
-    return instrument_from_sets(r, memory, dict(zip(outcomes, mats)))
+    return instrument_from_sets(r, dict(zip(outcomes, mats)))
 
 
 def stored_outcome_update(alphabets):
@@ -105,10 +105,10 @@ def tensordot_chain(errors, error_seq):
 
 def two_round_adaptive(rng, d=2):
     """Adaptive 2-round qubit interrogator: round-2 instrument depends on m1."""
-    r1 = random_instrument(rng, 1, INITIAL_MEMORY, d, d, ("a", "b"))
+    r1 = random_instrument(rng, 1, d, d, ("a", "b"))
     r2 = {
-        "a": random_instrument(rng, 2, "a", d, d, ("a", "b")),
-        "b": random_instrument(rng, 2, "b", d, d, ("a", "b")),
+        "a": random_instrument(rng, 2, d, d, ("a", "b")),
+        "b": random_instrument(rng, 2, d, d, ("a", "b")),
     }
     update = MemoryUpdate(
         (
@@ -143,18 +143,13 @@ class TestCodeSpace:
 class TestCheckInstrument:
     def test_complete_instrument_accepted(self):
         rng = rng_for(1)
-        inst = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("x", "y", "z"))
+        inst = random_instrument(rng, 1, 2, 2, ("x", "y", "z"))
         assert inst.outcomes == ("x", "y", "z")
         assert all((k.col_dim, k.row_dim) == (2, 2) for k in inst.kraus.values())
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError, match="not complete"):
-            CheckInstrument(1, "", {"o": check_op(1, np.eye(2) / 2)})
-
-    def test_wrong_labels_rejected(self):
-        op = LabeledOperator((("Q5", 2),), (("Q0p", 2),), np.eye(2))
-        with pytest.raises(ValueError, match="must map"):
-            CheckInstrument(1, "", {"o": op})
+            CheckInstrument({"o": check_op(1, np.eye(2) / 2)})
 
     def test_signature_mismatch_rejected(self):
         ops = {
@@ -164,7 +159,7 @@ class TestCheckInstrument:
             ),
         }
         with pytest.raises(ValueError, match="signature differs"):
-            CheckInstrument(1, "", ops)
+            CheckInstrument(ops)
 
 
 def test_only_the_model_spells_out_round_labels():
@@ -232,8 +227,8 @@ class TestInterrogator:
         assert interro.final_memories == ("aa", "ab", "ba", "bb")
 
     def test_round_dims_are_input_output_pairs(self, rng):
-        r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 3, ("a", "b"))
-        r2 = {m: random_instrument(rng, 2, m, 3, 4, ("a",)) for m in "ab"}
+        r1 = random_instrument(rng, 1, 2, 3, ("a", "b"))
+        r2 = {m: random_instrument(rng, 2, 3, 4, ("a",)) for m in "ab"}
         update = MemoryUpdate(
             ({("a", ""): "a", ("b", ""): "b"}, {("a", "a"): "a", ("a", "b"): "b"})
         )
@@ -259,8 +254,8 @@ class TestInterrogator:
                     assert (k.col_dim, k.row_dim) == interro.round_dims[r - 1]
 
     def test_missing_instrument_rejected(self, rng):
-        r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("a", "b"))
-        r2 = {"a": random_instrument(rng, 2, "a", 2, 2, ("a",))}
+        r1 = random_instrument(rng, 1, 2, 2, ("a", "b"))
+        r2 = {"a": random_instrument(rng, 2, 2, 2, ("a",))}
         update = MemoryUpdate(
             ({("a", ""): "a", ("b", ""): "b"}, {("a", "a"): "a", ("a", "b"): "b"})
         )
@@ -268,16 +263,26 @@ class TestInterrogator:
             Interrogator(({INITIAL_MEMORY: r1}, r2), update)
 
     def test_missing_update_entry_rejected(self, rng):
-        r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("a", "b"))
+        r1 = random_instrument(rng, 1, 2, 2, ("a", "b"))
         update = MemoryUpdate(({("a", ""): "a"},))
         with pytest.raises(KeyError, match="no entry"):
             Interrogator(({INITIAL_MEMORY: r1},), update)
 
+    @pytest.mark.parametrize("op", [
+        check_op(2, np.eye(2)),  # Q1p -> Q2: complete, but a round-2 operator
+        LabeledOperator((("Q5", 2),), (("Q0p", 2),), np.eye(2)),
+    ], ids=["round-2", "Q5"])
+    def test_instrument_of_another_round_rejected(self, op):
+        inst = CheckInstrument({"o": op})
+        update = MemoryUpdate(({("o", ""): ""},))
+        with pytest.raises(ValueError, match="round-1 instrument for memory state '' must map"):
+            Interrogator(({INITIAL_MEMORY: inst},), update)
+
     def test_dim_disagreement_across_memories_rejected(self, rng):
-        r1 = random_instrument(rng, 1, INITIAL_MEMORY, 2, 2, ("a", "b"))
+        r1 = random_instrument(rng, 1, 2, 2, ("a", "b"))
         r2 = {
-            "a": random_instrument(rng, 2, "a", 2, 2, ("a",)),
-            "b": random_instrument(rng, 2, "b", 2, 3, ("a",)),
+            "a": random_instrument(rng, 2, 2, 2, ("a",)),
+            "b": random_instrument(rng, 2, 2, 3, ("a",)),
         }
         update = MemoryUpdate(
             ({("a", ""): "a", ("b", ""): "b"}, {("a", "a"): "a", ("a", "b"): "b"})
@@ -291,7 +296,7 @@ class TestEnumerateTrajectories:
         insts = []
         update_tables = []
         for r in (1, 2):
-            insts.append({INITIAL_MEMORY: random_instrument(rng, r, "", 2, 2, ("u",))})
+            insts.append({INITIAL_MEMORY: random_instrument(rng, r, 2, 2, ("u",))})
             update_tables.append({("u", ""): ""})
         interro = Interrogator(tuple(insts), MemoryUpdate(tuple(update_tables)))
         grouped = enumerate_trajectories(interro)
@@ -301,8 +306,8 @@ class TestEnumerateTrajectories:
     def test_forgetful_update_full_product_alphabet(self, rng):
         alphabets = (("a", "b"), ("x", "y", "z"))
         insts = (
-            {"": random_instrument(rng, 1, "", 2, 2, alphabets[0])},
-            {"": random_instrument(rng, 2, "", 2, 2, alphabets[1])},
+            {"": random_instrument(rng, 1, 2, 2, alphabets[0])},
+            {"": random_instrument(rng, 2, 2, 2, alphabets[1])},
         )
         interro = Interrogator(insts, forgetful_update(alphabets))
         grouped = enumerate_trajectories(interro)
@@ -315,8 +320,8 @@ class TestEnumerateTrajectories:
         outs = tuple(f"s{k}" for k in range(8))
         mats = {o: np.eye(2) / np.sqrt(8) for o in outs}
         update = stored_outcome_update((outs, outs))
-        r1 = instrument_from_sets(1, "", mats)
-        r2 = {m: instrument_from_sets(2, m, mats) for m in outs}
+        r1 = instrument_from_sets(1, mats)
+        r2 = {m: instrument_from_sets(2, mats) for m in outs}
         interro = Interrogator(({"": r1}, r2), update)
         grouped = enumerate_trajectories(interro)
         assert len(grouped) == 64
@@ -339,8 +344,8 @@ class TestEnumerateTrajectories:
         outs = tuple(f"s{k}" for k in range(8))
         mats = {o: np.eye(2) / np.sqrt(8) for o in outs}
         update = stored_outcome_update((outs, outs))
-        r1 = instrument_from_sets(1, "", mats)
-        r2 = {m: instrument_from_sets(2, m, mats) for m in outs}
+        r1 = instrument_from_sets(1, mats)
+        r2 = {m: instrument_from_sets(2, mats) for m in outs}
         interro = Interrogator(({"": r1}, r2), update)
         with pytest.raises(ValueError, match="64 outcome sequences exceed"):
             enumerate_trajectories(interro, cap=10)
@@ -361,7 +366,7 @@ class TestEnumerateTrajectories:
 
 class TestCombVector:
     def test_single_round_factor(self, rng):
-        inst = random_instrument(rng, 1, "", 2, 2, ("a", "b"))
+        inst = random_instrument(rng, 1, 2, 2, ("a", "b"))
         interro = Interrogator(
             ({"": inst},), MemoryUpdate(({("a", ""): "a", ("b", ""): "b"},))
         )
@@ -409,7 +414,7 @@ class TestInterrogatorOperator:
         tables = []
         for r in (1, 2):
             (mat,) = random_kraus_set(rng, 2, 2, 1)
-            insts.append({"": instrument_from_sets(r, "", {"u": mat})})
+            insts.append({"": instrument_from_sets(r, {"u": mat})})
             tables.append({("u", ""): ""})
         interro = Interrogator(tuple(insts), MemoryUpdate(tuple(tables)))
         choi = interrogator_operator(interro, "")
@@ -485,7 +490,7 @@ class TestComposeK:
 
     def test_matches_dense_link_product_correlated(self, rng):
         # one check round, environment of dimension 2 chained through
-        inst = random_instrument(rng, 1, "", 2, 2, ("a", "b"))
+        inst = random_instrument(rng, 1, 2, 2, ("a", "b"))
         interro = Interrogator(
             ({"": inst},), MemoryUpdate(({("a", ""): "a", ("b", ""): "b"},))
         )
@@ -529,7 +534,7 @@ class TestComposeK:
         assert np.allclose(linked.op.data, target.data, atol=1e-9)
 
     def test_dim_mismatch_names_round(self, rng):
-        inst = random_instrument(rng, 1, "", 2, 2, ("a",))
+        inst = random_instrument(rng, 1, 2, 2, ("a",))
         interro = Interrogator(({"": inst},), MemoryUpdate(({("a", ""): ""},)))
         model = random_tp_error_model(rng, (2, 3, 2), (1, 1), (2, 2))
         with pytest.raises(ValueError, match="check round 1"):
@@ -556,7 +561,7 @@ class TestComposeK:
                 cur = errors.round_ops(r)[e[r]].data @ (lifted @ cur)
             return cur
 
-        inst = random_instrument(rng, 1, "", 2, 2, ("a", "b"))
+        inst = random_instrument(rng, 1, 2, 2, ("a", "b"))
         interro = Interrogator(
             ({"": inst},), MemoryUpdate(({("a", ""): "a", ("b", ""): "b"},))
         )

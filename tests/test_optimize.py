@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from combsqec.combs import ChoiOperator, is_cptp, link_product
+from combsqec.combs import ChoiOperator, link_product
 from combsqec.library import (
     bitflip_code,
     build_instance,
@@ -39,7 +39,11 @@ from combsqec.optimize import (
     _trace_out,
 )
 from combsqec.tensor import LabeledOperator, partial_trace, permute_subsystems
-from combsqec.tolerances import KERNEL_RTOL
+from combsqec.tolerances import (
+    COMPLETENESS_ATOL, KERNEL_RTOL, PSD_RTOL,
+    completeness_residual, completeness_violation, psd_violation, relative_threshold,
+    smallest_eigenvalue,
+)
 
 from conftest import PAULI, random_kraus_set, random_matrix, random_state, rng_for
 
@@ -195,9 +199,13 @@ class TestProjection:
         )
         choi = project_cptp(op, ["A"])
         assert isinstance(choi, ChoiOperator)
-        rep = is_cptp(choi)
-        assert rep.cp and rep.tp
-        assert rep.residual <= 1e-8
+        # the library's PSD test, and its completeness test of Tr_out X
+        data = choi.op.data
+        reduced = partial_trace(choi.op, choi.output_labels).data
+        assert psd_violation(data, relative_threshold(PSD_RTOL, data)) is None
+        assert completeness_violation(reduced, COMPLETENESS_ATOL) is None
+        assert -smallest_eigenvalue(data) <= 1e-8
+        assert completeness_residual(reduced) <= 1e-8
 
     def test_non_hermitian_rejected(self):
         rng = rng_for(1)

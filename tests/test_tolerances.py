@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import combsqec
-from combsqec.combs import ChoiOperator, _psd_choi, choi_from_kraus, is_cptp
+from combsqec.combs import ChoiOperator
 from combsqec.conditions import (
     Decoder,
     branch_supports,
@@ -24,7 +24,6 @@ from combsqec.conditions import (
 )
 from combsqec.library import _tp_normalize
 from combsqec.model import (
-    INITIAL_MEMORY,
     CheckInstrument,
     CodeSpace,
     ErrorModel,
@@ -162,7 +161,7 @@ class TestCompletenessViolation:
 
 
 # ----------------------------------------------------------------------
-# PSD_RTOL: ChoiOperator, ErrorModel, is_cptp
+# PSD_RTOL: ChoiOperator, ErrorModel
 # ----------------------------------------------------------------------
 
 SUBS = (("a", 2), ("b", 2))
@@ -185,13 +184,6 @@ def test_psd_rtol_in_choi_operator(factor, accepted):
 
 
 @pytest.mark.parametrize("factor, accepted", BOUNDARY)
-def test_psd_rtol_in_is_cptp(factor, accepted):
-    # a trusted wrapper, so that the constructor's own test does not run first
-    choi = _psd_choi(LabeledOperator(SUBS, SUBS, psd_boundary(factor)), ("a",), ("b",))
-    assert is_cptp(choi).cp == accepted
-
-
-@pytest.mark.parametrize("factor, accepted", BOUNDARY)
 def test_psd_rtol_in_error_model(factor, accepted):
     # sum E^dag E = diag(1 + x, 1); the scale is its Frobenius norm, about sqrt(2)
     x = factor * PSD_RTOL * math.sqrt(2.0)
@@ -204,7 +196,7 @@ def test_psd_rtol_in_error_model(factor, accepted):
 
 
 # ----------------------------------------------------------------------
-# COMPLETENESS_ATOL: CheckInstrument, Decoder, is_cptp
+# COMPLETENESS_ATOL: CheckInstrument, Decoder
 # ----------------------------------------------------------------------
 
 
@@ -214,9 +206,7 @@ def complete_boundary(factor: float, dim: int = 2) -> float:
 
 @pytest.mark.parametrize("factor, accepted", BOUNDARY)
 def test_completeness_atol_in_check_instrument(factor, accepted):
-    build = lambda: CheckInstrument(
-        1, INITIAL_MEMORY, {"o": check_op(1, diag_gap(complete_boundary(factor)))}
-    )
+    build = lambda: CheckInstrument({"o": check_op(1, diag_gap(complete_boundary(factor)))})
     if accepted:
         build()
     else:
@@ -226,47 +216,35 @@ def test_completeness_atol_in_check_instrument(factor, accepted):
 
 @pytest.mark.parametrize("factor, accepted", BOUNDARY)
 def test_completeness_atol_in_decoder(factor, accepted):
-    build = lambda: Decoder(
-        output_dim=2,
-        input_dim=2,
-        kraus={"m": (diag_gap(complete_boundary(factor)),)},
-        completion={"m": np.zeros((2, 2))},
-    )
+    # Kraus sqrt(1 + y) |0><0|: P = (1 + y) |0><0|, so ||P^2 - P||_F = y (1 + y)
+    y = factor * COMPLETENESS_ATOL
+    kraus = np.zeros((2, 2), dtype=np.complex128)
+    kraus[0, 0] = math.sqrt(1.0 + y)
+    build = lambda: Decoder(output_dim=2, input_dim=2, kraus={"m": (kraus,)})
     if accepted:
         build()
     else:
-        with pytest.raises(ValueError, match="violates completeness"):
+        with pytest.raises(ValueError, match="not a projector"):
             build()
 
 
 @pytest.mark.parametrize("factor, accepted", BOUNDARY)
 def test_completeness_atol_in_decoder_projector(factor, accepted):
-    # completion diag(1 + y, 0, ...): ||P^2 - P||_F = y (1 + y), unscaled by
-    # the dim, while completeness holds at 8 dims for y = 2 COMPLETENESS_ATOL
+    # sum D^dag D = diag(1 + y, 1, ..., 1): ||P^2 - P||_F = y (1 + y), unscaled
+    # by the dim, so y = 2 COMPLETENESS_ATOL fails at 8 dims too
     y = factor * COMPLETENESS_ATOL
-    completion = np.zeros((8, 8), dtype=np.complex128)
-    completion[0, 0] = 1.0 + y
+    corner = np.zeros((8, 8), dtype=np.complex128)
+    corner[0, 0] = math.sqrt(1.0 + y)
     build = lambda: Decoder(
         output_dim=8,
         input_dim=8,
-        kraus={"m": (np.diag([0.0] + [1.0] * 7),)},
-        completion={"m": completion},
+        kraus={"m": (np.diag([0.0] + [1.0] * 7).astype(np.complex128), corner)},
     )
     if accepted:
         build()
     else:
-        # nan in P breaks completeness first
-        with pytest.raises(ValueError, match="not a projector" if factor == 2.0 else "completeness"):
+        with pytest.raises(ValueError, match="not a projector"):
             build()
-
-
-@pytest.mark.parametrize("factor, accepted", BOUNDARY)
-def test_completeness_atol_in_is_cptp(factor, accepted):
-    kraus = LabeledOperator((("o", 2),), (("i", 2),), diag_gap(complete_boundary(factor)))
-    report = is_cptp(choi_from_kraus([kraus]))
-    assert report.tp == accepted
-    if not math.isnan(factor):
-        assert report.tp_residual == pytest.approx(complete_boundary(factor))
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +265,7 @@ def test_unit_norm_atol_in_codespace(factor, accepted):
 def two_outcome_instance(c: float):
     """One qubit, codeword |0>, one check round with outcomes a and b where
     C_b = c I, a memory that keeps the outcome, and no error."""
-    inst = CheckInstrument(1, INITIAL_MEMORY, {
+    inst = CheckInstrument({
         "a": check_op(1, math.sqrt(1.0 - c * c) * np.eye(2)),
         "b": check_op(1, c * np.eye(2)),
     })
@@ -298,10 +276,7 @@ def two_outcome_instance(c: float):
 
 
 IDENTITY_DECODER = Decoder(
-    output_dim=2,
-    input_dim=2,
-    kraus={"a": (np.eye(2),), "b": (np.eye(2),)},
-    completion={"a": np.zeros((2, 2)), "b": np.zeros((2, 2))},
+    output_dim=2, input_dim=2, kraus={"a": (np.eye(2),), "b": (np.eye(2),)}
 )
 
 
