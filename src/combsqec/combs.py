@@ -144,21 +144,27 @@ def _psd_choi(
 
 
 def _gram_sum(vectors: Iterable[npt.NDArray[np.complex128]], dim: int) -> npt.NDArray[np.complex128]:
-    """Sum of v v^dag over column vectors of length ``dim``.
+    """Sum of v v^dag over at least one column vector of length ``dim``.
 
     Formed as V V^dag, one GEMM per group of at most ``GRAM_VECTORS``
     vectors (the columns of V) and per slice of ``GRAM_ROWS`` rows, so
     neither a full outer product nor a full-size temporary is formed
-    beside the sum.  A group of one vector is the single product v v^dag.
+    beside the sum; the first group's products are written straight into
+    it.  A group of one vector is the single product v v^dag.
     """
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    total = np.empty((dim, dim), dtype=np.complex128)
+    first = True
     vectors = iter(vectors)
     while group := list(itertools.islice(vectors, GRAM_VECTORS)):
         v = np.hstack(group)
         vh = v.conj().T
         for start in range(0, dim, GRAM_ROWS):
             rows = slice(start, start + GRAM_ROWS)
-            total[rows] += v[rows] @ vh
+            if first:
+                np.matmul(v[rows], vh, out=total[rows])
+            else:
+                total[rows] += v[rows] @ vh
+        first = False
     return total
 
 

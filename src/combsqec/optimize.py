@@ -18,9 +18,11 @@ The objective is the entanglement fidelity of the composite logical channel
 against a fixed input state, which is multilinear in the factors.  Its sum
 over classical-memory trajectories is taken by forward and backward
 messages over memory values (see :class:`_Engine`): O(L · max n²) matrix
-products per pass for L rounds of at most n memory values, one pass for the
-objective and one pair of passes for every coefficient of a block family.
-Each coordinate step maximizes the resulting linear functional
+products per pass for L rounds of at most n memory values.  The engine of
+one public call keeps its superoperators and messages, so a coordinate step
+on round r recomputes only the forward messages from round r on and the
+backward messages of the rounds changed since the previous step.  Each
+coordinate step maximizes the resulting linear functional
 Σ_ν Tr(X_ν A_ν) over one family by the Reimpell–Werner fixed-point
 iteration (Reimpell–Werner, PRL 94, 080501, 2005; Fletcher–Shor–Win, PRA
 75, 012338, 2007), whose iterates are CPTP by construction.  So is the
@@ -377,6 +379,15 @@ class _Engine:
     with S_{r,μ,ν} the lifted superoperator of block (r, μ, ν).  Each pass
     costs O(L · max n²) matrix products, against O(∏n_r · L) for the
     trajectory enumeration it replaces.
+
+    An engine lives for one public call and remembers, by array identity,
+    what it computed: each block's S_{r,μ,ν} (see :meth:`_superops`),
+    F_r while the families of rounds ≤ r are unchanged, and B_r while those
+    of rounds > r are.  A call redoes only the messages after the first
+    changed family, forward, or before the last, backward, with the same
+    arithmetic in the same order, so its results equal a fresh engine's
+    bitwise.  :meth:`coefficients` runs the forward pass only up to round
+    r − 1 and the backward pass only down to round r of its targets.
     """
 
     def __init__(
@@ -421,45 +432,85 @@ class _Engine:
             _superop_from_kraus([op.data for op in errors.round_ops(r)])
             for r in error_rounds
         ] + [_trace_env_superop(logical_dim, self.envs[-1])]
+        self._lifted: tuple[dict, dict] = ({}, {})
+        self._fwd: list = []
+        self._bwd: list = []
 
-    def superops(self, state: OptimizationState) -> dict[tuple, np.ndarray]:
-        """Every block's lifted superoperator S_{r,μ,ν}, keyed (r, μ, ν)."""
-        return {
-            (r, mu, nu): _lift_superop(
-                _superop_from_choi(block, d_out, d_in), d_out, d_in, env
-            )
-            for r, (per_round, (d_out, d_in), env) in enumerate(
-                zip(_families(state), self.dims, self.envs)
-            )
-            for mu, blocks in enumerate(per_round)
-            for nu, block in enumerate(blocks)
-        }
+    def _superops(self, state: OptimizationState) -> list:
+        """Every block's lifted superoperator, as ``ops[r][μ][ν]`` = S_{r,μ,ν}.
 
-    def _forward(self, ops: dict[tuple, np.ndarray]) -> list[list[np.ndarray]]:
-        """[F_{−1}, ..., F_{L+1}]: F_r[ν] sums every trajectory prefix through
-        ``after[r]`` that leaves memory value ν."""
-        msgs = [[np.eye(self.dims[0][1] ** 2, dtype=np.complex128)]]
-        for r, after in enumerate(self.after):
-            msgs.append([
-                after @ sum(ops[r, mu, nu] @ f for mu, f in enumerate(msgs[-1]))
+        A superoperator is built once per block array: it is kept, with a
+        reference to the array so that its id is never reused, while the
+        array belongs to one of the last two states passed in, so a step
+        that rejects its candidate finds the incoming family's again.
+        """
+        seen = {**self._lifted[0], **self._lifted[1]}
+        current = {}
+
+        def lifted(block, d_out, d_in, env):
+            hit = seen.get(id(block))
+            if hit is None:
+                s = _superop_from_choi(block, d_out, d_in)
+                hit = (block, _lift_superop(s, d_out, d_in, env))
+            current[id(block)] = hit
+            return hit[1]
+
+        ops = [
+            [[lifted(block, d_out, d_in, env) for block in blocks] for blocks in per_round]
+            for per_round, (d_out, d_in), env in zip(_families(state), self.dims, self.envs)
+        ]
+        self._lifted = (self._lifted[1], current)
+        return ops
+
+    @staticmethod
+    def _messages(cache: list, families: Sequence, rounds: Sequence[int], msgs, step):
+        """The message after ``rounds``, starting from ``msgs``.
+
+        ``cache[k]`` holds round ``rounds[k]``'s families and the message
+        ``step`` made from them; it is reused while every family up to it
+        is the same objects, and the pass is redone from the first round
+        that differs.
+        """
+        for k, r in enumerate(rounds):
+            if k < len(cache) and all(
+                x is y for old, new in zip(cache[k][0], families[r])
+                for x, y in zip(old, new)
+            ):
+                msgs = cache[k][1]
+                continue
+            del cache[k:]
+            msgs = step(r, msgs)
+            cache.append((families[r], msgs))
+        return msgs
+
+    def _forward(self, families: Sequence, ops: list, last: int) -> list[np.ndarray]:
+        """F_last: F_r[ν] sums every trajectory prefix through ``after[r]``
+        that leaves memory value ν; F_{−1} = I."""
+        return self._messages(
+            self._fwd, families, range(last + 1),
+            [np.eye(self.dims[0][1] ** 2, dtype=np.complex128)],
+            lambda r, prev: [
+                self.after[r] @ sum(ops[r][mu][nu] @ f for mu, f in enumerate(prev))
                 for nu in range(self.outgoing[r])
-            ])
-        return msgs
+            ],
+        )
 
-    def _backward(self, ops: dict[tuple, np.ndarray]) -> list[list[np.ndarray]]:
-        """[B_0, ..., B_{L+1}]: B_r[ν] sums every trajectory suffix from
-        ``after[r]`` on that starts from memory value ν."""
-        msgs = [[self.after[-1]]]
-        for r in range(len(self.dims) - 1, 0, -1):
-            msgs.insert(0, [
-                sum(b @ ops[r, mu, nu] for nu, b in enumerate(msgs[0]))
-                @ self.after[r - 1]
+    def _backward(self, families: Sequence, ops: list, first: int) -> list[np.ndarray]:
+        """B_first: B_r[ν] sums every trajectory suffix from ``after[r]`` on
+        that starts from memory value ν; B_{L+1} = after_{L+1}."""
+        return self._messages(
+            self._bwd, families, range(len(self.dims) - 1, first, -1),
+            [self.after[-1]],
+            lambda r, prev: [
+                sum(b @ ops[r][mu][nu] for nu, b in enumerate(prev)) @ self.after[r - 1]
                 for mu in range(self.outgoing[r - 1])
-            ])
-        return msgs
+            ],
+        )
 
     def evaluate(self, state: OptimizationState) -> float:
-        (final,) = self._forward(self.superops(state))[-1]
+        (final,) = self._forward(
+            _families(state), self._superops(state), len(self.dims) - 1
+        )
         return float(np.trace(final @ self.n_coeff).real)
 
     def coefficients(
@@ -467,22 +518,21 @@ class _Engine:
     ) -> list[np.ndarray]:
         """Linear coefficient A of each target block (r, μ, ν): F = Tr(X A) + rest.
 
-        From one forward and one backward pass: the block gets
-        F_{r−1}[μ]·N·B_r[ν] with N the input state's coefficient, contracted
-        over the round's environment leg.
+        The block gets F_{r−1}[μ]·N·B_r[ν] with N the input state's
+        coefficient, contracted over the round's environment leg.
         """
-        ops = self.superops(state)
-        for target in targets:
-            if target not in ops:
-                raise ValueError(f"unknown factor target {target!r}")
-        fwd = self._forward(ops)
-        bwd = self._backward(ops)
+        families = _families(state)
+        for r, mu, nu in targets:
+            if not (0 <= r < len(families) and 0 <= mu < len(families[r])
+                    and 0 <= nu < len(families[r][mu])):
+                raise ValueError(f"unknown factor target {(r, mu, nu)!r}")
+        ops = self._superops(state)
         out = []
         for r, mu, nu in targets:
             d_out, d_in = self.dims[r]
-            b = _contract_env(
-                fwd[r][mu] @ self.n_coeff @ bwd[r][nu], d_out, d_in, self.envs[r]
-            )
+            fwd = self._forward(families, ops, r - 1)[mu]
+            bwd = self._backward(families, ops, r)[nu]
+            b = _contract_env(fwd @ self.n_coeff @ bwd, d_out, d_in, self.envs[r])
             a = _choi_coeff(b, d_out, d_in)
             out.append((a + a.conj().T) / 2.0)
         return out
@@ -665,13 +715,12 @@ def _rw_iterate(
     ρ = Σ_ν Tr_out A_ν X_ν A_ν, as in :func:`_tp_congruence`; the kernel
     of ρ keeps the incoming channel.  On the support, rounding in the
     eigenvalues of ρ leaves a trace-preservation error of order
-    ε·‖ρ‖/λ_min, so a second congruence by the partial trace of the result,
-    which is the identity up to that error, restores trace preservation to
-    rounding.  Reimpell–Werner, PRL 94, 080501 (2005).
+    ε·‖ρ‖/λ_min.  The next iteration recomputes ρ from A X A, so that error
+    does not carry over; :func:`_step` removes it once, from the family it
+    keeps.  Reimpell–Werner, PRL 94, 080501 (2005).
     """
     a = np.asarray(coeffs)
-    out = _tp_congruence(a @ np.asarray(xs) @ a, xs, d_out, d_in)
-    return _tp_congruence(out, xs, d_out, d_in)
+    return _tp_congruence(a @ np.asarray(xs) @ a, xs, d_out, d_in)
 
 
 def _step(
@@ -683,9 +732,11 @@ def _step(
     with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
     family, keeping the best iterate, until ``inner_stall`` iterations in a
     row fail to raise F by more than ``STALL_MARGIN`` or ``inner_steps``
-    iterations have run.  The best family is accepted only if it passes
-    :func:`_family_fault` and its evaluated objective falls no more than
-    ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
+    iterations have run.  The best iterate is made trace preserving to
+    rounding by one more congruence by its partial trace, which is the
+    identity up to the iterate's error.  The family is accepted only if it
+    passes :func:`_family_fault` and its evaluated objective falls no more
+    than ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
     """
     r, mu = _parse_which(which, state)
     config = state.config
@@ -716,6 +767,8 @@ def _step(
             stall += 1
             if stall >= config.inner_stall:
                 break
+    if best_blocks is not blocks:
+        best_blocks = _tp_congruence(best_blocks, blocks, d_out, d_in)
 
     fault = _family_fault(best_blocks, d_out, d_in, r, mu)
     if fault is None:
@@ -782,26 +835,22 @@ def _start_family(
     return tuple(blocks)
 
 
-def initial_state(
+def _engine(
     errors: ErrorModel,
     logical_dim: int,
-    memory_structure: Sequence[int] | None = None,
-    rho: npt.NDArray[np.complex128] | None = None,
-    config: OptimizerConfig | None = None,
-) -> OptimizationState:
-    """Embedding channels mixed with seeded random instruments of weight
-    ``config.perturbation`` (see :func:`_start_family`), CPTP without a
-    projection; the bare embedding start is stationary for some instances.
-    """
-    config = config or OptimizerConfig()
-    ms = tuple(
-        memory_structure
-        if memory_structure is not None
-        else (2,) * errors.rounds
-    )
+    memory_structure: Sequence[int] | None,
+    rho: npt.NDArray[np.complex128] | None,
+) -> _Engine:
+    """The engine of one public call, with its defaults: two memory values
+    per check round and the maximally mixed input state."""
+    ms = memory_structure if memory_structure is not None else (2,) * errors.rounds
     if rho is None:
         rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
-    engine = _Engine(errors, logical_dim, ms, rho)
+    return _Engine(errors, logical_dim, ms, rho)
+
+
+def _initial_state(engine: _Engine, config: OptimizerConfig) -> OptimizationState:
+    """:func:`initial_state` on ``engine``, whose messages it leaves cached."""
     rng = np.random.default_rng(config.seed)
     families = [
         tuple(
@@ -813,14 +862,29 @@ def initial_state(
         )
     ]
     state = OptimizationState(
-        logical_dim=logical_dim,
-        memory_structure=ms,
+        logical_dim=engine.dims[0][1],
+        memory_structure=engine.outgoing[1:-1],
         fidelity=0.0,
         config=config,
         **_state_fields(engine.dims, families),
     )
     f0 = engine.evaluate(state)
     return _updated(state, fidelity=f0, trace=(TraceRecord(0, "init", f0),))
+
+
+def initial_state(
+    errors: ErrorModel,
+    logical_dim: int,
+    memory_structure: Sequence[int] | None = None,
+    rho: npt.NDArray[np.complex128] | None = None,
+    config: OptimizerConfig | None = None,
+) -> OptimizationState:
+    """Embedding channels mixed with seeded random instruments of weight
+    ``config.perturbation`` (see :func:`_start_family`), CPTP without a
+    projection; the bare embedding start is stationary for some instances.
+    """
+    engine = _engine(errors, logical_dim, memory_structure, rho)
+    return _initial_state(engine, config or OptimizerConfig())
 
 
 def _factor_order(state: OptimizationState) -> list[str]:
@@ -848,10 +912,8 @@ def seesaw(
     input state is maximally mixed on the logical space.
     """
     config = config or OptimizerConfig()
-    if rho is None:
-        rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
-    state = initial_state(errors, logical_dim, memory_structure, rho, config)
-    engine = _Engine(errors, logical_dim, state.memory_structure, rho)
+    engine = _engine(errors, logical_dim, memory_structure, rho)
+    state = _initial_state(engine, config)
     order = _factor_order(state)
     best = state
     converged = False

@@ -75,6 +75,11 @@ def _as_subsystems(subsystems: Iterable[tuple[str, int]], side: str) -> Subsyste
     return subs
 
 
+def _labels(subs: Subsystems) -> tuple[str, ...]:
+    """The labels of (label, dim) pairs, in order: the pairs' first column."""
+    return next(zip(*subs), ())
+
+
 def _dims_product(subs: Subsystems) -> int:
     return math.prod(dim for _, dim in subs)
 
@@ -99,12 +104,17 @@ class LabeledOperator:
     row_subsystems: Subsystems
     col_subsystems: Subsystems
     data: npt.NDArray[np.complex128] = field(repr=False)
+    # derived once per operator, here and in _owned
+    row_labels: tuple[str, ...] = field(init=False, repr=False)
+    col_labels: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = _as_subsystems(self.row_subsystems, "row")
         cols = _as_subsystems(self.col_subsystems, "column")
         object.__setattr__(self, "row_subsystems", rows)
         object.__setattr__(self, "col_subsystems", cols)
+        object.__setattr__(self, "row_labels", _labels(rows))
+        object.__setattr__(self, "col_labels", _labels(cols))
         mat = np.asarray(self.data, dtype=np.complex128)
         if mat.ndim == 1:
             mat = mat.reshape(-1, 1)
@@ -124,14 +134,6 @@ class LabeledOperator:
     # ------------------------------------------------------------------
     # shape helpers
     # ------------------------------------------------------------------
-
-    @property
-    def row_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.row_subsystems)
-
-    @property
-    def col_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.col_subsystems)
 
     @property
     def row_dim(self) -> int:
@@ -172,6 +174,8 @@ def _owned(
     op = object.__new__(LabeledOperator)
     object.__setattr__(op, "row_subsystems", rows)
     object.__setattr__(op, "col_subsystems", cols)
+    object.__setattr__(op, "row_labels", _labels(rows))
+    object.__setattr__(op, "col_labels", _labels(cols))
     object.__setattr__(op, "data", data)
     return op
 

@@ -391,6 +391,19 @@ def correlated_errors(seed):
     ))
 
 
+def count_calls(monkeypatch, name):
+    """Count calls of the optimize module's function ``name``."""
+    calls = {"n": 0}
+    original = getattr(optimize, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, name, counted)
+    return calls
+
+
 class TestEngineSums:
     @pytest.mark.parametrize(
         "errs, memory",
@@ -422,20 +435,67 @@ class TestEngineSums:
 
     @pytest.mark.parametrize("which", ["round:1:0", "round:2:1"])
     def test_one_superoperator_build_per_pass(self, monkeypatch, which):
-        builds = {"n": 0}
-        superops = _Engine.superops
-
-        def counted(engine, state):
-            builds["n"] += 1
-            return superops(engine, state)
-
         errs = spacetime_toy_circuit().errors
         state = initial_state(errs, 2, (2, 2), config=OptimizerConfig(seed=0))
-        monkeypatch.setattr(_Engine, "superops", counted)
-        coordinate_step(state, errs, MIXED_QUBIT, which)
-        # the incoming objective, then one build for all of the family's
-        # coefficients and one for the candidate's evaluate
-        assert builds["n"] == 3
+        builds = count_calls(monkeypatch, "_lift_superop")
+        stepped = coordinate_step(state, errs, MIXED_QUBIT, which)
+        # every block once for the incoming objective; the coefficients
+        # reuse them, and the candidate's evaluate builds only its family
+        r, mu = optimize._parse_which(which, state)
+        assert not stepped.rejected_steps
+        assert builds["n"] == len(factor_targets(state)) + len(optimize._families(state)[r][mu])
+
+    @pytest.mark.parametrize("which", ["encoder", "round:1:0", "round:2:1", "decoder:1"])
+    def test_step_builds_one_superoperator_per_block_of_its_family(
+        self, monkeypatch, which
+    ):
+        errs = spacetime_toy_circuit().errors
+        engine = _Engine(errs, 2, (2, 2), MIXED_QUBIT)
+        state = optimize._initial_state(engine, OptimizerConfig(seed=0))
+        builds = count_calls(monkeypatch, "_lift_superop")
+        stepped = optimize._step(engine, state, which, state.fidelity)
+        r, mu = optimize._parse_which(which, state)
+        old = optimize._families(state)[r][mu]
+        new = optimize._families(stepped)[r][mu]
+        assert not any(a is b for a, b in zip(old, new))
+        assert builds["n"] == len(new)
+
+    def test_cached_engine_matches_a_fresh_engine_bitwise(self, monkeypatch):
+        errs = spacetime_toy_circuit().errors
+        fresh = lambda: _Engine(errs, 2, (2, 2), MIXED_QUBIT)
+        engine = fresh()
+        state = optimize._initial_state(engine, OptimizerConfig(seed=1))
+
+        def step(which):
+            nonlocal state
+            state = optimize._step(engine, state, which, state.fidelity)
+            assert state.fidelity == fresh().evaluate(state), which
+
+        for which in ("encoder", "decoder:0", "round:1:0"):
+            step(which)
+        with monkeypatch.context() as patch:
+            # a non-PSD family with unchanged partial traces, rejected
+            # before its evaluation
+            tilt = 0.5 * np.kron(np.diag([1.0, -1.0]), np.eye(8))
+            iterate = optimize._rw_iterate
+            patch.setattr(
+                optimize, "_rw_iterate", lambda *args: [x + tilt for x in iterate(*args)]
+            )
+            step("round:2:1")
+        with monkeypatch.context() as patch:
+            # a feasible family evaluated, then rejected as a regression
+            patch.setattr(optimize, "ACCEPT_MARGIN", -1.0)
+            step("decoder:1")
+        assert [s.split(":")[0] for s in state.rejected_steps] == ["round", "decoder"]
+        for which in ("round:2:1", "decoder:1"):
+            step(which)
+        assert len(state.rejected_steps) == 2
+        assert engine.evaluate(state) == fresh().evaluate(state)
+        targets = factor_targets(state)
+        for cached, new in zip(
+            engine.coefficients(state, targets), fresh().coefficients(state, targets)
+        ):
+            assert (cached == new).all()
 
     def test_unknown_target_rejected(self):
         errs = identity_errors(2, rounds=1)
@@ -793,7 +853,25 @@ class TestReimpellWerner:
                 g = np.kron(np.eye(self.d_out), damp) @ random_matrix(rng, n, n)
                 coeffs.append(g @ g.conj().T)
             out = _rw_iterate(xs, coeffs, self.d_out, self.d_in)
-            assert family_tp_residual(out, self.d_out, self.d_in) <= 1e-12
+            # the iterate's TP error grows with the inverse root; the one
+            # congruence a step applies to the family it keeps removes it
+            kept = _tp_congruence(out, xs, self.d_out, self.d_in)
+            assert family_tp_residual(kept, self.d_out, self.d_in) <= 1e-12
+
+    def test_one_eigh_per_iteration_and_one_per_step(self, monkeypatch):
+        iterations = count_calls(monkeypatch, "_rw_iterate")
+        eighs = {"n": 0}
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            eighs["n"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        out = seesaw(spacetime_toy_circuit().errors, 2, (1, 2), config=OptimizerConfig(seed=0))
+        steps = len(out.trace) - 1
+        assert iterations["n"] > steps > 0
+        assert eighs["n"] <= iterations["n"] + steps
 
     def test_kernel_of_rho_keeps_the_incoming_channel(self):
         n = self.d_out * self.d_in
@@ -917,9 +995,12 @@ class TestSeesaw:
         monkeypatch.setattr(OptimizationState, "_check_feasible", counted_check)
         monkeypatch.setattr(_Engine, "evaluate", counted_evaluate)
         errs = identity_errors(2, rounds=1)
+        engines = count_calls(monkeypatch, "_Engine")
         out = seesaw(errs, 2, (2,), config=OptimizerConfig(seed=0, max_iters=3))
-        # initial_state's public construction is the only validation; then
-        # the initial objective and at most one candidate per step
+        # one engine; initial_state's public construction is the only
+        # validation; then the initial objective and at most one candidate
+        # per step
+        assert engines["n"] == 1
         assert counts["check"] == 1
         assert 1 < counts["evaluate"] <= len(out.trace)
         assert out.fidelity == ent_fidelity(out, errs, MIXED_QUBIT)

@@ -49,6 +49,20 @@ class TestLabeledOperator:
         assert mat.flags.writeable
 
 
+@pytest.mark.parametrize("path", ["constructor", "owned"])
+def test_labels_are_derived_once_per_operator(path):
+    rows, cols = (("a", 2), ("b", 3)), (("c", 3),)
+    a = (
+        op(np.zeros((6, 3)), rows, cols)
+        if path == "constructor"
+        else tensor_product(op(np.zeros((2, 3)), rows[:1], cols), op(np.ones(3), rows[1:], ()))
+    )
+    assert a.row_subsystems == rows
+    assert a.row_labels == ("a", "b") and a.col_labels == ("c",)
+    assert a.row_labels is a.row_labels
+    assert a.col_labels is a.col_labels
+
+
 def _results():
     """One result of every tensor function, from validated operators."""
     rng = rng_for(16)
