@@ -97,6 +97,10 @@ class Decoder:
     codespace.  Per memory, sum of D^dag D must be a projector P (within
     ``COMPLETENESS_ATOL`` of P^2 = P in Frobenius norm); the subspace
     I - P that the listed operators do not cover completes the channel.
+    An empty list is the empty sum P = 0, a projector, so it passes
+    untested and the completion is the identity.  The constructor is the
+    trust boundary: it keeps a read-only complex128 copy of each operator,
+    so the caller's arrays may change afterwards.
     """
 
     output_dim: int
@@ -104,17 +108,27 @@ class Decoder:
     kraus: Mapping[str, tuple[npt.NDArray[np.complex128], ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kraus", {m: tuple(v) for m, v in self.kraus.items()})
+        kraus: dict[str, tuple[npt.NDArray[np.complex128], ...]] = {}
         for m, ops in self.kraus.items():
-            total = np.zeros((self.input_dim, self.input_dim), dtype=np.complex128)
-            for d in ops:
+            try:
+                mats = tuple(np.array(d, dtype=np.complex128) for d in ops)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"decoder Kraus for memory {m!r} is not a complex matrix"
+                ) from exc
+            for d in mats:
                 if d.shape != (self.output_dim, self.input_dim):
                     raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
-                total += d.conj().T @ d
-            if not np.linalg.norm(total @ total - total) <= COMPLETENESS_ATOL:
-                raise ValueError(
-                    f"decoder for memory {m!r}: sum of D^dag D is not a projector"
-                )
+                d.flags.writeable = False
+            if mats:
+                stack = np.concatenate(mats)
+                total = stack.conj().T @ stack
+                if not np.linalg.norm(total @ total - total) <= COMPLETENESS_ATOL:
+                    raise ValueError(
+                        f"decoder for memory {m!r}: sum of D^dag D is not a projector"
+                    )
+            kraus[m] = mats
+        object.__setattr__(self, "kraus", kraus)
 
     def memories(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
@@ -244,7 +258,8 @@ class _Composed:
     ``eps[m][b]``.  These are the Kraus operators of the channel a decoder
     for m acts on: it reads Q_out only, so the outcome sequences the memory
     forgets and the final environment are summed incoherently.  A memory no
-    branch reaches has no branch.
+    branch reaches has no branch: it holds one shared, read-only (0, out, k)
+    stack and empty index arrays, and costs no per-memory work.
     """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
@@ -265,10 +280,14 @@ class _Composed:
         self.eps: dict[str, np.ndarray] = {}
         self.blocks: dict[str, np.ndarray] = {}
         empty = np.zeros(0, dtype=np.intp)
+        no_blocks = np.zeros((0, q, k), dtype=np.complex128)
+        empty.flags.writeable = no_blocks.flags.writeable = False
         for m in self.memories:
-            prefixes, o_of, e_idx, stack = reached.get(
-                m, ([], empty, empty, np.zeros((0, q * env, k), dtype=np.complex128))
-            )
+            if m not in reached:
+                self.row[m] = self.err[m] = self.eps[m] = empty
+                self.blocks[m] = no_blocks
+                continue
+            prefixes, o_of, e_idx, stack = reached[m]
             position = {o: i for i, o in enumerate(self.outcomes[m])}
             row = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
             n = len(stack)
@@ -624,7 +643,7 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
     sqrt(code_dim), is one block.  The polar isometry of the blocks'
     horizontal stack keeps correctable instances exact and turns
     near-orthonormal stacks into valid Kraus sets; with no block the memory
-    gets no Kraus operator.  With
+    gets no Kraus operator, and no SVD runs.  With
     ``uniform`` a block whose column norms are not uniform across codewords
     raises (a Schmidt-rank inconsistency: the sector's state is not a
     product).
@@ -633,6 +652,9 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
     kraus: dict[str, tuple[np.ndarray, ...]] = {}
     for m, (_, _, spectrum, vectors) in sectors.items():
         keep = spectrum > WEIGHT_CUTOFF
+        if not keep.any():
+            kraus[m] = ()
+            continue
         q, u = spectrum[keep], vectors[:, keep].reshape(out, k, -1)
         if uniform:
             # column norms of each block, weighted by its eigenvalue

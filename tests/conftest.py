@@ -1,5 +1,7 @@
 """Shared fixtures and seeded random constructions for the test suite."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,27 @@ def unchecked_errors(kraus_rounds) -> ErrorModel:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch) -> collections.Counter:
+    """Calls of each ``np.linalg`` function during the test, by name.
+
+    Only calls looked up on ``np.linalg``, as the package makes them, are
+    counted; numpy's own internal calls are not.
+    """
+    calls: collections.Counter = collections.Counter()
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if isinstance(real, type):
+            continue
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 PAULI = {

@@ -1183,6 +1183,58 @@ class TestDecoderType:
                 kraus={INITIAL_MEMORY: (np.eye(2) / math.sqrt(2.0),)},
             )
 
+    def test_list_kraus_is_stored_as_a_complex_matrix(self):
+        dec = Decoder(output_dim=2, input_dim=2, kraus={"": ([[1, 0], [0, 1]],)})
+        (d,) = dec.kraus[""]
+        assert d.dtype == np.complex128 and np.array_equal(d, np.eye(2))
+
+    def test_object_dtype_kraus(self):
+        # numbers held as objects convert; anything else names its memory
+        numbers = np.array([[1, 0], [0, 1]], dtype=object)
+        dec = Decoder(output_dim=2, input_dim=2, kraus={"m": (numbers,)})
+        assert dec.kraus["m"][0].dtype == np.complex128
+        for bad in (np.array([[{}, 0], [0, 1]], dtype=object), [[1, 0], [0]]):
+            with pytest.raises(ValueError, match="memory 'm' is not a complex matrix"):
+                Decoder(output_dim=2, input_dim=2, kraus={"m": (bad,)})
+        # None converts to nan, which no projector test passes
+        with pytest.raises(ValueError, match="memory 'm': sum of D"):
+            Decoder(
+                output_dim=2,
+                input_dim=2,
+                kraus={"m": (np.array([[None, 0], [0, 1]], dtype=object),)},
+            )
+
+    def test_kraus_are_read_only_copies(self):
+        k = np.eye(2, dtype=np.complex128)
+        dec = Decoder(output_dim=2, input_dim=2, kraus={"": (k,)})
+        k[0, 0] = 5
+        stored = dec.kraus[""][0]
+        assert stored[0, 0] == 1
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 5
+
+    def test_empty_list_passes_beside_a_rejected_non_projector(self):
+        # an empty list is P = 0, a projector, and is not tested
+        dec = Decoder(output_dim=2, input_dim=2, kraus={"a": (), "b": (np.eye(2),)})
+        assert dec.kraus["a"] == ()
+        with pytest.raises(ValueError, match="memory 'b': sum of D\\^dag D is not a projector"):
+            Decoder(output_dim=2, input_dim=2, kraus={"a": (), "b": (2.0 * np.eye(2),)})
+
+    def test_hexagon_projector_test_runs_once_per_memory_with_a_kraus_list(
+        self, linalg_calls
+    ):
+        # 4 of the 64 memories carry weight; the others get an empty list,
+        # which costs no norm and no SVD
+        inst = hexagon_honeycomb()
+        for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
+            synth(inst.code, inst.errors)  # builds the table and its products
+            linalg_calls.clear()
+            dec = synth(inst.code, inst.errors)
+            assert len(dec.kraus) == 64
+            assert sum(1 for ops in dec.kraus.values() if ops) == 4
+            assert linalg_calls["norm"] == 4, synth
+            assert linalg_calls["svd"] == 4, synth
+
 
 class TestSynthesis:
     def test_rejects_not_correctable(self):
@@ -1433,6 +1485,48 @@ class TestVerifyRecovery:
             assert sum(table.values()) == pytest.approx(
                 report.total_weights[idx], abs=1e-9
             )
+
+
+class TestHexagonEmptyMemories:
+    """Hexagon has 64 final memories: branches reach 8, and 4 carry weight."""
+
+    def test_unreached_memories_hold_an_empty_read_only_stack(self):
+        inst = hexagon_honeycomb()
+        comp = conditions._composed(inst.code, inst.errors)
+        unreached = [m for m in comp.memories if not len(comp.blocks[m])]
+        assert len(comp.memories) == 64 and len(unreached) == 56
+        for m in unreached:
+            blocks = comp.blocks[m]
+            assert blocks is comp.blocks[unreached[0]]
+            assert blocks.shape == (0, comp.out_dim, comp.code_dim)
+            assert blocks.dtype == np.complex128 and not blocks.flags.writeable
+            for index in (comp.row[m], comp.err[m], comp.eps[m]):
+                assert index.shape == (0,) and index.dtype == np.intp
+                assert not index.flags.writeable
+            assert comp.support(m) == ()
+
+    def test_decoders_skip_unreached_and_rounding_only_memories(self):
+        # 60 memories get no Kraus operator: the 56 no branch reaches, and
+        # 4 reached ones whose ~1e-17 blocks give no Schmidt weight above
+        # WEIGHT_CUTOFF; each of the other 4 gets 2
+        inst = hexagon_honeycomb()
+        comp = conditions._composed(inst.code, inst.errors)
+        sectors = comp.product("schmidt", conditions._schmidt_sectors)
+        unreached = {m for m in comp.memories if not len(comp.blocks[m])}
+        rounding = {
+            m for m in comp.memories
+            if m not in unreached and np.max(sectors[m][2]) <= WEIGHT_CUTOFF
+        }
+        assert len(rounding) == 4
+        for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
+            dec = synth(inst.code, inst.errors)
+            empty = {m for m, ops in dec.kraus.items() if not ops}
+            assert empty == unreached | rounding, synth
+            weighted = [ops for ops in dec.kraus.values() if ops]
+            assert len(weighted) == 4
+            for ops in weighted:
+                assert len(ops) == 2
+                assert all(d.shape == (comp.basis.shape[0], comp.out_dim) for d in ops)
 
 
 class TestTableDims:

@@ -132,19 +132,13 @@ class TestProjection:
         twice = _project_cptp_array(once, 2, 2)
         assert np.linalg.norm(twice - once) < 1e-8
 
-    def test_one_eigh_per_sweep_no_diagnostics(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(np.linalg, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_one_eigh_per_sweep_no_diagnostics(self, linalg_calls):
         rng = rng_for(4)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = (g + g.conj().T) / 2
         _project_cptp_array(h, 2, 4)
-        sweeps = calls["eigh"]
-        assert calls["eigvalsh"] == 0
+        sweeps = linalg_calls["eigh"]
+        assert linalg_calls["eigvalsh"] == 0
         # converging in exactly that many sweeps: one eigh per sweep
         _project_cptp_array(h, 2, 4, sweeps=sweeps)
         with pytest.raises(ValueError):
@@ -858,20 +852,12 @@ class TestReimpellWerner:
             kept = _tp_congruence(out, xs, self.d_out, self.d_in)
             assert family_tp_residual(kept, self.d_out, self.d_in) <= 1e-12
 
-    def test_one_eigh_per_iteration_and_one_per_step(self, monkeypatch):
+    def test_one_eigh_per_iteration_and_one_per_step(self, monkeypatch, linalg_calls):
         iterations = count_calls(monkeypatch, "_rw_iterate")
-        eighs = {"n": 0}
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            eighs["n"] += 1
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         out = seesaw(spacetime_toy_circuit().errors, 2, (1, 2), config=OptimizerConfig(seed=0))
         steps = len(out.trace) - 1
         assert iterations["n"] > steps > 0
-        assert eighs["n"] <= iterations["n"] + steps
+        assert linalg_calls["eigh"] <= iterations["n"] + steps
 
     def test_kernel_of_rho_keeps_the_incoming_channel(self):
         n = self.d_out * self.d_in
