@@ -549,7 +549,8 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
     singular value, so the branches suffice.  Memories with as many
     branches share one stacked SVD call.
     ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
-    ``deficit`` is None at or below the weight floor.
+    ``deficit`` is None at or below the weight floor and nan for a
+    non-finite weight (an overflowed branch).
     """
     k, out = comp.code_dim, comp.out_dim
     log_k = math.log2(k)
@@ -568,7 +569,9 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
             spectrum = s_rq[g] ** 2 / k
             p = float(np.sum(spectrum))
             deficit = None
-            if p > P_FLOOR:
+            if not math.isfinite(p):
+                deficit = math.nan
+            elif p > P_FLOOR:
                 deficit = (
                     log_k
                     + _spectrum_bits(spectrum / p)
@@ -595,9 +598,10 @@ def check_info(
     the memory of largest deficit, the first in sorted order among deficits
     that tie exactly; rounding may split deficits that tie in exact
     arithmetic (sectors related by a symmetry), so of those either may be
-    named.  With no
-    sector above the floor the channel is empty, and the verdict is the
-    algebraic checker's: correctable, deficit 0, no witness.
+    named.  A sector whose weight is not finite (its branches overflowed)
+    has deficit nan, which is not correctable and outranks any number.
+    With no sector above the floor the channel is empty, and the verdict is
+    the algebraic checker's: correctable, deficit 0, no witness.
 
     Each sector's state on (R, O, E, Q_out) is pure, the final environment
     sitting in E with the error sequence, so S(RME) = S(Q_out) and
@@ -613,10 +617,13 @@ def check_info(
 def _info_report(sectors: dict[str, tuple], tol: float | None) -> ConditionReport:
     """Verdict on the sectors above the floor, at ``tol`` bits (default
     ``MI_TOL_BITS``); with none, that of an empty channel, as in
-    :func:`_algebraic_sweep`: deficit 0 and no witness."""
+    :func:`_algebraic_sweep`: deficit 0 and no witness.  A nan deficit is
+    the witness over any number, the first nan in sector order."""
     tol = MI_TOL_BITS if tol is None else tol
     table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
-    witness = max(table, key=table.__getitem__, default=None)
+    witness = max(
+        table, key=lambda m: (math.isnan(table[m]), table[m]), default=None
+    )
     worst = float(table.get(witness, 0.0))
     return ConditionReport(
         worst_residual=worst,

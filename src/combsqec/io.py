@@ -472,7 +472,8 @@ class _Slots:
     ``matrices`` table: each entry is decoded once, at the shape implied by
     its first reference (so a sparse ``shape`` is still checked before
     allocation), and every later reference checks its own implied shape.
-    Each round operator is built once per (builder, round, index).
+    Operators are not kept: a round's memories that list the same entries
+    share one instrument (see :func:`_parse_interrogator`).
     """
 
     def __init__(self, doc: Mapping[str, Any], version: int):
@@ -481,14 +482,11 @@ class _Slots:
         if version >= 3:
             self.table = _get(doc, "matrices", "", list, "a list of matrices")
         self.decoded: dict[int, npt.NDArray[np.complex128]] = {}
-        self.ops: dict[tuple[Any, ...], LabeledOperator] = {}
 
-    def matrix(
-        self, obj: Any, path: str, shape: Shape
-    ) -> tuple[npt.NDArray[np.complex128], int | None]:
-        """The slot's matrix and its table index (None when inline)."""
+    def matrix(self, obj: Any, path: str, shape: Shape) -> npt.NDArray[np.complex128]:
+        """The slot's matrix, checked at ``shape``."""
         if self.version < 3:
-            return decode_matrix(obj, path, self.version, shape), None
+            return decode_matrix(obj, path, self.version, shape)
         if type(obj) is not int:
             raise ParseError(path, "expected an integer index into matrices")
         if not 0 <= obj < len(self.table):
@@ -505,31 +503,7 @@ class _Slots:
                 _check_shape(mat.shape, f"matrices[{obj}]", shape)
         except ParseError as exc:
             raise ParseError(path, str(exc)) from exc
-        return mat, obj
-
-    def operator(
-        self,
-        obj: Any,
-        path: str,
-        shape: Shape,
-        build: Callable[..., LabeledOperator],
-        r: int,
-        *dims: int,
-    ) -> LabeledOperator:
-        """The round operator ``build(r, mat, *dims)`` of the slot's matrix;
-        a rejection (indivisible dims, the dense cap) is a
-        :class:`ParseError` at ``path``."""
-        mat, index = self.matrix(obj, path, shape)
-        key = (build, r, index)
-        op = self.ops.get(key)  # never stored for an inline matrix
-        if op is None:
-            try:
-                op = build(r, mat, *dims)
-            except ValueError as exc:
-                raise ParseError(path, str(exc)) from exc
-            if index is not None:
-                self.ops[key] = op
-        return op
+        return mat
 
     def require_referenced(self) -> None:
         """Reject a table entry that no slot references: it was never
@@ -539,13 +513,28 @@ class _Slots:
                 raise ParseError(f"matrices[{k}]", "not referenced by any slot")
 
 
+def _operator(
+    path: str,
+    build: Callable[..., LabeledOperator],
+    r: int,
+    mat: npt.NDArray[np.complex128],
+    *dims: int,
+) -> LabeledOperator:
+    """``build(r, mat, *dims)``; a rejection (indivisible dims, the dense
+    cap) is a :class:`ParseError` at ``path``."""
+    try:
+        return build(r, mat, *dims)
+    except ValueError as exc:
+        raise ParseError(path, str(exc)) from exc
+
+
 def _parse_codespace(doc: Mapping[str, Any], slots: _Slots) -> CodeSpace:
     dims = _get(doc, "dims", "", Mapping, "an object")
     ambient = _get(dims, "ambient", "dims", int, "an integer")
     code_dim = _get(dims, "code", "dims", int, "an integer")
     cs = _get(doc, "codespace", "", Mapping, "an object")
     basis_obj = _get(cs, "basis", "codespace", object, "a matrix")
-    basis, _ = slots.matrix(basis_obj, "codespace.basis", (ambient, code_dim))
+    basis = slots.matrix(basis_obj, "codespace.basis", (ambient, code_dim))
     try:
         return CodeSpace(ambient, basis)
     except ValueError as exc:
@@ -558,7 +547,8 @@ def _parse_interrogator(
     """The interrogator; round 1 reads the ambient space, and every matrix
     of a round has the shape of the round's first.  Memories of a round
     whose outcomes reference the same table entries, in the same order,
-    share one instrument."""
+    share one instrument, built and validated at the first of them; every
+    slot is still resolved, and so checked, at its own path."""
     inter = _get(doc, "interrogator", "", Mapping, "an object")
     rounds_obj = _get(inter, "rounds", "interrogator", list, "a list")
     instruments = []
@@ -576,16 +566,21 @@ def _parse_interrogator(
             mpath = f"{path}.instruments[{memory!r}]"
             if not isinstance(outcomes_obj, Mapping) or not outcomes_obj:
                 raise ParseError(mpath, "expected outcome -> matrix entries")
-            kraus = {}
+            mats = {}
             for outcome, mat_obj in outcomes_obj.items():
-                opath = f"{mpath}[{outcome!r}]"
-                kraus[outcome] = slots.operator(mat_obj, opath, shape, check_op, r)
-                shape = kraus[outcome].data.shape
-            # table indices (version 3); inline matrices get an instrument of their own
+                mats[outcome] = slots.matrix(mat_obj, f"{mpath}[{outcome!r}]", shape)
+                shape = mats[outcome].shape
+            # table indices (version 3), each one :meth:`_Slots.matrix` took
+            # as an int, so True cannot stand for 1; inline matrices get an
+            # instrument of their own
             key = tuple(outcomes_obj.items()) if slots.version >= 3 else None
             if key in shared:
                 by_memory[memory] = shared[key]
                 continue
+            kraus = {
+                outcome: _operator(f"{mpath}[{outcome!r}]", check_op, r, mat)
+                for outcome, mat in mats.items()
+            }
             try:
                 by_memory[memory] = CheckInstrument(kraus)
             except ValueError as exc:
@@ -645,10 +640,9 @@ def _parse_errors(
         ops = []
         for k, mat_obj in enumerate(kraus_obj):
             kpath = f"{path}.kraus[{k}]"
-            ops.append(
-                slots.operator(mat_obj, kpath, shape, error_op, r, env_in, env_out)
-            )
-            shape = ops[-1].data.shape
+            mat = slots.matrix(mat_obj, kpath, shape)
+            ops.append(_operator(kpath, error_op, r, mat, env_in, env_out))
+            shape = mat.shape
         kraus_rounds.append(tuple(ops))
         env_in = env_out
     try:

@@ -182,7 +182,8 @@ class CheckInstrument:
                 raise ValueError(
                     f"outcome {outcome!r} signature differs within the instrument"
                 )
-        total = sum(op.data.conj().T @ op.data for op in self.kraus.values())
+        stack = np.concatenate([op.data for op in self.kraus.values()])
+        total = stack.conj().T @ stack
         if completeness_violation(total, COMPLETENESS_ATOL) is not None:
             raise ValueError("instrument is not complete: sum of C^dag C != I")
 
@@ -375,7 +376,8 @@ class ErrorModel:
                     )
             if self.require_trace_nonincreasing:
                 # the PSD test fails closed on a non-finite entry
-                total = sum(op.data.conj().T @ op.data for op in ops)
+                stack = np.concatenate([op.data for op in ops])
+                total = stack.conj().T @ stack
                 gap = np.eye(first.col_dim) - total
                 if psd_violation(gap, relative_threshold(PSD_RTOL, total)) is not None:
                     raise ValueError(

@@ -19,16 +19,16 @@ against a fixed input state, which is multilinear in the factors.  Its sum
 over classical-memory trajectories is taken by forward and backward
 messages over memory values (see :class:`_Engine`): O(L · max n²) matrix
 products per pass for L rounds of at most n memory values.  The engine of
-one public call keeps its superoperators and messages, so a coordinate step
-on round r recomputes only the forward messages from round r on and the
-backward messages of the rounds changed since the previous step.  Each
-coordinate step maximizes the resulting linear functional
-Σ_ν Tr(X_ν A_ν) over one family by the Reimpell–Werner fixed-point
-iteration (Reimpell–Werner, PRL 94, 080501, 2005; Fletcher–Shor–Win, PRA
-75, 012338, 2007), whose iterates are CPTP by construction.  So is the
-start (see :func:`initial_state`): the optimizer never projects, and
-:func:`project_cptp`, Dykstra's projection onto the CPTP set, is a public
-utility only.
+one public call keeps its messages, so a coordinate step on round r
+recomputes only the forward messages from round r on and the backward
+messages of the rounds changed since the previous step, and builds the
+superoperators of those rounds only.  Each coordinate step maximizes the
+resulting linear functional Σ_ν Tr(X_ν A_ν) over one family by the
+Reimpell–Werner fixed-point iteration (Reimpell–Werner, PRL 94, 080501,
+2005; Fletcher–Shor–Win, PRA 75, 012338, 2007), whose iterates are CPTP by
+construction.  So is the start (see :func:`initial_state`): the optimizer
+never projects, and :func:`project_cptp`, Dykstra's projection onto the
+CPTP set, is a public utility only.
 
 Everything here works on plain square arrays in the row-major Choi
 convention (output leg first); the labeled-operator layer is only touched
@@ -381,13 +381,14 @@ class _Engine:
     trajectory enumeration it replaces.
 
     An engine lives for one public call and remembers, by array identity,
-    what it computed: each block's S_{r,μ,ν} (see :meth:`_superops`),
-    F_r while the families of rounds ≤ r are unchanged, and B_r while those
-    of rounds > r are.  A call redoes only the messages after the first
-    changed family, forward, or before the last, backward, with the same
-    arithmetic in the same order, so its results equal a fresh engine's
-    bitwise.  :meth:`coefficients` runs the forward pass only up to round
-    r − 1 and the backward pass only down to round r of its targets.
+    the messages it computed: F_r while the families of rounds ≤ r are
+    unchanged, and B_r while those of rounds > r are.  A call redoes only
+    the messages after the first changed family, forward, or before the
+    last, backward, with the same arithmetic in the same order, so its
+    results equal a fresh engine's bitwise.  Each redone message builds the
+    S_{r,μ,ν} of its own round and keeps none (see :meth:`_messages`).
+    :meth:`coefficients` runs the forward pass only up to round r − 1 and
+    the backward pass only down to round r of its targets.
     """
 
     def __init__(
@@ -432,44 +433,19 @@ class _Engine:
             _superop_from_kraus([op.data for op in errors.round_ops(r)])
             for r in error_rounds
         ] + [_trace_env_superop(logical_dim, self.envs[-1])]
-        self._lifted: tuple[dict, dict] = ({}, {})
         self._fwd: list = []
         self._bwd: list = []
 
-    def _superops(self, state: OptimizationState) -> list:
-        """Every block's lifted superoperator, as ``ops[r][μ][ν]`` = S_{r,μ,ν}.
-
-        A superoperator is built once per block array: it is kept, with a
-        reference to the array so that its id is never reused, while the
-        array belongs to one of the last two states passed in, so a step
-        that rejects its candidate finds the incoming family's again.
-        """
-        seen = {**self._lifted[0], **self._lifted[1]}
-        current = {}
-
-        def lifted(block, d_out, d_in, env):
-            hit = seen.get(id(block))
-            if hit is None:
-                s = _superop_from_choi(block, d_out, d_in)
-                hit = (block, _lift_superop(s, d_out, d_in, env))
-            current[id(block)] = hit
-            return hit[1]
-
-        ops = [
-            [[lifted(block, d_out, d_in, env) for block in blocks] for blocks in per_round]
-            for per_round, (d_out, d_in), env in zip(_families(state), self.dims, self.envs)
-        ]
-        self._lifted = (self._lifted[1], current)
-        return ops
-
-    @staticmethod
-    def _messages(cache: list, families: Sequence, rounds: Sequence[int], msgs, step):
+    def _messages(
+        self, cache: list, families: Sequence, rounds: Sequence[int], msgs, step
+    ):
         """The message after ``rounds``, starting from ``msgs``.
 
         ``cache[k]`` holds round ``rounds[k]``'s families and the message
         ``step`` made from them; it is reused while every family up to it
         is the same objects, and the pass is redone from the first round
-        that differs.
+        that differs.  ``step`` gets the round's lifted superoperators, as
+        ``ops[μ][ν]`` = S_{r,μ,ν}, built for it and then dropped.
         """
         for k, r in enumerate(rounds):
             if k < len(cache) and all(
@@ -479,38 +455,42 @@ class _Engine:
                 msgs = cache[k][1]
                 continue
             del cache[k:]
-            msgs = step(r, msgs)
+            (d_out, d_in), env = self.dims[r], self.envs[r]
+            ops = [
+                [_lift_superop(_superop_from_choi(b, d_out, d_in), d_out, d_in, env)
+                 for b in blocks]
+                for blocks in families[r]
+            ]
+            msgs = step(r, ops, msgs)
             cache.append((families[r], msgs))
         return msgs
 
-    def _forward(self, families: Sequence, ops: list, last: int) -> list[np.ndarray]:
+    def _forward(self, families: Sequence, last: int) -> list[np.ndarray]:
         """F_last: F_r[ν] sums every trajectory prefix through ``after[r]``
         that leaves memory value ν; F_{−1} = I."""
         return self._messages(
             self._fwd, families, range(last + 1),
             [np.eye(self.dims[0][1] ** 2, dtype=np.complex128)],
-            lambda r, prev: [
-                self.after[r] @ sum(ops[r][mu][nu] @ f for mu, f in enumerate(prev))
+            lambda r, ops, prev: [
+                self.after[r] @ sum(ops[mu][nu] @ f for mu, f in enumerate(prev))
                 for nu in range(self.outgoing[r])
             ],
         )
 
-    def _backward(self, families: Sequence, ops: list, first: int) -> list[np.ndarray]:
+    def _backward(self, families: Sequence, first: int) -> list[np.ndarray]:
         """B_first: B_r[ν] sums every trajectory suffix from ``after[r]`` on
         that starts from memory value ν; B_{L+1} = after_{L+1}."""
         return self._messages(
             self._bwd, families, range(len(self.dims) - 1, first, -1),
             [self.after[-1]],
-            lambda r, prev: [
-                sum(b @ ops[r][mu][nu] for nu, b in enumerate(prev)) @ self.after[r - 1]
+            lambda r, ops, prev: [
+                sum(b @ ops[mu][nu] for nu, b in enumerate(prev)) @ self.after[r - 1]
                 for mu in range(self.outgoing[r - 1])
             ],
         )
 
     def evaluate(self, state: OptimizationState) -> float:
-        (final,) = self._forward(
-            _families(state), self._superops(state), len(self.dims) - 1
-        )
+        (final,) = self._forward(_families(state), len(self.dims) - 1)
         return float(np.trace(final @ self.n_coeff).real)
 
     def coefficients(
@@ -526,12 +506,11 @@ class _Engine:
             if not (0 <= r < len(families) and 0 <= mu < len(families[r])
                     and 0 <= nu < len(families[r][mu])):
                 raise ValueError(f"unknown factor target {(r, mu, nu)!r}")
-        ops = self._superops(state)
         out = []
         for r, mu, nu in targets:
             d_out, d_in = self.dims[r]
-            fwd = self._forward(families, ops, r - 1)[mu]
-            bwd = self._backward(families, ops, r)[nu]
+            fwd = self._forward(families, r - 1)[mu]
+            bwd = self._backward(families, r)[nu]
             b = _contract_env(fwd @ self.n_coeff @ bwd, d_out, d_in, self.envs[r])
             a = _choi_coeff(b, d_out, d_in)
             out.append((a + a.conj().T) / 2.0)

@@ -87,6 +87,22 @@ def vanishing_instance(path):
     return path
 
 
+def overflow_instance(path):
+    """One qubit, both codewords and one one-outcome check round between
+    two error rounds of 1e200 times the identity, admitted with the trace
+    check off: every branch product overflows, so no weight is finite."""
+    interro = Interrogator(
+        ({"": CheckInstrument({"a": check_op(1, np.eye(2))})},),
+        MemoryUpdate(({("a", ""): "m"},)),
+    )
+    errors = ErrorModel(
+        ((error_op(0, 1e200 * np.eye(2)),), (error_op(1, 1e200 * np.eye(2)),)),
+        require_trace_nonincreasing=False,
+    )
+    export_instance(StrategicCode(CodeSpace(2, np.eye(2)), interro), errors, path)
+    return path
+
+
 def export_pair(code_errors, path):
     export_instance(*code_errors, path)
     return path
@@ -178,6 +194,19 @@ class TestCheck:
         if method != "algebraic":
             assert payload["info"]["worst_deficit_bits"] == 0.0
             assert payload["info"]["deficit_bits"] == {}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["algebraic", "info", "both"])
+    def test_overflowed_branches_are_not_correctable(self, runner, tmp_path, method):
+        # the algebraic residual and the sector's deficit are both nan, and
+        # nan passes no tolerance: no checker reads the sector as empty
+        res = runner.invoke(
+            main,
+            ["check", overflow_instance(str(tmp_path / "c.json")), "--method", method],
+        )
+        assert res.exit_code == 1, res.output
+        assert "NOT CORRECTABLE" in res.output.splitlines()
+        assert "bug in the tool" not in res.output
 
     def test_single_method_runs_only_that_checker(self, runner, exported):
         res = runner.invoke(

@@ -1144,6 +1144,17 @@ class TestCheckInfo:
             info = check_info(code, errors)
             assert alg.correctable == info.correctable, seed
 
+    @pytest.mark.parametrize("order", ["abc", "cab", "bca"])
+    def test_nan_deficit_is_the_witness_wherever_it_stands(self, order):
+        # a sector whose weight overflowed has a nan deficit; it must not
+        # lose the witness to a number that stands before it
+        deficits = {"a": 0.5, "b": math.nan, "c": 0.7}
+        sectors = {m: (1.0, deficits[m], None, None) for m in order}
+        report = conditions._info_report(sectors, None)
+        assert not report.correctable
+        assert math.isnan(report.worst_residual)
+        assert report.witness == ("b",)
+
 
 class TestSyndromeWindow:
     @pytest.mark.parametrize("last_only,correctable", [(False, True), (True, False)])

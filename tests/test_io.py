@@ -613,6 +613,39 @@ class TestMatrixTable:
             "instrument is not complete: sum of C^dag C != I"
         )
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "expected an integer index into matrices"),
+            (1.0, "expected an integer index into matrices"),
+            (7, "matrix index 7 out of range 4"),
+        ],
+    )
+    def test_shared_entries_resolved_at_each_memory(self, tmp_path, bad, message):
+        # memory 'y' lists memory 'x''s entries but for one index; True == 1.0
+        # == 1 as a dict key, so only resolving the slot itself rejects them
+        doc = {
+            "schema_version": 3,
+            "dims": {"ambient": 2, "code": 1},
+            "codespace": {"basis": 0},
+            "interrogator": {"rounds": [
+                {"instruments": {"": {"a": 2, "b": 3}},
+                 "update": {"a": {"": "x"}, "b": {"": "y"}}},
+                {"instruments": {"x": {"c": 1}, "y": {"c": 1}},
+                 "update": {"c": {"x": "z", "y": "z"}}},
+            ]},
+            "error_model": {"rounds": [{"kraus": [1]}] * 3},
+            "matrices": [
+                encode_matrix(np.eye(2)[:, :1]), encode_matrix(np.eye(2)),
+                encode_matrix(np.diag([1.0, 0.0])), encode_matrix(np.diag([0.0, 1.0])),
+            ],
+        }
+        load_instance(write_doc(tmp_path, doc))
+        doc["interrogator"]["rounds"][1]["instruments"]["y"]["c"] = bad
+        with pytest.raises(ParseError) as info:
+            load_instance(write_doc(tmp_path, doc))
+        assert str(info.value) == f"interrogator.rounds[1].instruments['y']['c']: {message}"
+
 
 class TestDiagnostics:
     def test_invalid_json(self, tmp_path):

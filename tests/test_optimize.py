@@ -427,17 +427,43 @@ class TestEngineSums:
                 err = np.linalg.norm(a - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), target
 
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Log the round of every message a pass recomputes, and count the
+        lifted superoperators built meanwhile."""
+        builds = count_calls(monkeypatch, "_lift_superop")
+        recomputed = []
+        messages = _Engine._messages
+
+        def logged(self, cache, families, rounds, msgs, step):
+            def counted(r, ops, prev):
+                recomputed.append(r)
+                return step(r, ops, prev)
+            return messages(self, cache, families, rounds, msgs, counted)
+
+        monkeypatch.setattr(_Engine, "_messages", logged)
+        return recomputed, builds
+
+    @staticmethod
+    def blocks_in(state, rounds):
+        families = optimize._families(state)
+        return sum(len(f) for r in rounds for f in families[r])
+
     @pytest.mark.parametrize("which", ["round:1:0", "round:2:1"])
     def test_one_superoperator_build_per_pass(self, monkeypatch, which):
         errs = spacetime_toy_circuit().errors
         state = initial_state(errs, 2, (2, 2), config=OptimizerConfig(seed=0))
-        builds = count_calls(monkeypatch, "_lift_superop")
+        recomputed, builds = self.record_passes(monkeypatch)
         stepped = coordinate_step(state, errs, MIXED_QUBIT, which)
-        # every block once for the incoming objective; the coefficients
-        # reuse them, and the candidate's evaluate builds only its family
-        r, mu = optimize._parse_which(which, state)
+        # a fresh engine: every round forward for the incoming objective, the
+        # backward messages after round r for the coefficients, and the
+        # candidate's forward messages from r on; each pass builds every
+        # block it visits once
+        r, _ = optimize._parse_which(which, state)
+        last = len(optimize._families(state)) - 1
         assert not stepped.rejected_steps
-        assert builds["n"] == len(factor_targets(state)) + len(optimize._families(state)[r][mu])
+        assert recomputed == [*range(last + 1), *range(last, r, -1), *range(r, last + 1)]
+        assert builds["n"] == self.blocks_in(stepped, recomputed)
 
     @pytest.mark.parametrize("which", ["encoder", "round:1:0", "round:2:1", "decoder:1"])
     def test_step_builds_one_superoperator_per_block_of_its_family(
@@ -446,13 +472,37 @@ class TestEngineSums:
         errs = spacetime_toy_circuit().errors
         engine = _Engine(errs, 2, (2, 2), MIXED_QUBIT)
         state = optimize._initial_state(engine, OptimizerConfig(seed=0))
-        builds = count_calls(monkeypatch, "_lift_superop")
+        recomputed, builds = self.record_passes(monkeypatch)
         stepped = optimize._step(engine, state, which, state.fidelity)
+        # the forward messages are kept from the initial evaluation: only the
+        # backward ones after round r and the forward ones from r on are redone
         r, mu = optimize._parse_which(which, state)
+        last = len(optimize._families(state)) - 1
         old = optimize._families(state)[r][mu]
         new = optimize._families(stepped)[r][mu]
         assert not any(a is b for a, b in zip(old, new))
-        assert builds["n"] == len(new)
+        assert recomputed == [*range(last, r, -1), *range(r, last + 1)]
+        assert builds["n"] == self.blocks_in(stepped, recomputed)
+
+    def test_steps_build_superoperators_only_for_recomputed_messages(self, monkeypatch):
+        errs = spacetime_toy_circuit().errors
+        engine = _Engine(errs, 2, (2, 2), MIXED_QUBIT)
+        state = optimize._initial_state(engine, OptimizerConfig(seed=0))
+        recomputed, builds = self.record_passes(monkeypatch)
+        # coefficients: the backward messages after round r not kept from an
+        # earlier step; the candidate's evaluate: the forward ones from r on
+        for which, rounds in [
+            ("round:2:1", [3, 2, 3]),
+            ("encoder", [2, 1, 0, 1, 2, 3]),
+            ("decoder:1", [3]),
+            ("round:1:0", [3, 2, 1, 2, 3]),
+        ]:
+            recomputed.clear()
+            builds["n"] = 0
+            state = optimize._step(engine, state, which, state.fidelity)
+            assert not state.rejected_steps, which
+            assert recomputed == rounds, which
+            assert builds["n"] == self.blocks_in(state, rounds), which
 
     def test_cached_engine_matches_a_fresh_engine_bitwise(self, monkeypatch):
         errs = spacetime_toy_circuit().errors
