@@ -37,7 +37,7 @@ from .io import (
 )
 from .library import build_instance, instance_names
 from .model import ErrorModel, StrategicCode, error_op
-from .optimize import OptimizationState, OptimizerConfig, seesaw, static_biconvex
+from .optimize import OptimizationState, OptimizerConfig, seesaw
 from .tolerances import FIDELITY_GATE, FLIP_ATOL
 
 
@@ -361,8 +361,6 @@ def _state_document(state: OptimizationState) -> dict[str, Any]:
               help="Write the fidelity trace here, one line per step.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the optimized factors here as JSON.")
-@click.option("--biconvex", is_flag=True,
-              help="Use the two-factor alternation (single-round models only).")
 @_exits
 def optimize(
     path: str | None,
@@ -374,14 +372,14 @@ def optimize(
     max_iters: int | None,
     trace_path: str | None,
     out_path: str | None,
-    biconvex: bool,
 ) -> int:
     """Maximize entanglement fidelity over encoder, checks, and decoder.
 
     With PATH, the error model comes from the instance file and the logical
     dimension from its optimization block or --logical-dim.  Without PATH,
     --ambient-dim and --logical-dim define a no-error model with --rounds
-    check rounds.
+    check rounds.  With no check rounds the see-saw is the encoder/decoder
+    alternation.
     """
     block: dict[str, Any] = {}
     if path is not None:
@@ -433,10 +431,7 @@ def optimize(
     except (TypeError, ValueError) as exc:
         _fail(f"bad optimizer config: {exc}")
     try:
-        if biconvex:
-            state = static_biconvex(errors, ldim, config=config)
-        else:
-            state = seesaw(errors, ldim, memory_structure=structure, config=config)
+        state = seesaw(errors, ldim, memory_structure=structure, config=config)
     except ValueError as exc:
         _fail(str(exc))
     if trace_path is not None:

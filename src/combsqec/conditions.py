@@ -56,6 +56,10 @@ __all__ = [
 
 # complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
 _FIT_CHUNK = 1 << 20
+# largest total branch weight of a memory: Gram entries and squared singular
+# values are at most the weight and residual norms square Gram entries, so
+# 2^500, 2^12 below the root of the largest double, keeps them all finite
+_WEIGHT_CAP = 2.0**500
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +177,7 @@ def _check_dims(code: StrategicCode, errors: ErrorModel) -> None:
     require_chained(code.interrogator, errors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
     """Every nonzero K_{e,m,o} B, by one pass over the rounds.
 
@@ -185,8 +190,12 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
     and one the next error round.  A branch whose partial product is
     exactly zero stays zero, so it is dropped where it appears; nothing
     else is.  A round of the walk that would build more than
-    ``TRAJECTORY_CAP`` branches raises.  Returns the frontier after the
-    last error round, keyed by final memory.
+    ``TRAJECTORY_CAP`` branches raises, and so does an error round after
+    which a memory's total branch weight, the sum of ||K B||_F^2 over its
+    partial products, is nan or above ``_WEIGHT_CAP``; a trace
+    non-increasing model keeps it at most code_dim.  That test catches
+    overflow, so numpy's overflow warnings are off.  Returns the frontier
+    after the last error round, keyed by final memory.
     """
     interrogator = code.interrogator
     count = 0
@@ -204,6 +213,12 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
         n, _, k = stack.shape
         build(n * len(ops))
         out = np.matmul(ops, stack[:, None]).reshape(n * len(ops), -1, k)
+        weight = np.vdot(out, out).real
+        if not weight <= _WEIGHT_CAP:
+            raise ValueError(
+                f"branch weights overflow at error round {r}: a memory's total "
+                f"weight is {weight:.3e}, and the checkers need it at most {_WEIGHT_CAP:.1e}"
+            )
         live = out.any(axis=(1, 2))
         e_next = (e_idx[:, None] * len(ops) + np.arange(len(ops))).reshape(-1)
         return np.repeat(o_of, len(ops))[live], e_next[live], out[live]
@@ -549,8 +564,7 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
     singular value, so the branches suffice.  Memories with as many
     branches share one stacked SVD call.
     ``spectrum`` is the nonzero spectrum of the unnormalized rho_ME, and
-    ``deficit`` is None at or below the weight floor and nan for a
-    non-finite weight (an overflowed branch).
+    ``deficit`` is None at or below the weight floor.
     """
     k, out = comp.code_dim, comp.out_dim
     log_k = math.log2(k)
@@ -569,9 +583,7 @@ def _schmidt_sectors(comp: _Composed) -> dict[str, tuple]:
             spectrum = s_rq[g] ** 2 / k
             p = float(np.sum(spectrum))
             deficit = None
-            if not math.isfinite(p):
-                deficit = math.nan
-            elif p > P_FLOOR:
+            if p > P_FLOOR:
                 deficit = (
                     log_k
                     + _spectrum_bits(spectrum / p)
@@ -598,10 +610,8 @@ def check_info(
     the memory of largest deficit, the first in sorted order among deficits
     that tie exactly; rounding may split deficits that tie in exact
     arithmetic (sectors related by a symmetry), so of those either may be
-    named.  A sector whose weight is not finite (its branches overflowed)
-    has deficit nan, which is not correctable and outranks any number.
-    With no sector above the floor the channel is empty, and the verdict is
-    the algebraic checker's: correctable, deficit 0, no witness.
+    named.  With no sector above the floor the channel is empty, and the
+    verdict is the algebraic checker's: correctable, deficit 0, no witness.
 
     Each sector's state on (R, O, E, Q_out) is pure, the final environment
     sitting in E with the error sequence, so S(RME) = S(Q_out) and
@@ -614,16 +624,13 @@ def check_info(
     return _info_report(sectors, tol)
 
 
-def _info_report(sectors: dict[str, tuple], tol: float | None) -> ConditionReport:
+def _info_report(sectors: dict[str, tuple], tol: float | None = None) -> ConditionReport:
     """Verdict on the sectors above the floor, at ``tol`` bits (default
     ``MI_TOL_BITS``); with none, that of an empty channel, as in
-    :func:`_algebraic_sweep`: deficit 0 and no witness.  A nan deficit is
-    the witness over any number, the first nan in sector order."""
+    :func:`_algebraic_sweep`: deficit 0 and no witness."""
     tol = MI_TOL_BITS if tol is None else tol
     table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
-    witness = max(
-        table, key=lambda m: (math.isnan(table[m]), table[m]), default=None
-    )
+    witness = max(table, key=table.__getitem__, default=None)
     worst = float(table.get(witness, 0.0))
     return ConditionReport(
         worst_residual=worst,
@@ -684,10 +691,7 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
 
 
 def synth_decoder_algebraic(
-    code: StrategicCode,
-    errors: ErrorModel,
-    tol: float | None = None,
-    require_correctable: bool = True,
+    code: StrategicCode, errors: ErrorModel, require_correctable: bool = True
 ) -> Decoder:
     """Decoder from the algebraic proof.
 
@@ -701,12 +705,13 @@ def synth_decoder_algebraic(
     the gate they run and the entropic decoder's uniform-norm check.  Each
     direction is inverted back onto the codespace; those of weight at or
     below ``WEIGHT_CUTOFF`` never occur on the codespace and are dropped.
-    With ``require_correctable=False`` the construction proceeds on failing
+    The gate is :func:`check_algebraic` at its default tolerance.  With
+    ``require_correctable=False`` the construction proceeds on failing
     instances, without running the check, and yields the best-effort
     projective decoder.  A memory with no branch gets no Kraus operator.
     """
     if require_correctable:
-        report = check_algebraic(code, errors, tol)
+        report = check_algebraic(code, errors)
         if not report.correctable:
             raise ValueError(
                 "instance is not correctable (worst residual "
@@ -718,10 +723,7 @@ def synth_decoder_algebraic(
 
 
 def synth_decoder_schmidt(
-    code: StrategicCode,
-    errors: ErrorModel,
-    tol: float | None = None,
-    require_correctable: bool = True,
+    code: StrategicCode, errors: ErrorModel, require_correctable: bool = True
 ) -> Decoder:
     """Decoder from the entropic proof.
 
@@ -731,14 +733,15 @@ def synth_decoder_schmidt(
     :func:`check_info` decides on.  Every Schmidt vector above
     ``WEIGHT_CUTOFF`` is one block, and the polar step the algebraic
     decoder uses too aligns the blocks back with the codespace basis.
-    ``tol`` is :func:`check_info`'s.  Rejects when a block's column norms
-    are not uniform across codewords (a Schmidt-rank inconsistency,
-    signalling the state is not a product).  No register-sized matrix is
-    formed, so ``COMBSQEC_DENSE_CAP`` does not bound the synthesis.
+    The gate is :func:`check_info` at its default tolerance.  Rejects when
+    a block's column norms are not uniform across codewords (a Schmidt-rank
+    inconsistency, signalling the state is not a product).  No
+    register-sized matrix is formed, so ``COMBSQEC_DENSE_CAP`` does not
+    bound the synthesis.
     """
     comp = _composed(code, errors)
     sectors = comp.product("schmidt", _schmidt_sectors)
-    report = _info_report(sectors, tol)
+    report = _info_report(sectors)
     if require_correctable and not report.correctable:
         raise ValueError(
             "instance is not correctable (worst entropy deficit "

@@ -476,19 +476,17 @@ def count_trajectories(interrogator: Interrogator) -> int:
     return sum(frontier.values())
 
 
-def enumerate_trajectories(
-    interrogator: Interrogator, cap: int = TRAJECTORY_CAP
-) -> dict[str, tuple[Trajectory, ...]]:
+def enumerate_trajectories(interrogator: Interrogator) -> dict[str, tuple[Trajectory, ...]]:
     """All outcome sequences grouped by final memory state.
 
     Outcomes are expanded in sorted order per round, so listings are
     deterministic: within a group, sequences run in lexicographic order of
-    their outcomes.  Raises if the sequence count exceeds ``cap``.
+    their outcomes.  Raises if the sequence count exceeds ``TRAJECTORY_CAP``.
     """
     total = count_trajectories(interrogator)
-    if total > cap:
+    if total > TRAJECTORY_CAP:
         raise ValueError(
-            f"{total} outcome sequences exceed the enumeration cap {cap}"
+            f"{total} outcome sequences exceed the enumeration cap {TRAJECTORY_CAP}"
         )
     frontier: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = [
         (INITIAL_MEMORY, (), ())

@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 PROJECTION_SWEEPS = 500
+# RW iterations in a row without a rise above STALL_MARGIN that end a coordinate step
+INNER_STALL = 5
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +86,7 @@ class OptimizerConfig:
     the run stops when a cycle moves the fidelity by less than ``tol_conv``
     or after ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
-    early after ``inner_stall`` iterations in a row that raise the step's
+    early after ``INNER_STALL`` iterations in a row that raise the step's
     objective by no more than ``STALL_MARGIN``.
     """
 
@@ -92,11 +94,10 @@ class OptimizerConfig:
     tol_conv: float = 1e-7
     max_iters: int = 200
     inner_steps: int = 60
-    inner_stall: int = 5
     perturbation: float = 1e-2
 
     def __post_init__(self) -> None:
-        for name in ("seed", "max_iters", "inner_steps", "inner_stall"):
+        for name in ("seed", "max_iters", "inner_steps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -709,7 +710,7 @@ def _step(
 
     The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
     with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
-    family, keeping the best iterate, until ``inner_stall`` iterations in a
+    family, keeping the best iterate, until ``INNER_STALL`` iterations in a
     row fail to raise F by more than ``STALL_MARGIN`` or ``inner_steps``
     iterations have run.  The best iterate is made trace preserving to
     rounding by one more congruence by its partial trace, which is the
@@ -718,7 +719,6 @@ def _step(
     than ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
     """
     r, mu = _parse_which(which, state)
-    config = state.config
     d_out, d_in = engine.dims[r]
     blocks = _families(state)[r][mu]
     coeffs = np.stack(
@@ -735,7 +735,7 @@ def _step(
     best_blocks = xs = blocks
     best_f = f_current
     stall = 0
-    for _ in range(config.inner_steps):
+    for _ in range(state.config.inner_steps):
         xs = _rw_iterate(xs, coeffs, d_out, d_in)
         f_here = f_rest + linear(xs)
         if f_here > best_f + STALL_MARGIN:
@@ -744,7 +744,7 @@ def _step(
             stall = 0
         else:
             stall += 1
-            if stall >= config.inner_stall:
+            if stall >= INNER_STALL:
                 break
     if best_blocks is not blocks:
         best_blocks = _tp_congruence(best_blocks, blocks, d_out, d_in)
@@ -818,7 +818,7 @@ def _engine(
     errors: ErrorModel,
     logical_dim: int,
     memory_structure: Sequence[int] | None,
-    rho: npt.NDArray[np.complex128] | None,
+    rho: npt.NDArray[np.complex128] | None = None,
 ) -> _Engine:
     """The engine of one public call, with its defaults: two memory values
     per check round and the maximally mixed input state."""
@@ -879,7 +879,6 @@ def seesaw(
     errors: ErrorModel,
     logical_dim: int,
     memory_structure: Sequence[int] | None = None,
-    rho: npt.NDArray[np.complex128] | None = None,
     config: OptimizerConfig | None = None,
 ) -> OptimizationState:
     """Cyclic coordinate ascent over decoder, check rounds, and encoder.
@@ -887,11 +886,12 @@ def seesaw(
     Stops when the objective moves less than ``config.tol_conv`` over a
     full cycle, or after ``config.max_iters`` cycles; ``converged`` on the
     returned state records which rule fired.  The recorded trace is
-    nondecreasing and the best state encountered is returned.  The default
-    input state is maximally mixed on the logical space.
+    nondecreasing and the best state encountered is returned.  The input
+    state is the maximally mixed state on the logical space, the
+    Reimpell–Werner objective.
     """
     config = config or OptimizerConfig()
-    engine = _engine(errors, logical_dim, memory_structure, rho)
+    engine = _engine(errors, logical_dim, memory_structure)
     state = _initial_state(engine, config)
     order = _factor_order(state)
     best = state
@@ -912,7 +912,6 @@ def seesaw(
 def static_biconvex(
     errors: ErrorModel,
     logical_dim: int,
-    rho: npt.NDArray[np.complex128] | None = None,
     config: OptimizerConfig | None = None,
 ) -> OptimizationState:
     """Encoder/decoder alternation for models with no check rounds.
@@ -925,4 +924,4 @@ def static_biconvex(
             f"static alternation needs a single-round error model, got "
             f"{errors.rounds} check rounds"
         )
-    return seesaw(errors, logical_dim, (), rho, config)
+    return seesaw(errors, logical_dim, (), config)

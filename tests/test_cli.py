@@ -13,6 +13,7 @@ import combsqec.cli as cli
 import combsqec.conditions as conditions
 import combsqec.io as combsqec_io
 from combsqec.cli import main
+from combsqec.conditions import ConditionReport
 from combsqec.io import export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
 from combsqec.model import (
@@ -27,6 +28,7 @@ from combsqec.model import (
     enumerate_trajectories,
     error_op,
 )
+from combsqec.optimize import OptimizerConfig, static_biconvex
 
 from conftest import (
     DEPHASING_SIGNS,
@@ -101,6 +103,29 @@ def overflow_instance(path):
     )
     export_instance(StrategicCode(CodeSpace(2, np.eye(2)), interro), errors, path)
     return path
+
+
+def overflow_spacetime(path):
+    """Spacetime's code with error rounds 0 and 1 replaced by 1e200 times
+    the identity, admitted with the trace check off."""
+    inst = build_instance("spacetime")
+    huge = tuple((error_op(r, 1e200 * np.eye(4)),) for r in (0, 1))
+    errors = ErrorModel(
+        huge + inst.errors.kraus_rounds[2:], require_trace_nonincreasing=False
+    )
+    export_instance(inst.code, errors, path)
+    return path
+
+
+def flipped(checker):
+    """``checker`` with its verdict reversed, the residual finite."""
+
+    def run(code, errors, tol=None):
+        rep = checker(code, errors, tol)
+        worst = rep.tolerance + 1.0 if rep.correctable else 0.0
+        return ConditionReport(worst, rep.tolerance, rep.witness, rep.detail)
+
+    return run
 
 
 def export_pair(code_errors, path):
@@ -195,18 +220,47 @@ class TestCheck:
             assert payload["info"]["worst_deficit_bits"] == 0.0
             assert payload["info"]["deficit_bits"] == {}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["algebraic", "info", "both"])
     def test_overflowed_branches_are_not_correctable(self, runner, tmp_path, method):
-        # the algebraic residual and the sector's deficit are both nan, and
-        # nan passes no tolerance: no checker reads the sector as empty
-        res = runner.invoke(
-            main,
-            ["check", overflow_instance(str(tmp_path / "c.json")), "--method", method],
-        )
-        assert res.exit_code == 1, res.output
-        assert "NOT CORRECTABLE" in res.output.splitlines()
-        assert "bug in the tool" not in res.output
+        # branch products of 1e200 I overflow in error round 0: the walk
+        # names that round before any checker or decoder reads a nan, and
+        # no numpy warning is raised on the way (the suite makes one fail)
+        proofs = {"algebraic": ["algebraic"], "info": ["schmidt"], "both": []}[method]
+        report = tmp_path / "r.json"
+        for build in (overflow_instance, overflow_spacetime):
+            path = build(str(tmp_path / "c.json"))
+            runs = [["check", path, "--method", method]]
+            runs += [["decode", path, "--proof", proof] for proof in proofs]
+            for args in runs:
+                res = runner.invoke(main, [*args, "--report", str(report)])
+                assert res.exit_code == 2, (args, res.output)
+                assert res.output.startswith(
+                    "error: branch weights overflow at error round 0:"
+                ), res.output
+                assert not report.exists()
+
+    @pytest.mark.parametrize("name,algebraic,info", [
+        ("bitflip", "CORRECTABLE", "NOT CORRECTABLE"),
+        ("bitflip-z", "NOT CORRECTABLE", "CORRECTABLE"),
+    ])
+    def test_disagreement_exits_3(
+        self, runner, exported, tmp_path, monkeypatch, name, algebraic, info
+    ):
+        # a disagreement is a bug in the tool, so one is staged by
+        # reversing the entropic verdict
+        monkeypatch.setattr(cli, "check_info", flipped(conditions.check_info))
+        report = tmp_path / "report.json"
+        res = runner.invoke(main, ["check", exported[name], "--report", str(report)])
+        assert res.exit_code == 3, res.output
+        assert (
+            f"checker disagreement: algebraic says {algebraic}, "
+            f"information-theoretic says {info}; this is a bug in the tool"
+        ) in res.stderr
+        assert "CORRECTABLE" not in res.stdout.splitlines()
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "DISAGREEMENT"
+        assert payload["algebraic"]["correctable"] is (algebraic == "CORRECTABLE")
+        assert payload["info"]["correctable"] is (info == "CORRECTABLE")
 
     def test_single_method_runs_only_that_checker(self, runner, exported):
         res = runner.invoke(
@@ -685,7 +739,7 @@ class TestOptimize:
         assert state["converged"] is False
         assert state["logical_dim"] == 2
 
-    def test_file_mode_uses_optimization_block(self, runner, tmp_path):
+    def test_file_mode_uses_optimization_block(self, runner, exported, tmp_path):
         inst = build_instance("spacetime")
         path = str(tmp_path / "st.json")
         export_instance(
@@ -696,22 +750,28 @@ class TestOptimize:
         res = runner.invoke(main, ["optimize", path])
         assert res.exit_code == 0
         assert float(res.output.rsplit(":", 1)[1]) >= 0.999
+        # without the block and without --logical-dim there is no logical space
+        res = runner.invoke(main, ["optimize", exported["spacetime"]])
+        assert res.exit_code == 2
+        assert "error: no logical dimension" in res.output
 
-    def test_biconvex_flag(self, runner, exported):
+    def test_zero_round_file_runs_the_two_factor_alternation(
+        self, runner, exported, tmp_path
+    ):
+        trace, out = tmp_path / "trace.txt", tmp_path / "state.json"
         res = runner.invoke(
             main,
-            ["optimize", exported["bitflip"], "--logical-dim", "2",
-             "--biconvex", "--max-iters", "40"],
+            ["optimize", exported["bitflip"], "--logical-dim", "2", "--max-iters", "40",
+             "--trace", str(trace), "--out", str(out)],
         )
         assert res.exit_code == 0
         assert float(res.output.rsplit(":", 1)[1]) >= 1 - 1e-4
-
-    def test_biconvex_needs_single_round(self, runner, exported):
-        res = runner.invoke(
-            main,
-            ["optimize", exported["spacetime"], "--logical-dim", "2", "--biconvex"],
+        errors = load_instance(exported["bitflip"]).errors
+        state = static_biconvex(errors, 2, config=OptimizerConfig(max_iters=40))
+        assert trace.read_text() == "\n".join(state.trace_lines()) + "\n"
+        assert json.loads(out.read_text()) == json.loads(
+            json.dumps(cli._state_document(state))
         )
-        assert res.exit_code == 2
 
     def test_dims_required_without_file(self, runner):
         res = runner.invoke(main, ["optimize"])
@@ -847,6 +907,13 @@ class TestDemo:
     def test_exit_codes(self, runner, name, code):
         res = runner.invoke(main, ["demo", name])
         assert res.exit_code == code
+
+    def test_disagreement_exits_3(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "check_info", flipped(conditions.check_info))
+        res = runner.invoke(main, ["demo", "bitflip"])
+        assert res.exit_code == 3, res.output
+        assert "information check: NOT CORRECTABLE" in res.stdout
+        assert "checker disagreement; this is a bug in the tool" in res.stderr
 
     def test_hexagon_flip_table(self, runner):
         res = runner.invoke(main, ["demo", "hexagon"])

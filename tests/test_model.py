@@ -340,7 +340,8 @@ class TestEnumerateTrajectories:
                 assert t.final_memory == m
                 assert interro.update.fold(t.outcomes) == t.memories
 
-    def test_cap_rejection_reports_count(self, rng):
+    def test_cap_rejection_reports_count(self, rng, monkeypatch):
+        monkeypatch.setattr(combsqec.model, "TRAJECTORY_CAP", 10)
         outs = tuple(f"s{k}" for k in range(8))
         mats = {o: np.eye(2) / np.sqrt(8) for o in outs}
         update = stored_outcome_update((outs, outs))
@@ -348,7 +349,7 @@ class TestEnumerateTrajectories:
         r2 = {m: instrument_from_sets(2, mats) for m in outs}
         interro = Interrogator(({"": r1}, r2), update)
         with pytest.raises(ValueError, match="64 outcome sequences exceed"):
-            enumerate_trajectories(interro, cap=10)
+            enumerate_trajectories(interro)
 
     @pytest.mark.parametrize("walk", [count_trajectories, enumerate_trajectories])
     def test_walk_leaves_no_cyclic_garbage(self, walk):

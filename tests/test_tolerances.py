@@ -321,12 +321,13 @@ def test_p_floor_in_entropies(factor, counted):
 
 
 def test_p_floor_in_verify_recovery_drops_a_nan_weight():
+    # a nan weight never reaches the floor: the walk rejects the round
     code, errors = two_outcome_instance(0.5)
     poisoned = unchecked_errors(
         ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1])
     )
-    report = verify_recovery(code, poisoned, IDENTITY_DECODER, [np.array([1.0, 0.0])])
-    assert report.records == ()
+    with pytest.raises(ValueError, match="overflow at error round 0: .* weight is nan"):
+        verify_recovery(code, poisoned, IDENTITY_DECODER, [np.array([1.0, 0.0])])
 
 
 @pytest.mark.parametrize("factor, counted", FLOOR)
@@ -408,8 +409,10 @@ def test_branch_weight_floor_in_degenerate_branches(factor, carries):
 
 
 def test_branch_weight_floor_drops_a_nan_branch():
+    # a nan branch never reaches the floor: the walk rejects the round
     code, errors = two_outcome_instance(0.5)
     poisoned = unchecked_errors(
         ((error_op(0, with_nan(np.eye(2), (0, 0))),), errors.kraus_rounds[1])
     )
-    assert branch_supports(code, poisoned)[(0, 0)] == []
+    with pytest.raises(ValueError, match="overflow at error round 0: .* weight is nan"):
+        branch_supports(code, poisoned)
