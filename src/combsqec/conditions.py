@@ -31,7 +31,6 @@ from .model import (
     ErrorModel,
     StrategicCode,
     TRAJECTORY_CAP,
-    enumerate_trajectories,
     require_chained,
 )
 from .tensor import LabeledOperator, _spectrum_bits
@@ -56,9 +55,9 @@ __all__ = [
 
 # complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
 _FIT_CHUNK = 1 << 20
-# largest total branch weight of a memory: Gram entries and squared singular
-# values are at most the weight and residual norms square Gram entries, so
-# 2^500, 2^12 below the root of the largest double, keeps them all finite
+# largest total weight of a memory's branches or a static Kraus list: Gram
+# entries and squared singular values are at most it and residual norms square
+# Gram entries, so 2^500, 2^12 below the root of the largest double, keeps them finite
 _WEIGHT_CAP = 2.0**500
 
 
@@ -167,34 +166,34 @@ class RecoveryReport:
 # ----------------------------------------------------------------------
 
 
-def _check_dims(code: StrategicCode, errors: ErrorModel) -> None:
-    """Each round reads the system dim the round before it writes."""
-    if errors.q_in_dim(0) != code.codespace.ambient_dim:
-        raise ValueError(
-            f"dim mismatch feeding error round 0: the codespace has ambient dim "
-            f"{code.codespace.ambient_dim}, error expects {errors.q_in_dim(0)}"
-        )
-    require_chained(code.interrogator, errors)
-
-
 @np.errstate(over="ignore", invalid="ignore")
+def _bounded_matmul(ops: np.ndarray, blocks: np.ndarray, what: str) -> np.ndarray:
+    """``np.matmul(ops, blocks)``, raising when ``what``, the sum of its squared
+    moduli, is nan or above ``_WEIGHT_CAP``; numpy's overflow warnings are off."""
+    out = np.matmul(ops, blocks)
+    weight = np.vdot(out, out).real
+    if not weight <= _WEIGHT_CAP:
+        raise ValueError(f"{what} is {weight:.3e}, and the checkers need it at most {_WEIGHT_CAP:.1e}")
+    return out
+
+
 def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
     """Every nonzero K_{e,m,o} B, by one pass over the rounds.
 
-    The frontier maps a memory state to its live branches: outcome prefixes
-    reaching it (a superset of theirs), and per branch the index of its
-    prefix, the index of its error prefix (C order over the rounds' Kraus
-    counts) and its partial product, a (rows, code_dim) block.  It starts
-    from the stack E_{e_0} B; per memory, one stacked ``np.matmul`` applies
-    each check outcome (to the system leg, the environment leg untouched)
-    and one the next error round.  A branch whose partial product is
-    exactly zero stays zero, so it is dropped where it appears; nothing
-    else is.  A round of the walk that would build more than
+    The checker layer's only enumeration of outcome sequences.  The frontier
+    maps a memory state to its live branches: the outcome prefixes that
+    hold one, and per branch the index of its prefix, the index of its
+    error prefix (C order over the rounds' Kraus counts) and its partial
+    product, a (rows, code_dim) block.  It starts from the stack E_{e_0} B;
+    per memory, one stacked ``np.matmul`` applies each check outcome (to
+    the system leg, the environment leg untouched) and one the next error
+    round.  A branch whose partial product is exactly zero stays zero, so
+    it is dropped where it appears, and so is a prefix left with no branch;
+    nothing else is.  A round of the walk that would build more than
     ``TRAJECTORY_CAP`` branches raises, and so does an error round after
     which a memory's total branch weight, the sum of ||K B||_F^2 over its
-    partial products, is nan or above ``_WEIGHT_CAP``; a trace
-    non-increasing model keeps it at most code_dim.  That test catches
-    overflow, so numpy's overflow warnings are off.  Returns the frontier
+    partial products, fails :func:`_bounded_matmul`; a trace
+    non-increasing model keeps it at most code_dim.  Returns the frontier
     after the last error round, keyed by final memory.
     """
     interrogator = code.interrogator
@@ -212,13 +211,8 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
         ops = stacked[r]
         n, _, k = stack.shape
         build(n * len(ops))
-        out = np.matmul(ops, stack[:, None]).reshape(n * len(ops), -1, k)
-        weight = np.vdot(out, out).real
-        if not weight <= _WEIGHT_CAP:
-            raise ValueError(
-                f"branch weights overflow at error round {r}: a memory's total "
-                f"weight is {weight:.3e}, and the checkers need it at most {_WEIGHT_CAP:.1e}"
-            )
+        what = f"branch weights overflow at error round {r}: a memory's total weight"
+        out = _bounded_matmul(ops, stack[:, None], what).reshape(n * len(ops), -1, k)
         live = out.any(axis=(1, 2))
         e_next = (e_idx[:, None] * len(ops) + np.arange(len(ops))).reshape(-1)
         return np.repeat(o_of, len(ops))[live], e_next[live], out[live]
@@ -257,39 +251,45 @@ def _walk(code: StrategicCode, errors: ErrorModel) -> dict[str, tuple]:
                 np.concatenate([c[3] for c in chunks]),
             )
             if len(stack):
-                frontier[memory] = (prefixes, o_of, e_idx, stack)
+                used = np.flatnonzero(np.bincount(o_of))
+                prefixes = [prefixes[i] for i in used.tolist()]
+                frontier[memory] = (prefixes, np.searchsorted(used, o_of), e_idx, stack)
     return frontier
 
 
 class _Composed:
     """The nonzero branches of an instance, grouped by final memory.
 
-    Built by one :func:`_walk`.  A branch is one final-environment slice of
-    a nonzero K_{e,m,o} B: rows q * env + eps of the walk's (q * env, k)
-    block, for q in Q_out.  Per final memory m, ``blocks[m]`` is the
-    (n_b, out, k) stack of the exactly nonzero slices in (outcome, error,
-    slice) C order; branch b has outcome sequence ``outcomes[m][row[m][b]]``,
-    error sequence ``sequence(err[m][b])`` and environment slice
-    ``eps[m][b]``.  These are the Kraus operators of the channel a decoder
-    for m acts on: it reads Q_out only, so the outcome sequences the memory
-    forgets and the final environment are summed incoherently.  A memory no
-    branch reaches has no branch: it holds one shared, read-only (0, out, k)
-    stack and empty index arrays, and costs no per-memory work.
+    Built by one :func:`_walk` and no other enumeration: ``outcomes[m]`` is
+    its prefixes reaching m in lexicographic order.  A branch is one
+    final-environment slice of a nonzero K_{e,m,o} B: rows q * env + eps of
+    the walk's (q * env, k) block, for q in Q_out.  Per final memory m,
+    ``blocks[m]`` is the (n_b, out, k) stack of the exactly nonzero slices
+    in (outcome, error, slice) C order; branch b has outcome sequence
+    ``outcomes[m][row[m][b]]``, error sequence ``sequence(err[m][b])`` and
+    environment slice ``eps[m][b]``.  These are the Kraus operators of the
+    channel a decoder for m acts on: it reads Q_out only, so the outcome
+    sequences the memory forgets and the final environment are summed
+    incoherently.  A memory no branch reaches has no branch: it holds one
+    shared, read-only (0, out, k) stack and empty index arrays, and costs
+    no per-memory work.
     """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
-        _check_dims(code, errors)
+        if errors.q_in_dim(0) != code.codespace.ambient_dim:
+            raise ValueError(
+                f"dim mismatch feeding error round 0: the codespace has ambient dim "
+                f"{code.codespace.ambient_dim}, error expects {errors.q_in_dim(0)}"
+            )
+        require_chained(code.interrogator, errors)
         self.basis = code.codespace.basis
         self.code_dim = k = code.codespace.dim
         self.counts = tuple(len(ops) for ops in errors.kraus_rounds)
         self.out_dim = q = errors.q_out_dim(errors.rounds)
         env = errors.env_dim(errors.rounds)
-        grouped = enumerate_trajectories(code.interrogator)
-        self.memories = tuple(sorted(grouped))
-        self.outcomes: dict[str, tuple[tuple[str, ...], ...]] = {
-            m: tuple(t.outcomes for t in grouped[m]) for m in self.memories
-        }
         reached = _walk(code, errors)
+        self.memories = code.interrogator.final_memories
+        self.outcomes: dict[str, tuple[tuple[str, ...], ...]] = dict.fromkeys(self.memories, ())
         self.row: dict[str, np.ndarray] = {}
         self.err: dict[str, np.ndarray] = {}
         self.eps: dict[str, np.ndarray] = {}
@@ -303,11 +303,11 @@ class _Composed:
                 self.blocks[m] = no_blocks
                 continue
             prefixes, o_of, e_idx, stack = reached[m]
-            position = {o: i for i, o in enumerate(self.outcomes[m])}
-            row = np.array([position[p] for p in prefixes], dtype=np.intp)[o_of]
+            order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+            self.outcomes[m] = tuple(prefixes[i] for i in order)
             n = len(stack)
             slices = stack.reshape(n, q, env, k).transpose(0, 2, 1, 3).reshape(n * env, q, k)
-            row, err = np.repeat(row, env), np.repeat(e_idx, env)
+            row, err = np.repeat(np.argsort(order)[o_of], env), np.repeat(e_idx, env)
             eps = np.tile(np.arange(env), n)
             live = np.flatnonzero(slices.any(axis=(1, 2)))
             keep = live[np.lexsort((eps[live], err[live], row[live]))]
@@ -433,11 +433,9 @@ def _algebraic_sweep(comp: _Composed) -> tuple:
     worst = 0.0
     witness: tuple | None = None
     lambdas: dict[str, np.ndarray] = {}
-    degenerate: list[tuple[str, tuple[str, ...]]] = []
     for m in comp.memories:
-        blocks, row = comp.blocks[m], comp.row[m]
+        blocks = comp.blocks[m]
         lam = np.zeros((len(blocks), len(blocks)), dtype=np.complex128)
-        vanishing = np.ones(len(comp.outcomes[m]), dtype=bool)
         if len(blocks):
             lam, fit, entry = _fit_cells(blocks, blocks)
             a, b = np.unravel_index(int(np.argmax(fit)), fit.shape)
@@ -445,15 +443,12 @@ def _algebraic_sweep(comp: _Composed) -> tuple:
                 worst = float(fit[a, b])
                 j, i = divmod(int(entry[a, b]), k)
                 witness = (i, j, comp.branch(m, b), comp.branch(m, a), m)
-            vanishing[row[np.linalg.norm(blocks, axis=(1, 2)) > BRANCH_WEIGHT_FLOOR]] = False
-        degenerate.extend((m, comp.outcomes[m][o]) for o in np.flatnonzero(vanishing))
         lambdas[m] = (lam + lam.conj().T) / 2.0
         lambdas[m].flags.writeable = False
     detail = {
         "lambda": lambdas,
         "support": {m: comp.support(m) for m in comp.memories},
         "memories": comp.memories,
-        "degenerate_branches": tuple(degenerate),
         "scale": comp.scale(),
     }
     return worst, witness, detail
@@ -480,7 +475,8 @@ def check_algebraic(
     branch.  All cells of a memory are reduced in one batch, whose rounding
     may differ from a per-cell reduction in the last bit, so of two cells
     or entries that tie in exact arithmetic (such as (b', b) and (b, b')
-    when T is Hermitian) either may be named.
+    when T is Hermitian) either may be named.  No cap bounds the outcome
+    sequences; ``TRAJECTORY_CAP`` bounds the branches a round of the walk builds.
 
     ``detail`` holds:
 
@@ -491,9 +487,7 @@ def check_algebraic(
     * ``"support"``: per final memory, the branches indexing its
       ``"lambda"``, in order, each as (outcome sequence, error sequence,
       environment slice).
-    * ``"memories"``: the final memory states.
-    * ``"degenerate_branches"``: the (m, o) outcome sequences with no branch
-      of Frobenius norm above ``BRANCH_WEIGHT_FLOOR``, in (m, o) order.
+    * ``"memories"``: the final memory states, reached by a branch or not.
     * ``"scale"``: the largest branch norm.
     """
     worst, witness, detail = _composed(code, errors).product("algebraic", _algebraic_sweep)
@@ -518,6 +512,7 @@ def check_static_kl(
     """Static (zero-round) condition on a plain Kraus list.
 
     Tests that B^dag E_a^dag E_b B is a scalar for every operator pair.
+    Raises when the sum of ||E_a B||_F^2 fails :func:`_bounded_matmul`.
     """
     basis = codespace.basis
     mats = [
@@ -532,9 +527,9 @@ def check_static_kl(
                 f"static Kraus must be square on the ambient space, got {mat.shape}"
             )
     stack = np.stack(mats)
+    blocks = _bounded_matmul(stack, basis, "Kraus weights overflow: the sum of ||E_a B||_F^2")
     scale = max(1.0, float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))))
     tolerance = RESIDUAL_RTOL * scale if tol is None else float(tol)
-    blocks = stack @ basis
     lam, res, entry = _fit_cells(blocks, blocks)
     a, b = (int(x) for x in np.unravel_index(int(np.argmax(res)), res.shape))
     j, i = divmod(int(entry[a, b]), codespace.dim)

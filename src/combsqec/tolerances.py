@@ -29,7 +29,7 @@ RESIDUAL_RTOL = 1e-8
 MI_TOL_BITS = 1e-7
 # largest probability counted as zero: sector and record weights, spectra, random Kraus sums
 P_FLOOR = 1e-12
-# branch_supports, degenerate branches: Frobenius norm above which a branch carries weight
+# branch_supports: Frobenius norm above which a branch carries weight
 BRANCH_WEIGHT_FLOOR = 1e-9
 # both decoders: smallest Schmidt eigenvalue whose direction a decoder keeps
 WEIGHT_CUTOFF = 1e-10

@@ -5,6 +5,7 @@ import collections
 import numpy as np
 import pytest
 
+from combsqec.library import syndrome_window
 from combsqec.model import (
     CheckInstrument,
     CodeSpace,
@@ -186,3 +187,12 @@ def env_bitflip_instance():
     kmat = sum(np.kron(f, np.eye(4)[:, [j]]) for j, f in enumerate(flips)) / 2.0
     code = StrategicCode(CodeSpace(8, basis), Interrogator((), MemoryUpdate(())))
     return code, ErrorModel(((error_op(0, kmat, env_out=4),),))
+
+
+def flip_once_window(rounds: int):
+    """``syndrome_window(rounds, True)`` with its round-0 flips and identity
+    error rounds after: 4^rounds outcome sequences, of which 4 carry a
+    branch, each into its own memory, so the instance is correctable."""
+    inst = syndrome_window(rounds, True)
+    identity = tuple((error_op(r, np.eye(8)),) for r in range(1, rounds + 1))
+    return inst.code, ErrorModel((inst.errors.kraus_rounds[0], *identity))

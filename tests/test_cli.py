@@ -23,6 +23,7 @@ from combsqec.model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
+    TRAJECTORY_CAP,
     check_op,
     compose_K,
     enumerate_trajectories,
@@ -34,6 +35,7 @@ from conftest import (
     DEPHASING_SIGNS,
     dephasing_instance,
     env_dephasing_instance,
+    flip_once_window,
     noisy_errors,
 )
 
@@ -668,6 +670,15 @@ class TestComposedTable:
         calls.clear()
         runner.invoke(main, ["check", exported["bitflip"], "--method", "both"])
         assert len(calls) == 1
+
+    def test_forgetful_window_checks_past_the_sequence_count(self, runner, tmp_path):
+        # 4^10 outcome sequences, more than TRAJECTORY_CAP, and 4 branches:
+        # the table enumerates only what the walk keeps
+        assert 4**10 > TRAJECTORY_CAP
+        path = str(tmp_path / "window.json")
+        export_instance(*flip_once_window(10), path)
+        res = runner.invoke(main, ["check", path, "--method", "both"])
+        assert res.exit_code == 0, res.output
 
     def test_branch_supports_read_the_table(self, monkeypatch):
         inst = build_instance("hexagon")

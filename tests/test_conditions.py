@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
-from combsqec import conditions
+from combsqec import conditions, model
 from combsqec.conditions import (
     ConditionReport,
     Decoder,
@@ -42,7 +44,6 @@ from combsqec.model import (
 )
 from combsqec.tensor import LabeledOperator
 from combsqec.tolerances import (
-    BRANCH_WEIGHT_FLOOR,
     MI_TOL_BITS,
     P_FLOOR,
     RESIDUAL_RTOL,
@@ -54,6 +55,7 @@ from conftest import (
     dephasing_instance,
     env_bitflip_instance,
     env_dephasing_instance,
+    flip_once_window,
     noisy_errors,
     pauli_string,
     random_kraus_set,
@@ -152,6 +154,17 @@ class TestStaticKL:
         with pytest.raises(ValueError, match="square on the ambient"):
             check_static_kl(inst.code.codespace, [np.eye(4)])
 
+    @pytest.mark.parametrize("op", [
+        1e200 * np.eye(2),
+        np.diag([math.nan, 1.0]),
+    ], ids=["huge", "nan"])
+    def test_weight_cap_bounds_the_kraus_list(self, op):
+        # 1e200 I squares past the largest double, and nan never compares;
+        # both are refused before any fit, with no numpy warning
+        cap = re.escape(f"at most {conditions._WEIGHT_CAP:.1e}")
+        with pytest.raises(ValueError, match=f"Kraus weights overflow: .* {cap}"):
+            check_static_kl(CodeSpace(2, np.eye(2)), [op])
+
     def test_tolerance_override_flips_verdict(self):
         inst = bitflip_code()
         ops = [pauli_string("III"), pauli_string("ZII")]
@@ -215,7 +228,9 @@ class TestLambdaTensor:
         for total in totals.values():
             assert total == pytest.approx(0.5, abs=1e-10)
 
-    def test_zero_kraus_branch_is_flagged_degenerate(self):
+    def test_zero_kraus_branch_leaves_an_empty_memory(self):
+        # outcome "b" kills every branch, so memory "b" has no branch: it is
+        # listed, with an empty support and Lambda, and decides nothing
         inst = CheckInstrument(
             {"a": check_op(1, np.eye(2)), "b": check_op(1, np.zeros((2, 2)))}
         )
@@ -230,7 +245,9 @@ class TestLambdaTensor:
         )
         report = check_algebraic(code, errors)
         assert report.correctable
-        assert report.detail["degenerate_branches"] == (("b", ("b",)),)
+        assert report.detail["memories"] == ("a", "b")
+        assert report.detail["support"]["b"] == ()
+        assert report.detail["lambda"]["b"].shape == (0, 0)
 
     def test_trace_sum_is_one_for_trace_preserving_models(self, corpus):
         for inst in corpus:
@@ -411,13 +428,8 @@ def reference_algebraic_sweep(comp):
     worst = -1.0
     witness = None
     lambdas = {}
-    degenerate = []
     for m in comp.memories:
         blocks, labels = comp.blocks[m], comp.branches[m]
-        per_outcome = blocks.reshape(len(comp.outcomes[m]), -1, blocks[0].size)
-        for o, branches in zip(comp.outcomes[m], per_outcome):
-            if np.linalg.norm(branches, axis=1).max() <= BRANCH_WEIGHT_FLOOR:
-                degenerate.append((m, o))
         lam_m = np.zeros((len(blocks), len(blocks)), dtype=np.complex128)
         for a, left in enumerate(blocks):
             for b, right in enumerate(blocks):
@@ -431,7 +443,6 @@ def reference_algebraic_sweep(comp):
     detail = {
         "lambda": lambdas,
         "memories": comp.memories,
-        "degenerate_branches": tuple(degenerate),
         "scale": reference_scale(comp),
     }
     return float(worst), witness, detail
@@ -640,6 +651,9 @@ class TestPrunedTable:
         for name, code, errors in cases:
             comp = conditions._composed(code, errors)
             assert all(comp.blocks[m].any(axis=(1, 2)).all() for m in comp.memories), name
+            # and every outcome sequence it names holds a branch
+            for m in comp.memories:
+                assert set(comp.row[m]) == set(range(len(comp.outcomes[m]))), (name, m)
             built = table_entries(comp, errors.env_dim(errors.rounds))
             for key, want in walk_order_blocks(code, errors).items():
                 if key in built:
@@ -675,6 +689,60 @@ class TestPrunedTable:
         monkeypatch.setattr(conditions, "TRAJECTORY_CAP", 80)
         comp = conditions._Composed(window.code, window.errors)
         assert sum(int(comp.blocks[m].any(axis=(1, 2)).sum()) for m in comp.memories) == 16
+
+    def test_forgetful_window_costs_its_branches(self):
+        # 4^40 outcome sequences, 4 of which carry a branch: the table, both
+        # checkers, the decoder and its verification read only those 4
+        code, errors = flip_once_window(40)
+        start = time.perf_counter()
+        assert check_algebraic(code, errors).correctable
+        assert check_info(code, errors).correctable
+        decoder = synth_decoder_algebraic(code, errors)
+        report = verify_recovery(code, errors, decoder, codestates(code, 3, seed=7))
+        assert time.perf_counter() - start < 1.0
+        assert report.worst_fidelity >= 1.0 - 1e-12
+        comp = conditions._composed(code, errors)
+        assert sum(len(comp.blocks[m]) for m in comp.memories) == 4
+
+    def test_walk_names_only_prefixes_that_hold_a_branch(self):
+        # each round measures Z into one memory, and the error |+><0| after
+        # it kills the outcome-b branch: one branch survives, while 2^30
+        # outcome sequences, all but one dead, reach the memory
+        rounds = 30
+        instruments, tables = [], []
+        for r in range(1, rounds + 1):
+            before = INITIAL_MEMORY if r == 1 else "m"
+            zs = {"a": check_op(r, np.diag([1.0, 0.0])), "b": check_op(r, np.diag([0.0, 1.0]))}
+            instruments.append({before: CheckInstrument(zs)})
+            tables.append({("a", before): "m", ("b", before): "m"})
+        code = StrategicCode(
+            CodeSpace(2, np.eye(2)),
+            Interrogator(tuple(instruments), MemoryUpdate(tuple(tables))),
+        )
+        plus_zero = np.array([[1.0, 0.0], [1.0, 0.0]]) / np.sqrt(2)
+        errors = ErrorModel(
+            ((error_op(0, np.eye(2)),),)
+            + tuple((error_op(r, plus_zero),) for r in range(1, rounds + 1))
+        )
+        comp = conditions._composed(code, errors)
+        assert comp.outcomes["m"] == (("a",) * rounds,)
+        assert len(comp.blocks["m"]) == 1
+
+    def test_checkers_never_count_outcome_sequences(self, monkeypatch):
+        # the walk is the checker layer's only enumeration: nothing reaches
+        # count_trajectories, which enumerate_trajectories calls first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the checker layer counted outcome sequences")
+
+        monkeypatch.setattr(model, "count_trajectories", forbidden)
+        for name in instance_names():
+            inst = build_instance(name)
+            code, errors = inst.code, inst.errors
+            check_algebraic(code, errors)
+            check_info(code, errors)
+            synth_decoder_schmidt(code, errors, require_correctable=False)
+            decoder = synth_decoder_algebraic(code, errors, require_correctable=False)
+            verify_recovery(code, errors, decoder, codestates(code, 2, seed=11))
 
     @pytest.mark.parametrize("last, accepted", [(1.0, True), (2.0, False)])
     def test_weight_cap_names_the_error_round(self, last, accepted):
@@ -716,7 +784,7 @@ class TestBatchedAgainstLoops:
             ref_worst <= RESIDUAL_RTOL * scale
         ), name
         assert abs(worst - ref_worst) <= margin, name
-        assert detail["degenerate_branches"] == ref_detail["degenerate_branches"], name
+        assert detail["memories"] == ref_detail["memories"], name
         assert set(detail["support"]) == set(ref_detail["lambda"]), name
         for m, lam in ref_detail["lambda"].items():
             got = embedded_lambda(detail, dense.branches[m], m)

@@ -18,7 +18,6 @@ from combsqec.combs import ChoiOperator
 from combsqec.conditions import (
     Decoder,
     branch_supports,
-    check_algebraic,
     check_info,
     verify_recovery,
 )
@@ -390,7 +389,7 @@ def test_hermitian_rtol_in_input_state_trace(factor, accepted):
 
 
 # ----------------------------------------------------------------------
-# BRANCH_WEIGHT_FLOOR: branch_supports, check_algebraic's degenerate branches
+# BRANCH_WEIGHT_FLOOR: branch_supports
 # ----------------------------------------------------------------------
 
 
@@ -399,13 +398,6 @@ def test_branch_weight_floor_in_branch_supports(factor, carries):
     # branch b is C_b |0> = c |0>, of Frobenius norm c
     code, errors = two_outcome_instance(factor * BRANCH_WEIGHT_FLOOR)
     assert (("b",) in branch_supports(code, errors)[(0, 0)]) == carries
-
-
-@pytest.mark.parametrize("factor, carries", FLOOR[:2])
-def test_branch_weight_floor_in_degenerate_branches(factor, carries):
-    code, errors = two_outcome_instance(factor * BRANCH_WEIGHT_FLOOR)
-    degenerate = check_algebraic(code, errors).detail["degenerate_branches"]
-    assert (("b", ("b",)) in degenerate) == (not carries)
 
 
 def test_branch_weight_floor_drops_a_nan_branch():
