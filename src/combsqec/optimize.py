@@ -9,10 +9,11 @@ space.  Every round is a set of flagged block families: block (r, μ, ν) is
 the Choi matrix of round r for incoming memory value μ and outgoing value
 ν, and trace preservation couples the blocks of one family.  The encoder is
 one family of one block; decoder ν is round L+1's family for incoming value
-ν (the final memory), again of one block.  Only :func:`_families`,
-:func:`_factor_dims`, :func:`_state_fields` and :func:`_parse_which` know
-which round holds the encoder and which the decoders; everything else
-treats the rounds alike.
+ν (the final memory), again of one block.  :class:`OptimizationState`
+stores exactly these rounds.  Only its named views, and the factor names
+that :func:`_parse_which` reads and :func:`_factor_order` writes, know which
+round holds the encoder and which the decoders; everything else treats the
+rounds alike.
 
 The objective is the entanglement fidelity of the composite logical channel
 against a fixed input state, which is multilinear in the factors.  Its sum
@@ -87,7 +88,7 @@ class OptimizerConfig:
     or after ``max_iters`` cycles (at least 0).  Each coordinate step runs at most
     ``inner_steps`` Reimpell–Werner iterations (at least 1), and stops
     early after ``INNER_STALL`` iterations in a row that raise the step's
-    objective by no more than ``STALL_MARGIN``.
+    objective by no more than ``STALL_MARGIN``.  ``tol_conv`` is at least 0.
     """
 
     seed: int = 0
@@ -113,7 +114,9 @@ class OptimizerConfig:
             raise ValueError(
                 f"perturbation must be in [0, 1], got {self.perturbation!r}"
             )
-        for name, low in (("seed", 0), ("max_iters", 0), ("inner_steps", 1)):
+        for name, low in (
+            ("seed", 0), ("tol_conv", 0), ("max_iters", 0), ("inner_steps", 1)
+        ):
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -145,13 +148,14 @@ def _trace_out(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
 class OptimizationState:
     """Choi factors of a strategy, with the fidelity trace of its run.
 
-    ``instruments[r][incoming][outgoing]`` is the Choi block of check round
-    r+1 conditioned on the incoming memory value; the trace-preservation
-    constraint couples the outgoing blocks of each incoming value.  The
-    memory alphabet sizes per round are ``memory_structure``; the final
-    round's alphabet indexes the decoders.  Internally the encoder, the
-    rounds and the decoders are factor rounds 0..L+1 of one comb (see the
-    module docstring), and feasibility messages name them that way.
+    The strategy is factor rounds r = 0..L+1 of one comb (see the module
+    docstring): ``dims[r]`` is round r's (out, in) pair and
+    ``factors[r][μ][ν]`` its Choi block for incoming memory value μ and
+    outgoing value ν.  Trace preservation couples the blocks of one family
+    ``factors[r][μ]``, and feasibility messages name blocks that way.  The
+    encoder, the check instruments, the decoders, their dims, the logical
+    dim and the memory alphabet sizes per check round are read-only views
+    of these two fields.
 
     Construction validates shapes and runs :func:`_family_fault` on every
     block family.  The optimizer's updates skip construction through
@@ -159,14 +163,8 @@ class OptimizationState:
     family it changes, and keeps the old family if the new one fails.
     """
 
-    logical_dim: int
-    encoder_dims: tuple[int, int]
-    instrument_dims: tuple[tuple[int, int], ...]
-    decoder_dims: tuple[int, int]
-    memory_structure: tuple[int, ...]
-    encoder: npt.NDArray[np.complex128]
-    instruments: tuple[tuple[tuple[npt.NDArray[np.complex128], ...], ...], ...]
-    decoders: tuple[npt.NDArray[np.complex128], ...]
+    dims: tuple[tuple[int, int], ...]
+    factors: tuple[tuple[tuple[npt.NDArray[np.complex128], ...], ...], ...]
     fidelity: float
     trace: tuple[TraceRecord, ...] = ()
     rejected_steps: tuple[str, ...] = ()
@@ -174,58 +172,85 @@ class OptimizationState:
     converged: bool = True
 
     def __post_init__(self) -> None:
-        ms = tuple(int(n) for n in self.memory_structure)
-        object.__setattr__(self, "memory_structure", ms)
-        if any(n < 1 for n in ms):
-            raise ValueError("memory alphabet sizes must be positive")
-        if not len(self.instrument_dims) == len(self.instruments) == len(ms):
+        dims = tuple((int(d_out), int(d_in)) for d_out, d_in in self.dims)
+        if len(dims) < 2 or len(self.factors) != len(dims):
             raise ValueError(
-                "one instrument dimension pair and one instrument round per "
-                "memory alphabet required"
+                "one dimension pair and one factor round each for the encoder, "
+                "every check round, and the decoders required"
             )
-        n_dec = ms[-1] if ms else 1
-        if len(self.decoders) != n_dec:
-            raise ValueError(f"{n_dec} decoders required, got {len(self.decoders)}")
-        dims = tuple((int(d_out), int(d_in)) for d_out, d_in in _factor_dims(self))
-        if dims[0][1] != self.logical_dim or dims[-1][0] != self.logical_dim:
+        if dims[0][1] != dims[-1][0]:
             raise ValueError(
-                "encoder input and decoder output dimensions must equal the "
-                "logical dim"
+                f"encoder input dimension {dims[0][1]} and decoder output "
+                f"dimension {dims[-1][0]} must both be the logical dim"
             )
-        outgoing = (1, *ms, 1)
-        families = []
-        for r, (per_round, (d_out, d_in)) in enumerate(zip(_families(self), dims)):
-            incoming = outgoing[r - 1] if r else 1
-            if len(per_round) != incoming:
-                raise ValueError(f"round {r} needs {incoming} incoming block families")
+        factors = []
+        outgoing = 1
+        for r, (per_round, (d_out, d_in)) in enumerate(zip(self.factors, dims)):
+            if len(per_round) != outgoing:
+                raise ValueError(
+                    f"factor round {r} needs {outgoing} incoming block families, "
+                    f"got {len(per_round)}"
+                )
+            outgoing = len(per_round[0]) if 0 < r < len(dims) - 1 else 1
+            if outgoing < 1:
+                raise ValueError("memory alphabet sizes must be positive")
             for mu, blocks in enumerate(per_round):
-                if len(blocks) != outgoing[r]:
+                if len(blocks) != outgoing:
                     raise ValueError(
-                        f"round {r} incoming value {mu} needs {outgoing[r]} blocks"
+                        f"factor round {r} incoming value {mu} needs {outgoing} "
+                        f"blocks, got {len(blocks)}"
                     )
-            families.append(tuple(
+            factors.append(tuple(
                 tuple(_as_choi_array(b, f"factor round {r} block", d_out, d_in)
                       for b in blocks)
                 for blocks in per_round
             ))
-        for name, value in _state_fields(dims, families).items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "trace", tuple(self.trace))
-        object.__setattr__(self, "rejected_steps", tuple(self.rejected_steps))
-        self._check_feasible()
-
-    def _check_feasible(self) -> None:
-        for r, (per_round, (d_out, d_in)) in enumerate(
-            zip(_families(self), _factor_dims(self))
-        ):
+        for r, (per_round, (d_out, d_in)) in enumerate(zip(factors, dims)):
             for mu, blocks in enumerate(per_round):
                 fault = _family_fault(blocks, d_out, d_in, r, mu)
                 if fault is not None:
                     raise ValueError(fault)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "trace", tuple(self.trace))
+        object.__setattr__(self, "rejected_steps", tuple(self.rejected_steps))
 
     @property
     def rounds(self) -> int:
-        return len(self.memory_structure)
+        return len(self.dims) - 2
+
+    @property
+    def logical_dim(self) -> int:
+        return self.dims[0][1]
+
+    @property
+    def memory_structure(self) -> tuple[int, ...]:
+        return tuple(len(per_round[0]) for per_round in self.factors[1:-1])
+
+    @property
+    def encoder(self) -> npt.NDArray[np.complex128]:
+        return self.factors[0][0][0]
+
+    @property
+    def instruments(self) -> tuple:
+        """``instruments[r - 1][μ][ν]``: check round r's blocks."""
+        return self.factors[1:-1]
+
+    @property
+    def decoders(self) -> tuple[npt.NDArray[np.complex128], ...]:
+        return tuple(dec for (dec,) in self.factors[-1])
+
+    @property
+    def encoder_dims(self) -> tuple[int, int]:
+        return self.dims[0]
+
+    @property
+    def instrument_dims(self) -> tuple[tuple[int, int], ...]:
+        return self.dims[1:-1]
+
+    @property
+    def decoder_dims(self) -> tuple[int, int]:
+        return self.dims[-1]
 
     def trace_lines(self) -> list[str]:
         return [rec.line() for rec in self.trace]
@@ -250,39 +275,6 @@ def _family_fault(
     return None
 
 
-def _families(state: OptimizationState) -> tuple:
-    """Blocks by factor round r = 0..L+1 and incoming memory value μ.
-
-    Round 0 is the encoder's single family, rounds 1..L the check
-    instruments, and family ν of round L+1 the decoder for final memory ν;
-    encoder and decoder families hold one block.
-    """
-    return (
-        ((state.encoder,),),
-        *state.instruments,
-        tuple((dec,) for dec in state.decoders),
-    )
-
-
-def _factor_dims(state: OptimizationState) -> tuple[tuple[int, int], ...]:
-    """(out, in) dimensions by factor round, as in :func:`_families`."""
-    return (tuple(state.encoder_dims), *map(tuple, state.instrument_dims),
-            tuple(state.decoder_dims))
-
-
-def _state_fields(dims: Sequence[tuple[int, int]], families: Sequence) -> dict:
-    """The state's factor fields for per-round dims and families: the
-    inverse of :func:`_factor_dims` and :func:`_families`."""
-    return {
-        "encoder_dims": dims[0],
-        "instrument_dims": tuple(dims[1:-1]),
-        "decoder_dims": dims[-1],
-        "encoder": families[0][0][0],
-        "instruments": tuple(families[1:-1]),
-        "decoders": tuple(dec for (dec,) in families[-1]),
-    }
-
-
 def _updated(state: OptimizationState, **changes) -> OptimizationState:
     """``dataclasses.replace`` without re-validation, for internal updates.
 
@@ -293,15 +285,6 @@ def _updated(state: OptimizationState, **changes) -> OptimizationState:
     for name, value in changes.items():
         object.__setattr__(new, name, value)
     return new
-
-
-def _with_family(
-    state: OptimizationState, r: int, mu: int, blocks: Sequence[np.ndarray]
-) -> OptimizationState:
-    """``state`` with family μ of factor round r replaced, unvalidated."""
-    families = list(_families(state))
-    families[r] = (*families[r][:mu], tuple(blocks), *families[r][mu + 1:])
-    return _updated(state, **_state_fields(_factor_dims(state), families))
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +474,7 @@ class _Engine:
         )
 
     def evaluate(self, state: OptimizationState) -> float:
-        (final,) = self._forward(_families(state), len(self.dims) - 1)
+        (final,) = self._forward(state.factors, len(self.dims) - 1)
         return float(np.trace(final @ self.n_coeff).real)
 
     def coefficients(
@@ -502,7 +485,7 @@ class _Engine:
         The block gets F_{r−1}[μ]·N·B_r[ν] with N the input state's
         coefficient, contracted over the round's environment leg.
         """
-        families = _families(state)
+        families = state.factors
         for r, mu, nu in targets:
             if not (0 <= r < len(families) and 0 <= mu < len(families[r])
                     and 0 <= nu < len(families[r][mu])):
@@ -624,29 +607,32 @@ def ent_fidelity(
 
 
 def _require_matching_dims(engine: _Engine, state: OptimizationState) -> None:
-    if engine.dims != _factor_dims(state):
+    if engine.dims != state.dims:
         raise ValueError(
             "state dimensions do not match the error model: (out, in) per "
-            f"factor round {_factor_dims(state)} vs {engine.dims}"
+            f"factor round {state.dims} vs {engine.dims}"
         )
 
 
 def _parse_which(which: str, state: OptimizationState) -> tuple[int, int]:
     """Factor round and incoming memory value of a public factor name."""
-    parts = which.split(":")
-    if parts[0] == "encoder" and len(parts) == 1:
+    kind, *parts = which.split(":")
+    try:
+        indices = tuple(int(part) for part in parts)
+    except ValueError:
+        kind = None
+    if kind == "encoder" and not parts:
         return 0, 0
-    if parts[0] == "decoder" and len(parts) == 2:
-        nu = int(parts[1])
-        if not 0 <= nu < len(state.decoders):
+    if kind == "decoder" and len(parts) == 1:
+        (nu,) = indices
+        if not 0 <= nu < len(state.factors[-1]):
             raise ValueError(f"decoder index {nu} out of range")
         return state.rounds + 1, nu
-    if parts[0] == "round" and len(parts) == 3:
-        r, mu = int(parts[1]), int(parts[2])
+    if kind == "round" and len(parts) == 2:
+        r, mu = indices
         if not 1 <= r <= state.rounds:
             raise ValueError(f"round {r} out of range")
-        incoming = state.memory_structure[r - 2] if r >= 2 else 1
-        if not 0 <= mu < incoming:
+        if not 0 <= mu < len(state.factors[r]):
             raise ValueError(f"incoming memory value {mu} out of range for round {r}")
         return r, mu
     raise ValueError(
@@ -704,9 +690,15 @@ def _rw_iterate(
 
 
 def _step(
-    engine: _Engine, state: OptimizationState, which: str, f_current: float
+    engine: _Engine,
+    state: OptimizationState,
+    r: int,
+    mu: int,
+    which: str,
+    f_current: float,
 ) -> OptimizationState:
-    """One coordinate step by Reimpell–Werner iteration; never decreases F.
+    """One coordinate step on family μ of factor round r, recorded in the
+    trace and in ``rejected_steps`` as ``which``; never decreases F.
 
     The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
     with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
@@ -718,9 +710,8 @@ def _step(
     passes :func:`_family_fault` and its evaluated objective falls no more
     than ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
     """
-    r, mu = _parse_which(which, state)
     d_out, d_in = engine.dims[r]
-    blocks = _families(state)[r][mu]
+    blocks = state.factors[r][mu]
     coeffs = np.stack(
         engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
     )
@@ -751,7 +742,11 @@ def _step(
 
     fault = _family_fault(best_blocks, d_out, d_in, r, mu)
     if fault is None:
-        candidate = _with_family(state, r, mu, best_blocks)
+        per_round = state.factors[r]
+        per_round = (*per_round[:mu], tuple(best_blocks), *per_round[mu + 1:])
+        candidate = _updated(
+            state, factors=(*state.factors[:r], per_round, *state.factors[r + 1:])
+        )
         f_true = engine.evaluate(candidate)
         if f_true >= f_current - ACCEPT_MARGIN:
             return record(candidate, f_true)
@@ -778,9 +773,10 @@ def coordinate_step(
     fails the constructor's feasibility test, leaves the factor unchanged
     and logs the event in ``rejected_steps``.
     """
+    r, mu = _parse_which(which, state)
     engine = _Engine(errors, state.logical_dim, state.memory_structure, rho)
     _require_matching_dims(engine, state)
-    return _step(engine, state, which, engine.evaluate(state))
+    return _step(engine, state, r, mu, which, engine.evaluate(state))
 
 
 # ----------------------------------------------------------------------
@@ -840,13 +836,7 @@ def _initial_state(engine: _Engine, config: OptimizerConfig) -> OptimizationStat
             engine.dims, (1, *engine.outgoing), engine.outgoing
         )
     ]
-    state = OptimizationState(
-        logical_dim=engine.dims[0][1],
-        memory_structure=engine.outgoing[1:-1],
-        fidelity=0.0,
-        config=config,
-        **_state_fields(engine.dims, families),
-    )
+    state = OptimizationState(engine.dims, families, fidelity=0.0, config=config)
     f0 = engine.evaluate(state)
     return _updated(state, fidelity=f0, trace=(TraceRecord(0, "init", f0),))
 
@@ -866,12 +856,14 @@ def initial_state(
     return _initial_state(engine, config or OptimizerConfig())
 
 
-def _factor_order(state: OptimizationState) -> list[str]:
-    order = [f"decoder:{nu}" for nu in range(len(state.decoders))]
+def _factor_order(state: OptimizationState) -> list[tuple[int, int, str]]:
+    """Round, incoming value and trace name of every block family, in the
+    see-saw's order: decoders, check rounds from the last, encoder."""
+    last = state.rounds + 1
+    order = [(last, nu, f"decoder:{nu}") for nu in range(len(state.factors[last]))]
     for r in range(state.rounds, 0, -1):
-        incoming = state.memory_structure[r - 2] if r >= 2 else 1
-        order += [f"round:{r}:{mu}" for mu in range(incoming)]
-    order.append("encoder")
+        order += [(r, mu, f"round:{r}:{mu}") for mu in range(len(state.factors[r]))]
+    order.append((0, 0, "encoder"))
     return order
 
 
@@ -898,8 +890,8 @@ def seesaw(
     converged = False
     for _ in range(config.max_iters):
         f_start = state.fidelity
-        for which in order:
-            state = _step(engine, state, which, state.fidelity)
+        for r, mu, which in order:
+            state = _step(engine, state, r, mu, which, state.fidelity)
             if state.fidelity > best.fidelity:
                 best = state
         if abs(state.fidelity - f_start) < config.tol_conv:

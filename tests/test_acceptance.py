@@ -418,15 +418,10 @@ def test_criterion_8_fidelity_spot_values():
             )
         )
 
+    # factor round 0 is the encoder, round 1 the one decoder
     state = OptimizationState(
-        logical_dim=2,
-        encoder_dims=(2, 2),
-        instrument_dims=(),
-        decoder_dims=(2, 2),
-        memory_structure=(),
-        encoder=embed_identity(2, 2),
-        instruments=(),
-        decoders=(embed_identity(2, 2),),
+        ((2, 2), (2, 2)),
+        (((embed_identity(2, 2),),), ((embed_identity(2, 2),),)),
         fidelity=0.0,
     )
     rho = np.eye(2, dtype=complex) / 2

@@ -869,6 +869,7 @@ class TestOptimize:
         ("memory_structure", 5),
         ("logical_dim", [2]),
         ("config", "x"),
+        ("config.tol_conv", -1),
     ])
     def test_malformed_optimization_block_is_a_usage_error(
         self, runner, exported, tmp_path, field, value
@@ -877,7 +878,8 @@ class TestOptimize:
                  "config": {"seed": 0, "max_iters": 1}}
         parent, _, name = field.rpartition(".")
         (block[parent] if parent else block)[name] = value
-        doc = json.loads(open(exported["spacetime"], encoding="utf-8").read())
+        with open(exported["spacetime"], encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["optimization"] = block
         path = tmp_path / "st.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -70,23 +70,16 @@ def identity_errors(d, rounds=0):
     )
 
 
-def plain_state(errors, encoder, decoders, instruments=(), memory=(),
-                logical_dim=2):
-    inst_dims = tuple(
-        (errors.q_in_dim(r), errors.q_out_dim(r - 1))
-        for r in range(1, errors.rounds + 1)
-    )
-    return OptimizationState(
-        logical_dim=logical_dim,
-        encoder_dims=(errors.q_in_dim(0), logical_dim),
-        instrument_dims=inst_dims,
-        decoder_dims=(logical_dim, errors.q_out_dim(errors.rounds)),
-        memory_structure=memory,
-        encoder=encoder,
-        instruments=instruments,
-        decoders=decoders,
-        fidelity=0.0,
-    )
+def plain_state(errors, encoder, decoders, instruments=(), logical_dim=2):
+    """The state of the given factors: ``instruments[r - 1][μ][ν]`` is check
+    round r's block, so the memory structure is read off its families."""
+    error_rounds = range(errors.rounds + 1)
+    dims = tuple(zip(
+        (*(errors.q_in_dim(r) for r in error_rounds), logical_dim),
+        (logical_dim, *(errors.q_out_dim(r) for r in error_rounds)),
+    ))
+    factors = (((encoder,),), *instruments, tuple((dec,) for dec in decoders))
+    return OptimizationState(dims, factors, fidelity=0.0)
 
 
 MIXED_QUBIT = np.eye(2, dtype=complex) / 2
@@ -385,6 +378,20 @@ def correlated_errors(seed):
     ))
 
 
+def step_by_name(engine, state, which):
+    """One ``_step`` on the family a public factor name names."""
+    r, mu = optimize._parse_which(which, state)
+    return optimize._step(engine, state, r, mu, which, state.fidelity)
+
+
+def raw_blocks(tree):
+    """Nesting, dtypes, shapes and bytes of a tuple tree of arrays."""
+    if isinstance(tree, np.ndarray):
+        return tree.dtype.str, tree.shape, tree.tobytes()
+    assert isinstance(tree, tuple)
+    return tuple(raw_blocks(sub) for sub in tree)
+
+
 def count_calls(monkeypatch, name):
     """Count calls of the optimize module's function ``name``."""
     calls = {"n": 0}
@@ -446,8 +453,7 @@ class TestEngineSums:
 
     @staticmethod
     def blocks_in(state, rounds):
-        families = optimize._families(state)
-        return sum(len(f) for r in rounds for f in families[r])
+        return sum(len(f) for r in rounds for f in state.factors[r])
 
     @pytest.mark.parametrize("which", ["round:1:0", "round:2:1"])
     def test_one_superoperator_build_per_pass(self, monkeypatch, which):
@@ -460,7 +466,7 @@ class TestEngineSums:
         # candidate's forward messages from r on; each pass builds every
         # block it visits once
         r, _ = optimize._parse_which(which, state)
-        last = len(optimize._families(state)) - 1
+        last = state.rounds + 1
         assert not stepped.rejected_steps
         assert recomputed == [*range(last + 1), *range(last, r, -1), *range(r, last + 1)]
         assert builds["n"] == self.blocks_in(stepped, recomputed)
@@ -473,13 +479,13 @@ class TestEngineSums:
         engine = _Engine(errs, 2, (2, 2), MIXED_QUBIT)
         state = optimize._initial_state(engine, OptimizerConfig(seed=0))
         recomputed, builds = self.record_passes(monkeypatch)
-        stepped = optimize._step(engine, state, which, state.fidelity)
+        r, mu = optimize._parse_which(which, state)
+        stepped = optimize._step(engine, state, r, mu, which, state.fidelity)
         # the forward messages are kept from the initial evaluation: only the
         # backward ones after round r and the forward ones from r on are redone
-        r, mu = optimize._parse_which(which, state)
-        last = len(optimize._families(state)) - 1
-        old = optimize._families(state)[r][mu]
-        new = optimize._families(stepped)[r][mu]
+        last = state.rounds + 1
+        old = state.factors[r][mu]
+        new = stepped.factors[r][mu]
         assert not any(a is b for a, b in zip(old, new))
         assert recomputed == [*range(last, r, -1), *range(r, last + 1)]
         assert builds["n"] == self.blocks_in(stepped, recomputed)
@@ -499,7 +505,7 @@ class TestEngineSums:
         ]:
             recomputed.clear()
             builds["n"] = 0
-            state = optimize._step(engine, state, which, state.fidelity)
+            state = step_by_name(engine, state, which)
             assert not state.rejected_steps, which
             assert recomputed == rounds, which
             assert builds["n"] == self.blocks_in(state, rounds), which
@@ -512,7 +518,7 @@ class TestEngineSums:
 
         def step(which):
             nonlocal state
-            state = optimize._step(engine, state, which, state.fidelity)
+            state = step_by_name(engine, state, which)
             assert state.fidelity == fresh().evaluate(state), which
 
         for which in ("encoder", "decoder:0", "round:1:0"):
@@ -615,10 +621,11 @@ class TestOptimizationState:
     def test_decoder_count_must_match_memory(self):
         errs = identity_errors(2, rounds=1)
         inst = ((( max_ent_choi(2, 2), np.zeros((4, 4)) ),),)
-        with pytest.raises(ValueError, match="2 decoders required"):
+        with pytest.raises(
+            ValueError, match="factor round 2 needs 2 incoming block families, got 1"
+        ):
             plain_state(
-                errs, max_ent_choi(2, 2), (max_ent_choi(2, 2),),
-                instruments=inst, memory=(2,),
+                errs, max_ent_choi(2, 2), (max_ent_choi(2, 2),), instruments=inst
             )
 
     def test_instrument_family_tp_enforced(self):
@@ -628,8 +635,45 @@ class TestOptimizationState:
             plain_state(
                 errs, max_ent_choi(2, 2),
                 (max_ent_choi(2, 2), max_ent_choi(2, 2)),
-                instruments=inst, memory=(2,),
+                instruments=inst,
             )
+
+    @pytest.mark.parametrize("errs, memory", [
+        (correlated_errors(0), (2, 2)),
+        (bitflip_code().errors, ()),
+        (build_instance("window-full").errors, None),
+    ], ids=["correlated-env-2", "zero-rounds", "window-full"])
+    def test_constructor_round_trips_every_view(self, errs, memory):
+        state = initial_state(errs, 2, memory, config=OptimizerConfig(seed=0))
+        rebuilt = OptimizationState(state.dims, state.factors, fidelity=state.fidelity)
+        for view in ("dims", "rounds", "logical_dim", "memory_structure",
+                     "encoder_dims", "instrument_dims", "decoder_dims", "fidelity"):
+            assert getattr(rebuilt, view) == getattr(state, view), view
+        for view in ("factors", "encoder", "instruments", "decoders"):
+            assert raw_blocks(getattr(rebuilt, view)) == raw_blocks(getattr(state, view)), view
+        assert state.memory_structure == (memory if memory is not None else (2, 2, 2))
+        assert len(state.decoders) == (state.memory_structure or (1,))[-1]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda dims, factors: (dims[:-1], factors),
+         "one dimension pair and one factor round each for the encoder, every "
+         "check round, and the decoders required"),
+        (lambda dims, factors: (dims, (*factors[:2], factors[2][:1], factors[3])),
+         "factor round 2 needs 2 incoming block families, got 1"),
+        (lambda dims, factors: (dims, (*factors[:2], (factors[2][0], factors[2][1][:1]),
+                                       factors[3])),
+         "factor round 2 incoming value 1 needs 2 blocks, got 1"),
+        (lambda dims, factors: ((*dims[:-1], (3, 4)), factors),
+         "encoder input dimension 2 and decoder output dimension 3 must both be "
+         "the logical dim"),
+    ], ids=["round-count", "family-count", "block-count", "logical-dim"])
+    def test_malformed_comb_rejected(self, change, message):
+        state = initial_state(
+            spacetime_toy_circuit().errors, 2, (2, 2), config=OptimizerConfig(seed=0)
+        )
+        dims, factors = change(state.dims, state.factors)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizationState(dims, factors, fidelity=state.fidelity)
 
     def test_trace_line_format(self):
         rec = TraceRecord(iteration=3, factor="decoder:0", fidelity=0.5)
@@ -665,9 +709,7 @@ class TestInitialState:
         state = initial_state(
             errs, 2, (3,), config=OptimizerConfig(seed=5, perturbation=perturbation)
         )
-        for per_round, (d_out, d_in) in zip(
-            optimize._families(state), optimize._factor_dims(state)
-        ):
+        for per_round, (d_out, d_in) in zip(state.factors, state.dims):
             for blocks in per_round:
                 assert family_tp_residual(blocks, d_out, d_in) <= 1e-12
                 for block in blocks:
@@ -804,6 +846,16 @@ class TestCoordinateStep:
         for bad in ["blah", "decoder:5", "round:1:0", "round:0:0", "decoder"]:
             with pytest.raises(ValueError):
                 coordinate_step(state, errs, MIXED_QUBIT, bad)
+
+    @pytest.mark.parametrize("bad", ["decoder:x", "round:a:0", "decoder:1.0"])
+    def test_non_integer_index_names_an_unknown_factor(self, bad):
+        errs = identity_errors(2, rounds=1)
+        state = initial_state(errs, 2, (2,), config=OptimizerConfig(seed=0))
+        message = (
+            f"unknown factor {bad!r}; expected 'encoder', 'decoder:NU', or 'round:R:MU'"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coordinate_step(state, errs, MIXED_QUBIT, bad)
 
 
 # ----------------------------------------------------------------------
@@ -970,17 +1022,7 @@ class TestReimpellWerner:
         self, errs, memory, seed, floor
     ):
         out = seesaw(errs, 2, memory, config=OptimizerConfig(seed=seed))
-        rebuilt = OptimizationState(
-            logical_dim=out.logical_dim,
-            encoder_dims=out.encoder_dims,
-            instrument_dims=out.instrument_dims,
-            decoder_dims=out.decoder_dims,
-            memory_structure=out.memory_structure,
-            encoder=out.encoder,
-            instruments=out.instruments,
-            decoders=out.decoders,
-            fidelity=out.fidelity,
-        )
+        rebuilt = OptimizationState(out.dims, out.factors, fidelity=out.fidelity)
         assert floor <= rebuilt.fidelity <= 1 + 1e-12
 
 
@@ -1018,7 +1060,7 @@ class TestSeesaw:
 
     def test_one_validation_and_one_evaluation_per_step(self, monkeypatch):
         counts = {"check": 0, "evaluate": 0}
-        check, evaluate = OptimizationState._check_feasible, _Engine.evaluate
+        check, evaluate = OptimizationState.__post_init__, _Engine.evaluate
 
         def counted_check(state):
             counts["check"] += 1
@@ -1028,7 +1070,7 @@ class TestSeesaw:
             counts["evaluate"] += 1
             return evaluate(engine, state)
 
-        monkeypatch.setattr(OptimizationState, "_check_feasible", counted_check)
+        monkeypatch.setattr(OptimizationState, "__post_init__", counted_check)
         monkeypatch.setattr(_Engine, "evaluate", counted_evaluate)
         errs = identity_errors(2, rounds=1)
         engines = count_calls(monkeypatch, "_Engine")
@@ -1073,6 +1115,12 @@ class TestSeesaw:
         # numpy would reject it only later, inside initial_state
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             OptimizerConfig(seed=-1)
+
+    def test_negative_tol_conv_rejected(self):
+        # no cycle moves the fidelity by less than a negative tolerance, so
+        # every run would end unconverged at max_iters
+        with pytest.raises(ValueError, match="tol_conv must be at least 0, got -1"):
+            OptimizerConfig(tol_conv=-1)
 
     def test_convergence_flag(self):
         errs = identity_errors(2)
