@@ -376,13 +376,15 @@ def optimize(
     """Maximize entanglement fidelity over encoder, checks, and decoder.
 
     With PATH, the error model comes from the instance file and the logical
-    dimension from its optimization block or --logical-dim.  Without PATH,
-    --ambient-dim and --logical-dim define a no-error model with --rounds
-    check rounds.  With no check rounds the see-saw is the encoder/decoder
-    alternation.
+    dimension from its optimization block or --logical-dim; --ambient-dim is
+    then an error.  Without PATH, --ambient-dim and --logical-dim define a
+    no-error model with --rounds check rounds.  With no check rounds the
+    see-saw is the encoder/decoder alternation.
     """
     block: dict[str, Any] = {}
     if path is not None:
+        if ambient_dim is not None:
+            _fail("--ambient-dim applies only without an instance file")
         doc = _load(path)
         errors = doc.errors
         block = doc.optimization or {}

@@ -11,28 +11,27 @@ or sparse, ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` with the
 nonzero entries in row-major order.  A matrix is written sparse iff
 ``2 * nnz < n * m``, where an entry is nonzero iff it ``!= 0`` (so -0.0 is
 dropped).  Versions 1 (dense only) and 2 (dense or sparse), still read,
-hold each matrix inline in its slot.  The canonical text of any version is
-exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, so a
-file's digest depends on the version it is written in; matrices are
-rendered from flat lists and spliced into json's output of the rest.  On
-load, every slot goes through one resolver: an inline matrix is decoded in
-place, a table entry once, at the shape its first reference implies.  Each
-matrix is validated in bulk and converted by one numpy call; only a
-rejected matrix is walked element by element, to name its offending row,
-cell or sparse entry.  Parse failures name the path through the document
-(for a table entry, the referencing path, then ``matrices[k]``); model
-invariant violations surface the constructor's residual message under that
-path.
+hold each matrix inline in its slot.  The canonical text is exactly
+``json.dumps(doc, sort_keys=True)`` plus a newline: json's default
+separators and no indentation.  The reader ignores whitespace, so a file
+in another layout (such as the ``indent=2`` form earlier releases wrote)
+still loads, and re-exporting it changes its digest.  On load, every slot
+goes through one resolver: an inline matrix is decoded in place, a table
+entry once, at the shape its first reference implies.  Each matrix is
+validated in bulk and converted by one numpy call; only a rejected matrix
+is walked element by element, to name its offending row, cell or sparse
+entry.  Parse failures name the path through the document (for a table
+entry, the referencing path, then ``matrices[k]``); model invariant
+violations surface the constructor's residual message under that path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -285,31 +284,37 @@ def instance_text(
 ) -> str:
     """Canonical serialized form; identical models give identical bytes.
 
-    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-    for the version-3 ``doc``.  Its ``matrices`` table holds each distinct
+    The text is exactly ``json.dumps(doc, sort_keys=True) + "\\n"`` for
+    the version-3 ``doc``.  Its ``matrices`` table holds each distinct
     matrix once, in order of first use along the walk below (codespace,
     check rounds by sorted memory and outcome, error rounds), and each
     matrix slot holds its entry's index.  Two matrices share an entry iff
     they read back bitwise equal: the same shape and bytes, with the zeros
     of a sparse entry read back as +0.  An entry with ``2 * nnz < n * m``
     is its ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` object, any
-    other its :func:`encode_matrix` form.  Only the small skeleton goes
-    through ``json``; each entry is rendered from flat lists and spliced in
-    at the placeholder json wrote for it.
+    other its :func:`encode_matrix` form.
     """
-    matrices: list[npt.NDArray[np.complex128]] = []
+    matrices: list[Any] = []
     index: dict[tuple[Any, ...], int] = {}
 
     def slot(mat: npt.NDArray[np.complex128]) -> int:
         arr = np.ascontiguousarray(mat, dtype=np.complex128)
         support = np.flatnonzero(arr)
-        if 2 * support.size < arr.size:
-            key = (arr.shape, support.tobytes(), arr.reshape(-1)[support].tobytes())
+        sparse = 2 * support.size < arr.size
+        if sparse:
+            values = arr.reshape(-1)[support]
+            key = (arr.shape, support.tobytes(), values.tobytes())
         else:
             key = (arr.shape, arr.tobytes())
         if key not in index:
             index[key] = len(matrices)
-            matrices.append(arr)
+            if sparse:
+                rows, cols = np.divmod(support, arr.shape[1])
+                nz = zip(rows.tolist(), cols.tolist(), values.real.tolist(),
+                         values.imag.tolist())
+                matrices.append({"nz": list(nz), "shape": list(arr.shape)})
+            else:
+                matrices.append(encode_matrix(arr))
         return index[key]
 
     basis = slot(code.codespace.basis)
@@ -343,97 +348,11 @@ def instance_text(
             "trace_nonincreasing": errors.require_trace_nonincreasing,
             "rounds": err_rounds,
         },
-        "matrices": [_Slot(k) for k in range(len(matrices))],
+        "matrices": matrices,
     }
     if optimization is not None:
         doc["optimization"] = dict(optimization)
-    return _splice(doc, matrices) + "\n"
-
-
-class _Slot:
-    """Stand-in for the matrix ``matrices[index]`` in the json skeleton."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-
-def _splice(doc: dict[str, Any], matrices: list[np.ndarray]) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` with the slots filled.
-
-    Each slot is written as a placeholder string; a prefix is accepted only
-    if every placeholder occurs exactly once in the skeleton, so user
-    strings (labels, the optimization block) cannot be mistaken for one.
-    """
-    prefix = ""
-
-    def placeholder(obj: Any) -> str:
-        if isinstance(obj, _Slot):
-            return f"{prefix}{obj.index}"
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable"
-        )
-
-    for salt in count():
-        prefix = f"combsqec-matrix-{salt}-"
-        skeleton = json.dumps(doc, indent=2, sort_keys=True, default=placeholder)
-        parts = re.split(f'"{re.escape(prefix)}([0-9]+)"', skeleton)
-        if sorted(map(int, parts[1::2])) == list(range(len(matrices))):
-            break
-    out = [parts[0]]
-    for k in range(1, len(parts), 2):
-        line = parts[k - 1][parts[k - 1].rfind("\n") + 1 :]
-        indent = len(line) - len(line.lstrip(" "))
-        out.append(_matrix_text(matrices[int(parts[k])], indent))
-        out.append(parts[k + 1])
-    return "".join(out)
-
-
-def _matrix_text(arr: npt.NDArray[np.complex128], indent: int) -> str:
-    """What ``json.dumps(obj, indent=2)`` writes for the file form ``obj``
-    of ``arr``, on a line indented by ``indent`` spaces; ``arr`` is non-empty
-    and C-contiguous."""
-    n, m = arr.shape
-    support = np.flatnonzero(arr)
-    p0, p1, p2, p3 = (" " * (indent + step) for step in (0, 2, 4, 6))
-    within = ",\n" + p3
-    if 2 * support.size < n * m:
-        shape = f'"shape": [\n{p2}{n},\n{p2}{m}\n{p1}]\n{p0}}}'
-        if not support.size:
-            return f'{{\n{p1}"nz": [],\n{p1}{shape}'
-        rows, cols = np.divmod(support, m)
-        parts = _number_words(arr.reshape(-1)[support])
-        words = [""] * (4 * support.size)
-        words[0::4] = map(str, rows.tolist())
-        words[1::4] = map(str, cols.tolist())
-        words[2::4] = parts[0::2]
-        words[3::4] = parts[1::2]
-        seps = [within, within, within, f"\n{p2}],\n{p2}[\n{p3}"] * support.size
-        seps[-1] = f"\n{p2}]\n{p1}],\n{p1}{shape}"
-        return f'{{\n{p1}"nz": [\n{p2}[\n{p3}' + _interleave(words, seps)
-    next_cell = f"\n{p2}],\n{p2}[\n{p3}"
-    next_row = f"\n{p2}]\n{p1}],\n{p1}[\n{p2}[\n{p3}"
-    seps = [within, next_cell] * m
-    seps[-1] = next_row
-    seps *= n
-    seps[-1] = f"\n{p2}]\n{p1}]\n{p0}]"
-    return f"[\n{p1}[\n{p2}[\n{p3}" + _interleave(_number_words(arr), seps)
-
-
-def _number_words(arr: npt.NDArray[np.complex128]) -> list[str]:
-    """json's spelling of the interleaved real and imaginary parts."""
-    values = arr.view(np.float64).ravel().tolist()
-    if np.isfinite(arr).all():
-        return list(map(float.__repr__, values))
-    return list(map(json.dumps, values))  # NaN, Infinity and -Infinity
-
-
-def _interleave(words: list[str], seps: list[str]) -> str:
-    text = [""] * (2 * len(words))
-    text[::2] = words
-    text[1::2] = seps
-    return "".join(text)
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def export_instance(

@@ -556,9 +556,10 @@ def comb_vector_dense(
     total = 1
     for f in factors:
         total *= f.row_dim * f.col_dim
-    if total > dense_cap():
+    cap = dense_cap()
+    if total > cap:
         raise ValueError(
-            f"dense comb vector dim {total} exceeds the cap {dense_cap()}; "
+            f"dense comb vector dim {total} exceeds the cap {cap}; "
             "use the factored comb_vector workflow"
         )
     vec = np.ones(1, dtype=np.complex128)
@@ -669,17 +670,12 @@ def _error_comb_dim(errors: ErrorModel) -> int:
 
 def error_comb(errors: ErrorModel) -> ChoiOperator:
     """Dense error comb: the PSD sum over all error sequences."""
-    total_dim = _error_comb_dim(errors)
-    if total_dim > dense_cap():
-        raise ValueError(
-            f"dense error comb dim {total_dim} exceeds the cap {dense_cap()}"
-        )
     sequences = errors.sequences()
     first = error_comb_vector(errors, next(sequences))
     vectors = itertools.chain(
         [first.data], (error_comb_vector(errors, seq).data for seq in sequences)
     )
-    total = _gram_sum(vectors, total_dim)
+    total = _gram_sum(vectors, _error_comb_dim(errors))
     inputs = tuple(q_label(r) for r in range(errors.rounds + 1))
     outputs = tuple(qp_label(r) for r in range(errors.rounds + 1))
     outputs += (env_label(errors.rounds),)

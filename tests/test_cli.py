@@ -796,6 +796,15 @@ class TestOptimize:
         )
         assert res.exit_code == 2
 
+    def test_ambient_dim_conflicts_with_file(self, runner, exported):
+        res = runner.invoke(
+            main, ["optimize", exported["spacetime"], "--ambient-dim", "7"],
+        )
+        assert res.exit_code == 2
+        assert res.output == (
+            "error: --ambient-dim applies only without an instance file\n"
+        )
+
     @pytest.mark.parametrize("dims", [
         ["--ambient-dim", "2", "--logical-dim", "2", "--rounds", "-1"],
         ["--ambient-dim", "0", "--logical-dim", "1"],

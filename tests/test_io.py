@@ -120,10 +120,10 @@ def reference_encode_v2(mat):
     return reference_encode(arr)
 
 
-def reference_text(code, errors, optimization=None, version=3, indent=2):
+def reference_text(code, errors, optimization=None, version=3, indent=None):
     """Versions 1 and 2 write each matrix in its slot; version 3 writes the
     index of its entry in a table of the distinct written forms, in order
-    of first use."""
+    of first use.  ``indent=2`` gives the layout earlier releases wrote."""
     encode = reference_encode if version == 1 else reference_encode_v2
     table, index = [], {}
 
@@ -450,23 +450,44 @@ def assert_same_arrays(first, second, bitwise=False):
 
 
 class TestSchemaVersions:
-    """Version-1 and version-2 files still load, to the arrays of their
-    version-3 load.
+    """Version-1 and version-2 files, and version-3 files in the indented
+    layout earlier releases wrote, still load, to the arrays of their
+    canonical version-3 load.
 
-    The library instances' v1 and v2 texts are written without
-    indentation: the reader ignores whitespace, and json's pure-Python
-    indenting encoder takes seconds on hexagon's 311,424 dense cells.
+    The v1 and v2 texts are written without indentation: the reader
+    ignores whitespace, and json's pure-Python indenting encoder takes
+    seconds on hexagon's 311,424 dense cells.
     """
 
+    def test_indented_v3_library_files_load_to_bitwise_equal_arrays(
+        self, tmp_path, named
+    ):
+        text = reference_text(named.code, named.errors, indent=2)
+        loaded = load_text(tmp_path, text, "indented.json")
+        assert_same_arrays(named, loaded, bitwise=True)
+        assert instance_text(loaded.code, loaded.errors) == instance_text(
+            named.code, named.errors
+        )
+
+    def test_indented_v3_random_files_load_to_bitwise_equal_arrays(self, tmp_path):
+        for seed in range(20):
+            inst = random_instance(seed, qubits=1 + seed % 2)
+            text = reference_text(inst.code, inst.errors, indent=2)
+            loaded = load_text(tmp_path, text, "indented.json")
+            assert_same_arrays(inst, loaded, bitwise=True)
+            reexported = instance_text(loaded.code, loaded.errors)
+            assert reexported == reference_text(inst.code, inst.errors), seed
+            assert reexported != text, seed
+
     def test_v1_library_files_load_to_equal_arrays(self, tmp_path, named, exported):
-        v1 = reference_text(named.code, named.errors, version=1, indent=None)
+        v1 = reference_text(named.code, named.errors, version=1)
         assert json.loads(v1)["schema_version"] == 1
         assert_same_arrays(load_text(tmp_path, v1, "v1.json"), exported[2])
 
     def test_v2_library_files_load_to_bitwise_equal_arrays(
         self, tmp_path, named, exported
     ):
-        v2 = reference_text(named.code, named.errors, version=2, indent=None)
+        v2 = reference_text(named.code, named.errors, version=2)
         assert json.loads(v2)["schema_version"] == 2
         loaded = load_text(tmp_path, v2, "v2.json")
         assert_same_arrays(loaded, exported[2], bitwise=True)
@@ -534,12 +555,13 @@ class TestMatrixTable:
             assert instance_text(doc.code, doc.errors) == text, seed
             assert_same_arrays(inst, doc, bitwise=True)
 
-    def test_hexagon_file_is_under_a_megabyte(self, tmp_path):
-        # with every slot written in full (version 2) it is 4.77 MB
+    def test_hexagon_file_is_under_256_kb(self, tmp_path):
+        # 191,290 B; indented as json.dumps(doc, indent=2) it is 683,106 B,
+        # and with every slot written in full (version 2) 4.77 MB
         inst = build_instance("hexagon")
         path = tmp_path / "hexagon.json"
         export_instance(inst.code, inst.errors, str(path))
-        assert path.stat().st_size < 1_000_000
+        assert path.stat().st_size < 256_000
 
     def test_operators_built_once_per_round_and_entry(self, exported, monkeypatch):
         with open(exported[0], encoding="utf-8") as fh:
