@@ -26,14 +26,16 @@ messages of the rounds changed since the previous step, and builds the
 superoperators of those rounds only.  Each coordinate step maximizes the
 resulting linear functional Σ_ν Tr(X_ν A_ν) over one family by the
 Reimpell–Werner fixed-point iteration (Reimpell–Werner, PRL 94, 080501,
-2005; Fletcher–Shor–Win, PRA 75, 012338, 2007), whose iterates are CPTP by
-construction.  So is the start (see :func:`initial_state`): the optimizer
-never projects, and :func:`project_cptp`, Dykstra's projection onto the
-CPTP set, is a public utility only.
+2005; Fletcher–Shor–Win, PRA 75, 012338, 2007).  It runs on Kraus square
+roots K_ν of the blocks X_ν = K_ν† K_ν, one input-leg product per
+iteration, so its iterates are Gram matrices and CPTP by construction.  So
+is the start (see :func:`initial_state`): the optimizer never projects, and
+:func:`project_cptp`, Dykstra's projection onto the CPTP set, is a public
+utility only.
 
-Everything here works on plain square arrays in the row-major Choi
-convention (output leg first); the labeled-operator layer is only touched
-at the public projection entry point.
+Everything here works on plain arrays in the row-major Choi convention
+(output leg first); the labeled-operator layer is only touched at the
+public projection entry point.
 """
 
 from __future__ import annotations
@@ -640,53 +642,41 @@ def _parse_which(which: str, state: OptimizationState) -> tuple[int, int]:
     )
 
 
-def _tp_congruence(
-    ys: Sequence[np.ndarray], fallback: Sequence[np.ndarray], d_out: int, d_in: int
-) -> np.ndarray:
-    """PSD blocks, stacked, made trace preserving by one input-leg congruence.
+def _rw_iterate(hs: np.ndarray, fallback: np.ndarray, d_in: int) -> np.ndarray:
+    """One Reimpell–Werner iteration on Kraus roots X_ν = K_ν† K_ν of a
+    flagged block family, given H_ν = K_ν A_ν stacked in ``hs``.
 
-    With ρ = Σ_ν Tr_out Y_ν, returns (I⊗ρ^{+½}) Y_ν (I⊗ρ^{+½}) +
-    (I⊗P) F_ν (I⊗P), where ρ^{+½} is the inverse square root on the support
-    of ρ and P projects onto its kernel (eigenvalues at most ``KERNEL_RTOL``
-    times the largest), on which the trace-preserving ``fallback`` family F
-    is kept.  Every block is a sum of congruences of PSD matrices; the
-    blocks are returned Hermitian, because the congruence by large entries
-    of ρ^{+½} would otherwise leave an anti-Hermitian rounding part in the
-    partial traces that no later congruence removes.
+    Returns H_ν (I⊗ρ^{+½}) with ρ = Σ_ν Tr_out H_ν† H_ν and ρ^{+½} the
+    inverse square root on its support, so X_ν ↦ (I⊗ρ^{+½}) A_ν X_ν A_ν
+    (I⊗ρ^{+½}).  On the kernel of ρ (eigenvalues at most ``KERNEL_RTOL``
+    times the largest) the rows F_ν (I⊗P) of the incoming ``fallback``
+    roots are appended, and a root with more rows than its n columns
+    becomes the R factor of its QR, which has the same K† K.  Rounding in
+    the eigenvalues of ρ leaves a trace-preservation error of order
+    ε·‖ρ‖/λ_min, which the next iteration does not carry over and
+    :func:`_kept_blocks` removes once.  Reimpell–Werner, PRL 94, 080501 (2005).
     """
-    n = d_out * d_in
-    ys = np.asarray(ys)
-    rho = np.einsum("caiaj->ij", ys.reshape(-1, d_out, d_in, d_out, d_in))
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vals > KERNEL_RTOL * max(float(vals[-1]), 0.0)
-    sup = vecs[:, keep]
-    # (I⊗M) Y_ν (I⊗M) for Hermitian M and every ν, on the input leg by reshapes
-    congruence = lambda mat, y: (
-        np.matmul(mat, y.reshape(-1, d_out, d_in, n)).reshape(-1, n, d_out, d_in)
-        @ mat
-    ).reshape(-1, n, n)
-    out = congruence((sup / np.sqrt(vals[keep])) @ sup.conj().T, ys)
-    if not keep.all():
-        ker = vecs[:, ~keep]
-        out += congruence(ker @ ker.conj().T, np.asarray(fallback))
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+    count, _, n = hs.shape
+    rows = hs.reshape(-1, d_in)  # the input leg of every row, every block
+    vals, vecs = np.linalg.eigh(rows.conj().T @ rows)
+    cut = int(np.searchsorted(vals, KERNEL_RTOL * max(float(vals[-1]), 0.0), "right"))
+    sup = vecs[:, cut:]
+    out = (rows @ ((sup / np.sqrt(vals[cut:])) @ sup.conj().T)).reshape(count, -1, n)
+    if cut == 0:
+        return out
+    ker = vecs[:, :cut]
+    kept = fallback.reshape(-1, d_in) @ (ker @ ker.conj().T)
+    out = np.concatenate([out, kept.reshape(count, -1, n)], axis=1)
+    return out if out.shape[1] <= n else np.linalg.qr(out, mode="r")
 
 
-def _rw_iterate(
-    xs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], d_out: int, d_in: int
-) -> np.ndarray:
-    """One Reimpell–Werner fixed-point iteration on a flagged block family.
-
-    X_ν ↦ (I⊗ρ^{+½}) A_ν X_ν A_ν (I⊗ρ^{+½}) + (I⊗P) X_ν (I⊗P) with
-    ρ = Σ_ν Tr_out A_ν X_ν A_ν, as in :func:`_tp_congruence`; the kernel
-    of ρ keeps the incoming channel.  On the support, rounding in the
-    eigenvalues of ρ leaves a trace-preservation error of order
-    ε·‖ρ‖/λ_min.  The next iteration recomputes ρ from A X A, so that error
-    does not carry over; :func:`_step` removes it once, from the family it
-    keeps.  Reimpell–Werner, PRL 94, 080501 (2005).
-    """
-    a = np.asarray(coeffs)
-    return _tp_congruence(a @ np.asarray(xs) @ a, xs, d_out, d_in)
+def _kept_blocks(ks: np.ndarray, fallback: np.ndarray, d_in: int) -> np.ndarray:
+    """The Choi blocks a step keeps from roots K_ν: one more congruence by
+    their own partial trace, which is the identity up to the iterate's
+    trace-preservation error, then X_ν = K_ν† K_ν, Hermitized."""
+    ks = _rw_iterate(ks, fallback, d_in)
+    xs = ks.conj().transpose(0, 2, 1) @ ks
+    return (xs + xs.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _step(
@@ -701,44 +691,50 @@ def _step(
     trace and in ``rejected_steps`` as ``which``; never decreases F.
 
     The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
-    with A_ν ⪰ 0; :func:`_rw_iterate` is repeated on the factor's block
-    family, keeping the best iterate, until ``INNER_STALL`` iterations in a
-    row fail to raise F by more than ``STALL_MARGIN`` or ``inner_steps``
-    iterations have run.  The best iterate is made trace preserving to
-    rounding by one more congruence by its partial trace, which is the
-    identity up to the iterate's error.  The family is accepted only if it
-    passes :func:`_family_fault` and its evaluated objective falls no more
-    than ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
+    with A_ν ⪰ 0.  The step runs on Kraus roots X_ν = K_ν† K_ν, taken by one
+    batched ``eigh`` of the family's blocks.  Each iteration forms
+    H_ν = K_ν A_ν, so Σ_ν Tr(X_ν A_ν) = Σ_ν Tr(K_ν† H_ν) is the objective of
+    the current roots, and :func:`_rw_iterate` maps H to the next roots.
+    The iteration is repeated, keeping the best iterate, until
+    ``INNER_STALL`` iterations in a row fail to raise F by more than
+    ``STALL_MARGIN`` or ``inner_steps`` iterations have run, and
+    :func:`_kept_blocks` turns the best roots into Choi blocks, with the
+    incoming family on any kernel.  The family is accepted only if it passes
+    :func:`_family_fault` and its evaluated objective falls no more than
+    ``ACCEPT_MARGIN`` below ``f_current``, the objective of ``state``.
     """
     d_out, d_in = engine.dims[r]
     blocks = state.factors[r][mu]
     coeffs = np.stack(
         engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
     )
-    linear = lambda xs: float(np.einsum("cij,cji->", xs, coeffs).real)
-    f_rest = f_current - linear(blocks)
+    f_rest = f_current - float(np.einsum("cij,cji->", blocks, coeffs).real)
     record = lambda st, fid: _updated(
         st,
         fidelity=fid,
         trace=st.trace + (TraceRecord(len(st.trace), which, fid),),
     )
 
-    best_blocks = xs = blocks
+    # root rows: the conjugated eigenvectors, each scaled by its eigenvalue's root
+    vals, vecs = np.linalg.eigh(blocks)
+    start = ks = np.sqrt(np.maximum(vals, 0.0))[:, :, None] * vecs.conj().transpose(0, 2, 1)
+    hs = ks @ coeffs
+    best_ks = None
     best_f = f_current
     stall = 0
     for _ in range(state.config.inner_steps):
-        xs = _rw_iterate(xs, coeffs, d_out, d_in)
-        f_here = f_rest + linear(xs)
+        ks = _rw_iterate(hs, ks, d_in)
+        hs = ks @ coeffs
+        f_here = f_rest + float(np.vdot(ks, hs).real)
         if f_here > best_f + STALL_MARGIN:
             best_f = f_here
-            best_blocks = xs
+            best_ks = ks
             stall = 0
         else:
             stall += 1
             if stall >= INNER_STALL:
                 break
-    if best_blocks is not blocks:
-        best_blocks = _tp_congruence(best_blocks, blocks, d_out, d_in)
+    best_blocks = blocks if best_ks is None else _kept_blocks(best_ks, start, d_in)
 
     fault = _family_fault(best_blocks, d_out, d_in, r, mu)
     if fault is None:

@@ -41,9 +41,9 @@ FIDELITY_GATE = 1.0 - 1e-6
 FLIP_ATOL = 1e-9
 # library Gram-Schmidt: smallest residual norm of a projector column kept
 GRAM_SCHMIDT_FLOOR = 1e-8
-# optimizer's PSD test of a block; looser, as the RW congruence amplifies rounding by 1/KERNEL_RTOL
+# optimizer's PSD test of a block; the see-saw's own blocks are Gram matrices, PSD to rounding
 PSD_TOL = 1e-8
-# optimizer's completeness test of a block family's partial traces; looser, as PSD_TOL
+# optimizer's completeness test of a family's partial traces; looser, as rho^-1/2 amplifies rounding
 TP_TOL = 1e-7
 # project_cptp: largest ||Tr_out X - I||_F at which Dykstra's projection stops
 PROJECTION_TOL = 1e-9
