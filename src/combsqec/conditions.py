@@ -57,7 +57,8 @@ __all__ = [
 _FIT_CHUNK = 1 << 20
 # largest total weight of a memory's branches or a static Kraus list: Gram
 # entries and squared singular values are at most it and residual norms square
-# Gram entries, so 2^500, 2^12 below the root of the largest double, keeps them finite
+# Gram entries, so 2^500, 2^12 below the root of the largest double, keeps them finite;
+# the optimizer bounds the product of its error rounds' ||sum E^dag E||_2 by it too
 _WEIGHT_CAP = 2.0**500
 
 

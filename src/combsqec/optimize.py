@@ -19,7 +19,9 @@ The objective is the entanglement fidelity of the composite logical channel
 against a fixed input state, which is multilinear in the factors.  Its sum
 over classical-memory trajectories is taken by forward and backward
 messages over memory values (see :class:`_Engine`): O(L · max n²) matrix
-products per pass for L rounds of at most n memory values.  The engine of
+products per pass for L rounds of at most n memory values.  A correlated
+model's environment leg rides in the messages, and the trace over the
+final environment is part of the last error round.  The engine of
 one public call keeps its messages, so a coordinate step on round r
 recomputes only the forward messages from round r on and the backward
 messages of the rounds changed since the previous step, and builds the
@@ -50,11 +52,12 @@ import numpy as np
 import numpy.typing as npt
 
 from .combs import ChoiOperator, _psd_choi
+from .conditions import _WEIGHT_CAP
 from .model import ErrorModel
 from .tensor import LabeledOperator, _owned, permute_subsystems
 from .tolerances import (
-    ACCEPT_MARGIN, HERMITIAN_RTOL, KERNEL_RTOL, PROJECTION_TOL, PSD_TOL, STALL_MARGIN, TP_TOL,
-    completeness_violation, psd_violation, relative_threshold, smallest_eigenvalue,
+    ACCEPT_MARGIN, HERMITIAN_RTOL, KERNEL_RTOL, PROJECTION_TOL, PSD_RTOL, PSD_TOL, STALL_MARGIN,
+    TP_TOL, completeness_violation, psd_violation, relative_threshold, smallest_eigenvalue,
 )
 
 __all__ = [
@@ -299,26 +302,13 @@ def _superop_from_choi(choi: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return c4.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
-def _superop_from_kraus(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return sum(np.kron(m, m.conj()) for m in mats)
-
-
-def _lift_superop(s: np.ndarray, d_out: int, d_in: int, d_env: int) -> np.ndarray:
-    """Superoperator of (map (x) identity on an environment leg)."""
-    if d_env == 1:
-        return s
-    eye = np.eye(d_env)
-    lifted = np.einsum(
-        "abqp,ef,gh->aebgqfph", s.reshape(d_out, d_out, d_in, d_in), eye, eye
-    )
-    return lifted.reshape((d_out * d_env) ** 2, (d_in * d_env) ** 2)
-
-
-def _trace_env_superop(d_q: int, d_env: int) -> np.ndarray:
-    t = np.einsum(
-        "qa,rb,ef->qraebf", np.eye(d_q), np.eye(d_q), np.eye(d_env)
-    )
-    return t.reshape(d_q * d_q, (d_q * d_env) ** 2)
+def _superop_from_kraus(mats: Sequence[np.ndarray], q_out: int, q_in: int) -> np.ndarray:
+    """Σ K ⊗ K̄ of Kraus operators from q_in ⊗ E to q_out ⊗ E′, each leg E
+    trailing its system, with rows and columns reordered to (e, e′, q, q′)."""
+    e_out, e_in = len(mats[0]) // q_out, len(mats[0].T) // q_in
+    s = sum(np.kron(m, m.conj()) for m in mats)
+    s = s.reshape(q_out, e_out, q_out, e_out, q_in, e_in, q_in, e_in)
+    return s.transpose(1, 3, 0, 2, 5, 7, 4, 6).reshape((e_out * q_out) ** 2, -1)
 
 
 def _rho_coeff(rho: np.ndarray) -> np.ndarray:
@@ -336,25 +326,14 @@ def _choi_coeff(b: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return b4.transpose(3, 1, 2, 0).reshape(d_out * d_in, d_out * d_in)
 
 
-def _contract_env(b: np.ndarray, d_out: int, d_in: int, d_env: int) -> np.ndarray:
-    if d_env == 1:
-        return b
-    b8 = b.reshape(d_in, d_env, d_in, d_env, d_out, d_env, d_out, d_env)
-    return np.einsum("qxpyaxby->qpab", b8).reshape(d_in * d_in, d_out * d_out)
-
-
 class _Engine:
     """Error-model constants and the memory sums behind the objective.
 
     Factors vary between calls; everything derived from the error model,
     the input state, and the memory structure is computed once.  Factor
-    round r = 0..L+1 has (out, in) dims ``dims[r]``; its blocks act on the
-    system next to an environment leg of dim ``envs[r]``, are lifted by it
-    like any instrument, and are followed by ``after[r]``: error round r for
-    r ≤ L, and for r = L+1 the trace over the final environment leg (the
-    identity when that leg is trivial).  Lifting the decoders and tracing
-    afterwards equals tracing first, Tr_E∘(D⊗id_E) = D∘Tr_E.  Round r has
-    ``outgoing[r]`` outgoing memory values, with ``outgoing =
+    round r = 0..L+1 has (out, in) dims ``dims[r]`` and is followed by
+    ``after[r]``: error round r for r ≤ L, the identity for r = L+1.  Round
+    r has ``outgoing[r]`` outgoing memory values, with ``outgoing =
     (1, *memory_structure, 1)``.
 
     The sum over memory trajectories factorizes round by round, because a
@@ -362,9 +341,13 @@ class _Engine:
     So :meth:`evaluate` and :meth:`coefficients` run forward messages
     F_{−1} = I, F_r[ν] = after_r·Σ_μ S_{r,μ,ν}·F_{r−1}[μ] and backward
     messages B_{L+1} = after_{L+1}, B_{r−1}[μ] = (Σ_ν B_r[ν]·S_{r,μ,ν})·after_{r−1},
-    with S_{r,μ,ν} the lifted superoperator of block (r, μ, ν).  Each pass
-    costs O(L · max n²) matrix products, against O(∏n_r · L) for the
-    trajectory enumeration it replaces.
+    with S_{r,μ,ν} the superoperator of block (r, μ, ν).  Each pass costs
+    O(L · max n²) matrix products, against O(∏n_r · L) for the trajectory
+    enumeration it replaces.  The environment leg rides in the messages
+    beside the logical index: a forward message has rows (e, e′, q, q′), a
+    backward one columns, so a block acts on every environment slice by one
+    product and is never lifted.  The last error round also traces out the
+    final environment, one Kraus operator per slice, so the decoders see none.
 
     An engine lives for one public call and remembers, by array identity,
     the messages it computed: F_r while the families of rounds ≤ r are
@@ -407,18 +390,30 @@ class _Engine:
             raise ValueError("input state must be Hermitian")
         if not abs(np.trace(rho).real - 1.0) <= HERMITIAN_RTOL:
             raise ValueError("input state must have unit trace")
+        if psd_violation(rho, relative_threshold(PSD_RTOL, rho)) is not None:
+            raise ValueError("input state must be positive semidefinite")
         self.n_coeff = _rho_coeff(rho)
         error_rounds = range(rounds + 1)
         self.dims = tuple(zip(
             (*(errors.q_in_dim(r) for r in error_rounds), logical_dim),
             (logical_dim, *(errors.q_out_dim(r) for r in error_rounds)),
         ))
-        self.envs = (1, *(errors.env_dim(r) for r in error_rounds))
         self.outgoing = (1, *memory_structure, 1)
-        self.after = [
-            _superop_from_kraus([op.data for op in errors.round_ops(r)])
-            for r in error_rounds
-        ] + [_trace_env_superop(logical_dim, self.envs[-1])]
+        self.after, weight = [], 1.0
+        for r in error_rounds:
+            mats = [op.data for op in errors.round_ops(r)]
+            norm = float(np.linalg.svd(np.concatenate(mats), compute_uv=False)[0])
+            weight *= norm * norm  # ||sum E^dag E||_2, taken before any product can overflow
+            if not weight <= _WEIGHT_CAP:
+                raise ValueError(
+                    f"error weights overflow at error round {r}: the product of ||sum E^dag E||_2 "
+                    f"over rounds 0..{r} is {weight:.3e}, above the bound {_WEIGHT_CAP:.1e}"
+                )
+            q_out = errors.q_out_dim(r)
+            if r == rounds:  # the final environment, traced out: one Kraus operator per slice
+                mats = [k for m in mats for k in m.reshape(q_out, -1, len(m.T)).transpose(1, 0, 2)]
+            self.after.append(_superop_from_kraus(mats, q_out, errors.q_in_dim(r)))
+        self.after.append(np.eye(logical_dim**2))
         self._fwd: list = []
         self._bwd: list = []
 
@@ -430,7 +425,7 @@ class _Engine:
         ``cache[k]`` holds round ``rounds[k]``'s families and the message
         ``step`` made from them; it is reused while every family up to it
         is the same objects, and the pass is redone from the first round
-        that differs.  ``step`` gets the round's lifted superoperators, as
+        that differs.  ``step`` gets the round's superoperators, as
         ``ops[μ][ν]`` = S_{r,μ,ν}, built for it and then dropped.
         """
         for k, r in enumerate(rounds):
@@ -441,12 +436,8 @@ class _Engine:
                 msgs = cache[k][1]
                 continue
             del cache[k:]
-            (d_out, d_in), env = self.dims[r], self.envs[r]
-            ops = [
-                [_lift_superop(_superop_from_choi(b, d_out, d_in), d_out, d_in, env)
-                 for b in blocks]
-                for blocks in families[r]
-            ]
+            d_out, d_in = self.dims[r]
+            ops = [[_superop_from_choi(b, d_out, d_in) for b in blocks] for blocks in families[r]]
             msgs = step(r, ops, msgs)
             cache.append((families[r], msgs))
         return msgs
@@ -454,11 +445,15 @@ class _Engine:
     def _forward(self, families: Sequence, last: int) -> list[np.ndarray]:
         """F_last: F_r[ν] sums every trajectory prefix through ``after[r]``
         that leaves memory value ν; F_{−1} = I."""
+        k2 = self.dims[0][1] ** 2
         return self._messages(
             self._fwd, families, range(last + 1),
-            [np.eye(self.dims[0][1] ** 2, dtype=np.complex128)],
+            [np.eye(k2, dtype=np.complex128)],
             lambda r, ops, prev: [
-                self.after[r] @ sum(ops[mu][nu] @ f for mu, f in enumerate(prev))
+                self.after[r] @ sum(
+                    ops[mu][nu] @ f.reshape(-1, self.dims[r][1] ** 2, k2)
+                    for mu, f in enumerate(prev)
+                ).reshape(-1, k2)
                 for nu in range(self.outgoing[r])
             ],
         )
@@ -466,11 +461,14 @@ class _Engine:
     def _backward(self, families: Sequence, first: int) -> list[np.ndarray]:
         """B_first: B_r[ν] sums every trajectory suffix from ``after[r]`` on
         that starts from memory value ν; B_{L+1} = after_{L+1}."""
+        k2 = len(self.after[-1])
         return self._messages(
             self._bwd, families, range(len(self.dims) - 1, first, -1),
             [self.after[-1]],
             lambda r, ops, prev: [
-                sum(b @ ops[mu][nu] for nu, b in enumerate(prev)) @ self.after[r - 1]
+                sum(
+                    b.reshape(-1, self.dims[r][0] ** 2) @ ops[mu][nu] for nu, b in enumerate(prev)
+                ).reshape(k2, -1) @ self.after[r - 1]
                 for mu in range(self.outgoing[r - 1])
             ],
         )
@@ -485,7 +483,7 @@ class _Engine:
         """Linear coefficient A of each target block (r, μ, ν): F = Tr(X A) + rest.
 
         The block gets F_{r−1}[μ]·N·B_r[ν] with N the input state's
-        coefficient, contracted over the round's environment leg.
+        coefficient, summed over the environment slices of the messages.
         """
         families = state.factors
         for r, mu, nu in targets:
@@ -495,10 +493,12 @@ class _Engine:
         out = []
         for r, mu, nu in targets:
             d_out, d_in = self.dims[r]
-            fwd = self._forward(families, r - 1)[mu]
+            fwd = self._forward(families, r - 1)[mu] @ self.n_coeff
             bwd = self._backward(families, r)[nu]
-            b = _contract_env(fwd @ self.n_coeff @ bwd, d_out, d_in, self.envs[r])
-            a = _choi_coeff(b, d_out, d_in)
+            k2 = len(bwd)  # one product over the (e, e′, logical) index of both messages
+            fwd = fwd.reshape(-1, d_in * d_in, k2).transpose(1, 0, 2).reshape(d_in * d_in, -1)
+            bwd = bwd.reshape(k2, -1, d_out * d_out).transpose(1, 0, 2).reshape(-1, d_out * d_out)
+            a = _choi_coeff(fwd @ bwd, d_out, d_in)
             out.append((a + a.conj().T) / 2.0)
         return out
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-# ChoiOperator, ErrorModel: PSD test, relative to ||X||_F (error rounds: ||sum E^dag E||_F)
+# ChoiOperator, ErrorModel, optimizer input state: PSD test, relative to ||X||_F (error rounds: ||sum E^dag E||_F)
 PSD_RTOL = 1e-9
 # CheckInstrument: completeness test; Decoder: largest ||P^2 - P||_F of its P = sum D^dag D
 COMPLETENESS_ATOL = 1e-9

@@ -14,7 +14,7 @@ import combsqec.conditions as conditions
 import combsqec.io as combsqec_io
 from combsqec.cli import main
 from combsqec.conditions import ConditionReport
-from combsqec.io import export_instance, instance_text, load_instance
+from combsqec.io import decode_matrix, export_instance, instance_text, load_instance
 from combsqec.library import build_instance, instance_names
 from combsqec.model import (
     CheckInstrument,
@@ -29,7 +29,10 @@ from combsqec.model import (
     enumerate_trajectories,
     error_op,
 )
-from combsqec.optimize import OptimizerConfig, static_biconvex
+from combsqec.optimize import (
+    OptimizationState, OptimizerConfig, ent_fidelity, seesaw, static_biconvex,
+)
+from combsqec.tolerances import ACCEPT_MARGIN
 
 from conftest import (
     DEPHASING_SIGNS,
@@ -37,6 +40,8 @@ from conftest import (
     env_dephasing_instance,
     flip_once_window,
     noisy_errors,
+    random_kraus_set,
+    rng_for,
 )
 
 
@@ -116,6 +121,37 @@ def overflow_spacetime(path):
         huge + inst.errors.kraus_rounds[2:], require_trace_nonincreasing=False
     )
     export_instance(inst.code, errors, path)
+    return path
+
+
+def scaled_bitflip(path, scale):
+    """Bitflip's code with its one error round replaced by ``scale`` times
+    the identity, admitted with the trace check off."""
+    inst = build_instance("bitflip")
+    errors = ErrorModel(
+        ((error_op(0, scale * np.eye(8)),),), require_trace_nonincreasing=False
+    )
+    export_instance(inst.code, errors, path)
+    return path
+
+
+def correlated_qubit_instance(path):
+    """One qubit and one two-outcome check round between two error rounds
+    whose environment has dim 2 after round 0 and 3 after round 1; no
+    library instance carries an environment."""
+    rng = rng_for(3)
+    errors = ErrorModel(tuple(
+        tuple(
+            error_op(r, mat, e_in, e_out)
+            for mat in random_kraus_set(rng, 2 * e_out, 2 * e_in, 2)
+        )
+        for r, (e_in, e_out) in enumerate([(1, 2), (2, 3)])
+    ))
+    check = CheckInstrument({
+        "a": check_op(1, np.diag([1.0, 0.0])), "b": check_op(1, np.diag([0.0, 1.0]))
+    })
+    interro = Interrogator(({"": check},), MemoryUpdate(({("a", ""): "a", ("b", ""): "b"},)))
+    export_instance(StrategicCode(CodeSpace(2, np.eye(2)), interro), errors, path)
     return path
 
 
@@ -783,6 +819,60 @@ class TestOptimize:
         assert json.loads(out.read_text()) == json.loads(
             json.dumps(cli._state_document(state))
         )
+
+    @pytest.mark.parametrize("scale", [1e200, 1e100], ids=["1e200", "1e100"])
+    def test_overflowing_error_weights_are_named(self, runner, tmp_path, scale):
+        # ||sum E^dag E||_2 is 1e400 or 1e200, above 2^500: numpy used to warn
+        # of overflow and the eigensolver to fail ("Eigenvalues did not
+        # converge"); warnings are errors here, so exit 2 means none was raised
+        path = scaled_bitflip(str(tmp_path / "big.json"), scale)
+        res = runner.invoke(main, ["optimize", path, "--logical-dim", "2"])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(
+            "error: error weights overflow at error round 0: the product of "
+            "||sum E^dag E||_2 over rounds 0..0 is "
+        )
+        assert res.output.endswith(", above the bound 3.3e+150\n")
+
+    @pytest.mark.parametrize("scale", [1e50, 2.0**240], ids=["1e50", "2^240"])
+    def test_large_error_weights_below_the_cap_still_run(self, runner, tmp_path, scale):
+        path = scaled_bitflip(str(tmp_path / "big.json"), scale)
+        trace = tmp_path / "trace.txt"
+        res = runner.invoke(
+            main,
+            ["optimize", path, "--logical-dim", "2", "--max-iters", "3", "--trace", str(trace)],
+        )
+        assert res.exit_code == 4, res.output
+        errors = load_instance(path).errors
+        state = seesaw(errors, 2, config=OptimizerConfig(max_iters=3))
+        assert trace.read_text() == "\n".join(state.trace_lines()) + "\n"
+
+    def test_file_with_an_environment_runs(self, runner, tmp_path):
+        path = correlated_qubit_instance(str(tmp_path / "corr.json"))
+        trace, out = tmp_path / "trace.txt", tmp_path / "state.json"
+        res = runner.invoke(
+            main,
+            ["optimize", path, "--logical-dim", "2", "--max-iters", "5",
+             "--trace", str(trace), "--out", str(out)],
+        )
+        assert res.exit_code in (0, 4), res.output
+        fids = [float(line.split()[-1]) for line in trace.read_text().splitlines()]
+        assert all(b >= a - ACCEPT_MARGIN for a, b in zip(fids, fids[1:]))
+        # the written blocks pass the public constructor's feasibility test
+        doc = json.loads(out.read_text())
+        factors = (
+            ((decode_matrix(doc["encoder"], "encoder"),),),
+            tuple(
+                tuple(decode_matrix(block, "block") for block in family)
+                for family in doc["instruments"][0]
+            ),
+            tuple((decode_matrix(dec, "decoder"),) for dec in doc["decoders"]),
+        )
+        state = OptimizationState(((2, 2),) * 3, factors, fidelity=doc["fidelity"])
+        assert state.memory_structure == (2,)
+        errors = load_instance(path).errors
+        rho = np.eye(2, dtype=complex) / 2
+        assert abs(ent_fidelity(state, errors, rho) - doc["fidelity"]) <= 1e-12
 
     def test_dims_required_without_file(self, runner):
         res = runner.invoke(main, ["optimize"])

@@ -29,8 +29,6 @@ from combsqec import optimize
 from combsqec.optimize import (
     _Engine,
     _choi_coeff,
-    _contract_env,
-    _lift_superop,
     _project_cptp_array,
     _rho_coeff,
     _rw_iterate,
@@ -261,6 +259,20 @@ class TestEntFidelity:
         with pytest.raises(ValueError, match="must be 2 x 2"):
             ent_fidelity(state, errs, np.eye(3, dtype=complex) / 3)
 
+    def test_non_psd_input_state_rejected(self):
+        # Hermitian with unit trace but a negative eigenvalue: on spacetime
+        # the start's objective read 1.62 and one step's 3.92 when admitted
+        errs = spacetime_toy_circuit().errors
+        rho = np.diag([1.5, -0.5]).astype(complex)
+        state = initial_state(errs, 2)
+        for call in (
+            lambda: initial_state(errs, 2, rho=rho),
+            lambda: ent_fidelity(state, errs, rho),
+            lambda: coordinate_step(state, errs, rho, "round:1:0"),
+        ):
+            with pytest.raises(ValueError, match="input state must be positive semidefinite"):
+                call()
+
     def test_never_exceeds_one(self):
         for seed in range(8):
             rng = rng_for(100 + seed)
@@ -276,6 +288,33 @@ class TestEntFidelity:
 # ----------------------------------------------------------------------
 
 
+def reference_lift(d_out, d_in, d_env):
+    """The linear map vec(K) -> vec(K (x) I_E) on d_out x d_in matrices, as
+    a matrix V: a block of Kraus operators K has Choi sum vec(K) vec(K)^dag,
+    so (block (x) identity on an environment leg of dim d_env) has Choi
+    V X V^dag, in the error model's layout (environment trailing)."""
+    units = np.eye(d_out * d_in).reshape(-1, d_out, d_in)
+    return np.stack([np.kron(u, np.eye(d_env)).reshape(-1) for u in units], axis=1)
+
+
+def reference_block(state, target, d_env):
+    """Superoperator of block ``target`` (x) identity on the environment."""
+    r, mu, nu = target
+    d_out, d_in = state.dims[r]
+    lift = reference_lift(d_out, d_in, d_env)
+    lifted = lift @ state.factors[r][mu][nu] @ lift.conj().T
+    return _superop_from_choi(lifted, d_out * d_env, d_in * d_env)
+
+
+def reference_trace_env(d_q, d_env):
+    """Superoperator of the partial trace over a trailing environment leg:
+    Kraus operators I_Q (x) <e| for every basis vector e."""
+    return sum(
+        np.kron(m, m.conj())
+        for m in (np.kron(np.eye(d_q), e[None, :]) for e in np.eye(d_env))
+    )
+
+
 def reference_chain(errors, state, traj):
     """Application-ordered (key, superop) factors of one trajectory, every
     superoperator rebuilt for this trajectory alone from the state's public
@@ -283,34 +322,21 @@ def reference_chain(errors, state, traj):
     outgoing): the encoder is (0, 0, 0) and decoder ν is (L+1, ν, 0).  The
     final environment leg is traced out before the decoder."""
     rounds = state.rounds
-    eo, ei = state.encoder_dims
-    parts = [((0, 0, 0), _superop_from_choi(state.encoder, eo, ei))]
+    parts = [((0, 0, 0), reference_block(state, (0, 0, 0), 1))]
     for r in range(rounds + 1):
         if r >= 1:
             mu = traj[r - 2] if r >= 2 else 0
-            nu = traj[r - 1]
-            do, di = state.instrument_dims[r - 1]
-            s = _superop_from_choi(state.instruments[r - 1][mu][nu], do, di)
-            parts.append((
-                (r, mu, nu), _lift_superop(s, do, di, errors.env_dim(r - 1))
-            ))
+            target = (r, mu, traj[r - 1])
+            parts.append((target, reference_block(state, target, errors.env_dim(r - 1))))
         parts.append((
             ("error", r),
             sum(np.kron(k.data, k.data.conj()) for k in errors.round_ops(r)),
         ))
     d_env = errors.env_dim(rounds)
     if d_env > 1:
-        d_q = errors.q_out_dim(rounds)
-        trace_env = np.einsum(
-            "qa,rb,ef->qraebf", np.eye(d_q), np.eye(d_q), np.eye(d_env)
-        ).reshape(d_q * d_q, (d_q * d_env) ** 2)
-        parts.append((("trace_env",), trace_env))
-    nu_final = traj[-1] if rounds else 0
-    do, di = state.decoder_dims
-    parts.append((
-        (rounds + 1, nu_final, 0),
-        _superop_from_choi(state.decoders[nu_final], do, di),
-    ))
+        parts.append((("trace_env",), reference_trace_env(errors.q_out_dim(rounds), d_env)))
+    target = (rounds + 1, traj[-1] if rounds else 0, 0)
+    parts.append((target, reference_block(state, target, 1)))
     return parts
 
 
@@ -329,12 +355,15 @@ def reference_evaluate(errors, state, rho):
 
 
 def reference_coefficient(errors, state, rho, target):
+    """A with F = Tr(X A) + rest for block X = ``target``: the coefficient
+    of its lifted Choi V X V^dag (see :func:`reference_lift`), pulled back
+    by V, so A = V^dag A_lifted V."""
     r = target[0]
-    d_out, d_in = (state.encoder_dims, *state.instrument_dims, state.decoder_dims)[r]
+    d_out, d_in = state.dims[r]
     # the decoder acts after the final environment leg is traced out
     d_env = errors.env_dim(r - 1) if 1 <= r <= state.rounds else 1
     dl2 = state.logical_dim**2
-    acc = np.zeros((d_in * d_in, d_out * d_out), dtype=np.complex128)
+    acc = np.zeros(((d_in * d_env) ** 2, (d_out * d_env) ** 2), dtype=np.complex128)
     for traj in reference_trajectories(state):
         parts = reference_chain(errors, state, traj)
         keys = [k for k, _ in parts]
@@ -349,8 +378,9 @@ def reference_coefficient(errors, state, rho, target):
             post = s if post is None else s @ post
         if post is None:
             post = np.eye(dl2, dtype=np.complex128)
-        acc += _contract_env(pre @ _rho_coeff(rho) @ post, d_out, d_in, d_env)
-    a = _choi_coeff(acc, d_out, d_in)
+        acc += pre @ _rho_coeff(rho) @ post
+    lift = reference_lift(d_out, d_in, d_env)
+    a = lift.conj().T @ _choi_coeff(acc, d_out * d_env, d_in * d_env) @ lift
     return (a + a.conj().T) / 2.0
 
 
@@ -363,17 +393,17 @@ def factor_targets(state):
     return targets + [(final, nu, 0) for nu in range(len(state.decoders))]
 
 
-def correlated_errors(seed):
+def correlated_errors(seed, envs=(2, 2, 2)):
     """Two-round TP qubit errors, two Kraus operators per round, whose
-    environment qubit runs through every round and is still open after
-    the last one."""
+    environment runs through every round and is still open after the last
+    one; ``envs[r]`` is its dim after error round r."""
     rng = rng_for(seed)
     return ErrorModel(tuple(
         tuple(
-            error_op(r, k, env_in=1 if r == 0 else 2, env_out=2)
-            for k in random_kraus_set(rng, 4, 2 if r == 0 else 4, 2)
+            error_op(r, k, env_in=e_in, env_out=e_out)
+            for k in random_kraus_set(rng, 2 * e_out, 2 * e_in, 2)
         )
-        for r in range(3)
+        for r, (e_in, e_out) in enumerate(zip((1, *envs), envs))
     ))
 
 
@@ -412,11 +442,13 @@ class TestEngineSums:
             (spacetime_toy_circuit().errors, (2, 2)),
             (identity_errors(2, rounds=3), (2, 2, 2)),
             (correlated_errors(0), (2, 3)),
+            (correlated_errors(0, envs=(2, 3, 3)), (2, 3)),
             (bitflip_code().errors, ()),
             (identity_errors(2, rounds=5), (2, 3, 2, 2, 2)),
         ],
         ids=["spacetime-1-2", "spacetime-2-2", "identity-3-rounds",
-             "correlated-env-2", "bitflip-0-rounds", "identity-5-rounds"],
+             "correlated-env-2", "correlated-env-2-3-3", "bitflip-0-rounds",
+             "identity-5-rounds"],
     )
     def test_messages_match_rebuild_within_1e_12(self, errs, memory):
         for seed in range(2):
@@ -436,8 +468,8 @@ class TestEngineSums:
     @staticmethod
     def record_passes(monkeypatch):
         """Log the round of every message a pass recomputes, and count the
-        lifted superoperators built meanwhile."""
-        builds = count_calls(monkeypatch, "_lift_superop")
+        block superoperators built meanwhile."""
+        builds = count_calls(monkeypatch, "_superop_from_choi")
         recomputed = []
         messages = _Engine._messages
 
