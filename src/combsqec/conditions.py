@@ -104,7 +104,10 @@ class Decoder:
     An empty list is the empty sum P = 0, a projector, so it passes
     untested and the completion is the identity.  The constructor is the
     trust boundary: it keeps a read-only complex128 copy of each operator,
-    so the caller's arrays may change afterwards.
+    so the caller's arrays may change afterwards.  The synthesizers hand
+    over the operators they have just computed through
+    :func:`_owned_decoder` instead, which runs the same tests and copies
+    nothing.
     """
 
     output_dim: int
@@ -115,11 +118,17 @@ class Decoder:
         kraus: dict[str, tuple[npt.NDArray[np.complex128], ...]] = {}
         for m, ops in self.kraus.items():
             try:
-                mats = tuple(np.array(d, dtype=np.complex128) for d in ops)
+                kraus[m] = tuple(np.array(d, dtype=np.complex128) for d in ops)
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"decoder Kraus for memory {m!r} is not a complex matrix"
                 ) from exc
+        self._keep(kraus)
+
+    def _keep(self, kraus: dict[str, tuple[npt.NDArray[np.complex128], ...]]) -> None:
+        """Test the shape and the projector sum of each memory's complex
+        matrices, mark them read-only in place and store them."""
+        for m, mats in kraus.items():
             for d in mats:
                 if d.shape != (self.output_dim, self.input_dim):
                     raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
@@ -131,11 +140,25 @@ class Decoder:
                     raise ValueError(
                         f"decoder for memory {m!r}: sum of D^dag D is not a projector"
                     )
-            kraus[m] = mats
         object.__setattr__(self, "kraus", kraus)
 
     def memories(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
+
+
+def _owned_decoder(
+    output_dim: int, input_dim: int, kraus: dict[str, tuple[np.ndarray, ...]]
+) -> Decoder:
+    """Decoder of complex matrices a synthesizer has just computed.
+
+    They pass the constructor's shape and projector tests and are marked
+    read-only in place, not copied, so no one else may hold them.
+    """
+    decoder = object.__new__(Decoder)
+    object.__setattr__(decoder, "output_dim", output_dim)
+    object.__setattr__(decoder, "input_dim", input_dim)
+    decoder._keep(kraus)
+    return decoder
 
 
 @dataclass(frozen=True)
@@ -683,7 +706,7 @@ def _decoder(comp: _Composed, sectors: dict[str, tuple], uniform: bool) -> Decod
         w, _, vh = np.linalg.svd(stack, full_matrices=False)
         iso = w @ vh
         kraus[m] = tuple(basis @ iso[:, a * k : (a + 1) * k].conj().T for a in range(r))
-    return Decoder(output_dim=basis.shape[0], input_dim=out, kraus=kraus)
+    return _owned_decoder(basis.shape[0], out, kraus)
 
 
 def synth_decoder_algebraic(
@@ -766,22 +789,27 @@ def verify_recovery(
     state total one for trace-preserving models; the fidelity is the sum
     over decoder Kraus D and branches b of |<psi| D W_b>|^2 over the
     weight, so no recovered state is formed.  Weight in the completion
-    I - sum D^dag D counts toward the weight but contributes no fidelity.  Records run in
-    (state, memory) order.
+    I - sum D^dag D counts toward the weight but contributes no fidelity.
+    Records run in (state, memory) order.
+
+    The states are validated together, with the first bad one named: a
+    wrong dimension or norm in state order, then codespace membership,
+    read from the logical coordinates B^dag psi.  Per memory, three
+    batched matrix products over all states form the arrived vectors
+    W_b = K_b B B^dag psi, the bras <psi| D and their overlaps.
     """
     comp = _composed(code, errors)
     ambient = code.codespace.ambient_dim
     out = comp.out_dim
     basis = code.codespace.basis
-    vecs = []
-    for idx, psi in enumerate(states):
-        vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        if vec.shape[0] != ambient:
-            raise ValueError(f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}")
-        if not abs(np.linalg.norm(vec) - 1.0) <= UNIT_NORM_ATOL:
-            raise ValueError(f"state {idx} is not normalized")
-        vecs.append(vec)
-    vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
+    flat = [np.asarray(psi, dtype=np.complex128).reshape(-1) for psi in states]
+    sized = next((i for i, v in enumerate(flat) if v.shape[0] != ambient), len(flat))
+    vecs = np.array(flat[:sized], dtype=np.complex128).reshape(-1, ambient)
+    unnormalized = ~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= UNIT_NORM_ATOL)
+    if unnormalized.any():
+        raise ValueError(f"state {int(np.argmax(unnormalized))} is not normalized")
+    if sized < len(flat):
+        raise ValueError(f"state {sized} has dim {flat[sized].shape[0]}, ambient is {ambient}")
     logical = vecs @ basis.conj()                              # (n_s, k)
     # codespace membership from the logical coordinates: psi = B B^dag psi
     outside = np.linalg.norm(vecs - logical @ basis.T, axis=1) > CODESPACE_ATOL
@@ -800,11 +828,12 @@ def verify_recovery(
     for col, m in enumerate(comp.memories):
         if not len(comp.blocks[m]):
             continue
-        arrived = np.einsum("bqk,sk->sqb", comp.blocks[m], logical)   # (n_s, q, b)
-        weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(1, 2))
+        arrived = np.matmul(comp.blocks[m], logical.T)        # (b, q, n_s)
+        weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(0, 1))
         kraus = np.array(decoder.kraus[m], dtype=np.complex128).reshape(-1, ambient, out)
-        bras = np.einsum("sx,nxq->snq", vecs.conj(), kraus)   # <psi_s| D_n
-        overlaps[:, col] = np.sum(np.abs(bras @ arrived) ** 2, axis=(1, 2))
+        bras = np.matmul(vecs.conj(), kraus)                  # (n, n_s, q): <psi_s| D_n
+        cells = np.matmul(bras.transpose(1, 0, 2), arrived.transpose(2, 1, 0))
+        overlaps[:, col] = np.sum(np.abs(cells) ** 2, axis=(1, 2))
     records = [
         RecoveryRecord(idx, m, float(weights[idx, col]),
                        float(overlaps[idx, col]) / float(weights[idx, col]))

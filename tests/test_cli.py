@@ -520,6 +520,17 @@ class TestCheck:
 
 
 class TestDecode:
+    def test_codestates_are_one_draw_of_the_seeded_stream(self):
+        # per state, the real parts of its amplitudes, then the imaginary ones
+        inst = build_instance("window-full")
+        rng, k = np.random.default_rng(5), inst.code.codespace.dim
+        want = []
+        for _ in range(4):
+            amp = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            want.append(inst.code.codespace.basis @ (amp / np.linalg.norm(amp)))
+        got = cli._random_codestates(inst.code, 4, 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("proof", ["algebraic", "schmidt"])
     def test_hexagon_both_proofs(self, runner, exported, proof):
         res = runner.invoke(
@@ -707,6 +718,20 @@ class TestComposedTable:
         runner.invoke(main, ["check", exported["bitflip"], "--method", "both"])
         assert len(calls) == 1
 
+    def test_one_table_per_verb_on_hexagon(self, runner, exported, monkeypatch):
+        built = []
+        init = conditions._Composed.__init__
+        monkeypatch.setattr(
+            conditions._Composed, "__init__", lambda *a: built.append(a) or init(*a)
+        )
+        for args in (["check", exported["hexagon"], "--method", "both"],
+                     ["decode", exported["hexagon"], "--proof", "algebraic"],
+                     ["decode", exported["hexagon"], "--proof", "schmidt"],
+                     ["demo", "hexagon"]):
+            built.clear()
+            assert runner.invoke(main, args).exit_code == 0, args
+            assert len(built) == 1, args
+
     def test_forgetful_window_checks_past_the_sequence_count(self, runner, tmp_path):
         # 4^10 outcome sequences, more than TRAJECTORY_CAP, and 4 branches:
         # the table enumerates only what the walk keeps
@@ -846,6 +871,16 @@ class TestOptimize:
         errors = load_instance(path).errors
         state = seesaw(errors, 2, config=OptimizerConfig(max_iters=3))
         assert trace.read_text() == "\n".join(state.trace_lines()) + "\n"
+
+    def test_unnormalized_model_reports_an_objective_not_a_fidelity(self, runner, tmp_path):
+        # with 1e50 I as its error the see-saw objective is ~1e100: no fidelity
+        path = scaled_bitflip(str(tmp_path / "big.json"), 1e50)
+        res = runner.invoke(main, ["optimize", path, "--logical-dim", "2", "--max-iters", "3"])
+        assert res.exit_code == 4, res.output
+        assert res.stdout.splitlines()[-1] == (
+            "final objective (error model not trace non-increasing): 1e+100"
+        )
+        assert "fidelity" not in res.stdout
 
     def test_file_with_an_environment_runs(self, runner, tmp_path):
         path = correlated_qubit_instance(str(tmp_path / "corr.json"))

@@ -1309,6 +1309,47 @@ class TestDecoderType:
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 5
 
+    def test_synthesized_kraus_are_kept_uncopied(self, monkeypatch):
+        # the synthesizers hand the operators they computed to the owned
+        # path, which stores those very arrays read-only; the public
+        # constructor, which copies, does not run
+        handed = []
+        keep = Decoder._keep
+
+        def spy(self, kraus):
+            handed.append({m: list(ops) for m, ops in kraus.items()})
+            keep(self, kraus)
+
+        monkeypatch.setattr(Decoder, "_keep", spy)
+        inst = hexagon_honeycomb()
+        for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
+            synth(inst.code, inst.errors)  # builds the table and its products
+            handed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Decoder, "__post_init__", lambda self: pytest.fail("copied"))
+                dec = synth(inst.code, inst.errors)
+            assert len(handed) == 1
+            assert dec.kraus.keys() == handed[0].keys()
+            for memory, ops in dec.kraus.items():
+                assert len(ops) == len(handed[0][memory])
+                for stored, computed in zip(ops, handed[0][memory]):
+                    assert stored is computed and not stored.flags.writeable
+            # a caller-built decoder of the same operators holds copies
+            copied = Decoder(dec.output_dim, dec.input_dim, dec.kraus)
+            for memory, ops in copied.kraus.items():
+                for stored, given in zip(ops, dec.kraus[memory]):
+                    assert not np.shares_memory(stored, given)
+                    assert np.array_equal(stored, given) and not stored.flags.writeable
+
+    def test_owned_path_keeps_the_shape_and_projector_tests(self):
+        with pytest.raises(ValueError, match="memory 'm' has wrong shape"):
+            conditions._owned_decoder(2, 2, {"m": (np.eye(3, dtype=complex),)})
+        with pytest.raises(ValueError, match="memory 'm': sum of D\\^dag D is not a projector"):
+            conditions._owned_decoder(2, 2, {"m": (2.0 * np.eye(2, dtype=complex),)})
+        kraus = np.eye(2, dtype=complex)
+        dec = conditions._owned_decoder(2, 2, {"m": (kraus,)})
+        assert dec.kraus["m"][0] is kraus and not kraus.flags.writeable
+
     def test_empty_list_passes_beside_a_rejected_non_projector(self):
         # an empty list is P = 0, a projector, and is not tested
         dec = Decoder(output_dim=2, input_dim=2, kraus={"a": (), "b": (np.eye(2),)})
@@ -1581,6 +1622,77 @@ class TestVerifyRecovery:
             assert sum(table.values()) == pytest.approx(
                 report.total_weights[idx], abs=1e-9
             )
+
+
+def einsum_recovery(code, errors, decoder, states):
+    """Weights and overlap sums per (state, memory) by the einsum forms
+    verify_recovery used before its batched products."""
+    comp = conditions._composed(code, errors)
+    ambient = code.codespace.ambient_dim
+    vecs = np.array(states, dtype=np.complex128).reshape(-1, ambient)
+    logical = vecs @ code.codespace.basis.conj()
+    weights = np.zeros((len(vecs), len(comp.memories)))
+    overlaps = np.zeros_like(weights)
+    for col, m in enumerate(comp.memories):
+        arrived = np.einsum("bqk,sk->sqb", comp.blocks[m], logical)
+        weights[:, col] = np.sum(np.abs(arrived) ** 2, axis=(1, 2))
+        kraus = np.array(decoder.kraus[m], dtype=np.complex128).reshape(
+            -1, ambient, comp.out_dim
+        )
+        bras = np.einsum("sx,nxq->snq", vecs.conj(), kraus)
+        overlaps[:, col] = np.sum(np.abs(bras @ arrived) ** 2, axis=(1, 2))
+    return comp.memories, weights, overlaps
+
+
+RECOVERY_CASES = [*instance_names(), *(f"random-{q}-{s}" for q in (1, 2) for s in range(20))]
+
+
+def recovery_case(name):
+    """A library instance by name, or ``random-<qubits>-<seed>``."""
+    if name.startswith("random-"):
+        _, qubits, seed = name.split("-")
+        return random_instance(int(seed), qubits=int(qubits))
+    return build_instance(name)
+
+
+class TestRecoveryProducts:
+    @pytest.mark.parametrize("name", RECOVERY_CASES)
+    def test_batched_products_match_einsum(self, name):
+        inst = recovery_case(name)
+        states = codestates(inst.code, 6, seed=415)
+        for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
+            dec = synth(inst.code, inst.errors, require_correctable=False)
+            report = verify_recovery(inst.code, inst.errors, dec, states)
+            memories, weights, overlaps = einsum_recovery(inst.code, inst.errors, dec, states)
+            want = [
+                (idx, m, weights[idx, col], overlaps[idx, col] / weights[idx, col])
+                for idx in range(len(states))
+                for col, m in enumerate(memories)
+                if weights[idx, col] > P_FLOOR
+            ]
+            assert [(r.state_index, r.memory) for r in report.records] == [w[:2] for w in want]
+            for record, (_, _, weight, fidelity) in zip(report.records, want):
+                assert abs(record.weight - weight) <= 1e-14
+                assert abs(record.fidelity - fidelity) <= 1e-14
+            assert np.allclose(report.total_weights, weights.sum(axis=1), rtol=0, atol=1e-14)
+
+    def test_first_bad_state_named(self):
+        inst = bitflip_code()
+        dec = synth_decoder_algebraic(inst.code, inst.errors)
+        good = codestates(inst.code, 2, seed=416)
+        outside = np.zeros(8)
+        outside[1] = 1.0
+        short = np.array([1.0, 0.0])
+        cases = [
+            ([good[0], 2 * good[1], short], "state 1 is not normalized"),
+            ([good[0], short, 2 * good[1]], "state 1 has dim 2, ambient is 8"),
+            ([outside, 2 * good[1]], "state 1 is not normalized"),
+            ([good[0], outside, short], "state 2 has dim 2, ambient is 8"),
+            ([good[0], good[1], outside], "state 2 lies outside the codespace"),
+        ]
+        for states, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                verify_recovery(inst.code, inst.errors, dec, states)
 
 
 class TestHexagonEmptyMemories:

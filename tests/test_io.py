@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1130,3 +1131,119 @@ class TestDecodeMatchesReference:
             assert decode_outcome(decode_matrix, obj) == decode_outcome(
                 reference_decode_v2, obj
             )
+
+
+# ----------------------------------------------------------------------
+# the version-3 table's bulk conversion against per-entry decode_matrix
+# ----------------------------------------------------------------------
+
+# well-typed numbers, ints among them, that a double holds
+WELL_TYPED = st.one_of(PLAIN, st.integers(2**62, 2**65), st.integers(-(2**64), -(2**62)))
+SLOT_SHAPES = st.one_of(
+    st.just((None, None)),
+    st.tuples(st.none() | st.integers(1, 4), st.none() | st.integers(1, 4)),
+)
+
+
+@st.composite
+def well_formed_tables(draw):
+    """Sparse entries in any entry order and dense entries, mixed, each
+    with well-typed numbers."""
+    table = []
+    for _ in range(draw(st.integers(1, 5))):
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            table.append([[[draw(WELL_TYPED), draw(WELL_TYPED)] for _ in range(m)]
+                          for _ in range(n)])
+            continue
+        cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                              unique=True, max_size=n * m))
+        table.append({"nz": [[i, j, draw(WELL_TYPED), draw(WELL_TYPED)] for i, j in cells],
+                      "shape": [n, m]})
+    return table
+
+
+def slot_outcome(slots, k, shape):
+    return decode_outcome(lambda _, path: slots.matrix(k, path, shape), None)
+
+
+def per_entry_slot(table, k, shape):
+    """One table entry through decode_matrix, its error under the slot."""
+
+    def decode(_, path):
+        try:
+            return decode_matrix(table[k], f"matrices[{k}]", 3, shape)
+        except ParseError as exc:
+            raise ParseError(path, str(exc)) from exc
+
+    return decode_outcome(decode, None)
+
+
+class TestBulkTable:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(table=well_formed_tables())
+    def test_well_formed_table_converts_in_bulk_bitwise(self, table):
+        slots = combsqec_io._Slots({"matrices": table}, 3)
+        sparse = [k for k, obj in enumerate(table) if isinstance(obj, dict)]
+        assert sorted(slots.numbers) == sparse
+        for k in range(len(table)):
+            got = slot_outcome(slots, k, (None, None))
+            assert got[0] == "decoded"
+            assert got == per_entry_slot(table, k, (None, None))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_table_gives_the_per_entry_array_or_error(self, data):
+        # defects of sparse_matrices and nested_matrices: unsorted, repeated
+        # and out-of-range indices, bool, float and str indices, ints, -0.0
+        # and overflowing literals in value slots
+        table = data.draw(st.lists(st.one_of(sparse_matrices(), nested_matrices(),
+                                             well_formed_tables().map(lambda t: t[0])),
+                                   min_size=1, max_size=5))
+        shapes = data.draw(st.lists(SLOT_SHAPES, min_size=len(table), max_size=len(table)))
+        slots = combsqec_io._Slots({"matrices": table}, 3)
+        for k, shape in enumerate(shapes):
+            assert slot_outcome(slots, k, shape) == per_entry_slot(table, k, shape)
+
+    def test_one_bad_entry_leaves_every_entry_to_the_per_entry_path(self):
+        good = {"nz": [[0, 0, 1.0, 0.0]], "shape": [1, 1]}
+        bad = {"nz": [[0, 0, "1", 0.0]], "shape": [1, 1]}
+        assert sorted(combsqec_io._Slots({"matrices": [good, good]}, 3).numbers) == [0, 1]
+        slots = combsqec_io._Slots({"matrices": [good, bad]}, 3)
+        assert slots.numbers == {}
+        assert slots.matrix(0, "slot", (1, 1)).tobytes() == np.ones((1, 1), complex).tobytes()
+        want = r"^slot: matrices\[1\]\.nz\[0\]\[2\]: expected a number$"
+        with pytest.raises(ParseError, match=want):
+            slots.matrix(1, "slot", (1, 1))
+
+    def test_shape_checked_before_allocation(self, monkeypatch):
+        # a bulk-converted entry is still allocated only after its slot's shape test
+        slots = combsqec_io._Slots({"matrices": [{"nz": [], "shape": [2**20, 2**20]}]}, 3)
+        assert list(slots.numbers) == [0]
+        monkeypatch.setattr(combsqec_io, "_zeros", lambda *a: pytest.fail("allocated"))
+        want = r"shape \(1048576, 1048576\) does not match dims \(2, any\)"
+        with pytest.raises(ParseError, match=want):
+            slots.matrix(0, "slot", (2, None))
+
+    def test_library_files(self, exported):
+        with open(exported[0], encoding="utf-8") as fh:
+            table = json.load(fh)["matrices"]
+        slots = combsqec_io._Slots({"matrices": table}, 3)
+        assert sorted(slots.numbers) == [k for k, e in enumerate(table) if isinstance(e, dict)]
+        for k in range(len(table)):
+            assert slot_outcome(slots, k, (None, None)) == per_entry_slot(table, k, (None, None))
+
+
+class TestReadmeTable:
+    def test_version_3_sizes_are_the_written_sizes(self):
+        # the "version 3" column of README's instance-file table
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 6 and cells[0].startswith("`") and cells[-1].endswith(" B"):
+                rows[cells[0].strip("`")] = int(cells[-1][:-2].replace(",", ""))
+        assert sorted(rows) == ["hexagon", "spacetime", "window-full", "window-last"]
+        for name, size in rows.items():
+            inst = build_instance(name)
+            assert len(instance_text(inst.code, inst.errors).encode()) == size, name
