@@ -211,11 +211,8 @@ def _random_codestates(code: StrategicCode, count: int, seed: int) -> np.ndarray
     per state the real parts of its k amplitudes, then the imaginary ones."""
     parts = np.random.default_rng(seed).standard_normal((count, 2, code.codespace.dim))
     amps = parts[:, 0] + 1j * parts[:, 1]
-    # batched vector products: each state's norm and basis @ amp are summed
-    # as np.linalg.norm and a matrix-vector product sum a lone vector
-    re, im = amps.real[:, None], amps.imag[:, None]          # (count, 1, k)
-    amps /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-    return np.matmul(code.codespace.basis, amps[..., None])[..., 0]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return amps @ code.codespace.basis.T
 
 
 def _branch_text(branch: tuple) -> str:

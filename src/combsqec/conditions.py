@@ -118,29 +118,31 @@ class Decoder:
         kraus: dict[str, tuple[npt.NDArray[np.complex128], ...]] = {}
         for m, ops in self.kraus.items():
             try:
-                kraus[m] = tuple(np.array(d, dtype=np.complex128) for d in ops)
+                mats = tuple(np.array(d, dtype=np.complex128) for d in ops)
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"decoder Kraus for memory {m!r} is not a complex matrix"
                 ) from exc
-        self._keep(kraus)
-
-    def _keep(self, kraus: dict[str, tuple[npt.NDArray[np.complex128], ...]]) -> None:
-        """Test the shape and the projector sum of each memory's complex
-        matrices, mark them read-only in place and store them."""
-        for m, mats in kraus.items():
-            for d in mats:
-                if d.shape != (self.output_dim, self.input_dim):
-                    raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
-                d.flags.writeable = False
-            if mats:
-                stack = np.concatenate(mats)
-                total = stack.conj().T @ stack
-                if not np.linalg.norm(total @ total - total) <= COMPLETENESS_ATOL:
-                    raise ValueError(
-                        f"decoder for memory {m!r}: sum of D^dag D is not a projector"
-                    )
+            kraus[m] = self._checked(m, mats)
         object.__setattr__(self, "kraus", kraus)
+
+    def _checked(
+        self, m: str, mats: tuple[npt.NDArray[np.complex128], ...]
+    ) -> tuple[npt.NDArray[np.complex128], ...]:
+        """Memory ``m``'s complex matrices, after the shape and projector
+        tests, marked read-only in place."""
+        for d in mats:
+            if d.shape != (self.output_dim, self.input_dim):
+                raise ValueError(f"decoder Kraus for memory {m!r} has wrong shape")
+            d.flags.writeable = False
+        if mats:
+            stack = np.concatenate(mats)
+            total = stack.conj().T @ stack
+            if not np.linalg.norm(total @ total - total) <= COMPLETENESS_ATOL:
+                raise ValueError(
+                    f"decoder for memory {m!r}: sum of D^dag D is not a projector"
+                )
+        return mats
 
     def memories(self) -> tuple[str, ...]:
         return tuple(sorted(self.kraus))
@@ -157,7 +159,9 @@ def _owned_decoder(
     decoder = object.__new__(Decoder)
     object.__setattr__(decoder, "output_dim", output_dim)
     object.__setattr__(decoder, "input_dim", input_dim)
-    decoder._keep(kraus)
+    object.__setattr__(
+        decoder, "kraus", {m: decoder._checked(m, mats) for m, mats in kraus.items()}
+    )
     return decoder
 
 
@@ -794,22 +798,30 @@ def verify_recovery(
 
     The states are validated together, with the first bad one named: a
     wrong dimension or norm in state order, then codespace membership,
-    read from the logical coordinates B^dag psi.  Per memory, three
-    batched matrix products over all states form the arrived vectors
-    W_b = K_b B B^dag psi, the bras <psi| D and their overlaps.
+    read from the logical coordinates B^dag psi.  The states are converted
+    to complex vectors first, in order up to the first of a wrong size, so
+    a state numpy cannot convert raises numpy's error before any norm is
+    tested.  Per memory, three batched matrix products over all states form
+    the arrived vectors W_b = K_b B B^dag psi, the bras <psi| D and their
+    overlaps.
     """
     comp = _composed(code, errors)
     ambient = code.codespace.ambient_dim
     out = comp.out_dim
     basis = code.codespace.basis
-    flat = [np.asarray(psi, dtype=np.complex128).reshape(-1) for psi in states]
-    sized = next((i for i, v in enumerate(flat) if v.shape[0] != ambient), len(flat))
-    vecs = np.array(flat[:sized], dtype=np.complex128).reshape(-1, ambient)
+    vecs, wrong_size = [], None
+    for idx, psi in enumerate(states):  # converted up to the first of a wrong size
+        vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
+        if vec.shape[0] != ambient:
+            wrong_size = f"state {idx} has dim {vec.shape[0]}, ambient is {ambient}"
+            break
+        vecs.append(vec)
+    vecs = np.array(vecs, dtype=np.complex128).reshape(-1, ambient)
     unnormalized = ~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= UNIT_NORM_ATOL)
     if unnormalized.any():
         raise ValueError(f"state {int(np.argmax(unnormalized))} is not normalized")
-    if sized < len(flat):
-        raise ValueError(f"state {sized} has dim {flat[sized].shape[0]}, ambient is {ambient}")
+    if wrong_size is not None:
+        raise ValueError(wrong_size)
     logical = vecs @ basis.conj()                              # (n_s, k)
     # codespace membership from the logical coordinates: psi = B B^dag psi
     outside = np.linalg.norm(vecs - logical @ basis.T, axis=1) > CODESPACE_ATOL

@@ -18,9 +18,8 @@ in another layout (such as the ``indent=2`` form earlier releases wrote)
 still loads, and re-exporting it changes its digest.  On load, every slot
 goes through one resolver: an inline matrix is decoded in place, a table
 entry once, at the shape its first reference implies.  Each matrix is
-validated in bulk and converted by one numpy call, and the numbers of all
-sparse table entries by one call together; only a rejected matrix is
-walked element by element, to name its offending row, cell or sparse
+validated in bulk and converted by one numpy call; only a rejected matrix
+is walked element by element, to name its offending row, cell or sparse
 entry.  Parse failures name the path through the document (for a table
 entry, the referencing path, then ``matrices[k]``); model invariant
 violations surface the constructor's residual message under that path.
@@ -167,69 +166,40 @@ def _decode_cells(obj: Any, path: str) -> npt.NDArray[np.complex128]:
 
 
 def _decode_sparse(
-    obj: Mapping[str, Any],
-    path: str,
-    want: Shape,
-    numbers: npt.NDArray[np.float64] | None = None,
+    obj: Mapping[str, Any], path: str, want: Shape
 ) -> npt.NDArray[np.complex128]:
-    """``obj`` as a matrix; ``numbers`` is its :func:`_sparse_numbers`
-    table when the caller has converted it already, and only then."""
-    if numbers is None and _sparse_form(obj):
-        numbers = _sparse_numbers(obj["nz"])
-    if numbers is not None and all(w in (None, g) for g, w in zip(obj["shape"], want)):
-        out = _scatter(numbers, obj["shape"], path)
-        if out is not None:
-            return out
-    return _decode_entries(obj, path, want)
-
-
-def _sparse_form(obj: Mapping[str, Any]) -> bool:
-    """Whether ``obj`` is a sparse matrix up to the types of its numbers:
-    the two keys, a shape of two positive ints and a list of 4-lists."""
     shape, nz = obj.get("shape"), obj.get("nz")
-    return (
+    if (
         obj.keys() == _SPARSE_KEYS
         and type(shape) is list
         and len(shape) == 2
         and set(map(type, shape)) == {int}
         and min(shape) > 0
+        and all(w in (None, g) for g, w in zip(shape, want))
         and type(nz) is list
         and set(map(type, nz)) <= {list}
         and set(map(len, nz)) <= {4}
-    )
-
-
-def _sparse_numbers(nz: list[list[Any]]) -> npt.NDArray[np.float64] | None:
-    """The (len(nz), 4) float table of 4-lists ``[i, j, re, im]`` with int
-    indices and int, float or bool parts, by one type test and one
-    conversion; None when a type fails or a part is beyond float range."""
-    flat = list(chain.from_iterable(nz))
-    if set(map(type, flat[0::4] + flat[1::4])) <= {int} and set(
-        map(type, flat[2::4] + flat[3::4])
-    ) <= _NUMBER_TYPES:
-        try:
-            return np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4)
-        except OverflowError:
-            return None
-    return None
-
-
-def _scatter(
-    numbers: npt.NDArray[np.float64], shape: list[int], path: str
-) -> npt.NDArray[np.complex128] | None:
-    """The (n, m) matrix of a :func:`_sparse_numbers` table, or None when an
-    index is out of range or repeated."""
-    rows, cols = numbers[:, 0], numbers[:, 1]
-    n, m = shape
-    if not ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all():
-        return None
-    index = rows.astype(np.intp) * m + cols.astype(np.intp)
-    if not ((index[1:] > index[:-1]).all() or np.unique(index).size == index.size):
-        return None
-    out = _zeros(shape, path)
-    # each row's (re, im) pair is one complex128: scattered bitwise in one call
-    out.reshape(-1)[index] = numbers.view(np.complex128)[:, 1]
-    return out
+    ):
+        flat = list(chain.from_iterable(nz))
+        if set(map(type, flat[0::4] + flat[1::4])) <= {int} and set(
+            map(type, flat[2::4] + flat[3::4])
+        ) <= _NUMBER_TYPES:
+            try:
+                table = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4)
+            except OverflowError:  # a literal beyond float range
+                return _decode_entries(obj, path, want)
+            rows, cols = table[:, 0], table[:, 1]
+            n, m = shape
+            if ((rows >= 0) & (rows < n) & (cols >= 0) & (cols < m)).all():
+                index = rows.astype(np.intp) * m + cols.astype(np.intp)
+                ordered = (index[1:] > index[:-1]).all()
+                if ordered or np.unique(index).size == index.size:
+                    out = _zeros(shape, path)
+                    # each row's (re, im) pair is one complex128: scattered
+                    # bitwise in one call
+                    out.reshape(-1)[index] = table.view(np.complex128)[:, 1]
+                    return out
+    return _decode_entries(obj, path, want)
 
 
 def _decode_entries(
@@ -425,16 +395,11 @@ class _Slots:
 
     Versions 1 and 2 hold each matrix inline in its slot, and it is decoded
     there.  Version 3 holds an integer index into the top-level
-    ``matrices`` table.  On construction the numbers of every sparse entry
-    of the right form are type-tested and converted together, by one
-    :func:`_sparse_numbers` call over the whole table; if any fails, no
-    entry is converted in bulk.  Each entry is decoded once, at the shape
-    implied by its first reference (so a sparse ``shape`` is still checked
-    before allocation), from its bulk numbers if it has them and otherwise
-    through :func:`decode_matrix`, which names the offending element.
-    Every later reference checks its own implied shape.  Operators are not
-    kept: a round's memories that list the same entries share one
-    instrument (see :func:`_parse_interrogator`).
+    ``matrices`` table: each entry is decoded once, at the shape implied by
+    its first reference (so a sparse ``shape`` is still checked before
+    allocation), and every later reference checks its own implied shape.
+    Operators are not kept: a round's memories that list the same entries
+    share one instrument (see :func:`_parse_interrogator`).
     """
 
     def __init__(self, doc: Mapping[str, Any], version: int):
@@ -443,16 +408,6 @@ class _Slots:
         if version >= 3:
             self.table = _get(doc, "matrices", "", list, "a list of matrices")
         self.decoded: dict[int, npt.NDArray[np.complex128]] = {}
-        sparse = [
-            k for k, obj in enumerate(self.table)
-            if isinstance(obj, Mapping) and _sparse_form(obj)
-        ]
-        nzs = [self.table[k]["nz"] for k in sparse]
-        numbers = _sparse_numbers(list(chain.from_iterable(nzs)))
-        self.numbers: dict[int, npt.NDArray[np.float64]] = {}
-        if numbers is not None:
-            cuts = np.cumsum([len(nz) for nz in nzs])[:-1]
-            self.numbers = dict(zip(sparse, np.split(numbers, cuts)))
 
     def matrix(self, obj: Any, path: str, shape: Shape) -> npt.NDArray[np.complex128]:
         """The slot's matrix, checked at ``shape``."""
@@ -465,17 +420,15 @@ class _Slots:
                 path, f"matrix index {obj} out of range {len(self.table)}"
             )
         mat = self.decoded.get(obj)
-        entry, where = self.table[obj], f"matrices[{obj}]"
         try:
-            if mat is None and obj in self.numbers:
-                mat = _decode_sparse(entry, where, shape, self.numbers[obj])
-            elif mat is None:
-                mat = decode_matrix(entry, where, self.version, shape)
+            if mat is None:
+                mat = self.decoded[obj] = decode_matrix(
+                    self.table[obj], f"matrices[{obj}]", self.version, shape
+                )
             else:
-                _check_shape(mat.shape, where, shape)
+                _check_shape(mat.shape, f"matrices[{obj}]", shape)
         except ParseError as exc:
             raise ParseError(path, str(exc)) from exc
-        self.decoded[obj] = mat
         return mat
 
     def require_referenced(self) -> None:

@@ -1314,13 +1314,15 @@ class TestDecoderType:
         # path, which stores those very arrays read-only; the public
         # constructor, which copies, does not run
         handed = []
-        keep = Decoder._keep
+        checked = Decoder._checked
 
-        def spy(self, kraus):
-            handed.append({m: list(ops) for m, ops in kraus.items()})
-            keep(self, kraus)
+        def spy(self, m, mats):
+            if not handed or m in handed[-1]:
+                handed.append({})
+            handed[-1][m] = list(mats)
+            return checked(self, m, mats)
 
-        monkeypatch.setattr(Decoder, "_keep", spy)
+        monkeypatch.setattr(Decoder, "_checked", spy)
         inst = hexagon_honeycomb()
         for synth in (synth_decoder_algebraic, synth_decoder_schmidt):
             synth(inst.code, inst.errors)  # builds the table and its products
@@ -1349,6 +1351,15 @@ class TestDecoderType:
         kraus = np.eye(2, dtype=complex)
         dec = conditions._owned_decoder(2, 2, {"m": (kraus,)})
         assert dec.kraus["m"][0] is kraus and not kraus.flags.writeable
+
+    def test_memories_are_converted_and_tested_in_turn(self):
+        # a wrong shape in the first memory is named before a later
+        # memory's unconvertible entry is reached, and the other way round
+        bad_shape, bad_entry = (np.eye(3),), ([["x"]],)
+        with pytest.raises(ValueError, match="memory 'a' has wrong shape"):
+            Decoder(output_dim=2, input_dim=2, kraus={"a": bad_shape, "b": bad_entry})
+        with pytest.raises(ValueError, match="memory 'a' is not a complex matrix"):
+            Decoder(output_dim=2, input_dim=2, kraus={"a": bad_entry, "b": bad_shape})
 
     def test_empty_list_passes_beside_a_rejected_non_projector(self):
         # an empty list is P = 0, a projector, and is not tested
@@ -1693,6 +1704,19 @@ class TestRecoveryProducts:
         for states, message in cases:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 verify_recovery(inst.code, inst.errors, dec, states)
+
+    def test_conversion_stops_at_the_first_state_of_a_wrong_size(self):
+        # states are converted in order before any norm test: nothing past
+        # a wrong-size state is converted, and an unconvertible state
+        # before it raises numpy's error ahead of an earlier bad norm
+        inst = bitflip_code()
+        dec = synth_decoder_algebraic(inst.code, inst.errors)
+        good = codestates(inst.code, 1, seed=417)[0]
+        short, unreadable = np.array([1.0, 0.0]), object()
+        with pytest.raises(ValueError, match="^state 1 has dim 2, ambient is 8$"):
+            verify_recovery(inst.code, inst.errors, dec, [good, short, unreadable])
+        with pytest.raises(TypeError):
+            verify_recovery(inst.code, inst.errors, dec, [2 * good, unreadable])
 
 
 class TestHexagonEmptyMemories:
