@@ -19,9 +19,10 @@ verifier read this one channel, the branch table of :class:`_Composed`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -31,6 +32,7 @@ from .model import (
     ErrorModel,
     StrategicCode,
     TRAJECTORY_CAP,
+    WEIGHT_CAP,
     require_chained,
 )
 from .tensor import LabeledOperator, _spectrum_bits
@@ -55,11 +57,6 @@ __all__ = [
 
 # complex entries of one chunk of the algebraic sweep's T cells (16 MiB)
 _FIT_CHUNK = 1 << 20
-# largest total weight of a memory's branches or a static Kraus list: Gram
-# entries and squared singular values are at most it and residual norms square
-# Gram entries, so 2^500, 2^12 below the root of the largest double, keeps them finite;
-# the optimizer bounds the product of its error rounds' ||sum E^dag E||_2 by it too
-_WEIGHT_CAP = 2.0**500
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +194,11 @@ class RecoveryReport:
 @np.errstate(over="ignore", invalid="ignore")
 def _bounded_matmul(ops: np.ndarray, blocks: np.ndarray, what: str) -> np.ndarray:
     """``np.matmul(ops, blocks)``, raising when ``what``, the sum of its squared
-    moduli, is nan or above ``_WEIGHT_CAP``; numpy's overflow warnings are off."""
+    moduli, is nan or above ``WEIGHT_CAP``; numpy's overflow warnings are off."""
     out = np.matmul(ops, blocks)
     weight = np.vdot(out, out).real
-    if not weight <= _WEIGHT_CAP:
-        raise ValueError(f"{what} is {weight:.3e}, and the checkers need it at most {_WEIGHT_CAP:.1e}")
+    if not weight <= WEIGHT_CAP:
+        raise ValueError(f"{what} is {weight:.3e}, and the checkers need it at most {WEIGHT_CAP:.1e}")
     return out
 
 
@@ -301,6 +298,10 @@ class _Composed:
     incoherently.  A memory no branch reaches has no branch: it holds one
     shared, read-only (0, out, k) stack and empty index arrays, and costs
     no per-memory work.
+
+    Its two tolerance-independent products, the properties :attr:`sweep` and
+    :attr:`sectors`, are built on first use; they live and die with the
+    table, so they follow its identity rule, and are read-only like it.
     """
 
     def __init__(self, code: StrategicCode, errors: ErrorModel):
@@ -343,7 +344,6 @@ class _Composed:
             for a in (row, err, eps, slices):
                 a.flags.writeable = False
             self.row[m], self.err[m], self.eps[m], self.blocks[m] = row, err, eps, slices
-        self._products: dict[object, Any] = {}
 
     def sequence(self, index: int) -> tuple[int, ...]:
         """The error sequence at ``index`` in C order."""
@@ -361,15 +361,15 @@ class _Composed:
         """The branches of memory m, in order."""
         return tuple(self.branch(m, b) for b in range(len(self.blocks[m])))
 
-    def product(self, key: object, build: Callable[[_Composed], Any]) -> Any:
-        """A tolerance-independent product of the table, built on first use.
+    @functools.cached_property
+    def sweep(self) -> tuple:
+        """The algebraic checker's product: :func:`_algebraic_sweep`."""
+        return _algebraic_sweep(self)
 
-        Products live and die with the table, so they follow its identity
-        rule; their arrays are read-only like the blocks.
-        """
-        if key not in self._products:
-            self._products[key] = build(self)
-        return self._products[key]
+    @functools.cached_property
+    def sectors(self) -> dict[str, tuple]:
+        """The entropic checker's and both decoders' product: :func:`_schmidt_sectors`."""
+        return _schmidt_sectors(self)
 
     def scale(self) -> float:
         """Largest branch norm, and at least 1."""
@@ -518,7 +518,7 @@ def check_algebraic(
     * ``"memories"``: the final memory states, reached by a branch or not.
     * ``"scale"``: the largest branch norm.
     """
-    worst, witness, detail = _composed(code, errors).product("algebraic", _algebraic_sweep)
+    worst, witness, detail = _composed(code, errors).sweep
     tolerance = RESIDUAL_RTOL * detail["scale"] if tol is None else float(tol)
     return ConditionReport(
         worst_residual=worst,
@@ -643,14 +643,7 @@ def check_info(
     ``COMBSQEC_DENSE_CAP`` does not bound this checker.  ``detail`` holds
     ``"deficit_bits"`` and ``"weights"`` (P(m)) per memory, and ``"p_floor"``.
     """
-    sectors = _composed(code, errors).product("schmidt", _schmidt_sectors)
-    return _info_report(sectors, tol)
-
-
-def _info_report(sectors: dict[str, tuple], tol: float | None = None) -> ConditionReport:
-    """Verdict on the sectors above the floor, at ``tol`` bits (default
-    ``MI_TOL_BITS``); with none, that of an empty channel, as in
-    :func:`_algebraic_sweep`: deficit 0 and no witness."""
+    sectors = _composed(code, errors).sectors
     tol = MI_TOL_BITS if tol is None else tol
     table = {m: d for m, (_, d, _, _) in sectors.items() if d is not None}
     witness = max(table, key=table.__getitem__, default=None)
@@ -742,7 +735,7 @@ def synth_decoder_algebraic(
                 "pass require_correctable=False for a best-effort decoder"
             )
     comp = _composed(code, errors)
-    return _decoder(comp, comp.product("schmidt", _schmidt_sectors), uniform=False)
+    return _decoder(comp, comp.sectors, uniform=False)
 
 
 def synth_decoder_schmidt(
@@ -756,22 +749,23 @@ def synth_decoder_schmidt(
     :func:`check_info` decides on.  Every Schmidt vector above
     ``WEIGHT_CUTOFF`` is one block, and the polar step the algebraic
     decoder uses too aligns the blocks back with the codespace basis.
-    The gate is :func:`check_info` at its default tolerance.  Rejects when
+    The gate is :func:`check_info` at its default tolerance, whose
+    sectors the table caches, so gating costs no second SVD.  Rejects when
     a block's column norms are not uniform across codewords (a Schmidt-rank
     inconsistency, signalling the state is not a product).  No
     register-sized matrix is formed, so ``COMBSQEC_DENSE_CAP`` does not
     bound the synthesis.
     """
+    if require_correctable:
+        report = check_info(code, errors)
+        if not report.correctable:
+            raise ValueError(
+                "instance is not correctable (worst entropy deficit "
+                f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
+                "pass require_correctable=False for a best-effort decoder"
+            )
     comp = _composed(code, errors)
-    sectors = comp.product("schmidt", _schmidt_sectors)
-    report = _info_report(sectors)
-    if require_correctable and not report.correctable:
-        raise ValueError(
-            "instance is not correctable (worst entropy deficit "
-            f"{report.worst_residual:.3e} bits > {report.tolerance:.3e}); "
-            "pass require_correctable=False for a best-effort decoder"
-        )
-    return _decoder(comp, sectors, uniform=require_correctable)
+    return _decoder(comp, comp.sectors, uniform=require_correctable)
 
 
 # ----------------------------------------------------------------------

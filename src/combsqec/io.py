@@ -584,7 +584,7 @@ def load_instance(path: str) -> InstanceDocument:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-Unicode bytes, huge integers, deep nesting
         raise ParseError("(document)", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise ParseError("(document)", "top level must be an object")

@@ -65,6 +65,11 @@ __all__ = [
 INITIAL_MEMORY = ""
 
 TRAJECTORY_CAP = 10**6
+# largest total weight of a memory's branches or a static Kraus list: Gram
+# entries and squared singular values are at most it and residual norms square
+# Gram entries, so 2^500, 2^12 below the root of the largest double, keeps them finite;
+# the optimizer bounds the product of its error rounds' ||sum E^dag E||_2 by it too
+WEIGHT_CAP = 2.0**500
 
 
 def q_label(r: int) -> str:

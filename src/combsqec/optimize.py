@@ -52,8 +52,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .combs import ChoiOperator, _psd_choi
-from .conditions import _WEIGHT_CAP
-from .model import ErrorModel
+from .model import WEIGHT_CAP, ErrorModel
 from .tensor import LabeledOperator, _owned, permute_subsystems
 from .tolerances import (
     ACCEPT_MARGIN, HERMITIAN_RTOL, KERNEL_RTOL, PROJECTION_TOL, PSD_RTOL, PSD_TOL, STALL_MARGIN,
@@ -334,7 +333,8 @@ class _Engine:
     round r = 0..L+1 has (out, in) dims ``dims[r]`` and is followed by
     ``after[r]``: error round r for r ≤ L, the identity for r = L+1.  Round
     r has ``outgoing[r]`` outgoing memory values, with ``outgoing =
-    (1, *memory_structure, 1)``.
+    (1, *memory_structure, 1)``.  By default every check round has two
+    memory values and the input state is the maximally mixed one.
 
     The sum over memory trajectories factorizes round by round, because a
     chain depends on its trajectory only through adjacent memory values.
@@ -356,18 +356,20 @@ class _Engine:
     last, backward, with the same arithmetic in the same order, so its
     results equal a fresh engine's bitwise.  Each redone message builds the
     S_{r,μ,ν} of its own round and keeps none (see :meth:`_messages`).
-    :meth:`coefficients` runs the forward pass only up to round r − 1 and
-    the backward pass only down to round r of its targets.
+    :meth:`coefficients` of a family of round r runs the forward pass only
+    up to round r − 1 and the backward pass only down to round r.
     """
 
     def __init__(
         self,
         errors: ErrorModel,
         logical_dim: int,
-        memory_structure: Sequence[int],
-        rho: np.ndarray,
+        memory_structure: Sequence[int] | None = None,
+        rho: np.ndarray | None = None,
     ):
         rounds = errors.rounds
+        if memory_structure is None:
+            memory_structure = (2,) * rounds
         memory_structure = tuple(int(n) for n in memory_structure)
         if len(memory_structure) != rounds:
             raise ValueError(
@@ -379,6 +381,8 @@ class _Engine:
         logical_dim = int(logical_dim)
         if logical_dim < 1:
             raise ValueError("logical dimension must be positive")
+        if rho is None:
+            rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (logical_dim, logical_dim):
             raise ValueError(
@@ -404,10 +408,10 @@ class _Engine:
             mats = [op.data for op in errors.round_ops(r)]
             norm = float(np.linalg.svd(np.concatenate(mats), compute_uv=False)[0])
             weight *= norm * norm  # ||sum E^dag E||_2, taken before any product can overflow
-            if not weight <= _WEIGHT_CAP:
+            if not weight <= WEIGHT_CAP:
                 raise ValueError(
                     f"error weights overflow at error round {r}: the product of ||sum E^dag E||_2 "
-                    f"over rounds 0..{r} is {weight:.3e}, above the bound {_WEIGHT_CAP:.1e}"
+                    f"over rounds 0..{r} is {weight:.3e}, above the bound {WEIGHT_CAP:.1e}"
                 )
             q_out = errors.q_out_dim(r)
             if r == rounds:  # the final environment, traced out: one Kraus operator per slice
@@ -477,30 +481,22 @@ class _Engine:
         (final,) = self._forward(state.factors, len(self.dims) - 1)
         return float(np.trace(final @ self.n_coeff).real)
 
-    def coefficients(
-        self, state: OptimizationState, targets: Sequence[tuple[int, int, int]]
-    ) -> list[np.ndarray]:
-        """Linear coefficient A of each target block (r, μ, ν): F = Tr(X A) + rest.
+    def coefficients(self, state: OptimizationState, r: int, mu: int) -> np.ndarray:
+        """Linear coefficients A_ν of family μ of round r, stacked (count, n, n):
+        F = Σ_ν Tr(X_ν A_ν) + rest.
 
-        The block gets F_{r−1}[μ]·N·B_r[ν] with N the input state's
-        coefficient, summed over the environment slices of the messages.
+        Block ν gets F_{r−1}[μ]·N·B_r[ν] with N the input state's
+        coefficient, summed over the environment slices of the messages;
+        F_{r−1}[μ]·N is formed once for the family.
         """
-        families = state.factors
-        for r, mu, nu in targets:
-            if not (0 <= r < len(families) and 0 <= mu < len(families[r])
-                    and 0 <= nu < len(families[r][mu])):
-                raise ValueError(f"unknown factor target {(r, mu, nu)!r}")
-        out = []
-        for r, mu, nu in targets:
-            d_out, d_in = self.dims[r]
-            fwd = self._forward(families, r - 1)[mu] @ self.n_coeff
-            bwd = self._backward(families, r)[nu]
-            k2 = len(bwd)  # one product over the (e, e′, logical) index of both messages
-            fwd = fwd.reshape(-1, d_in * d_in, k2).transpose(1, 0, 2).reshape(d_in * d_in, -1)
-            bwd = bwd.reshape(k2, -1, d_out * d_out).transpose(1, 0, 2).reshape(-1, d_out * d_out)
-            a = _choi_coeff(fwd @ bwd, d_out, d_in)
-            out.append((a + a.conj().T) / 2.0)
-        return out
+        d_out, d_in = self.dims[r]
+        k2 = self.dims[0][1] ** 2  # one product over the (e, e′, logical) index of both messages
+        fwd = self._forward(state.factors, r - 1)[mu] @ self.n_coeff
+        fwd = fwd.reshape(-1, d_in**2, k2).transpose(1, 0, 2).reshape(d_in**2, -1)
+        bwd = (b.reshape(k2, -1, d_out**2).transpose(1, 0, 2).reshape(-1, d_out**2)
+               for b in self._backward(state.factors, r))
+        a = np.stack([_choi_coeff(fwd @ b, d_out, d_in) for b in bwd])
+        return (a + a.conj().transpose(0, 2, 1)) / 2.0
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +687,8 @@ def _step(
     trace and in ``rejected_steps`` as ``which``; never decreases F.
 
     The objective is linear in the updated factor, F = Σ_ν Tr(X_ν A_ν) + rest,
-    with A_ν ⪰ 0.  The step runs on Kraus roots X_ν = K_ν† K_ν, taken by one
+    with A_ν ⪰ 0, stacked by one :meth:`_Engine.coefficients` call for the
+    family.  The step runs on Kraus roots X_ν = K_ν† K_ν, taken by one
     batched ``eigh`` of the family's blocks.  Each iteration forms
     H_ν = K_ν A_ν, so Σ_ν Tr(X_ν A_ν) = Σ_ν Tr(K_ν† H_ν) is the objective of
     the current roots, and :func:`_rw_iterate` maps H to the next roots.
@@ -705,9 +702,7 @@ def _step(
     """
     d_out, d_in = engine.dims[r]
     blocks = state.factors[r][mu]
-    coeffs = np.stack(
-        engine.coefficients(state, [(r, mu, nu) for nu in range(len(blocks))])
-    )
+    coeffs = engine.coefficients(state, r, mu)
     f_rest = f_current - float(np.einsum("cij,cji->", blocks, coeffs).real)
     record = lambda st, fid: _updated(
         st,
@@ -806,20 +801,6 @@ def _start_family(
     return tuple(blocks)
 
 
-def _engine(
-    errors: ErrorModel,
-    logical_dim: int,
-    memory_structure: Sequence[int] | None,
-    rho: npt.NDArray[np.complex128] | None = None,
-) -> _Engine:
-    """The engine of one public call, with its defaults: two memory values
-    per check round and the maximally mixed input state."""
-    ms = memory_structure if memory_structure is not None else (2,) * errors.rounds
-    if rho is None:
-        rho = np.eye(logical_dim, dtype=np.complex128) / logical_dim
-    return _Engine(errors, logical_dim, ms, rho)
-
-
 def _initial_state(engine: _Engine, config: OptimizerConfig) -> OptimizationState:
     """:func:`initial_state` on ``engine``, whose messages it leaves cached."""
     rng = np.random.default_rng(config.seed)
@@ -848,7 +829,7 @@ def initial_state(
     ``config.perturbation`` (see :func:`_start_family`), CPTP without a
     projection; the bare embedding start is stationary for some instances.
     """
-    engine = _engine(errors, logical_dim, memory_structure, rho)
+    engine = _Engine(errors, logical_dim, memory_structure, rho)
     return _initial_state(engine, config or OptimizerConfig())
 
 
@@ -879,7 +860,7 @@ def seesaw(
     Reimpell–Werner objective.
     """
     config = config or OptimizerConfig()
-    engine = _engine(errors, logical_dim, memory_structure)
+    engine = _Engine(errors, logical_dim, memory_structure)
     state = _initial_state(engine, config)
     order = _factor_order(state)
     best = state

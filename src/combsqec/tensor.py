@@ -206,74 +206,52 @@ def _axes_view(op: LabeledOperator) -> npt.NDArray[np.complex128]:
     return op.data.reshape(dims or [1])
 
 
+def _paired(op: LabeledOperator, labels: Iterable[str]) -> set[str]:
+    """``labels`` as a set, each checked to be a subsystem of one dim on both sides of ``op``."""
+    chosen = set(labels)
+    rows, cols = dict(op.row_subsystems), dict(op.col_subsystems)
+    for label in sorted(chosen):
+        if label not in rows or label not in cols:
+            raise ValueError(f"label {label!r} not present on both sides")
+        if rows[label] != cols[label]:
+            raise ValueError(f"label {label!r} has row dim {rows[label]} != col dim {cols[label]}")
+    return chosen
+
+
 def partial_trace(op: LabeledOperator, labels: Iterable[str]) -> LabeledOperator:
     """Trace out the named subsystems.
 
     Each label must appear on both sides with equal dimension; the remaining
-    subsystem order is preserved.
+    subsystem order is preserved.  One ``np.einsum`` on the axes view sums
+    each traced pair: the column axis reuses its row axis's subscript.
     """
-    traced = set(labels)
+    traced = _paired(op, labels)
     if not traced:
         return op
-    row_names = op.row_labels
-    col_names = op.col_labels
-    for label in sorted(traced):
-        if label not in row_names or label not in col_names:
-            raise ValueError(f"label {label!r} not present on both sides")
-        if op.row_dim_of(label) != op.col_dim_of(label):
-            raise ValueError(
-                f"label {label!r} has row dim {op.row_dim_of(label)} != "
-                f"col dim {op.col_dim_of(label)}"
-            )
-
     n_row = len(op.row_subsystems)
-    arr = _axes_view(op)
-    subscripts: list[int] = []
-    next_free = 0
-    pair_for: dict[str, int] = {}
-    for label, _ in op.row_subsystems:
-        if label in traced:
-            pair_for[label] = next_free
-            subscripts.append(next_free)
-        else:
-            subscripts.append(next_free)
-        next_free += 1
-    for label, _ in op.col_subsystems:
-        if label in traced:
-            subscripts.append(pair_for[label])
-        else:
-            subscripts.append(next_free)
-            next_free += 1
-    keep = [s for (label, _), s in zip(op.row_subsystems, subscripts[:n_row]) if label not in traced]
-    keep += [
-        s
-        for (label, _), s in zip(op.col_subsystems, subscripts[n_row:])
-        if label not in traced
+    subscripts = [*range(n_row)] + [
+        op.row_labels.index(label) if label in traced else n_row + j
+        for j, label in enumerate(op.col_labels)
     ]
-    out = np.einsum(arr, subscripts, keep)
+    keep = [s for s, label in zip(subscripts, op.row_labels + op.col_labels) if label not in traced]
+    out = np.einsum(_axes_view(op), subscripts, keep)
     rows = tuple(s for s in op.row_subsystems if s[0] not in traced)
     cols = tuple(s for s in op.col_subsystems if s[0] not in traced)
     return _owned(rows, cols, out.reshape(_dims_product(rows), _dims_product(cols)))
 
 
 def partial_transpose(op: LabeledOperator, labels: Iterable[str]) -> LabeledOperator:
-    """Transpose the named subsystems in place; applying twice restores the input."""
-    chosen = set(labels)
+    """Transpose the named subsystems in place, each paired as in
+    :func:`partial_trace`; applying twice restores the input."""
+    chosen = _paired(op, labels)
     if not chosen:
         return op
-    row_names = op.row_labels
-    col_names = op.col_labels
-    for label in sorted(chosen):
-        if label not in row_names or label not in col_names:
-            raise ValueError(f"label {label!r} not present on both sides")
-        if op.row_dim_of(label) != op.col_dim_of(label):
-            raise ValueError(f"label {label!r} is not square across sides")
     n_row = len(op.row_subsystems)
     arr = _axes_view(op)
     perm = list(range(arr.ndim))
-    for i, (label, _) in enumerate(op.row_subsystems):
+    for i, label in enumerate(op.row_labels):
         if label in chosen:
-            j = n_row + col_names.index(label)
+            j = n_row + op.col_labels.index(label)
             perm[i], perm[j] = perm[j], perm[i]
     out = arr.transpose(perm)
     return _owned(op.row_subsystems, op.col_subsystems, out.reshape(op.row_dim, op.col_dim))

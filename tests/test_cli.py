@@ -381,6 +381,23 @@ class TestCheck:
         assert "error:" in res.output
         assert not report.exists()
 
+    @pytest.mark.parametrize("text", [
+        b'{"schema_version": 3, "x": "\xff"}',
+        b"[" * 100000 + b"]" * 100000,
+        b'{"schema_version": ' + b"9" * 5000 + b"}",
+    ], ids=["not-unicode", "deep-nesting", "long-integer"])
+    def test_undecodable_json_is_a_parse_error(self, runner, tmp_path, text):
+        # json.loads raises UnicodeDecodeError, RecursionError and a plain
+        # ValueError on these, none of them a JSONDecodeError
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        for verb, flag in (("check", "--report"), ("decode", "--report"), ("optimize", "--out")):
+            written = tmp_path / f"{verb}.json"
+            res = runner.invoke(main, [verb, str(bad), flag, str(written)])
+            assert res.exit_code == 2, (verb, res.output)
+            assert "error: (document): invalid JSON:" in res.output, verb
+            assert not written.exists(), verb
+
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(main, ["check", str(tmp_path / "absent.json")])
         assert res.exit_code == 2
@@ -1045,6 +1062,14 @@ class TestOptimize:
             main, ["optimize", "--ambient-dim", "2", "--logical-dim", "0"]
         )
         assert res.exit_code == 2
+
+    def test_negative_logical_dim_is_named(self, runner):
+        # the engine checks the dimension before it builds the default input state
+        res = runner.invoke(
+            main, ["optimize", "--ambient-dim", "2", "--logical-dim", "-1"]
+        )
+        assert res.exit_code == 2
+        assert "logical dimension must be positive" in res.output
 
 
 class TestDemo:

@@ -161,7 +161,7 @@ class TestStaticKL:
     def test_weight_cap_bounds_the_kraus_list(self, op):
         # 1e200 I squares past the largest double, and nan never compares;
         # both are refused before any fit, with no numpy warning
-        cap = re.escape(f"at most {conditions._WEIGHT_CAP:.1e}")
+        cap = re.escape(f"at most {model.WEIGHT_CAP:.1e}")
         with pytest.raises(ValueError, match=f"Kraus weights overflow: .* {cap}"):
             check_static_kl(CodeSpace(2, np.eye(2)), [op])
 
@@ -759,7 +759,7 @@ class TestPrunedTable:
             require_trace_nonincreasing=False,
         )
         code = StrategicCode(CodeSpace(2, np.eye(2)), interro)
-        assert conditions._WEIGHT_CAP == 2.0**500
+        assert model.WEIGHT_CAP == 2.0**500
         if accepted:
             assert check_algebraic(code, errors).correctable
             assert check_info(code, errors).correctable
@@ -993,9 +993,7 @@ def decoder_channel(kraus, shape):
 
 def schmidt_sectors(code, errors):
     """The library's per-memory (p, deficit, spectrum, vectors) product."""
-    return conditions._composed(code, errors).product(
-        "schmidt", conditions._schmidt_sectors
-    )
+    return conditions._composed(code, errors).sectors
 
 
 def merged_instance(seed):
@@ -1743,7 +1741,7 @@ class TestHexagonEmptyMemories:
         # WEIGHT_CUTOFF; each of the other 4 gets 2
         inst = hexagon_honeycomb()
         comp = conditions._composed(inst.code, inst.errors)
-        sectors = comp.product("schmidt", conditions._schmidt_sectors)
+        sectors = comp.sectors
         unreached = {m for m in comp.memories if not len(comp.blocks[m])}
         rounding = {
             m for m in comp.memories

@@ -384,13 +384,15 @@ def reference_coefficient(errors, state, rho, target):
     return (a + a.conj().T) / 2.0
 
 
-def factor_targets(state):
-    targets = [(0, 0, 0)]
-    for r, per_round in enumerate(state.instruments, start=1):
-        for mu, blocks in enumerate(per_round):
-            targets += [(r, mu, nu) for nu in range(len(blocks))]
-    final = state.rounds + 1
-    return targets + [(final, nu, 0) for nu in range(len(state.decoders))]
+def block_coefficients(engine, state):
+    """(r, μ, ν) and the engine's coefficient of every block, by one
+    ``coefficients`` call per family."""
+    return [
+        ((r, mu, nu), a)
+        for r, per_round in enumerate(state.factors)
+        for mu in range(len(per_round))
+        for nu, a in enumerate(engine.coefficients(state, r, mu))
+    ]
 
 
 def correlated_errors(seed, envs=(2, 2, 2)):
@@ -459,8 +461,7 @@ class TestEngineSums:
             engine = _Engine(errs, 2, memory, MIXED_QUBIT)
             ref = reference_evaluate(errs, state, MIXED_QUBIT)
             assert abs(engine.evaluate(state) - ref) <= 1e-12 * abs(ref)
-            targets = factor_targets(state)
-            for target, a in zip(targets, engine.coefficients(state, targets)):
+            for target, a in block_coefficients(engine, state):
                 ref = reference_coefficient(errs, state, MIXED_QUBIT, target)
                 err = np.linalg.norm(a - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), target
@@ -570,18 +571,10 @@ class TestEngineSums:
             step(which)
         assert len(state.rejected_steps) == 2
         assert engine.evaluate(state) == fresh().evaluate(state)
-        targets = factor_targets(state)
-        for cached, new in zip(
-            engine.coefficients(state, targets), fresh().coefficients(state, targets)
+        for (target, a), (_, b) in zip(
+            block_coefficients(engine, state), block_coefficients(fresh(), state), strict=True
         ):
-            assert (cached == new).all()
-
-    def test_unknown_target_rejected(self):
-        errs = identity_errors(2, rounds=1)
-        state = initial_state(errs, 2, (2,))
-        engine = _Engine(errs, 2, (2,), MIXED_QUBIT)
-        with pytest.raises(ValueError, match="unknown factor target"):
-            engine.coefficients(state, [(1, 1, 0)])
+            assert (a == b).all(), target
 
 
 def labeled_choi(data, out_label, do, in_label, di):
@@ -1063,8 +1056,7 @@ class TestReimpellWerner:
         for seed in range(3):
             state = initial_state(errs, 2, memory, config=OptimizerConfig(seed=seed))
             engine = _Engine(errs, 2, memory, MIXED_QUBIT)
-            targets = factor_targets(state)
-            for target, a in zip(targets, engine.coefficients(state, targets)):
+            for target, a in block_coefficients(engine, state):
                 scale = max(1.0, float(np.linalg.norm(a)))
                 assert np.linalg.eigvalsh(a)[0] >= -1e-12 * scale, target
 

@@ -1,5 +1,7 @@
 """Labeled-operator algebra: products, traces, vectorization, spectra."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,89 @@ class TestPartialTrace:
         a = op(np.zeros((2, 3)), [("a", 2)], [("b", 3)])
         with pytest.raises(ValueError, match="both sides"):
             partial_trace(a, {"a"})
+
+
+def _flat(index, subsystems):
+    """Row-major position of a {label: value} index on one side."""
+    pos = 0
+    for label, dim in subsystems:
+        pos = pos * dim + index[label]
+    return pos
+
+
+def _side_indices(subsystems):
+    labels = [label for label, _ in subsystems]
+    for values in itertools.product(*(range(dim) for _, dim in subsystems)):
+        yield dict(zip(labels, values))
+
+
+def loop_partial_trace(a, traced):
+    """Index-loop reference: every entry whose traced row and column
+    values agree lands on its kept position."""
+    rows = [s for s in a.row_subsystems if s[0] not in traced]
+    cols = [s for s in a.col_subsystems if s[0] not in traced]
+    out = np.zeros((int(np.prod([d for _, d in rows])), int(np.prod([d for _, d in cols]))),
+                   dtype=complex)
+    for ri in _side_indices(a.row_subsystems):
+        for ci in _side_indices(a.col_subsystems):
+            if all(ri[label] == ci[label] for label in traced):
+                out[_flat(ri, rows), _flat(ci, cols)] += a.data[
+                    _flat(ri, a.row_subsystems), _flat(ci, a.col_subsystems)
+                ]
+    return rows, cols, out
+
+
+def loop_partial_transpose(a, chosen):
+    """Index-loop reference: each chosen label's row and column values swap."""
+    out = np.zeros_like(a.data)
+    for ri in _side_indices(a.row_subsystems):
+        for ci in _side_indices(a.col_subsystems):
+            rt = {**ri, **{label: ci[label] for label in chosen}}
+            ct = {**ci, **{label: ri[label] for label in chosen}}
+            out[_flat(rt, a.row_subsystems), _flat(ct, a.col_subsystems)] = a.data[
+                _flat(ri, a.row_subsystems), _flat(ci, a.col_subsystems)
+            ]
+    return out
+
+
+def paired_case(name):
+    """A random operator of case ``name`` and every nonempty subset of its paired labels."""
+    rows, cols, paired = {
+        # the columns list the same subsystems in another order
+        "permuted-columns": ([("a", 2), ("b", 3), ("c", 2)], [("c", 2), ("a", 2), ("b", 3)], "abc"),
+        # r is on the rows only and s on the columns only: both are kept
+        "one-sided": ([("a", 2), ("r", 3), ("b", 2)], [("b", 2), ("s", 2), ("a", 2)], "ab"),
+    }[name]
+    shape = [int(np.prod([dim for _, dim in side])) for side in (rows, cols)]
+    a = op(random_matrix(rng_for(30), *shape), rows, cols)
+    return a, [set(c) for n in range(1, len(paired) + 1) for c in itertools.combinations(paired, n)]
+
+
+class TestPairedSubsystems:
+    """Both sides' orders and one-sided labels, against index loops."""
+
+    @pytest.mark.parametrize("case", ["permuted-columns", "one-sided"])
+    def test_partial_trace_matches_index_loops(self, case):
+        a, subsets = paired_case(case)
+        for traced in subsets:
+            got = partial_trace(a, traced)
+            rows, cols, want = loop_partial_trace(a, traced)
+            assert (got.row_subsystems, got.col_subsystems) == (tuple(rows), tuple(cols)), traced
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["permuted-columns", "one-sided"])
+    def test_partial_transpose_matches_index_loops(self, case):
+        a, subsets = paired_case(case)
+        for chosen in subsets:
+            got = partial_transpose(a, chosen)
+            assert (got.row_subsystems, got.col_subsystems) == (a.row_subsystems, a.col_subsystems)
+            assert (got.data == loop_partial_transpose(a, chosen)).all(), chosen
+
+    @pytest.mark.parametrize("fn", [partial_trace, partial_transpose])
+    def test_label_of_two_dims_rejected(self, fn):
+        a = op(random_matrix(rng_for(32), 6, 6), [("a", 2), ("b", 3)], [("a", 3), ("b", 2)])
+        with pytest.raises(ValueError, match="label 'a'"):
+            fn(a, {"a"})
 
 
 class TestPartialTranspose:
