@@ -38,6 +38,7 @@ from .io import (
 from .library import build_instance, instance_names
 from .model import ErrorModel, StrategicCode, error_op
 from .optimize import OptimizationState, OptimizerConfig, seesaw
+from .tensor import _check_cap
 from .tolerances import FIDELITY_GATE, FLIP_ATOL
 
 
@@ -324,6 +325,7 @@ def decode(
 
 
 def _identity_errors(ambient: int, rounds: int) -> ErrorModel:
+    _check_cap(ambient)  # before np.eye allocates ambient^2 entries
     return ErrorModel(tuple((error_op(r, np.eye(ambient)),) for r in range(rounds + 1)))
 
 
@@ -397,7 +399,10 @@ def optimize(
             _fail(f"--ambient-dim must be at least 1, got {ambient_dim}")
         if rounds is not None and rounds < 0:
             _fail(f"--rounds must be at least 0, got {rounds}")
-        errors = _identity_errors(ambient_dim, rounds or 0)
+        try:
+            errors = _identity_errors(ambient_dim, rounds or 0)
+        except ValueError as exc:
+            _fail(str(exc))
     ldim = logical_dim if logical_dim is not None else block.get("logical_dim")
     if ldim is None:
         _fail("no logical dimension: pass --logical-dim or an optimization block")

@@ -2,27 +2,31 @@
 
 One document carries a strategic code (codespace basis, per-round
 instruments, memory update tables), its error model, and an optional
-optimization block.  Complex entries are two-element ``[re, im]`` arrays.
-In ``schema_version`` 3, the version written, every matrix slot holds an
-integer index into the top-level ``matrices`` table, which holds each
-distinct matrix once, in order of first use.  Each table entry is a matrix
-in the version-2 form: dense, row-major nested lists of ``[re, im]`` cells,
-or sparse, ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` with the
-nonzero entries in row-major order.  A matrix is written sparse iff
+optimization block.  In ``schema_version`` 4, the version written, every
+matrix slot holds an integer index into the top-level ``matrices`` table,
+which holds each distinct matrix once, in order of first use.  Each table
+entry is flat: ``{"shape": [n, m], "data": [re_0, im_0, re_1, ...]}``
+holds all n * m entries in row-major order, and a sparse entry adds
+``"at": [k_0, k_1, ...]``, the strictly increasing row-major flat indices
+of the entries ``data`` holds.  A matrix is written sparse iff
 ``2 * nnz < n * m``, where an entry is nonzero iff it ``!= 0`` (so -0.0 is
-dropped).  Versions 1 (dense only) and 2 (dense or sparse), still read,
-hold each matrix inline in its slot.  The canonical text is exactly
-``json.dumps(doc, sort_keys=True)`` plus a newline: json's default
-separators and no indentation.  The reader ignores whitespace, so a file
-in another layout (such as the ``indent=2`` form earlier releases wrote)
-still loads, and re-exporting it changes its digest.  On load, every slot
-goes through one resolver: an inline matrix is decoded in place, a table
-entry once, at the shape its first reference implies.  Each matrix is
-validated in bulk and converted by one numpy call; only a rejected matrix
-is walked element by element, to name its offending row, cell or sparse
-entry.  Parse failures name the path through the document (for a table
-entry, the referencing path, then ``matrices[k]``); model invariant
-violations surface the constructor's residual message under that path.
+dropped).  Version 3, still read, has the same table with entries in the
+version-2 form: dense, row-major nested lists of ``[re, im]`` cells, or
+sparse, ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}``.  Versions 1
+(dense only) and 2 (dense or sparse) hold each matrix inline in its slot.
+The canonical text is exactly ``json.dumps(doc, sort_keys=True)`` plus a
+newline: json's default separators and no indentation.  The reader
+ignores whitespace, so a file in another layout (such as the ``indent=2``
+form earlier releases wrote) still loads, and re-exporting it changes its
+digest.  On load, every slot goes through one resolver: an inline matrix
+is decoded in place, a table entry once, at the shape its first reference
+implies.  Each matrix is validated in bulk and converted by one numpy
+call; only a rejected matrix is walked element by element, to name its
+offending row, cell, entry, part or index.  Parse failures name the path
+through the document (for a table entry, the referencing path, then
+``matrices[k]``); model invariant violations surface the constructor's
+residual message under that path.  The loaded operators own the arrays
+decoded for them, read-only and uncopied.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from .model import (
     Interrogator,
     MemoryUpdate,
     StrategicCode,
-    check_op,
-    error_op,
+    _check_op_sides,
+    _error_op_sides,
 )
-from .tensor import LabeledOperator
+from .tensor import LabeledOperator, Subsystems, _checked, _owned
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -60,7 +64,7 @@ __all__ = [
     "load_instance",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ParseError(ValueError):
@@ -80,6 +84,8 @@ def encode_matrix(mat: npt.NDArray[np.complex128]) -> list[list[list[float]]]:
 
 _NUMBER_TYPES = frozenset((float, int, bool))
 _SPARSE_KEYS = frozenset(("nz", "shape"))
+_FLAT_KEYS = frozenset(("shape", "data"))
+_FLAT_SPARSE_KEYS = _FLAT_KEYS | {"at"}
 
 
 Shape = tuple[int | None, int | None]
@@ -92,6 +98,7 @@ def decode_matrix(
 
     Dense rows of ``[re, im]`` number pairs are read in every version; from
     version 2 an object is read as a sparse ``{"nz", "shape"}`` matrix.
+    The flat entries of a version-4 table are read by the loader only.
     Well-formed input (plain lists of equal-length rows of two-element
     lists of ints, floats and bools, or sparse entries of two int indices
     and two such parts) is checked in bulk and converted by one numpy
@@ -208,14 +215,7 @@ def _decode_entries(
     extra = sorted(map(repr, obj.keys() - _SPARSE_KEYS))
     if extra:
         raise ParseError(path, f"unexpected key {extra[0]} in a sparse matrix")
-    shape = _get(obj, "shape", path, list, "two positive integers")
-    if len(shape) != 2 or not all(
-        isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in shape
-    ):
-        raise ParseError(f"{path}.shape", "expected two positive integers")
-    if shape[0] * shape[1] > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
-        raise ParseError(f"{path}.shape", f"{shape} is too large")
-    _check_shape(shape, path, want)
+    shape = _entry_shape(obj, path, want)
     out = _zeros(shape, path)
     seen = set()
     for k, entry in enumerate(_get(obj, "nz", path, list, "a list of entries")):
@@ -246,6 +246,116 @@ def _decode_entries(
                 raise ParseError(f"{epath}[{p}]", "number beyond float range") from None
         out[cell] = complex(*parts)
     return out
+
+
+def _decode_flat(obj: Any, path: str, want: Shape) -> npt.NDArray[np.complex128]:
+    """A version-4 table entry as a complex matrix.
+
+    A well-formed entry (a dict of ``shape`` and ``data``, plus ``at`` when
+    sparse, whose shape and indices are plain ints and whose parts are
+    ints, floats or bools) is checked by one type pass per list and
+    converted by one ``np.fromiter``; a
+    sparse one then passes one range-and-order test of ``at`` and is
+    scattered into zeros by one call.  Anything else goes through
+    :func:`_flat_entries`, which names the offending key, part or index.
+    """
+    shape, data = (obj.get("shape"), obj.get("data")) if type(obj) is dict else (None, None)
+    if (
+        type(shape) is list
+        and len(shape) == 2
+        and set(map(type, shape)) == {int}
+        and min(shape) > 0
+        and all(w in (None, g) for g, w in zip(shape, want))
+        and type(data) is list
+        and set(map(type, data)) <= _NUMBER_TYPES
+    ):
+        n, m = shape
+        at = obj.get("at")
+        try:
+            if obj.keys() == _FLAT_KEYS and len(data) == 2 * n * m:
+                parts = np.fromiter(data, np.float64, len(data))
+                return parts.view(np.complex128).reshape(n, m)
+            if (
+                obj.keys() == _FLAT_SPARSE_KEYS
+                and type(at) is list
+                and set(map(type, at)) <= {int}
+                and len(data) == 2 * len(at)
+            ):
+                index = np.fromiter(at, np.intp, len(at))
+                if not at or (
+                    index[0] >= 0
+                    and int(index[-1]) < n * m
+                    and (index[1:] > index[:-1]).all()
+                ):
+                    parts = np.fromiter(data, np.float64, len(data))
+                    out = _zeros(shape, path)
+                    out.reshape(-1)[index] = parts.view(np.complex128)
+                    return out
+        except OverflowError:  # a literal beyond float or index range
+            pass
+    return _flat_entries(obj, path, want)
+
+
+def _flat_entries(obj: Any, path: str, want: Shape) -> npt.NDArray[np.complex128]:
+    if not isinstance(obj, Mapping):
+        raise ParseError(path, 'expected an object with "shape" and "data"')
+    extra = sorted(map(repr, obj.keys() - _FLAT_SPARSE_KEYS))
+    if extra:
+        raise ParseError(path, f"unexpected key {extra[0]} in a version-4 matrix")
+    shape = _entry_shape(obj, path, want)
+    n, m = shape
+    data = _get(obj, "data", path, list, "a list of numbers")
+    if len(data) % 2:
+        raise ParseError(f"{path}.data", f"odd length {len(data)}: parts are re, im pairs")
+    if "at" not in obj:
+        if len(data) != 2 * n * m:
+            raise ParseError(f"{path}.data", f"length {len(data)} != 2 * {n} * {m}")
+    else:
+        at = _get(obj, "at", path, list, "a list of flat indices")
+        if 2 * len(at) != len(data):
+            raise ParseError(
+                f"{path}.data", f"length {len(data)} != 2 * {len(at)} indices"
+            )
+        prev = -1
+        for i, k in enumerate(at):
+            ipath = f"{path}.at[{i}]"
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ParseError(ipath, "expected an integer flat index")
+            if not 0 <= k < n * m:
+                raise ParseError(ipath, f"flat index {k} out of range {n * m}")
+            if k == prev:
+                raise ParseError(ipath, f"repeated flat index {k}")
+            if k < prev:
+                raise ParseError(ipath, f"flat index {k} after {prev}: indices must increase")
+            prev = k
+    parts = []
+    for i, x in enumerate(data):
+        if not isinstance(x, (int, float)):
+            raise ParseError(f"{path}.data[{i}]", "expected a number")
+        try:
+            parts.append(float(x))
+        except OverflowError:
+            raise ParseError(f"{path}.data[{i}]", "number beyond float range") from None
+    values = np.array(parts, dtype=np.float64).view(np.complex128)
+    if "at" not in obj:
+        return values.reshape(n, m)
+    out = _zeros(shape, path)
+    out.reshape(-1)[np.array(at, dtype=np.intp)] = values
+    return out
+
+
+def _entry_shape(obj: Mapping[str, Any], path: str, want: Shape) -> list[int]:
+    """A sparse or flat entry's ``shape``: two positive integers, of an
+    array numpy can index, matching ``want``; checked before allocation."""
+    shape = _get(obj, "shape", path, list, "two positive integers")
+    if len(shape) != 2 or not all(
+        isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in shape
+    ):
+        raise ParseError(f"{path}.shape", "expected two positive integers")
+    if shape[0] * shape[1] > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+        raise ParseError(f"{path}.shape", f"{shape} is too large")
+    _check_shape(shape, path, want)
+    return shape
 
 
 def _zeros(shape: list[int], path: str) -> npt.NDArray[np.complex128]:
@@ -285,14 +395,17 @@ def instance_text(
     """Canonical serialized form; identical models give identical bytes.
 
     The text is exactly ``json.dumps(doc, sort_keys=True) + "\\n"`` for
-    the version-3 ``doc``.  Its ``matrices`` table holds each distinct
+    the version-4 ``doc``.  Its ``matrices`` table holds each distinct
     matrix once, in order of first use along the walk below (codespace,
     check rounds by sorted memory and outcome, error rounds), and each
     matrix slot holds its entry's index.  Two matrices share an entry iff
     they read back bitwise equal: the same shape and bytes, with the zeros
-    of a sparse entry read back as +0.  An entry with ``2 * nnz < n * m``
-    is its ``{"nz": [[i, j, re, im], ...], "shape": [n, m]}`` object, any
-    other its :func:`encode_matrix` form.  One array object filed in many
+    of a sparse entry read back as +0.  An entry is
+    ``{"shape": [n, m], "data": [re_0, im_0, re_1, ...]}``, the parts of
+    its entries in row-major order; with ``2 * nnz < n * m`` ``data``
+    holds only the entries ``!= 0``, and ``"at"`` their row-major flat
+    indices.  Both lists are one ``tolist()`` of the array's float64 view
+    and of its support.  One array object filed in many
     slots (an instrument shared by several memories) is keyed once: its
     entry is remembered by identity for the rest of the call, while the
     models hold every array alive.
@@ -305,22 +418,20 @@ def instance_text(
         if id(mat) in seen:
             return seen[id(mat)]
         arr = np.ascontiguousarray(mat, dtype=np.complex128)
-        support = np.flatnonzero(arr)
-        sparse = 2 * support.size < arr.size
+        flat = arr.reshape(-1)
+        support = np.flatnonzero(flat)
+        sparse = 2 * support.size < flat.size
         if sparse:
-            values = arr.reshape(-1)[support]
-            key = (arr.shape, support.tobytes(), values.tobytes())
+            flat = flat[support]
+            key = (arr.shape, support.tobytes(), flat.tobytes())
         else:
-            key = (arr.shape, arr.tobytes())
+            key = (arr.shape, flat.tobytes())
         if key not in index:
             index[key] = len(matrices)
+            entry = {"shape": list(arr.shape), "data": flat.view(np.float64).tolist()}
             if sparse:
-                rows, cols = np.divmod(support, arr.shape[1])
-                nz = zip(rows.tolist(), cols.tolist(), values.real.tolist(),
-                         values.imag.tolist())
-                matrices.append({"nz": list(nz), "shape": list(arr.shape)})
-            else:
-                matrices.append(encode_matrix(arr))
+                entry["at"] = support.tolist()
+            matrices.append(entry)
         seen[id(mat)] = index[key]
         return index[key]
 
@@ -394,10 +505,11 @@ class _Slots:
     """The one resolver of a document's matrix slots.
 
     Versions 1 and 2 hold each matrix inline in its slot, and it is decoded
-    there.  Version 3 holds an integer index into the top-level
-    ``matrices`` table: each entry is decoded once, at the shape implied by
-    its first reference (so a sparse ``shape`` is still checked before
-    allocation), and every later reference checks its own implied shape.
+    there.  From version 3 a slot holds an integer index into the top-level
+    ``matrices`` table: each entry is decoded once, in its version's form,
+    at the shape implied by its first reference (so a sparse ``shape`` is
+    still checked before allocation), and every later reference checks its
+    own implied shape.
     Operators are not kept: a round's memories that list the same entries
     share one instrument (see :func:`_parse_interrogator`).
     """
@@ -422,8 +534,11 @@ class _Slots:
         mat = self.decoded.get(obj)
         try:
             if mat is None:
-                mat = self.decoded[obj] = decode_matrix(
-                    self.table[obj], f"matrices[{obj}]", self.version, shape
+                entry, where = self.table[obj], f"matrices[{obj}]"
+                mat = self.decoded[obj] = (
+                    _decode_flat(entry, where, shape)
+                    if self.version >= 4
+                    else decode_matrix(entry, where, self.version, shape)
                 )
             else:
                 _check_shape(mat.shape, f"matrices[{obj}]", shape)
@@ -441,15 +556,18 @@ class _Slots:
 
 def _operator(
     path: str,
-    build: Callable[..., LabeledOperator],
+    sides: Callable[..., tuple[Subsystems, Subsystems]],
     r: int,
     mat: npt.NDArray[np.complex128],
     *dims: int,
 ) -> LabeledOperator:
-    """``build(r, mat, *dims)``; a rejection (indivisible dims, the dense
-    cap) is a :class:`ParseError` at ``path``."""
+    """The operator on ``sides(r, mat.shape, *dims)`` after the public
+    constructor's tests, owning the freshly decoded ``mat`` uncopied (so
+    operators of one table entry share it, read-only); a rejection
+    (indivisible dims, the dense cap) is a :class:`ParseError` at
+    ``path``."""
     try:
-        return build(r, mat, *dims)
+        return _owned(*_checked(*sides(r, mat.shape, *dims), mat))
     except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
 
@@ -504,7 +622,7 @@ def _parse_interrogator(
                 by_memory[memory] = shared[key]
                 continue
             kraus = {
-                outcome: _operator(f"{mpath}[{outcome!r}]", check_op, r, mat)
+                outcome: _operator(f"{mpath}[{outcome!r}]", _check_op_sides, r, mat)
                 for outcome, mat in mats.items()
             }
             try:
@@ -567,7 +685,7 @@ def _parse_errors(
         for k, mat_obj in enumerate(kraus_obj):
             kpath = f"{path}.kraus[{k}]"
             mat = slots.matrix(mat_obj, kpath, shape)
-            ops.append(_operator(kpath, error_op, r, mat, env_in, env_out))
+            ops.append(_operator(kpath, _error_op_sides, r, mat, env_in, env_out))
             shape = mat.shape
         kraus_rounds.append(tuple(ops))
         env_in = env_out
@@ -589,10 +707,10 @@ def load_instance(path: str) -> InstanceDocument:
     if not isinstance(doc, Mapping):
         raise ParseError("(document)", "top level must be an object")
     version = _get(doc, "schema_version", "", int, "an integer")
-    if version not in (1, 2, 3):
+    if version not in (1, 2, 3, 4):
         raise ParseError(
             "schema_version",
-            f"unknown version {version}; this tool reads versions 1 to 3",
+            f"unknown version {version}; this tool reads versions 1 to 4",
         )
     slots = _Slots(doc, version)
     codespace = _parse_codespace(doc, slots)

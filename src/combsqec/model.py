@@ -90,8 +90,13 @@ def env_label(r: int) -> str:
 def check_op(r: int, mat: npt.ArrayLike) -> LabeledOperator:
     """Kraus operator of check round r, ``Q{r-1}p -> Q{r}``."""
     mat = np.asarray(mat, dtype=np.complex128)
-    d_out, d_in = mat.shape
-    return LabeledOperator(((q_label(r), d_out),), ((qp_label(r - 1), d_in),), mat)
+    return LabeledOperator(*_check_op_sides(r, mat.shape), mat)
+
+
+def _check_op_sides(r: int, shape: tuple[int, ...]) -> tuple[Subsystems, Subsystems]:
+    """The row and column subsystems of a round-r check of ``shape``."""
+    d_out, d_in = shape
+    return ((q_label(r), d_out),), ((qp_label(r - 1), d_in),)
 
 
 def error_op(
@@ -103,7 +108,15 @@ def error_op(
     environment input, so ``env_in`` must be 1 there.
     """
     mat = np.asarray(mat, dtype=np.complex128)
-    n_rows, n_cols = mat.shape
+    return LabeledOperator(*_error_op_sides(r, mat.shape, env_in, env_out), mat)
+
+
+def _error_op_sides(
+    r: int, shape: tuple[int, ...], env_in: int = 1, env_out: int = 1
+) -> tuple[Subsystems, Subsystems]:
+    """The row and column subsystems of a round-r error Kraus operator of
+    ``shape``; raises unless the environments divide its sides."""
+    n_rows, n_cols = shape
     if n_rows % env_out:
         raise ValueError(f"row count {n_rows} not divisible by env_out {env_out}")
     if n_cols % env_in:
@@ -115,7 +128,7 @@ def error_op(
     cols = ((q_label(r), n_cols // env_in),)
     if r > 0:
         cols += ((env_label(r - 1), env_in),)
-    return LabeledOperator(rows, cols, mat)
+    return rows, cols
 
 
 # ----------------------------------------------------------------------

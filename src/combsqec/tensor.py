@@ -92,7 +92,9 @@ class LabeledOperator:
     shape and the dense cap, and keeps a read-only copy of ``data``, so
     the caller's array may change afterwards.  Library functions return
     results through :func:`_owned` instead, which wraps the array they
-    just computed from validated operators, read-only and uncopied.
+    just computed from validated operators, read-only and uncopied.  The
+    file loader runs the constructor's tests, :func:`_checked`, and then
+    hands :func:`_owned` the arrays it has just decoded.
 
     Args:
         row_subsystems: ordered (label, dim) pairs for the row (output) side.
@@ -109,24 +111,11 @@ class LabeledOperator:
     col_labels: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = _as_subsystems(self.row_subsystems, "row")
-        cols = _as_subsystems(self.col_subsystems, "column")
+        rows, cols, mat = _checked(self.row_subsystems, self.col_subsystems, self.data)
         object.__setattr__(self, "row_subsystems", rows)
         object.__setattr__(self, "col_subsystems", cols)
         object.__setattr__(self, "row_labels", _labels(rows))
         object.__setattr__(self, "col_labels", _labels(cols))
-        mat = np.asarray(self.data, dtype=np.complex128)
-        if mat.ndim == 1:
-            mat = mat.reshape(-1, 1)
-        if mat.ndim != 2:
-            raise ValueError(f"data must be a matrix, got ndim={mat.ndim}")
-        expected = (_dims_product(rows), _dims_product(cols))
-        if mat.shape != expected:
-            raise ValueError(
-                f"data shape {mat.shape} does not match declared dims {expected} "
-                f"(rows {rows}, cols {cols})"
-            )
-        _check_cap(max(expected))
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
@@ -157,6 +146,31 @@ class LabeledOperator:
 
     def scaled(self, factor: complex) -> "LabeledOperator":
         return _owned(self.row_subsystems, self.col_subsystems, factor * self.data)
+
+
+def _checked(
+    row_subsystems: Iterable[tuple[str, int]],
+    col_subsystems: Iterable[tuple[str, int]],
+    data: npt.ArrayLike,
+) -> tuple[Subsystems, Subsystems, npt.NDArray[np.complex128]]:
+    """The constructor's label, shape and dense-cap tests; returns the
+    subsystems and ``data`` as a complex matrix, uncopied where it already
+    is one."""
+    rows = _as_subsystems(row_subsystems, "row")
+    cols = _as_subsystems(col_subsystems, "column")
+    mat = np.asarray(data, dtype=np.complex128)
+    if mat.ndim == 1:
+        mat = mat.reshape(-1, 1)
+    if mat.ndim != 2:
+        raise ValueError(f"data must be a matrix, got ndim={mat.ndim}")
+    expected = (_dims_product(rows), _dims_product(cols))
+    if mat.shape != expected:
+        raise ValueError(
+            f"data shape {mat.shape} does not match declared dims {expected} "
+            f"(rows {rows}, cols {cols})"
+        )
+    _check_cap(max(expected))
+    return rows, cols, mat
 
 
 def _owned(

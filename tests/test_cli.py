@@ -428,18 +428,17 @@ class TestCheck:
     ):
         with open(exported["bitflip"]) as fh:
             doc = json.load(fh)
-        dense = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(8)]
-        dense[0][0][0] = 10**400
-        sparse = {"nz": [[0, 0, 10**400, 0.0]], "shape": [8, 2]}
+        dense = {"data": [10**400] + [0.0] * 31, "shape": [8, 2]}
+        sparse = {"at": [0], "data": [10**400, 0.0], "shape": [8, 2]}
         k = doc["codespace"]["basis"]
-        for basis, where in ((dense, "[0][0]"), (sparse, ".nz[0][2]")):
+        for basis in (dense, sparse):
             doc["matrices"][k] = basis
             bad = tmp_path / "huge.json"
             bad.write_text(json.dumps(doc))
             res = runner.invoke(main, ["check", str(bad)])
             assert res.exit_code == 2
             assert (
-                f"codespace.basis: matrices[{k}]{where}: number beyond float range"
+                f"codespace.basis: matrices[{k}].data[0]: number beyond float range"
                 in res.output
             )
             assert res.exception is None or isinstance(res.exception, SystemExit)
@@ -458,7 +457,7 @@ class TestCheck:
         with open(exported["spacetime"]) as fh:
             doc = json.load(fh)
         k = own_entry(
-            doc, where, {"nz": [[3999, 3999, 1.0, 0.0]], "shape": [4000, 4000]}
+            doc, where, {"at": [4000**2 - 1], "data": [1.0, 0.0], "shape": [4000, 4000]}
         )
         bad = tmp_path / "wide.json"
         bad.write_text(json.dumps(doc))
@@ -499,10 +498,7 @@ class TestCheck:
         with open(exported["spacetime"]) as fh:
             doc = json.load(fh)
         matrix = doc["matrices"][own_entry(doc, where)]
-        if isinstance(matrix, dict):
-            matrix["nz"][0][2] = float("nan")
-        else:
-            matrix[0][0][0] = float("nan")
+        matrix["data"][0] = float("nan")
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(doc))
         res = runner.invoke(main, [command[0], str(bad), *command[1:]])
@@ -523,10 +519,7 @@ class TestCheck:
             doc = json.load(fh)
         doc["error_model"]["trace_nonincreasing"] = False
         matrix = doc["matrices"][own_entry(doc, ("error_model", "rounds", 0, "kraus", 0))]
-        if isinstance(matrix, dict):
-            matrix["nz"][0][2] = float("nan")
-        else:
-            matrix[0][0][0] = float("nan")
+        matrix["data"][0] = float("nan")
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(doc))
         res = runner.invoke(main, [command[0], str(bad), *command[1:]])
@@ -1070,6 +1063,25 @@ class TestOptimize:
         )
         assert res.exit_code == 2
         assert "logical dimension must be positive" in res.output
+
+    @pytest.mark.parametrize("cap, ambient", [("8", "9"), (None, "4097")])
+    def test_ambient_dim_above_the_dense_cap_is_named(
+        self, runner, monkeypatch, cap, ambient
+    ):
+        # checked before the identity error model allocates ambient^2 entries
+        if cap is None:
+            monkeypatch.delenv("COMBSQEC_DENSE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("COMBSQEC_DENSE_CAP", cap)
+        eye, allocated = np.eye, []
+        monkeypatch.setattr(np, "eye", lambda n, *a, **k: allocated.append(n) or eye(n, *a, **k))
+        res = runner.invoke(
+            main, ["optimize", "--ambient-dim", ambient, "--logical-dim", "2"]
+        )
+        assert res.exit_code == 2
+        assert res.output.startswith(f"error: dense dimension {ambient} exceeds the cap")
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert allocated == []
 
 
 class TestDemo:

@@ -20,7 +20,7 @@ from combsqec.io import (
     load_instance,
 )
 from combsqec.library import build_instance, instance_names, random_instance
-from combsqec.model import CheckInstrument
+from combsqec.model import CheckInstrument, ErrorModel, check_op, error_op
 from combsqec.tensor import LabeledOperator
 
 from conftest import unchecked_errors
@@ -54,6 +54,12 @@ def bitflip_doc():
 
 @pytest.fixture()
 def bitflip_v3():
+    inst = build_instance("bitflip")
+    return json.loads(reference_text(inst.code, inst.errors, version=3))
+
+
+@pytest.fixture()
+def bitflip_v4():
     inst = build_instance("bitflip")
     return json.loads(instance_text(inst.code, inst.errors))
 
@@ -121,11 +127,29 @@ def reference_encode_v2(mat):
     return reference_encode(arr)
 
 
-def reference_text(code, errors, optimization=None, version=3, indent=None):
-    """Versions 1 and 2 write each matrix in its slot; version 3 writes the
-    index of its entry in a table of the distinct written forms, in order
-    of first use.  ``indent=2`` gives the layout earlier releases wrote."""
-    encode = reference_encode if version == 1 else reference_encode_v2
+def reference_encode_v4(mat):
+    """Version 4: the flat parts of every cell, or, when fewer than half
+    the cells are != 0, of those cells, after their flat indices."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    n, m = arr.shape
+    cells = [v for row in arr.tolist() for v in row]
+    at = [k for k, v in enumerate(cells) if v != 0]
+    if 2 * len(at) < n * m:
+        parts = [p for k in at for p in (cells[k].real, cells[k].imag)]
+        return {"at": at, "data": parts, "shape": [n, m]}
+    return {"data": [p for v in cells for p in (v.real, v.imag)], "shape": [n, m]}
+
+
+ENCODERS = {1: reference_encode, 2: reference_encode_v2, 3: reference_encode_v2,
+            4: reference_encode_v4}
+
+
+def reference_text(code, errors, optimization=None, version=4, indent=None):
+    """Versions 1 and 2 write each matrix in its slot; versions 3 and 4
+    write the index of its entry in a table of the distinct written forms,
+    in order of first use.  ``indent=2`` gives the layout earlier releases
+    wrote."""
+    encode = ENCODERS[version]
     table, index = [], {}
 
     def slot(mat):
@@ -169,7 +193,7 @@ def reference_text(code, errors, optimization=None, version=3, indent=None):
             "rounds": err_rounds,
         },
     }
-    if version == 3:
+    if version >= 3:
         doc["matrices"] = table
     if optimization is not None:
         doc["optimization"] = dict(optimization)
@@ -366,10 +390,10 @@ class TestCanonicalText:
         text = instance_text(inst.code, errors)
         assert text == reference_text(inst.code, errors)
         doc = json.loads(text)
-        obj = doc["matrices"][doc["error_model"]["rounds"][0]["kraus"][0]]
-        got = decode_matrix(obj, "m")
+        k = doc["error_model"]["rounds"][0]["kraus"][0]
+        got = combsqec_io._Slots(doc, 4).matrix(k, "m", (8, 8))
         sparse = 2 * np.count_nonzero(odd.data) < 64
-        assert isinstance(obj, dict) == sparse
+        assert ("at" in doc["matrices"][k]) == sparse
         want = np.where(odd.data != 0, odd.data, 0) if sparse else odd.data
         assert got.tobytes() == want.tobytes()
 
@@ -463,7 +487,7 @@ class TestSchemaVersions:
     def test_indented_v3_library_files_load_to_bitwise_equal_arrays(
         self, tmp_path, named
     ):
-        text = reference_text(named.code, named.errors, indent=2)
+        text = reference_text(named.code, named.errors, version=3, indent=2)
         loaded = load_text(tmp_path, text, "indented.json")
         assert_same_arrays(named, loaded, bitwise=True)
         assert instance_text(loaded.code, loaded.errors) == instance_text(
@@ -473,7 +497,7 @@ class TestSchemaVersions:
     def test_indented_v3_random_files_load_to_bitwise_equal_arrays(self, tmp_path):
         for seed in range(20):
             inst = random_instance(seed, qubits=1 + seed % 2)
-            text = reference_text(inst.code, inst.errors, indent=2)
+            text = reference_text(inst.code, inst.errors, version=3, indent=2)
             loaded = load_text(tmp_path, text, "indented.json")
             assert_same_arrays(inst, loaded, bitwise=True)
             reexported = instance_text(loaded.code, loaded.errors)
@@ -501,11 +525,13 @@ class TestSchemaVersions:
                 for version, text in (
                     (1, reference_text(inst.code, inst.errors, version=1)),
                     (2, reference_text(inst.code, inst.errors, version=2)),
-                    (3, instance_text(inst.code, inst.errors)),
+                    (3, reference_text(inst.code, inst.errors, version=3)),
+                    (4, instance_text(inst.code, inst.errors)),
                 )
             ]
-            assert_same_arrays(docs[0], docs[2])
-            assert_same_arrays(docs[1], docs[2], bitwise=True)
+            assert_same_arrays(docs[0], docs[3])
+            assert_same_arrays(docs[1], docs[3], bitwise=True)
+            assert_same_arrays(docs[2], docs[3], bitwise=True)
 
     def test_v1_document_with_sparse_matrix_rejected(self, tmp_path, bitflip_doc):
         bitflip_doc["schema_version"] = 1
@@ -552,13 +578,14 @@ class TestMatrixTable:
             text = instance_text(inst.code, inst.errors)
             table = json.loads(text)["matrices"]
             assert len(table) == distinct_matrices(inst.code, inst.errors), seed
-            doc = load_text(tmp_path, text, "v3.json")
+            doc = load_text(tmp_path, text, "v4.json")
             assert instance_text(doc.code, doc.errors) == text, seed
             assert_same_arrays(inst, doc, bitwise=True)
 
     def test_hexagon_file_is_under_256_kb(self, tmp_path):
-        # 191,290 B; indented as json.dumps(doc, indent=2) it is 683,106 B,
-        # and with every slot written in full (version 2) 4.77 MB
+        # 158,151 B; in version 3 191,290 B, indented as
+        # json.dumps(doc, indent=2) 683,106 B, and with every slot written in
+        # full (version 2) 4.77 MB
         inst = build_instance("hexagon")
         path = tmp_path / "hexagon.json"
         export_instance(inst.code, inst.errors, str(path))
@@ -568,20 +595,20 @@ class TestMatrixTable:
         with open(exported[0], encoding="utf-8") as fh:
             doc = json.load(fh)
         want = {
-            ("check_op", r, k)
+            ("_check_op_sides", r, k)
             for r, rnd in enumerate(doc["interrogator"]["rounds"], start=1)
             for outcomes in rnd["instruments"].values()
             for k in outcomes.values()
         } | {
-            ("error_op", r, k)
+            ("_error_op_sides", r, k)
             for r, rnd in enumerate(doc["error_model"]["rounds"])
             for k in rnd["kraus"]
         }
         built = []
-        for name in ("check_op", "error_op"):
-            def counted(r, mat, *dims, name=name, build=getattr(combsqec_io, name)):
+        for name in ("_check_op_sides", "_error_op_sides"):
+            def counted(r, shape, *dims, name=name, sides=getattr(combsqec_io, name)):
                 built.append((name, r))
-                return build(r, mat, *dims)
+                return sides(r, shape, *dims)
             monkeypatch.setattr(combsqec_io, name, counted)
         load_instance(exported[0])
         assert sorted(built) == sorted((name, r) for name, r, _ in want)
@@ -627,8 +654,7 @@ class TestMatrixTable:
             entry = json.loads(json.dumps(entry))
             doc["matrices"].append(entry)
             instruments[memory][outcome] = len(doc["matrices"]) - 1
-        for cell in entry["nz"] if isinstance(entry, dict) else chain(*entry):
-            cell[-2:] = [2.0 * cell[-2], 2.0 * cell[-1]]
+        entry["data"][:] = [2.0 * x for x in entry["data"]]
         with pytest.raises(ParseError) as info:
             load_instance(write_doc(tmp_path, doc))
         assert str(info.value) == (
@@ -697,12 +723,13 @@ class TestDiagnostics:
             load_instance(write_doc(tmp_path, bitflip_doc))
 
     def test_non_orthonormal_basis_named(
-        self, tmp_path, bitflip_v1, bitflip_doc, bitflip_v3
+        self, tmp_path, bitflip_v1, bitflip_doc, bitflip_v3, bitflip_v4
     ):
         bitflip_v1["codespace"]["basis"][0][0] = [0.7, 0.0]
         bitflip_doc["codespace"]["basis"]["nz"][0][2] = 0.7
         bitflip_v3["matrices"][bitflip_v3["codespace"]["basis"]]["nz"][0][2] = 0.7
-        for doc in (bitflip_v1, bitflip_doc, bitflip_v3):
+        bitflip_v4["matrices"][bitflip_v4["codespace"]["basis"]]["data"][0] = 0.7
+        for doc in (bitflip_v1, bitflip_doc, bitflip_v3, bitflip_v4):
             with pytest.raises(ParseError, match="codespace.basis.*not orthonormal"):
                 load_instance(write_doc(tmp_path, doc))
 
@@ -1124,9 +1151,8 @@ class TestDecodeMatchesReference:
             reference_decode_v2, obj
         )
 
-    def test_library_matrices(self, exported):
-        with open(exported[0], encoding="utf-8") as fh:
-            doc = json.load(fh)
+    def test_library_matrices(self, named):
+        doc = json.loads(reference_text(named.code, named.errors, version=3))
         for obj in doc["matrices"]:
             assert decode_outcome(decode_matrix, obj) == decode_outcome(
                 reference_decode_v2, obj
@@ -1221,25 +1247,272 @@ class TestTableSlots:
         with pytest.raises(ParseError, match=want):
             slots.matrix(0, "slot", (2, None))
 
-    def test_library_files(self, exported):
-        with open(exported[0], encoding="utf-8") as fh:
-            table = json.load(fh)["matrices"]
+    def test_library_files(self, named):
+        table = json.loads(reference_text(named.code, named.errors, version=3))["matrices"]
         slots = combsqec_io._Slots({"matrices": table}, 3)
         for k in range(len(table)):
             got = slot_outcome(slots, k, (None, None))
             assert got == decode_outcome(reference_decode_v2, table[k])
 
 
+# ----------------------------------------------------------------------
+# version 4: flat table entries
+# ----------------------------------------------------------------------
+
+# signed zeros, the least subnormal, a subnormal of 17 significant digits,
+# values that need 17 digits, and the extremes of the finite doubles
+FLAT_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, 0.1 + 0.2, 1 / 3,
+                -1.7976931348623157e308, 2.2250738585072014e-308]
+FLAT_PARTS = st.one_of(st.sampled_from(FLAT_SPECIAL), st.floats(allow_nan=False))
+
+
+def flat_slot(entry, shape=(None, None)):
+    """A version-4 table entry through the resolver, as its first slot."""
+    return combsqec_io._Slots({"matrices": [entry]}, 4).matrix(0, "slot", shape)
+
+
+@st.composite
+def drawn_matrices(draw, parts=FLAT_PARTS, n=None, m=None):
+    """An n x m matrix whose drawn cells hold drawn parts; the other cells
+    are complex zeros with parts of drawn signs."""
+    n = n or draw(st.integers(1, 5))
+    m = m or draw(st.integers(1, 5))
+    k = draw(st.integers(0, n * m))
+    cells = draw(st.permutations(range(n * m)))[:k]
+    flat = np.array([draw(st.sampled_from([0.0, -0.0])) for _ in range(2 * n * m)])
+    for c in cells:
+        flat[2 * c : 2 * c + 2] = draw(parts), draw(parts)
+    return flat.view(np.complex128).reshape(n, m)
+
+
+class TestVersion4:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mat=drawn_matrices())
+    def test_entries_read_back_bitwise_and_as_their_v3_form(self, mat):
+        entry = json.loads(json.dumps(reference_encode_v4(mat)))
+        assert ("at" in entry) == (2 * np.count_nonzero(mat) < mat.size)
+        got = flat_slot(entry)
+        assert got.tobytes() == as_written(mat).tobytes()
+        v3 = json.loads(json.dumps(reference_encode_v2(mat)))
+        assert got.tobytes() == decode_matrix(v3, "m", 3).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mat=drawn_matrices(st.one_of(
+        st.sampled_from(FLAT_SPECIAL[:6]), st.floats(-1e100, 1e100)), 8, 8))
+    def test_documents_round_trip(self, tmp_path_factory, mat):
+        # bitflip with its first error Kraus operator drawn; no trace check,
+        # so any finite operator loads
+        inst = build_instance("bitflip")
+        first, *rest = inst.errors.kraus_rounds[0]
+        odd = LabeledOperator(first.row_subsystems, first.col_subsystems, mat)
+        errors = ErrorModel(((odd, *rest),), require_trace_nonincreasing=False)
+        text = instance_text(inst.code, errors)
+        assert text == reference_text(inst.code, errors)
+        tmp_path = tmp_path_factory.mktemp("v4")
+        loaded = load_text(tmp_path, text, "v4.json")
+        assert instance_text(loaded.code, loaded.errors) == text
+        assert_same_arrays(ParsedPair(inst.code, errors), loaded, bitwise=True)
+        v3 = load_text(tmp_path, reference_text(inst.code, errors, version=3), "v3.json")
+        assert_same_arrays(v3, loaded, bitwise=True)
+
+    def test_all_zero_sparse_entry(self):
+        entry = reference_encode_v4(np.zeros((8, 8)))
+        assert entry == {"at": [], "data": [], "shape": [8, 8]}
+        got = flat_slot(entry, (None, 8))
+        assert got.shape == (8, 8) and got.tobytes() == bytes(8 * 8 * 16)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_value_types_accepted_as_in_version_3(self, data):
+        # ints, bools, floats and float subclasses are numbers in both
+        # versions, anything else in neither; decoded, they agree bitwise
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(NUMBERS, min_size=2 * n * m, max_size=2 * n * m))
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, 2 * n * m - 1))] = data.draw(JUNK)
+        cells = [values[2 * c : 2 * c + 2] for c in range(n * m)]
+        v3 = [cells[i * m : i * m + m] for i in range(n)]
+        v4 = {"data": values, "shape": [n, m]}
+        want = decode_outcome(decode_matrix, v3)
+        got = decode_outcome(lambda obj, _: flat_slot(obj), v4)
+        assert got[0] == want[0]
+        assert got[0] == "raised" or got == want
+        # the same parts, all cells listed in a sparse entry
+        v4["at"] = list(range(n * m))
+        assert decode_outcome(lambda obj, _: flat_slot(obj), v4) == got
+
+    def test_library_files(self, named, exported):
+        # every entry of the written table decodes in bulk: the element walk
+        # never runs
+        with open(exported[0], encoding="utf-8") as fh:
+            table = json.load(fh)["matrices"]
+        slots = combsqec_io._Slots({"matrices": table}, 4)
+        v3 = json.loads(reference_text(named.code, named.errors, version=3))["matrices"]
+        for k in range(len(table)):
+            got = slot_outcome(slots, k, (None, None))
+            assert got == decode_outcome(reference_decode_v2, v3[k])
+
+
+class ParsedPair:
+    """A code and error model where an InstanceDocument is expected."""
+
+    def __init__(self, code, errors):
+        self.code, self.errors = code, errors
+
+
+class TestFlatDiagnostics:
+    """Version-4 entries; bitflip's entry 1 is its first error Kraus
+    operator, 0.5 I on 8 levels: ``{"at": [0, 9, ..., 63], "data": [0.5,
+    0.0] * 8, "shape": [8, 8]}``, and its slot implies the shape (any, 8)."""
+
+    SLOT = r"^error_model\.rounds\[0\]\.kraus\[0\]: matrices\[1\]"
+    DENSE = {"data": list(chain.from_iterable(
+        ([0.5, 0.0] if i == j else [0.0, 0.0]) for i in range(8) for j in range(8))),
+        "shape": [8, 8]}
+
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda e: e["data"].append(0.0), ".data", "odd length 17: parts are re, im pairs"),
+        ("dense", None, None),
+        (lambda e: e["at"].pop(), ".data", r"length 16 != 2 \* 7 indices"),
+        (lambda e: e["at"].__setitem__(3, 18), r".at\[3\]", "repeated flat index 18"),
+        (lambda e: e.update(at=[0, 9, 27, 18, 36, 45, 54, 63]), r".at\[3\]",
+         "flat index 18 after 27: indices must increase"),
+        (lambda e: e["at"].__setitem__(7, 64), r".at\[7\]", "flat index 64 out of range 64"),
+        (lambda e: e["at"].__setitem__(0, -1), r".at\[0\]", "flat index -1 out of range 64"),
+        (lambda e: e["at"].__setitem__(0, 2**70), r".at\[0\]", "flat index .* out of range 64"),
+        (lambda e: e["at"].__setitem__(0, False), r".at\[0\]", "expected an integer flat index"),
+        (lambda e: e["at"].__setitem__(0, 0.0), r".at\[0\]", "expected an integer flat index"),
+        (lambda e: e.update(at="0"), ".at", "expected a list of flat indices"),
+        (lambda e: e["data"].__setitem__(3, "0"), r".data\[3\]", "expected a number"),
+        (lambda e: e["data"].__setitem__(3, None), r".data\[3\]", "expected a number"),
+        (lambda e: e["data"].__setitem__(3, [0.0]), r".data\[3\]", "expected a number"),
+        (lambda e: e["data"].__setitem__(2, 10**400), r".data\[2\]",
+         "number beyond float range"),
+        (lambda e: e.update(data=None), ".data", "expected a list of numbers"),
+        (lambda e: e.pop("data"), ".data", "missing"),
+        (lambda e: e.pop("shape"), ".shape", "missing"),
+        (lambda e: e.update(rows=8), "", "unexpected key 'rows' in a version-4 matrix"),
+        (lambda e: e.update(shape=[8, True]), ".shape", "expected two positive integers"),
+        (lambda e: e.update(shape=[8, 0]), ".shape", "expected two positive integers"),
+        (lambda e: e.update(shape=[8, 8.0]), ".shape", "expected two positive integers"),
+        (lambda e: e.update(shape=[2**62, 8]), ".shape", r"\[4611686018427387904, 8\] is too large"),
+        (lambda e: e.update(shape=[8, 4]), "", r"shape \(8, 4\) does not match dims \(any, 8\)"),
+    ])
+    def test_named_under_the_slot(self, tmp_path, bitflip_v4, edit, where, message):
+        entry = bitflip_v4["matrices"][1]
+        if edit == "dense":  # a dense entry one cell short
+            entry = bitflip_v4["matrices"][1] = json.loads(json.dumps(self.DENSE))
+            entry["data"][-2:] = []
+            where, message = ".data", r"length 126 != 2 \* 8 \* 8"
+        else:
+            edit(entry)
+        with pytest.raises(ParseError, match=self.SLOT + where + ": " + message + "$"):
+            load_instance(write_doc(tmp_path, bitflip_v4))
+
+    def test_dense_entry_loads(self, tmp_path, bitflip_v4):
+        bitflip_v4["matrices"][1] = self.DENSE
+        loaded = load_instance(write_doc(tmp_path, bitflip_v4))
+        assert loaded.errors.round_ops(0)[0].data.tobytes() == (0.5 * np.eye(8, dtype=complex)).tobytes()
+
+    def test_digit_string_beyond_float_range(self):
+        # json.loads refuses a 5,000-digit literal (the int digit limit), so
+        # a document never holds one; a table built in memory may
+        entry = {"data": [10**5000, 0.0], "shape": [1, 1]}
+        with pytest.raises(ParseError, match=r"^slot: matrices\[0\]\.data\[0\]: "
+                                             r"number beyond float range$"):
+            flat_slot(entry)
+
+    @pytest.mark.parametrize("form, message", [
+        ("dense", 'expected an object with "shape" and "data"'),
+        ("sparse", "unexpected key 'nz' in a version-4 matrix"),
+    ])
+    def test_version_3_entry_rejected(self, tmp_path, bitflip_v4, form, message):
+        mat = 0.5 * np.eye(8)
+        bitflip_v4["matrices"][1] = (
+            encode_matrix(mat) if form == "dense" else reference_encode_v2(mat)
+        )
+        with pytest.raises(ParseError, match=self.SLOT + ": " + message + "$"):
+            load_instance(write_doc(tmp_path, bitflip_v4))
+
+    def test_version_4_entry_rejected_in_version_3(self, tmp_path, bitflip_v4):
+        bitflip_v4["schema_version"] = 3
+        # the basis, entry 0, is resolved first
+        with pytest.raises(ParseError, match=r"^codespace\.basis: matrices\[0\]: "
+                                             "unexpected key 'at' in a sparse matrix$"):
+            load_instance(write_doc(tmp_path, bitflip_v4))
+
+    @pytest.mark.parametrize("shape, message", [
+        ([4000, 4000], r": shape \(4000, 4000\) does not match dims \(8, 2\)"),
+        ([2**62, 2], r"\.shape: \[4611686018427387904, 2\] is too large"),
+    ])
+    def test_oversized_shape_rejected_before_allocation(
+        self, tmp_path, bitflip_v4, monkeypatch, shape, message
+    ):
+        bitflip_v4["matrices"][0] = {"at": [shape[0] * shape[1] - 1], "data": [1.0, 0.0],
+                                     "shape": shape}
+        allocated = []
+        zeros = combsqec_io._zeros
+        monkeypatch.setattr(
+            combsqec_io, "_zeros",
+            lambda shape, path: allocated.append(shape) or zeros(shape, path),
+        )
+        with pytest.raises(ParseError, match=r"^codespace\.basis: matrices\[0\]" + message):
+            load_instance(write_doc(tmp_path, bitflip_v4))
+        assert allocated == []
+
+
+class TestLoadCopies:
+    def test_hexagon_load_copies_no_operator(self, tmp_path, monkeypatch):
+        # the loader hands each decoded array to its operator; through the
+        # public constructor it would copy all 20 (1,310,720 B)
+        inst = build_instance("hexagon")
+        path = tmp_path / "hexagon.json"
+        export_instance(inst.code, inst.errors, str(path))
+        copied = []
+        post_init = LabeledOperator.__post_init__
+
+        def counted(op):
+            post_init(op)
+            copied.append(op.data.nbytes)
+        monkeypatch.setattr(LabeledOperator, "__post_init__", counted)
+        loaded = load_instance(str(path))
+        assert copied == []
+        arrays = instance_arrays(loaded.code, loaded.errors)
+        assert not any(a.flags.writeable for a in arrays)
+        # all 20 table entries are owned by the operators, one array each
+        assert len({id(a) for a in arrays[1:]}) == 19
+
+    def test_public_constructors_still_copy(self):
+        mat = np.eye(2, dtype=complex)
+        for op in (check_op(1, mat), error_op(0, mat), LabeledOperator(
+                (("a", 2),), (("b", 2),), mat)):
+            assert op.data is not mat and not np.shares_memory(op.data, mat)
+            assert not op.data.flags.writeable
+        assert mat.flags.writeable
+
+
+def readme_sizes(column):
+    """One size column of README's instance-file table, by instance name."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 7 and cells[0].startswith("`") and cells[-1].endswith(" B"):
+            rows[cells[0].strip("`")] = int(cells[column][:-2].replace(",", ""))
+    assert sorted(rows) == ["hexagon", "spacetime", "window-full", "window-last"]
+    return rows
+
+
 class TestReadmeTable:
     def test_version_3_sizes_are_the_written_sizes(self):
-        # the "version 3" column of README's instance-file table
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        rows = {}
-        for line in readme.read_text(encoding="utf-8").splitlines():
-            cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if len(cells) == 6 and cells[0].startswith("`") and cells[-1].endswith(" B"):
-                rows[cells[0].strip("`")] = int(cells[-1][:-2].replace(",", ""))
-        assert sorted(rows) == ["hexagon", "spacetime", "window-full", "window-last"]
-        for name, size in rows.items():
+        # the compact "version 3" column, the one before the last
+        for name, size in readme_sizes(-2).items():
+            inst = build_instance(name)
+            text = reference_text(inst.code, inst.errors, version=3)
+            assert len(text.encode()) == size, name
+
+    def test_version_4_sizes_are_the_written_sizes(self):
+        # the "version 4" column, the last
+        for name, size in readme_sizes(-1).items():
             inst = build_instance(name)
             assert len(instance_text(inst.code, inst.errors).encode()) == size, name
